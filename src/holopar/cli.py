@@ -15,20 +15,21 @@ import sys
 import numpy as np
 
 from . import report as report_mod
-from .connections import Connection, torsion, zero_christoffels
+from .connections import Connection, zero_christoffels
 from .constructions import connection_from_covering_parallelism
 from .errors import ConfigError, HoloparError
 from .exprs import parse_expr
 from .fixtures import fixture_names, load_fixture
-from .geometry import Box, ChartPoint, Frame, VectorField, coordinate_frame, dual_coframe, segment
+from .geometry import Box, ChartPoint, Frame, VectorField, dual_coframe, segment
 from .norms import (ContinuousFamily, MinkowskiNorm, RandersData,
                     constant_norm_field, isometry_group_2x2,
                     one_form_norm_field, randers_norm)
-from .parallelism import CoveringParallelism, Parallelism, frame_parallelism, pushdown_norm, translation_parallelism
-from .transport import parallel_transport
-from .verification import (CheckReport, CurveGenerator, berwald_obstruction,
+from .parallelism import CoveringParallelism, frame_parallelism, pushdown_norm, translation_parallelism
+from .transport import transport_ensemble
+from .verification import (CurveGenerator, berwald_obstruction,
                            check_compalg_criterion, check_holonomy_invariance,
-                           check_parallelism_compat, _report)
+                           check_parallelism_compat, make_report,
+                           torsion_samples)
 
 COORD_NAMES = ("x", "y", "z")
 NORM_VARS = ("a", "b", "c")
@@ -125,26 +126,23 @@ def _load_config(arg):
 
 # ---------------------------------------------------------------- fixture suites
 
-def _torsion_report(fx, samples=50, tol=1e-9, seed=42):
-    rng = np.random.default_rng(seed)
-    pts = fx.domain.sample(rng, samples, margin=0.05)
-    fields = fx.frame.fields
+def _torsion_report(fx, sampled, tol=1e-9, seed=42):
+    """T(E_1, E_2) at the `torsion_samples` points against the expected
+    constant."""
     expected = np.asarray(fx.expected["torsion_E1_E2"].value)
     worst, wit = 0.0, {}
-    for row in pts:
-        p = ChartPoint(row)
-        t = torsion(fx.connection, fields[0], fields[1], p)
-        err = float(np.max(np.abs(t.components - expected)))
+    for row, t in sampled:
+        err = float(np.max(np.abs(t - expected)))
         if err >= worst:
-            worst, wit = err, {"p": row.tolist(), "torsion": t.components.tolist()}
-    return _report("section5_torsion", samples, worst, worst, tol, wit, seed)
+            worst, wit = err, {"p": row.tolist(), "torsion": t.tolist()}
+    return make_report("section5_torsion", len(sampled), worst, worst, tol, wit, seed)
 
 
 def _isometry_report(fx, tol=1e-6, seed=42):
     group = isometry_group_2x2(fx.minkowski_norm)
     if isinstance(group, ContinuousFamily):
-        return _report("section5_isometry_group", 0, 1.0, 1.0, tol,
-                       {"continuous_family": True}, seed)
+        return make_report("section5_isometry_group", 0, 1.0, 1.0, tol,
+                           {"continuous_family": True}, seed)
     targets = [np.eye(2), np.diag([1.0, -1.0])]
     err = 1.0
     if len(group) == len(targets):
@@ -153,39 +151,41 @@ def _isometry_report(fx, tol=1e-6, seed=42):
             err = max(err, min(float(np.max(np.abs(np.asarray(g) - tgt)))
                                for g in group))
     wit = {"count": len(group), "matrices": [np.asarray(g).tolist() for g in group]}
-    return _report("section5_isometry_group", len(group), err, err, tol, wit, seed)
+    return make_report("section5_isometry_group", len(group), err, err, tol, wit, seed)
 
 
 def _transport_oracle_report(fx, curves=20, tol=1e-7, step=1e-3, seed=42):
-    """RK4 transport against the frame-transfer oracle [E(q)][E(p)]^-1."""
-    gen = CurveGenerator(fx.domain.shrink(0.05), seed=seed, count=curves)
+    """RK4 transport against the frame-transfer oracle [E(q)][E(p)]^-1.
+
+    The generated curves and the expected 00 -> 10 segment run as one
+    ensemble at half the step: the run parallel_transport keeps."""
+    batch = CurveGenerator(fx.domain.shrink(0.05), seed=seed, count=curves).curves()
+    batch.append(segment((0.0, 0.0), (1.0, 0.0), domain=fx.domain))
+    half = 1.0 / (2 * max(1, int(round(1.0 / step))))
+    phis, _, _ = transport_ensemble(fx.connection, batch, [1.0], step=half)
+    mats = phis[:, 0]
     worst, wit = 0.0, {}
-    for curve in gen.curves():
-        op = parallel_transport(fx.connection, curve, 1.0, step=step)
-        E_p = fx.frame.matrix(op.from_point)
-        E_q = fx.frame.matrix(op.to_point)
-        oracle = E_q @ np.linalg.inv(E_p)
-        err = float(np.max(np.abs(op.matrix - oracle)))
+    for curve, mat in zip(batch[:-1], mats):
+        E_p = fx.frame.matrix(curve.point(0.0))
+        E_q = fx.frame.matrix(curve.point(1.0))
+        err = float(np.max(np.abs(mat - E_q @ np.linalg.inv(E_p))))
         if err >= worst:
-            worst, wit = err, {"curve": curve.params, "matrix": op.matrix.tolist()}
-    explicit = segment((0.0, 0.0), (1.0, 0.0), domain=fx.domain)
-    op = parallel_transport(fx.connection, explicit, 1.0, step=step)
+            worst, wit = err, {"curve": curve.params, "matrix": mat.tolist()}
     exp_mat = np.asarray(fx.expected["transport_00_to_10"].value)
-    err = float(np.max(np.abs(op.matrix - exp_mat)))
-    worst = max(worst, err)
-    return _report("section5_transport_oracle", curves + 1, worst, worst, tol,
-                   wit, seed, step)
+    worst = max(worst, float(np.max(np.abs(mats[-1] - exp_mat))))
+    return make_report("section5_transport_oracle", curves + 1, worst, worst, tol,
+                       wit, seed, step)
 
 
 def _pushdown_report(fx, tol=1e-9, seed=42):
     try:
         pushdown_norm(fx.norm_field, fx.parallelism, ChartPoint(np.zeros(fx.dim)),
                       basepoints=10, vectors=200, tol=tol, seed=seed)
-        return _report("section5_pushdown_independence", 10 * 200, 0.0, 0.0,
-                       tol, {}, seed)
+        return make_report("section5_pushdown_independence", 10 * 200, 0.0, 0.0,
+                           tol, {}, seed)
     except HoloparError as exc:
-        return _report("section5_pushdown_independence", 10 * 200, 1.0, 1.0,
-                       tol, getattr(exc, "witness", {"error": str(exc)}), seed)
+        return make_report("section5_pushdown_independence", 10 * 200, 1.0, 1.0,
+                           tol, getattr(exc, "witness", {"error": str(exc)}), seed)
 
 
 def _expected_failure_report(name, inner, expected_ratio, tol, seed):
@@ -194,9 +194,9 @@ def _expected_failure_report(name, inner, expected_ratio, tol, seed):
     ratio_err = abs(inner.witness.get("value_ratio", np.nan) - expected_ratio)
     confirmed = (not inner.passed) and ratio_err <= tol
     err = ratio_err if not inner.passed else 1.0
-    return _report(name, inner.samples, err, err if confirmed else 1.0, tol,
-                   {"inner": inner.to_dict(), "expected_ratio": expected_ratio},
-                   seed, inner.step)
+    return make_report(name, inner.samples, err, err if confirmed else 1.0, tol,
+                       {"inner": inner.to_dict(), "expected_ratio": expected_ratio},
+                       seed, inner.step)
 
 
 def run_fixture_suite(name, step=1e-3, tol=1e-6, curves=100, vectors=20, seed=42):
@@ -204,7 +204,8 @@ def run_fixture_suite(name, step=1e-3, tol=1e-6, curves=100, vectors=20, seed=42
     checks = []
     if name == "section5":
         gen = CurveGenerator(fx.domain.shrink(0.05), seed=seed, count=curves)
-        checks.append(_torsion_report(fx, seed=seed))
+        sampled = list(torsion_samples(fx.connection, fx.domain, seed=seed))
+        checks.append(_torsion_report(fx, sampled, seed=seed))
         checks.append(_isometry_report(fx, seed=seed))
         checks.append(check_holonomy_invariance(fx.norm_field, fx.connection,
                                                 gen, tol=tol, step=step,
@@ -235,9 +236,9 @@ def run_fixture_suite(name, step=1e-3, tol=1e-6, curves=100, vectors=20, seed=42
                                                 vectors=vectors))
         obstruction = berwald_obstruction(fx.connection, fx.domain, seed=seed)
         positive = obstruction > 1e-6
-        checks.append(_report("torsion_obstruction_positive", 50,
-                              obstruction, 0.0 if positive else 1.0, 0.5,
-                              {"obstruction": obstruction}, seed))
+        checks.append(make_report("torsion_obstruction_positive", 50,
+                                  obstruction, 0.0 if positive else 1.0, 0.5,
+                                  {"obstruction": obstruction}, seed))
     else:
         raise ConfigError(f"no verification suite for fixture {name!r}")
 
@@ -253,7 +254,7 @@ def run_fixture_suite(name, step=1e-3, tol=1e-6, curves=100, vectors=20, seed=42
     if name == "section5":
         by = {c.check: c for c in checks}
         doc["summary"] = {
-            "torsion_max": berwald_obstruction(fx.connection, fx.domain, seed=seed),
+            "torsion_max": max(float(np.max(np.abs(t))) for _, t in sampled),
             "isometry_count": by["section5_isometry_group"].samples,
             "invariance_max_rel": by["holonomy_invariance"].max_rel_error,
         }
@@ -297,8 +298,8 @@ def cmd_check(args):
         rep = check_compalg_criterion(F, par, conn, tol=tol, seed=seed)
     elif op == "torsion":
         worst = berwald_obstruction(conn, domain, seed=seed)
-        rep = _report("torsion_obstruction", 50, worst, 0.0, np.inf,
-                      {"obstruction": worst}, seed)
+        rep = make_report("torsion_obstruction", 50, worst, 0.0, np.inf,
+                          {"obstruction": worst}, seed)
     else:
         raise ConfigError(f"unknown check op {op!r}")
     _emit({"config": config, "op": op, "report": rep.to_dict()}, args.out)

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularFrameError
-from .geometry import ChartPoint, Frame, TangentVector, coordinate_frame
-
-DET_FLOOR = 1e-12
+from .geometry import DET_FLOOR, ChartPoint, Frame, TangentVector, coordinate_frame
 
 
 def zero_christoffels(n):

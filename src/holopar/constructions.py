@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import Connection, zero_christoffels
-from .errors import IntegrationBlowupError
 from .geometry import Box, ChartPoint, coordinate_frame
 from .parallelism import CoveringParallelism, Parallelism
-from .transport import DEFAULT_STEP
+from .transport import DEFAULT_STEP, _coefficient_grid, _rk4_matrix, _step_grid
 
 
 @dataclass(frozen=True)
@@ -39,28 +38,11 @@ def _radial_transport(conn, center, targets, step):
     center + s (target - center) and constant velocity target - center.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    m, n = targets.shape
     vel = targets - center
-    steps = max(1, int(round(1.0 / step)))
-    h = 1.0 / steps
-    grid = np.linspace(0.0, 1.0, 2 * steps + 1)
+    steps, h, grid = _step_grid(1.0, step)
     pos = center + grid[None, :, None] * vel[:, None, :]
-    gamma = conn.coordinate_christoffels_batch(pos.reshape(-1, n))
-    gamma = gamma.reshape(m, grid.size, n, n, n)
-    A_all = -np.einsum("mj,mgijk->mgik", vel, gamma)
-    phi = np.broadcast_to(np.eye(n), (m, n, n)).copy()
-    for k in range(steps):
-        A1 = A_all[:, 2 * k]
-        A2 = A_all[:, 2 * k + 1]
-        A4 = A_all[:, 2 * k + 2]
-        k1 = A1 @ phi
-        k2 = A2 @ (phi + 0.5 * h * k1)
-        k3 = A2 @ (phi + 0.5 * h * k2)
-        k4 = A4 @ (phi + h * k3)
-        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(phi)):
-            raise IntegrationBlowupError("radial transport blow-up", t=(k + 1) * h)
-    return phi
+    A_all = _coefficient_grid(conn, pos, np.broadcast_to(vel[:, None, :], pos.shape))
+    return _rk4_matrix(A_all, h, {steps})[steps]
 
 
 def parallelism_from_connection(conn, region, step=DEFAULT_STEP):

@@ -14,11 +14,9 @@ import numpy as np
 
 from .errors import (CoveringGapError, IncompatibleParallelismError,
                      SingularFrameError)
-from .geometry import Box, ChartPoint, Frame, VectorField
+from .geometry import DET_FLOOR, Box, Frame, VectorField
 from .jets import as_jet
 from .norms import MinkowskiNorm, unit_sphere
-
-DET_FLOOR = 1e-12
 
 
 class Parallelism:

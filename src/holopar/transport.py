@@ -3,9 +3,10 @@
 Transport solves the matrix ODE Phi' = A(t) Phi, Phi(0) = I with
 A^i_k(t) = -(velocity)^j Gamma^i_{jk}(position) in coordinates, i.e. all
 n basis solutions in one pass, using classical fixed-step RK4 (default
-step 1e-3) with step-halving error estimates. Curve ensembles integrate
-in one vectorized sweep; coefficients are precomputed on the half-step
-grid.
+step 1e-3). Every integration, here and in the radial transports of
+``constructions``, samples A once on the half-step grid and steps it in
+one vectorized kernel, ``_rk4_matrix``. Only the one-curve
+``parallel_transport`` also carries a step-halving error estimate.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationBlowupError
+from .geometry import DET_FLOOR
 
 DEFAULT_STEP = 1e-3
-DET_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,12 @@ class MatrixCurve:
         return np.asarray([m for _, m in self.samples])
 
 
+def _step_grid(t_end, step):
+    """Step count, step size and half-step grid covering [0, t_end]."""
+    steps = max(1, int(round(t_end / step)))
+    return steps, t_end / steps, np.linspace(0.0, t_end, 2 * steps + 1)
+
+
 def _rk4_matrix(A_all, h, sample_idx):
     """Integrate Phi' = A Phi for a batch; A_all has shape (m, 2N+1, n, n)
     on the half-step grid. Returns Phi at the requested step indices."""
@@ -83,17 +90,13 @@ def _rk4_matrix(A_all, h, sample_idx):
     return out
 
 
-def _coefficient_grid(conn, curves, t_end, steps):
-    """A(t) on the half-step grid for every curve: (m, 2*steps+1, n, n)."""
-    n = conn.dim
-    grid = np.linspace(0.0, t_end, 2 * steps + 1)
-    pos = np.empty((len(curves), grid.size, n))
-    vel = np.empty_like(pos)
-    for c, curve in enumerate(curves):
-        pos[c], vel[c] = curve.positions_velocities(grid)
+def _coefficient_grid(conn, pos, vel):
+    """A = -vel^j Gamma^i_{jk}(pos) for positions and velocities of shape
+    (m, G, n): (m, G, n, n)."""
+    m, G, n = pos.shape
     gamma = conn.coordinate_christoffels_batch(pos.reshape(-1, n))
-    gamma = gamma.reshape(len(curves), grid.size, n, n, n)
-    return -np.einsum("mgj,mgijk->mgik", vel, gamma), pos
+    gamma = gamma.reshape(m, G, n, n, n)
+    return -np.einsum("mgj,mgijk->mgik", vel, gamma)
 
 
 def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
@@ -117,17 +120,17 @@ def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
         phis = np.einsum("mtij,mjk->mtik", phis_s, np.linalg.inv(phi0))
         return phis, pos0, pos_s
 
-    steps = max(1, int(round(t_end / step)))
-    h = t_end / steps
+    _, h, grid = _step_grid(t_end, step)
     idx = np.rint(sample_ts / h).astype(int)
     if np.max(np.abs(idx * h - sample_ts)) > 1e-9:
         raise ValueError("sample times must be multiples of the step")
-    A_all, pos = _coefficient_grid(conn, curves, t_end, steps)
-    out = _rk4_matrix(A_all, h, set(idx.tolist()))
-    phis = np.stack([np.stack([out[i][c] for i in idx]) for c in range(m)])
-    pos0 = pos[:, 0]
-    pos_s = pos[:, 2 * idx]
-    return phis, pos0, pos_s
+    pos = np.empty((m, grid.size, n))
+    vel = np.empty_like(pos)
+    for c, curve in enumerate(curves):
+        pos[c], vel[c] = curve.positions_velocities(grid)
+    out = _rk4_matrix(_coefficient_grid(conn, pos, vel), h, set(idx.tolist()))
+    phis = np.stack([out[i] for i in idx], axis=1)
+    return phis, pos[:, 0], pos[:, 2 * idx]
 
 
 def parallel_transport(conn, curve, t=1.0, step=DEFAULT_STEP):
@@ -147,26 +150,10 @@ def parallel_transport(conn, curve, t=1.0, step=DEFAULT_STEP):
 
 def matrix_ode_solve(A, t_end, step=DEFAULT_STEP):
     """RK4 solution of Phi' = A(t) Phi, Phi(0) = I, sampled at step multiples."""
-    probe = np.asarray(A(0.0), dtype=float)
-    n = probe.shape[0]
-    steps = max(1, int(round(t_end / step)))
-    h = t_end / steps
-    phi = np.eye(n)
-    samples = [(0.0, phi.copy())]
-    for k in range(steps):
-        t = k * h
-        A1 = np.asarray(A(t), dtype=float)
-        A2 = np.asarray(A(t + 0.5 * h), dtype=float)
-        A4 = np.asarray(A(t + h), dtype=float)
-        k1 = A1 @ phi
-        k2 = A2 @ (phi + 0.5 * h * k1)
-        k3 = A2 @ (phi + 0.5 * h * k2)
-        k4 = A4 @ (phi + h * k3)
-        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(phi)):
-            raise IntegrationBlowupError("matrix ODE blow-up", t=t + h)
-        samples.append(((k + 1) * h, phi.copy()))
-    return MatrixCurve(tuple(samples))
+    steps, h, grid = _step_grid(t_end, step)
+    A_all = np.stack([np.asarray(A(t), dtype=float) for t in grid])
+    out = _rk4_matrix(A_all[None], h, range(steps + 1))
+    return MatrixCurve(tuple((k * h, out[k][0]) for k in range(steps + 1)))
 
 
 def phi_curve(parallelism, conn, curve, step=DEFAULT_STEP, samples=100):

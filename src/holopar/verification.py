@@ -13,14 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connections import nabla_P, torsion
-from .constructions import (ConvexChartRegion, covering_from_connection,
-                            connection_from_covering_parallelism,
-                            parallelism_from_connection)
+from .constructions import covering_from_connection, connection_from_covering_parallelism
 from .errors import PreconditionError
 from .geometry import Box, ChartPoint, Curve, TangentVector, segment
 from .jets import jcos, jsin
 from .norms import ContinuousFamily, isometry_group_2x2, lie_algebra_member, unit_sphere
-from .parallelism import CoveringParallelism, Parallelism
+from .parallelism import CoveringParallelism
 from .transport import DEFAULT_STEP, transport_ensemble
 
 REL_FLOOR = 1e-12
@@ -41,7 +39,10 @@ class CheckReport:
 
     def __post_init__(self):
         # the pass flag is definitionally max_rel_error <= tolerance
-        assert self.passed == (self.max_rel_error <= self.tolerance)
+        if self.passed != (self.max_rel_error <= self.tolerance):
+            raise AssertionError(
+                f"report {self.check}: pass={self.passed} contradicts "
+                f"max_rel_error={self.max_rel_error} vs tolerance={self.tolerance}")
 
     def to_dict(self):
         return {
@@ -57,7 +58,7 @@ class CheckReport:
         }
 
 
-def _report(name, samples, max_abs, max_rel, tol, witness, seed=0, step=0.0):
+def make_report(name, samples, max_abs, max_rel, tol, witness, seed=0, step=0.0):
     return CheckReport(name, samples, float(max_abs), float(max_rel), float(tol),
                        bool(max_rel <= tol), witness, seed, step)
 
@@ -164,9 +165,17 @@ def check_holonomy_invariance(norm_field, conn, gen, tol=1e-6, step=DEFAULT_STEP
     curves, t-samples and random unit vectors."""
     curves, gseed = _resolve_curves(gen)
     seed = gseed if seed is None else seed
-    n = conn.dim
     ts = np.asarray(ts, dtype=float)
-    phis, pos0, pos_s = transport_ensemble(conn, curves, ts, step=step)
+    transported = transport_ensemble(conn, curves, ts, step=step)
+    return _invariance_report(norm_field, curves, ts, *transported, tol=tol,
+                              step=step, vectors=vectors, seed=seed, name=name)
+
+
+def _invariance_report(norm_field, curves, ts, phis, pos0, pos_s, tol, step,
+                       vectors=20, seed=0, name="holonomy_invariance"):
+    """The norm comparison of check_holonomy_invariance on transports
+    phis (m, T, n, n) from pos0 (m, n) to pos_s (m, T, n)."""
+    n = phis.shape[-1]
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(len(curves), vectors, n))
     v /= np.linalg.norm(v, axis=2, keepdims=True)
@@ -187,8 +196,8 @@ def check_holonomy_invariance(norm_field, conn, gen, tol=1e-6, step=DEFAULT_STEP
         "value_ratio": float(ft[ci, tig, vi] / f0[ci, vi]),
     }
     samples = int(rel_err.size)
-    return _report(name, samples, np.max(abs_err), np.max(rel_err), tol,
-                   witness, seed, step)
+    return make_report(name, samples, np.max(abs_err), np.max(rel_err), tol,
+                       witness, seed, step)
 
 
 def check_parallelism_compat(norm_field, parallelism, pairs=200, vectors=20,
@@ -225,8 +234,8 @@ def check_parallelism_compat(norm_field, parallelism, pairs=200, vectors=20,
         "F_q": float(fq[mi, vi]),
         "value_ratio": float(fq[mi, vi] / fp[mi, vi]),
     }
-    return _report(name, int(rel_err.size), np.max(abs_err), np.max(rel_err),
-                   tol, witness, seed)
+    return make_report(name, int(rel_err.size), np.max(abs_err), np.max(rel_err),
+                       tol, witness, seed)
 
 
 def check_compalg_criterion(norm_field, parallelism, conn, samples=100,
@@ -247,23 +256,29 @@ def check_compalg_criterion(norm_field, parallelism, conn, samples=100,
             worst = viol
             witness = {"p": pts[k].tolist(), "v": comps[k].tolist(),
                        "endomorphism": endo.matrix.tolist(), "violation": viol}
-    return _report(name, samples, worst, worst, tol, witness, seed)
+    return make_report(name, samples, worst, worst, tol, witness, seed)
 
 
 def berwald_obstruction(conn, domain, samples=50, seed=42):
     """Max coordinate sup-norm of the torsion over sampled points and
     frame field pairs; zero for (locally) Berwald-compatible derivatives."""
+    worst = 0.0
+    for _, t in torsion_samples(conn, domain, samples, seed):
+        worst = max(worst, float(np.max(np.abs(t))))
+    return worst
+
+
+def torsion_samples(conn, domain, samples=50, seed=42):
+    """(point coordinates, torsion components T(E_i, E_j)) for each of
+    `samples` seeded points and each frame field pair i < j."""
     rng = np.random.default_rng(seed)
     pts = domain.sample(rng, samples, margin=0.05)
     fields = conn.frame.fields
-    worst = 0.0
-    for k in range(samples):
-        p = ChartPoint(pts[k])
+    for row in pts:
+        p = ChartPoint(row)
         for i in range(len(fields)):
             for j in range(i + 1, len(fields)):
-                t = torsion(conn, fields[i], fields[j], p)
-                worst = max(worst, float(np.max(np.abs(t.components))))
-    return worst
+                yield row, torsion(conn, fields[i], fields[j], p).components
 
 
 def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP,
@@ -275,13 +290,17 @@ def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP,
     isometry group of F at a sample point is discrete.
     """
     curves, seed = _resolve_curves(gen)
+    ts = np.asarray(ts, dtype=float)
+    phis = []
     for tag, conn in (("conn1", conn1), ("conn2", conn2)):
-        rep = check_holonomy_invariance(norm_field, conn, curves, tol=tol,
-                                        step=step, seed=seed)
+        transported = transport_ensemble(conn, curves, ts, step=step)
+        rep = _invariance_report(norm_field, curves, ts, *transported, tol=tol,
+                                 step=step, seed=seed)
         if not rep.passed:
             raise PreconditionError(
                 f"{tag} is not holonomy invariant for F "
                 f"(max rel err {rep.max_rel_error:.3e})")
+        phis.append(transported[0])
     if iso_discrete is None:
         p0 = curves[0].point(0.0)
         group = isometry_group_2x2(norm_field.at(p0))
@@ -290,14 +309,11 @@ def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP,
         raise PreconditionError(
             "uniqueness is not applicable: iso(F_p) is a continuous family")
 
-    ts = np.asarray(ts, dtype=float)
-    phis1, _, _ = transport_ensemble(conn1, curves, ts, step=step)
-    phis2, _, _ = transport_ensemble(conn2, curves, ts, step=step)
-    diff = np.abs(phis1 - phis2)
+    diff = np.abs(phis[0] - phis[1])
     ci, tig = np.unravel_index(np.argmax(diff), diff.shape)[:2]
     witness = {"curve": curves[ci].params, "t": float(ts[tig])}
     worst = float(np.max(diff))
-    return _report(name, int(diff.size), worst, worst, tol, witness, seed, step)
+    return make_report(name, int(diff.size), worst, worst, tol, witness, seed, step)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from holopar import cli, report
 from holopar.cli import build_box, build_frame, build_norm, main
 from holopar.errors import ConfigError
-from holopar import report
+from holopar.fixtures import load_fixture
+from holopar.transport import parallel_transport, transport_ensemble
 
 S5_CONFIG = {
     "domain": [[-5.0, 5.0], [-5.0, 5.0]],
@@ -62,6 +64,26 @@ def test_verify_is_byte_deterministic(tmp_path):
     _, _ = run(["verify", "euclidean_flat", "--curves", "5"], tmp_path, "a.json")
     _, _ = run(["verify", "euclidean_flat", "--curves", "5"], tmp_path, "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_transport_oracle_batch_matches_one_curve_transport(monkeypatch):
+    # the oracle's single ensemble run reproduces parallel_transport's
+    # kept (step/2) matrix on every curve
+    calls = []
+
+    def recording(conn, curves, *args, **kwargs):
+        out = transport_ensemble(conn, curves, *args, **kwargs)
+        calls.append((conn, curves, out[0]))
+        return out
+
+    monkeypatch.setattr(cli, "transport_ensemble", recording)
+    fx = load_fixture("section5")
+    rep = cli._transport_oracle_report(fx, curves=5, step=1e-3)
+    assert rep.passed and len(calls) == 1
+    conn, curves, phis = calls[0]
+    assert len(curves) == rep.samples == 6
+    for curve, mats in zip(curves, phis):
+        assert np.array_equal(mats[0], parallel_transport(conn, curve, 1.0, step=1e-3).matrix)
 
 
 # ---------------------------------------------------------------- check

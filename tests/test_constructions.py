@@ -57,6 +57,20 @@ def test_section5_radial_parallelism_matches_frame(s5_conn):
     assert dev <= 1e-7
 
 
+@pytest.mark.parametrize("name", ["s5", "blend"])
+def test_radial_parallelism_is_segment_transport(name, request):
+    # radial transport and curve ensembles share one RK4 kernel
+    fx = request.getfixturevalue(name)
+    box = fx.domain.shrink(0.1)
+    center = np.array([0.3, -0.2])
+    par = parallelism_from_connection(fx.connection,
+                                      ConvexChartRegion(point(*center), box), step=1e-3)
+    qs = box.sample(np.random.default_rng(3), 6, margin=0.05)
+    phis, _, _ = transport_ensemble(fx.connection, [segment(center, q) for q in qs],
+                                    [1.0], step=1e-3)
+    assert np.max(np.abs(par.phi(qs) - phis[:, 0])) <= 1e-12
+
+
 def test_compatibility_transfers_to_built_parallelism(s5_conn, s5_F):
     region = ConvexChartRegion(point(0.0, 0.0), WORK)
     built = parallelism_from_connection(s5_conn, region, step=1e-3)

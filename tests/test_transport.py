@@ -4,7 +4,10 @@ transport curves."""
 import numpy as np
 import pytest
 
-from holopar.connections import Connection, zero_christoffels
+from holopar.connections import (Connection, constant_christoffels,
+                                 from_coordinate_christoffels, zero_christoffels)
+from holopar.constructions import ConvexChartRegion, parallelism_from_connection
+from holopar.errors import IntegrationBlowupError
 from holopar.fixtures import rescaling_connection, section5_frame
 from holopar.geometry import Box, Curve, coordinate_frame, point, segment
 from holopar.jets import jcos, jsin
@@ -74,6 +77,21 @@ def test_transport_determinant_stays_positive(s5_conn):
     curves = [wavy(), segment((-2.0, -2.0), (3.0, 1.0))]
     phis, _, _ = transport_ensemble(s5_conn, curves, ts, step=1e-3)
     assert np.all(np.linalg.det(phis) > 0.0)
+
+
+def test_non_finite_ode_raises_on_every_integration_path():
+    # A = 1e3 I along the x axis: RK4 overflows long before s = 1
+    values = np.zeros((2, 2, 2))
+    values[:, 0, :] = -1e3 * np.eye(2)
+    conn = from_coordinate_christoffels(constant_christoffels(values), 2, DOM)
+    radial = parallelism_from_connection(conn, ConvexChartRegion(point(0.0, 0.0), DOM))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationBlowupError):
+            transport_ensemble(conn, [segment((0.0, 0.0), (1.0, 0.0))], [1.0], step=1e-3)
+        with pytest.raises(IntegrationBlowupError):
+            radial.phi([[1.0, 0.0]])
+        with pytest.raises(IntegrationBlowupError):
+            matrix_ode_solve(lambda t: 1e3 * np.eye(2), 1.0, step=1e-3)
 
 
 # ---------------------------------------------------------- matrix_ode_solve

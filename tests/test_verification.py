@@ -1,5 +1,9 @@
 """Check runners, obstruction, uniqueness and verdicts."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,8 @@ from holopar.errors import PreconditionError
 from holopar.fixtures import rescaling_connection, section5_frame
 from holopar.geometry import Box, coordinate_frame, point
 from holopar.parallelism import CoveringParallelism, frame_parallelism, translation_parallelism
-from holopar import report
+from holopar import report, verification
+from holopar.transport import transport_ensemble
 from holopar.verification import (CheckReport, CurveGenerator, VerdictResult,
                                   berwald_obstruction, check_compalg_criterion,
                                   check_holonomy_invariance,
@@ -113,6 +118,19 @@ def test_uniqueness_against_synthesized_connection(s5):
     assert rep.passed
 
 
+def test_uniqueness_transports_each_connection_once(s5, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return transport_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "transport_ensemble", counting)
+    gen = CurveGenerator(s5.domain.shrink(0.05), seed=4, count=3)
+    rep = check_uniqueness(s5.norm_field, s5.connection, s5.connection, gen, tol=1e-6)
+    assert rep.passed and len(calls) == 2
+
+
 def test_uniqueness_refuses_continuous_isometry_group(flat2, blend):
     gen = CurveGenerator(Box((-3.0, -3.0), (3.0, 3.0)).shrink(0.05), seed=6, count=5)
     with pytest.raises(PreconditionError, match="continuous"):
@@ -189,6 +207,22 @@ def test_report_pass_flag_is_consistent():
     rep = CheckReport("x", 1, 0.0, 0.5, 1.0, True)
     d = rep.to_dict()
     assert d["pass"] is True and d["check"] == "x"
+
+
+def test_report_pass_flag_is_enforced_under_optimize():
+    # python -O strips assert statements; the consistency check must survive
+    code = ("from holopar.verification import CheckReport\n"
+            "assert False, 'asserts are live'\n"
+            "try:\n"
+            "    CheckReport('x', 1, 0.0, 2.0, 1.0, True)\n"
+            "except AssertionError:\n"
+            "    print('raised')\n")
+    src = os.path.dirname(os.path.dirname(verification.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "raised"
 
 
 def test_curve_generator_is_deterministic_and_regular():
