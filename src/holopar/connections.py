@@ -64,10 +64,15 @@ class Connection:
         if np.any(np.abs(dets) <= DET_FLOOR):
             raise SingularFrameError("singular frame in Christoffel transform")
         C = np.linalg.inv(E)
-        gt = np.asarray(self.gamma(coords), dtype=float)
-        # nabla_{E_j} E_k = E_j^b (d_b E_k^a + Gamma^a_{bc} E_k^c) d_a
-        term = np.einsum("mijk,mai->majk", gt, E) - np.einsum("mdj,makd->majk", E, dE)
-        return np.einsum("mjb,mkc,majk->mabc", C, C, term)
+        m, n = coords.shape
+        # nabla_{E_j} E_k = E_j^b (d_b E_k^a + Gamma^a_{bc} E_k^c) d_a, so with
+        # C = E^-1: Gamma^a_{bc} = (C^j_b E^a_i Gt^i_{jk} - d_b E^a_k) C^k_c
+        # (the d_b term is E^d_j d_d E^a_k contracted with C^j_b = delta^d_b).
+        # One (m, n, n, n) temporary at a time besides dE and the result.
+        g = E @ np.asarray(self.gamma(coords), dtype=float).reshape(m, n, n * n)
+        g = np.swapaxes(C, 1, 2)[:, None] @ g.reshape(m, n, n, n)
+        g -= np.swapaxes(dE, 2, 3)
+        return g @ C[:, None]
 
     def coordinate_christoffels(self, p):
         return self.coordinate_christoffels_batch(p.coords[None, :])[0]

@@ -10,6 +10,7 @@ that are only available numerically (e.g. ODE-built trivializations).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -227,7 +228,7 @@ class Frame:
         self._matrix_fn = matrix_fn
         self.domain = domain
 
-    @property
+    @cached_property
     def fields(self):
         if self._fields is not None:
             return self._fields

@@ -65,6 +65,8 @@ def _step_grid(t_end, step):
     return steps, t_end / steps, np.linspace(0.0, t_end, 2 * steps + 1)
 
 
+# a blow-up is reported once, by the finiteness check, not also as a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _rk4_matrix(A_all, h, sample_idx):
     """Integrate Phi' = A Phi for a batch; A_all has shape (m, 2N+1, n, n)
     on the half-step grid. Returns Phi at the requested step indices."""
@@ -96,7 +98,7 @@ def _coefficient_grid(conn, pos, vel):
     m, G, n = pos.shape
     gamma = conn.coordinate_christoffels_batch(pos.reshape(-1, n))
     gamma = gamma.reshape(m, G, n, n, n)
-    return -np.einsum("mgj,mgijk->mgik", vel, gamma)
+    return -(vel[:, :, None, None, :] @ gamma)[:, :, :, 0, :]
 
 
 def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .connections import nabla_P, torsion
 from .constructions import covering_from_connection, connection_from_covering_parallelism
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError, RegularityError
 from .geometry import Box, ChartPoint, Curve, TangentVector, segment
 from .jets import jcos, jsin
 from .norms import ContinuousFamily, isometry_group_2x2, lie_algebra_member, unit_sphere
@@ -22,6 +22,8 @@ from .parallelism import CoveringParallelism
 from .transport import DEFAULT_STEP, transport_ensemble
 
 REL_FLOOR = 1e-12
+# CurveGenerator gives up after this many draws per requested curve
+MAX_ATTEMPTS_PER_CURVE = 100
 DEFAULT_TS = tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
 
 
@@ -78,12 +80,15 @@ class CurveGenerator:
         out = []
         i = 0
         while len(out) < self.count:
+            if i == MAX_ATTEMPTS_PER_CURVE * self.count:
+                raise DomainError(f"only {len(out)} of {self.count} curves fit in "
+                                  f"{self.domain} after {i} attempts")
             family = self.families[i % len(self.families)]
             curve = self._make(family, rng, inner)
             i += 1
             try:
                 out.append(curve.validate())
-            except Exception:
+            except (DomainError, RegularityError):
                 continue
         return out
 

@@ -3,14 +3,19 @@ endomorphism."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from holopar.connections import (Connection, christoffels_in_frame,
                                  constant_christoffels, covariant_derivative,
                                  from_coordinate_christoffels, nabla_P, torsion,
                                  zero_christoffels)
+from holopar.errors import SingularFrameError
 from holopar.fixtures import rotated_frame, section5_frame
-from holopar.geometry import (Box, ChartPoint, TangentVector, VectorField,
+from holopar.geometry import (Box, ChartPoint, Frame, TangentVector, VectorField,
                               coordinate_frame, point)
+from holopar.jets import jcos, jexp, jsin
 from holopar.norms import euclidean_norm, lie_algebra_member
 from holopar.parallelism import frame_parallelism, translation_parallelism
 
@@ -180,3 +185,81 @@ def test_from_coordinate_christoffels_round_trip():
     gamma[0, 1, 0] = 2.0
     conn = from_coordinate_christoffels(constant_christoffels(gamma), 2, DOM)
     assert np.max(np.abs(conn.coordinate_christoffels(point(1.0, -1.0)) - gamma)) <= 1e-12
+
+
+# ---------------------------------------------------------- Christoffel transform
+
+def _textbook_christoffels(conn, coords):
+    """Gamma^a_{bc} = C^j_b C^k_c (E^a_i Gt^i_{jk} - E^d_j d_d E^a_k), C = E^-1,
+    contracted term by term: the oracle for the batched kernel."""
+    E, dE = conn.frame.matrix_jacobian_batch(coords)
+    C = np.linalg.inv(E)
+    gt = conn.gamma(coords)
+    term = np.einsum("mijk,mai->majk", gt, E) - np.einsum("mdj,makd->majk", E, dE)
+    return np.einsum("mjb,mkc,majk->mabc", C, C, term)
+
+
+@st.composite
+def frame_data(draw):
+    """E(x) = Q R(theta0 + w.x) diag(exp(s0 + S x)) with Q orthogonal, R a
+    rotation of the first two axes, and constant frame-relative symbols."""
+    n = draw(st.sampled_from([2, 3]))
+    unit = st.floats(-1.0, 1.0)
+    q, _ = np.linalg.qr(draw(arrays(float, (n, n), elements=unit)))
+    angle = draw(arrays(float, n + 1, elements=st.floats(-3.0, 3.0)))
+    scale = draw(arrays(float, (n, n + 1), elements=st.floats(-0.5, 0.5)))
+    gamma = draw(arrays(float, (n, n, n), elements=st.floats(-2.0, 2.0)))
+    return n, q, angle, scale, gamma
+
+
+def _frame_matrix(xs, q, angle, scale, rank):
+    """Entries E[a][k] on floats, arrays or Jets; columns k >= rank vanish."""
+    n = len(xs)
+    th = angle[0] + sum(angle[1 + d] * xs[d] for d in range(n))
+    rot = [[1.0 if a == b else 0.0 for b in range(n)] for a in range(n)]
+    rot[0][0] = rot[1][1] = jcos(th)
+    rot[1][0] = jsin(th)
+    rot[0][1] = -1.0 * jsin(th)
+    diag = [jexp(scale[k, 0] + sum(scale[k, 1 + d] * xs[d] for d in range(n)))
+            * (1.0 if k < rank else 0.0) for k in range(n)]
+    return [[sum(q[a, b] * rot[b][k] for b in range(n)) * diag[k] for k in range(n)]
+            for a in range(n)]
+
+
+def _frames(n, q, angle, scale, rank):
+    """The same frame with jet fields and as a matrix function (FD Jacobian)."""
+    dom = Box((-2.0,) * n, (2.0,) * n)
+    fields = [VectorField(n, components=lambda xs, k=k: [row[k] for row in
+                                                          _frame_matrix(xs, q, angle, scale, rank)],
+                          domain=dom) for k in range(n)]
+
+    def matrix_fn(coords):
+        rows = _frame_matrix(tuple(coords[:, d] for d in range(n)), q, angle, scale, rank)
+        return np.stack([np.stack([np.broadcast_to(e, coords.shape[:1]) for e in row], axis=-1)
+                         for row in rows], axis=1)
+
+    return (Frame(fields=fields, domain=dom),
+            Frame(matrix_fn=matrix_fn, domain=dom, dim=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_data())
+def test_coordinate_christoffels_batch_matches_textbook_formula(data):
+    n, q, angle, scale, gamma = data
+    coords = np.random.default_rng(0).uniform(-1.0, 1.0, (16, n))
+    for frame in _frames(n, q, angle, scale, rank=n):
+        conn = Connection(frame, constant_christoffels(gamma))
+        got = conn.coordinate_christoffels_batch(coords)
+        want = _textbook_christoffels(conn, coords)
+        assert got.shape == (16, n, n, n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=20, deadline=None)
+@given(frame_data())
+def test_coordinate_christoffels_batch_refuses_singular_frame(data):
+    n, q, angle, scale, gamma = data
+    coords = np.random.default_rng(0).uniform(-1.0, 1.0, (4, n))
+    for frame in _frames(n, q, angle, scale, rank=n - 1):
+        with pytest.raises(SingularFrameError):
+            Connection(frame, constant_christoffels(gamma)).coordinate_christoffels_batch(coords)

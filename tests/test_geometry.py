@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holopar.errors import DomainError, RegularityError
-from holopar.geometry import (Box, ChartPoint, Curve, VectorField, constant_field,
+from holopar.geometry import (Box, ChartPoint, Curve, Frame, VectorField, constant_field,
                               coordinate_frame, dual_coframe, jet_eval,
                               lie_bracket, point, segment)
 from holopar.jets import jsin
@@ -171,6 +171,13 @@ def test_coframe_duality_identity(n):
     C = dual_coframe(frame).matrix_batch(pts)
     dev = np.max(np.abs(C @ E - np.eye(n)))
     assert dev <= 1e-12
+
+
+def test_matrix_frame_builds_its_fields_once():
+    frame = Frame(matrix_fn=lambda coords: np.broadcast_to(np.eye(2), (len(coords), 2, 2)),
+                  domain=DOM2, dim=2)
+    assert frame.fields is frame.fields
+    assert np.array_equal(frame.fields[1].values_batch(np.zeros((1, 2))), [[0.0, 1.0]])
 
 
 # ------------------------------------------------------------------ curves

@@ -1,6 +1,8 @@
 """Parallel translation, the general matrix ODE and trivialized
 transport curves."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,23 @@ def test_non_finite_ode_raises_on_every_integration_path():
             radial.phi([[1.0, 0.0]])
         with pytest.raises(IntegrationBlowupError):
             matrix_ode_solve(lambda t: 1e3 * np.eye(2), 1.0, step=1e-3)
+
+
+def test_blow_up_raises_without_numpy_warnings():
+    values = np.zeros((2, 2, 2))
+    values[:, 0, :] = -1e3 * np.eye(2)
+    conn = from_coordinate_christoffels(constant_christoffels(values), 2, DOM)
+    radial = parallelism_from_connection(conn, ConvexChartRegion(point(0.0, 0.0), DOM))
+    paths = [
+        lambda: transport_ensemble(conn, [segment((0.0, 0.0), (1.0, 0.0))], [1.0], step=1e-3),
+        lambda: radial.phi([[1.0, 0.0]]),
+        lambda: matrix_ode_solve(lambda t: 1e3 * np.eye(2), 1.0, step=1e-3),
+    ]
+    for run in paths:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationBlowupError):
+                run()
 
 
 # ---------------------------------------------------------- matrix_ode_solve

@@ -9,9 +9,9 @@ import pytest
 
 from holopar.connections import Connection, constant_christoffels, zero_christoffels
 from holopar.constructions import connection_from_covering_parallelism
-from holopar.errors import PreconditionError
+from holopar.errors import DomainError, PreconditionError
 from holopar.fixtures import rescaling_connection, section5_frame
-from holopar.geometry import Box, coordinate_frame, point
+from holopar.geometry import Box, Curve, coordinate_frame, point
 from holopar.parallelism import CoveringParallelism, frame_parallelism, translation_parallelism
 from holopar import report, verification
 from holopar.transport import transport_ensemble
@@ -223,6 +223,22 @@ def test_report_pass_flag_is_enforced_under_optimize():
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "raised"
+
+
+def test_curve_generator_lets_family_bugs_propagate():
+    class Broken(CurveGenerator):
+        def _make(self, family, rng, box):
+            return Curve(lambda t: [t, None + t], domain=self.domain)
+
+    with pytest.raises(TypeError):
+        Broken(WORK, seed=1, count=3).curves()
+
+
+def test_curve_generator_refuses_domain_no_curve_fits():
+    # every curve drawn in a 1e-12 box is slower than the regularity floor
+    tiny = Box((0.0, 0.0), (1e-12, 1e-12))
+    with pytest.raises(DomainError, match=r"0 of 2 curves fit in Box.*after 200 attempts"):
+        CurveGenerator(tiny, seed=1, count=2).curves()
 
 
 def test_curve_generator_is_deterministic_and_regular():
