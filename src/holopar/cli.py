@@ -19,7 +19,7 @@ from .connections import Connection, zero_christoffels
 from .constructions import connection_from_covering_parallelism
 from .errors import ConfigError, HoloparError
 from .exprs import parse_expr
-from .fixtures import fixture_names, load_fixture
+from .fixtures import Fixture, fixture_names, load_fixture
 from .geometry import Box, ChartPoint, Frame, VectorField, dual_coframe, segment
 from .norms import (ContinuousFamily, MinkowskiNorm, RandersData,
                     constant_norm_field, isometry_group_2x2,
@@ -90,8 +90,8 @@ def build_norm(spec):
 
 
 def build_manifold(config):
-    """Inline manifold: domain, frame, norm (read through the coframe or
-    constant), and the zero-frame-Christoffel connection."""
+    """Inline manifold as a fixture: domain, frame, norm (read through the
+    coframe or constant), and the zero-frame-Christoffel connection."""
     _require_keys(config, ("domain", "frame", "norm", "norm_via", "seed",
                            "step", "tolerance", "curves", "vectors"),
                   ("domain", "frame", "norm"), "manifold config")
@@ -107,8 +107,8 @@ def build_manifold(config):
     else:
         raise ConfigError(f"norm_via must be 'coframe' or 'constant', not {via!r}")
     conn = Connection(frame, zero_christoffels(domain.dim))
-    par = frame_parallelism(frame)
-    return domain, frame, F, conn, par
+    return Fixture("inline", domain.dim, domain, frame, F, conn,
+                   frame_parallelism(frame), {})
 
 
 def _load_config(arg):
@@ -124,34 +124,70 @@ def _load_config(arg):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-# ---------------------------------------------------------------- fixture suites
+# ---------------------------------------------------------------- check table
 
-def _torsion_report(fx, sampled, tol=1e-9, seed=42):
-    """T(E_1, E_2) at the `torsion_samples` points against the expected
-    constant."""
-    expected = np.asarray(fx.expected["torsion_E1_E2"].value)
+# Each entry takes (fx, o, **overrides): o holds the common settings
+# (step, tol, curves, vectors, seed) of one run, the overrides come from
+# the fixture's declared suite.
+
+def _torsion_samples(fx, o):
+    """T(E_1, E_2) at the seeded torsion points, sampled once per run."""
+    if not hasattr(o, "torsion"):
+        o.torsion = list(torsion_samples(fx.connection, fx.domain, seed=o.seed))
+    return o.torsion
+
+
+def _holonomy(fx, o, max_curves=np.inf):
+    gen = CurveGenerator(fx.domain.shrink(0.05), seed=o.seed,
+                         count=min(o.curves, max_curves))
+    return check_holonomy_invariance(fx.norm_field, fx.connection, gen, tol=o.tol,
+                                     step=o.step, vectors=o.vectors)
+
+
+def _compat(fx, o, tol=None, pairs=200):
+    return check_parallelism_compat(fx.norm_field, fx.parallelism, pairs=pairs,
+                                    tol=o.tol if tol is None else tol, seed=o.seed)
+
+
+def _compalg(fx, o, tol=None):
+    return check_compalg_criterion(fx.norm_field, fx.parallelism, fx.connection,
+                                   tol=o.tol if tol is None else tol, seed=o.seed)
+
+
+def _torsion(fx, o, floor=None):
+    """The torsion obstruction: only reported without a floor, and passed
+    only when it exceeds the floor otherwise."""
+    worst = berwald_obstruction(fx.connection, fx.domain, seed=o.seed)
+    name, rel, tol = (("torsion_obstruction", 0.0, np.inf) if floor is None else
+                      ("torsion_obstruction_positive", 0.0 if worst > floor else 1.0, 0.5))
+    return make_report(name, 50, worst, rel, tol, {"obstruction": worst}, o.seed)
+
+
+def _expected_torsion(fx, o):
+    """T(E_1, E_2) at the torsion samples against the expected-table constant."""
+    exp = fx.expected["torsion_E1_E2"]
+    sampled = _torsion_samples(fx, o)
     worst, wit = 0.0, {}
     for row, t in sampled:
-        err = float(np.max(np.abs(t - expected)))
+        err = float(np.max(np.abs(t - np.asarray(exp.value))))
         if err >= worst:
             worst, wit = err, {"p": row.tolist(), "torsion": t.tolist()}
-    return make_report("section5_torsion", len(sampled), worst, worst, tol, wit, seed)
+    return make_report(f"{fx.name}_torsion", len(sampled), worst, worst, exp.tol, wit, o.seed)
 
 
-def _isometry_report(fx, tol=1e-6, seed=42):
-    group = isometry_group_2x2(fx.minkowski_norm)
-    if isinstance(group, ContinuousFamily):
-        return make_report("section5_isometry_group", 0, 1.0, 1.0, tol,
-                           {"continuous_family": True}, seed)
-    targets = [np.eye(2), np.diag([1.0, -1.0])]
+def _isometry_group(fx, o, group, tol=1e-6):
+    """The isometry group of the frame-component norm against `group`."""
+    name = f"{fx.name}_isometry_group"
+    found = isometry_group_2x2(fx.minkowski_norm)
+    if isinstance(found, ContinuousFamily):
+        return make_report(name, 0, 1.0, 1.0, tol, {"continuous_family": True}, o.seed)
     err = 1.0
-    if len(group) == len(targets):
+    if len(found) == len(group):
         err = 0.0
-        for tgt in targets:
-            err = max(err, min(float(np.max(np.abs(np.asarray(g) - tgt)))
-                               for g in group))
-    wit = {"count": len(group), "matrices": [np.asarray(g).tolist() for g in group]}
-    return make_report("section5_isometry_group", len(group), err, err, tol, wit, seed)
+        for tgt in group:
+            err = max(err, min(float(np.max(np.abs(np.asarray(g) - tgt))) for g in found))
+    wit = {"count": len(found), "matrices": [np.asarray(g).tolist() for g in found]}
+    return make_report(name, len(found), err, err, tol, wit, o.seed)
 
 
 def _transport_oracle_report(fx, curves=20, tol=1e-7, step=1e-3, seed=42):
@@ -173,91 +209,71 @@ def _transport_oracle_report(fx, curves=20, tol=1e-7, step=1e-3, seed=42):
             worst, wit = err, {"curve": curve.params, "matrix": mat.tolist()}
     exp_mat = np.asarray(fx.expected["transport_00_to_10"].value)
     worst = max(worst, float(np.max(np.abs(mats[-1] - exp_mat))))
-    return make_report("section5_transport_oracle", curves + 1, worst, worst, tol,
+    return make_report(f"{fx.name}_transport_oracle", curves + 1, worst, worst, tol,
                        wit, seed, step)
 
 
-def _pushdown_report(fx, tol=1e-9, seed=42):
+def _pushdown(fx, o, tol=1e-9):
+    name = f"{fx.name}_pushdown_independence"
     try:
         pushdown_norm(fx.norm_field, fx.parallelism, ChartPoint(np.zeros(fx.dim)),
-                      basepoints=10, vectors=200, tol=tol, seed=seed)
-        return make_report("section5_pushdown_independence", 10 * 200, 0.0, 0.0,
-                           tol, {}, seed)
+                      basepoints=10, vectors=200, tol=tol, seed=o.seed)
+        return make_report(name, 10 * 200, 0.0, 0.0, tol, {}, o.seed)
     except HoloparError as exc:
-        return make_report("section5_pushdown_independence", 10 * 200, 1.0, 1.0,
-                           tol, getattr(exc, "witness", {"error": str(exc)}), seed)
+        return make_report(name, 10 * 200, 1.0, 1.0, tol,
+                           getattr(exc, "witness", {"error": str(exc)}), o.seed)
 
 
-def _expected_failure_report(name, inner, expected_ratio, tol, seed):
-    """Wrap a check that the fixture expects to fail: confirmation that it
-    does fail, with the witness ratio at its predicted value, is a pass."""
-    ratio_err = abs(inner.witness.get("value_ratio", np.nan) - expected_ratio)
-    confirmed = (not inner.passed) and ratio_err <= tol
+def _expected_failure(fx, o, check, ratio, ratio_tol=1e-6, **overrides):
+    """A check the fixture expects to fail: confirmation that it does
+    fail, with the witness ratio at its predicted value, is a pass."""
+    inner = CHECKS[check](fx, o, **overrides)
+    ratio_err = abs(inner.witness.get("value_ratio", np.nan) - ratio)
+    confirmed = (not inner.passed) and ratio_err <= ratio_tol
     err = ratio_err if not inner.passed else 1.0
-    return make_report(name, inner.samples, err, err if confirmed else 1.0, tol,
-                       {"inner": inner.to_dict(), "expected_ratio": expected_ratio},
-                       seed, inner.step)
+    return make_report(f"expected_{check}_failure", inner.samples, err,
+                       err if confirmed else 1.0, ratio_tol,
+                       {"inner": inner.to_dict(), "expected_ratio": ratio},
+                       o.seed, inner.step)
+
+
+# a fixture's `checks` names its verify suite here; `check --op` runs one
+# of CHECK_OPS on an inline manifold
+CHECKS = {
+    "holonomy": _holonomy,
+    "compat": _compat,
+    "compalg": _compalg,
+    "torsion": _torsion,
+    "expected_torsion": _expected_torsion,
+    "isometry_group": _isometry_group,
+    "transport_oracle": lambda fx, o: _transport_oracle_report(fx, step=o.step, seed=o.seed),
+    "pushdown": _pushdown,
+    "expected_failure": _expected_failure,
+}
+CHECK_OPS = ("holonomy", "compat", "compalg", "torsion")
+
+# name -> (fx, o, reports by check name) -> value in a fixture's summary
+SUMMARIES = {
+    "torsion_max": lambda fx, o, by: max(float(np.max(np.abs(t)))
+                                         for _, t in _torsion_samples(fx, o)),
+    "isometry_count": lambda fx, o, by: by[f"{fx.name}_isometry_group"].samples,
+    "invariance_max_rel": lambda fx, o, by: by["holonomy_invariance"].max_rel_error,
+}
 
 
 def run_fixture_suite(name, step=1e-3, tol=1e-6, curves=100, vectors=20, seed=42):
     fx = load_fixture(name)
-    checks = []
-    if name == "section5":
-        gen = CurveGenerator(fx.domain.shrink(0.05), seed=seed, count=curves)
-        sampled = list(torsion_samples(fx.connection, fx.domain, seed=seed))
-        checks.append(_torsion_report(fx, sampled, seed=seed))
-        checks.append(_isometry_report(fx, seed=seed))
-        checks.append(check_holonomy_invariance(fx.norm_field, fx.connection,
-                                                gen, tol=tol, step=step,
-                                                vectors=vectors))
-        checks.append(check_parallelism_compat(fx.norm_field, fx.parallelism,
-                                               tol=1e-9, seed=seed))
-        checks.append(_transport_oracle_report(fx, step=step, seed=seed))
-        checks.append(_pushdown_report(fx, seed=seed))
-        checks.append(check_compalg_criterion(fx.norm_field, fx.parallelism,
-                                              fx.connection, tol=1e-8, seed=seed))
-    elif name == "euclidean_flat":
-        gen = CurveGenerator(fx.domain.shrink(0.05), seed=seed, count=min(curves, 30))
-        checks.append(check_holonomy_invariance(fx.norm_field, fx.connection,
-                                                gen, tol=tol, step=step,
-                                                vectors=vectors))
-        checks.append(check_parallelism_compat(fx.norm_field, fx.parallelism,
-                                               tol=1e-9, seed=seed))
-    elif name == "scaled_euclidean_incompatible":
-        inner = check_parallelism_compat(
-            fx.norm_field, fx.parallelism,
-            pairs=[((0.0, 0.0), (1.0, 0.0))], tol=1e-9, seed=seed)
-        checks.append(_expected_failure_report(
-            "expected_compat_failure", inner, float(np.e), 1e-6, seed))
-    elif name == "rotated_blend":
-        gen = CurveGenerator(fx.domain.shrink(0.05), seed=seed, count=min(curves, 30))
-        checks.append(check_holonomy_invariance(fx.norm_field, fx.connection,
-                                                gen, tol=tol, step=step,
-                                                vectors=vectors))
-        obstruction = berwald_obstruction(fx.connection, fx.domain, seed=seed)
-        positive = obstruction > 1e-6
-        checks.append(make_report("torsion_obstruction_positive", 50,
-                                  obstruction, 0.0 if positive else 1.0, 0.5,
-                                  {"obstruction": obstruction}, seed))
-    else:
+    if not fx.checks:
         raise ConfigError(f"no verification suite for fixture {name!r}")
-
-    checks.sort(key=lambda r: r.check)
-    doc = {
-        "fixture": name,
-        "seed": seed,
-        "step": step,
-        "tolerance": tol,
-        "checks": [c.to_dict() for c in checks],
-        "all_pass": all(c.passed for c in checks),
-    }
-    if name == "section5":
+    o = argparse.Namespace(step=step, tol=tol, curves=curves, vectors=vectors, seed=seed)
+    checks = sorted((CHECKS[check](fx, o, **overrides) for check, overrides in fx.checks),
+                    key=lambda r: r.check)
+    doc = {"fixture": name, "seed": seed, "step": step, "tolerance": tol,
+           "checks": [c.to_dict() for c in checks],
+           "all_pass": all(c.passed for c in checks)}
+    if fx.summary:
         by = {c.check: c for c in checks}
-        doc["summary"] = {
-            "torsion_max": max(float(np.max(np.abs(t))) for _, t in sampled),
-            "isometry_count": by["section5_isometry_group"].samples,
-            "invariance_max_rel": by["holonomy_invariance"].max_rel_error,
-        }
+        doc["summary"] = {key: SUMMARIES[key](fx, o, by) for key in fx.summary}
     return doc
 
 
@@ -282,33 +298,23 @@ def cmd_verify(args):
 
 def cmd_check(args):
     config = _load_config(args.config)
-    domain, frame, F, conn, par = build_manifold(config)
-    seed = int(config.get("seed", args.seed))
-    step = float(config.get("step", args.step))
-    tol = float(config.get("tolerance", args.tol))
-    gen = CurveGenerator(domain.shrink(0.05), seed=seed,
-                         count=int(config.get("curves", args.curves)))
-    op = args.op
-    if op == "holonomy":
-        rep = check_holonomy_invariance(F, conn, gen, tol=tol, step=step,
-                                        vectors=int(config.get("vectors", args.vectors)))
-    elif op == "compat":
-        rep = check_parallelism_compat(F, par, tol=tol, seed=seed)
-    elif op == "compalg":
-        rep = check_compalg_criterion(F, par, conn, tol=tol, seed=seed)
-    elif op == "torsion":
-        worst = berwald_obstruction(conn, domain, seed=seed)
-        rep = make_report("torsion_obstruction", 50, worst, 0.0, np.inf,
-                          {"obstruction": worst}, seed)
-    else:
-        raise ConfigError(f"unknown check op {op!r}")
-    _emit({"config": config, "op": op, "report": rep.to_dict()}, args.out)
+    fx = build_manifold(config)
+    try:
+        o = argparse.Namespace(step=float(config.get("step", args.step)),
+                               tol=float(config.get("tolerance", args.tol)),
+                               curves=int(config.get("curves", args.curves)),
+                               vectors=int(config.get("vectors", args.vectors)),
+                               seed=int(config.get("seed", args.seed)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad check setting in manifold config: {exc}") from exc
+    rep = CHECKS[args.op](fx, o)
+    _emit({"config": config, "op": args.op, "report": rep.to_dict()}, args.out)
     return 0 if rep.passed else 1
 
 
 def cmd_synthesize(args):
     config = _load_config(args.config)
-    _require_keys(config, ("region", "members", "seed", "grid"),
+    _require_keys(config, ("region", "members", "grid"),
                   ("region", "members"), "synthesize config")
     region = build_box(config["region"])
     members = []
@@ -361,36 +367,33 @@ def make_parser():
                     "and reproduce the proper generalized Berwald example.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--step", type=float, default=1e-3)
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--curves", type=int, default=100)
-        p.add_argument("--vectors", type=int, default=20)
-        p.add_argument("--seed", type=int, default=42)
+    def common(p, fn, checks=False):
+        if checks:
+            p.add_argument("--step", type=float, default=1e-3)
+            p.add_argument("--tol", type=float, default=1e-6)
+            p.add_argument("--curves", type=int, default=100)
+            p.add_argument("--vectors", type=int, default=20)
+            p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.set_defaults(fn=fn)
 
     pv = sub.add_parser("verify", help="run a fixture's full expected-table suite")
     pv.add_argument("fixture", choices=fixture_names())
-    common(pv)
-    pv.set_defaults(fn=cmd_verify)
+    common(pv, cmd_verify, checks=True)
 
     pc = sub.add_parser("check", help="run one check on an inline manifold spec")
     pc.add_argument("--config", required=True, help="JSON file or inline JSON")
-    pc.add_argument("--op", default="holonomy",
-                    choices=("holonomy", "compat", "compalg", "torsion"))
-    common(pc)
-    pc.set_defaults(fn=cmd_check)
+    pc.add_argument("--op", default="holonomy", choices=CHECK_OPS)
+    common(pc, cmd_check, checks=True)
 
     ps = sub.add_parser("synthesize",
                         help="blend a covering parallelism into a connection")
     ps.add_argument("--config", required=True)
-    common(ps)
-    ps.set_defaults(fn=cmd_synthesize)
+    common(ps, cmd_synthesize)
 
     pi = sub.add_parser("isometry-group", help="2x2 isometry group of a norm")
     pi.add_argument("--norm", required=True, help="norm spec (JSON file or inline)")
-    common(pi)
-    pi.set_defaults(fn=cmd_isometry_group)
+    common(pi, cmd_isometry_group)
     return parser
 
 

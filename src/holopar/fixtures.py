@@ -4,7 +4,8 @@ property suites.
 
 Every fixture carries an expected-value table with provenance tags;
 ``Fixture.validate()`` re-derives each entry with the corresponding
-operation and checks it at its stated tolerance.
+operation and checks it at its stated tolerance. ``checks`` and
+``summary`` declare the ``verify`` suite by names in the CLI's tables.
 """
 
 from __future__ import annotations
@@ -13,15 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connections import Connection, from_coordinate_christoffels, torsion, zero_christoffels
+from .connections import (Connection, constant_christoffels,
+                          from_coordinate_christoffels, torsion, zero_christoffels)
 from .constructions import connection_from_covering_parallelism
-from .geometry import (Box, ChartPoint, Frame, VectorField, coordinate_frame,
-                       dual_coframe, point, segment)
-from .jets import jcos, jsin, jexp, smooth_step
-from .norms import (RandersData, constant_norm_field, euclidean_norm,
+from .geometry import (Box, Frame, VectorField, coordinate_frame, dual_coframe,
+                       point, segment)
+from .jets import jcos, jsin, smooth_step
+from .norms import (NormField, RandersData, constant_norm_field, euclidean_norm,
                     one_form_norm_field, randers_norm)
-from .parallelism import (CoveringParallelism, Parallelism, frame_parallelism,
-                          translation_parallelism)
+from .parallelism import CoveringParallelism, frame_parallelism, translation_parallelism
 from .transport import parallel_transport
 
 
@@ -44,6 +45,8 @@ class Fixture:
     expected: dict
     expects_failure: dict = field(default_factory=dict)
     minkowski_norm: object = None        # norm in frame components, if one-form
+    checks: tuple = ()                   # verify suite: (check name, overrides)
+    summary: tuple = ()                  # names of the verify summary values
 
     def validate(self):
         """Re-derive every expected-table entry at its stated tolerance."""
@@ -111,8 +114,12 @@ def section5_example():
         "coordinate_christoffels": Expected(gamma_expected, 1e-9, "derived"),
         "norm_values": Expected([1.0, 1.0], 1e-12, "derived"),
     }
+    checks = (("expected_torsion", {}), ("holonomy", {}), ("compat", {"tol": 1e-9}),
+              ("isometry_group", {"group": (np.eye(2), np.diag([1.0, -1.0]))}),
+              ("transport_oracle", {}), ("pushdown", {}), ("compalg", {"tol": 1e-8}))
+    summary = ("torsion_max", "isometry_count", "invariance_max_rel")
     return Fixture("section5", 2, domain, frame, F, conn, par, expected,
-                   minkowski_norm=f).validate()
+                   minkowski_norm=f, checks=checks, summary=summary).validate()
 
 
 def euclidean_flat(n=2):
@@ -125,8 +132,9 @@ def euclidean_flat(n=2):
     expected = {
         "coordinate_christoffels": Expected(np.zeros((n, n, n)), 1e-12, "trivial"),
     }
-    return Fixture("euclidean_flat", n, domain, frame, F, conn, par,
-                   expected).validate()
+    return Fixture("euclidean_flat", n, domain, frame, F, conn, par, expected,
+                   checks=(("holonomy", {"max_curves": 30}),
+                           ("compat", {"tol": 1e-9}))).validate()
 
 
 def scaled_euclidean_incompatible():
@@ -140,7 +148,6 @@ def scaled_euclidean_incompatible():
         coords = np.asarray(coords, dtype=float)
         return np.exp(coords[..., 0]) * base(vectors)
 
-    from .norms import NormField
     F = NormField(2, evaluator,
                   gradient=lambda coords, vectors:
                   np.exp(coords[..., 0])[..., None] * base.gradient(vectors))
@@ -150,7 +157,9 @@ def scaled_euclidean_incompatible():
                    par, {}, expects_failure={
                        "parallelism_compat": "value ratio e between (0,0) and (1,0)",
                        "holonomy_invariance": "norm scale drifts along x",
-                   })
+                   }, checks=(("expected_failure", {
+                       "check": "compat", "ratio": float(np.e), "tol": 1e-9,
+                       "pairs": [((0.0, 0.0), (1.0, 0.0))]}),))
 
 
 def rescaling_connection():
@@ -158,7 +167,6 @@ def rescaling_connection():
     along unit x-displacement rescales d/dx by 1/e."""
     gamma = np.zeros((2, 2, 2))
     gamma[0, 0, 0] = 1.0
-    from .connections import constant_christoffels
     domain = Box((-5.0, -5.0), (5.0, 5.0))
     return from_coordinate_christoffels(constant_christoffels(gamma), 2, domain)
 
@@ -193,7 +201,9 @@ def rotated_blend():
     conn = connection_from_covering_parallelism(cover)
     F = constant_norm_field(euclidean_norm(2))
     return Fixture("rotated_blend", 2, region, coordinate_frame(2, region), F,
-                   conn, cover, {})
+                   conn, cover, {},
+                   checks=(("holonomy", {"max_curves": 30}),
+                           ("torsion", {"floor": 1e-6})))
 
 
 _REGISTRY = {

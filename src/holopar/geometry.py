@@ -48,14 +48,20 @@ class Box:
         c = np.asarray(coords, dtype=float)
         return np.all((c > np.asarray(self.lo)) & (c < np.asarray(self.hi)), axis=-1)
 
+    def _require_finite(self, what):
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+            raise DomainError(f"cannot {what} {self}: it has an infinite bound")
+
     def sample(self, rng, count, margin=0.0):
         """Uniform points, shrunk by `margin` (fraction of each side)."""
+        self._require_finite("sample")
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
         side = hi - lo
         return rng.uniform(lo + margin * side, hi - margin * side, size=(count, self.dim))
 
     def shrink(self, margin):
+        self._require_finite("shrink")
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
         side = hi - lo

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import (CoveringGapError, IncompatibleParallelismError,
                      SingularFrameError)
-from .geometry import DET_FLOOR, Box, Frame, VectorField
-from .jets import as_jet
+from .geometry import DET_FLOOR, Box, Frame, coordinate_frame
+from .jets import smooth_step_num
 from .norms import MinkowskiNorm, unit_sphere
 
 
@@ -23,19 +23,20 @@ class Parallelism:
     """Trivialization-backed family of tangent-space identifications.
 
     ``phi`` maps a batch of coordinates (m, n) to matrices (m, n, n);
-    ``phi_jet`` (optional) is a jet-generic evaluator used for exact
-    derivatives of the parallel frame. ODE-built parallelisms have no
-    phi_jet and fall back to finite differences.
+    ``frame`` (optional) is the parallel frame phi came from, whose fields
+    give exact derivatives. ODE-built parallelisms have none, and their
+    parallel frame is differentiated by finite differences.
     """
 
-    def __init__(self, domain, phi, basepoint=None, phi_jet=None):
+    def __init__(self, domain, phi, basepoint=None, frame=None):
         self.domain = domain
         self.phi = phi
-        self.phi_jet = phi_jet
+        self.frame = frame
         if basepoint is None:
             lo = np.asarray(domain.lo, dtype=float)
             hi = np.asarray(domain.hi, dtype=float)
-            basepoint = np.where(np.isfinite(lo) & np.isfinite(hi), 0.5 * (lo + hi), 0.0)
+            finite = np.isfinite(lo) & np.isfinite(hi)
+            basepoint = 0.5 * (np.where(finite, lo, 0.0) + np.where(finite, hi, 0.0))
         self.basepoint = np.asarray(basepoint, dtype=float)
         self.dim = domain.dim
 
@@ -58,32 +59,15 @@ class Parallelism:
     def parallel_frame(self):
         """The frame (E_i) with E_i(q) = [phi_q] e_i (P-parallel by
         construction)."""
-        if self.phi_jet is not None:
-            n = self.dim
-
-            def make_field(k):
-                def comps(xs):
-                    mat = self.phi_jet(xs)
-                    return [mat[a][k] for a in range(n)]
-                return VectorField(n, components=comps, domain=self.domain)
-
-            return Frame(fields=[make_field(k) for k in range(n)], domain=self.domain)
+        if self.frame is not None:
+            return self.frame
         return Frame(matrix_fn=self.phi, domain=self.domain, dim=self.dim)
 
 
 def frame_parallelism(frame):
     """The parallelism induced by a frame: [phi_q] = frame matrix at q."""
-    phi_jet = None
-    if all(f.is_generic for f in frame.fields):
-        fields = frame.fields
-        n = frame.dim
-
-        def phi_jet(xs):
-            cols = [[as_jet(c, len(xs)) for c in f(xs)] for f in fields]
-            return [[cols[k][a] for k in range(n)] for a in range(n)]
-
     return Parallelism(frame.domain or Box((-np.inf,) * frame.dim, (np.inf,) * frame.dim),
-                       frame.matrix_batch, phi_jet=phi_jet)
+                       frame.matrix_batch, frame=frame)
 
 
 def translation_parallelism(domain):
@@ -94,10 +78,7 @@ def translation_parallelism(domain):
         coords = np.asarray(coords, dtype=float)
         return np.broadcast_to(np.eye(n), coords.shape[:-1] + (n, n)).copy()
 
-    def phi_jet(xs):
-        return [[1.0 if a == k else 0.0 for k in range(n)] for a in range(n)]
-
-    return Parallelism(domain, phi, phi_jet=phi_jet)
+    return Parallelism(domain, phi, frame=coordinate_frame(n, domain))
 
 
 def induced_trivialization(parallelism, p, eta):
@@ -162,7 +143,6 @@ def pushdown_norm(norm_field, parallelism, p, basepoints=10, vectors=200,
 
 
 def _bump_1d(x, a, b, delta_frac=0.25):
-    from .jets import smooth_step_num
     x = np.asarray(x, dtype=float)
     out = np.ones_like(x)
     if np.isfinite(a) and np.isfinite(b):

@@ -9,7 +9,7 @@ import pytest
 from holopar import cli, report
 from holopar.cli import build_box, build_frame, build_norm, main
 from holopar.errors import ConfigError
-from holopar.fixtures import load_fixture
+from holopar.fixtures import fixture_names, load_fixture
 from holopar.transport import parallel_transport, transport_ensemble
 
 S5_CONFIG = {
@@ -84,6 +84,65 @@ def test_transport_oracle_batch_matches_one_curve_transport(monkeypatch):
     assert len(curves) == rep.samples == 6
     for curve, mats in zip(curves, phis):
         assert np.array_equal(mats[0], parallel_transport(conn, curve, 1.0, step=1e-3).matrix)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_every_fixture_declares_a_suite_in_the_check_table(name):
+    fx = load_fixture(name)
+    assert fx.checks
+    for check, overrides in fx.checks:
+        assert check in cli.CHECKS and isinstance(overrides, dict)
+    assert all(key in cli.SUMMARIES for key in fx.summary)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_verify_reports_are_the_declared_suite(name, monkeypatch):
+    # the suite runs each declared entry once, and its reports are the
+    # checks of the document (nested entries, as inside an expected
+    # failure, add no report of their own)
+    calls, depth = [], [0]
+
+    def recording(check, fn):
+        def run(fx, options, **overrides):
+            depth[0] += 1
+            try:
+                rep = fn(fx, options, **overrides)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                calls.append((check, rep.check))
+            return rep
+        return run
+
+    for check, fn in list(cli.CHECKS.items()):
+        monkeypatch.setitem(cli.CHECKS, check, recording(check, fn))
+    doc = cli.run_fixture_suite(name, curves=3, vectors=3)
+    assert [c for c, _ in calls] == [c for c, _ in load_fixture(name).checks]
+    assert sorted(c["check"] for c in doc["checks"]) == sorted(r for _, r in calls)
+
+
+def test_check_ops_are_the_four_table_checks():
+    parser = cli.make_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    op = next(a for a in sub.choices["check"]._actions if a.dest == "op")
+    assert tuple(op.choices) == ("holonomy", "compat", "compalg", "torsion")
+    assert set(op.choices) <= set(cli.CHECKS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--config", "{}", "--seed", "1"],
+    ["isometry-group", "--norm", RANDERS_SPEC, "--curves", "5"],
+])
+def test_check_settings_are_usage_errors_where_no_check_runs(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+def test_synthesize_config_seed_is_rejected():
+    config = {"region": [[-2.0, 2.0], [-2.0, 2.0]], "seed": 1,
+              "members": [{"domain": [[-3.0, 3.0], [-3.0, 3.0]], "frame": "translation"}]}
+    assert main(["synthesize", "--config", json.dumps(config)]) == 2
 
 
 # ---------------------------------------------------------------- check
@@ -169,6 +228,12 @@ def test_isometry_group_euclidean_is_continuous(tmp_path):
 def test_unknown_config_key_is_rejected():
     bad = dict(S5_CONFIG, typo=1)
     assert main(["check", "--config", json.dumps(bad), "--op", "compat"]) == 2
+
+
+@pytest.mark.parametrize("op", ["holonomy", "compat"])
+def test_non_numeric_check_setting_is_rejected(op):
+    bad = dict(S5_CONFIG, curves="many")
+    assert main(["check", "--config", json.dumps(bad), "--op", op]) == 2
 
 
 def test_invalid_json_is_rejected():

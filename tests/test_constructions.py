@@ -46,6 +46,20 @@ def test_flat_connection_builds_translation_parallelism():
     assert np.max(np.abs(par.transfer(ps, qs) - np.eye(2))) <= 1e-10
 
 
+def test_radial_parallel_frame_evaluates_the_current_phi():
+    # an ODE-built parallelism has no frame of its own: its parallel frame
+    # reads phi when evaluated, so a phi swapped in later is the one used
+    conn = Connection.flat(coordinate_frame(2, DOM))
+    par = parallelism_from_connection(conn, ConvexChartRegion(point(0.0, 0.0), WORK),
+                                      step=1e-2)
+    assert par.frame is None
+    seen = []
+    phi = par.phi
+    par.phi = lambda coords: seen.append(len(coords)) or phi(coords)
+    par.parallel_frame().matrix_batch(np.zeros((3, 2)))
+    assert seen == [3]
+
+
 def test_section5_radial_parallelism_matches_frame(s5_conn):
     region = ConvexChartRegion(point(0.0, 0.0), WORK)
     built = parallelism_from_connection(s5_conn, region, step=1e-3)

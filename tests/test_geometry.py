@@ -206,3 +206,13 @@ def test_box_sampling_stays_inside():
     pts = DOM3.sample(rng, 200, margin=0.05)
     assert np.all(DOM3.contains_batch(pts))
     assert not DOM3.contains((5.1, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("box", [Box((-np.inf, -np.inf), (np.inf, np.inf)),
+                                 Box((-1.0, -np.inf), (1.0, 2.0))],
+                         ids=["infinite", "half_infinite"])
+def test_infinite_box_refuses_to_shrink_or_sample(box):
+    for call in (lambda: box.shrink(0.05), lambda: box.sample(np.random.default_rng(0), 3)):
+        with pytest.raises(DomainError, match="infinite bound") as info:
+            call()
+        assert repr(box) in str(info.value)

@@ -4,7 +4,8 @@ norm."""
 import numpy as np
 import pytest
 
-from holopar.errors import CoveringGapError, IncompatibleParallelismError, SingularFrameError
+from holopar.errors import (CoveringGapError, DomainError,
+                            IncompatibleParallelismError, SingularFrameError)
 from holopar.fixtures import section5_frame
 from holopar.geometry import Box, point
 from holopar.norms import (RandersData, constant_norm_field, euclidean_norm,
@@ -13,6 +14,7 @@ from holopar.geometry import dual_coframe
 from holopar.parallelism import (CoveringParallelism, bump_partition,
                                  frame_parallelism, induced_trivialization,
                                  pushdown_norm, translation_parallelism)
+from holopar.verification import check_parallelism_compat
 
 DOM = Box((-5.0, -5.0), (5.0, 5.0))
 
@@ -63,6 +65,22 @@ def test_parallel_frame_fields_are_transferred_to_themselves(s5_par):
     Eq = frame.matrix_batch(qs)
     moved = s5_par.transfer(ps, qs) @ Ep
     assert np.max(np.abs(moved - Eq)) <= 1e-12
+
+
+def test_parallel_frame_is_the_frame_the_parallelism_came_from():
+    frame = section5_frame(DOM)
+    assert frame_parallelism(frame).parallel_frame() is frame
+    coords = DOM.sample(np.random.default_rng(3), 10)
+    E, dE = translation_parallelism(DOM).parallel_frame().matrix_jacobian_batch(coords)
+    assert np.array_equal(E, np.broadcast_to(np.eye(2), E.shape))
+    assert np.array_equal(dE, np.zeros_like(dE))
+
+
+def test_compat_of_a_frame_without_domain_is_a_domain_error():
+    frame = section5_frame(None)
+    F = one_form_norm_field(dual_coframe(frame), euclidean_norm(2))
+    with pytest.raises(DomainError, match="infinite bound"):
+        check_parallelism_compat(F, frame_parallelism(frame))
 
 
 # ---------------------------------------------------------- trivializations
