@@ -11,8 +11,9 @@ from .geometry import (Box, ChartPoint, Coframe, Curve, Frame, TangentVector,
                        lie_bracket, point, segment)
 from .jets import Jet
 from .norms import (ContinuousFamily, MinkowskiNorm, NormField, RandersData,
-                    euclidean_norm, is_isometry, isometry_group_2x2,
-                    lie_algebra_member, one_form_norm_field, randers_norm)
+                    euclidean_norm, is_isometry, isometry_algebra,
+                    isometry_group_2x2, lie_algebra_member, one_form_norm_field,
+                    randers_norm)
 from .parallelism import (CoveringParallelism, Parallelism, PushedNorm,
                           bump_partition, frame_parallelism,
                           induced_trivialization, pushdown_norm,

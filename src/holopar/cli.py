@@ -21,6 +21,7 @@ from .errors import ConfigError, HoloparError
 from .exprs import parse_expr
 from .fixtures import Fixture, fixture_names, load_fixture
 from .geometry import Box, ChartPoint, Frame, VectorField, dual_coframe, segment
+from .jets import as_jet, seed_jets
 from .norms import (ContinuousFamily, MinkowskiNorm, RandersData,
                     constant_norm_field, isometry_group_2x2,
                     one_form_norm_field, randers_norm)
@@ -85,7 +86,13 @@ def build_norm(spec):
             v = np.asarray(v, dtype=float)
             return np.asarray(fn(*(v[..., d] for d in range(n))), dtype=float)
 
-        return MinkowskiNorm(n, evaluator, kind="custom").check_definite()
+        def gradient(v):
+            v = np.asarray(v, dtype=float)
+            jet = as_jet(fn(*seed_jets([v[..., d] for d in range(n)])), n)
+            return np.stack([p + np.zeros(v.shape[:-1]) for p in jet.partials], axis=-1)
+
+        return MinkowskiNorm(n, evaluator, kind="custom",
+                             gradient=gradient).check_definite()
     raise ConfigError(f"unknown norm type {spec['type']!r}")
 
 
@@ -349,6 +356,8 @@ def cmd_synthesize(args):
 def cmd_isometry_group(args):
     spec = _load_config(args.norm)
     norm = build_norm(spec)
+    if norm.dim != 2:
+        raise ConfigError(f"isometry-group needs a 2-D norm, not dimension {norm.dim}")
     group = isometry_group_2x2(norm)
     if isinstance(group, ContinuousFamily):
         doc = {"norm": spec, "continuous_family": True, "note": group.note}
@@ -391,7 +400,7 @@ def make_parser():
     ps.add_argument("--config", required=True)
     common(ps, cmd_synthesize)
 
-    pi = sub.add_parser("isometry-group", help="2x2 isometry group of a norm")
+    pi = sub.add_parser("isometry-group", help="2x2 isometry group of a 2-D norm")
     pi.add_argument("--norm", required=True, help="norm spec (JSON file or inline)")
     common(pi, cmd_isometry_group)
     return parser

@@ -1,9 +1,10 @@
 """Definite norms on R^n and on tangent spaces; isometry machinery.
 
-Includes Randers norms with exact gradients, an isometry test on sphere
-grids, a Lie-algebra membership test, and the brute-force 2x2 isometry
-group oracle (four norm-preservation constraints solved column-wise,
-then certified on a dense circle).
+Every norm has a gradient (central differences when none is given), so
+the Lie algebra of iso(f), the A with grad f(u) . Au = 0 on the unit
+sphere, is one SVD nullspace in any dimension and one membership test.
+The brute-force 2x2 oracle lists finite groups: four norm-preservation
+constraints solved column-wise, then certified on a dense circle.
 """
 
 from __future__ import annotations
@@ -11,14 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from .errors import DefinitenessError
+from .errors import DefinitenessError, PreconditionError
+from .geometry import FD_STEP
 
 ISOMETRY_TOL = 1e-9
 LIE_ALGEBRA_TOL = 1e-8
-SECANT_TOL = 1e-6
+# on random Randers norms, exact or central-difference gradients, the null
+# singular values measured <= 1e-11 of the largest and the others >= 0.07
+ALGEBRA_RANK_TOL = 1e-6
+ORACLE_ANGLES = 1024                      # direction-angle grid of the 2x2 oracle
+ORACLE_CANDIDATE_TOL = 1e-7
+ORACLE_DEDUPE_TOL = 1e-6
 
 
 def unit_sphere(n, count):
@@ -40,12 +46,24 @@ def unit_sphere(n, count):
 
 @dataclass(frozen=True)
 class MinkowskiNorm:
-    """Definite continuous function on R^n; evaluator is batch-friendly."""
+    """Definite continuous function on R^n; evaluator is batch-friendly;
+    the gradient defaults to central differences with step FD_STEP."""
 
     dim: int
     evaluator: object                     # (..., n) -> (...)
     kind: str = "custom"
     gradient: object = None               # (..., n) -> (..., n), away from 0
+
+    def __post_init__(self):
+        if self.gradient is None:
+            steps = FD_STEP * np.eye(self.dim)
+
+            def gradient(v):
+                v = np.asarray(v, dtype=float)
+                return np.stack([self(v + h) - self(v - h) for h in steps],
+                                axis=-1) / (2 * FD_STEP)
+
+            object.__setattr__(self, "gradient", gradient)
 
     def __call__(self, v):
         return self.evaluator(np.asarray(v, dtype=float))
@@ -124,10 +142,25 @@ def is_isometry(f, A, samples=720, tol=ISOMETRY_TOL):
 
 @dataclass(frozen=True)
 class ContinuousFamily:
-    """Marker: the isometry solutions fill an angle interval (a Lie group
-    of positive dimension, e.g. O(2) for the Euclidean norm)."""
+    """Marker: iso(f) is a Lie group of positive dimension (e.g. O(2) for
+    the Euclidean norm), certified by a non-zero `isometry_algebra`."""
 
     note: str = "solutions fill an angle interval"
+
+
+def isometry_algebra(f):
+    """Basis, shape (k, n, n), of the Lie algebra of iso(f).
+
+    A generates isometries iff grad f(u) . Au = 0 for every unit u. Each
+    sampled u gives the row grad f(u) (x) u of a linear system in the n^2
+    entries of A; the algebra is its right null space, read off an SVD.
+    """
+    n = f.dim
+    u = unit_sphere(n, 100 * n * n)
+    rows = (f.gradient(u)[:, :, None] * u[:, None, :]).reshape(len(u), n * n)
+    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    rank = int(np.sum(sv > ALGEBRA_RANK_TOL * sv[0]))
+    return vt[rank:].reshape(-1, n, n)
 
 
 def _radius_for(f, u, target, r_max=1e6):
@@ -144,50 +177,33 @@ def _radius_for(f, u, target, r_max=1e6):
     return brentq(g, lo, hi, xtol=1e-14, rtol=1e-15)
 
 
-def _column_candidates(f, t_plus, t_minus, angle_grid, cand_tol=1e-7):
+def _column_candidates(f, t_plus, t_minus):
     """Candidate columns c with f(c) = t_plus and f(-c) = t_minus.
 
     Scans a direction-angle grid, solving the radius by bisection and
-    treating the second constraint as a residual in the angle. Returns
-    (list of columns, continuous_flag).
+    treating the second constraint as a residual in the angle: the grid
+    angles where it nearly vanishes and the roots between sign changes.
     """
-    thetas = np.linspace(0.0, 2.0 * np.pi, angle_grid, endpoint=False)
-    residuals = np.full(angle_grid, np.nan)
-    radii = np.full(angle_grid, np.nan)
-    for i, th in enumerate(thetas):
-        u = np.array([np.cos(th), np.sin(th)])
-        r = _radius_for(f, u, t_plus)
-        if r is None:
-            continue
-        radii[i] = r
-        residuals[i] = float(f(-r * u)) - t_minus
-
-    near = np.abs(residuals) < cand_tol
-    # wrap-around run detection for a continuous family
-    if near.all():
-        return [], True
-    doubled = np.concatenate([near, near])
-    run = best = 0
-    for flag in doubled:
-        run = run + 1 if flag else 0
-        best = max(best, run)
-    if best >= 3:
-        return [], True
+    thetas = np.linspace(0.0, 2.0 * np.pi, ORACLE_ANGLES, endpoint=False)
 
     def column_at(th):
         u = np.array([np.cos(th), np.sin(th)])
         r = _radius_for(f, u, t_plus)
         return None if r is None else r * u
 
-    cols = [column_at(thetas[i]) for i in np.nonzero(near)[0]]
-    # refine sign changes of the residual between adjacent grid angles
     def residual(th):
-        u = np.array([np.cos(th), np.sin(th)])
-        r = _radius_for(f, u, t_plus)
-        return np.nan if r is None else float(f(-r * u)) - t_minus
+        c = column_at(th)
+        return np.nan if c is None else float(f(-c)) - t_minus
 
-    for i in range(angle_grid):
-        j = (i + 1) % angle_grid
+    residuals = np.array([residual(th) for th in thetas])
+    near = np.abs(residuals) < ORACLE_CANDIDATE_TOL
+    if near.all():
+        raise PreconditionError(
+            "f(-c) = f(c) on the whole level set: the column constraints "
+            "cannot isolate the isometries of an even norm")
+    cols = [column_at(th) for th in thetas[near]]
+    for i in range(ORACLE_ANGLES):
+        j = (i + 1) % ORACLE_ANGLES
         a, b = residuals[i], residuals[j]
         if np.isnan(a) or np.isnan(b) or a == 0.0 or a * b >= 0.0:
             continue
@@ -197,64 +213,47 @@ def _column_candidates(f, t_plus, t_minus, angle_grid, cand_tol=1e-7):
         except ValueError:
             continue
         cols.append(column_at(th))
-    return [c for c in cols if c is not None], False
+    return [c for c in cols if c is not None]
 
 
-def isometry_group_2x2(f, angle_grid=1024, circle_samples=720, tol=ISOMETRY_TOL,
-                       dedupe_tol=1e-6):
-    """All 2x2 matrices preserving f, or a ContinuousFamily flag.
+def isometry_group_2x2(f):
+    """All 2x2 matrices preserving f, or a ContinuousFamily exactly when
+    the Lie algebra of iso(f) is non-zero.
 
-    Independent oracle: each column of an isometry must preserve the
-    norms of (+-1, 0) and (0, +-1); candidates from those four
-    constraints are certified against a 720-angle circle sweep.
+    Independent oracle for the finite group of a norm that is not even:
+    each column must preserve the norms of (+-1, 0) and (0, +-1), and the
+    candidates are certified against a 720-angle circle sweep.
     """
     if f.dim != 2:
         raise ValueError("isometry_group_2x2 requires n = 2")
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    col1, cont1 = _column_candidates(f, float(f(e1)), float(f(-e1)), angle_grid)
-    col2, cont2 = _column_candidates(f, float(f(e2)), float(f(-e2)), angle_grid)
-
-    if cont1 or cont2:
-        # certify on a sparse set of rotations before flagging
-        ths = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-        rots = [np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) for t in ths]
-        if all(is_isometry(f, R, circle_samples, tol)[0] for R in rots):
-            return ContinuousFamily()
-        # fall through is impossible for the norms in scope; report anyway
-        return ContinuousFamily(note="column constraints fill an angle interval")
-
+    if len(isometry_algebra(f)):
+        return ContinuousFamily()
+    e1, e2 = np.eye(2)
+    col1 = _column_candidates(f, float(f(e1)), float(f(-e1)))
+    col2 = _column_candidates(f, float(f(e2)), float(f(-e2)))
     matrices = []
     for c1 in col1:
         for c2 in col2:
             A = np.stack([c1, c2], axis=1)
-            ok, _ = is_isometry(f, A, circle_samples, tol)
-            if not ok:
+            if not is_isometry(f, A)[0]:
                 continue
-            if any(np.max(np.abs(A - B)) < dedupe_tol for B in matrices):
+            if any(np.max(np.abs(A - B)) < ORACLE_DEDUPE_TOL for B in matrices):
                 continue
             matrices.append(A)
     return matrices
 
 
-def lie_algebra_member(f, A, samples=200, tol=LIE_ALGEBRA_TOL,
-                       secant_tol=SECANT_TOL):
+def lie_algebra_member(f, A, samples=200, tol=LIE_ALGEBRA_TOL):
     """Whether A generates isometries of f: (bool, max violation).
 
-    Uses the exact gradient when available (directional derivative of f
-    along the flow of A must vanish); otherwise a secant test on
-    f(exp(tA)v) with a widened tolerance.
+    The violation is max |grad f(u) . Au| on a unit-sphere grid, the
+    derivative of f along the flow of A, which vanishes exactly on the
+    Lie algebra of iso(f).
     """
     A = np.asarray(A, dtype=float)
     u = unit_sphere(f.dim, samples)
-    if f.gradient is not None:
-        viol = float(np.max(np.abs(np.einsum("si,si->s", f.gradient(u), u @ A.T))))
-        return viol <= tol, viol
-    worst = 0.0
-    for t in (-1e-2, -1e-4, 1e-4, 1e-2):
-        et = expm(t * A)
-        worst = max(worst, float(np.max(np.abs(f(u @ et.T) - f(u)) / abs(t))))
-    return worst <= secant_tol, worst
+    viol = float(np.max(np.abs(np.einsum("si,si->s", f.gradient(u), u @ A.T))))
+    return viol <= tol, viol
 
 
 @dataclass(frozen=True)
@@ -275,17 +274,14 @@ class NormField:
 
         def evaluator(v):
             v = np.asarray(v, dtype=float)
-            cc = np.broadcast_to(c, v.shape)
-            return self.evaluator(cc, v)
+            return self.evaluator(np.broadcast_to(c, v.shape), v)
 
-        grad = None
-        if self.gradient is not None:
-            def grad(v, _c=c):
-                v = np.asarray(v, dtype=float)
-                cc = np.broadcast_to(_c, v.shape)
-                return self.gradient(cc, v)
+        def gradient(v):
+            v = np.asarray(v, dtype=float)
+            return self.gradient(np.broadcast_to(c, v.shape), v)
 
-        return MinkowskiNorm(self.dim, evaluator, kind="restriction", gradient=grad)
+        return MinkowskiNorm(self.dim, evaluator, kind="restriction",
+                             gradient=None if self.gradient is None else gradient)
 
 
 def one_form_norm_field(coframe, f):
@@ -296,22 +292,16 @@ def one_form_norm_field(coframe, f):
         C = C.reshape(coords.shape[:-1] + (f.dim, f.dim))
         return f(np.einsum("...ij,...j->...i", C, vectors))
 
-    gradient = None
-    if f.gradient is not None:
-        def gradient(coords, vectors):
-            C = coframe.matrix_batch(np.reshape(coords, (-1, f.dim)))
-            C = C.reshape(coords.shape[:-1] + (f.dim, f.dim))
-            g = f.gradient(np.einsum("...ij,...j->...i", C, vectors))
-            return np.einsum("...ij,...i->...j", C, g)
+    def gradient(coords, vectors):
+        C = coframe.matrix_batch(np.reshape(coords, (-1, f.dim)))
+        C = C.reshape(coords.shape[:-1] + (f.dim, f.dim))
+        g = f.gradient(np.einsum("...ij,...j->...i", C, vectors))
+        return np.einsum("...ij,...i->...j", C, g)
 
     return NormField(f.dim, evaluator, gradient=gradient)
 
 
 def constant_norm_field(f):
     """The same Minkowski norm on every tangent space."""
-    return NormField(
-        f.dim,
-        lambda coords, vectors: f(vectors),
-        gradient=(None if f.gradient is None
-                  else (lambda coords, vectors: f.gradient(vectors))),
-    )
+    return NormField(f.dim, lambda coords, vectors: f(vectors),
+                     gradient=lambda coords, vectors: f.gradient(vectors))

@@ -287,7 +287,7 @@ def torsion_samples(conn, domain, samples=50, seed=42):
 
 
 def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP,
-                     ts=DEFAULT_TS, iso_discrete=None, name="uniqueness"):
+                     ts=DEFAULT_TS, name="uniqueness"):
     """Entrywise agreement of the two induced parallel translations.
 
     Preconditions (refused loudly, never silently skipped): both
@@ -306,11 +306,8 @@ def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP,
                 f"{tag} is not holonomy invariant for F "
                 f"(max rel err {rep.max_rel_error:.3e})")
         phis.append(transported[0])
-    if iso_discrete is None:
-        p0 = curves[0].point(0.0)
-        group = isometry_group_2x2(norm_field.at(p0))
-        iso_discrete = not isinstance(group, ContinuousFamily)
-    if not iso_discrete:
+    if isinstance(isometry_group_2x2(norm_field.at(curves[0].point(0.0))),
+                  ContinuousFamily):
         raise PreconditionError(
             "uniqueness is not applicable: iso(F_p) is a continuous family")
 

@@ -2,15 +2,20 @@
 isometry groups, exit codes and report determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from holopar import cli, report
-from holopar.cli import build_box, build_frame, build_norm, main
+from holopar.cli import build_box, build_frame, build_manifold, build_norm, main
+from holopar.connections import Connection, constant_christoffels
 from holopar.errors import ConfigError
 from holopar.fixtures import fixture_names, load_fixture
+from holopar.norms import ContinuousFamily, RandersData, randers_norm
 from holopar.transport import parallel_transport, transport_ensemble
+from holopar.verification import check_compalg_criterion
 
 S5_CONFIG = {
     "domain": [[-5.0, 5.0], [-5.0, 5.0]],
@@ -223,6 +228,58 @@ def test_isometry_group_euclidean_is_continuous(tmp_path):
     assert code == 0 and doc["continuous_family"] is True
 
 
+def test_isometry_group_of_conjugate_rotations_is_certified(tmp_path):
+    # iso of sqrt(4a^2+12b^2) is a conjugate of O(2), not the standard
+    # rotations; its non-zero Lie algebra certifies the family
+    spec = json.dumps({"type": "custom", "expr": "sqrt(4*a^2+12*b^2)"})
+    code, doc = run(["isometry-group", "--norm", spec], tmp_path)
+    assert code == 0 and doc["continuous_family"] is True
+    assert doc["note"] == ContinuousFamily().note
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "custom", "expr": "sqrt(a^2+b^2+c^2)", "dimension": 3},
+    {"type": "randers", "Q": np.eye(3).tolist(), "beta": [0.2, 0.0, 0.0]},
+])
+def test_isometry_group_of_a_non_planar_norm_is_a_config_error(spec, capsys):
+    assert main(["isometry-group", "--norm", json.dumps(spec)]) == 2
+    assert "2-D norm" in capsys.readouterr().err
+
+
+def test_isometry_group_of_an_even_norm_is_refused(capsys):
+    spec = json.dumps({"type": "custom", "expr": "sqrt(sqrt(a^4+b^4))"})
+    assert main(["isometry-group", "--norm", spec]) == 1
+    assert "even norm" in capsys.readouterr().err
+
+
+def test_custom_norm_gradient_is_the_exact_jet_gradient():
+    custom = build_norm({"type": "custom", "expr": "sqrt(4*a^2+12*b^2)-a"})
+    exact = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
+    v = np.random.default_rng(3).normal(size=(5, 7, 2))
+    assert custom.gradient(v).shape == (5, 7, 2)
+    assert np.max(np.abs(custom.gradient(v) - exact.gradient(v))) <= 1e-12
+
+
+def test_compalg_on_a_custom_norm_decides_with_its_tol():
+    # Gamma^x_xx = 1 makes (nabla P)_v a non-zero endomorphism outside the
+    # trivial algebra of the section5 norm; written as a custom expression
+    # the norm must give the Randers violation and flip at the check's tol
+    custom = build_manifold(dict(S5_CONFIG, norm={"type": "custom",
+                                                  "expr": "sqrt(4*a^2+12*b^2)-a"}))
+    randers = build_manifold(S5_CONFIG)
+    gamma = np.zeros((2, 2, 2))
+    gamma[0, 0, 0] = 1.0
+    conn = Connection(custom.frame, constant_christoffels(gamma))
+    want = check_compalg_criterion(randers.norm_field, randers.parallelism, conn,
+                                   samples=10).max_rel_error
+    assert want > 1e-3
+    for tol in (want * (1.0 - 1e-9), want * (1.0 + 1e-9)):
+        rep = check_compalg_criterion(custom.norm_field, custom.parallelism, conn,
+                                      samples=10, tol=tol)
+        assert rep.max_rel_error == pytest.approx(want, rel=1e-12)
+        assert rep.passed == (tol > want)
+
+
 # ---------------------------------------------------------------- errors
 
 def test_unknown_config_key_is_rejected():
@@ -257,6 +314,41 @@ def test_expression_vocabulary_is_closed():
         build_norm({"type": "custom", "expr": "q + 1"})
     with pytest.raises(ConfigError):
         build_frame([["x", "1"], ["open('x')", "0"]], build_box([[-1, 1], [-1, 1]]))
+
+
+# ---------------------------------------------------------------- README
+
+def _readme_commands():
+    """argv of every `holopar ...` command in README's "Command line" block;
+    a quoted argument may run over several lines."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = text.split("```sh", 1)[1].split("```", 1)[0]
+    commands, pending = [], ""
+    for line in block.splitlines():
+        if not pending and (not line.strip() or line.lstrip().startswith("#")):
+            continue
+        pending += line + "\n"
+        try:
+            commands.append(shlex.split(pending))
+        except ValueError:           # an open quote continues on the next line
+            continue
+        pending = ""
+    assert not pending, "unterminated command in README"
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands} == {"verify", "check", "synthesize",
+                                              "isometry-group"}
+    parser = cli.make_parser()
+    for argv in commands:
+        assert argv[0] == "holopar"
+        args = parser.parse_args(argv[1:])
+        for inline in (getattr(args, "config", None), getattr(args, "norm", None)):
+            if inline is not None and inline.lstrip().startswith("{"):
+                json.loads(inline)
 
 
 # ---------------------------------------------------------------- reports

@@ -3,11 +3,16 @@ membership."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
 
-from holopar.errors import DefinitenessError
+from holopar.errors import DefinitenessError, PreconditionError
 from holopar.norms import (ContinuousFamily, MinkowskiNorm, RandersData,
-                           euclidean_norm, is_isometry, isometry_group_2x2,
-                           lie_algebra_member, randers_norm, unit_sphere)
+                           euclidean_norm, is_isometry, isometry_algebra,
+                           isometry_group_2x2, lie_algebra_member, randers_norm,
+                           unit_sphere)
 
 S5 = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
 
@@ -96,6 +101,25 @@ def test_euclidean_group_is_continuous():
     assert isinstance(isometry_group_2x2(euclidean_norm(2)), ContinuousFamily)
 
 
+def test_conjugate_rotation_group_is_a_certified_family():
+    # iso of sqrt(4a^2+12b^2) is a conjugate of O(2): no standard rotation
+    # but the identity preserves it, and its algebra is one-dimensional
+    f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.zeros(2)))
+    assert isometry_group_2x2(f) == ContinuousFamily()
+    (A,) = isometry_algebra(f)
+    assert is_isometry(f, expm(1.3 * A))[0]
+
+
+def test_group_oracle_refuses_an_even_norm():
+    # f(-v) = f(v) makes the column constraints hold on the whole level
+    # set; the l4 norm's group is finite (signed permutations), so the
+    # oracle must refuse rather than enumerate or flag a family
+    l4 = MinkowskiNorm(2, lambda v: np.sum(np.asarray(v) ** 4, axis=-1) ** 0.25)
+    assert len(isometry_algebra(l4)) == 0
+    with pytest.raises(PreconditionError):
+        isometry_group_2x2(l4)
+
+
 def test_generic_randers_group_is_identity_plus_reflection():
     # with beta != 0 the group is always {I, R}: the isometries of the
     # quadratic part form a conjugate of O(2), and exactly one non-trivial
@@ -160,6 +184,47 @@ def test_secant_fallback_for_gradient_free_norm():
     assert ok
     ok, _ = lie_algebra_member(plain, np.eye(2))
     assert not ok
+
+
+def test_gradient_free_norm_gets_central_differences():
+    plain = MinkowskiNorm(2, euclidean_norm(2).evaluator)
+    u = unit_sphere(2, 50)
+    assert np.max(np.abs(plain.gradient(u) - u)) <= 1e-9
+
+
+# ------------------------------------------------------------------ algebra
+
+@st.composite
+def randers_data(draw):
+    """Q = O diag(lam) O^T with lam in [0.5, 2]; beta = 0, or beta with
+    beta^T Q^-1 beta = margin in [0.04, 0.8]."""
+    n = draw(st.sampled_from([2, 3]))
+    o, _ = np.linalg.qr(draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0))))
+    Q = o @ np.diag(draw(arrays(float, n, elements=st.floats(0.5, 2.0)))) @ o.T
+    Q = 0.5 * (Q + Q.T)
+    if draw(st.booleans()):
+        return Q, np.zeros(n)
+    w = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    w = w / np.linalg.norm(w) if np.linalg.norm(w) > 1e-3 else np.eye(n)[0]
+    margin = draw(st.floats(0.04, 0.8))
+    return Q, np.sqrt(margin) * np.linalg.cholesky(Q) @ w
+
+
+@settings(max_examples=40, deadline=None)
+@given(randers_data())
+def test_isometry_algebra_of_random_randers_norms(data):
+    # iso(f) is so(Q) when beta = 0 and the stabilizer of beta in so(Q)
+    # otherwise, with exact or central-difference gradients alike
+    Q, beta = data
+    n = len(beta)
+    f = randers_norm(RandersData(Q, beta))
+    dim = n * (n - 1) // 2 if not beta.any() else (n - 1) * (n - 2) // 2
+    basis = isometry_algebra(f)
+    assert basis.shape == (dim, n, n)
+    assert len(isometry_algebra(MinkowskiNorm(n, f.evaluator))) == dim
+    for A in basis:
+        assert lie_algebra_member(f, A)[0]
+        assert is_isometry(f, expm(0.7 * A))[0]
 
 
 # ------------------------------------------------------------------ spheres
