@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularFrameError
-from .geometry import DET_FLOOR, ChartPoint, Frame, TangentVector, coordinate_frame
+from .geometry import ChartPoint, Frame, TangentVector, coordinate_frame, invert_frames
 
 
 def zero_christoffels(n):
@@ -60,10 +59,7 @@ class Connection:
         """Coordinate-frame symbols Gamma^a_{bc} at a batch of points."""
         coords = np.asarray(coords, dtype=float)
         E, dE = self.frame.matrix_jacobian_batch(coords)
-        dets = np.linalg.det(E)
-        if np.any(np.abs(dets) <= DET_FLOOR):
-            raise SingularFrameError("singular frame in Christoffel transform")
-        C = np.linalg.inv(E)
+        C = invert_frames(E, "frame in Christoffel transform")
         m, n = coords.shape
         # nabla_{E_j} E_k = E_j^b (d_b E_k^a + Gamma^a_{bc} E_k^c) d_a, so with
         # C = E^-1: Gamma^a_{bc} = (C^j_b E^a_i Gt^i_{jk} - d_b E^a_k) C^k_c
@@ -83,9 +79,7 @@ def christoffels_in_frame(conn, new_frame, p):
     coords = p.coords[None, :]
     B, dB = new_frame.matrix_jacobian_batch(coords)
     B, dB = B[0], dB[0]
-    if abs(np.linalg.det(B)) <= DET_FLOOR:
-        raise SingularFrameError("singular target frame")
-    C = np.linalg.inv(B)
+    C = invert_frames(B, "target frame")
     gamma_coord = conn.coordinate_christoffels(p)
     # nabla_{B_j} B_k = B_j^b (d_b B_k^a + Gamma^a_{bc} B_k^c)
     cov = np.einsum("bj,akb->ajk", B, dB) + np.einsum("abc,bj,ck->ajk", gamma_coord, B, B)

@@ -70,7 +70,7 @@ def _derive_transport(fx):
 
 
 def _derive_coord_gamma(fx):
-    return fx.connection.coordinate_christoffels(point(0.7, -0.4))
+    return fx.connection.coordinate_christoffels(point(0.7, *(-0.4,) * (fx.dim - 1)))
 
 
 def _derive_norm_values(fx):

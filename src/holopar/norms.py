@@ -5,6 +5,8 @@ the Lie algebra of iso(f), the A with grad f(u) . Au = 0 on the unit
 sphere, is one SVD nullspace in any dimension and one membership test.
 The brute-force 2x2 oracle lists finite groups: four norm-preservation
 constraints solved column-wise, then certified on a dense circle.
+A norm field restricts to each tangent space; a one-form field
+F = f o C restricts to f o C_p, with the coframe matrix C_p computed once.
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ def isometry_group_2x2(f):
     candidates are certified against a 720-angle circle sweep.
     """
     if f.dim != 2:
-        raise ValueError("isometry_group_2x2 requires n = 2")
+        raise PreconditionError(f"isometry_group_2x2 requires n = 2, got n = {f.dim}")
     if len(isometry_algebra(f)):
         return ContinuousFamily()
     e1, e2 = np.eye(2)
@@ -256,6 +258,20 @@ def lie_algebra_member(f, A, samples=200, tol=LIE_ALGEBRA_TOL):
     return viol <= tol, viol
 
 
+def _coords(p):
+    return np.asarray(p.coords if hasattr(p, "coords") else p, dtype=float)
+
+
+def _read(C, v):
+    """Frame components C v of vectors v; C (..., n, n) broadcasts."""
+    return np.einsum("...ij,...j->...i", C, v)
+
+
+def _pull_back(C, g):
+    """C^T g: a gradient in frame components as one in coordinates."""
+    return np.einsum("...ij,...i->...j", C, g)
+
+
 @dataclass(frozen=True)
 class NormField:
     """Manifold-wide norm F; evaluator takes (coords, vectors) batches."""
@@ -270,7 +286,7 @@ class NormField:
 
     def at(self, p):
         """Restriction F_p to the tangent space at p, as a MinkowskiNorm."""
-        c = np.asarray(p.coords if hasattr(p, "coords") else p, dtype=float)
+        c = _coords(p)
 
         def evaluator(v):
             v = np.asarray(v, dtype=float)
@@ -284,21 +300,36 @@ class NormField:
                              gradient=None if self.gradient is None else gradient)
 
 
+@dataclass(frozen=True)
+class _OneFormNormField(NormField):
+    """F = f o C for a coframe matrix field C; see one_form_norm_field."""
+
+    coframe: object = None
+    norm: object = None
+
+    def at(self, p):
+        """F_p = f o C_p, with the coframe evaluated once, at p."""
+        C = self.coframe.matrix_batch(_coords(p)[None, :])[0]
+        f = self.norm
+        return MinkowskiNorm(self.dim, lambda v: f(_read(C, v)), kind="restriction",
+                             gradient=lambda v: _pull_back(C, f.gradient(_read(C, v))))
+
+
 def one_form_norm_field(coframe, f):
     """F = f o (E^1, ..., E^n): the norm read through a coframe."""
 
-    def evaluator(coords, vectors):
+    def matrices(coords):
         C = coframe.matrix_batch(np.reshape(coords, (-1, f.dim)))
-        C = C.reshape(coords.shape[:-1] + (f.dim, f.dim))
-        return f(np.einsum("...ij,...j->...i", C, vectors))
+        return C.reshape(coords.shape[:-1] + (f.dim, f.dim))
+
+    def evaluator(coords, vectors):
+        return f(_read(matrices(coords), vectors))
 
     def gradient(coords, vectors):
-        C = coframe.matrix_batch(np.reshape(coords, (-1, f.dim)))
-        C = C.reshape(coords.shape[:-1] + (f.dim, f.dim))
-        g = f.gradient(np.einsum("...ij,...j->...i", C, vectors))
-        return np.einsum("...ij,...i->...j", C, g)
+        C = matrices(coords)
+        return _pull_back(C, f.gradient(_read(C, vectors)))
 
-    return NormField(f.dim, evaluator, gradient=gradient)
+    return _OneFormNormField(f.dim, evaluator, gradient, coframe, f)
 
 
 def constant_norm_field(f):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (CoveringGapError, IncompatibleParallelismError,
                      SingularFrameError)
-from .geometry import DET_FLOOR, Box, Frame, coordinate_frame
+from .geometry import DET_FLOOR, Box, Frame, coordinate_frame, invert_frames
 from .jets import smooth_step_num
 from .norms import MinkowskiNorm, unit_sphere
 
@@ -46,9 +46,8 @@ class Parallelism:
         q = np.atleast_2d(np.asarray(q_coords, dtype=float))
         phi_p = self.phi(p)
         phi_q = self.phi(q)
-        if np.any(np.abs(np.linalg.det(phi_p)) <= DET_FLOOR):
-            raise SingularFrameError("singular trivialization matrix")
-        out = phi_q @ np.linalg.inv(phi_p)   # matmul broadcasts (1,n,n) v (m,n,n)
+        # matmul broadcasts (1,n,n) v (m,n,n)
+        out = phi_q @ invert_frames(phi_p, "trivialization matrix")
         return out[0] if np.asarray(p_coords).ndim == 1 and np.asarray(q_coords).ndim == 1 else out
 
     def apply(self, v, q):

@@ -257,7 +257,8 @@ def check_compalg_criterion(norm_field, parallelism, conn, samples=100,
         v = TangentVector(p, comps[k])
         endo = nabla_P(conn, parallelism, v)
         ok, viol = lie_algebra_member(norm_field.at(p), endo.matrix, tol=tol)
-        if viol > worst:
+        # the first sample sets the witness even when every violation is 0
+        if viol > worst or not witness:
             worst = viol
             witness = {"p": pts[k].tolist(), "v": comps[k].tolist(),
                        "endomorphism": endo.matrix.tolist(), "violation": viol}
@@ -290,11 +291,16 @@ def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP,
                      ts=DEFAULT_TS, name="uniqueness"):
     """Entrywise agreement of the two induced parallel translations.
 
-    Preconditions (refused loudly, never silently skipped): both
-    connections are individually holonomy invariant for F, and the
-    isometry group of F at a sample point is discrete.
+    Preconditions (refused loudly, never silently skipped): the isometry
+    group of F at a sample point is discrete (checked first, as it needs
+    no integration; the oracle takes n = 2), and both connections are
+    individually holonomy invariant for F.
     """
     curves, seed = _resolve_curves(gen)
+    if isinstance(isometry_group_2x2(norm_field.at(curves[0].point(0.0))),
+                  ContinuousFamily):
+        raise PreconditionError(
+            "uniqueness is not applicable: iso(F_p) is a continuous family")
     ts = np.asarray(ts, dtype=float)
     phis = []
     for tag, conn in (("conn1", conn1), ("conn2", conn2)):
@@ -306,10 +312,6 @@ def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP,
                 f"{tag} is not holonomy invariant for F "
                 f"(max rel err {rep.max_rel_error:.3e})")
         phis.append(transported[0])
-    if isinstance(isometry_group_2x2(norm_field.at(curves[0].point(0.0))),
-                  ContinuousFamily):
-        raise PreconditionError(
-            "uniqueness is not applicable: iso(F_p) is a continuous family")
 
     diff = np.abs(phis[0] - phis[1])
     ci, tig = np.unravel_index(np.argmax(diff), diff.shape)[:2]

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from holopar.fixtures import (Expected, fixture_names, load_fixture,
+from holopar.fixtures import (Expected, euclidean_flat, fixture_names, load_fixture,
                               rescaling_connection, section5_example)
 from holopar.geometry import point
+from holopar.verification import (CurveGenerator, check_holonomy_invariance,
+                                  check_parallelism_compat)
 
 
 def test_registry_names():
@@ -20,6 +22,14 @@ def test_all_fixtures_load(s5, flat2, scaled, blend):
         fx = load_fixture(name)
         assert fx.name == name
         assert fx.dim == 2
+
+
+def test_euclidean_flat_in_three_dimensions():
+    fx = euclidean_flat(3)
+    assert fx.dim == 3
+    gen = CurveGenerator(fx.domain.shrink(0.05), seed=3, count=8)
+    assert check_holonomy_invariance(fx.norm_field, fx.connection, gen).passed
+    assert check_parallelism_compat(fx.norm_field, fx.parallelism, pairs=20, tol=1e-9).passed
 
 
 def test_section5_expected_table_provenance(s5):

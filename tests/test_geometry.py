@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from holopar.errors import DomainError, RegularityError
+from holopar.connections import Connection, christoffels_in_frame
+from holopar.errors import DomainError, RegularityError, SingularFrameError
 from holopar.geometry import (Box, ChartPoint, Curve, Frame, VectorField, constant_field,
-                              coordinate_frame, dual_coframe, jet_eval,
+                              coordinate_frame, dual_coframe, invert_frames, jet_eval,
                               lie_bracket, point, segment)
+from holopar.parallelism import frame_parallelism
 from holopar.jets import jsin
 
 DOM2 = Box((-5.0, -5.0), (5.0, 5.0))
@@ -158,6 +163,54 @@ def test_scaled_frame_gives_inverse_scaled_coframe():
                               for f in fr.fields], domain=DOM2)
     C = dual_coframe(scaled).matrix(point(1.0, 1.0))
     assert np.allclose(C, 0.5 * np.eye(2))
+
+
+@st.composite
+def conditioned_frames(draw):
+    """A batch O diag(s) U of n x n frames, O and U orthogonal, s in [0.5, 2]."""
+    n = draw(st.sampled_from([2, 3]))
+    unit = st.floats(-1.0, 1.0)
+    o, _ = np.linalg.qr(draw(arrays(float, (4, n, n), elements=unit)) + 2.0 * np.eye(n))
+    u, _ = np.linalg.qr(draw(arrays(float, (4, n, n), elements=unit)) - 2.0 * np.eye(n))
+    s = draw(arrays(float, (4, n), elements=st.floats(0.5, 2.0)))
+    return o @ (s[:, :, None] * u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conditioned_frames())
+def test_invert_frames_matches_numpy(E):
+    want = np.linalg.inv(E)
+    got = invert_frames(E, "test frame")
+    assert got.shape == E.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _rank_deficient_frame(n):
+    """Jet frame whose last field is twice the first: det E = 0 everywhere."""
+    dom = Box((-2.0,) * n, (2.0,) * n)
+    cols = [np.eye(n)[k] for k in range(n - 1)] + [2.0 * np.eye(n)[0]]
+    fields = [VectorField(n, components=lambda xs, c=c: [(1.0 + xs[0] * xs[0]) * float(ci)
+                                                         for ci in c], domain=dom)
+              for c in cols]
+    return Frame(fields=fields, domain=dom)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rank_deficient_frame_is_refused_on_every_inversion_path(n):
+    frame = _rank_deficient_frame(n)
+    coords = np.random.default_rng(3).uniform(-1.0, 1.0, (4, n))
+    calls = {
+        "frame in Christoffel transform":
+            lambda: Connection.flat(frame).coordinate_christoffels_batch(coords),
+        "target frame":
+            lambda: christoffels_in_frame(Connection.flat(coordinate_frame(n)), frame,
+                                          ChartPoint(coords[0])),
+        "frame matrix in dual_coframe": lambda: dual_coframe(frame).matrix_batch(coords),
+        "trivialization matrix": lambda: frame_parallelism(frame).transfer(coords[0], coords),
+    }
+    for what, call in calls.items():
+        with pytest.raises(SingularFrameError, match=f"singular {what}"):
+            call()
 
 
 @pytest.mark.parametrize("n", [2, 3])

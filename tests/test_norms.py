@@ -9,10 +9,12 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from holopar.errors import DefinitenessError, PreconditionError
+from holopar.fixtures import section5_frame
+from holopar.geometry import Box, Coframe, Frame, VectorField, dual_coframe, point
 from holopar.norms import (ContinuousFamily, MinkowskiNorm, RandersData,
                            euclidean_norm, is_isometry, isometry_algebra,
-                           isometry_group_2x2, lie_algebra_member, randers_norm,
-                           unit_sphere)
+                           isometry_group_2x2, lie_algebra_member,
+                           one_form_norm_field, randers_norm, unit_sphere)
 
 S5 = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
 
@@ -120,6 +122,11 @@ def test_group_oracle_refuses_an_even_norm():
         isometry_group_2x2(l4)
 
 
+def test_group_oracle_refuses_other_dimensions():
+    with pytest.raises(PreconditionError, match="n = 2"):
+        isometry_group_2x2(euclidean_norm(3))
+
+
 def test_generic_randers_group_is_identity_plus_reflection():
     # with beta != 0 the group is always {I, R}: the isometries of the
     # quadratic part form a conjugate of O(2), and exactly one non-trivial
@@ -190,6 +197,50 @@ def test_gradient_free_norm_gets_central_differences():
     plain = MinkowskiNorm(2, euclidean_norm(2).evaluator)
     u = unit_sphere(2, 50)
     assert np.max(np.abs(plain.gradient(u) - u)) <= 1e-9
+
+
+# ------------------------------------------------------------------ restrictions
+
+def _one_form_field(n):
+    """section5's field in 2-D; in 3-D a Randers norm read through a
+    polynomial jet frame that is invertible on [-1, 1]^3."""
+    if n == 2:
+        return one_form_norm_field(dual_coframe(section5_frame(Box((-5.0,) * 2, (5.0,) * 2))), S5)
+    dom = Box((-1.0,) * 3, (1.0,) * 3)
+    cols = (lambda xs: (1.0 + 0.2 * xs[1], 0.3 * xs[0], 0.0),
+            lambda xs: (0.0, 1.0, 0.4 * xs[2]),
+            lambda xs: (0.1 * xs[0], 0.0, 1.0))
+    frame = Frame(fields=[VectorField(3, components=c, domain=dom) for c in cols], domain=dom)
+    f = randers_norm(RandersData(np.diag([1.0, 2.0, 3.0]), np.array([0.2, 0.1, 0.0])))
+    return one_form_norm_field(dual_coframe(frame), f)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_form_restriction_equals_the_field(n):
+    F = _one_form_field(n)
+    rng = np.random.default_rng(n)
+    for p in rng.uniform(-1.0, 1.0, (5, n)):
+        Fp = F.at(point(*p))
+        v = rng.normal(size=(30, n))
+        at_p = np.broadcast_to(p, v.shape)
+        want, got = F(at_p, v), Fp(v)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        want, got = F.gradient(at_p, v), Fp.gradient(v)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_one_form_restriction_evaluates_the_coframe_once(monkeypatch):
+    F = _one_form_field(2)
+    calls = []
+    original = Coframe.matrix_batch
+
+    def counting(self, coords):
+        calls.append(len(coords))
+        return original(self, coords)
+
+    monkeypatch.setattr(Coframe, "matrix_batch", counting)
+    group = isometry_group_2x2(F.at(point(0.7, -1.2)))
+    assert len(group) == 2 and calls == [1]
 
 
 # ------------------------------------------------------------------ algebra

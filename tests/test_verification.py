@@ -12,6 +12,7 @@ from holopar.constructions import connection_from_covering_parallelism
 from holopar.errors import DomainError, PreconditionError
 from holopar.fixtures import rescaling_connection, section5_frame
 from holopar.geometry import Box, Curve, coordinate_frame, point
+from holopar.norms import RandersData, constant_norm_field, randers_norm
 from holopar.parallelism import CoveringParallelism, frame_parallelism, translation_parallelism
 from holopar import report, verification
 from holopar.transport import transport_ensemble
@@ -88,6 +89,15 @@ def test_compalg_rejects_perturbed_connection(s5):
     assert not rep.passed
 
 
+def test_compalg_witness_when_every_violation_is_zero(flat2):
+    # the flat connection's nabla P vanishes, so every violation is exactly 0
+    rep = check_compalg_criterion(flat2.norm_field, flat2.parallelism, flat2.connection,
+                                  samples=5)
+    assert rep.passed and rep.max_abs_error == 0.0
+    assert rep.witness["violation"] == 0.0
+    assert set(rep.witness) == {"p", "v", "endomorphism", "violation"}
+
+
 # ---------------------------------------------------------- obstruction
 
 def test_section5_obstruction_is_one(s5):
@@ -135,6 +145,18 @@ def test_uniqueness_refuses_continuous_isometry_group(flat2, blend):
     gen = CurveGenerator(Box((-3.0, -3.0), (3.0, 3.0)).shrink(0.05), seed=6, count=5)
     with pytest.raises(PreconditionError, match="continuous"):
         check_uniqueness(flat2.norm_field, flat2.connection, blend.connection, gen)
+
+
+def test_uniqueness_refuses_three_dimensions_before_integrating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verification, "transport_ensemble",
+                        lambda *args, **kwargs: calls.append(args))
+    F = constant_norm_field(randers_norm(RandersData(np.eye(3), np.array([0.3, 0.0, 0.0]))))
+    flat = Connection.flat(coordinate_frame(3))
+    gen = CurveGenerator(Box((-1.0,) * 3, (1.0,) * 3), seed=2, count=3)
+    with pytest.raises(PreconditionError, match="n = 2"):
+        check_uniqueness(F, flat, flat, gen)
+    assert calls == []
 
 
 def test_uniqueness_refuses_non_invariant_connection(s5):
