@@ -4,6 +4,11 @@ A connection is stored relative to a designated frame (both directions
 of the parallelism equivalence are frame-native: "zero Christoffels in
 a parallel frame"); coordinate Christoffels are a derived view. Index convention:
 gamma[i, j, k] is Gamma^i_{jk} with nabla_{E_j} E_k = Gamma^i_{jk} E_i.
+
+Every connection holopar builds is either zero in its own frame (``gamma``
+is None: the connection compatible with a parallelism, and each blend
+member) or written in the coordinate frame (the blend itself), so the
+coordinate view computes only the terms that can be non-zero.
 """
 
 from __future__ import annotations
@@ -16,10 +21,9 @@ from .geometry import ChartPoint, Frame, TangentVector, coordinate_frame, invert
 
 
 def zero_christoffels(n):
-    def gamma(coords):
-        coords = np.asarray(coords, dtype=float)
-        return np.zeros(coords.shape[:-1] + (n, n, n))
-    return gamma
+    """Vanishing frame-relative symbols in dimension n: None, which
+    ``Connection`` reads as zero without evaluating anything."""
+    return None
 
 
 def constant_christoffels(values):
@@ -36,6 +40,8 @@ def constant_christoffels(values):
 class Connection:
     """Covariant derivative: frame plus frame-relative Christoffels.
 
+    ``gamma`` maps coordinates (m, n) to symbols (m, n, n, n), or is None
+    when the symbols vanish: the frame is then parallel.
     ``backing_parallelism`` marks connections constructed with zero
     Christoffels in a parallelism-parallel frame; their parallel
     translation equals the parallelism transfer exactly, which the
@@ -44,7 +50,7 @@ class Connection:
     """
 
     frame: Frame
-    gamma: object                       # (m, n) -> (m, n, n, n)
+    gamma: object                       # (m, n) -> (m, n, n, n), or None for 0
     backing_parallelism: object = None
 
     @property
@@ -53,17 +59,29 @@ class Connection:
 
     @staticmethod
     def flat(frame):
-        return Connection(frame, zero_christoffels(frame.dim))
+        return Connection(frame, None)
 
     def coordinate_christoffels_batch(self, coords):
-        """Coordinate-frame symbols Gamma^a_{bc} at a batch of points."""
+        """Coordinate-frame symbols Gamma^a_{bc} at a batch of points.
+
+        In the coordinate frame these are the frame-relative symbols
+        themselves; with those zero, only the frame-derivative term is
+        computed.
+        """
         coords = np.asarray(coords, dtype=float)
+        m, n = coords.shape
+        if self.frame.coordinate:
+            if self.gamma is None:
+                return np.zeros((m, n, n, n))
+            return np.asarray(self.gamma(coords), dtype=float)
         E, dE = self.frame.matrix_jacobian_batch(coords)
         C = invert_frames(E, "frame in Christoffel transform")
-        m, n = coords.shape
         # nabla_{E_j} E_k = E_j^b (d_b E_k^a + Gamma^a_{bc} E_k^c) d_a, so with
         # C = E^-1: Gamma^a_{bc} = (C^j_b E^a_i Gt^i_{jk} - d_b E^a_k) C^k_c
         # (the d_b term is E^d_j d_d E^a_k contracted with C^j_b = delta^d_b).
+        # With Gt = 0 only the d_b term is left.
+        if self.gamma is None:
+            return -np.swapaxes(dE, 2, 3) @ C[:, None]
         # One (m, n, n, n) temporary at a time besides dE and the result.
         g = E @ np.asarray(self.gamma(coords), dtype=float).reshape(m, n, n * n)
         g = np.swapaxes(C, 1, 2)[:, None] @ g.reshape(m, n, n, n)

@@ -220,7 +220,13 @@ def lie_bracket(X, Y):
 
 
 class Frame:
-    """n vector fields with everywhere-invertible component matrix."""
+    """n vector fields with everywhere-invertible component matrix.
+
+    ``coordinate`` is True only on the frames of ``coordinate_frame``,
+    whose matrix is the identity and whose derivative vanishes.
+    """
+
+    coordinate = False
 
     def __init__(self, fields=None, matrix_fn=None, domain=None, dim=None):
         if fields is not None:
@@ -330,7 +336,9 @@ def dual_coframe(frame):
 def coordinate_frame(n, domain=None):
     fields = [constant_field(tuple(1.0 if i == k else 0.0 for i in range(n)), domain)
               for k in range(n)]
-    return Frame(fields=fields, domain=domain)
+    frame = Frame(fields=fields, domain=domain)
+    frame.coordinate = True
+    return frame
 
 
 class Curve:

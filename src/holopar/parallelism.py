@@ -119,26 +119,34 @@ def pushdown_norm(norm_field, parallelism, p, basepoints=10, vectors=200,
     others = parallelism.domain.sample(rng, basepoints, margin=0.05)
     vs = unit_sphere(n, vectors)
 
-    def pushed_at(q_coords):
-        phi_q = parallelism.phi(q_coords[None, :])[0]
-        return norm_field(np.broadcast_to(q_coords, vs.shape), vs @ phi_q.T)
+    def phi_at(q_coords):
+        return parallelism.phi(q_coords[None, :])[0]
 
-    ref = pushed_at(p_coords)
+    def through(q_coords, phi_q, v):
+        """Basepoints and vectors phi_q v for a batch v of shape (m, n)."""
+        w = v @ phi_q.T
+        return np.broadcast_to(q_coords, w.shape), w
+
+    phi_p = phi_at(p_coords)
+    ref = norm_field(*through(p_coords, phi_p, vs))
     for q in others:
-        dev = float(np.max(np.abs(pushed_at(q) - ref)))
+        dev = float(np.max(np.abs(norm_field(*through(q, phi_at(q), vs)) - ref)))
         if dev > tol:
             raise IncompatibleParallelismError(
                 f"pushed-down norm depends on the basepoint (deviation {dev:.3e})",
                 witness={"p": p_coords.tolist(), "q": q.tolist(), "deviation": dev})
 
     def evaluator(v):
-        v = np.asarray(v, dtype=float)
-        phi_p = parallelism.phi(p_coords[None, :])[0]
-        flat = v.reshape(-1, n)
-        cc = np.broadcast_to(p_coords, flat.shape)
-        return norm_field(cc, flat @ phi_p.T).reshape(v.shape[:-1])
+        flat = through(p_coords, phi_p, np.reshape(v, (-1, n)))
+        return norm_field(*flat).reshape(np.shape(v)[:-1])
 
-    return PushedNorm(MinkowskiNorm(n, evaluator, kind="pushed"), p_coords)
+    def gradient(v):
+        # d/dv F(p, phi_p v) = phi_p^T (grad_v F)(p, phi_p v)
+        flat = through(p_coords, phi_p, np.reshape(v, (-1, n)))
+        return (norm_field.gradient(*flat) @ phi_p).reshape(np.shape(v))
+
+    grad = None if norm_field.gradient is None else gradient
+    return PushedNorm(MinkowskiNorm(n, evaluator, kind="pushed", gradient=grad), p_coords)
 
 
 def _bump_1d(x, a, b, delta_frac=0.25):
@@ -178,28 +186,28 @@ def bump_partition(domains, region=None, check_samples=1000, seed=11):
 
     weights = [raw_weight(b) for b in domains]
 
-    def total(coords):
-        return np.sum([w(coords) for w in weights], axis=0)
-
     if region is not None:
         rng = np.random.default_rng(seed)
         pts = region.sample(rng, check_samples, margin=1e-6)
-        tot = total(pts)
+        tot = np.sum([w(pts) for w in weights], axis=0)
         if np.any(tot <= 0.0):
             bad = pts[np.argmin(tot)]
             raise CoveringGapError(f"point {bad.tolist()} not covered by any box")
 
-    def normalized(w):
+    def normalized(i):
+        # every bump is evaluated once per call: entry i of the summed list
+        # is this weight's own (bumps act pointwise, so slicing commutes)
         def f(coords):
             coords = np.atleast_2d(np.asarray(coords, dtype=float))
-            tot = total(coords)
+            raw = [w(coords) for w in weights]
+            tot = np.sum(raw, axis=0)
             out = np.zeros(coords.shape[0])
             pos = tot > 0.0
-            out[pos] = w(coords[pos]) / tot[pos]
+            out[pos] = raw[i][pos] / tot[pos]
             return out
         return f
 
-    return [normalized(w) for w in weights]
+    return [normalized(i) for i in range(len(weights))]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationBlowupError
-from .geometry import DET_FLOOR
+from .geometry import DET_FLOOR, invert_frames
 
 DEFAULT_STEP = 1e-3
 
@@ -119,7 +119,8 @@ def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
         pos_s = np.stack([c.positions(sample_ts) for c in curves])
         phi0 = par.phi(pos0)
         phis_s = par.phi(pos_s.reshape(-1, n)).reshape(m, sample_ts.size, n, n)
-        phis = np.einsum("mtij,mjk->mtik", phis_s, np.linalg.inv(phi0))
+        phis = np.einsum("mtij,mjk->mtik", phis_s,
+                         invert_frames(phi0, "backing trivialization"))
         return phis, pos0, pos_s
 
     _, h, grid = _step_grid(t_end, step)
@@ -171,9 +172,9 @@ def phi_curve(parallelism, conn, curve, step=DEFAULT_STEP, samples=100):
     nonzero = ts[ts > 0]
     phis, pos0, pos_s = transport_ensemble(conn, [curve], nonzero, step=step)
     phi0 = parallelism.phi(pos0)[0]
-    phi_t = parallelism.phi(pos_s[0])
     n = conn.dim
-    mats = np.einsum("tij,tjk,kl->til", np.linalg.inv(phi_t), phis[0], phi0)
+    phi_t_inv = invert_frames(parallelism.phi(pos_s[0]), "trivialization along the curve")
+    mats = np.einsum("tij,tjk,kl->til", phi_t_inv, phis[0], phi0)
     out = [(0.0, np.eye(n))]
     out += [(float(t), mats[i]) for i, t in enumerate(nonzero)]
     return MatrixCurve(tuple(out))

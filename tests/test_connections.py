@@ -263,3 +263,61 @@ def test_coordinate_christoffels_batch_refuses_singular_frame(data):
     for frame in _frames(n, q, angle, scale, rank=n - 1):
         with pytest.raises(SingularFrameError):
             Connection(frame, constant_christoffels(gamma)).coordinate_christoffels_batch(coords)
+
+
+@settings(max_examples=30, deadline=None)
+@given(frame_data())
+def test_zero_symbols_match_the_general_path(data):
+    # gamma=None computes -dE^T C only; the general path on explicit zeros
+    # must agree entry for entry, on jet and finite-difference frames
+    n, q, angle, scale, _ = data
+    coords = np.random.default_rng(1).uniform(-1.0, 1.0, (16, n))
+    for frame in _frames(n, q, angle, scale, rank=n):
+        zero = np.zeros((n, n, n))
+        got = Connection(frame, zero_christoffels(n)).coordinate_christoffels_batch(coords)
+        general = Connection(frame, constant_christoffels(zero))
+        assert np.array_equal(got, general.coordinate_christoffels_batch(coords))
+        want = _textbook_christoffels(general, coords)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(frame_data())
+def test_zero_symbols_still_refuse_singular_frame(data):
+    n, q, angle, scale, _ = data
+    coords = np.random.default_rng(0).uniform(-1.0, 1.0, (4, n))
+    for frame in _frames(n, q, angle, scale, rank=n - 1):
+        with pytest.raises(SingularFrameError):
+            Connection.flat(frame).coordinate_christoffels_batch(coords)
+
+
+@settings(max_examples=20, deadline=None)
+@given(frame_data())
+def test_coordinate_frame_returns_its_symbols_without_frame_jets(data):
+    n, _, _, _, gamma = data
+    coords = np.random.default_rng(2).uniform(-1.0, 1.0, (16, n))
+    frame = coordinate_frame(n)
+    calls = []
+    jacobian = Frame.matrix_jacobian_batch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Frame, "matrix_jacobian_batch",
+                   lambda self, c: calls.append(1) or jacobian(self, c))
+        got = Connection(frame, constant_christoffels(gamma)).coordinate_christoffels_batch(coords)
+        flat = Connection(frame, zero_christoffels(n)).coordinate_christoffels_batch(coords)
+    assert np.array_equal(got, np.broadcast_to(gamma, (16, n, n, n)))
+    assert np.array_equal(flat, np.zeros((16, n, n, n)))
+    assert calls == []
+
+
+def test_only_coordinate_frames_are_marked_coordinate():
+    assert coordinate_frame(2).coordinate and coordinate_frame(3, DOM).coordinate
+    assert not Frame.coordinate
+    assert not section5_frame(DOM).coordinate
+    # an identity frame that is not built as the coordinate frame takes the
+    # general path, with the same symbols
+    ident = Frame(matrix_fn=lambda c: np.broadcast_to(np.eye(2), c.shape[:1] + (2, 2)),
+                  domain=DOM, dim=2)
+    gamma = np.arange(8.0).reshape(2, 2, 2)
+    coords = np.array([[0.1, 0.2], [-1.0, 3.0]])
+    got = Connection(ident, constant_christoffels(gamma)).coordinate_christoffels_batch(coords)
+    assert np.array_equal(got, np.broadcast_to(gamma, (2, 2, 2, 2)))

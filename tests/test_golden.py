@@ -1,0 +1,56 @@
+"""CLI reports compared byte for byte with the goldens in tests/golden/.
+
+A change that is meant to alter report bytes regenerates the goldens with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+and explains the difference in CHANGES.md.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from holopar.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURES = ("section5", "euclidean_flat", "scaled_euclidean_incompatible",
+            "rotated_blend")
+RATE = 0.3                            # rotation rate of the second member frame
+SYNTH_CONFIG = {
+    "region": [[-2, 2], [-2, 2]],
+    "members": [
+        {"domain": [[-3, 0.5], [-3, 3]], "frame": "translation"},
+        {"domain": [[-0.5, 3], [-3, 3]],
+         "frame": [[f"cos({RATE}*x)", f"sin({RATE}*x)"],
+                   [f"-sin({RATE}*x)", f"cos({RATE}*x)"]]},
+    ],
+    "grid": 5,
+}
+CASES = {f"verify_{fx}": ["verify", fx, "--seed", "7", "--curves", "12", "--step", "2e-3"]
+         for fx in FIXTURES}
+CASES["synthesize_two_members"] = ["synthesize", "--config", json.dumps(SYNTH_CONFIG)]
+
+
+def _report(argv, out):
+    code = main(argv + ["--out", str(out)])
+    assert code == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_golden(name, tmp_path):
+    got = _report(CASES[name], tmp_path / "out.json")
+    assert got == (GOLDEN / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in sorted(CASES.items()):
+            (GOLDEN / f"{name}.json").write_bytes(_report(argv, Path(tmp) / "out.json"))
+            print(name, file=sys.stderr)

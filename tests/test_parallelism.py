@@ -4,16 +4,18 @@ norm."""
 import numpy as np
 import pytest
 
+from holopar import parallelism
 from holopar.errors import (CoveringGapError, DomainError,
                             IncompatibleParallelismError, SingularFrameError)
 from holopar.fixtures import section5_frame
 from holopar.geometry import Box, point
 from holopar.norms import (RandersData, constant_norm_field, euclidean_norm,
-                           one_form_norm_field, randers_norm)
+                           one_form_norm_field, randers_norm, unit_sphere)
 from holopar.geometry import dual_coframe
-from holopar.parallelism import (CoveringParallelism, bump_partition,
-                                 frame_parallelism, induced_trivialization,
-                                 pushdown_norm, translation_parallelism)
+from holopar.parallelism import (CoveringParallelism, Parallelism, _bump_1d,
+                                 bump_partition, frame_parallelism,
+                                 induced_trivialization, pushdown_norm,
+                                 translation_parallelism)
 from holopar.verification import check_parallelism_compat
 
 DOM = Box((-5.0, -5.0), (5.0, 5.0))
@@ -138,6 +140,41 @@ def test_euclidean_pushdown_is_euclidean():
     assert np.max(np.abs(pushed.norm(v) - np.linalg.norm(v, axis=1))) <= 1e-12
 
 
+def test_pushed_norm_gradient_is_exact_on_section5(s5_par):
+    f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
+    F = one_form_norm_field(dual_coframe(section5_frame(DOM)), f)
+    p = point(1.5, -0.5)
+    pushed = pushdown_norm(F, s5_par, p).norm
+    v = np.random.default_rng(10).normal(size=(30, 2))
+    # phi_p^T (grad_v F)(p, phi_p v), and central differences of F_p o phi_p
+    phi_p = s5_par.phi(p.coords[None, :])[0]
+    exact = F.gradient(np.broadcast_to(p.coords, v.shape), v @ phi_p.T) @ phi_p
+    assert np.array_equal(pushed.gradient(v), exact)
+    h = 1e-6
+    fd = np.stack([(pushed(v + e) - pushed(v - e)) / (2 * h) for e in h * np.eye(2)],
+                  axis=-1)
+    assert np.max(np.abs(pushed.gradient(v) - fd)) <= 1e-6
+
+
+def test_pushdown_evaluates_phi_once_per_basepoint(s5_par):
+    calls = []
+
+    def phi(coords):
+        calls.append(len(coords))
+        return s5_par.phi(coords)
+
+    par = Parallelism(DOM, phi)
+    f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
+    F = one_form_norm_field(dual_coframe(section5_frame(DOM)), f)
+    pushed = pushdown_norm(F, par, point(0.0, 0.0), basepoints=6).norm
+    assert calls == [1] * 7              # the anchor p and the 6 basepoints
+    v = unit_sphere(2, 50)
+    pushed(v)
+    pushed.gradient(v)
+    pushed.gradient(v[0])
+    assert len(calls) == 7
+
+
 def test_incompatible_pair_raises_with_witness(scaled):
     with pytest.raises(IncompatibleParallelismError) as ei:
         pushdown_norm(scaled.norm_field, scaled.parallelism, point(0.0, 0.0))
@@ -182,6 +219,27 @@ def test_three_overlapping_boxes_sum_to_one():
     total = np.sum([w(pts) for w in weights], axis=0)
     assert np.max(np.abs(total - 1.0)) <= 1e-12
     assert all(np.min(w(pts)) >= 0.0 for w in weights)
+
+
+def test_partition_weight_evaluates_each_bump_once(monkeypatch):
+    boxes = [Box((-3.0, -3.0), (0.5, 3.0)), Box((-0.5, -3.0), (3.0, 3.0)),
+             Box((0.0, -1.0), (3.0, 3.0))]
+    weights = bump_partition(boxes, Box((-2.0, -2.0), (2.0, 2.0)))
+    # points inside and outside every box
+    pts = np.random.default_rng(12).uniform(-3.5, 3.5, (400, 2))
+    raw = np.stack([_bump_1d(pts[:, 0], b.lo[0], b.hi[0]) * _bump_1d(pts[:, 1], b.lo[1], b.hi[1])
+                    for b in boxes])
+    tot = np.sum(raw, axis=0)
+    pos = tot > 0.0
+    calls = []
+    monkeypatch.setattr(parallelism, "_bump_1d",
+                        lambda *a, **k: calls.append(1) or _bump_1d(*a, **k))
+    for w, r in zip(weights, raw):
+        want = np.zeros_like(r)
+        want[pos] = r[pos] / tot[pos]
+        assert np.array_equal(w(pts), want)
+    # one 1-D bump per box and axis in each weight call
+    assert len(calls) == len(weights) * len(boxes) * 2
 
 
 def test_covering_gap_is_detected():

@@ -9,12 +9,12 @@ import pytest
 from holopar.connections import (Connection, constant_christoffels,
                                  from_coordinate_christoffels, zero_christoffels)
 from holopar.constructions import ConvexChartRegion, parallelism_from_connection
-from holopar.errors import IntegrationBlowupError
+from holopar.errors import IntegrationBlowupError, SingularFrameError
 from holopar.fixtures import rescaling_connection, section5_frame
 from holopar.geometry import Box, Curve, coordinate_frame, point, segment
 from holopar.jets import jcos, jsin
 from holopar.norms import euclidean_norm, randers_norm, RandersData, unit_sphere
-from holopar.parallelism import frame_parallelism, translation_parallelism
+from holopar.parallelism import Parallelism, frame_parallelism, translation_parallelism
 from holopar.transport import (matrix_ode_solve, parallel_transport, phi_curve,
                                transport_ensemble)
 
@@ -195,3 +195,35 @@ def test_invariance_equivalence_through_trivialization():
         assert np.max(np.abs(lhs - rhs)) <= 1e-8
     # and the incompatibility really shows on both sides
     assert np.max(np.abs(F(v @ mc.matrices[-1].T) - F(v))) > 0.1
+
+
+# ---------------------------------------------------------- singular trivializations
+
+def _diag_parallelism(scale):
+    """phi(x, y) = diag(scale(x), 1), singular where scale vanishes."""
+    def phi(coords):
+        coords = np.atleast_2d(coords)
+        out = np.zeros(coords.shape[:-1] + (2, 2))
+        out[..., 0, 0] = scale(coords[..., 0])
+        out[..., 1, 1] = 1.0
+        return out
+    return Parallelism(DOM, phi)
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-13])
+def test_backing_transport_refuses_singular_trivialization(floor):
+    # phi is singular (or within DET_FLOOR of it) at the curves' start
+    par = _diag_parallelism(lambda x: floor + x * x)
+    conn = Connection(coordinate_frame(2, DOM), zero_christoffels(2),
+                      backing_parallelism=par)
+    with pytest.raises(SingularFrameError, match="backing trivialization"):
+        transport_ensemble(conn, [segment((0.0, 0.0), (1.0, 1.0))], [1.0])
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-13])
+def test_phi_curve_refuses_singular_trivialization(floor):
+    # phi is invertible at the start and singular at the end of the curve
+    par = _diag_parallelism(lambda x: floor + (1.0 - x) ** 2)
+    conn = Connection.flat(coordinate_frame(2, DOM))
+    with pytest.raises(SingularFrameError, match="trivialization along the curve"):
+        phi_curve(par, conn, segment((0.0, 0.0), (1.0, 0.0)), samples=5)
