@@ -126,11 +126,11 @@ def nabla_P(conn, parallelism, v):
     """
     p = v.base
     frame = parallelism.parallel_frame()
-    gt = christoffels_in_frame(conn, frame, p)
     phi_p = frame.matrix(p)
-    v_frame = np.linalg.solve(phi_p, v.components)
-    m_frame = np.einsum("j,ijk->ik", v_frame, gt)
-    return Endomorphism(p, phi_p @ m_frame @ np.linalg.inv(phi_p))
+    phi_inv = invert_frames(phi_p, "parallel frame in nabla_P")
+    gt = christoffels_in_frame(conn, frame, p)
+    m_frame = np.einsum("j,ijk->ik", phi_inv @ v.components, gt)
+    return Endomorphism(p, phi_p @ m_frame @ phi_inv)
 
 
 def covariant_derivative(conn, X, Y, p):

@@ -3,8 +3,9 @@
 Every norm has a gradient (central differences when none is given), so
 the Lie algebra of iso(f), the A with grad f(u) . Au = 0 on the unit
 sphere, is one SVD nullspace in any dimension and one membership test.
-The brute-force 2x2 oracle lists finite groups: four norm-preservation
-constraints solved column-wise, then certified on a dense circle.
+The 2x2 oracle lists finite groups: every isometry preserves the
+Binet-Legendre inner product of f, which leaves one angle to scan per
+orientation, and each root found is certified on a dense circle.
 A norm field restricts to each tangent space; a one-form field
 F = f o C restricts to f o C_p, with the coframe matrix C_p computed once.
 """
@@ -24,8 +25,8 @@ LIE_ALGEBRA_TOL = 1e-8
 # on random Randers norms, exact or central-difference gradients, the null
 # singular values measured <= 1e-11 of the largest and the others >= 0.07
 ALGEBRA_RANK_TOL = 1e-6
-ORACLE_ANGLES = 1024                      # direction-angle grid of the 2x2 oracle
-ORACLE_CANDIDATE_TOL = 1e-7
+ORACLE_ANGLES = 1024                      # angle grid of the 2x2 oracle
+ORACLE_WITNESSES = 128                    # directions w in its misfit sum
 ORACLE_DEDUPE_TOL = 1e-6
 
 
@@ -165,83 +166,56 @@ def isometry_algebra(f):
     return vt[rank:].reshape(-1, n, n)
 
 
-def _radius_for(f, u, target, r_max=1e6):
-    """Solve f(r*u) = target for r > 0 by bisection; None if no bracket."""
-    g = lambda r: float(f(r * u)) - target
-    lo, hi = 0.0, 1.0
-    val = float(f(u))
-    if val > 0:
-        hi = max(1e-6, 2.0 * target / val)
-    while g(hi) < 0.0:
-        hi *= 2.0
-        if hi > r_max:
-            return None
-    return brentq(g, lo, hi, xtol=1e-14, rtol=1e-15)
-
-
-def _column_candidates(f, t_plus, t_minus):
-    """Candidate columns c with f(c) = t_plus and f(-c) = t_minus.
-
-    Scans a direction-angle grid, solving the radius by bisection and
-    treating the second constraint as a residual in the angle: the grid
-    angles where it nearly vanishes and the roots between sign changes.
-    """
-    thetas = np.linspace(0.0, 2.0 * np.pi, ORACLE_ANGLES, endpoint=False)
-
-    def column_at(th):
-        u = np.array([np.cos(th), np.sin(th)])
-        r = _radius_for(f, u, t_plus)
-        return None if r is None else r * u
-
-    def residual(th):
-        c = column_at(th)
-        return np.nan if c is None else float(f(-c)) - t_minus
-
-    residuals = np.array([residual(th) for th in thetas])
-    near = np.abs(residuals) < ORACLE_CANDIDATE_TOL
-    if near.all():
-        raise PreconditionError(
-            "f(-c) = f(c) on the whole level set: the column constraints "
-            "cannot isolate the isometries of an even norm")
-    cols = [column_at(th) for th in thetas[near]]
-    for i in range(ORACLE_ANGLES):
-        j = (i + 1) % ORACLE_ANGLES
-        a, b = residuals[i], residuals[j]
-        if np.isnan(a) or np.isnan(b) or a == 0.0 or a * b >= 0.0:
-            continue
-        th_hi = thetas[j] if j != 0 else 2.0 * np.pi
-        try:
-            th = brentq(residual, thetas[i], th_hi, xtol=1e-14)
-        except ValueError:
-            continue
-        cols.append(column_at(th))
-    return [c for c in cols if c is not None]
-
-
 def isometry_group_2x2(f):
     """All 2x2 matrices preserving f, or a ContinuousFamily exactly when
     the Lie algebra of iso(f) is non-zero.
 
-    Independent oracle for the finite group of a norm that is not even:
-    each column must preserve the norms of (+-1, 0) and (0, +-1), and the
-    candidates are certified against a 720-angle circle sweep.
+    An isometry maps the unit ball onto itself, so it preserves the ball's
+    second moment M and the Binet-Legendre inner product g = M^-1 = L L^T
+    (Matveev and Troyanov, Geom. Topol. 16, 2012): every one is
+    A(theta) = L^-T R(theta) S L^T with S = I or diag(1, -1). One sweep of
+    the misfit sum_w (f(Aw) - f(w))^2 over the angle grid finds its local
+    minima, a root of its theta-derivative refines each, and `is_isometry`
+    certifies the result.
     """
     if f.dim != 2:
         raise PreconditionError(f"isometry_group_2x2 requires n = 2, got n = {f.dim}")
     if len(isometry_algebra(f)):
         return ContinuousFamily()
-    e1, e2 = np.eye(2)
-    col1 = _column_candidates(f, float(f(e1)), float(f(-e1)))
-    col2 = _column_candidates(f, float(f(e2)), float(f(-e2)))
+    e = unit_sphere(2, ORACLE_ANGLES)
+    L = np.linalg.cholesky(np.linalg.inv(e.T @ (e / f(e)[:, None] ** 4)))
+    Lt, Lt_inv = L.T, np.linalg.inv(L.T)
+    w = e[::ORACLE_ANGLES // ORACLE_WITNESSES]
+    fw = f(w)
+    th = np.linspace(0.0, 2.0 * np.pi, ORACLE_ANGLES, endpoint=False)
+    h = th[1]
+
+    def family(t, S):
+        """A(t) and dA/dt for rotation angles t (...,)."""
+        c, s = np.cos(t)[..., None, None], np.sin(t)[..., None, None]
+        R = np.block([[c, -s], [s, c]])
+        dR = np.block([[-s, -c], [c, -s]])
+        return Lt_inv @ R @ S @ Lt, Lt_inv @ dR @ S @ Lt
+
+    def slope(t, S):
+        A, dA = family(t, S)
+        Aw = w @ A.T
+        return 2.0 * np.sum((f(Aw) - fw) * np.einsum("wi,wi->w", f.gradient(Aw), w @ dA.T))
+
     matrices = []
-    for c1 in col1:
-        for c2 in col2:
-            A = np.stack([c1, c2], axis=1)
-            if not is_isometry(f, A)[0]:
-                continue
-            if any(np.max(np.abs(A - B)) < ORACLE_DEDUPE_TOL for B in matrices):
-                continue
-            matrices.append(A)
+    for S in (np.eye(2), np.diag([1.0, -1.0])):
+        A, _ = family(th, S)
+        sweep = np.sum((f(np.einsum("tij,wj->twi", A, w)) - fw) ** 2, axis=1)
+        for t in th[(sweep <= np.roll(sweep, 1)) & (sweep < np.roll(sweep, -1))]:
+            # a root of the derivative, not a bounded minimization: that
+            # stops at a relative angle tolerance of about 1.5e-8
+            lo, hi = slope(t - h, S), slope(t + h, S)
+            if lo * hi < 0.0:
+                t = brentq(slope, t - h, t + h, args=(S,), xtol=1e-15)
+            A = family(t, S)[0]
+            if is_isometry(f, A)[0] and not any(
+                    np.max(np.abs(A - B)) < ORACLE_DEDUPE_TOL for B in matrices):
+                matrices.append(A)
     return matrices
 
 

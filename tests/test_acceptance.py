@@ -53,7 +53,7 @@ def test_criterion_02_isometry_group(s5):
         targets = [np.eye(2), np.diag([1.0, -1.0])]
         for tgt in targets:
             ok = ok and min(float(np.max(np.abs(g - tgt))) for g in group) <= 1e-6
-        # cross-check the bisection candidates against the direct sweep
+        # cross-check the Binet-Legendre scan's roots against the direct sweep
         for g in group:
             ok = ok and is_isometry(s5.minkowski_norm, g)[0]
         rot90 = np.array([[0.0, -1.0], [1.0, 0.0]])

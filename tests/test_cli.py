@@ -246,10 +246,14 @@ def test_isometry_group_of_a_non_planar_norm_is_a_config_error(spec, capsys):
     assert "2-D norm" in capsys.readouterr().err
 
 
-def test_isometry_group_of_an_even_norm_is_refused(capsys):
+def test_isometry_group_of_the_even_l4_norm(tmp_path):
+    # f(-v) = f(v); the group is the 8 signed permutation matrices
     spec = json.dumps({"type": "custom", "expr": "sqrt(sqrt(a^4+b^4))"})
-    assert main(["isometry-group", "--norm", spec]) == 1
-    assert "even norm" in capsys.readouterr().err
+    code, doc = run(["isometry-group", "--norm", spec], tmp_path)
+    assert code == 0 and not doc["continuous_family"] and doc["count"] == 8
+    got = {tuple(np.round(np.asarray(m).ravel(), 12)) for m in doc["matrices"]}
+    assert got == {(a, 0.0, 0.0, b) for a in (1, -1) for b in (1, -1)} | \
+        {(0.0, a, b, 0.0) for a in (1, -1) for b in (1, -1)}
 
 
 def test_custom_norm_gradient_is_the_exact_jet_gradient():

@@ -180,6 +180,17 @@ def test_compalg_rejects_nonzero_endomorphism_for_discrete_group(s5_conn):
     assert not ok and viol > 1e-3
 
 
+def test_nabla_p_refuses_a_singular_parallel_frame(s5_conn):
+    # a rank-1 frame, as jet fields and as a matrix function, and a frame
+    # with |det| = 1e-13 <= DET_FLOOR, which an LU solve would accept
+    tiny = Frame(matrix_fn=lambda c: np.broadcast_to(np.diag([1.0, 1e-13]), c.shape[:1] + (2, 2)),
+                 domain=DOM, dim=2)
+    v = TangentVector(point(0.3, -0.2), np.array([1.0, 0.5]))
+    for frame in (*_frames(2, np.eye(2), np.zeros(3), np.zeros((2, 3)), rank=1), tiny):
+        with pytest.raises(SingularFrameError, match="parallel frame in nabla_P"):
+            nabla_P(s5_conn, frame_parallelism(frame), v)
+
+
 def test_from_coordinate_christoffels_round_trip():
     gamma = np.zeros((2, 2, 2))
     gamma[0, 1, 0] = 2.0

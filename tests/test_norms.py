@@ -112,19 +112,49 @@ def test_conjugate_rotation_group_is_a_certified_family():
     assert is_isometry(f, expm(1.3 * A))[0]
 
 
-def test_group_oracle_refuses_an_even_norm():
-    # f(-v) = f(v) makes the column constraints hold on the whole level
-    # set; the l4 norm's group is finite (signed permutations), so the
-    # oracle must refuse rather than enumerate or flag a family
-    l4 = MinkowskiNorm(2, lambda v: np.sum(np.asarray(v) ** 4, axis=-1) ** 0.25)
-    assert len(isometry_algebra(l4)) == 0
-    with pytest.raises(PreconditionError):
-        isometry_group_2x2(l4)
+L4 = MinkowskiNorm(2, lambda v: np.sum(np.asarray(v) ** 4, axis=-1) ** 0.25)
+SHEAR = np.array([[1.0, 0.7], [0.0, 1.3]])
+
+
+def _in_group(A, group, tol=1e-9):
+    return min(float(np.max(np.abs(A - B))) for B in group) <= tol
+
+
+@pytest.mark.parametrize("f, conj", [
+    (L4, np.eye(2)),
+    (MinkowskiNorm(2, lambda v: L4(np.asarray(v) @ SHEAR.T)), SHEAR),
+], ids=["l4", "sheared_l4"])
+def test_group_of_an_even_norm_is_its_eight_signed_permutations(f, conj):
+    # f(-v) = f(v): the l4 group is the 8 signed permutation matrices, and
+    # l4(B v) has their conjugates B^-1 P B; both have a zero Lie algebra
+    assert len(isometry_algebra(f)) == 0
+    group = isometry_group_2x2(f)
+    assert not isinstance(group, ContinuousFamily) and len(group) == 8
+    perms = [np.array([[a, 0.0], [0.0, b]]) for a in (1, -1) for b in (1, -1)]
+    perms += [np.array([[0.0, a], [b, 0.0]]) for a in (1, -1) for b in (1, -1)]
+    for P in perms:
+        assert _in_group(np.linalg.solve(conj, P @ conj), group, tol=1e-12)
+    for A in group:
+        assert is_isometry(f, A)[0]
+        assert _in_group(np.linalg.inv(A), group)
+        for B in group:
+            assert _in_group(A @ B, group)
 
 
 def test_group_oracle_refuses_other_dimensions():
     with pytest.raises(PreconditionError, match="n = 2"):
         isometry_group_2x2(euclidean_norm(3))
+
+
+@pytest.mark.parametrize("f", [S5, MinkowskiNorm(2, S5.evaluator)],
+                         ids=["exact_gradient", "central_differences"])
+def test_group_of_section5_norm_matches_its_closed_form(f):
+    # each gradient error is weighted by f(Aw) - f(w), which vanishes at an
+    # isometry, so the refined roots are exact with either gradient
+    group = isometry_group_2x2(f)
+    assert len(group) == 2
+    for tgt in (np.eye(2), np.diag([1.0, -1.0])):
+        assert _in_group(tgt, group, tol=1e-12)
 
 
 def test_generic_randers_group_is_identity_plus_reflection():
@@ -246,14 +276,14 @@ def test_one_form_restriction_evaluates_the_coframe_once(monkeypatch):
 # ------------------------------------------------------------------ algebra
 
 @st.composite
-def randers_data(draw):
-    """Q = O diag(lam) O^T with lam in [0.5, 2]; beta = 0, or beta with
-    beta^T Q^-1 beta = margin in [0.04, 0.8]."""
-    n = draw(st.sampled_from([2, 3]))
+def randers_data(draw, dims=(2, 3), zero_beta=True):
+    """Q = O diag(lam) O^T with lam in [0.5, 2]; beta = 0 (if zero_beta),
+    or beta with beta^T Q^-1 beta = margin in [0.04, 0.8]."""
+    n = draw(st.sampled_from(dims))
     o, _ = np.linalg.qr(draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0))))
     Q = o @ np.diag(draw(arrays(float, n, elements=st.floats(0.5, 2.0)))) @ o.T
     Q = 0.5 * (Q + Q.T)
-    if draw(st.booleans()):
+    if zero_beta and draw(st.booleans()):
         return Q, np.zeros(n)
     w = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
     w = w / np.linalg.norm(w) if np.linalg.norm(w) > 1e-3 else np.eye(n)[0]
@@ -276,6 +306,20 @@ def test_isometry_algebra_of_random_randers_norms(data):
     for A in basis:
         assert lie_algebra_member(f, A)[0]
         assert is_isometry(f, expm(0.7 * A))[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(randers_data(dims=(2,), zero_beta=False))
+def test_group_of_random_randers_norms(data):
+    # with beta != 0 the group is {I, R}, R the Q-reflection 2 x x^T Q /
+    # (x^T Q x) - I that fixes x = Q^-1 beta and so the form beta
+    Q, beta = data
+    group = isometry_group_2x2(randers_norm(RandersData(Q, beta)))
+    x = np.linalg.solve(Q, beta)
+    R = 2.0 * np.outer(x, x) @ Q / (x @ Q @ x) - np.eye(2)
+    assert not isinstance(group, ContinuousFamily) and len(group) == 2
+    for tgt in (np.eye(2), R):
+        assert _in_group(tgt, group, tol=1e-12)
 
 
 # ------------------------------------------------------------------ spheres
