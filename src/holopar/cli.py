@@ -88,12 +88,14 @@ def build_norm(spec):
             return np.asarray(fn(*(v[..., d] for d in range(n))), dtype=float)
 
         def gradient(v):
+            # a kink (sqrt of 0) gives a non-finite partial, which
+            # isometry_algebra refuses; no warning is raised for it here
             v = np.asarray(v, dtype=float)
-            jet = as_jet(fn(*seed_jets([v[..., d] for d in range(n)])), n)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                jet = as_jet(fn(*seed_jets([v[..., d] for d in range(n)])), n)
             return np.stack([p + np.zeros(v.shape[:-1]) for p in jet.partials], axis=-1)
 
-        return MinkowskiNorm(n, evaluator, kind="custom",
-                             gradient=gradient).check_definite()
+        return MinkowskiNorm(n, evaluator, gradient=gradient).check_definite()
     raise ConfigError(f"unknown norm type {spec['type']!r}")
 
 
@@ -138,13 +140,6 @@ def _load_config(arg):
 # (step, tol, curves, vectors, seed) of one run, the overrides come from
 # the fixture's declared suite.
 
-def _torsion_samples(fx, o):
-    """T(E_1, E_2) at the seeded torsion points, sampled once per run."""
-    if not hasattr(o, "torsion"):
-        o.torsion = list(torsion_samples(fx.connection, fx.domain, seed=o.seed))
-    return o.torsion
-
-
 def _holonomy(fx, o, max_curves=np.inf):
     gen = CurveGenerator(fx.domain.shrink(0.05), seed=o.seed,
                          count=min(o.curves, max_curves))
@@ -172,15 +167,14 @@ def _torsion(fx, o, floor=None):
 
 
 def _expected_torsion(fx, o):
-    """T(E_1, E_2) at the torsion samples against the expected-table constant."""
+    """T(E_1, E_2) at the torsion samples against the expected-table
+    constant; the witness is the last sample with the largest error."""
     exp = fx.expected["torsion_E1_E2"]
-    sampled = _torsion_samples(fx, o)
-    worst, wit = 0.0, {}
-    for row, t in sampled:
-        err = float(np.max(np.abs(t - np.asarray(exp.value))))
-        if err >= worst:
-            worst, wit = err, {"p": row.tolist(), "torsion": t.tolist()}
-    return make_report(f"{fx.name}_torsion", len(sampled), worst, worst, exp.tol, wit, o.seed)
+    pts, T = torsion_samples(fx.connection, fx.domain, seed=o.seed)
+    err = np.max(np.abs(T[:, 0] - np.asarray(exp.value)), axis=1)
+    k = len(err) - 1 - int(np.argmax(err[::-1]))
+    wit = {"p": pts[k].tolist(), "torsion": T[k, 0].tolist()}
+    return make_report(f"{fx.name}_torsion", len(err), err[k], err[k], exp.tol, wit, o.seed)
 
 
 def _isometry_group(fx, o, group, tol=1e-6):
@@ -264,8 +258,8 @@ CHECK_OPS = ("holonomy", "compat", "compalg", "torsion")
 
 # name -> (fx, o, reports by check name) -> value in a fixture's summary
 SUMMARIES = {
-    "torsion_max": lambda fx, o, by: max(float(np.max(np.abs(t)))
-                                         for _, t in _torsion_samples(fx, o)),
+    "torsion_max": lambda fx, o, by: berwald_obstruction(fx.connection, fx.domain,
+                                                         seed=o.seed),
     "isometry_count": lambda fx, o, by: by[f"{fx.name}_isometry_group"].samples,
     "invariance_max_rel": lambda fx, o, by: by["holonomy_invariance"].max_rel_error,
 }

@@ -8,7 +8,8 @@ gamma[i, j, k] is Gamma^i_{jk} with nabla_{E_j} E_k = Gamma^i_{jk} E_i.
 Every connection holopar builds is either zero in its own frame (``gamma``
 is None: the connection compatible with a parallelism, and each blend
 member) or written in the coordinate frame (the blend itself), so the
-coordinate view computes only the terms that can be non-zero.
+coordinate view computes only the terms that can be non-zero. Torsion
+and (nabla P) take batches of points: one coordinate Christoffel call each.
 """
 
 from __future__ import annotations
@@ -118,19 +119,27 @@ class Endomorphism:
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
 
 
-def nabla_P(conn, parallelism, v):
-    """Endomorphism w -> w^k v^j Gamma^i_{jk}(p) E_i(p) of the tangent space
-    at the base of v, for Christoffels taken in a P-parallel frame.
+def nabla_P_batch(conn, parallelism, coords, vectors):
+    """Coordinate matrices (m, n, n) of w -> w^k v^j Gt^i_{jk} E_i at points
+    and vectors (m, n), Gt the symbols in the P-parallel frame E = phi.
 
-    The matrix is returned in coordinate components.
+    Contracting E_j^b (phi^-1 v)^j = v^b leaves (d_v phi + Gamma(v) phi) phi^-1.
     """
+    coords = np.asarray(coords, dtype=float)
+    v = np.asarray(vectors, dtype=float)
+    phi, dphi = parallelism.parallel_frame().matrix_jacobian_batch(coords)
+    phi_inv = invert_frames(phi, "parallel frame in nabla_P")
+    gamma = conn.coordinate_christoffels_batch(coords)
+    # (d_v phi)^a_k = d_d phi^a_k v^d; (Gamma(v) phi)^a_k = Gamma^a_{bc} v^b phi^c_k
+    cov = np.einsum("makd,md->mak", dphi, v) + np.einsum("mabc,mb->mac", gamma, v) @ phi
+    return cov @ phi_inv
+
+
+def nabla_P(conn, parallelism, v):
+    """(nabla P)_v at the base of v: the one-point nabla_P_batch."""
     p = v.base
-    frame = parallelism.parallel_frame()
-    phi_p = frame.matrix(p)
-    phi_inv = invert_frames(phi_p, "parallel frame in nabla_P")
-    gt = christoffels_in_frame(conn, frame, p)
-    m_frame = np.einsum("j,ijk->ik", phi_inv @ v.components, gt)
-    return Endomorphism(p, phi_p @ m_frame @ phi_inv)
+    return Endomorphism(p, nabla_P_batch(conn, parallelism, p.coords[None, :],
+                                         v.components[None, :])[0])
 
 
 def covariant_derivative(conn, X, Y, p):
@@ -145,15 +154,17 @@ def covariant_derivative(conn, X, Y, p):
 
 
 def torsion(conn, X, Y, p):
-    """T(X,Y) = nabla_X Y - nabla_Y X - [X,Y], evaluated at p.
+    """T(X,Y) = nabla_X Y - nabla_Y X - [X,Y] at p: a ChartPoint, giving a
+    TangentVector, or coordinates (m, n), giving components (m, n).
 
     The derivative terms of the covariant derivatives cancel the bracket
     exactly, leaving the antisymmetrized Christoffel contraction.
     """
-    coords = p.coords[None, :]
-    xv = X.values_batch(coords)[0]
-    yv = Y.values_batch(coords)[0]
-    gamma = conn.coordinate_christoffels(p)
-    comps = (np.einsum("abc,b,c->a", gamma, xv, yv)
-             - np.einsum("abc,b,c->a", gamma, yv, xv))
-    return TangentVector(p, comps)
+    one = isinstance(p, ChartPoint)
+    coords = p.coords[None, :] if one else np.asarray(p, dtype=float)
+    xv = X.values_batch(coords)
+    yv = Y.values_batch(coords)
+    gamma = conn.coordinate_christoffels_batch(coords)
+    comps = (np.einsum("mabc,mb,mc->ma", gamma, xv, yv)
+             - np.einsum("mabc,mb,mc->ma", gamma, yv, xv))
+    return TangentVector(p, comps[0]) if one else comps

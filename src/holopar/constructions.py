@@ -57,7 +57,7 @@ def parallelism_from_connection(conn, region, step=DEFAULT_STEP):
     def phi(coords):
         return _radial_transport(conn, center, coords, step)
 
-    return Parallelism(region.box, phi, basepoint=center)
+    return Parallelism(region.box, phi)
 
 
 def connection_from_covering_parallelism(cover):

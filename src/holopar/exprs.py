@@ -1,8 +1,9 @@
 """Tiny closed-form expression vocabulary for CLI configs.
 
-Supports numbers, named coordinates, + - * / ^ (power), unary minus and
-the calls sqrt/sin/cos/exp. Expressions evaluate over floats, numpy
-arrays and jets alike, so parsed fields are fully differentiable.
+Supports numbers, named coordinates, + - * / ^ (power, with an exponent
+free of names), unary minus and the calls sqrt/sin/cos/exp. Expressions
+are validated once, when parsed, and evaluate over floats, numpy arrays
+and jets alike, so parsed fields are fully differentiable.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ def parse_expr(src, variables):
                 raise ConfigError(f"unknown name {node.id!r} in {src!r}")
             return
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            if isinstance(node.op, ast.Pow) and any(
+                    isinstance(sub, ast.Name) and sub.id in names
+                    for sub in ast.walk(node.right)):
+                raise ConfigError(f"power exponent must be a constant in {src!r}")
             check(node.left)
             check(node.right)
             return
@@ -60,32 +65,19 @@ def parse_expr(src, variables):
     check(tree)
 
     def ev(node, env):
+        """Evaluate a tree that `check` accepted."""
         if isinstance(node, ast.Expression):
             return ev(node.body, env)
         if isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
-                raise ConfigError(f"non-numeric constant in {src!r}")
             return float(node.value)
         if isinstance(node, ast.Name):
-            if node.id not in env:
-                raise ConfigError(f"unknown name {node.id!r} in {src!r}")
             return env[node.id]
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            if isinstance(node.op, ast.Pow):
-                exponent = ev(node.right, env)
-                if isinstance(exponent, float):
-                    return ev(node.left, env) ** exponent
-                raise ConfigError(f"power exponent must be a constant in {src!r}")
+        if isinstance(node, ast.BinOp):
             return _BINOPS[type(node.op)](ev(node.left, env), ev(node.right, env))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return -1.0 * ev(node.operand, env)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
-            return ev(node.operand, env)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id not in _CALLS or len(node.args) != 1 or node.keywords:
-                raise ConfigError(f"unsupported call in {src!r}")
-            return _CALLS[node.func.id](ev(node.args[0], env))
-        raise ConfigError(f"unsupported syntax in {src!r}")
+        if isinstance(node, ast.UnaryOp):
+            operand = ev(node.operand, env)
+            return -1.0 * operand if isinstance(node.op, ast.USub) else operand
+        return _CALLS[node.func.id](ev(node.args[0], env))
 
     def compiled(*values):
         if len(values) != len(names):

@@ -22,6 +22,7 @@ from .geometry import FD_STEP
 
 ISOMETRY_TOL = 1e-9
 LIE_ALGEBRA_TOL = 1e-8
+LIE_ALGEBRA_SAMPLES = 200                 # unit-sphere grid of the membership test
 # on random Randers norms, exact or central-difference gradients, the null
 # singular values measured <= 1e-11 of the largest and the others >= 0.07
 ALGEBRA_RANK_TOL = 1e-6
@@ -47,6 +48,19 @@ def unit_sphere(n, count):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _central_differences(fn, n):
+    """Gradient of fn(..., v) in v (..., n): central differences, step FD_STEP."""
+    steps = FD_STEP * np.eye(n)
+
+    def gradient(*args):
+        *head, v = args
+        v = np.asarray(v, dtype=float)
+        return np.stack([fn(*head, v + h) - fn(*head, v - h) for h in steps],
+                        axis=-1) / (2 * FD_STEP)
+
+    return gradient
+
+
 @dataclass(frozen=True)
 class MinkowskiNorm:
     """Definite continuous function on R^n; evaluator is batch-friendly;
@@ -54,19 +68,11 @@ class MinkowskiNorm:
 
     dim: int
     evaluator: object                     # (..., n) -> (...)
-    kind: str = "custom"
     gradient: object = None               # (..., n) -> (..., n), away from 0
 
     def __post_init__(self):
         if self.gradient is None:
-            steps = FD_STEP * np.eye(self.dim)
-
-            def gradient(v):
-                v = np.asarray(v, dtype=float)
-                return np.stack([self(v + h) - self(v - h) for h in steps],
-                                axis=-1) / (2 * FD_STEP)
-
-            object.__setattr__(self, "gradient", gradient)
+            object.__setattr__(self, "gradient", _central_differences(self, self.dim))
 
     def __call__(self, v):
         return self.evaluator(np.asarray(v, dtype=float))
@@ -119,14 +125,13 @@ def randers_norm(data):
         quad = np.einsum("...i,ij,...j->...", v, Q, v)
         return (v @ Q) / np.sqrt(quad)[..., None] + beta
 
-    return MinkowskiNorm(data.dim, evaluator, kind="randers", gradient=gradient)
+    return MinkowskiNorm(data.dim, evaluator, gradient=gradient)
 
 
 def euclidean_norm(n):
     return MinkowskiNorm(
         n,
         lambda v: np.linalg.norm(np.asarray(v, dtype=float), axis=-1),
-        kind="euclidean",
         gradient=lambda v: v / np.linalg.norm(v, axis=-1, keepdims=True),
     )
 
@@ -157,10 +162,14 @@ def isometry_algebra(f):
     A generates isometries iff grad f(u) . Au = 0 for every unit u. Each
     sampled u gives the row grad f(u) (x) u of a linear system in the n^2
     entries of A; the algebra is its right null space, read off an SVD.
+    A kink on the sampled sphere (a non-finite gradient) is refused.
     """
     n = f.dim
     u = unit_sphere(n, 100 * n * n)
-    rows = (f.gradient(u)[:, :, None] * u[:, None, :]).reshape(len(u), n * n)
+    grad = f.gradient(u)
+    if not np.all(np.isfinite(grad)):
+        raise PreconditionError("iso(f) needs a gradient that is finite on the unit sphere")
+    rows = (grad[:, :, None] * u[:, None, :]).reshape(len(u), n * n)
     _, sv, vt = np.linalg.svd(rows, full_matrices=False)
     rank = int(np.sum(sv > ALGEBRA_RANK_TOL * sv[0]))
     return vt[rank:].reshape(-1, n, n)
@@ -219,7 +228,7 @@ def isometry_group_2x2(f):
     return matrices
 
 
-def lie_algebra_member(f, A, samples=200, tol=LIE_ALGEBRA_TOL):
+def lie_algebra_member(f, A, samples=LIE_ALGEBRA_SAMPLES, tol=LIE_ALGEBRA_TOL):
     """Whether A generates isometries of f: (bool, max violation).
 
     The violation is max |grad f(u) . Au| on a unit-sphere grid, the
@@ -248,11 +257,16 @@ def _pull_back(C, g):
 
 @dataclass(frozen=True)
 class NormField:
-    """Manifold-wide norm F; evaluator takes (coords, vectors) batches."""
+    """Manifold-wide norm F; evaluator takes (coords, vectors) batches; the
+    gradient in v defaults to central differences, as a MinkowskiNorm's."""
 
     dim: int
     evaluator: object                     # (...,n),(...,n) -> (...)
     gradient: object = None               # (...,n),(...,n) -> (...,n), in v
+
+    def __post_init__(self):
+        if self.gradient is None:
+            object.__setattr__(self, "gradient", _central_differences(self, self.dim))
 
     def __call__(self, coords, vectors):
         return self.evaluator(np.asarray(coords, dtype=float),
@@ -262,16 +276,10 @@ class NormField:
         """Restriction F_p to the tangent space at p, as a MinkowskiNorm."""
         c = _coords(p)
 
-        def evaluator(v):
-            v = np.asarray(v, dtype=float)
-            return self.evaluator(np.broadcast_to(c, v.shape), v)
+        def restrict(fn):
+            return lambda v: fn(np.broadcast_to(c, np.shape(v)), np.asarray(v, dtype=float))
 
-        def gradient(v):
-            v = np.asarray(v, dtype=float)
-            return self.gradient(np.broadcast_to(c, v.shape), v)
-
-        return MinkowskiNorm(self.dim, evaluator, kind="restriction",
-                             gradient=None if self.gradient is None else gradient)
+        return MinkowskiNorm(self.dim, restrict(self.evaluator), gradient=restrict(self.gradient))
 
 
 @dataclass(frozen=True)
@@ -285,7 +293,7 @@ class _OneFormNormField(NormField):
         """F_p = f o C_p, with the coframe evaluated once, at p."""
         C = self.coframe.matrix_batch(_coords(p)[None, :])[0]
         f = self.norm
-        return MinkowskiNorm(self.dim, lambda v: f(_read(C, v)), kind="restriction",
+        return MinkowskiNorm(self.dim, lambda v: f(_read(C, v)),
                              gradient=lambda v: _pull_back(C, f.gradient(_read(C, v))))
 
 

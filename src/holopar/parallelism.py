@@ -28,16 +28,10 @@ class Parallelism:
     parallel frame is differentiated by finite differences.
     """
 
-    def __init__(self, domain, phi, basepoint=None, frame=None):
+    def __init__(self, domain, phi, frame=None):
         self.domain = domain
         self.phi = phi
         self.frame = frame
-        if basepoint is None:
-            lo = np.asarray(domain.lo, dtype=float)
-            hi = np.asarray(domain.hi, dtype=float)
-            finite = np.isfinite(lo) & np.isfinite(hi)
-            basepoint = 0.5 * (np.where(finite, lo, 0.0) + np.where(finite, hi, 0.0))
-        self.basepoint = np.asarray(basepoint, dtype=float)
         self.dim = domain.dim
 
     def transfer(self, p_coords, q_coords):
@@ -145,8 +139,7 @@ def pushdown_norm(norm_field, parallelism, p, basepoints=10, vectors=200,
         flat = through(p_coords, phi_p, np.reshape(v, (-1, n)))
         return (norm_field.gradient(*flat) @ phi_p).reshape(np.shape(v))
 
-    grad = None if norm_field.gradient is None else gradient
-    return PushedNorm(MinkowskiNorm(n, evaluator, kind="pushed", gradient=grad), p_coords)
+    return PushedNorm(MinkowskiNorm(n, evaluator, gradient=gradient), p_coords)
 
 
 def _bump_1d(x, a, b, delta_frac=0.25):

@@ -12,6 +12,7 @@ from holopar import cli, report
 from holopar.cli import build_box, build_frame, build_manifold, build_norm, main
 from holopar.connections import Connection, constant_christoffels
 from holopar.errors import ConfigError
+from holopar.exprs import parse_expr
 from holopar.fixtures import fixture_names, load_fixture
 from holopar.norms import ContinuousFamily, RandersData, randers_norm
 from holopar.transport import parallel_transport, transport_ensemble
@@ -256,6 +257,19 @@ def test_isometry_group_of_the_even_l4_norm(tmp_path):
         {(0.0, a, b, 0.0) for a in (1, -1) for b in (1, -1)}
 
 
+def test_isometry_group_of_a_kinked_custom_norm_is_refused(tmp_path, capsys):
+    # the l1 norm has kinks on the axes, where the jet gradient divides by
+    # sqrt(0); the refusal is an error exit with no numpy warning (tier-1
+    # turns warnings into errors)
+    spec = json.dumps({"type": "custom", "expr": "sqrt(a^2)+sqrt(b^2)"})
+    assert main(["isometry-group", "--norm", spec]) == 1
+    assert "gradient that is finite" in capsys.readouterr().err
+    # the smooth custom norm still lists its two elements
+    spec = json.dumps({"type": "custom", "expr": "sqrt(4*a^2+12*b^2)-a"})
+    code, doc = run(["isometry-group", "--norm", spec], tmp_path)
+    assert code == 0 and doc["count"] == 2
+
+
 def test_custom_norm_gradient_is_the_exact_jet_gradient():
     custom = build_norm({"type": "custom", "expr": "sqrt(4*a^2+12*b^2)-a"})
     exact = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
@@ -318,6 +332,19 @@ def test_expression_vocabulary_is_closed():
         build_norm({"type": "custom", "expr": "q + 1"})
     with pytest.raises(ConfigError):
         build_frame([["x", "1"], ["open('x')", "0"]], build_box([[-1, 1], [-1, 1]]))
+
+
+@pytest.mark.parametrize("expr", ["a^b", "x^(y+1)", "b^-a", "x^(2*y)"])
+def test_a_power_with_a_variable_exponent_is_refused_when_parsed(expr):
+    with pytest.raises(ConfigError, match="power exponent must be a constant"):
+        parse_expr(expr, ("a", "b", "x", "y"))
+
+
+def test_a_power_with_a_constant_exponent_parses():
+    vals = np.array([4.0, 9.0])
+    assert np.array_equal(parse_expr("a^2", ("a",))(vals), vals ** 2.0)
+    assert np.array_equal(parse_expr("x^0.5", ("x",))(vals), vals ** 0.5)
+    assert parse_expr("x^(1+sqrt(4))", ("x",))(2.0) == 8.0
 
 
 # ---------------------------------------------------------------- README

@@ -3,21 +3,23 @@ endomorphism."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from holopar.connections import (Connection, christoffels_in_frame,
                                  constant_christoffels, covariant_derivative,
-                                 from_coordinate_christoffels, nabla_P, torsion,
-                                 zero_christoffels)
+                                 from_coordinate_christoffels, nabla_P, nabla_P_batch,
+                                 torsion, zero_christoffels)
 from holopar.errors import SingularFrameError
 from holopar.fixtures import rotated_frame, section5_frame
 from holopar.geometry import (Box, ChartPoint, Frame, TangentVector, VectorField,
-                              coordinate_frame, point)
+                              coordinate_frame, dual_coframe, point)
 from holopar.jets import jcos, jexp, jsin
-from holopar.norms import euclidean_norm, lie_algebra_member
+from holopar.norms import (NormField, RandersData, euclidean_norm, lie_algebra_member,
+                           one_form_norm_field, randers_norm)
 from holopar.parallelism import frame_parallelism, translation_parallelism
+from holopar.verification import check_compalg_criterion, torsion_samples
 
 DOM = Box((-5.0, -5.0), (5.0, 5.0))
 
@@ -96,6 +98,41 @@ def test_torsion_is_tensorial(s5_conn):
         assert np.max(np.abs(scaled - f * plain)) <= 1e-9
 
 
+def _frame_3d():
+    """A non-orthogonal, non-constant 3-D jet frame."""
+    dom = Box((-2.0,) * 3, (2.0,) * 3)
+    cols = ((lambda xs: (1.0, 0.0, 0.0)),
+            (lambda xs: (xs[2], 1.0, 0.0)),
+            (lambda xs: (jsin(xs[1]), xs[0], jexp(0.2 * xs[0]))))
+    return Frame(fields=[VectorField(3, components=c, domain=dom) for c in cols],
+                 domain=dom)
+
+
+def _torsion_connections(s5_conn, blend):
+    gamma = np.arange(27.0).reshape(3, 3, 3) / 10.0 - 1.0
+    return {"section5": (s5_conn, DOM),
+            "rotated_blend": (blend.connection, blend.domain),
+            "frame_3d": (Connection(_frame_3d(), constant_christoffels(gamma)),
+                         Box((-2.0,) * 3, (2.0,) * 3))}
+
+
+@pytest.mark.parametrize("name", ["section5", "rotated_blend", "frame_3d"])
+def test_batched_torsion_is_the_pointwise_torsion_bit_for_bit(name, s5_conn, blend):
+    conn, dom = _torsion_connections(s5_conn, blend)[name]
+    pts, T = torsion_samples(conn, dom, samples=12, seed=5)
+    pairs = [(i, j) for i in range(conn.dim) for j in range(i + 1, conn.dim)]
+    assert T.shape == (12, len(pairs), conn.dim)
+    fields = conn.frame.fields
+    for k, (i, j) in enumerate(pairs):
+        batch = torsion(conn, fields[i], fields[j], pts)
+        assert np.array_equal(batch, T[:, k])
+        for row, t in zip(pts, batch):
+            one = torsion(conn, fields[i], fields[j], ChartPoint(row))
+            assert isinstance(one, TangentVector)
+            assert np.array_equal(one.components, t)
+    assert np.max(np.abs(T)) > 0.0
+
+
 # ---------------------------------------------------------- covariant derivative
 
 def test_covariant_derivative_kills_frame_fields(s5_conn):
@@ -164,8 +201,6 @@ def test_blended_nabla_p_is_antisymmetric_for_rotated_blend(blend):
 
 
 def test_compalg_rejects_nonzero_endomorphism_for_discrete_group(s5_conn):
-    from holopar.norms import RandersData, one_form_norm_field, randers_norm
-    from holopar.geometry import dual_coframe
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
     F = one_form_norm_field(dual_coframe(s5_conn.frame), f)
     gamma = np.zeros((2, 2, 2))
@@ -219,7 +254,10 @@ def frame_data(draw):
     q, _ = np.linalg.qr(draw(arrays(float, (n, n), elements=unit)))
     angle = draw(arrays(float, n + 1, elements=st.floats(-3.0, 3.0)))
     scale = draw(arrays(float, (n, n + 1), elements=st.floats(-0.5, 0.5)))
-    gamma = draw(arrays(float, (n, n, n), elements=st.floats(-2.0, 2.0)))
+    # symbols below 1e-300 in magnitude are flushed to 0: their products with
+    # the O(1) frame entries can be subnormal, where no 1e-12 relative bound holds
+    normal = st.floats(-2.0, 2.0).map(lambda g: g if abs(g) >= 1e-300 else 0.0)
+    gamma = draw(arrays(float, (n, n, n), elements=normal))
     return n, q, angle, scale, gamma
 
 
@@ -332,3 +370,99 @@ def test_only_coordinate_frames_are_marked_coordinate():
     coords = np.array([[0.1, 0.2], [-1.0, 3.0]])
     got = Connection(ident, constant_christoffels(gamma)).coordinate_christoffels_batch(coords)
     assert np.array_equal(got, np.broadcast_to(gamma, (2, 2, 2, 2)))
+
+
+# ---------------------------------------------------------- batched nabla_P
+
+_S5_NORM = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
+
+
+def _nabla_p_by_frame_change(conn, frame, coords, vectors):
+    """phi C cov(C v) phi^-1 with the symbols of `christoffels_in_frame`,
+    one point at a time: the formula nabla_P_batch replaces."""
+    out = []
+    for row, v in zip(coords, vectors):
+        p = ChartPoint(row)
+        phi = frame.matrix(p)
+        phi_inv = np.linalg.inv(phi)
+        gt = christoffels_in_frame(conn, frame, p)
+        out.append(phi @ np.einsum("j,ijk->ik", phi_inv @ v, gt) @ phi_inv)
+    return np.array(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(frame_data())
+def test_batched_nabla_p_matches_the_frame_change_formula(data):
+    n, q, angle, scale, gamma = data
+    assume(np.any(gamma != 0.0))
+    parallel = _frames(n, q, angle, scale, rank=n)[0]
+    # the connection lives in another jet frame, with non-zero symbols there
+    other = _frames(n, q.T, -angle, scale[::-1], rank=n)[0]
+    conn = Connection(other, constant_christoffels(gamma))
+    rng = np.random.default_rng(3)
+    coords = rng.uniform(-1.0, 1.0, (8, n))
+    vectors = rng.normal(size=(8, n))
+    got = nabla_P_batch(conn, frame_parallelism(parallel), coords, vectors)
+    want = _nabla_p_by_frame_change(conn, parallel, coords, vectors)
+    assert got.shape == (8, n, n)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    one = nabla_P(conn, frame_parallelism(parallel), TangentVector(ChartPoint(coords[2]),
+                                                                  vectors[2]))
+    assert np.array_equal(one.matrix, got[2])
+
+
+def test_batched_nabla_p_refuses_a_rank_deficient_parallel_frame(s5_conn):
+    frame = _frames(2, np.eye(2), np.zeros(3), np.zeros((2, 3)), rank=1)[0]
+    coords = np.array([[0.3, -0.2], [1.0, 0.5], [-0.7, 0.1]])
+    with pytest.raises(SingularFrameError, match="parallel frame in nabla_P"):
+        nabla_P_batch(s5_conn, frame_parallelism(frame), coords, np.ones((3, 2)))
+    F = one_form_norm_field(dual_coframe(s5_conn.frame), _S5_NORM)
+    with pytest.raises(SingularFrameError, match="parallel frame in nabla_P"):
+        check_compalg_criterion(F, frame_parallelism(frame), s5_conn, samples=5)
+
+
+def test_compalg_takes_one_christoffel_and_one_frame_jacobian_call(s5_conn, monkeypatch):
+    # the connection is written in the coordinate frame, so its Christoffel
+    # call takes no frame Jacobian: the one call is the parallel frame's
+    gamma = np.zeros((2, 2, 2))
+    gamma[0, 0, 0] = 1.0
+    conn = from_coordinate_christoffels(constant_christoffels(gamma), 2, DOM)
+    F = one_form_norm_field(dual_coframe(s5_conn.frame), _S5_NORM)
+    calls = {"christoffels": 0, "jacobian": 0}
+    christoffels = Connection.coordinate_christoffels_batch
+    jacobian = Frame.matrix_jacobian_batch
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Connection, "coordinate_christoffels_batch",
+                        counted("christoffels", christoffels))
+    monkeypatch.setattr(Frame, "matrix_jacobian_batch", counted("jacobian", jacobian))
+    rep = check_compalg_criterion(F, frame_parallelism(s5_conn.frame), conn, samples=100)
+    assert calls == {"christoffels": 1, "jacobian": 1}
+    assert rep.samples == 100 and not rep.passed
+
+
+def test_norm_field_without_gradient_gets_central_differences(s5_conn):
+    exact = one_form_norm_field(dual_coframe(s5_conn.frame), _S5_NORM)
+    plain = NormField(2, exact.evaluator)
+    rng = np.random.default_rng(6)
+    coords = rng.uniform(-4.0, 4.0, (5, 7, 2))
+    vectors = rng.normal(size=(5, 7, 2))
+    vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
+    got = plain.gradient(coords, vectors)
+    want = exact.gradient(coords, vectors)
+    assert got.shape == (5, 7, 2)
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+    par = frame_parallelism(s5_conn.frame)
+    rep = check_compalg_criterion(plain, par, s5_conn, samples=20)
+    assert rep.passed and rep.max_abs_error <= 1e-12
+    gamma = np.zeros((2, 2, 2))
+    gamma[0, 0, 0] = 1.0
+    bent = Connection(s5_conn.frame, constant_christoffels(gamma))
+    want = check_compalg_criterion(exact, par, bent, samples=20).max_abs_error
+    got = check_compalg_criterion(plain, par, bent, samples=20).max_abs_error
+    assert want > 1e-3 and got == pytest.approx(want, rel=1e-7)

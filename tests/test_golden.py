@@ -29,9 +29,25 @@ SYNTH_CONFIG = {
     ],
     "grid": 5,
 }
+# README's inline manifold (the section 5 frame and norm), and a frame
+# whose determinant is not +-1 under a non-even Randers norm
+README_CONFIG = {
+    "domain": [[-5, 5], [-5, 5]],
+    "frame": [["x", "1"], ["-1", "0"]],
+    "norm": {"type": "randers", "Q": [[4, 0], [0, 12]], "beta": [-1, 0]},
+}
+SHEARED_CONFIG = {
+    "domain": [[-2, 2], [-2, 2]],
+    "frame": [["2+x", "0.7"], ["0.3*y", "1.5+sin(x)"]],
+    "norm": {"type": "randers", "Q": [[1, 0.2], [0.2, 2]], "beta": [0.3, 0.1]},
+}
 CASES = {f"verify_{fx}": ["verify", fx, "--seed", "7", "--curves", "12", "--step", "2e-3"]
          for fx in FIXTURES}
 CASES["synthesize_two_members"] = ["synthesize", "--config", json.dumps(SYNTH_CONFIG)]
+for op in ("compalg", "torsion"):
+    CASES[f"check_{op}_readme"] = ["check", "--op", op, "--config", json.dumps(README_CONFIG)]
+CASES["check_compalg_sheared"] = ["check", "--op", "compalg", "--config",
+                                  json.dumps(SHEARED_CONFIG)]
 
 
 def _report(argv, out):
