@@ -80,14 +80,16 @@ class Connection:
         # nabla_{E_j} E_k = E_j^b (d_b E_k^a + Gamma^a_{bc} E_k^c) d_a, so with
         # C = E^-1: Gamma^a_{bc} = (C^j_b E^a_i Gt^i_{jk} - d_b E^a_k) C^k_c
         # (the d_b term is E^d_j d_d E^a_k contracted with C^j_b = delta^d_b).
-        # With Gt = 0 only the d_b term is left.
+        # With Gt = 0 only the d_b term is left: one (n*n, n) @ (n, n)
+        # product per point over the rows (b, a) of the derivative-major dE.
         if self.gamma is None:
-            return -np.swapaxes(dE, 2, 3) @ C[:, None]
+            g = dE.transpose(0, 3, 1, 2).reshape(m, n * n, n) @ -C
+            return g.reshape(m, n, n, n).swapaxes(1, 2)
         # One (m, n, n, n) temporary at a time besides dE and the result.
         g = E @ np.asarray(self.gamma(coords), dtype=float).reshape(m, n, n * n)
         g = np.swapaxes(C, 1, 2)[:, None] @ g.reshape(m, n, n, n)
         g -= np.swapaxes(dE, 2, 3)
-        return g @ C[:, None]
+        return (g.reshape(m, n * n, n) @ C).reshape(m, n, n, n)
 
     def coordinate_christoffels(self, p):
         return self.coordinate_christoffels_batch(p.coords[None, :])[0]

@@ -178,11 +178,16 @@ def rotated_frame(domain, max_angle=np.pi / 6.0):
     def theta(x):
         return max_angle * smooth_step((x + 1.0) * 0.5)
 
-    e1 = VectorField(2, components=lambda xs: (jcos(theta(xs[0])), jsin(theta(xs[0]))),
-                     domain=domain)
-    e2 = VectorField(2, components=lambda xs: (-1.0 * jsin(theta(xs[0])), jcos(theta(xs[0]))),
-                     domain=domain)
-    return Frame(fields=[e1, e2], domain=domain)
+    def e1(xs):
+        th = theta(xs[0])
+        return jcos(th), jsin(th)
+
+    def e2(xs):
+        th = theta(xs[0])
+        return -1.0 * jsin(th), jcos(th)
+
+    return Frame(fields=[VectorField(2, components=e1, domain=domain),
+                         VectorField(2, components=e2, domain=domain)], domain=domain)
 
 
 def rotated_blend():

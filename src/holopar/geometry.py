@@ -155,21 +155,27 @@ class VectorField:
         """Components and Jacobian at a batch of points: (m,n), (m,n,n)."""
         coords = np.asarray(coords, dtype=float)
         m, n = coords.shape
+        vals, jac = np.empty((m, n)), np.empty((m, n, n))
+        self._jacobian_into(coords, vals, jac)
+        return vals, jac
+
+    def _jacobian_into(self, coords, vals, jac):
+        """Write the components into vals (m, n) and the Jacobian into
+        jac (m, n, n); both may be views of larger arrays."""
+        n = coords.shape[1]
         if self._components is not None:
             xs = seed_jets(tuple(coords[:, d] for d in range(n)))
-            comps = [as_jet(c, n) for c in self._components(xs)]
-            vals = np.stack([np.broadcast_to(np.asarray(c.value, dtype=float), (m,))
-                             for c in comps], axis=1)
-            jac = np.stack(
-                [np.stack([np.broadcast_to(np.asarray(p, dtype=float), (m,))
-                           for p in c.partials], axis=1) for c in comps], axis=1)
-            return vals, jac
-        jac = np.empty((m, n, n))
+            for i, c in enumerate(self._components(xs)):
+                c = as_jet(c, n)
+                vals[:, i] = c.value
+                for d, p in enumerate(c.partials):
+                    jac[:, i, d] = p
+            return
         for d in range(n):
             e = np.zeros(n)
             e[d] = FD_STEP
             jac[:, :, d] = (self._values_fn(coords + e) - self._values_fn(coords - e)) / (2 * FD_STEP)
-        return np.asarray(self._values_fn(coords), dtype=float), jac
+        vals[...] = self._values_fn(coords)
 
     def at(self, p):
         """Evaluate as a TangentVector at a point."""
@@ -259,20 +265,24 @@ class Frame:
         return np.stack([f.values_batch(coords) for f in self._fields], axis=2)
 
     def matrix_jacobian_batch(self, coords):
-        """E (m,n,n) and dE (m,n,n,n) with dE[:, a, k, d] = d_d (E_k)^a."""
+        """E (m,n,n) and dE (m,n,n,n) with dE[:, a, k, d] = d_d (E_k)^a.
+
+        dE is a view of a derivative-major (m, d, a, k) array, so the
+        rows (d, a) reshape to an (m, n*n, n) stack without a copy.
+        """
         coords = np.asarray(coords, dtype=float)
-        if self._fields is not None:
-            pairs = [f.jacobian_batch(coords) for f in self._fields]
-            E = np.stack([v for v, _ in pairs], axis=2)
-            dE = np.stack([j for _, j in pairs], axis=2)
-            return E, dE
         m, n = coords.shape
+        dE = np.empty((m, n, n, n)).transpose(0, 2, 3, 1)
+        if self._fields is not None:
+            E = np.empty((m, n, n))
+            for k, f in enumerate(self._fields):
+                f._jacobian_into(coords, E[:, :, k], dE[:, :, k])
+            return E, dE
         E = np.asarray(self._matrix_fn(coords), dtype=float)
-        dE = np.empty((m, n, n, n))
         for d in range(n):
             e = np.zeros(n)
             e[d] = FD_STEP
-            dE[:, :, :, d] = (self._matrix_fn(coords + e) - self._matrix_fn(coords - e)) / (2 * FD_STEP)
+            dE[..., d] = (self._matrix_fn(coords + e) - self._matrix_fn(coords - e)) / (2 * FD_STEP)
         return E, dE
 
     def matrix(self, p):

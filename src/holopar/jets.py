@@ -124,21 +124,11 @@ def jcos(x):
     return np.cos(x)
 
 
-def jet_apply(f, fprime, x):
-    """Apply a scalar function with known derivative to a float/array/Jet."""
-    if isinstance(x, Jet):
-        return Jet(f(x.value), tuple(p * fprime(x.value) for p in x.partials))
-    return f(x)
-
-
 def _bump_g(t):
     # exp(-1/t) for t > 0, 0 otherwise; the standard mollifier glue.
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0.0
     with np.errstate(divide="ignore", over="ignore"):
-        out[pos] = np.exp(-1.0 / t[pos])
-    return out
+        return np.where(t > 0.0, np.exp(-1.0 / t), 0.0)
 
 
 def smooth_step_num(t):
@@ -149,20 +139,17 @@ def smooth_step_num(t):
     return g / (g + h)
 
 
-def smooth_step_deriv(t):
-    t = np.asarray(t, dtype=float)
-    g = _bump_g(t)
-    h = _bump_g(1.0 - t)
-    out = np.zeros_like(t)
-    mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    gm, hm = g[mid], h[mid]
-    dg = gm / tm ** 2
-    dh = hm / (1.0 - tm) ** 2
-    out[mid] = (dg * hm + gm * dh) / (gm + hm) ** 2
-    return out
-
-
 def smooth_step(t):
-    """Jet-aware smooth step (values may be floats or arrays)."""
-    return jet_apply(smooth_step_num, smooth_step_deriv, t)
+    """Jet-aware smooth step (values may be floats or arrays); a Jet's
+    value and slope come from one pair of bumps."""
+    if not isinstance(t, Jet):
+        return smooth_step_num(t)
+    x = np.asarray(t.value, dtype=float)
+    g = _bump_g(x)
+    h = _bump_g(1.0 - x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (g / x ** 2 * h + g * (h / (1.0 - x) ** 2)) / (g + h) ** 2
+    # zero wherever a bump is: outside (0, 1), and where exp(-1/x) underflows
+    # (there x**2 may underflow too, leaving 0/0)
+    slope = np.where((g > 0.0) & (h > 0.0), slope, 0.0)
+    return Jet(g / (g + h), tuple(p * slope for p in t.partials))

@@ -248,7 +248,8 @@ def check_compalg_criterion(norm_field, parallelism, conn, samples=100,
                             tol=1e-8, seed=42, name="compalg_criterion"):
     """Infinitesimal criterion: (nabla P)_v lies in the Lie algebra of iso(F_p),
     i.e. max |grad_v F(p, u) . (nabla P)_v u| over the unit-sphere grid of
-    `lie_algebra_member` vanishes; the witness is the first worst sample."""
+    `lie_algebra_member` vanishes; the witness is the first worst sample.
+    A norm whose gradient is not finite on that grid (a kink) is refused."""
     n = parallelism.dim
     rng = np.random.default_rng(seed)
     pts = parallelism.domain.sample(rng, samples, margin=0.05)
@@ -257,6 +258,8 @@ def check_compalg_criterion(norm_field, parallelism, conn, samples=100,
     u = unit_sphere(n, LIE_ALGEBRA_SAMPLES)
     at = np.broadcast_to(pts[:, None, :], (samples, len(u), n))
     grad = norm_field.gradient(at, np.broadcast_to(u, at.shape))
+    if not np.all(np.isfinite(grad)):
+        raise PreconditionError("compalg needs a norm gradient that is finite on its sample grid")
     flow = u @ np.swapaxes(endo, 1, 2)                                # (m, U, n)
     viol = np.max(np.abs(np.einsum("msi,msi->ms", grad, flow)), axis=1)
     k = int(np.argmax(viol))

@@ -270,6 +270,15 @@ def test_isometry_group_of_a_kinked_custom_norm_is_refused(tmp_path, capsys):
     assert code == 0 and doc["count"] == 2
 
 
+def test_compalg_of_a_kinked_custom_norm_is_refused(tmp_path, capsys):
+    # the same l1 norm on README's frame: a NaN gradient would make every
+    # violation NaN, so compalg refuses it before writing a report
+    cfg = dict(S5_CONFIG, norm={"type": "custom", "expr": "sqrt(a^2)+sqrt(b^2)"})
+    code, doc = run(["check", "--op", "compalg", "--config", json.dumps(cfg)], tmp_path)
+    assert code == 1 and doc is None
+    assert "gradient that is finite" in capsys.readouterr().err
+
+
 def test_custom_norm_gradient_is_the_exact_jet_gradient():
     custom = build_norm({"type": "custom", "expr": "sqrt(4*a^2+12*b^2)-a"})
     exact = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))

@@ -145,6 +145,19 @@ def test_round_trip_reproduces_transport_operators(s5_conn):
     assert np.max(np.abs(a - b)) <= 1e-6
 
 
+def test_section5_round_trip_returns_its_christoffels(s5_conn):
+    # the rebuilt connection differs from the original by the radial gauge
+    # curvature integral, which vanishes for section5: in the overlap of all
+    # four members, where every member and weight contributes, the
+    # coordinate symbols come back up to FD and step noise (about 3e-10)
+    cover = covering_from_connection(s5_conn, WORK, step=1e-2)
+    assert len(cover.members) == 4
+    rebuilt = connection_from_covering_parallelism(cover)
+    pts = Box((-0.9, -0.9), (0.9, 0.9)).sample(np.random.default_rng(5), 10)
+    got = rebuilt.coordinate_christoffels_batch(pts)
+    assert np.max(np.abs(got - s5_conn.coordinate_christoffels_batch(pts))) <= 1e-7
+
+
 def test_flat_round_trip_keeps_invariance():
     # for the Euclidean fixture only invariance is asserted, not operator
     # equality (any O(2)-valued transport is compatible)

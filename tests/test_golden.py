@@ -4,11 +4,11 @@ A change that is meant to alter report bytes regenerates the goldens with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-and explains the difference in CHANGES.md.
+which prints, for each golden, whether its bytes changed and each JSON
+path that differs (old -> new), and explains the difference in CHANGES.md.
 """
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -56,6 +56,27 @@ def _report(argv, out):
     return out.read_bytes()
 
 
+def json_diff(old, new, path="$"):
+    """(path, old, new) for each JSON value that differs between two
+    documents, descending into objects and equally long arrays."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(old) + [k for k in new if k not in old]:
+            yield from json_diff(old.get(key, "<absent>"), new.get(key, "<absent>"),
+                                 f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from json_diff(a, b, f"{path}[{i}]")
+    elif json.dumps(old) != json.dumps(new):
+        yield path, old, new
+
+
+def test_json_diff_names_each_changed_path():
+    old = {"a": 1.0, "b": [1, {"c": "x"}], "d": [1, 2], "e": float("nan"), "f": 0}
+    new = {"a": 1.0, "b": [1, {"c": "y"}], "d": [1], "e": float("nan"), "g": 0}
+    assert list(json_diff(old, new)) == [("$.b[1].c", "x", "y"), ("$.d", [1, 2], [1]),
+                                         ("$.f", 0, "<absent>"), ("$.g", "<absent>", 0)]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden(name, tmp_path):
     got = _report(CASES[name], tmp_path / "out.json")
@@ -68,5 +89,13 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in sorted(CASES.items()):
-            (GOLDEN / f"{name}.json").write_bytes(_report(argv, Path(tmp) / "out.json"))
-            print(name, file=sys.stderr)
+            path = GOLDEN / f"{name}.json"
+            old = path.read_bytes() if path.exists() else None
+            new = _report(argv, Path(tmp) / "out.json")
+            path.write_bytes(new)
+            if old == new:
+                print(f"{name}: unchanged")
+                continue
+            print(f"{name}: {'new' if old is None else 'changed'}")
+            for where, a, b in json_diff(json.loads(old or "{}"), json.loads(new)):
+                print(f"  {where}: {a!r} -> {b!r}")

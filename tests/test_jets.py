@@ -85,3 +85,11 @@ def test_smooth_step_jet_derivative_matches_fd():
         j = smooth_step(Jet(t0, (1.0,)))
         fd = (smooth_step(t0 + h) - smooth_step(t0 - h)) / (2 * h)
         assert j.partials[0] == pytest.approx(float(fd), rel=1e-6)
+
+
+def test_smooth_step_slope_is_zero_where_a_bump_vanishes():
+    # below about 1e-154, t**2 underflows along with exp(-1/t): the slope
+    # is the limit 0, not 0/0
+    ts = np.array([-1.0, 0.0, 1e-300, 1e-3, 1.0 - 1e-16, 1.0, 2.0])
+    slope = smooth_step(Jet(ts, (np.ones_like(ts),))).partials[0]
+    assert np.array_equal(slope, np.zeros_like(ts))

@@ -15,8 +15,8 @@ from holopar.geometry import Box, Curve, coordinate_frame, point, segment
 from holopar.jets import jcos, jsin
 from holopar.norms import euclidean_norm, randers_norm, RandersData, unit_sphere
 from holopar.parallelism import Parallelism, frame_parallelism, translation_parallelism
-from holopar.transport import (matrix_ode_solve, parallel_transport, phi_curve,
-                               transport_ensemble)
+from holopar.transport import (STEP_BLOCK, _rk4_matrix, matrix_ode_solve,
+                               parallel_transport, phi_curve, transport_ensemble)
 
 DOM = Box((-5.0, -5.0), (5.0, 5.0))
 
@@ -111,6 +111,53 @@ def test_blow_up_raises_without_numpy_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationBlowupError):
                 run()
+
+
+# ---------------------------------------------------------- RK4 kernel
+
+def _rk4_by_stages(A_all, h, sample_idx):
+    """Classical RK4 evaluating its four stages at every step: the
+    reference for the increment-matrix kernel."""
+    m, G, n, _ = A_all.shape
+    phi = np.broadcast_to(np.eye(n), (m, n, n)).copy()
+    out = {0: phi.copy()} if 0 in sample_idx else {}
+    for k in range((G - 1) // 2):
+        A1, A2, A4 = A_all[:, 2 * k], A_all[:, 2 * k + 1], A_all[:, 2 * k + 2]
+        k1 = A1 @ phi
+        k2 = A2 @ (phi + 0.5 * h * k1)
+        k3 = A2 @ (phi + 0.5 * h * k2)
+        k4 = A4 @ (phi + h * k3)
+        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(phi)):
+            raise IntegrationBlowupError("transport blow-up", t=(k + 1) * h)
+        if k + 1 in sample_idx:
+            out[k + 1] = phi.copy()
+    return out
+
+
+@pytest.mark.parametrize("n, steps", [(2, 1), (2, 130), (3, 77), (3, 2 * STEP_BLOCK + 9)])
+def test_rk4_increments_match_the_stage_by_stage_reference(n, steps):
+    rng = np.random.default_rng(10 * steps + n)
+    A_all = rng.normal(size=(5, 2 * steps + 1, n, n))
+    idx = set(range(0, steps + 1, 3)) | {steps}
+    got = _rk4_matrix(A_all, 1.0 / steps, idx)
+    want = _rk4_by_stages(A_all, 1.0 / steps, idx)
+    assert sorted(got) == sorted(want)
+    for k in want:
+        assert np.max(np.abs(got[k] - want[k])) <= 1e-13 * np.max(np.abs(want[k]))
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2, 2 * STEP_BLOCK, 2 * STEP_BLOCK + 1, 171])
+def test_rk4_blow_up_reports_the_reference_parameter(bad):
+    A_all = np.random.default_rng(bad).normal(size=(3, 201, 2, 2))
+    A_all[1, bad, 0, 1] = np.inf if bad % 2 else np.nan
+    errors = []
+    for kernel in (_rk4_matrix, _rk4_by_stages):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationBlowupError) as info:
+                kernel(A_all, 1e-2, {100})
+        errors.append(info.value.t)
+    assert errors[0] == errors[1] == max(1, (bad + 1) // 2) * 1e-2
 
 
 # ---------------------------------------------------------- matrix_ode_solve
