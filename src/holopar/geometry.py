@@ -334,10 +334,6 @@ class Coframe:
     def matrix(self, p):
         return self.matrix_batch(p.coords[None, :])[0]
 
-    def apply(self, v):
-        """Values (E^1(v), ..., E^n(v)) of the forms on a tangent vector."""
-        return self.matrix(v.base) @ v.components
-
 
 def dual_coframe(frame):
     return Coframe(frame)

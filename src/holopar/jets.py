@@ -22,6 +22,10 @@ class Jet:
     value: object
     partials: tuple
 
+    # an ndarray on the left defers to the reflected operators below
+    # instead of broadcasting over the Jet as an object
+    __array_ufunc__ = None
+
     @staticmethod
     def constant(c, n):
         return Jet(c, (0.0,) * n)

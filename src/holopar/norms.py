@@ -112,18 +112,29 @@ class RandersData:
         return self.Q.shape[0]
 
 
+def _quadratic_form(v, Q):
+    """v^T Q v over the last axis as explicit multiply-adds, i outer and j
+    inner, each term (v_i Q_ij) v_j. On a batch of three or more vectors
+    that is einsum("...i,ij,...j->...")'s order, bit for bit, without its
+    per-call setup; einsum sums one or two 2-vectors row by row, which
+    can differ in the last bit."""
+    quad = 0.0
+    for i in range(len(Q)):
+        for j in range(len(Q)):
+            quad = quad + v[..., i] * Q[i, j] * v[..., j]
+    return quad
+
+
 def randers_norm(data):
     Q, beta = data.Q, data.beta
 
     def evaluator(v):
         v = np.asarray(v, dtype=float)
-        quad = np.einsum("...i,ij,...j->...", v, Q, v)
-        return np.sqrt(quad) + v @ beta
+        return np.sqrt(_quadratic_form(v, Q)) + v @ beta
 
     def gradient(v):
         v = np.asarray(v, dtype=float)
-        quad = np.einsum("...i,ij,...j->...", v, Q, v)
-        return (v @ Q) / np.sqrt(quad)[..., None] + beta
+        return (v @ Q) / np.sqrt(_quadratic_form(v, Q))[..., None] + beta
 
     return MinkowskiNorm(data.dim, evaluator, gradient=gradient)
 
@@ -183,9 +194,9 @@ def isometry_group_2x2(f):
     second moment M and the Binet-Legendre inner product g = M^-1 = L L^T
     (Matveev and Troyanov, Geom. Topol. 16, 2012): every one is
     A(theta) = L^-T R(theta) S L^T with S = I or diag(1, -1). One sweep of
-    the misfit sum_w (f(Aw) - f(w))^2 over the angle grid finds its local
-    minima, a root of its theta-derivative refines each, and `is_isometry`
-    certifies the result.
+    the misfit sum_w (f(Aw) - f(w))^2 over the angle grid, every A(theta) w
+    from one batched product, finds its local minima, a root of its
+    theta-derivative refines each, and `is_isometry` certifies the result.
     """
     if f.dim != 2:
         raise PreconditionError(f"isometry_group_2x2 requires n = 2, got n = {f.dim}")
@@ -214,7 +225,7 @@ def isometry_group_2x2(f):
     matrices = []
     for S in (np.eye(2), np.diag([1.0, -1.0])):
         A, _ = family(th, S)
-        sweep = np.sum((f(np.einsum("tij,wj->twi", A, w)) - fw) ** 2, axis=1)
+        sweep = np.sum((f((A @ w.T).swapaxes(1, 2)) - fw) ** 2, axis=1)
         for t in th[(sweep <= np.roll(sweep, 1)) & (sweep < np.roll(sweep, -1))]:
             # a root of the derivative, not a bounded minimization: that
             # stops at a relative angle tolerance of about 1.5e-8

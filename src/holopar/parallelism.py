@@ -44,11 +44,6 @@ class Parallelism:
         out = phi_q @ invert_frames(phi_p, "trivialization matrix")
         return out[0] if np.asarray(p_coords).ndim == 1 and np.asarray(q_coords).ndim == 1 else out
 
-    def apply(self, v, q):
-        """P(base(v), q) applied to a tangent vector."""
-        mat = self.transfer(v.base.coords, q.coords)
-        return type(v)(q, mat @ v.components)
-
     def parallel_frame(self):
         """The frame (E_i) with E_i(q) = [phi_q] e_i (P-parallel by
         construction)."""

@@ -8,8 +8,9 @@ step 1e-3). Every integration, here and in the radial transports of
 (n, n*n) product per point, and steps it in one vectorized kernel,
 ``_rk4_matrix``. As the ODE is linear, each RK4 step there is one
 product phi <- phi + D_k phi with an increment matrix D_k formed in
-batches of steps. Only the one-curve ``parallel_transport`` also
-carries a step-halving error estimate.
+batches of steps; a batch writes its steps into one buffer and checks
+them for finiteness together. Only the one-curve ``parallel_transport``
+also carries a step-halving error estimate.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ DEFAULT_STEP = 1e-3
 # at once would hold four more (m, N, n, n) arrays, 6.4 MB each for 200
 # curves at step 1e-3
 STEP_BLOCK = 64
+SAMPLE_TOL = 1e-9                         # slack of a sample time on the step grid
 
 
 @dataclass(frozen=True)
@@ -76,20 +78,24 @@ def _step_grid(t_end, step):
 @np.errstate(over="ignore", invalid="ignore")
 def _rk4_matrix(A_all, h, sample_idx):
     """Integrate Phi' = A Phi for a batch; A_all has shape (m, 2N+1, n, n)
-    on the half-step grid. Returns Phi at the requested step indices.
+    on the half-step grid. Returns {k: Phi at step k} for the step indices
+    in sample_idx.
 
     The ODE is linear, so RK4 step k is phi <- phi + D_k phi with the
     increment D_k = h/6 (A1 + 2 B2 + 2 B3 + B4), where B2 = A2 (I + h/2 A1),
     B3 = A2 (I + h/2 B2) and B4 = A4 (I + h B3). D is formed STEP_BLOCK
-    steps at a time in batched products, so stepping takes one product.
+    steps at a time in batched products; the block's steps are written
+    into one buffer, one product and one sum each, and checked for
+    finiteness together. The first non-finite step is the reported t.
     """
     m, G, n, _ = A_all.shape
     N = (G - 1) // 2
     eye = np.eye(n)
-    phi = np.broadcast_to(eye, (m, n, n)).copy()
-    out = {}
-    if 0 in sample_idx:
-        out[0] = phi
+    idx = np.unique(np.fromiter(sample_idx, dtype=int))
+    buf = np.empty((min(STEP_BLOCK, N) + 1, m, n, n))
+    buf[0] = eye
+    phis, prod = list(buf), np.empty((m, n, n))
+    out = {0: buf[0].copy()} if idx.size and idx[0] == 0 else {}
     for k0 in range(0, N, STEP_BLOCK):
         A = A_all[:, 2 * k0:2 * min(k0 + STEP_BLOCK, N) + 1]
         A1, A2, A4 = A[:, :-1:2], A[:, 1::2], A[:, 2::2]
@@ -97,13 +103,17 @@ def _rk4_matrix(A_all, h, sample_idx):
         B3 = A2 @ (eye + (0.5 * h) * B2)
         B4 = A4 @ (eye + h * B3)
         D = (h / 6.0) * (A1 + 2.0 * B2 + 2.0 * B3 + B4)
-        for j in range(D.shape[1]):
-            phi = phi + D[:, j] @ phi
-            k = k0 + j + 1
-            if not np.isfinite(phi).all():
-                raise IntegrationBlowupError("transport blow-up", t=k * h)
-            if k in sample_idx:
-                out[k] = phi
+        b = D.shape[1]
+        for j, Dj in enumerate(D.swapaxes(0, 1)):
+            np.add(phis[j], np.matmul(Dj, phis[j], out=prod), out=phis[j + 1])
+        finite = np.isfinite(buf[1:b + 1].reshape(b, -1)).all(axis=1)
+        if not finite.all():
+            k = k0 + 1 + int(np.argmin(finite))
+            raise IntegrationBlowupError("transport blow-up", t=k * h)
+        lo, hi = np.searchsorted(idx, (k0 + 1, k0 + b + 1))
+        for k in idx[lo:hi].tolist():
+            out[k] = buf[k - k0].copy()
+        buf[0] = buf[b]
     return out
 
 
@@ -120,12 +130,15 @@ def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
     """Transport matrices for many curves at once.
 
     Returns (phis, positions0, sample_positions): phis has shape
-    (ncurves, nsamples, n, n), sample_ts must be multiples of `step`.
+    (ncurves, nsamples, n, n), sample_ts must be multiples of `step` in
+    [0, t_end].
 
     Connections flagged with a backing parallelism translate by exact
     frame transfer instead of integrating.
     """
     sample_ts = np.asarray(sample_ts, dtype=float)
+    if not np.all((sample_ts >= -SAMPLE_TOL) & (sample_ts <= t_end + SAMPLE_TOL)):
+        raise ValueError(f"sample times must lie in [0, {t_end}]")
     n = conn.dim
     m = len(curves)
     if conn.backing_parallelism is not None:
@@ -140,7 +153,7 @@ def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
 
     _, h, grid = _step_grid(t_end, step)
     idx = np.rint(sample_ts / h).astype(int)
-    if np.max(np.abs(idx * h - sample_ts)) > 1e-9:
+    if np.max(np.abs(idx * h - sample_ts)) > SAMPLE_TOL:
         raise ValueError("sample times must be multiples of the step")
     pos = np.empty((m, grid.size, n))
     vel = np.empty_like(pos)

@@ -6,9 +6,15 @@ A change that is meant to alter report bytes regenerates the goldens with
 
 which prints, for each golden, whether its bytes changed and each JSON
 path that differs (old -> new), and explains the difference in CHANGES.md.
+A change that must not alter them checks with
+
+    PYTHONPATH=src python3 tests/test_golden.py --check
+
+which prints the same, writes nothing and exits 1 if any golden differs.
 """
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -83,19 +89,48 @@ def test_report_bytes_match_golden(name, tmp_path):
     assert got == (GOLDEN / f"{name}.json").read_bytes()
 
 
-if __name__ == "__main__":
-    import tempfile
-
-    GOLDEN.mkdir(exist_ok=True)
+def refresh_goldens(cases, golden, write, say=print):
+    """Report each case against its golden: unchanged, changed or new, with
+    each JSON path that differs (old -> new). Writes the new bytes only
+    when `write`; returns whether any golden differs."""
+    differs = False
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in sorted(CASES.items()):
-            path = GOLDEN / f"{name}.json"
+        for name, argv in sorted(cases.items()):
+            path = golden / f"{name}.json"
             old = path.read_bytes() if path.exists() else None
             new = _report(argv, Path(tmp) / "out.json")
-            path.write_bytes(new)
             if old == new:
-                print(f"{name}: unchanged")
+                say(f"{name}: unchanged")
                 continue
-            print(f"{name}: {'new' if old is None else 'changed'}")
+            differs = True
+            if write:
+                golden.mkdir(exist_ok=True)
+                path.write_bytes(new)
+            say(f"{name}: {'new' if old is None else 'changed'}")
             for where, a, b in json_diff(json.loads(old or "{}"), json.loads(new)):
-                print(f"  {where}: {a!r} -> {b!r}")
+                say(f"  {where}: {a!r} -> {b!r}")
+    return differs
+
+
+def test_check_mode_reports_a_change_and_writes_nothing(tmp_path):
+    name = "check_torsion_readme"
+    doc = json.loads((GOLDEN / f"{name}.json").read_bytes())
+    doc["tampered"] = 1
+    stale = json.dumps(doc).encode()
+    (tmp_path / f"{name}.json").write_bytes(stale)
+    lines = []
+    assert refresh_goldens({name: CASES[name]}, tmp_path, write=False, say=lines.append)
+    assert lines == [f"{name}: changed", "  $.tampered: 1 -> '<absent>'"]
+    assert (tmp_path / f"{name}.json").read_bytes() == stale
+    assert not refresh_goldens({name: CASES[name]}, GOLDEN, write=False, say=lines.append)
+
+
+if __name__ == "__main__":
+    import argparse
+    import sys
+
+    parser = argparse.ArgumentParser(description="Regenerate the report goldens.")
+    parser.add_argument("--check", action="store_true",
+                        help="only compare: write nothing, exit 1 if any golden differs")
+    check = parser.parse_args().check
+    sys.exit(int(refresh_goldens(CASES, GOLDEN, write=not check) and check))

@@ -1,5 +1,7 @@
 """Jet arithmetic: exact derivative propagation."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,22 @@ def test_smooth_step_slope_is_zero_where_a_bump_vanishes():
     ts = np.array([-1.0, 0.0, 1e-300, 1e-3, 1.0 - 1e-16, 1.0, 2.0])
     slope = smooth_step(Jet(ts, (np.ones_like(ts),))).partials[0]
     assert np.array_equal(slope, np.zeros_like(ts))
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+def test_ndarray_on_the_left_gives_the_jet_result(op):
+    # without __array_ufunc__ = None numpy broadcast over the Jet as an
+    # object and returned an object array of Jets
+    fn = getattr(operator, op)
+    a = RNG.uniform(0.5, 2.0, 2)
+    j = Jet(RNG.uniform(0.5, 2.0, 2), (RNG.uniform(-1, 1, 2), RNG.uniform(-1, 1, 2)))
+    for left in (a, np.float64(1.7)):
+        got = fn(left, j)
+        assert isinstance(got, Jet)
+        want = fn(Jet.constant(left, 2), j)
+        assert np.array_equal(got.value, want.value)
+        assert all(np.array_equal(g, w) for g, w in zip(got.partials, want.partials))
+        if op in ("add", "mul"):
+            flipped = fn(j, left)
+            assert np.array_equal(got.value, flipped.value)
+            assert all(np.array_equal(g, w) for g, w in zip(got.partials, flipped.partials))

@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
+from holopar.cli import build_norm
 from holopar.errors import DefinitenessError, PreconditionError
 from holopar.fixtures import section5_frame
 from holopar.geometry import Box, Coframe, Frame, VectorField, dual_coframe, point
-from holopar.norms import (ContinuousFamily, MinkowskiNorm, RandersData,
+from holopar.norms import (ORACLE_ANGLES, ORACLE_DEDUPE_TOL, ORACLE_WITNESSES,
+                           ContinuousFamily, MinkowskiNorm, RandersData, _quadratic_form,
                            euclidean_norm, is_isometry, isometry_algebra,
                            isometry_group_2x2, lie_algebra_member,
                            one_form_norm_field, randers_norm, unit_sphere)
@@ -57,6 +60,57 @@ def test_randers_gradient_matches_finite_differences():
         fd = (S5(u + e) - S5(u - e)) / (2 * h)
         rel = np.abs(g[:, d] - fd) / np.maximum(np.abs(fd), 1.0)
         assert np.max(rel) <= 1e-6
+
+
+def _einsum_randers(Q, beta):
+    """The Randers norm with its quadratic form taken by einsum: the
+    reference for the explicit multiply-adds."""
+
+    def evaluator(v):
+        return np.sqrt(np.einsum("...i,ij,...j->...", v, Q, v)) + v @ beta
+
+    def gradient(v):
+        v = np.asarray(v, dtype=float)
+        return (v @ Q) / np.sqrt(np.einsum("...i,ij,...j->...", v, Q, v))[..., None] + beta
+
+    return MinkowskiNorm(len(Q), evaluator, gradient=gradient)
+
+
+def _random_randers(rng, n, zero_beta=False):
+    M = rng.normal(size=(n, n))
+    Q = M @ M.T + 0.3 * np.eye(n)
+    if zero_beta:
+        return Q, np.zeros(n)
+    beta = rng.normal(size=n)
+    beta *= rng.uniform(0.0, 0.95) / np.sqrt(beta @ np.linalg.solve(Q, beta))
+    return Q, beta
+
+
+# a single 2-vector is left out: einsum sums its form row by row,
+# (v0 Q00 v0 + v0 Q01 v1) + (v1 Q10 v0 + v1 Q11 v1), see the next test
+@pytest.mark.parametrize("n, batch", [(3, ()), (2, (5,)), (3, (5,)), (2, (3, 4, 7)),
+                                      (3, (3, 4, 7)), (2, (1024, 128))])
+def test_randers_form_equals_einsum_bit_for_bit(n, batch):
+    rng = np.random.default_rng(7 * n + len(batch))
+    for _ in range(30):
+        Q, beta = _random_randers(rng, n)
+        got, want = randers_norm(RandersData(Q, beta)), _einsum_randers(Q, beta)
+        v = rng.normal(size=batch + (n,)) * 10.0 ** rng.uniform(-3, 3)
+        assert np.array_equal(got(v), want(v))
+        assert np.array_equal(got.gradient(v), want.gradient(v))
+
+
+def test_single_vector_randers_form_agrees_with_einsum_to_rounding():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        Q, beta = _random_randers(rng, 2)
+        v = rng.normal(size=2)
+        want = np.einsum("...i,ij,...j->...", v, Q, v)
+        bound = 4 * np.spacing(np.abs(v) @ np.abs(Q) @ np.abs(v))
+        assert abs(_quadratic_form(v, Q) - want) <= bound
+        # with Q diagonal the cross terms are exact zeros and every order agrees
+        D = np.diag(np.diag(Q))
+        assert randers_norm(RandersData(D, 0.1 * beta))(v) == _einsum_randers(D, 0.1 * beta)(v)
 
 
 def test_check_definite_rejects_signed_function():
@@ -139,6 +193,72 @@ def test_group_of_an_even_norm_is_its_eight_signed_permutations(f, conj):
         assert _in_group(np.linalg.inv(A), group)
         for B in group:
             assert _in_group(A @ B, group)
+
+
+def _einsum_sweep_group(f):
+    """The 2x2 oracle with its angle sweep as one broadcasting einsum: the
+    reference for the batched product."""
+    if len(isometry_algebra(f)):
+        return ContinuousFamily()
+    e = unit_sphere(2, ORACLE_ANGLES)
+    L = np.linalg.cholesky(np.linalg.inv(e.T @ (e / f(e)[:, None] ** 4)))
+    Lt, Lt_inv = L.T, np.linalg.inv(L.T)
+    w = e[::ORACLE_ANGLES // ORACLE_WITNESSES]
+    fw = f(w)
+    th = np.linspace(0.0, 2.0 * np.pi, ORACLE_ANGLES, endpoint=False)
+    h = th[1]
+
+    def family(t, S):
+        c, s = np.cos(t)[..., None, None], np.sin(t)[..., None, None]
+        R = np.block([[c, -s], [s, c]])
+        dR = np.block([[-s, -c], [c, -s]])
+        return Lt_inv @ R @ S @ Lt, Lt_inv @ dR @ S @ Lt
+
+    def slope(t, S):
+        A, dA = family(t, S)
+        Aw = w @ A.T
+        return 2.0 * np.sum((f(Aw) - fw) * np.einsum("wi,wi->w", f.gradient(Aw), w @ dA.T))
+
+    matrices = []
+    for S in (np.eye(2), np.diag([1.0, -1.0])):
+        A, _ = family(th, S)
+        sweep = np.sum((f(np.einsum("tij,wj->twi", A, w)) - fw) ** 2, axis=1)
+        for t in th[(sweep <= np.roll(sweep, 1)) & (sweep < np.roll(sweep, -1))]:
+            lo, hi = slope(t - h, S), slope(t + h, S)
+            if lo * hi < 0.0:
+                t = brentq(slope, t - h, t + h, args=(S,), xtol=1e-15)
+            A = family(t, S)[0]
+            if is_isometry(f, A)[0] and not any(
+                    np.max(np.abs(A - B)) < ORACLE_DEDUPE_TOL for B in matrices):
+                matrices.append(A)
+    return matrices
+
+
+def _same_group(got, want):
+    if isinstance(want, ContinuousFamily):
+        return got == want
+    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_isometry_scan_matches_the_einsum_sweep_on_random_randers_norms():
+    # the reference also takes its quadratic forms by einsum; every tenth
+    # norm is Riemannian (beta = 0) and both must return ContinuousFamily
+    rng = np.random.default_rng(2012)
+    families = 0
+    for k in range(100):
+        Q, beta = _random_randers(rng, 2, zero_beta=k % 10 == 0)
+        got = isometry_group_2x2(randers_norm(RandersData(Q, beta)))
+        want = _einsum_sweep_group(_einsum_randers(Q, beta))
+        assert _same_group(got, want)
+        families += isinstance(got, ContinuousFamily)
+    assert families == 10
+
+
+@pytest.mark.parametrize("f", [L4, build_norm({"type": "custom", "expr": "sqrt(4*a^2+12*b^2)-a"})],
+                         ids=["l4", "readme_custom"])
+def test_isometry_scan_matches_the_einsum_sweep(f):
+    got = isometry_group_2x2(f)
+    assert len(got) in (2, 8) and _same_group(got, _einsum_sweep_group(f))
 
 
 def test_group_oracle_refuses_other_dimensions():

@@ -56,6 +56,17 @@ def test_transport_flow_property(s5_conn):
     assert np.max(np.abs(full - second @ first)) <= 1e-9
 
 
+@pytest.mark.parametrize("ts", [[1.5], [-0.1], [0.5, 1.0 + 1e-6], [np.nan]])
+def test_ensemble_refuses_sample_times_outside_the_interval(ts, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("Christoffel symbols evaluated")
+
+    monkeypatch.setattr(Connection, "coordinate_christoffels_batch", unreachable)
+    conn = Connection(section5_frame(DOM), zero_christoffels(2))
+    with pytest.raises(ValueError, match=r"sample times must lie in \[0, 1.0\]"):
+        transport_ensemble(conn, [wavy()], ts, step=1e-3)
+
+
 def test_transport_parameter_validation(s5_conn):
     with pytest.raises(ValueError):
         parallel_transport(s5_conn, wavy(), 0.0)
@@ -133,6 +144,72 @@ def _rk4_by_stages(A_all, h, sample_idx):
         if k + 1 in sample_idx:
             out[k + 1] = phi.copy()
     return out
+
+
+def _rk4_step_by_step(A_all, h, sample_idx):
+    """The increment-matrix kernel stepping phi <- phi + D_k phi as a new
+    array per step, each checked for finiteness: the reference the
+    block-buffered kernel must match bit for bit."""
+    m, G, n, _ = A_all.shape
+    N = (G - 1) // 2
+    eye = np.eye(n)
+    phi = np.broadcast_to(eye, (m, n, n)).copy()
+    out = {0: phi} if 0 in sample_idx else {}
+    for k0 in range(0, N, STEP_BLOCK):
+        A = A_all[:, 2 * k0:2 * min(k0 + STEP_BLOCK, N) + 1]
+        A1, A2, A4 = A[:, :-1:2], A[:, 1::2], A[:, 2::2]
+        B2 = A2 @ (eye + (0.5 * h) * A1)
+        B3 = A2 @ (eye + (0.5 * h) * B2)
+        B4 = A4 @ (eye + h * B3)
+        D = (h / 6.0) * (A1 + 2.0 * B2 + 2.0 * B3 + B4)
+        for j in range(D.shape[1]):
+            phi = phi + D[:, j] @ phi
+            k = k0 + j + 1
+            if not np.isfinite(phi).all():
+                raise IntegrationBlowupError("transport blow-up", t=k * h)
+            if k in sample_idx:
+                out[k] = phi
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("steps", [1, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 1000])
+def test_block_buffered_steps_match_the_step_by_step_kernel_bit_for_bit(n, steps):
+    rng = np.random.default_rng(100 * steps + n)
+    A_all = rng.normal(size=(4, 2 * steps + 1, n, n))
+    edges = {k for b in range(0, steps + 1, STEP_BLOCK) for k in (b - 1, b, b + 1)}
+    for idx in (set(range(steps + 1)), {k for k in edges if 0 <= k <= steps} | {steps}):
+        got = _rk4_matrix(A_all, 1.0 / steps, idx)
+        want = _rk4_step_by_step(A_all, 1.0 / steps, idx)
+        assert sorted(got) == sorted(want) == sorted(idx)
+        for k in want:
+            assert np.array_equal(got[k], want[k])
+
+
+def test_block_buffered_samples_own_their_data():
+    # the buffer is reused by every block, so a sample left as a view of it
+    # would be overwritten by the steps of later blocks
+    A_all = np.random.default_rng(0).normal(size=(2, 2 * 200 + 1, 2, 2))
+    out = _rk4_matrix(A_all, 1e-2, range(201))
+    assert len(out) == 201 and all(phi.base is None for phi in out.values())
+
+
+@pytest.mark.parametrize("step", [1, STEP_BLOCK // 2, STEP_BLOCK, STEP_BLOCK + 1,
+                                  2 * STEP_BLOCK + STEP_BLOCK // 2, 2 * STEP_BLOCK, 300])
+def test_block_buffered_blow_up_reports_the_step_by_step_parameter(step):
+    # the midpoint coefficient at grid index 2k - 1 enters step k only; the
+    # steps cover the first, a middle and the last step of a block
+    h = 1.0 / 300
+    A_all = np.random.default_rng(step).normal(size=(3, 601, 2, 2))
+    A_all[2, 2 * step - 1, 1, 0] = np.inf if step % 2 else np.nan
+    ts = []
+    for kernel in (_rk4_matrix, _rk4_step_by_step):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationBlowupError) as info:
+                kernel(A_all, h, {300})
+        ts.append(info.value.t)
+    assert ts[0] == ts[1] == step * h
+    assert type(ts[0]) is float
 
 
 @pytest.mark.parametrize("n, steps", [(2, 1), (2, 130), (3, 77), (3, 2 * STEP_BLOCK + 9)])
