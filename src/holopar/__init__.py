@@ -2,8 +2,8 @@
 definite norms on tangent bundles, and numerical certification that a
 norm is preserved by the translations of a covariant derivative."""
 
-from .connections import (Connection, Endomorphism, christoffels_in_frame,
-                          nabla_P, nabla_P_batch, torsion)
+from .connections import (Connection, christoffels_in_frame, nabla_P, nabla_P_batch,
+                          torsion)
 from .constructions import (ConvexChartRegion, connection_from_covering_parallelism,
                             covering_from_connection, parallelism_from_connection)
 from .geometry import (Box, ChartPoint, Coframe, Curve, Frame, TangentVector,

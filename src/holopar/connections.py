@@ -112,15 +112,6 @@ def from_coordinate_christoffels(gamma, n, domain=None):
     return Connection(coordinate_frame(n, domain), gamma)
 
 
-@dataclass(frozen=True)
-class Endomorphism:
-    base: ChartPoint
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-
-
 def nabla_P_batch(conn, parallelism, coords, vectors):
     """Coordinate matrices (m, n, n) of w -> w^k v^j Gt^i_{jk} E_i at points
     and vectors (m, n), Gt the symbols in the P-parallel frame E = phi.
@@ -138,10 +129,9 @@ def nabla_P_batch(conn, parallelism, coords, vectors):
 
 
 def nabla_P(conn, parallelism, v):
-    """(nabla P)_v at the base of v: the one-point nabla_P_batch."""
-    p = v.base
-    return Endomorphism(p, nabla_P_batch(conn, parallelism, p.coords[None, :],
-                                         v.components[None, :])[0])
+    """(nabla P)_v at the base of v, an (n, n) coordinate matrix: the
+    one-point nabla_P_batch."""
+    return nabla_P_batch(conn, parallelism, v.base.coords[None, :], v.components[None, :])[0]
 
 
 def covariant_derivative(conn, X, Y, p):

@@ -4,8 +4,9 @@ Every norm has a gradient (central differences when none is given), so
 the Lie algebra of iso(f), the A with grad f(u) . Au = 0 on the unit
 sphere, is one SVD nullspace in any dimension and one membership test.
 The 2x2 oracle lists finite groups: every isometry preserves the
-Binet-Legendre inner product of f, which leaves one angle to scan per
-orientation, and each root found is certified on a dense circle.
+Binet-Legendre inner product of f, so the group is a C_k or D_k read off
+one FFT of f on that inner product's unit circle, and each candidate is
+certified on a dense circle.
 A norm field restricts to each tangent space; a one-form field
 F = f o C restricts to f o C_p, with the coframe matrix C_p computed once.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DefinitenessError, PreconditionError
 from .geometry import FD_STEP
@@ -27,8 +27,6 @@ LIE_ALGEBRA_SAMPLES = 200                 # unit-sphere grid of the membership t
 # singular values measured <= 1e-11 of the largest and the others >= 0.07
 ALGEBRA_RANK_TOL = 1e-6
 ORACLE_ANGLES = 1024                      # angle grid of the 2x2 oracle
-ORACLE_WITNESSES = 128                    # directions w in its misfit sum
-ORACLE_DEDUPE_TOL = 1e-6
 
 
 def unit_sphere(n, count):
@@ -193,10 +191,18 @@ def isometry_group_2x2(f):
     An isometry maps the unit ball onto itself, so it preserves the ball's
     second moment M and the Binet-Legendre inner product g = M^-1 = L L^T
     (Matveev and Troyanov, Geom. Topol. 16, 2012): every one is
-    A(theta) = L^-T R(theta) S L^T with S = I or diag(1, -1). One sweep of
-    the misfit sum_w (f(Aw) - f(w))^2 over the angle grid, every A(theta) w
-    from one batched product, finds its local minima, a root of its
-    theta-derivative refines each, and `is_isometry` certifies the result.
+    A = L^-T R(t) S L^T with S = I (the rotation by t of u = L^T v) or
+    S = diag(1, -1) (the reflection across the axis at t / 2), and a finite
+    group of them is a cyclic C_k or a dihedral D_k. With c_m the Fourier
+    coefficients of h(t) = f(L^-T e(t)), the rotation by a preserves h iff
+    every c_m (e^(ima) - 1) = 0, and the reflection across the axis at b iff
+    every c_m e^(imb) is real. So k divides every m with c_m != 0, and in
+    particular the m >= 1 of the largest |c_m|: the m rotations by
+    2 pi j / m and the m reflections across (pi j - arg c_m) / m, j < m,
+    contain the group, and `is_isometry` certifies each, rotations first,
+    from the identity. The group is complete when g, a quadrature on the
+    angle grid, is accurate: for smooth norms it is, while a polygon norm
+    may list a subset of its group.
     """
     if f.dim != 2:
         raise PreconditionError(f"isometry_group_2x2 requires n = 2, got n = {f.dim}")
@@ -205,36 +211,15 @@ def isometry_group_2x2(f):
     e = unit_sphere(2, ORACLE_ANGLES)
     L = np.linalg.cholesky(np.linalg.inv(e.T @ (e / f(e)[:, None] ** 4)))
     Lt, Lt_inv = L.T, np.linalg.inv(L.T)
-    w = e[::ORACLE_ANGLES // ORACLE_WITNESSES]
-    fw = f(w)
-    th = np.linspace(0.0, 2.0 * np.pi, ORACLE_ANGLES, endpoint=False)
-    h = th[1]
-
-    def family(t, S):
-        """A(t) and dA/dt for rotation angles t (...,)."""
-        c, s = np.cos(t)[..., None, None], np.sin(t)[..., None, None]
-        R = np.block([[c, -s], [s, c]])
-        dR = np.block([[-s, -c], [c, -s]])
-        return Lt_inv @ R @ S @ Lt, Lt_inv @ dR @ S @ Lt
-
-    def slope(t, S):
-        A, dA = family(t, S)
-        Aw = w @ A.T
-        return 2.0 * np.sum((f(Aw) - fw) * np.einsum("wi,wi->w", f.gradient(Aw), w @ dA.T))
-
+    c = np.fft.rfft(f(e @ Lt_inv.T))
+    m = 1 + int(np.argmax(np.abs(c[1:])))
+    j = np.arange(m)
     matrices = []
-    for S in (np.eye(2), np.diag([1.0, -1.0])):
-        A, _ = family(th, S)
-        sweep = np.sum((f((A @ w.T).swapaxes(1, 2)) - fw) ** 2, axis=1)
-        for t in th[(sweep <= np.roll(sweep, 1)) & (sweep < np.roll(sweep, -1))]:
-            # a root of the derivative, not a bounded minimization: that
-            # stops at a relative angle tolerance of about 1.5e-8
-            lo, hi = slope(t - h, S), slope(t + h, S)
-            if lo * hi < 0.0:
-                t = brentq(slope, t - h, t + h, args=(S,), xtol=1e-15)
-            A = family(t, S)[0]
-            if is_isometry(f, A)[0] and not any(
-                    np.max(np.abs(A - B)) < ORACLE_DEDUPE_TOL for B in matrices):
+    for S, angles in ((np.eye(2), 2.0 * np.pi * j / m),
+                      (np.diag([1.0, -1.0]), 2.0 * (np.pi * j - np.angle(c[m])) / m)):
+        for t in angles:
+            A = Lt_inv @ np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) @ S @ Lt
+            if is_isometry(f, A)[0]:
                 matrices.append(A)
     return matrices
 

@@ -2,7 +2,10 @@
 isometry groups, exit codes and report determinism."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -404,3 +407,17 @@ def test_numpy_values_serialize(tmp_path):
                          "f": np.float64(2.0)})
     doc = json.loads(text)
     assert doc["m"] == [[1.0, 0.5]] and doc["n"] == 3 and doc["f"] == 2.0
+
+
+# ---------------------------------------------------------------- dependencies
+
+def test_the_runtime_imports_no_scipy():
+    # scipy is a test dependency only; a fresh interpreter sees what
+    # importing holopar and its CLI loads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, holopar, holopar.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

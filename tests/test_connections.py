@@ -160,13 +160,13 @@ def test_nabla_p_vanishes_for_parallel_frame(s5_conn):
     par = frame_parallelism(s5_conn.frame)
     v = TangentVector(point(1.0, 2.0), np.array([0.3, -0.7]))
     endo = nabla_P(s5_conn, par, v)
-    assert np.max(np.abs(endo.matrix)) <= 1e-12
+    assert np.max(np.abs(endo)) <= 1e-12
 
 
 def test_nabla_p_is_zero_for_zero_vector(s5_conn):
     par = frame_parallelism(s5_conn.frame)
     endo = nabla_P(s5_conn, par, TangentVector(point(0.5, 0.5), np.zeros(2)))
-    assert np.max(np.abs(endo.matrix)) == 0.0
+    assert np.max(np.abs(endo)) == 0.0
 
 
 def test_nabla_p_linear_in_v(s5_conn):
@@ -180,8 +180,8 @@ def test_nabla_p_linear_in_v(s5_conn):
     v2 = TangentVector(p, np.array([-0.3, 1.1]))
     a, b = 0.6, -1.4
     combo = TangentVector(p, a * v1.components + b * v2.components)
-    lhs = nabla_P(conn, par, combo).matrix
-    rhs = a * nabla_P(conn, par, v1).matrix + b * nabla_P(conn, par, v2).matrix
+    lhs = nabla_P(conn, par, combo)
+    rhs = a * nabla_P(conn, par, v1) + b * nabla_P(conn, par, v2)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -196,8 +196,8 @@ def test_blended_nabla_p_is_antisymmetric_for_rotated_blend(blend):
         p = ChartPoint(row)
         v = TangentVector(p, rng.normal(size=2))
         endo = nabla_P(blend.connection, member_par, v)
-        assert np.max(np.abs(endo.matrix + endo.matrix.T)) <= 1e-8
-        ok, _ = lie_algebra_member(f, endo.matrix)
+        assert np.max(np.abs(endo + endo.T)) <= 1e-8
+        ok, _ = lie_algebra_member(f, endo)
         assert ok
 
 
@@ -211,8 +211,8 @@ def test_compalg_rejects_nonzero_endomorphism_for_discrete_group(s5_conn):
     p = point(0.2, 0.3)
     v = TangentVector(p, s5_conn.frame.matrix(p)[:, 0])   # v = E_1(p)
     endo = nabla_P(conn, par, v)
-    assert np.max(np.abs(endo.matrix)) > 1e-3
-    ok, viol = lie_algebra_member(F.at(p), endo.matrix)
+    assert np.max(np.abs(endo)) > 1e-3
+    ok, viol = lie_algebra_member(F.at(p), endo)
     assert not ok and viol > 1e-3
 
 
@@ -429,7 +429,7 @@ def test_batched_nabla_p_matches_the_frame_change_formula(data):
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
     one = nabla_P(conn, frame_parallelism(parallel), TangentVector(ChartPoint(coords[2]),
                                                                   vectors[2]))
-    assert np.array_equal(one.matrix, got[2])
+    assert np.array_equal(one, got[2])
 
 
 def test_batched_nabla_p_refuses_a_rank_deficient_parallel_frame(s5_conn):

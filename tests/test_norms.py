@@ -13,9 +13,8 @@ from holopar.cli import build_norm
 from holopar.errors import DefinitenessError, PreconditionError
 from holopar.fixtures import section5_frame
 from holopar.geometry import Box, Coframe, Frame, VectorField, dual_coframe, point
-from holopar.norms import (ORACLE_ANGLES, ORACLE_DEDUPE_TOL, ORACLE_WITNESSES,
-                           ContinuousFamily, MinkowskiNorm, RandersData, _quadratic_form,
-                           euclidean_norm, is_isometry, isometry_algebra,
+from holopar.norms import (ORACLE_ANGLES, ContinuousFamily, MinkowskiNorm, RandersData,
+                           _quadratic_form, euclidean_norm, is_isometry, isometry_algebra,
                            isometry_group_2x2, lie_algebra_member,
                            one_form_norm_field, randers_norm, unit_sphere)
 
@@ -195,9 +194,14 @@ def test_group_of_an_even_norm_is_its_eight_signed_permutations(f, conj):
             assert _in_group(A @ B, group)
 
 
+ORACLE_WITNESSES = 128                    # directions w in the reference's misfit sum
+ORACLE_DEDUPE_TOL = 1e-6
+
+
 def _einsum_sweep_group(f):
-    """The 2x2 oracle with its angle sweep as one broadcasting einsum: the
-    reference for the batched product."""
+    """The 2x2 oracle as an angle sweep of a misfit sum, one broadcasting
+    einsum, with each local minimum refined by a root of its derivative:
+    the reference for the Fourier-coefficient candidates."""
     if len(isometry_algebra(f)):
         return ContinuousFamily()
     e = unit_sphere(2, ORACLE_ANGLES)
@@ -237,7 +241,7 @@ def _einsum_sweep_group(f):
 def _same_group(got, want):
     if isinstance(want, ContinuousFamily):
         return got == want
-    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+    return len(got) == len(want) and all(_in_group(A, want, tol=1e-12) for A in got)
 
 
 def test_isometry_scan_matches_the_einsum_sweep_on_random_randers_norms():
@@ -261,6 +265,39 @@ def test_isometry_scan_matches_the_einsum_sweep(f):
     assert len(got) in (2, 8) and _same_group(got, _einsum_sweep_group(f))
 
 
+def _trigonometric_norm(a, b):
+    """|v| (1 + a cos 3t + b sin 6t): a norm, since h + h'' >= 1 - 8a - 35b > 0.
+    b != 0 breaks every reflection: C_3 for b != 0, D_3 for b = 0."""
+
+    def evaluator(v):
+        v = np.asarray(v, dtype=float)
+        t = np.arctan2(v[..., 1], v[..., 0])
+        return np.linalg.norm(v, axis=-1) * (1.0 + a * np.cos(3 * t) + b * np.sin(6 * t))
+
+    return MinkowskiNorm(2, evaluator)
+
+
+@pytest.mark.parametrize("a, b, conj, reflections", [
+    (0.03, 0.01, np.eye(2), 0),
+    (0.05, 0.0, np.eye(2), 3),
+    (0.03, 0.01, SHEAR, 0),
+], ids=["c3", "d3", "sheared_c3"])
+def test_group_of_an_odd_order_norm(a, b, conj, reflections):
+    # read through B, the C_3 norm has the conjugates B^-1 R B
+    f0 = _trigonometric_norm(a, b)
+    f = MinkowskiNorm(2, lambda v: f0(np.asarray(v) @ conj.T))
+    group = isometry_group_2x2(f)
+    assert not isinstance(group, ContinuousFamily)
+    dets = np.linalg.det(group)
+    assert np.sum(dets > 0) == 3 and np.sum(dets < 0) == reflections
+    for k in range(3):
+        assert _in_group(np.linalg.solve(conj, rot(2 * np.pi * k / 3) @ conj), group, tol=1e-12)
+    for A in group:
+        assert _in_group(np.linalg.inv(A), group)
+        for B in group:
+            assert _in_group(A @ B, group)
+
+
 def test_group_oracle_refuses_other_dimensions():
     with pytest.raises(PreconditionError, match="n = 2"):
         isometry_group_2x2(euclidean_norm(3))
@@ -269,8 +306,8 @@ def test_group_oracle_refuses_other_dimensions():
 @pytest.mark.parametrize("f", [S5, MinkowskiNorm(2, S5.evaluator)],
                          ids=["exact_gradient", "central_differences"])
 def test_group_of_section5_norm_matches_its_closed_form(f):
-    # each gradient error is weighted by f(Aw) - f(w), which vanishes at an
-    # isometry, so the refined roots are exact with either gradient
+    # the candidates come from values of f alone; the gradient only decides
+    # that the Lie algebra is zero, so either gradient lists the same group
     group = isometry_group_2x2(f)
     assert len(group) == 2
     for tgt in (np.eye(2), np.diag([1.0, -1.0])):
