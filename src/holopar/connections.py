@@ -10,6 +10,9 @@ is None: the connection compatible with a parallelism, and each blend
 member) or written in the coordinate frame (the blend itself), so the
 coordinate view computes only the terms that can be non-zero. Torsion
 and (nabla P) take batches of points: one coordinate Christoffel call each.
+Transport needs only the symbols contracted with a velocity, Gamma(v), and
+``coordinate_christoffels_along`` forms those without the (n, n, n) tensor
+wherever the connection's data allows.
 """
 
 from __future__ import annotations
@@ -47,12 +50,16 @@ class Connection:
     Christoffels in a parallelism-parallel frame; their parallel
     translation equals the parallelism transfer exactly, which the
     transport module may use directly when the frame is only available
-    through ODE integration.
+    through ODE integration. ``gamma_along``, for a connection written in
+    the coordinate frame, maps points and vectors to ``gamma`` contracted
+    with the vectors without building the tensors (the blend of
+    ``constructions`` sums its members' contractions).
     """
 
     frame: Frame
     gamma: object                       # (m, n) -> (m, n, n, n), or None for 0
     backing_parallelism: object = None
+    gamma_along: object = None          # (m, n), (m, n) -> (m, n, n), or None
 
     @property
     def dim(self):
@@ -90,6 +97,35 @@ class Connection:
         g = np.swapaxes(C, 1, 2)[:, None] @ g.reshape(m, n, n, n)
         g -= np.swapaxes(dE, 2, 3)
         return (g.reshape(m, n * n, n) @ C).reshape(m, n, n, n)
+
+    def coordinate_christoffels_along(self, coords, vectors):
+        """Gamma(v)^a_c = v^b Gamma^a_{bc} in coordinates at a batch of
+        points (m, n), one vector (m, n) each: (m, n, n).
+
+        This is all that transport needs. A flat coordinate connection
+        evaluates nothing, and a coordinate one contracts its symbols, one
+        (1, n) @ (n, n*n) product per point, or calls ``gamma_along``. A
+        connection flat in another frame is -(d_v E) C, C = E^-1, with E
+        and d_v E from Frame.matrix_derivative_batch; any other contracts
+        the full coordinate symbols.
+        """
+        coords = np.asarray(coords, dtype=float)
+        v = np.asarray(vectors, dtype=float)
+        m, n = coords.shape
+        if self.frame.coordinate:
+            if self.gamma is None:
+                return np.zeros((m, n, n))
+            if self.gamma_along is not None:
+                return np.asarray(self.gamma_along(coords, v), dtype=float)
+            g = np.asarray(self.gamma(coords), dtype=float)
+        elif self.gamma is None:
+            E, dvE = self.frame.matrix_derivative_batch(coords, v)
+            g = dvE @ invert_frames(E, "frame in Christoffel transform")
+            return np.negative(g, out=g)
+        else:
+            g = self.coordinate_christoffels_batch(coords)
+        rows = g.swapaxes(1, 2).reshape(m, n, n * n)          # [b, (a, c)]
+        return (v[:, None, :] @ rows).reshape(m, n, n)
 
     def coordinate_christoffels(self, p):
         return self.coordinate_christoffels_batch(p.coords[None, :])[0]

@@ -65,28 +65,42 @@ def connection_from_covering_parallelism(cover):
 
     Each member gets zero Christoffels in its parallel frame; member
     coordinate symbols are combined pointwise with the partition
-    weights. Single-member covers keep a reference to their parallelism
-    so transport can use exact frame transfer.
+    weights, at the points where a weight is positive. A member whose
+    parallel frame is the coordinate frame contributes exactly zero, so
+    neither its frame nor its weight is evaluated. The blend gives both
+    the symbols (``gamma``) and their contraction with vectors
+    (``gamma_along``, a sum of the members' contractions). Single-member
+    covers keep a reference to their parallelism so transport can use
+    exact frame transfer.
     """
     n = cover.region.dim
-    member_conns = [Connection(par.parallel_frame(), zero_christoffels(n))
-                    for _, par in cover.members]
+    terms = []
+    for (_, par), weight in zip(cover.members, cover.partition):
+        conn_a = Connection(par.parallel_frame(), zero_christoffels(n))
+        if not conn_a.frame.coordinate:
+            terms.append((conn_a, weight))
 
-    def gamma(coords):
+    def blend(coords, vectors=None):
+        """sum_a w_a Gamma_a: (m, n, n, n), or (m, n, n) contracted with
+        vectors (m, n)."""
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        out = np.zeros(coords.shape[:-1] + (n, n, n))
-        for (box, _), conn_a, weight in zip(cover.members, member_conns, cover.partition):
+        along = vectors is not None
+        out = np.zeros(coords.shape[:-1] + (n,) * (2 if along else 3))
+        for conn_a, weight in terms:
             w = np.asarray(weight(coords), dtype=float)
             active = w > 0.0
             if not np.any(active):
                 continue
-            ga = conn_a.coordinate_christoffels_batch(coords[active])
-            out[active] += w[active, None, None, None] * ga
+            if along:
+                ga = conn_a.coordinate_christoffels_along(coords[active], vectors[active])
+            else:
+                ga = conn_a.coordinate_christoffels_batch(coords[active])
+            out[active] += w[active].reshape((-1,) + (1,) * (ga.ndim - 1)) * ga
         return out
 
     backing = cover.members[0][1] if len(cover.members) == 1 else None
-    return Connection(coordinate_frame(n, cover.region), gamma,
-                      backing_parallelism=backing)
+    return Connection(coordinate_frame(n, cover.region), blend,
+                      backing_parallelism=backing, gamma_along=blend)
 
 
 def decompose_box(box, per_axis=2, overlap=0.25):

@@ -148,7 +148,8 @@ class VectorField:
         coords = np.asarray(coords, dtype=float)
         if self._values_fn is not None:
             return np.asarray(self._values_fn(coords), dtype=float)
-        vals, _ = self.jacobian_batch(coords)
+        vals = np.empty(coords.shape)
+        self._jets_into(coords, (), vals, None)
         return vals
 
     def jacobian_batch(self, coords):
@@ -156,25 +157,33 @@ class VectorField:
         coords = np.asarray(coords, dtype=float)
         m, n = coords.shape
         vals, jac = np.empty((m, n)), np.empty((m, n, n))
-        self._jacobian_into(coords, vals, jac)
+        self._jets_into(coords, None, vals, jac)
         return vals, jac
 
-    def _jacobian_into(self, coords, vals, jac):
-        """Write the components into vals (m, n) and the Jacobian into
-        jac (m, n, n); both may be views of larger arrays."""
+    def _jets_into(self, coords, directions, vals, parts):
+        """Write the components into vals (m, n) and their derivatives
+        into parts (m, n, k); both may be views of larger arrays.
+
+        A generic field seeds its jets with ``directions`` (as in
+        ``seed_jets``): None gives the Jacobian, k directions the
+        derivatives along each, and () the values alone (parts unused).
+        A numeric field takes its Jacobian by central differences
+        (directions None only).
+        """
         n = coords.shape[1]
         if self._components is not None:
-            xs = seed_jets(tuple(coords[:, d] for d in range(n)))
+            xs = seed_jets(tuple(coords[:, d] for d in range(n)), directions)
+            k = n if directions is None else len(directions)
             for i, c in enumerate(self._components(xs)):
-                c = as_jet(c, n)
+                c = as_jet(c, k)
                 vals[:, i] = c.value
                 for d, p in enumerate(c.partials):
-                    jac[:, i, d] = p
+                    parts[:, i, d] = p
             return
         for d in range(n):
             e = np.zeros(n)
             e[d] = FD_STEP
-            jac[:, :, d] = (self._values_fn(coords + e) - self._values_fn(coords - e)) / (2 * FD_STEP)
+            parts[:, :, d] = (self._values_fn(coords + e) - self._values_fn(coords - e)) / (2 * FD_STEP)
         vals[...] = self._values_fn(coords)
 
     def at(self, p):
@@ -276,7 +285,7 @@ class Frame:
         if self._fields is not None:
             E = np.empty((m, n, n))
             for k, f in enumerate(self._fields):
-                f._jacobian_into(coords, E[:, :, k], dE[:, :, k])
+                f._jets_into(coords, None, E[:, :, k], dE[:, :, k])
             return E, dE
         E = np.asarray(self._matrix_fn(coords), dtype=float)
         for d in range(n):
@@ -284,6 +293,28 @@ class Frame:
             e[d] = FD_STEP
             dE[..., d] = (self._matrix_fn(coords + e) - self._matrix_fn(coords - e)) / (2 * FD_STEP)
         return E, dE
+
+    def matrix_derivative_batch(self, coords, vectors):
+        """E (m,n,n) and its derivative along vectors (m,n): d_v E (m,n,n),
+        (d_v E)[:, a, k] = v^d d_d (E_k)^a.
+
+        A frame of generic (jet) fields takes both from one jet pass
+        seeded along v, one partial per variable. Any other frame
+        contracts matrix_jacobian_batch with v, one (1, n) @ (n, n*n)
+        product per point over its derivative-major dE.
+        """
+        coords = np.asarray(coords, dtype=float)
+        v = np.asarray(vectors, dtype=float)
+        m, n = coords.shape
+        if self._fields is None or not all(f.is_generic for f in self._fields):
+            E, dE = self.matrix_jacobian_batch(coords)
+            rows = dE.transpose(0, 3, 1, 2).reshape(m, n, n * n)
+            return E, (v[:, None, :] @ rows).reshape(m, n, n)
+        E, dvE = np.empty((m, n, n)), np.empty((m, n, n))
+        along = (np.ascontiguousarray(v.T),)
+        for k, f in enumerate(self._fields):
+            f._jets_into(coords, along, E[:, :, k], dvE[:, :, k, None])
+        return E, dvE
 
     def matrix(self, p):
         return self.matrix_batch(p.coords[None, :])[0]

@@ -96,10 +96,19 @@ def as_jet(x, n):
     return x if isinstance(x, Jet) else Jet.constant(x, n)
 
 
-def seed_jets(values):
-    """Seed independent variables: values[i] becomes the i-th variable Jet."""
+def seed_jets(values, directions=None):
+    """Seed independent variables: values[i] becomes the i-th variable Jet.
+
+    Its partials are the coordinate basis when ``directions`` is None, so
+    a result's partials are its gradient. Otherwise directions[j][i] is
+    the i-th component of the j-th direction, so a result's partials are
+    its derivatives along those directions; no directions give
+    value-only jets. A jet's value never depends on its partials.
+    """
     n = len(values)
-    return tuple(Jet.variable(values[i], i, n) for i in range(n))
+    if directions is None:
+        return tuple(Jet.variable(values[i], i, n) for i in range(n))
+    return tuple(Jet(values[i], tuple(d[i] for d in directions)) for i in range(n))
 
 
 def _lift(fn_num, fn_jet):
@@ -116,14 +125,15 @@ jexp = _lift(np.exp, lambda x: (lambda e: Jet(e, tuple(p * e for p in x.partials
 
 def jsin(x):
     if isinstance(x, Jet):
-        c = jcos(x.value)
+        # a value-only jet (no partials) needs no derivative factor
+        c = jcos(x.value) if x.partials else None
         return Jet(jsin(x.value), tuple(p * c for p in x.partials))
     return np.sin(x)
 
 
 def jcos(x):
     if isinstance(x, Jet):
-        s = jsin(x.value)
+        s = jsin(x.value) if x.partials else None
         return Jet(jcos(x.value), tuple(-p * s for p in x.partials))
     return np.cos(x)
 
@@ -148,6 +158,8 @@ def smooth_step(t):
     value and slope come from one pair of bumps."""
     if not isinstance(t, Jet):
         return smooth_step_num(t)
+    if not t.partials:                      # value-only: no slope
+        return Jet(smooth_step_num(t.value), ())
     x = np.asarray(t.value, dtype=float)
     g = _bump_g(x)
     h = _bump_g(1.0 - x)

@@ -4,13 +4,15 @@ Transport solves the matrix ODE Phi' = A(t) Phi, Phi(0) = I with
 A^i_k(t) = -(velocity)^j Gamma^i_{jk}(position) in coordinates, i.e. all
 n basis solutions in one pass, using classical fixed-step RK4 (default
 step 1e-3). Every integration, here and in the radial transports of
-``constructions``, samples A once on the half-step grid, one (1, n) @
-(n, n*n) product per point, and steps it in one vectorized kernel,
-``_rk4_matrix``. As the ODE is linear, each RK4 step there is one
-product phi <- phi + D_k phi with an increment matrix D_k formed in
-batches of steps; a batch writes its steps into one buffer and checks
-them for finiteness together. Only the one-curve ``parallel_transport``
-also carries a step-halving error estimate.
+``constructions``, samples A once on the half-step grid with one
+``Connection.coordinate_christoffels_along`` call, which forms only the
+contraction Gamma(velocity) (for a connection flat in a jet frame,
+-(d_v E) E^-1 from one jet pass seeded along the velocity), and steps it
+in one vectorized kernel, ``_rk4_matrix``. As the ODE is linear, each
+RK4 step there is one product phi <- phi + D_k phi with an increment
+matrix D_k formed in batches of steps; a batch writes its steps into one
+buffer and checks them for finiteness together. Only the one-curve
+``parallel_transport`` also carries a step-halving error estimate.
 """
 
 from __future__ import annotations
@@ -119,11 +121,12 @@ def _rk4_matrix(A_all, h, sample_idx):
 
 def _coefficient_grid(conn, pos, vel):
     """A = -vel^j Gamma^i_{jk}(pos) for positions and velocities of shape
-    (m, G, n): (m, G, n, n), one (1, n) @ (n, n*n) product per point."""
+    (m, G, n): (m, G, n, n), from one Connection.coordinate_christoffels_along
+    call (no (n, n, n) symbol tensor unless the connection has no shorter
+    path)."""
     m, G, n = pos.shape
-    gamma = conn.coordinate_christoffels_batch(pos.reshape(-1, n))
-    rows = gamma.swapaxes(1, 2).reshape(-1, n, n * n)        # [j, (i, k)]
-    return (-vel.reshape(-1, 1, n) @ rows).reshape(m, G, n, n)
+    A = conn.coordinate_christoffels_along(pos.reshape(-1, n), vel.reshape(-1, n))
+    return np.negative(A, out=A).reshape(m, G, n, n)
 
 
 def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):

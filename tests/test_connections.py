@@ -354,17 +354,87 @@ def test_zero_symbols_still_refuse_singular_frame(data):
 def test_coordinate_frame_returns_its_symbols_without_frame_jets(data):
     n, _, _, _, gamma = data
     coords = np.random.default_rng(2).uniform(-1.0, 1.0, (16, n))
+    v = np.random.default_rng(3).normal(size=(16, n))
     frame = coordinate_frame(n)
     calls = []
     jacobian = Frame.matrix_jacobian_batch
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Frame, "matrix_jacobian_batch",
                    lambda self, c: calls.append(1) or jacobian(self, c))
-        got = Connection(frame, constant_christoffels(gamma)).coordinate_christoffels_batch(coords)
-        flat = Connection(frame, zero_christoffels(n)).coordinate_christoffels_batch(coords)
+        mp.setattr(Frame, "matrix_derivative_batch", lambda *args: calls.append(1))
+        conn = Connection(frame, constant_christoffels(gamma))
+        flat = Connection(frame, zero_christoffels(n))
+        got = conn.coordinate_christoffels_batch(coords)
+        got_along = conn.coordinate_christoffels_along(coords, v)
+        flat_full = flat.coordinate_christoffels_batch(coords)
+        flat_along = flat.coordinate_christoffels_along(coords, v)
     assert np.array_equal(got, np.broadcast_to(gamma, (16, n, n, n)))
-    assert np.array_equal(flat, np.zeros((16, n, n, n)))
+    assert np.max(np.abs(got_along - np.einsum("mj,ijk->mik", v, gamma))) <= (
+        1e-13 * np.max(np.abs(v)) * np.max(np.abs(gamma)))
+    assert np.array_equal(flat_full, np.zeros((16, n, n, n)))
+    assert np.array_equal(flat_along, np.zeros((16, n, n)))
     assert calls == []
+
+
+# a frame parameter drawn subnormal gives subnormal derivatives, where no
+# relative bound holds: differences below the smallest normal float pass
+_TINY = np.finfo(float).tiny
+
+
+def _along_cases(n, q, angle, scale, gamma, rank):
+    """Connections on every path of coordinate_christoffels_along: flat and
+    with constant symbols, in a jet frame, the same frame as a matrix
+    function (central differences) and the coordinate frame."""
+    jet, fd = _frames(n, q, angle, scale, rank)
+    return [Connection(frame, g) for frame in (jet, fd, coordinate_frame(n))
+            for g in (zero_christoffels(n), constant_christoffels(gamma))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(frame_data())
+def test_christoffels_along_are_the_contracted_symbols(data):
+    n, q, angle, scale, gamma = data
+    rng = np.random.default_rng(4)
+    coords = rng.uniform(-1.0, 1.0, (16, n))
+    v = rng.normal(size=(16, n))
+    for conn in _along_cases(n, q, angle, scale, gamma, rank=n):
+        got = conn.coordinate_christoffels_along(coords, v)
+        full = conn.coordinate_christoffels_batch(coords)
+        want = np.einsum("mj,mijk->mik", v, full)
+        assert got.shape == (16, n, n)
+        bound = 1e-13 * np.max(np.abs(v)) * np.max(np.abs(full))
+        assert np.max(np.abs(got - want)) <= max(bound, _TINY)
+
+
+@settings(max_examples=20, deadline=None)
+@given(frame_data())
+def test_christoffels_along_refuse_singular_frame(data):
+    n, q, angle, scale, gamma = data
+    coords = np.random.default_rng(0).uniform(-1.0, 1.0, (4, n))
+    for conn in _along_cases(n, q, angle, scale, gamma, rank=n - 1):
+        if conn.frame.coordinate:
+            continue
+        with pytest.raises(SingularFrameError, match="singular frame in Christoffel transform"):
+            conn.coordinate_christoffels_along(coords, np.ones((4, n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(frame_data())
+def test_frame_values_and_directional_derivatives_keep_the_jacobian_bits(data):
+    # jet values do not depend on the seeded partials: value-only and
+    # directional passes give E bit for bit as the Jacobian pass does
+    n, q, angle, scale, _ = data
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(-1.0, 1.0, (16, n))
+    v = rng.normal(size=(16, n))
+    for frame in _frames(n, q, angle, scale, rank=n):
+        E, dE = frame.matrix_jacobian_batch(coords)
+        E_v, dvE = frame.matrix_derivative_batch(coords, v)
+        assert np.array_equal(frame.matrix_batch(coords), E)
+        assert np.array_equal(E_v, E)
+        want = np.einsum("makd,md->mak", dE, v)
+        bound = 1e-13 * np.max(np.abs(v)) * np.max(np.abs(dE))
+        assert np.max(np.abs(dvE - want)) <= max(bound, _TINY)
 
 
 def test_only_coordinate_frames_are_marked_coordinate():

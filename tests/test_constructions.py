@@ -9,7 +9,7 @@ from holopar.constructions import (ConvexChartRegion,
                                    connection_from_covering_parallelism,
                                    covering_from_connection, decompose_box,
                                    parallelism_from_connection)
-from holopar.fixtures import section5_frame
+from holopar.fixtures import rotated_frame, section5_frame
 from holopar.geometry import Box, Curve, coordinate_frame, point, segment
 from holopar.jets import jsin
 from holopar.norms import (RandersData, constant_norm_field, euclidean_norm,
@@ -119,6 +119,31 @@ def test_two_identical_translation_members_give_flat_connection():
     rng = np.random.default_rng(2)
     g = conn.coordinate_christoffels_batch(WORK.sample(rng, 50, margin=0.02))
     assert np.max(np.abs(g)) <= 1e-9
+
+
+def test_blend_along_vectors_skips_its_translation_member():
+    # the translation member is zero in the coordinate frame: neither its
+    # frame nor its weight is evaluated, for the tensors or contracted
+    def unreachable(*args):
+        raise AssertionError("translation member evaluated")
+
+    b1 = Box((-5.0, -5.0), (1.0, 5.0))
+    b2 = Box((-1.0, -5.0), (5.0, 5.0))
+    translation = translation_parallelism(b1)
+    for name in ("matrix_batch", "matrix_jacobian_batch", "matrix_derivative_batch"):
+        setattr(translation.frame, name, unreachable)
+    built = CoveringParallelism.build([(b1, translation),
+                                       (b2, frame_parallelism(rotated_frame(DOM)))], WORK)
+    cover = CoveringParallelism(built.members, (unreachable, built.partition[1]), WORK)
+    conn = connection_from_covering_parallelism(cover)
+    rng = np.random.default_rng(9)
+    pts = WORK.sample(rng, 200, margin=0.02)
+    v = rng.normal(size=(200, 2))
+    full = conn.coordinate_christoffels_batch(pts)
+    got = conn.coordinate_christoffels_along(pts, v)
+    want = np.einsum("mj,mijk->mik", v, full)
+    assert np.max(np.abs(full)) > 0.1 and np.max(np.abs(full[pts[:, 0] < -1.0])) == 0.0
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(v)) * np.max(np.abs(full))
 
 
 def test_blended_connection_is_euclidean_invariant(blend):

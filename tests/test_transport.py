@@ -11,12 +11,14 @@ from holopar.connections import (Connection, constant_christoffels,
 from holopar.constructions import ConvexChartRegion, parallelism_from_connection
 from holopar.errors import IntegrationBlowupError, SingularFrameError
 from holopar.fixtures import rescaling_connection, section5_frame
-from holopar.geometry import Box, Curve, coordinate_frame, point, segment
+from holopar.geometry import (Box, Curve, Frame, VectorField, coordinate_frame, point,
+                              segment)
 from holopar.jets import jcos, jsin
 from holopar.norms import euclidean_norm, randers_norm, RandersData, unit_sphere
 from holopar.parallelism import Parallelism, frame_parallelism, translation_parallelism
-from holopar.transport import (STEP_BLOCK, _rk4_matrix, matrix_ode_solve,
-                               parallel_transport, phi_curve, transport_ensemble)
+from holopar.transport import (STEP_BLOCK, _coefficient_grid, _rk4_matrix,
+                               matrix_ode_solve, parallel_transport, phi_curve,
+                               transport_ensemble)
 
 DOM = Box((-5.0, -5.0), (5.0, 5.0))
 
@@ -58,13 +60,31 @@ def test_transport_flow_property(s5_conn):
 
 @pytest.mark.parametrize("ts", [[1.5], [-0.1], [0.5, 1.0 + 1e-6], [np.nan]])
 def test_ensemble_refuses_sample_times_outside_the_interval(ts, monkeypatch):
+    # the refusal comes before any symbol, frame jet or frame Jacobian
     def unreachable(*args):
         raise AssertionError("Christoffel symbols evaluated")
 
-    monkeypatch.setattr(Connection, "coordinate_christoffels_batch", unreachable)
+    for owner, name in ((Connection, "coordinate_christoffels_batch"),
+                        (Connection, "coordinate_christoffels_along"),
+                        (Frame, "matrix_jacobian_batch"),
+                        (Frame, "matrix_derivative_batch"),
+                        (VectorField, "_jets_into")):
+        monkeypatch.setattr(owner, name, unreachable)
     conn = Connection(section5_frame(DOM), zero_christoffels(2))
     with pytest.raises(ValueError, match=r"sample times must lie in \[0, 1.0\]"):
         transport_ensemble(conn, [wavy()], ts, step=1e-3)
+
+
+def test_section5_coefficients_are_the_contracted_tensor_bit_for_bit(s5_conn):
+    # the directional jet pass gives d_v E = [[v_x, 0], [0, 0]], so
+    # -(d_v E) C has the bits of the full tensor contracted with v
+    rng = np.random.default_rng(8)
+    pos = rng.uniform(-4.0, 4.0, (6, 33, 2))
+    vel = rng.normal(size=(6, 33, 2))
+    gamma = s5_conn.coordinate_christoffels_batch(pos.reshape(-1, 2))
+    rows = gamma.swapaxes(1, 2).reshape(-1, 2, 4)
+    want = (-vel.reshape(-1, 1, 2) @ rows).reshape(6, 33, 2, 2)
+    assert np.array_equal(_coefficient_grid(s5_conn, pos, vel), want)
 
 
 def test_transport_parameter_validation(s5_conn):

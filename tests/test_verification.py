@@ -43,6 +43,27 @@ def test_flat_invariance_is_exact(flat2):
     assert rep.passed and rep.max_abs_error <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["s5", "blend"])
+def test_invariance_takes_no_christoffel_tensor(name, request, monkeypatch):
+    # the transport coefficients come from Gamma(v) alone: with the tensor
+    # path unreachable the report keeps every byte
+    fx = request.getfixturevalue(name)
+
+    def run():
+        gen = CurveGenerator(fx.domain.shrink(0.05), seed=4, count=12)
+        rep = check_holonomy_invariance(fx.norm_field, fx.connection, gen, step=2e-3)
+        return report.dumps(rep.to_dict())
+
+    def unreachable(*args):
+        raise AssertionError("coordinate Christoffel tensor evaluated")
+
+    restored = run()
+    monkeypatch.setattr(Connection, "coordinate_christoffels_batch", unreachable)
+    assert run() == restored
+    monkeypatch.undo()
+    assert run() == restored
+
+
 def test_rescaling_connection_fails_invariance():
     from holopar.norms import constant_norm_field, euclidean_norm
     F = constant_norm_field(euclidean_norm(2))
