@@ -200,19 +200,17 @@ def _transport_oracle_report(fx, curves=20, tol=1e-7, step=1e-3, seed=42):
     batch = CurveGenerator(fx.domain.shrink(0.05), seed=seed, count=curves).curves()
     batch.append(segment((0.0, 0.0), (1.0, 0.0), domain=fx.domain))
     half = 1.0 / (2 * max(1, int(round(1.0 / step))))
-    phis, _, _ = transport_ensemble(fx.connection, batch, [1.0], step=half)
-    mats = phis[:, 0]
-    starts = np.array([c.point(0.0).coords for c in batch[:-1]])
-    ends = np.array([c.point(1.0).coords for c in batch[:-1]])
-    oracle = fx.frame.matrix_batch(ends) @ invert_frames(fx.frame.matrix_batch(starts),
-                                                         "frame at a curve start")
+    phis, starts, ends = transport_ensemble(fx.connection, batch, [1.0], step=half)
+    mats = phis[:-1, 0]
+    oracle = (fx.frame.matrix_batch(ends[:-1, 0])
+              @ invert_frames(fx.frame.matrix_batch(starts[:-1]), "frame at a curve start"))
     worst, wit = 0.0, {}
     for curve, mat, want in zip(batch[:-1], mats, oracle):
         err = float(np.max(np.abs(mat - want)))
         if err >= worst:
             worst, wit = err, {"curve": curve.params, "matrix": mat.tolist()}
     exp_mat = np.asarray(fx.expected["transport_00_to_10"].value)
-    worst = max(worst, float(np.max(np.abs(mats[-1] - exp_mat))))
+    worst = max(worst, float(np.max(np.abs(phis[-1, 0] - exp_mat))))
     return make_report(f"{fx.name}_transport_oracle", curves + 1, worst, worst, tol,
                        wit, seed, step)
 

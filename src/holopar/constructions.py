@@ -88,8 +88,8 @@ def connection_from_covering_parallelism(cover):
         out = np.zeros(coords.shape[:-1] + (n,) * (2 if along else 3))
         for conn_a, weight in terms:
             w = np.asarray(weight(coords), dtype=float)
-            active = w > 0.0
-            if not np.any(active):
+            active = np.flatnonzero(w > 0.0)
+            if not active.size:
                 continue
             if along:
                 ga = conn_a.coordinate_christoffels_along(coords[active], vectors[active])

@@ -379,52 +379,113 @@ def coordinate_frame(n, domain=None):
 
 
 class Curve:
-    """Regular curve [0,1] -> chart domain, velocity via a jet in t."""
+    """Regular curve [0,1] -> chart domain, velocity via a jet in t.
+
+    A curve of a coordinate family, ``Curve.of(fn, args, key)``, has the
+    coordinates fn(t, *args, *key); ``curve_positions_velocities``
+    evaluates all curves with the same fn and key in one jet pass. Any
+    other curve is evaluated alone.
+    """
 
     def __init__(self, coords_fn, domain=None, params=None):
         self.coords_fn = coords_fn
         self.domain = domain
         self.params = params or {}
+        self.family = None
+
+    @classmethod
+    def of(cls, fn, args, key=(), domain=None, params=None):
+        """The curve t -> fn(t, *args, *key). Each arg is a float or a
+        (nested) list of floats; fn must also accept each float replaced
+        by a (g, 1) column of g curves' values."""
+        curve = cls(lambda t: fn(t, *args, *key), domain, params)
+        curve.family = (fn, key, args)
+        return curve
 
     def point(self, t):
         cs = self.coords_fn(t)
         return ChartPoint(np.asarray([float(c) for c in cs]))
 
-    def positions(self, ts):
-        """Positions at an array of parameters: (m, n)."""
-        ts = np.asarray(ts, dtype=float)
-        cs = self.coords_fn(ts)
-        return np.stack([np.broadcast_to(np.asarray(c, dtype=float), ts.shape) for c in cs], axis=-1)
-
     def positions_velocities(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        tj = Jet(ts, (1.0,))
-        cs = [as_jet(c, 1) for c in self.coords_fn(tj)]
-        pos = np.stack([np.broadcast_to(np.asarray(c.value, dtype=float), ts.shape) for c in cs], axis=-1)
-        vel = np.stack([np.broadcast_to(np.asarray(c.partials[0], dtype=float), ts.shape) for c in cs], axis=-1)
-        return pos, vel
+        """Positions and velocities at parameters ts (T,): (T, n) each."""
+        pos, vel = curve_positions_velocities([self], ts)
+        return pos[0], vel[0]
 
     def velocity(self, t):
         pos, vel = self.positions_velocities(np.asarray([t]))
         return TangentVector(ChartPoint(pos[0]), vel[0])
 
     def validate(self, samples=64):
-        ts = np.linspace(0.0, 1.0, samples)
-        pos, vel = self.positions_velocities(ts)
-        if self.domain is not None and not np.all(self.domain.contains_batch(pos)):
+        inside, regular = check_curves([self], samples)
+        if not inside[0]:
             raise DomainError("curve leaves the chart domain")
-        speed = np.linalg.norm(vel, axis=1)
-        if np.any(speed < 1e-9):
+        if not regular[0]:
             raise RegularityError("curve velocity vanishes at a sampled parameter")
         return self
+
+
+def _stacked(args):
+    """Per-curve args of one family stacked for one call of its fn: a
+    float becomes a (g, 1) column, and a list's entries become columns."""
+    return [np.moveaxis(np.asarray(vals, dtype=float), 0, -1)[..., None]
+            for vals in zip(*args)]
+
+
+def curve_positions_velocities(curves, ts):
+    """Positions and velocities of curves at shared parameters ts (T,):
+    two (m, T, n) arrays.
+
+    Curves of one family (same fn and key) run as one jet pass of fn with
+    their args stacked along a leading axis; any other curve, and a
+    family of one, runs its own coords_fn. The arithmetic per entry is
+    the same either way, so the bits do not depend on the grouping.
+    """
+    ts = np.asarray(ts, dtype=float)
+    tj = Jet(ts, (1.0,))
+    groups = {}
+    for c, curve in enumerate(curves):
+        groups.setdefault(curve if curve.family is None else curve.family[:2], []).append(c)
+    pos = vel = np.empty((0, ts.size, 0))
+    for members in groups.values():
+        first = curves[members[0]]
+        if len(members) == 1:
+            cs = first.coords_fn(tj)
+        else:
+            fn, key, _ = first.family
+            cs = fn(tj, *_stacked([curves[c].family[2] for c in members]), *key)
+        if pos.shape[0] == 0:             # the first group gives the dimension
+            pos = np.empty((len(curves), ts.size, len(cs)))
+            vel = np.empty_like(pos)
+        shape = (len(members), ts.size)
+        for d, x in enumerate(cs):
+            x = as_jet(x, 1)
+            pos[members, :, d] = np.broadcast_to(x.value, shape)
+            vel[members, :, d] = np.broadcast_to(x.partials[0], shape)
+    return pos, vel
+
+
+def check_curves(curves, samples=64):
+    """Which curves pass ``Curve.validate``: boolean (m,) arrays inside
+    (every sample in the curve's domain, if it has one) and regular (no
+    sampled speed below 1e-9), from one evaluation of all curves at
+    `samples` equispaced parameters."""
+    pos, vel = curve_positions_velocities(curves, np.linspace(0.0, 1.0, samples))
+    inside = np.ones(len(curves), dtype=bool)
+    for c, curve in enumerate(curves):
+        if curve.domain is not None:
+            inside[c] = np.all(curve.domain.contains_batch(pos[c]))
+    regular = ~np.any(np.linalg.norm(vel, axis=2) < 1e-9, axis=1)
+    return inside, regular
+
+
+def segment_coords(t, a, b):
+    """Coordinates of the segment from a to b."""
+    return [a[i] + (b[i] - a[i]) * t for i in range(len(a))]
 
 
 def segment(p0, p1, domain=None):
     # plain floats: numpy scalars do not defer cleanly to Jet arithmetic
     a = [float(c) for c in np.asarray(p0, dtype=float)]
     b = [float(c) for c in np.asarray(p1, dtype=float)]
-
-    def coords_fn(t):
-        return [a[i] + (b[i] - a[i]) * t for i in range(len(a))]
-
-    return Curve(coords_fn, domain=domain, params={"family": "segment", "p0": a, "p1": b})
+    return Curve.of(segment_coords, (a, b), domain=domain,
+                    params={"family": "segment", "p0": a, "p1": b})

@@ -3,16 +3,21 @@
 Transport solves the matrix ODE Phi' = A(t) Phi, Phi(0) = I with
 A^i_k(t) = -(velocity)^j Gamma^i_{jk}(position) in coordinates, i.e. all
 n basis solutions in one pass, using classical fixed-step RK4 (default
-step 1e-3). Every integration, here and in the radial transports of
+step 1e-3). An ensemble takes its curves' positions and velocities from
+``geometry.curve_positions_velocities``, one jet pass per curve family.
+Every integration, here and in the radial transports of
 ``constructions``, samples A once on the half-step grid with one
 ``Connection.coordinate_christoffels_along`` call, which forms only the
 contraction Gamma(velocity) (for a connection flat in a jet frame,
 -(d_v E) E^-1 from one jet pass seeded along the velocity), and steps it
 in one vectorized kernel, ``_rk4_matrix``. As the ODE is linear, each
-RK4 step there is one product phi <- phi + D_k phi with an increment
-matrix D_k formed in batches of steps; a batch writes its steps into one
-buffer and checks them for finiteness together. Only the one-curve
-``parallel_transport`` also carries a step-halving error estimate.
+RK4 step there is one product phi <- phi + D_k phi. The increments D_k
+are formed for blocks of about BLOCK_MATRICES step·curve matrices at a
+time, component-major: n^3 whole-array multiply-adds per product rather
+than one small matrix product per step and curve. A block writes its
+steps into one buffer and checks them for finiteness together. Only the
+one-curve ``parallel_transport`` also carries a step-halving error
+estimate.
 """
 
 from __future__ import annotations
@@ -22,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationBlowupError
-from .geometry import DET_FLOOR, invert_frames
+from .geometry import DET_FLOOR, curve_positions_velocities, invert_frames
 
 DEFAULT_STEP = 1e-3
-# steps whose RK4 increments are formed together: forming every increment
+# step·curve increment matrices formed together: forming every increment
 # at once would hold four more (m, N, n, n) arrays, 6.4 MB each for 200
-# curves at step 1e-3
-STEP_BLOCK = 64
+# curves at step 1e-3, while small blocks pay the per-block ufunc calls
+BLOCK_MATRICES = 12800
 SAMPLE_TOL = 1e-9                         # slack of a sample time on the step grid
 
 
@@ -76,6 +81,51 @@ def _step_grid(t_end, step):
     return steps, t_end / steps, np.linspace(0.0, t_end, 2 * steps + 1)
 
 
+def _block_steps(m):
+    """Steps per block of _rk4_matrix for m curves: about BLOCK_MATRICES
+    step·curve matrices, and at least 64 steps."""
+    return max(64, BLOCK_MATRICES // m)
+
+
+def _times_shifted(P, c, Q):
+    """P (I + c Q) for component-major stacks P, Q of shape (n, n, ...):
+    entry (i, k) is sum_j P[i, j] X[j, k], X = I + c Q, as n^3 whole-array
+    multiply-adds, j ascending. Q is overwritten with X."""
+    n = P.shape[0]
+    Q *= c
+    for i in range(n):
+        Q[i, i] += 1.0
+    out = P[:, 0, None] * Q[None, 0]
+    for j in range(1, n):
+        out += P[:, j, None] * Q[None, j]
+    return out
+
+
+def _increments(A, h):
+    """RK4 increment matrices D (b, m, n, n) of a block A (m, 2b+1, n, n)
+    on the half-step grid: D = h/6 (A1 + 2 B2 + 2 B3 + B4) with
+    B2 = A2 (I + h/2 A1), B3 = A2 (I + h/2 B2) and B4 = A4 (I + h B3).
+
+    The block's step and midpoint samples are transposed to (n, n, steps,
+    m), so each product is n^3 multiply-adds over all of the block's
+    step·curve matrices at once instead of one BLAS call per 2×2 matrix.
+    The sum accumulates in the order written, each B overwritten once it
+    has been added.
+    """
+    m, G, n, _ = A.shape
+    ends = np.ascontiguousarray(A[:, ::2].transpose(2, 3, 1, 0))
+    A2 = np.ascontiguousarray(A[:, 1::2].transpose(2, 3, 1, 0))
+    A1, A4 = ends[:, :, :-1], ends[:, :, 1:]
+    B = _times_shifted(A2, 0.5 * h, A1.copy())
+    S = A1 + 2.0 * B
+    B = _times_shifted(A2, 0.5 * h, B)
+    S += 2.0 * B
+    S += _times_shifted(A4, h, B)
+    D = np.empty(((G - 1) // 2, m, n, n))
+    np.multiply(h / 6.0, S, out=D.transpose(2, 3, 0, 1))
+    return D
+
+
 # a blow-up is reported once, by the finiteness check, not also as a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _rk4_matrix(A_all, h, sample_idx):
@@ -84,29 +134,23 @@ def _rk4_matrix(A_all, h, sample_idx):
     in sample_idx.
 
     The ODE is linear, so RK4 step k is phi <- phi + D_k phi with the
-    increment D_k = h/6 (A1 + 2 B2 + 2 B3 + B4), where B2 = A2 (I + h/2 A1),
-    B3 = A2 (I + h/2 B2) and B4 = A4 (I + h B3). D is formed STEP_BLOCK
-    steps at a time in batched products; the block's steps are written
+    increment D_k of ``_increments``, formed for a block of
+    ``_block_steps(m)`` steps at a time; the block's steps are written
     into one buffer, one product and one sum each, and checked for
     finiteness together. The first non-finite step is the reported t.
     """
     m, G, n, _ = A_all.shape
     N = (G - 1) // 2
-    eye = np.eye(n)
+    block = _block_steps(m)
     idx = np.unique(np.fromiter(sample_idx, dtype=int))
-    buf = np.empty((min(STEP_BLOCK, N) + 1, m, n, n))
-    buf[0] = eye
+    buf = np.empty((min(block, N) + 1, m, n, n))
+    buf[0] = np.eye(n)
     phis, prod = list(buf), np.empty((m, n, n))
     out = {0: buf[0].copy()} if idx.size and idx[0] == 0 else {}
-    for k0 in range(0, N, STEP_BLOCK):
-        A = A_all[:, 2 * k0:2 * min(k0 + STEP_BLOCK, N) + 1]
-        A1, A2, A4 = A[:, :-1:2], A[:, 1::2], A[:, 2::2]
-        B2 = A2 @ (eye + (0.5 * h) * A1)
-        B3 = A2 @ (eye + (0.5 * h) * B2)
-        B4 = A4 @ (eye + h * B3)
-        D = (h / 6.0) * (A1 + 2.0 * B2 + 2.0 * B3 + B4)
-        b = D.shape[1]
-        for j, Dj in enumerate(D.swapaxes(0, 1)):
+    for k0 in range(0, N, block):
+        D = _increments(A_all[:, 2 * k0:2 * min(k0 + block, N) + 1], h)
+        b = D.shape[0]
+        for j, Dj in enumerate(D):
             np.add(phis[j], np.matmul(Dj, phis[j], out=prod), out=phis[j + 1])
         finite = np.isfinite(buf[1:b + 1].reshape(b, -1)).all(axis=1)
         if not finite.all():
@@ -144,10 +188,13 @@ def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
         raise ValueError(f"sample times must lie in [0, {t_end}]")
     n = conn.dim
     m = len(curves)
+    if m == 0:                      # no curve gives the evaluator a dimension
+        return (np.empty((0, sample_ts.size, n, n)), np.empty((0, n)),
+                np.empty((0, sample_ts.size, n)))
     if conn.backing_parallelism is not None:
         par = conn.backing_parallelism
-        pos0 = np.stack([c.positions(np.zeros(1))[0] for c in curves])
-        pos_s = np.stack([c.positions(sample_ts) for c in curves])
+        pos, _ = curve_positions_velocities(curves, np.append(0.0, sample_ts))
+        pos0, pos_s = pos[:, 0], pos[:, 1:]
         phi0 = par.phi(pos0)
         phis_s = par.phi(pos_s.reshape(-1, n)).reshape(m, sample_ts.size, n, n)
         phis = np.einsum("mtij,mjk->mtik", phis_s,
@@ -158,10 +205,7 @@ def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
     idx = np.rint(sample_ts / h).astype(int)
     if np.max(np.abs(idx * h - sample_ts)) > SAMPLE_TOL:
         raise ValueError("sample times must be multiples of the step")
-    pos = np.empty((m, grid.size, n))
-    vel = np.empty_like(pos)
-    for c, curve in enumerate(curves):
-        pos[c], vel[c] = curve.positions_velocities(grid)
+    pos, vel = curve_positions_velocities(curves, grid)
     out = _rk4_matrix(_coefficient_grid(conn, pos, vel), h, set(idx.tolist()))
     phis = np.stack([out[i] for i in idx], axis=1)
     return phis, pos[:, 0], pos[:, 2 * idx]

@@ -15,8 +15,8 @@ import numpy as np
 
 from .connections import nabla_P_batch, torsion
 from .constructions import covering_from_connection, connection_from_covering_parallelism
-from .errors import DomainError, PreconditionError, RegularityError
-from .geometry import Box, Curve, segment
+from .errors import DomainError, PreconditionError
+from .geometry import Box, Curve, check_curves, segment
 from .jets import jcos, jsin
 from .norms import LIE_ALGEBRA_SAMPLES, ContinuousFamily, isometry_group_2x2, unit_sphere
 from .parallelism import CoveringParallelism
@@ -76,21 +76,23 @@ class CurveGenerator:
     families: tuple = ("segment", "circle", "sine", "bezier")
 
     def curves(self):
+        """The first `count` regular candidates inside the domain, in draw
+        order; each round draws the missing number of candidates, the
+        families in turn, and checks them in one batch."""
         rng = np.random.default_rng(self.seed)
         inner = self.domain.shrink(0.1)
+        limit = MAX_ATTEMPTS_PER_CURVE * self.count
         out = []
         i = 0
         while len(out) < self.count:
-            if i == MAX_ATTEMPTS_PER_CURVE * self.count:
+            if i == limit:
                 raise DomainError(f"only {len(out)} of {self.count} curves fit in "
                                   f"{self.domain} after {i} attempts")
-            family = self.families[i % len(self.families)]
-            curve = self._make(family, rng, inner)
-            i += 1
-            try:
-                out.append(curve.validate())
-            except (DomainError, RegularityError):
-                continue
+            batch = [self._make(self.families[k % len(self.families)], rng, inner)
+                     for k in range(i, min(i + self.count - len(out), limit))]
+            i += len(batch)
+            inside, regular = check_curves(batch)
+            out += [c for c, ok in zip(batch, inside & regular) if ok]
         return out
 
     def _make(self, family, rng, box):
@@ -110,16 +112,10 @@ class CurveGenerator:
             th0 = float(rng.uniform(0.0, 2.0 * np.pi))
             dth = float(rng.uniform(0.5 * np.pi, 2.0 * np.pi))
             axes = rng.permutation(n)[:2]
-
-            def coords_fn(t, c=c, r=r, th0=th0, dth=dth, a0=int(axes[0]), a1=int(axes[1])):
-                cs = [c[d] for d in range(n)]
-                cs[a0] = c[a0] + r * jcos(th0 + dth * t)
-                cs[a1] = c[a1] + r * jsin(th0 + dth * t)
-                return cs
-
-            return Curve(coords_fn, domain=self.domain,
-                         params={"family": "circle", "center": c, "radius": r,
-                                 "theta0": th0, "dtheta": dth})
+            return Curve.of(circle_coords, (c, r, th0, dth),
+                            key=(int(axes[0]), int(axes[1])), domain=self.domain,
+                            params={"family": "circle", "center": c, "radius": r,
+                                    "theta0": th0, "dtheta": dth})
         if family == "sine":
             p0, p1 = box.shrink(0.15).sample(rng, 2)
             d = p1 - p0
@@ -134,28 +130,37 @@ class CurveGenerator:
             p0l = [float(v) for v in p0]
             dl = [float(v) for v in d]
             pl = [float(v) for v in amp * perp]
-
-            def coords_fn(t, p0l=p0l, dl=dl, pl=pl, omega=omega):
-                s = jsin(omega * t)
-                return [p0l[i] + dl[i] * t + pl[i] * s for i in range(n)]
-
-            return Curve(coords_fn, domain=self.domain,
-                         params={"family": "sine", "p0": p0l, "d": dl,
-                                 "perp": pl, "omega": omega})
+            return Curve.of(sine_coords, (p0l, dl, pl, omega), domain=self.domain,
+                            params={"family": "sine", "p0": p0l, "d": dl,
+                                    "perp": pl, "omega": omega})
         if family == "bezier":
-            ctrl = box.shrink(0.1).sample(rng, 4)
-            c0, c1, c2, c3 = ([float(v) for v in row] for row in ctrl)
-
-            def coords_fn(t, c0=c0, c1=c1, c2=c2, c3=c3):
-                u = 1.0 - t
-                return [u * u * u * c0[i] + 3.0 * u * u * t * c1[i]
-                        + 3.0 * u * t * t * c2[i] + t * t * t * c3[i]
-                        for i in range(n)]
-
-            return Curve(coords_fn, domain=self.domain,
-                         params={"family": "bezier",
-                                 "ctrl": [c0, c1, c2, c3]})
+            ctrl = [[float(v) for v in row] for row in box.shrink(0.1).sample(rng, 4)]
+            return Curve.of(bezier_coords, tuple(ctrl), domain=self.domain,
+                            params={"family": "bezier", "ctrl": ctrl})
         raise ValueError(f"unknown curve family {family!r}")
+
+
+def circle_coords(t, c, r, th0, dth, a0, a1):
+    """Coordinates of the arc of radius r about c in the (a0, a1) plane,
+    from angle th0 through dth."""
+    cs = [c[d] for d in range(len(c))]
+    cs[a0] = c[a0] + r * jcos(th0 + dth * t)
+    cs[a1] = c[a1] + r * jsin(th0 + dth * t)
+    return cs
+
+
+def sine_coords(t, p0, d, perp, omega):
+    """Coordinates of p0 + d t + perp sin(omega t)."""
+    s = jsin(omega * t)
+    return [p0[i] + d[i] * t + perp[i] * s for i in range(len(p0))]
+
+
+def bezier_coords(t, c0, c1, c2, c3):
+    """Coordinates of the cubic Bezier curve with control points c0..c3."""
+    u = 1.0 - t
+    return [u * u * u * c0[i] + 3.0 * u * u * t * c1[i]
+            + 3.0 * u * t * t * c2[i] + t * t * t * c3[i]
+            for i in range(len(c0))]
 
 
 def _resolve_curves(gen_or_curves):

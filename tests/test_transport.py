@@ -16,11 +16,14 @@ from holopar.geometry import (Box, Curve, Frame, VectorField, coordinate_frame, 
 from holopar.jets import jcos, jsin
 from holopar.norms import euclidean_norm, randers_norm, RandersData, unit_sphere
 from holopar.parallelism import Parallelism, frame_parallelism, translation_parallelism
-from holopar.transport import (STEP_BLOCK, _coefficient_grid, _rk4_matrix,
-                               matrix_ode_solve, parallel_transport, phi_curve,
-                               transport_ensemble)
+from holopar.transport import (BLOCK_MATRICES, _block_steps, _coefficient_grid,
+                               _rk4_matrix, matrix_ode_solve, parallel_transport,
+                               phi_curve, transport_ensemble)
 
 DOM = Box((-5.0, -5.0), (5.0, 5.0))
+# the fewest steps a block of the RK4 kernel holds, and a batch that has it
+LEAST_BLOCK = _block_steps(BLOCK_MATRICES)
+MANY = BLOCK_MATRICES // LEAST_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +59,14 @@ def test_transport_flow_property(s5_conn):
     second_curve = Curve(lambda t: c.coords_fn(0.5 + 0.5 * t), domain=DOM)
     second = parallel_transport(s5_conn, second_curve, 1.0, step=5e-4).matrix
     assert np.max(np.abs(full - second @ first)) <= 1e-9
+
+
+@pytest.mark.parametrize("backed", [False, True])
+def test_empty_ensemble_gives_empty_arrays(s5_conn, backed):
+    conn = (Connection(coordinate_frame(2, DOM), zero_christoffels(2),
+                       backing_parallelism=translation_parallelism(DOM)) if backed else s5_conn)
+    phis, pos0, pos_s = transport_ensemble(conn, [], [0.5, 1.0])
+    assert (phis.shape, pos0.shape, pos_s.shape) == ((0, 2, 2, 2), (0, 2), (0, 2, 2))
 
 
 @pytest.mark.parametrize("ts", [[1.5], [-0.1], [0.5, 1.0 + 1e-6], [np.nan]])
@@ -166,44 +177,79 @@ def _rk4_by_stages(A_all, h, sample_idx):
     return out
 
 
+def _component_major_increments(A_all, h):
+    """The RK4 increments D (m, N, n, n) of every step, entry by entry:
+    product entry (i, k) is sum_j P_ij X_jk with X = I + c Q, j ascending,
+    the kernel's order of operations on the untransposed layout."""
+    n = A_all.shape[-1]
+    A1, A2, A4 = A_all[:, :-1:2], A_all[:, 1::2], A_all[:, 2::2]
+
+    def times_shifted(P, c, Q):
+        X = c * Q
+        X[..., range(n), range(n)] += 1.0
+        out = np.empty_like(P)
+        for i in range(n):
+            for k in range(n):
+                acc = P[..., i, 0] * X[..., 0, k]
+                for j in range(1, n):
+                    acc = acc + P[..., i, j] * X[..., j, k]
+                out[..., i, k] = acc
+        return out
+
+    B2 = times_shifted(A2, 0.5 * h, A1)
+    B3 = times_shifted(A2, 0.5 * h, B2)
+    B4 = times_shifted(A4, h, B3)
+    return (h / 6.0) * (A1 + 2.0 * B2 + 2.0 * B3 + B4)
+
+
 def _rk4_step_by_step(A_all, h, sample_idx):
-    """The increment-matrix kernel stepping phi <- phi + D_k phi as a new
-    array per step, each checked for finiteness: the reference the
-    block-buffered kernel must match bit for bit."""
-    m, G, n, _ = A_all.shape
-    N = (G - 1) // 2
-    eye = np.eye(n)
-    phi = np.broadcast_to(eye, (m, n, n)).copy()
+    """The increment-matrix kernel without blocks, stepping
+    phi <- phi + D_k phi as a new array per step, each checked for
+    finiteness: the reference the block-buffered kernel must match bit
+    for bit."""
+    m, _, n, _ = A_all.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = _component_major_increments(A_all, h)
+    phi = np.broadcast_to(np.eye(n), (m, n, n)).copy()
     out = {0: phi} if 0 in sample_idx else {}
-    for k0 in range(0, N, STEP_BLOCK):
-        A = A_all[:, 2 * k0:2 * min(k0 + STEP_BLOCK, N) + 1]
-        A1, A2, A4 = A[:, :-1:2], A[:, 1::2], A[:, 2::2]
-        B2 = A2 @ (eye + (0.5 * h) * A1)
-        B3 = A2 @ (eye + (0.5 * h) * B2)
-        B4 = A4 @ (eye + h * B3)
-        D = (h / 6.0) * (A1 + 2.0 * B2 + 2.0 * B3 + B4)
-        for j in range(D.shape[1]):
-            phi = phi + D[:, j] @ phi
-            k = k0 + j + 1
-            if not np.isfinite(phi).all():
-                raise IntegrationBlowupError("transport blow-up", t=k * h)
-            if k in sample_idx:
-                out[k] = phi
+    for j in range(D.shape[1]):
+        phi = phi + D[:, j] @ phi
+        k = j + 1
+        if not np.isfinite(phi).all():
+            raise IntegrationBlowupError("transport blow-up", t=k * h)
+        if k in sample_idx:
+            out[k] = phi
     return out
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("steps", [1, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 1000])
-def test_block_buffered_steps_match_the_step_by_step_kernel_bit_for_bit(n, steps):
+def _check_block_buffering(m, n, steps):
     rng = np.random.default_rng(100 * steps + n)
-    A_all = rng.normal(size=(4, 2 * steps + 1, n, n))
-    edges = {k for b in range(0, steps + 1, STEP_BLOCK) for k in (b - 1, b, b + 1)}
+    A_all = rng.normal(size=(m, 2 * steps + 1, n, n))
+    block = _block_steps(m)
+    edges = {k for b in range(0, steps + 1, block) for k in (b - 1, b, b + 1)}
     for idx in (set(range(steps + 1)), {k for k in edges if 0 <= k <= steps} | {steps}):
         got = _rk4_matrix(A_all, 1.0 / steps, idx)
         want = _rk4_step_by_step(A_all, 1.0 / steps, idx)
         assert sorted(got) == sorted(want) == sorted(idx)
         for k in want:
             assert np.array_equal(got[k], want[k])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("steps", [1, LEAST_BLOCK - 1, LEAST_BLOCK, LEAST_BLOCK + 1, 1000])
+def test_block_buffered_steps_match_the_step_by_step_kernel_bit_for_bit(n, steps):
+    _check_block_buffering(4, n, steps)
+
+
+@pytest.mark.parametrize("m, n, steps, blocks", [
+    (1, 2, 2000, 1),                                # one curve: a whole run is one block
+    (1, 3, BLOCK_MATRICES + 1, 2),                  # ... and a second block of one step
+    (MANY, 2, 2 * LEAST_BLOCK + 22, 3),             # blocks of the fewest steps
+    (MANY // 2 + 1, 3, 5 * _block_steps(MANY // 2 + 1) - 3, 5),
+])
+def test_block_buffered_steps_match_across_batch_sizes_and_blocks(m, n, steps, blocks):
+    assert -(-steps // _block_steps(m)) == blocks
+    _check_block_buffering(m, n, steps)
 
 
 def test_block_buffered_samples_own_their_data():
@@ -214,13 +260,14 @@ def test_block_buffered_samples_own_their_data():
     assert len(out) == 201 and all(phi.base is None for phi in out.values())
 
 
-@pytest.mark.parametrize("step", [1, STEP_BLOCK // 2, STEP_BLOCK, STEP_BLOCK + 1,
-                                  2 * STEP_BLOCK + STEP_BLOCK // 2, 2 * STEP_BLOCK, 300])
+@pytest.mark.parametrize("step", [1, LEAST_BLOCK // 2, LEAST_BLOCK, LEAST_BLOCK + 1,
+                                  2 * LEAST_BLOCK + LEAST_BLOCK // 2, 2 * LEAST_BLOCK, 300])
 def test_block_buffered_blow_up_reports_the_step_by_step_parameter(step):
     # the midpoint coefficient at grid index 2k - 1 enters step k only; the
-    # steps cover the first, a middle and the last step of a block
+    # steps cover the first, a middle and the last step of a block of the
+    # fewest steps
     h = 1.0 / 300
-    A_all = np.random.default_rng(step).normal(size=(3, 601, 2, 2))
+    A_all = np.random.default_rng(step).normal(size=(MANY, 601, 2, 2))
     A_all[2, 2 * step - 1, 1, 0] = np.inf if step % 2 else np.nan
     ts = []
     for kernel in (_rk4_matrix, _rk4_step_by_step):
@@ -232,7 +279,7 @@ def test_block_buffered_blow_up_reports_the_step_by_step_parameter(step):
     assert type(ts[0]) is float
 
 
-@pytest.mark.parametrize("n, steps", [(2, 1), (2, 130), (3, 77), (3, 2 * STEP_BLOCK + 9)])
+@pytest.mark.parametrize("n, steps", [(2, 1), (2, 130), (3, 77), (3, 2 * LEAST_BLOCK + 9)])
 def test_rk4_increments_match_the_stage_by_stage_reference(n, steps):
     rng = np.random.default_rng(10 * steps + n)
     A_all = rng.normal(size=(5, 2 * steps + 1, n, n))
@@ -244,7 +291,7 @@ def test_rk4_increments_match_the_stage_by_stage_reference(n, steps):
         assert np.max(np.abs(got[k] - want[k])) <= 1e-13 * np.max(np.abs(want[k]))
 
 
-@pytest.mark.parametrize("bad", [0, 1, 2, 2 * STEP_BLOCK, 2 * STEP_BLOCK + 1, 171])
+@pytest.mark.parametrize("bad", [0, 1, 2, 2 * LEAST_BLOCK, 2 * LEAST_BLOCK + 1, 171])
 def test_rk4_blow_up_reports_the_reference_parameter(bad):
     A_all = np.random.default_rng(bad).normal(size=(3, 201, 2, 2))
     A_all[1, bad, 0, 1] = np.inf if bad % 2 else np.nan

@@ -6,12 +6,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holopar.connections import Connection, constant_christoffels, zero_christoffels
 from holopar.constructions import connection_from_covering_parallelism
-from holopar.errors import DomainError, PreconditionError
+from holopar.errors import DomainError, PreconditionError, RegularityError
 from holopar.fixtures import rescaling_connection, section5_frame
-from holopar.geometry import Box, Curve, coordinate_frame, point
+from holopar.geometry import Box, Curve, coordinate_frame, curve_positions_velocities, point
+from holopar.jets import jcos
 from holopar.norms import RandersData, constant_norm_field, randers_norm
 from holopar.parallelism import CoveringParallelism, frame_parallelism, translation_parallelism
 from holopar import report, verification
@@ -292,3 +295,87 @@ def test_curve_generator_is_deterministic_and_regular():
     for ca, cb in zip(a, b):
         assert ca.params == cb.params
         ca.validate()
+
+
+def _wavy(n):
+    """A closure curve, outside every family."""
+    return Curve(lambda t: [0.2 * jcos(2.0 * t + d) + 0.1 * t * t for d in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       corner=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
+       sides=st.lists(st.floats(0.01, 30.0), min_size=3, max_size=3),
+       n=st.sampled_from([2, 3]), samples=st.integers(1, 300))
+def test_batched_curve_evaluation_is_per_curve_evaluation_bit_for_bit(seed, corner, sides, n,
+                                                                      samples):
+    box = Box(tuple(corner[:n]), tuple(c + s for c, s in zip(corner, sides[:n])))
+    curves = CurveGenerator(box, seed=seed, count=13).curves() + [_wavy(n)]
+    rng = np.random.default_rng(seed)
+    mixed = [curves[i] for i in rng.permutation(len(curves))]
+    ts = np.sort(rng.uniform(0.0, 1.0, samples))
+    pos, vel = curve_positions_velocities(mixed, ts)
+    assert pos.shape == vel.shape == (len(mixed), samples, n)
+    for c, curve in enumerate(mixed):
+        p, v = curve.positions_velocities(ts)
+        assert np.array_equal(pos[c], p) and np.array_equal(vel[c], v)
+
+
+def _curves_one_at_a_time(gen):
+    """CurveGenerator.curves validating each candidate as it is drawn."""
+    rng = np.random.default_rng(gen.seed)
+    inner = gen.domain.shrink(0.1)
+    out, i = [], 0
+    while len(out) < gen.count:
+        if i == verification.MAX_ATTEMPTS_PER_CURVE * gen.count:
+            raise DomainError(f"only {len(out)} of {gen.count} curves fit in "
+                              f"{gen.domain} after {i} attempts")
+        curve = gen._make(gen.families[i % len(gen.families)], rng, inner)
+        i += 1
+        try:
+            out.append(curve.validate())
+        except (DomainError, RegularityError):
+            continue
+    return out
+
+
+class _Loose(CurveGenerator):
+    """Draws from a box larger than the domain, so candidates leave it."""
+
+    def _make(self, family, rng, box):
+        return super()._make(family, rng, self.domain.shrink(-0.3))
+
+
+@pytest.mark.parametrize("gen", [
+    CurveGenerator(WORK, seed=3, count=40),
+    CurveGenerator(Box((-1.0,) * 3, (1.0,) * 3), seed=4, count=25),
+    # speeds near the 1e-9 regularity floor: about 4 in 5 candidates fail
+    CurveGenerator(Box((0.0, 0.0), (3e-9, 3e-9)), seed=5, count=20),
+    _Loose(WORK, seed=6, count=30),
+])
+def test_curve_generator_accepts_the_candidates_of_the_one_at_a_time_loop(gen):
+    got, want = gen.curves(), _curves_one_at_a_time(gen)
+    assert [c.params for c in got] == [c.params for c in want]
+
+
+def test_curve_generator_attempt_limit_matches_the_one_at_a_time_loop():
+    # 2 of 3 curves are found in the 300 attempts allowed
+    gen = CurveGenerator(Box((0.0, 0.0), (1.05e-9, 1.05e-9)), seed=1, count=3)
+    with pytest.raises(DomainError) as want:
+        _curves_one_at_a_time(gen)
+    with pytest.raises(DomainError) as got:
+        gen.curves()
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("only 2 of 3 curves fit in Box(")
+    assert str(got.value).endswith(" after 300 attempts")
+
+
+def test_holonomy_check_evaluates_no_curve_alone(s5, monkeypatch):
+    def alone(*args, **kwargs):
+        raise AssertionError("a curve was evaluated on its own")
+
+    gen = CurveGenerator(s5.domain.shrink(0.05), seed=12, count=50)
+    monkeypatch.setattr(Curve, "positions_velocities", alone)
+    monkeypatch.setattr(Curve, "validate", alone)
+    rep = check_holonomy_invariance(s5.norm_field, s5.connection, gen)
+    assert rep.passed and rep.samples == 50 * 10 * 20
