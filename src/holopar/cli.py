@@ -134,6 +134,21 @@ def _load_config(arg):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
+def run_settings(step, tol, curves, vectors, seed):
+    """The common settings of one run (see the check table), refusing
+    fewer than one curve or vector and a step whose grid misses the
+    sample times t = 0.1, ..., 1.0: round(1/step) must be a positive
+    multiple of 10."""
+    for key, val in (("curves", curves), ("vectors", vectors)):
+        if val < 1:
+            raise ConfigError(f"{key} must be at least 1, not {val}")
+    per_unit = 1.0 / step if step > 0.0 else 0.0
+    if not (np.isfinite(per_unit) and round(per_unit) >= 10 and round(per_unit) % 10 == 0):
+        raise ConfigError(f"step {step} does not divide the sample times 0.1, ..., 1.0: "
+                          "round(1/step) must be a positive multiple of 10")
+    return argparse.Namespace(step=step, tol=tol, curves=curves, vectors=vectors, seed=seed)
+
+
 # ---------------------------------------------------------------- check table
 
 # Each entry takes (fx, o, **overrides): o holds the common settings
@@ -264,10 +279,10 @@ SUMMARIES = {
 
 
 def run_fixture_suite(name, step=1e-3, tol=1e-6, curves=100, vectors=20, seed=42):
+    o = run_settings(step, tol, curves, vectors, seed)
     fx = load_fixture(name)
     if not fx.checks:
         raise ConfigError(f"no verification suite for fixture {name!r}")
-    o = argparse.Namespace(step=step, tol=tol, curves=curves, vectors=vectors, seed=seed)
     checks = sorted((CHECKS[check](fx, o, **overrides) for check, overrides in fx.checks),
                     key=lambda r: r.check)
     doc = {"fixture": name, "seed": seed, "step": step, "tolerance": tol,
@@ -302,13 +317,14 @@ def cmd_check(args):
     config = _load_config(args.config)
     fx = build_manifold(config)
     try:
-        o = argparse.Namespace(step=float(config.get("step", args.step)),
-                               tol=float(config.get("tolerance", args.tol)),
-                               curves=int(config.get("curves", args.curves)),
-                               vectors=int(config.get("vectors", args.vectors)),
-                               seed=int(config.get("seed", args.seed)))
+        settings = (float(config.get("step", args.step)),
+                    float(config.get("tolerance", args.tol)),
+                    int(config.get("curves", args.curves)),
+                    int(config.get("vectors", args.vectors)),
+                    int(config.get("seed", args.seed)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad check setting in manifold config: {exc}") from exc
+    o = run_settings(*settings)
     rep = CHECKS[args.op](fx, o)
     _emit({"config": config, "op": args.op, "report": rep.to_dict()}, args.out)
     return 0 if rep.passed else 1

@@ -1,18 +1,16 @@
-"""Covariant derivatives via frame-relative Christoffel symbols.
+"""Covariant derivatives nabla_X Y = X(Y) + Gamma(X) Y from frame-relative
+Christoffel symbols.
 
-A connection is stored relative to a designated frame (both directions
+A connection is stored relative to a designated frame E (both directions
 of the parallelism equivalence are frame-native: "zero Christoffels in
-a parallel frame"); coordinate Christoffels are a derived view. Index convention:
-gamma[i, j, k] is Gamma^i_{jk} with nabla_{E_j} E_k = Gamma^i_{jk} E_i.
+a parallel frame") in one format: Gt(w)^i_k = w^j Gt^i_{jk}, the symbols
+contracted with frame components w, with nabla_{E_j} E_k = Gt^i_{jk} E_i.
+Its coordinate view is the endomorphism
 
-Every connection holopar builds is either zero in its own frame (``gamma``
-is None: the connection compatible with a parallelism, and each blend
-member) or written in the coordinate frame (the blend itself), so the
-coordinate view computes only the terms that can be non-zero. Torsion
-and (nabla P) take batches of points: one coordinate Christoffel call each.
-Transport needs only the symbols contracted with a velocity, Gamma(v), and
-``coordinate_christoffels_along`` forms those without the (n, n, n) tensor
-wherever the connection's data allows.
+    Gamma(v) = E Gt(C v) C - (d_v E) C,    C = E^-1,
+
+which is all that transport, torsion and the partition-of-unity blend
+need; the coordinate tensor Gamma^a_{bc} is Gamma(e_b)^a_c.
 """
 
 from __future__ import annotations
@@ -31,12 +29,14 @@ def zero_christoffels(n):
 
 
 def constant_christoffels(values):
+    """Constant symbols values[i, j, k] = Gt^i_{jk} as the contraction
+    (coords, w) -> w^j Gt^i_{jk}: one (m, n) @ (n, n*n) product."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
+    rows = values.swapaxes(0, 1).reshape(n, n * n)            # [j, (i, k)]
 
-    def gamma(coords):
-        coords = np.asarray(coords, dtype=float)
-        return np.broadcast_to(values, coords.shape[:-1] + (n, n, n)).copy()
+    def gamma(coords, w):
+        return (np.asarray(w, dtype=float) @ rows).reshape(-1, n, n)
     return gamma
 
 
@@ -44,22 +44,18 @@ def constant_christoffels(values):
 class Connection:
     """Covariant derivative: frame plus frame-relative Christoffels.
 
-    ``gamma`` maps coordinates (m, n) to symbols (m, n, n, n), or is None
-    when the symbols vanish: the frame is then parallel.
-    ``backing_parallelism`` marks connections constructed with zero
-    Christoffels in a parallelism-parallel frame; their parallel
-    translation equals the parallelism transfer exactly, which the
-    transport module may use directly when the frame is only available
-    through ODE integration. ``gamma_along``, for a connection written in
-    the coordinate frame, maps points and vectors to ``gamma`` contracted
-    with the vectors without building the tensors (the blend of
-    ``constructions`` sums its members' contractions).
+    ``gamma`` maps points and frame components (m, n), (m, n) to the
+    contracted symbols Gt(w) (m, n, n), or is None when the symbols
+    vanish: the frame is then parallel. ``backing_parallelism`` marks
+    connections constructed with zero Christoffels in a
+    parallelism-parallel frame; their parallel translation equals the
+    parallelism transfer exactly, which the transport module may use
+    directly when the frame is only available through ODE integration.
     """
 
     frame: Frame
-    gamma: object                       # (m, n) -> (m, n, n, n), or None for 0
+    gamma: object                       # (m, n), (m, n) -> (m, n, n), or None for 0
     backing_parallelism: object = None
-    gamma_along: object = None          # (m, n), (m, n) -> (m, n, n), or None
 
     @property
     def dim(self):
@@ -69,63 +65,39 @@ class Connection:
     def flat(frame):
         return Connection(frame, None)
 
-    def coordinate_christoffels_batch(self, coords):
-        """Coordinate-frame symbols Gamma^a_{bc} at a batch of points.
-
-        In the coordinate frame these are the frame-relative symbols
-        themselves; with those zero, only the frame-derivative term is
-        computed.
-        """
-        coords = np.asarray(coords, dtype=float)
-        m, n = coords.shape
-        if self.frame.coordinate:
-            if self.gamma is None:
-                return np.zeros((m, n, n, n))
-            return np.asarray(self.gamma(coords), dtype=float)
-        E, dE = self.frame.matrix_jacobian_batch(coords)
-        C = invert_frames(E, "frame in Christoffel transform")
-        # nabla_{E_j} E_k = E_j^b (d_b E_k^a + Gamma^a_{bc} E_k^c) d_a, so with
-        # C = E^-1: Gamma^a_{bc} = (C^j_b E^a_i Gt^i_{jk} - d_b E^a_k) C^k_c
-        # (the d_b term is E^d_j d_d E^a_k contracted with C^j_b = delta^d_b).
-        # With Gt = 0 only the d_b term is left: one (n*n, n) @ (n, n)
-        # product per point over the rows (b, a) of the derivative-major dE.
-        if self.gamma is None:
-            g = dE.transpose(0, 3, 1, 2).reshape(m, n * n, n) @ -C
-            return g.reshape(m, n, n, n).swapaxes(1, 2)
-        # One (m, n, n, n) temporary at a time besides dE and the result.
-        g = E @ np.asarray(self.gamma(coords), dtype=float).reshape(m, n, n * n)
-        g = np.swapaxes(C, 1, 2)[:, None] @ g.reshape(m, n, n, n)
-        g -= np.swapaxes(dE, 2, 3)
-        return (g.reshape(m, n * n, n) @ C).reshape(m, n, n, n)
-
     def coordinate_christoffels_along(self, coords, vectors):
         """Gamma(v)^a_c = v^b Gamma^a_{bc} in coordinates at a batch of
         points (m, n), one vector (m, n) each: (m, n, n).
 
-        This is all that transport needs. A flat coordinate connection
-        evaluates nothing, and a coordinate one contracts its symbols, one
-        (1, n) @ (n, n*n) product per point, or calls ``gamma_along``. A
-        connection flat in another frame is -(d_v E) C, C = E^-1, with E
-        and d_v E from Frame.matrix_derivative_batch; any other contracts
-        the full coordinate symbols.
+        Gamma(v) = E Gt(C v) C - (d_v E) C with C = E^-1 and E, d_v E
+        from Frame.matrix_derivative_batch (one jet pass seeded along v
+        for a jet frame). In the coordinate frame this is Gt(v) itself,
+        with no frame evaluated; with Gt zero the first term is left out.
         """
         coords = np.asarray(coords, dtype=float)
         v = np.asarray(vectors, dtype=float)
-        m, n = coords.shape
         if self.frame.coordinate:
             if self.gamma is None:
-                return np.zeros((m, n, n))
-            if self.gamma_along is not None:
-                return np.asarray(self.gamma_along(coords, v), dtype=float)
-            g = np.asarray(self.gamma(coords), dtype=float)
-        elif self.gamma is None:
-            E, dvE = self.frame.matrix_derivative_batch(coords, v)
-            g = dvE @ invert_frames(E, "frame in Christoffel transform")
-            return np.negative(g, out=g)
-        else:
-            g = self.coordinate_christoffels_batch(coords)
-        rows = g.swapaxes(1, 2).reshape(m, n, n * n)          # [b, (a, c)]
-        return (v[:, None, :] @ rows).reshape(m, n, n)
+                return np.zeros(coords.shape + coords.shape[-1:])
+            return np.asarray(self.gamma(coords, v), dtype=float)
+        E, dvE = self.frame.matrix_derivative_batch(coords, v)
+        C = invert_frames(E, "frame in Christoffel transform")
+        g = dvE @ C
+        np.negative(g, out=g)
+        if self.gamma is not None:
+            w = (C @ v[:, :, None])[:, :, 0]
+            g += E @ np.asarray(self.gamma(coords, w), dtype=float) @ C
+        return g
+
+    def coordinate_christoffels_batch(self, coords):
+        """Coordinate-frame symbols Gamma^a_{bc} (m, n, n, n) at a batch
+        of points: Gamma(e_b)^a_c from one coordinate_christoffels_along
+        call over the m*n (point, e_b) pairs."""
+        coords = np.asarray(coords, dtype=float)
+        m, n = coords.shape
+        g = self.coordinate_christoffels_along(np.repeat(coords, n, axis=0),
+                                               np.tile(np.eye(n), (m, 1)))
+        return g.reshape(m, n, n, n).swapaxes(1, 2)
 
     def coordinate_christoffels(self, p):
         return self.coordinate_christoffels_batch(p.coords[None, :])[0]
@@ -171,13 +143,11 @@ def nabla_P(conn, parallelism, v):
 
 
 def covariant_derivative(conn, X, Y, p):
-    """(nabla_X Y)(p) in coordinates."""
+    """(nabla_X Y)(p) = dY X + Gamma(X) Y in coordinates."""
     coords = p.coords[None, :]
-    xv = X.values_batch(coords)[0]
+    xv = X.values_batch(coords)
     yv, yj = Y.jacobian_batch(coords)
-    yv, yj = yv[0], yj[0]
-    gamma = conn.coordinate_christoffels(p)
-    comps = yj @ xv + np.einsum("abc,b,c->a", gamma, xv, yv)
+    comps = yj[0] @ xv[0] + conn.coordinate_christoffels_along(coords, xv)[0] @ yv[0]
     return TangentVector(p, comps)
 
 
@@ -186,13 +156,15 @@ def torsion(conn, X, Y, p):
     TangentVector, or coordinates (m, n), giving components (m, n).
 
     The derivative terms of the covariant derivatives cancel the bracket
-    exactly, leaving the antisymmetrized Christoffel contraction.
+    exactly, leaving Gamma(X) Y - Gamma(Y) X, from one
+    coordinate_christoffels_along call over the stacked [X; Y].
     """
     one = isinstance(p, ChartPoint)
     coords = p.coords[None, :] if one else np.asarray(p, dtype=float)
+    m = len(coords)
     xv = X.values_batch(coords)
     yv = Y.values_batch(coords)
-    gamma = conn.coordinate_christoffels_batch(coords)
-    comps = (np.einsum("mabc,mb,mc->ma", gamma, xv, yv)
-             - np.einsum("mabc,mb,mc->ma", gamma, yv, xv))
+    g = conn.coordinate_christoffels_along(np.concatenate([coords, coords]),
+                                           np.concatenate([xv, yv]))
+    comps = (g[:m] @ yv[:, :, None] - g[m:] @ xv[:, :, None])[:, :, 0]
     return TangentVector(p, comps[0]) if one else comps

@@ -3,8 +3,8 @@
 Direction one: a parallelism from a connection by transporting along the
 radial line segments of a convex chart region. Direction two: a
 connection from a covering parallelism by declaring zero Christoffels in
-each member's parallel frame and blending the coordinate symbols with a
-partition of unity.
+each member's parallel frame and blending the members' coordinate
+endomorphisms Gamma(v) with a partition of unity.
 """
 
 from __future__ import annotations
@@ -63,15 +63,13 @@ def parallelism_from_connection(conn, region, step=DEFAULT_STEP):
 def connection_from_covering_parallelism(cover):
     """The blended covariant derivative of a covering parallelism.
 
-    Each member gets zero Christoffels in its parallel frame; member
-    coordinate symbols are combined pointwise with the partition
-    weights, at the points where a weight is positive. A member whose
-    parallel frame is the coordinate frame contributes exactly zero, so
-    neither its frame nor its weight is evaluated. The blend gives both
-    the symbols (``gamma``) and their contraction with vectors
-    (``gamma_along``, a sum of the members' contractions). Single-member
-    covers keep a reference to their parallelism so transport can use
-    exact frame transfer.
+    Each member gets zero Christoffels in its parallel frame, and the
+    blend, written in the coordinate frame, is Gamma(v) = sum_a w_a
+    Gamma_a(v): each member's Gamma_a(v) = -(d_v E_a) E_a^-1 at the points
+    where its weight is positive. A member whose parallel frame is the
+    coordinate frame contributes exactly zero, so neither its frame nor
+    its weight is evaluated. Single-member covers keep a reference to
+    their parallelism so transport can use exact frame transfer.
     """
     n = cover.region.dim
     terms = []
@@ -80,27 +78,20 @@ def connection_from_covering_parallelism(cover):
         if not conn_a.frame.coordinate:
             terms.append((conn_a, weight))
 
-    def blend(coords, vectors=None):
-        """sum_a w_a Gamma_a: (m, n, n, n), or (m, n, n) contracted with
-        vectors (m, n)."""
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        along = vectors is not None
-        out = np.zeros(coords.shape[:-1] + (n,) * (2 if along else 3))
+    def blend(coords, vectors):
+        """sum_a w_a Gamma_a(v): (m, n, n) at points and vectors (m, n)."""
+        out = np.zeros(coords.shape + (n,))
         for conn_a, weight in terms:
             w = np.asarray(weight(coords), dtype=float)
             active = np.flatnonzero(w > 0.0)
             if not active.size:
                 continue
-            if along:
-                ga = conn_a.coordinate_christoffels_along(coords[active], vectors[active])
-            else:
-                ga = conn_a.coordinate_christoffels_batch(coords[active])
-            out[active] += w[active].reshape((-1,) + (1,) * (ga.ndim - 1)) * ga
+            ga = conn_a.coordinate_christoffels_along(coords[active], vectors[active])
+            out[active] += w[active, None, None] * ga
         return out
 
     backing = cover.members[0][1] if len(cover.members) == 1 else None
-    return Connection(coordinate_frame(n, cover.region), blend,
-                      backing_parallelism=backing, gamma_along=blend)
+    return Connection(coordinate_frame(n, cover.region), blend, backing_parallelism=backing)
 
 
 def decompose_box(box, per_axis=2, overlap=0.25):

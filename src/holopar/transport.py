@@ -8,7 +8,7 @@ step 1e-3). An ensemble takes its curves' positions and velocities from
 Every integration, here and in the radial transports of
 ``constructions``, samples A once on the half-step grid with one
 ``Connection.coordinate_christoffels_along`` call, which forms only the
-contraction Gamma(velocity) (for a connection flat in a jet frame,
+endomorphism Gamma(velocity) (for a connection flat in a jet frame,
 -(d_v E) E^-1 from one jet pass seeded along the velocity), and steps it
 in one vectorized kernel, ``_rk4_matrix``. As the ODE is linear, each
 RK4 step there is one product phi <- phi + D_k phi. The increments D_k
@@ -166,8 +166,7 @@ def _rk4_matrix(A_all, h, sample_idx):
 def _coefficient_grid(conn, pos, vel):
     """A = -vel^j Gamma^i_{jk}(pos) for positions and velocities of shape
     (m, G, n): (m, G, n, n), from one Connection.coordinate_christoffels_along
-    call (no (n, n, n) symbol tensor unless the connection has no shorter
-    path)."""
+    call (no (n, n, n) symbol tensor)."""
     m, G, n = pos.shape
     A = conn.coordinate_christoffels_along(pos.reshape(-1, n), vel.reshape(-1, n))
     return np.negative(A, out=A).reshape(m, G, n, n)

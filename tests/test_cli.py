@@ -323,6 +323,39 @@ def test_non_numeric_check_setting_is_rejected(op):
     assert main(["check", "--config", json.dumps(bad), "--op", op]) == 2
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "section5", "--curves", "0"], "curves must be at least 1, not 0"),
+    (["verify", "section5", "--curves", "-1"], "curves must be at least 1, not -1"),
+    (["verify", "section5", "--vectors", "0"], "vectors must be at least 1, not 0"),
+    (["verify", "section5", "--step", "0"], "step 0.0 "),
+    (["verify", "section5", "--step=0.3"], "step 0.3 "),
+    (["verify", "section5", "--step=-1e-3"], "step -0.001 "),
+    (["verify", "section5", "--step", "2"], "step 2.0 "),
+    (["verify", "section5", "--step", "0.03"], "step 0.03 "),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, curves=0))],
+     "curves must be at least 1, not 0"),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, vectors=0))],
+     "vectors must be at least 1, not 0"),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, step=0))], "step 0.0 "),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, step=0.3))], "step 0.3 "),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, step=0.0015))], "step 0.0015 "),
+    (["check", "--config", json.dumps(S5_CONFIG), "--step", "0"], "step 0.0 "),
+])
+def test_bad_run_setting_is_a_config_error_naming_the_value(argv, named, capsys, monkeypatch):
+    # refused before any fixture is loaded or any check runs
+    monkeypatch.setattr(cli, "load_fixture", lambda name: pytest.fail("fixture loaded"))
+    monkeypatch.setattr(cli, "CHECKS", {})
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert "Traceback" not in err
+
+
+def test_steps_whose_grid_holds_the_sample_times_are_accepted():
+    for step in (1e-3, 2e-3, 5e-3, 1e-2, 0.1, 1 / 30):
+        assert cli.run_settings(step, 1e-6, 1, 1, 0).step == step
+
+
 def test_invalid_json_is_rejected():
     assert main(["check", "--config", "{not json", "--op", "compat"]) == 2
 

@@ -236,13 +236,13 @@ def test_from_coordinate_christoffels_round_trip():
 
 # ---------------------------------------------------------- Christoffel transform
 
-def _textbook_christoffels(conn, coords):
+def _textbook_christoffels(frame, gamma, coords):
     """Gamma^a_{bc} = C^j_b C^k_c (E^a_i Gt^i_{jk} - E^d_j d_d E^a_k), C = E^-1,
-    contracted term by term: the oracle for the batched kernel."""
-    E, dE = conn.frame.matrix_jacobian_batch(coords)
+    contracted term by term for constant frame-relative symbols
+    gamma[i, j, k] = Gt^i_{jk}: the oracle for the batched kernel."""
+    E, dE = frame.matrix_jacobian_batch(coords)
     C = np.linalg.inv(E)
-    gt = conn.gamma(coords)
-    term = np.einsum("mijk,mai->majk", gt, E) - np.einsum("mdj,makd->majk", E, dE)
+    term = np.einsum("ijk,mai->majk", gamma, E) - np.einsum("mdj,makd->majk", E, dE)
     return np.einsum("mjb,mkc,majk->mabc", C, C, term)
 
 
@@ -304,7 +304,7 @@ def test_coordinate_christoffels_batch_matches_textbook_formula(data):
     for frame in _frames(n, q, angle, scale, rank=n):
         conn = Connection(frame, constant_christoffels(gamma))
         got = conn.coordinate_christoffels_batch(coords)
-        want = _textbook_christoffels(conn, coords)
+        want = _textbook_christoffels(frame, gamma, coords)
         assert got.shape == (16, n, n, n)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # the transport coefficients contract the same symbols with a velocity
@@ -326,8 +326,9 @@ def test_coordinate_christoffels_batch_refuses_singular_frame(data):
 @settings(max_examples=30, deadline=None)
 @given(frame_data())
 def test_zero_symbols_match_the_general_path(data):
-    # gamma=None computes -dE^T C only; the general path on explicit zeros
-    # must agree entry for entry, on jet and finite-difference frames
+    # gamma=None leaves out the E Gt(C v) C term; the general path on
+    # explicit zeros must agree entry for entry, on jet and
+    # finite-difference frames
     n, q, angle, scale, _ = data
     coords = np.random.default_rng(1).uniform(-1.0, 1.0, (16, n))
     for frame in _frames(n, q, angle, scale, rank=n):
@@ -335,7 +336,7 @@ def test_zero_symbols_match_the_general_path(data):
         got = Connection(frame, zero_christoffels(n)).coordinate_christoffels_batch(coords)
         general = Connection(frame, constant_christoffels(zero))
         assert np.array_equal(got, general.coordinate_christoffels_batch(coords))
-        want = _textbook_christoffels(general, coords)
+        want = _textbook_christoffels(frame, zero, coords)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
 
 
@@ -416,6 +417,35 @@ def test_christoffels_along_refuse_singular_frame(data):
             continue
         with pytest.raises(SingularFrameError, match="singular frame in Christoffel transform"):
             conn.coordinate_christoffels_along(coords, np.ones((4, n)))
+
+
+def _two_fields(n):
+    """Two non-constant vector fields on the box of `_frames`."""
+    dom = Box((-2.0,) * n, (2.0,) * n)
+    X = VectorField(n, components=lambda xs: [1.0 + 0.3 * xs[n - 1]]
+                    + [jsin(xs[d - 1]) for d in range(1, n)], domain=dom)
+    Y = VectorField(n, components=lambda xs: [xs[d] * xs[0] - 0.5 for d in range(n)],
+                    domain=dom)
+    return X, Y
+
+
+@settings(max_examples=40, deadline=None)
+@given(frame_data())
+def test_torsion_is_the_antisymmetrized_textbook_contraction(data):
+    # T(X, Y)^a = Gamma^a_{bc} (X^b Y^c - Y^b X^c) with the textbook symbols
+    # of constant frame-relative ones, on jet and finite-difference frames
+    n, q, angle, scale, gamma = data
+    coords = np.random.default_rng(6).uniform(-1.0, 1.0, (16, n))
+    X, Y = _two_fields(n)
+    xv, yv = X.values_batch(coords), Y.values_batch(coords)
+    for frame in _frames(n, q, angle, scale, rank=n):
+        got = torsion(Connection(frame, constant_christoffels(gamma)), X, Y, coords)
+        G = _textbook_christoffels(frame, gamma, coords)
+        want = (np.einsum("mabc,mb,mc->ma", G, xv, yv)
+                - np.einsum("mabc,mb,mc->ma", G, yv, xv))
+        assert got.shape == (16, n)
+        bound = 1e-12 * np.max(np.abs(G)) * np.max(np.abs(xv)) * np.max(np.abs(yv))
+        assert np.max(np.abs(got - want)) <= max(bound, _TINY)
 
 
 @settings(max_examples=30, deadline=None)
