@@ -15,123 +15,29 @@ import sys
 import numpy as np
 
 from . import report as report_mod
-from .connections import Connection, zero_christoffels
 from .constructions import connection_from_covering_parallelism
 from .errors import ConfigError, HoloparError
-from .exprs import parse_expr
-from .fixtures import Fixture, fixture_names, load_fixture
-from .geometry import (Box, ChartPoint, Frame, VectorField, dual_coframe, invert_frames,
-                       segment)
-from .jets import as_jet, seed_jets
-from .norms import (ContinuousFamily, MinkowskiNorm, RandersData,
-                    constant_norm_field, isometry_group_2x2,
-                    one_form_norm_field, randers_norm)
-from .parallelism import CoveringParallelism, frame_parallelism, pushdown_norm, translation_parallelism
+from .fixtures import (build_box, build_cover, build_fixture, build_norm, fixture_names,
+                       load_fixture, require_keys)
+from .geometry import ChartPoint, invert_frames, segment
+from .norms import ContinuousFamily, isometry_group_2x2
+from .parallelism import CoveringParallelism, pushdown_norm
 from .transport import transport_ensemble
 from .verification import (CurveGenerator, berwald_obstruction,
                            check_compalg_criterion, check_holonomy_invariance,
                            check_parallelism_compat, make_report,
                            torsion_samples)
 
-COORD_NAMES = ("x", "y", "z")
-NORM_VARS = ("a", "b", "c")
-
-
 # ---------------------------------------------------------------- config
 
-def _require_keys(obj, allowed, required, what):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {what}")
-    missing = set(required) - set(obj)
-    if missing:
-        raise ConfigError(f"missing keys {sorted(missing)} in {what}")
-
-
-def build_box(spec):
-    try:
-        lo = tuple(float(a) for a, _ in spec)
-        hi = tuple(float(b) for _, b in spec)
-        return Box(lo, hi)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad domain box {spec!r}") from exc
-
-
-def build_frame(spec, domain):
-    n = domain.dim
-    names = COORD_NAMES[:n]
-    if len(spec) != n or any(len(col) != n for col in spec):
-        raise ConfigError(f"frame must be {n} fields of {n} expressions")
-    fields = []
-    for col in spec:
-        fns = [parse_expr(e, names) for e in col]
-        fields.append(VectorField(
-            n, components=(lambda xs, fns=fns: [f(*xs) for f in fns]),
-            domain=domain))
-    return Frame(fields=fields, domain=domain)
-
-
-def build_norm(spec):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError("norm spec must be an object with a 'type'")
-    if spec["type"] == "randers":
-        _require_keys(spec, ("type", "Q", "beta"), ("Q", "beta"), "randers norm")
-        return randers_norm(RandersData(np.asarray(spec["Q"], dtype=float),
-                                        np.asarray(spec["beta"], dtype=float)))
-    if spec["type"] == "custom":
-        _require_keys(spec, ("type", "expr", "dimension"), ("expr",), "custom norm")
-        n = int(spec.get("dimension", 2))
-        fn = parse_expr(spec["expr"], NORM_VARS[:n])
-
-        def evaluator(v):
-            v = np.asarray(v, dtype=float)
-            return np.asarray(fn(*(v[..., d] for d in range(n))), dtype=float)
-
-        def gradient(v):
-            # a kink (sqrt of 0) gives a non-finite partial, which
-            # isometry_algebra refuses; no warning is raised for it here
-            v = np.asarray(v, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                jet = as_jet(fn(*seed_jets([v[..., d] for d in range(n)])), n)
-            return np.stack([p + np.zeros(v.shape[:-1]) for p in jet.partials], axis=-1)
-
-        return MinkowskiNorm(n, evaluator, gradient=gradient).check_definite()
-    raise ConfigError(f"unknown norm type {spec['type']!r}")
-
-
-def build_manifold(config):
-    """Inline manifold as a fixture: domain, frame, norm (read through the
-    coframe or constant), and the zero-frame-Christoffel connection."""
-    _require_keys(config, ("domain", "frame", "norm", "norm_via", "seed",
-                           "step", "tolerance", "curves", "vectors"),
-                  ("domain", "frame", "norm"), "manifold config")
-    domain = build_box(config["domain"])
-    frame = build_frame(config["frame"], domain)
-    frame.check_invertible(domain.sample(np.random.default_rng(0), 50, margin=0.05))
-    norm = build_norm(config["norm"])
-    via = config.get("norm_via", "coframe")
-    if via == "coframe":
-        F = one_form_norm_field(dual_coframe(frame), norm)
-    elif via == "constant":
-        F = constant_norm_field(norm)
-    else:
-        raise ConfigError(f"norm_via must be 'coframe' or 'constant', not {via!r}")
-    conn = Connection(frame, zero_christoffels(domain.dim))
-    return Fixture("inline", domain.dim, domain, frame, F, conn,
-                   frame_parallelism(frame), {})
-
-
 def _load_config(arg):
-    if arg is None:
-        raise ConfigError("a --config file or inline JSON is required")
-    text = arg
-    if not arg.lstrip().startswith("{"):
-        with open(arg, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if arg.lstrip().startswith("{"):
+            return json.loads(arg)
+        with open(arg, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:           # ValueError: bad JSON or encoding
+        raise ConfigError(f"config is not a readable JSON file or object: {exc}") from exc
 
 
 def run_settings(step, tol, curves, vectors, seed):
@@ -315,16 +221,17 @@ def cmd_verify(args):
 
 def cmd_check(args):
     config = _load_config(args.config)
-    fx = build_manifold(config)
+    fx = build_fixture({"manifold": config})
     try:
-        settings = (float(config.get("step", args.step)),
-                    float(config.get("tolerance", args.tol)),
-                    int(config.get("curves", args.curves)),
-                    int(config.get("vectors", args.vectors)),
-                    int(config.get("seed", args.seed)))
+        o = run_settings(float(config.get("step", args.step)),
+                         float(config.get("tolerance", args.tol)),
+                         int(config.get("curves", args.curves)),
+                         int(config.get("vectors", args.vectors)),
+                         int(config.get("seed", args.seed)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad check setting in manifold config: {exc}") from exc
-    o = run_settings(*settings)
+    if args.op in ("compat", "compalg") and isinstance(fx.parallelism, CoveringParallelism):
+        raise ConfigError(f"check --op {args.op} takes one parallelism, not a cover")
     rep = CHECKS[args.op](fx, o)
     _emit({"config": config, "op": args.op, "report": rep.to_dict()}, args.out)
     return 0 if rep.passed else 1
@@ -332,24 +239,14 @@ def cmd_check(args):
 
 def cmd_synthesize(args):
     config = _load_config(args.config)
-    _require_keys(config, ("region", "members", "grid"),
-                  ("region", "members"), "synthesize config")
+    require_keys(config, ("region", "members", "grid"), ("region", "members"),
+                 "synthesize config")
+    g = config.get("grid", 5)
+    if isinstance(g, bool) or not isinstance(g, int) or g < 1:
+        raise ConfigError(f"grid must be an integer of at least 1, not {g!r}")
     region = build_box(config["region"])
-    members = []
-    for idx, m in enumerate(config["members"]):
-        _require_keys(m, ("domain", "frame"), ("domain", "frame"), f"member {idx}")
-        box = build_box(m["domain"])
-        if m["frame"] == "translation":
-            members.append((box, translation_parallelism(box)))
-        else:
-            fr = build_frame(m["frame"], box)
-            members.append((box, frame_parallelism(fr)))
-    cover = CoveringParallelism.build(members, region)
-    conn = connection_from_covering_parallelism(cover)
-    g = int(config.get("grid", 5))
-    lo = np.asarray(region.lo)
-    hi = np.asarray(region.hi)
-    axes = [np.linspace(lo[d], hi[d], g + 2)[1:-1] for d in range(region.dim)]
+    conn = connection_from_covering_parallelism(build_cover(config["members"], region))
+    axes = [np.linspace(a, b, g + 2)[1:-1] for a, b in zip(region.lo, region.hi)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, region.dim)
     gamma = conn.coordinate_christoffels_batch(mesh)
     doc = {

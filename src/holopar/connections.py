@@ -22,12 +22,6 @@ import numpy as np
 from .geometry import ChartPoint, Frame, TangentVector, coordinate_frame, invert_frames
 
 
-def zero_christoffels(n):
-    """Vanishing frame-relative symbols in dimension n: None, which
-    ``Connection`` reads as zero without evaluating anything."""
-    return None
-
-
 def constant_christoffels(values):
     """Constant symbols values[i, j, k] = Gt^i_{jk} as the contraction
     (coords, w) -> w^j Gt^i_{jk}: one (m, n) @ (n, n*n) product."""

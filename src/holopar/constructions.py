@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import Connection, zero_christoffels
+from .connections import Connection
 from .geometry import Box, ChartPoint, coordinate_frame
 from .parallelism import CoveringParallelism, Parallelism
 from .transport import DEFAULT_STEP, _coefficient_grid, _rk4_matrix, _step_grid
@@ -74,7 +74,7 @@ def connection_from_covering_parallelism(cover):
     n = cover.region.dim
     terms = []
     for (_, par), weight in zip(cover.members, cover.partition):
-        conn_a = Connection(par.parallel_frame(), zero_christoffels(n))
+        conn_a = Connection.flat(par.parallel_frame())
         if not conn_a.frame.coordinate:
             terms.append((conn_a, weight))
 

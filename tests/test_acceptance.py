@@ -14,7 +14,6 @@ from holopar.connections import Connection, constant_christoffels, nabla_P, tors
 from holopar.constructions import (ConvexChartRegion,
                                    connection_from_covering_parallelism,
                                    parallelism_from_connection)
-from holopar.fixtures import rescaling_connection
 from holopar.geometry import Box, ChartPoint, TangentVector, point, segment
 from holopar.norms import (ContinuousFamily, constant_norm_field,
                            euclidean_norm, is_isometry, isometry_group_2x2,
@@ -145,13 +144,13 @@ def test_criterion_07_round_trips(s5, blend):
           err_par <= 1e-6 and err_conn <= 1e-6 and rep.passed)
 
 
-def test_criterion_08_negative_controls(scaled):
+def test_criterion_08_negative_controls(scaled, rescaling):
     inner = check_parallelism_compat(scaled.norm_field, scaled.parallelism,
                                      pairs=[((0.0, 0.0), (1.0, 0.0))], tol=1e-9)
     ratio_err = abs(inner.witness["value_ratio"] - float(np.e))
     ok_compat = (not inner.passed) and ratio_err <= 1e-6
 
-    conn = rescaling_connection()
+    conn = rescaling
     F = constant_norm_field(euclidean_norm(2))
     sgm = segment((0.0, 0.0), (1.0, 0.0))
     op = parallel_transport(conn, sgm, 1.0, step=1e-3)

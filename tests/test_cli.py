@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holopar import cli, report
-from holopar.cli import build_box, build_frame, build_manifold, build_norm, main
+from holopar import cli, exprs, report
+from holopar.cli import main
 from holopar.connections import Connection, constant_christoffels
 from holopar.errors import ConfigError
-from holopar.exprs import parse_expr
-from holopar.fixtures import fixture_names, load_fixture
+from holopar.exprs import parse_exprs
+from holopar.fixtures import (SPECS, build_box, build_fixture, build_frame, build_norm,
+                              fixture_names, load_fixture)
 from holopar.norms import ContinuousFamily, RandersData, randers_norm
 from holopar.transport import parallel_transport, transport_ensemble
 from holopar.verification import check_compalg_criterion
@@ -148,6 +149,16 @@ def test_check_settings_are_usage_errors_where_no_check_runs(argv):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("grid", [-3, "a", 0, 2.5, True])
+def test_bad_synthesize_grid_is_a_config_error_naming_the_value(grid, capsys):
+    config = {"region": [[-2.0, 2.0], [-2.0, 2.0]], "grid": grid,
+              "members": [{"domain": [[-3.0, 3.0], [-3.0, 3.0]], "frame": "translation"}]}
+    assert main(["synthesize", "--config", json.dumps(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid ") and repr(grid) in err
+    assert "Traceback" not in err
+
+
 def test_synthesize_config_seed_is_rejected():
     config = {"region": [[-2.0, 2.0], [-2.0, 2.0]], "seed": 1,
               "members": [{"domain": [[-3.0, 3.0], [-3.0, 3.0]], "frame": "translation"}]}
@@ -181,6 +192,56 @@ def test_check_config_from_file(tmp_path):
     code, doc = run(["check", "--config", str(cfg), "--op", "compat",
                      "--tol", "1e-9"], tmp_path)
     assert code == 0 and doc["report"]["pass"]
+
+
+# verify's settings of the goldens
+GOLDEN_RUN = ["--seed", "7", "--curves", "12", "--step", "2e-3"]
+
+
+@pytest.mark.parametrize("name", [n for n in fixture_names()
+                                  if any(c in cli.CHECK_OPS for c, _ in SPECS[n]["checks"])])
+def test_check_on_a_fixture_manifold_spec_gives_its_verify_entries(name, tmp_path):
+    # verify and check build the manifold with one builder: check --op on
+    # the fixture's own manifold spec, with the suite's tolerance, repeats
+    # verify's report (the torsion floor has no check flag: its obstruction)
+    _, verified = run(["verify", name] + GOLDEN_RUN, tmp_path, "verify.json")
+    by = {c["check"]: c for c in verified["checks"]}
+    config = json.dumps(SPECS[name]["manifold"])
+    for op, overrides in SPECS[name]["checks"]:
+        if op not in cli.CHECK_OPS:
+            continue
+        tol = ["--tol", repr(overrides["tol"])] if "tol" in overrides else []
+        _, doc = run(["check", "--op", op, "--config", config] + GOLDEN_RUN + tol,
+                     tmp_path, f"{op}.json")
+        rep = doc["report"]
+        if "floor" in overrides:
+            assert rep["witness"] == by[rep["check"] + "_positive"]["witness"]
+        else:
+            assert rep == by[rep["check"]]
+
+
+def test_readme_check_config_gives_the_section5_holonomy_entry(tmp_path):
+    argv = next(a for a in _readme_commands() if a[1] == "check")
+    assert argv[argv.index("--op") + 1] == "holonomy"
+    _, doc = run(argv[1:] + GOLDEN_RUN, tmp_path, "check.json")
+    _, verified = run(["verify", "section5"] + GOLDEN_RUN, tmp_path, "verify.json")
+    by = {c["check"]: c for c in verified["checks"]}
+    assert doc["report"] == by["holonomy_invariance"]
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_check_runs_on_every_fixture_manifold_spec(name, tmp_path):
+    config = json.dumps(SPECS[name]["manifold"])
+    code, doc = run(["check", "--op", "torsion", "--config", config], tmp_path)
+    assert code == 0 and doc["config"] == SPECS[name]["manifold"]
+    assert doc["report"]["check"] == "torsion_obstruction"
+
+
+@pytest.mark.parametrize("op", ["compat", "compalg"])
+def test_parallelism_checks_of_a_cover_are_config_errors(op, capsys):
+    config = json.dumps(SPECS["rotated_blend"]["manifold"])
+    assert main(["check", "--op", op, "--config", config]) == 2
+    assert "not a cover" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- synthesize
@@ -294,9 +355,9 @@ def test_compalg_on_a_custom_norm_decides_with_its_tol():
     # Gamma^x_xx = 1 makes (nabla P)_v a non-zero endomorphism outside the
     # trivial algebra of the section5 norm; written as a custom expression
     # the norm must give the Randers violation and flip at the check's tol
-    custom = build_manifold(dict(S5_CONFIG, norm={"type": "custom",
-                                                  "expr": "sqrt(4*a^2+12*b^2)-a"}))
-    randers = build_manifold(S5_CONFIG)
+    custom = build_fixture({"manifold": dict(S5_CONFIG, norm={"type": "custom",
+                                                              "expr": "sqrt(4*a^2+12*b^2)-a"})})
+    randers = build_fixture({"manifold": S5_CONFIG})
     gamma = np.zeros((2, 2, 2))
     gamma[0, 0, 0] = 1.0
     conn = Connection(custom.frame, constant_christoffels(gamma))
@@ -360,6 +421,11 @@ def test_invalid_json_is_rejected():
     assert main(["check", "--config", "{not json", "--op", "compat"]) == 2
 
 
+def test_a_missing_config_file_is_a_config_error(tmp_path, capsys):
+    assert main(["synthesize", "--config", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_bad_norm_via_is_rejected():
     bad = dict(S5_CONFIG, norm_via="sideways")
     assert main(["check", "--config", json.dumps(bad), "--op", "compat"]) == 2
@@ -368,6 +434,42 @@ def test_bad_norm_via_is_rejected():
 def test_indefinite_custom_norm_is_rejected():
     spec = json.dumps({"type": "custom", "expr": "a"})
     assert main(["isometry-group", "--norm", spec]) == 1
+
+
+@pytest.mark.parametrize("norm, named", [
+    ({"type": "custom", "expr": "sqrt(a^2+b^2)", "dimension": "x"}, "dimension must be"),
+    ({"type": "randers", "Q": [[4, 0], [0, 12]], "beta": [-1, 0, 0]}, "shapes (2, 2) and (3,)"),
+    ({"type": "randers", "Q": np.eye(3).tolist(), "beta": [0.2, 0, 0]},
+     "3-D norm on a 2-D domain"),
+    ({"type": "custom", "expr": "exp(x)*sqrt(a^2+b^2)"}, "names coordinates"),
+])
+def test_malformed_norm_spec_is_a_config_error(norm, named, capsys):
+    config = json.dumps(dict(S5_CONFIG, norm=norm))
+    assert main(["check", "--op", "compat", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert "Traceback" not in err
+
+
+def test_a_norm_field_that_names_coordinates_is_checked_for_definiteness(capsys):
+    # x |v| is negative on half of the domain
+    config = {"domain": [[-1, 1], [-1, 1]], "frame": [["1", "0"], ["0", "1"]],
+              "norm": {"type": "custom", "expr": "x*sqrt(a^2+b^2)"}}
+    assert main(["check", "--op", "compat", "--config", json.dumps(config)]) == 1
+    assert "norm not positive" in capsys.readouterr().err
+
+
+def test_a_repeated_subexpression_is_evaluated_once_per_call(monkeypatch):
+    # rotated_blend's member frame names its angle twice per field
+    calls = []
+    step = exprs._CALLS["smooth_step"]
+    monkeypatch.setitem(exprs._CALLS, "smooth_step", lambda t: calls.append(1) or step(t))
+    frame = build_frame(SPECS["rotated_blend"]["manifold"]["cover"][1]["frame"], None)
+    x = np.linspace(-2.0, 2.0, 9)
+    cols = [f((x, 0.0 * x)) for f in frame.fields]
+    assert len(calls) == 2
+    angle = np.pi / 6.0 * step((x + 1.0) * 0.5)
+    assert np.array_equal(cols[0][0], np.cos(angle)) and np.array_equal(cols[1][0], -np.sin(angle))
 
 
 def test_expression_vocabulary_is_closed():
@@ -382,14 +484,14 @@ def test_expression_vocabulary_is_closed():
 @pytest.mark.parametrize("expr", ["a^b", "x^(y+1)", "b^-a", "x^(2*y)"])
 def test_a_power_with_a_variable_exponent_is_refused_when_parsed(expr):
     with pytest.raises(ConfigError, match="power exponent must be a constant"):
-        parse_expr(expr, ("a", "b", "x", "y"))
+        parse_exprs([expr], ("a", "b", "x", "y"))
 
 
 def test_a_power_with_a_constant_exponent_parses():
     vals = np.array([4.0, 9.0])
-    assert np.array_equal(parse_expr("a^2", ("a",))(vals), vals ** 2.0)
-    assert np.array_equal(parse_expr("x^0.5", ("x",))(vals), vals ** 0.5)
-    assert parse_expr("x^(1+sqrt(4))", ("x",))(2.0) == 8.0
+    assert np.array_equal(parse_exprs(["a^2"], ("a",))(vals)[0], vals ** 2.0)
+    assert np.array_equal(parse_exprs(["x^0.5"], ("x",))(vals)[0], vals ** 0.5)
+    assert parse_exprs(["x^(1+sqrt(4))"], ("x",))(2.0)[0] == 8.0
 
 
 # ---------------------------------------------------------------- README

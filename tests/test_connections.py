@@ -10,9 +10,9 @@ from hypothesis.extra.numpy import arrays
 from holopar.connections import (Connection, christoffels_in_frame,
                                  constant_christoffels, covariant_derivative,
                                  from_coordinate_christoffels, nabla_P, nabla_P_batch,
-                                 torsion, zero_christoffels)
+                                 torsion)
 from holopar.errors import SingularFrameError
-from holopar.fixtures import rotated_frame, section5_frame
+from holopar.fixtures import SPECS, build_frame
 from holopar.geometry import (Box, ChartPoint, Frame, TangentVector, VectorField,
                               coordinate_frame, dual_coframe, point)
 from holopar.jets import jcos, jexp, jsin
@@ -23,11 +23,13 @@ from holopar.transport import _coefficient_grid
 from holopar.verification import check_compalg_criterion, torsion_samples
 
 DOM = Box((-5.0, -5.0), (5.0, 5.0))
+S5_FRAME = SPECS["section5"]["manifold"]["frame"]
+ROTATED_FRAME = SPECS["rotated_blend"]["manifold"]["cover"][1]["frame"]
 
 
 @pytest.fixture(scope="module")
 def s5_conn():
-    return Connection(section5_frame(DOM), zero_christoffels(2))
+    return Connection.flat(build_frame(S5_FRAME, DOM))
 
 
 # ---------------------------------------------------------- frame changes
@@ -52,7 +54,7 @@ def test_flat_connection_coordinate_symbols_vanish():
 
 def test_christoffels_frame_round_trip(s5_conn):
     # coordinate view -> rotated frame -> back to coordinates
-    other = rotated_frame(DOM)
+    other = build_frame(ROTATED_FRAME, DOM)
     rng = np.random.default_rng(2)
     for row in DOM.sample(rng, 10, margin=0.05):
         p = ChartPoint(row)
@@ -333,7 +335,7 @@ def test_zero_symbols_match_the_general_path(data):
     coords = np.random.default_rng(1).uniform(-1.0, 1.0, (16, n))
     for frame in _frames(n, q, angle, scale, rank=n):
         zero = np.zeros((n, n, n))
-        got = Connection(frame, zero_christoffels(n)).coordinate_christoffels_batch(coords)
+        got = Connection.flat(frame).coordinate_christoffels_batch(coords)
         general = Connection(frame, constant_christoffels(zero))
         assert np.array_equal(got, general.coordinate_christoffels_batch(coords))
         want = _textbook_christoffels(frame, zero, coords)
@@ -364,7 +366,7 @@ def test_coordinate_frame_returns_its_symbols_without_frame_jets(data):
                    lambda self, c: calls.append(1) or jacobian(self, c))
         mp.setattr(Frame, "matrix_derivative_batch", lambda *args: calls.append(1))
         conn = Connection(frame, constant_christoffels(gamma))
-        flat = Connection(frame, zero_christoffels(n))
+        flat = Connection.flat(frame)
         got = conn.coordinate_christoffels_batch(coords)
         got_along = conn.coordinate_christoffels_along(coords, v)
         flat_full = flat.coordinate_christoffels_batch(coords)
@@ -387,8 +389,8 @@ def _along_cases(n, q, angle, scale, gamma, rank):
     with constant symbols, in a jet frame, the same frame as a matrix
     function (central differences) and the coordinate frame."""
     jet, fd = _frames(n, q, angle, scale, rank)
-    return [Connection(frame, g) for frame in (jet, fd, coordinate_frame(n))
-            for g in (zero_christoffels(n), constant_christoffels(gamma))]
+    return [conn for frame in (jet, fd, coordinate_frame(n))
+            for conn in (Connection.flat(frame), Connection(frame, constant_christoffels(gamma)))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -470,7 +472,7 @@ def test_frame_values_and_directional_derivatives_keep_the_jacobian_bits(data):
 def test_only_coordinate_frames_are_marked_coordinate():
     assert coordinate_frame(2).coordinate and coordinate_frame(3, DOM).coordinate
     assert not Frame.coordinate
-    assert not section5_frame(DOM).coordinate
+    assert not build_frame(S5_FRAME, DOM).coordinate
     # an identity frame that is not built as the coordinate frame takes the
     # general path, with the same symbols
     ident = Frame(matrix_fn=lambda c: np.broadcast_to(np.eye(2), c.shape[:1] + (2, 2)),

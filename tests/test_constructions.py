@@ -4,12 +4,12 @@ parallelisms."""
 import numpy as np
 import pytest
 
-from holopar.connections import Connection, zero_christoffels
+from holopar.connections import Connection
 from holopar.constructions import (ConvexChartRegion,
                                    connection_from_covering_parallelism,
                                    covering_from_connection, decompose_box,
                                    parallelism_from_connection)
-from holopar.fixtures import rotated_frame, section5_frame
+from holopar.fixtures import SPECS, build_frame
 from holopar.geometry import Box, Curve, coordinate_frame, point, segment
 from holopar.jets import jsin
 from holopar.norms import (RandersData, constant_norm_field, euclidean_norm,
@@ -20,18 +20,20 @@ from holopar.transport import transport_ensemble
 from holopar.verification import CurveGenerator, check_holonomy_invariance, check_parallelism_compat
 
 DOM = Box((-5.0, -5.0), (5.0, 5.0))
+S5_FRAME = SPECS["section5"]["manifold"]["frame"]
+ROTATED_FRAME = SPECS["rotated_blend"]["manifold"]["cover"][1]["frame"]
 WORK = Box((-4.0, -4.0), (4.0, 4.0))
 
 
 @pytest.fixture(scope="module")
 def s5_conn():
-    return Connection(section5_frame(DOM), zero_christoffels(2))
+    return Connection.flat(build_frame(S5_FRAME, DOM))
 
 
 @pytest.fixture(scope="module")
 def s5_F():
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
-    return one_form_norm_field(dual_coframe(section5_frame(DOM)), f)
+    return one_form_norm_field(dual_coframe(build_frame(S5_FRAME, DOM)), f)
 
 
 # ------------------------------------------------- parallelism from connection
@@ -132,8 +134,8 @@ def test_blend_along_vectors_skips_its_translation_member():
     translation = translation_parallelism(b1)
     for name in ("matrix_batch", "matrix_jacobian_batch", "matrix_derivative_batch"):
         setattr(translation.frame, name, unreachable)
-    built = CoveringParallelism.build([(b1, translation),
-                                       (b2, frame_parallelism(rotated_frame(DOM)))], WORK)
+    rotated = frame_parallelism(build_frame(ROTATED_FRAME, DOM))
+    built = CoveringParallelism.build([(b1, translation), (b2, rotated)], WORK)
     cover = CoveringParallelism(built.members, (unreachable, built.partition[1]), WORK)
     conn = connection_from_covering_parallelism(cover)
     rng = np.random.default_rng(9)

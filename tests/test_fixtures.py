@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from holopar.fixtures import (Expected, euclidean_flat, fixture_names, load_fixture,
-                              rescaling_connection, section5_example)
+from holopar.fixtures import SPECS, Expected, build_fixture, fixture_names, load_fixture
 from holopar.geometry import point
 from holopar.verification import (CurveGenerator, check_holonomy_invariance,
                                   check_parallelism_compat)
@@ -25,11 +24,22 @@ def test_all_fixtures_load(s5, flat2, scaled, blend):
 
 
 def test_euclidean_flat_in_three_dimensions():
-    fx = euclidean_flat(3)
+    flat3 = {"domain": [[-5.0, 5.0]] * 3,
+             "frame": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+             "norm": {"type": "custom", "expr": "sqrt(a^2+b^2+c^2)"}}
+    fx = build_fixture(dict(SPECS["euclidean_flat"], manifold=flat3), "euclidean_flat")
     assert fx.dim == 3
     gen = CurveGenerator(fx.domain.shrink(0.05), seed=3, count=8)
     assert check_holonomy_invariance(fx.norm_field, fx.connection, gen).passed
     assert check_parallelism_compat(fx.norm_field, fx.parallelism, pairs=20, tol=1e-9).passed
+
+
+def test_an_identity_frame_spec_builds_the_coordinate_frame(flat2, scaled, blend):
+    # and with it the translation parallelism, which skips frame evaluation
+    for fx in (flat2, scaled, blend):
+        assert fx.frame.coordinate
+    assert flat2.parallelism.frame.coordinate and scaled.parallelism.frame.coordinate
+    assert not load_fixture("section5").frame.coordinate
 
 
 def test_section5_expected_table_provenance(s5):
@@ -68,8 +78,8 @@ def test_scaled_fixture_declares_expected_failures(scaled):
     assert scaled.expected == {}
 
 
-def test_rescaling_connection_symbols():
-    conn = rescaling_connection()
+def test_rescaling_connection_symbols(rescaling):
+    conn = rescaling
     g = conn.coordinate_christoffels(point(0.3, 0.3))
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 0] = 1.0
@@ -87,8 +97,8 @@ def test_blend_members_cover_region(blend):
 
 
 def test_fixture_instances_are_independent():
-    a = section5_example()
-    b = section5_example()
+    a = load_fixture("section5")
+    b = load_fixture("section5")
     assert a is not b
     assert np.array_equal(a.frame.matrix(point(1.0, 1.0)),
                           b.frame.matrix(point(1.0, 1.0)))

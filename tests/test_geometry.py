@@ -145,8 +145,8 @@ def test_bracket_numeric_path_cross_check():
 # ------------------------------------------------------------------ coframes
 
 def test_dual_coframe_of_slanted_frame():
-    from holopar.fixtures import section5_frame
-    frame = section5_frame(DOM2)
+    from holopar.fixtures import SPECS, build_frame
+    frame = build_frame(SPECS["section5"]["manifold"]["frame"], DOM2)
     C = dual_coframe(frame).matrix(point(3.0, -1.0))
     # rows are dy and -dx + x dy
     assert np.allclose(C, [[0.0, 1.0], [-1.0, 3.0]], atol=1e-14)

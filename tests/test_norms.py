@@ -9,9 +9,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from holopar.cli import build_norm
 from holopar.errors import DefinitenessError, PreconditionError
-from holopar.fixtures import section5_frame
+from holopar.fixtures import SPECS, build_frame, build_norm
 from holopar.geometry import Box, Coframe, Frame, VectorField, dual_coframe, point
 from holopar.norms import (ORACLE_ANGLES, ContinuousFamily, MinkowskiNorm, RandersData,
                            _quadratic_form, euclidean_norm, is_isometry, isometry_algebra,
@@ -392,7 +391,8 @@ def _one_form_field(n):
     """section5's field in 2-D; in 3-D a Randers norm read through a
     polynomial jet frame that is invertible on [-1, 1]^3."""
     if n == 2:
-        return one_form_norm_field(dual_coframe(section5_frame(Box((-5.0,) * 2, (5.0,) * 2))), S5)
+        frame = build_frame(SPECS["section5"]["manifold"]["frame"], Box((-5.0,) * 2, (5.0,) * 2))
+        return one_form_norm_field(dual_coframe(frame), S5)
     dom = Box((-1.0,) * 3, (1.0,) * 3)
     cols = (lambda xs: (1.0 + 0.2 * xs[1], 0.3 * xs[0], 0.0),
             lambda xs: (0.0, 1.0, 0.4 * xs[2]),

@@ -7,7 +7,7 @@ import pytest
 from holopar import parallelism
 from holopar.errors import (CoveringGapError, DomainError,
                             IncompatibleParallelismError, SingularFrameError)
-from holopar.fixtures import section5_frame
+from holopar.fixtures import SPECS, build_frame
 from holopar.geometry import Box, point
 from holopar.norms import (RandersData, constant_norm_field, euclidean_norm,
                            one_form_norm_field, randers_norm, unit_sphere)
@@ -19,11 +19,12 @@ from holopar.parallelism import (CoveringParallelism, Parallelism, _bump_1d,
 from holopar.verification import check_parallelism_compat
 
 DOM = Box((-5.0, -5.0), (5.0, 5.0))
+S5_FRAME = SPECS["section5"]["manifold"]["frame"]
 
 
 @pytest.fixture(scope="module")
 def s5_par():
-    return frame_parallelism(section5_frame(DOM))
+    return frame_parallelism(build_frame(S5_FRAME, DOM))
 
 
 # ---------------------------------------------------------- axioms
@@ -70,7 +71,7 @@ def test_parallel_frame_fields_are_transferred_to_themselves(s5_par):
 
 
 def test_parallel_frame_is_the_frame_the_parallelism_came_from():
-    frame = section5_frame(DOM)
+    frame = build_frame(S5_FRAME, DOM)
     assert frame_parallelism(frame).parallel_frame() is frame
     coords = DOM.sample(np.random.default_rng(3), 10)
     E, dE = translation_parallelism(DOM).parallel_frame().matrix_jacobian_batch(coords)
@@ -79,7 +80,7 @@ def test_parallel_frame_is_the_frame_the_parallelism_came_from():
 
 
 def test_compat_of_a_frame_without_domain_is_a_domain_error():
-    frame = section5_frame(None)
+    frame = build_frame(S5_FRAME, None)
     F = one_form_norm_field(dual_coframe(frame), euclidean_norm(2))
     with pytest.raises(DomainError, match="infinite bound"):
         check_parallelism_compat(F, frame_parallelism(frame))
@@ -94,7 +95,7 @@ def test_induced_trivialization_anchored_at_identity(s5_par):
 
 
 def test_induced_trivialization_reproduces_frame(s5_par):
-    frame = section5_frame(DOM)
+    frame = build_frame(S5_FRAME, DOM)
     eta = frame.matrix(point(0.0, 0.0))
     field = induced_trivialization(s5_par, point(0.0, 0.0), eta)
     rng = np.random.default_rng(3)
@@ -123,7 +124,7 @@ def test_induced_trivialization_rejects_singular_eta(s5_par):
 
 def test_section5_pushdown_basepoint_independent(s5_par):
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
-    F = one_form_norm_field(dual_coframe(section5_frame(DOM)), f)
+    F = one_form_norm_field(dual_coframe(build_frame(S5_FRAME, DOM)), f)
     for p in (point(0.0, 0.0), point(3.0, -2.0)):
         pushed = pushdown_norm(F, s5_par, p, basepoints=10, vectors=200, tol=1e-9)
         # the pushed norm is f itself read through the anchor frame
@@ -142,7 +143,7 @@ def test_euclidean_pushdown_is_euclidean():
 
 def test_pushed_norm_gradient_is_exact_on_section5(s5_par):
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
-    F = one_form_norm_field(dual_coframe(section5_frame(DOM)), f)
+    F = one_form_norm_field(dual_coframe(build_frame(S5_FRAME, DOM)), f)
     p = point(1.5, -0.5)
     pushed = pushdown_norm(F, s5_par, p).norm
     v = np.random.default_rng(10).normal(size=(30, 2))
@@ -165,7 +166,7 @@ def test_pushdown_evaluates_phi_once_per_basepoint(s5_par):
 
     par = Parallelism(DOM, phi)
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
-    F = one_form_norm_field(dual_coframe(section5_frame(DOM)), f)
+    F = one_form_norm_field(dual_coframe(build_frame(S5_FRAME, DOM)), f)
     pushed = pushdown_norm(F, par, point(0.0, 0.0), basepoints=6).norm
     assert calls == [1] * 7              # the anchor p and the 6 basepoints
     v = unit_sphere(2, 50)

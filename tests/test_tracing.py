@@ -26,7 +26,7 @@ def test_blend_spans_open_inside_the_transport_ensemble():
         "coordinate_christoffels_batch"]
     try:
         tracer.install(hp)
-        fx = hp.fixtures.rotated_blend()
+        fx = hp.fixtures.load_fixture("rotated_blend")
         curves = hp.verification.CurveGenerator(fx.domain.shrink(0.05), seed=1,
                                                 count=2).curves()
         tracer.spans.clear()

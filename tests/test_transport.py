@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from holopar.connections import (Connection, constant_christoffels,
-                                 from_coordinate_christoffels, zero_christoffels)
+                                 from_coordinate_christoffels)
 from holopar.constructions import ConvexChartRegion, parallelism_from_connection
 from holopar.errors import IntegrationBlowupError, SingularFrameError
-from holopar.fixtures import rescaling_connection, section5_frame
+from holopar.fixtures import SPECS, build_frame
 from holopar.geometry import (Box, Curve, Frame, VectorField, coordinate_frame, point,
                               segment)
 from holopar.jets import jcos, jsin
@@ -21,6 +21,7 @@ from holopar.transport import (BLOCK_MATRICES, _block_steps, _coefficient_grid,
                                phi_curve, transport_ensemble)
 
 DOM = Box((-5.0, -5.0), (5.0, 5.0))
+S5_FRAME = SPECS["section5"]["manifold"]["frame"]
 # the fewest steps a block of the RK4 kernel holds, and a batch that has it
 LEAST_BLOCK = _block_steps(BLOCK_MATRICES)
 MANY = BLOCK_MATRICES // LEAST_BLOCK
@@ -28,7 +29,7 @@ MANY = BLOCK_MATRICES // LEAST_BLOCK
 
 @pytest.fixture(scope="module")
 def s5_conn():
-    return Connection(section5_frame(DOM), zero_christoffels(2))
+    return Connection.flat(build_frame(S5_FRAME, DOM))
 
 
 def wavy():
@@ -63,7 +64,7 @@ def test_transport_flow_property(s5_conn):
 
 @pytest.mark.parametrize("backed", [False, True])
 def test_empty_ensemble_gives_empty_arrays(s5_conn, backed):
-    conn = (Connection(coordinate_frame(2, DOM), zero_christoffels(2),
+    conn = (Connection(coordinate_frame(2, DOM), None,
                        backing_parallelism=translation_parallelism(DOM)) if backed else s5_conn)
     phis, pos0, pos_s = transport_ensemble(conn, [], [0.5, 1.0])
     assert (phis.shape, pos0.shape, pos_s.shape) == ((0, 2, 2, 2), (0, 2), (0, 2, 2))
@@ -81,7 +82,7 @@ def test_ensemble_refuses_sample_times_outside_the_interval(ts, monkeypatch):
                         (Frame, "matrix_derivative_batch"),
                         (VectorField, "_jets_into")):
         monkeypatch.setattr(owner, name, unreachable)
-    conn = Connection(section5_frame(DOM), zero_christoffels(2))
+    conn = Connection.flat(build_frame(S5_FRAME, DOM))
     with pytest.raises(ValueError, match=r"sample times must lie in \[0, 1.0\]"):
         transport_ensemble(conn, [wavy()], ts, step=1e-3)
 
@@ -105,8 +106,8 @@ def test_transport_parameter_validation(s5_conn):
         parallel_transport(s5_conn, wavy(), 1.5)
 
 
-def test_richardson_fourth_order_convergence():
-    conn = rescaling_connection()
+def test_richardson_fourth_order_convergence(rescaling):
+    conn = rescaling
     c = wavy()
     ref, _, _ = transport_ensemble(conn, [c], [1.0], step=0.0125)
     coarse, _, _ = transport_ensemble(conn, [c], [1.0], step=0.05)
@@ -370,10 +371,10 @@ def test_blended_phi_curve_is_orthogonal(blend):
     assert dev <= 1e-7
 
 
-def test_invariance_equivalence_through_trivialization():
+def test_invariance_equivalence_through_trivialization(rescaling):
     # f(Phi(t) v) = f(v) iff F(P v) = F(v): with the translation
     # parallelism the two sides agree identically, compatible or not
-    conn = rescaling_connection()
+    conn = rescaling
     par = translation_parallelism(DOM)
     F = euclidean_norm(2)
     c = segment((0.0, 0.0), (1.0, 0.0))
@@ -405,7 +406,7 @@ def _diag_parallelism(scale):
 def test_backing_transport_refuses_singular_trivialization(floor):
     # phi is singular (or within DET_FLOOR of it) at the curves' start
     par = _diag_parallelism(lambda x: floor + x * x)
-    conn = Connection(coordinate_frame(2, DOM), zero_christoffels(2),
+    conn = Connection(coordinate_frame(2, DOM), None,
                       backing_parallelism=par)
     with pytest.raises(SingularFrameError, match="backing trivialization"):
         transport_ensemble(conn, [segment((0.0, 0.0), (1.0, 1.0))], [1.0])

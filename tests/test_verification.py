@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holopar.connections import Connection, constant_christoffels, zero_christoffels
+from holopar.connections import Connection, constant_christoffels
 from holopar.constructions import connection_from_covering_parallelism
 from holopar.errors import DomainError, PreconditionError, RegularityError
-from holopar.fixtures import rescaling_connection, section5_frame
 from holopar.geometry import Box, Curve, coordinate_frame, curve_positions_velocities, point
 from holopar.jets import jcos
 from holopar.norms import RandersData, constant_norm_field, randers_norm
@@ -67,10 +66,10 @@ def test_invariance_takes_no_christoffel_tensor(name, request, monkeypatch):
     assert run() == restored
 
 
-def test_rescaling_connection_fails_invariance():
+def test_rescaling_connection_fails_invariance(rescaling):
     from holopar.norms import constant_norm_field, euclidean_norm
     F = constant_norm_field(euclidean_norm(2))
-    conn = rescaling_connection()
+    conn = rescaling
     gen = CurveGenerator(WORK.shrink(0.05), seed=3, count=10)
     rep = check_holonomy_invariance(F, conn, gen, tol=1e-6, step=1e-3)
     assert not rep.passed
@@ -183,10 +182,10 @@ def test_uniqueness_refuses_three_dimensions_before_integrating(monkeypatch):
     assert calls == []
 
 
-def test_uniqueness_refuses_non_invariant_connection(s5):
+def test_uniqueness_refuses_non_invariant_connection(s5, rescaling):
     gen = CurveGenerator(WORK.shrink(0.05), seed=7, count=5)
     with pytest.raises(PreconditionError, match="not holonomy invariant"):
-        check_uniqueness(s5.norm_field, s5.connection, rescaling_connection(), gen)
+        check_uniqueness(s5.norm_field, s5.connection, rescaling, gen)
 
 
 # ---------------------------------------------------------- verdicts
