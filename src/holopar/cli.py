@@ -42,12 +42,25 @@ def _load_config(arg):
 
 def run_settings(step, tol, curves, vectors, seed):
     """The common settings of one run (see the check table), refusing
-    fewer than one curve or vector and a step whose grid misses the
-    sample times t = 0.1, ..., 1.0: round(1/step) must be a positive
+    curves, vectors or a seed that is not an integer, fewer than one
+    curve or vector, a negative seed, a step or tolerance that is not a
+    finite number, a negative tolerance, and a step whose grid misses
+    the sample times t = 0.1, ..., 1.0: round(1/step) must be a positive
     multiple of 10."""
-    for key, val in (("curves", curves), ("vectors", vectors)):
-        if val < 1:
-            raise ConfigError(f"{key} must be at least 1, not {val}")
+    for key, val, least in (("curves", curves, 1), ("vectors", vectors, 1), ("seed", seed, 0)):
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ConfigError(f"{key} must be an integer, not {val!r}")
+        if val < least:
+            raise ConfigError(f"{key} must be at least {least}, not {val}")
+    for key, val in (("step", step), ("tolerance", tol)):
+        # abs(nan) <= max is False; an int past the float range would
+        # overflow float()
+        if (isinstance(val, bool) or not isinstance(val, (int, float))
+                or not abs(val) <= sys.float_info.max):
+            raise ConfigError(f"{key} must be a finite number, not {val!r}")
+    if tol < 0:
+        raise ConfigError(f"tolerance must be at least 0, not {tol}")
+    step, tol = float(step), float(tol)
     per_unit = 1.0 / step if step > 0.0 else 0.0
     if not (np.isfinite(per_unit) and round(per_unit) >= 10 and round(per_unit) % 10 == 0):
         raise ConfigError(f"step {step} does not divide the sample times 0.1, ..., 1.0: "
@@ -222,14 +235,9 @@ def cmd_verify(args):
 def cmd_check(args):
     config = _load_config(args.config)
     fx = build_fixture({"manifold": config})
-    try:
-        o = run_settings(float(config.get("step", args.step)),
-                         float(config.get("tolerance", args.tol)),
-                         int(config.get("curves", args.curves)),
-                         int(config.get("vectors", args.vectors)),
-                         int(config.get("seed", args.seed)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad check setting in manifold config: {exc}") from exc
+    o = run_settings(config.get("step", args.step), config.get("tolerance", args.tol),
+                     config.get("curves", args.curves), config.get("vectors", args.vectors),
+                     config.get("seed", args.seed))
     if args.op in ("compat", "compalg") and isinstance(fx.parallelism, CoveringParallelism):
         raise ConfigError(f"check --op {args.op} takes one parallelism, not a cover")
     rep = CHECKS[args.op](fx, o)

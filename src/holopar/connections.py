@@ -9,8 +9,9 @@ Its coordinate view is the endomorphism
 
     Gamma(v) = E Gt(C v) C - (d_v E) C,    C = E^-1,
 
-which is all that transport, torsion and the partition-of-unity blend
-need; the coordinate tensor Gamma^a_{bc} is Gamma(e_b)^a_c.
+which is all that transport, torsion, the partition-of-unity blend,
+nabla P and the change of frame need; the coordinate tensor
+Gamma^a_{bc} = Gamma(e_b)^a_c is only ever an output.
 """
 
 from __future__ import annotations
@@ -20,17 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ChartPoint, Frame, TangentVector, coordinate_frame, invert_frames
+from .parallelism import frame_parallelism
 
 
 def constant_christoffels(values):
     """Constant symbols values[i, j, k] = Gt^i_{jk} as the contraction
-    (coords, w) -> w^j Gt^i_{jk}: one (m, n) @ (n, n*n) product."""
+    (coords, w) -> w^j Gt^i_{jk}: one stacked (1, n) @ (n, n*n) product
+    per point, so a point gives the same bits alone and in a batch (a
+    2-D (m, n) product rounds differently with the row count)."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     rows = values.swapaxes(0, 1).reshape(n, n * n)            # [j, (i, k)]
 
     def gamma(coords, w):
-        return (np.asarray(w, dtype=float) @ rows).reshape(-1, n, n)
+        return (np.asarray(w, dtype=float)[:, None, :] @ rows).reshape(-1, n, n)
     return gamma
 
 
@@ -98,15 +102,14 @@ class Connection:
 
 
 def christoffels_in_frame(conn, new_frame, p):
-    """Christoffel symbols of `conn` expressed relative to `new_frame`."""
-    coords = p.coords[None, :]
-    B, dB = new_frame.matrix_jacobian_batch(coords)
-    B, dB = B[0], dB[0]
+    """Christoffel symbols Gt^i_{jk} of `conn` relative to `new_frame` B:
+    Gt_j = B^-1 (nabla P)_{B_j} B with P = frame_parallelism(B), the n
+    columns B_j taken as one nabla_P_batch at p."""
+    B = new_frame.matrix(p)
     C = invert_frames(B, "target frame")
-    gamma_coord = conn.coordinate_christoffels(p)
-    # nabla_{B_j} B_k = B_j^b (d_b B_k^a + Gamma^a_{bc} B_k^c)
-    cov = np.einsum("bj,akb->ajk", B, dB) + np.einsum("abc,bj,ck->ajk", gamma_coord, B, B)
-    return np.einsum("ia,ajk->ijk", C, cov)
+    n = len(B)
+    cov = nabla_P_batch(conn, frame_parallelism(new_frame), np.tile(p.coords, (n, 1)), B.T)
+    return (C @ cov @ B).swapaxes(0, 1)                       # [j, i, k] -> [i, j, k]
 
 
 def from_coordinate_christoffels(gamma, n, domain=None):
@@ -118,16 +121,15 @@ def nabla_P_batch(conn, parallelism, coords, vectors):
     """Coordinate matrices (m, n, n) of w -> w^k v^j Gt^i_{jk} E_i at points
     and vectors (m, n), Gt the symbols in the P-parallel frame E = phi.
 
-    Contracting E_j^b (phi^-1 v)^j = v^b leaves (d_v phi + Gamma(v) phi) phi^-1.
+    Contracting E_j^b (phi^-1 v)^j = v^b leaves (d_v phi + Gamma(v) phi) phi^-1:
+    phi and d_v phi from one Frame.matrix_derivative_batch, Gamma(v) from
+    one coordinate_christoffels_along call.
     """
     coords = np.asarray(coords, dtype=float)
     v = np.asarray(vectors, dtype=float)
-    phi, dphi = parallelism.parallel_frame().matrix_jacobian_batch(coords)
+    phi, dvphi = parallelism.parallel_frame().matrix_derivative_batch(coords, v)
     phi_inv = invert_frames(phi, "parallel frame in nabla_P")
-    gamma = conn.coordinate_christoffels_batch(coords)
-    # (d_v phi)^a_k = d_d phi^a_k v^d; (Gamma(v) phi)^a_k = Gamma^a_{bc} v^b phi^c_k
-    cov = np.einsum("makd,md->mak", dphi, v) + np.einsum("mabc,mb->mac", gamma, v) @ phi
-    return cov @ phi_inv
+    return (dvphi + conn.coordinate_christoffels_along(coords, v) @ phi) @ phi_inv
 
 
 def nabla_P(conn, parallelism, v):

@@ -9,6 +9,7 @@ endomorphisms Gamma(v) with a partition of unity.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,31 +101,16 @@ def decompose_box(box, per_axis=2, overlap=0.25):
     Each axis is split into `per_axis` pieces enlarged by `overlap`
     times their own width (25% linear overlap by default).
     """
-    n = box.dim
     axis_pieces = []
-    for d in range(n):
-        lo, hi = box.lo[d], box.hi[d]
+    for lo, hi in zip(box.lo, box.hi):
         width = (hi - lo) / per_axis
-        pieces = []
-        for k in range(per_axis):
-            # overhang past the working region keeps bump weights bounded
-            # away from zero on its closure (callers keep the region
-            # strictly inside the chart)
-            a = lo + k * width - overlap * width
-            b = lo + (k + 1) * width + overlap * width
-            pieces.append((a, b))
-        axis_pieces.append(pieces)
-    boxes = []
-
-    def rec(d, los, his):
-        if d == n:
-            boxes.append(Box(tuple(los), tuple(his)))
-            return
-        for a, b in axis_pieces[d]:
-            rec(d + 1, los + [a], his + [b])
-
-    rec(0, [], [])
-    return boxes
+        # overhang past the working region keeps bump weights bounded
+        # away from zero on its closure (callers keep the region
+        # strictly inside the chart)
+        axis_pieces.append([(lo + k * width - overlap * width,
+                             lo + (k + 1) * width + overlap * width) for k in range(per_axis)])
+    return [Box(tuple(a for a, _ in pieces), tuple(b for _, b in pieces))
+            for pieces in itertools.product(*axis_pieces)]
 
 
 def covering_from_connection(conn, domain, per_axis=2, overlap=0.25,

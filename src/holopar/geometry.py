@@ -411,10 +411,6 @@ class Curve:
         pos, vel = curve_positions_velocities([self], ts)
         return pos[0], vel[0]
 
-    def velocity(self, t):
-        pos, vel = self.positions_velocities(np.asarray([t]))
-        return TangentVector(ChartPoint(pos[0]), vel[0])
-
     def validate(self, samples=64):
         inside, regular = check_curves([self], samples)
         if not inside[0]:

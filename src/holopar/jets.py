@@ -34,10 +34,6 @@ class Jet:
     def variable(x, i, n):
         return Jet(x, tuple(1.0 if d == i else 0.0 for d in range(n)))
 
-    @property
-    def nvars(self):
-        return len(self.partials)
-
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet(self.value + other.value,

@@ -108,31 +108,31 @@ def pushdown_norm(norm_field, parallelism, p, basepoints=10, vectors=200,
     others = parallelism.domain.sample(rng, basepoints, margin=0.05)
     vs = unit_sphere(n, vectors)
 
-    def phi_at(q_coords):
-        return parallelism.phi(q_coords[None, :])[0]
-
-    def through(q_coords, phi_q, v):
-        """Basepoints and vectors phi_q v for a batch v of shape (m, n)."""
-        w = v @ phi_q.T
-        return np.broadcast_to(q_coords, w.shape), w
-
-    phi_p = phi_at(p_coords)
-    ref = norm_field(*through(p_coords, phi_p, vs))
-    for q in others:
-        dev = float(np.max(np.abs(norm_field(*through(q, phi_at(q), vs)) - ref)))
+    # F(q, phi_q v) at p and every basepoint q from one phi and one norm call
+    pts = np.concatenate([p_coords[None, :], others])
+    phis = parallelism.phi(pts)
+    w = vs @ phis.swapaxes(1, 2)                                # (1 + basepoints, V, n)
+    vals = norm_field(np.broadcast_to(pts[:, None, :], w.shape).reshape(-1, n),
+                      w.reshape(-1, n)).reshape(len(pts), -1)
+    devs = np.max(np.abs(vals[1:] - vals[0]), axis=1)
+    for q, dev in zip(others, devs):
         if dev > tol:
             raise IncompatibleParallelismError(
                 f"pushed-down norm depends on the basepoint (deviation {dev:.3e})",
-                witness={"p": p_coords.tolist(), "q": q.tolist(), "deviation": dev})
+                witness={"p": p_coords.tolist(), "q": q.tolist(), "deviation": float(dev)})
+    phi_p = phis[0]
+
+    def at_p(v):
+        """Basepoint p and vectors phi_p v for v of shape (..., n), as (m, n)."""
+        w = np.reshape(v, (-1, n)) @ phi_p.T
+        return np.broadcast_to(p_coords, w.shape), w
 
     def evaluator(v):
-        flat = through(p_coords, phi_p, np.reshape(v, (-1, n)))
-        return norm_field(*flat).reshape(np.shape(v)[:-1])
+        return norm_field(*at_p(v)).reshape(np.shape(v)[:-1])
 
     def gradient(v):
         # d/dv F(p, phi_p v) = phi_p^T (grad_v F)(p, phi_p v)
-        flat = through(p_coords, phi_p, np.reshape(v, (-1, n)))
-        return (norm_field.gradient(*flat) @ phi_p).reshape(np.shape(v))
+        return (norm_field.gradient(*at_p(v)) @ phi_p).reshape(np.shape(v))
 
     return PushedNorm(MinkowskiNorm(n, evaluator, gradient=gradient), p_coords)
 

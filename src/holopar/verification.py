@@ -25,6 +25,8 @@ from .transport import DEFAULT_STEP, transport_ensemble
 REL_FLOOR = 1e-12
 # CurveGenerator gives up after this many draws per requested curve
 MAX_ATTEMPTS_PER_CURVE = 100
+# CurveGenerator draws candidates from these families in turn
+CURVE_FAMILIES = ("segment", "circle", "sine", "bezier")
 DEFAULT_TS = tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
 
 
@@ -73,12 +75,11 @@ class CurveGenerator:
     domain: Box
     seed: int = 42
     count: int = 100
-    families: tuple = ("segment", "circle", "sine", "bezier")
 
     def curves(self):
         """The first `count` regular candidates inside the domain, in draw
         order; each round draws the missing number of candidates, the
-        families in turn, and checks them in one batch."""
+        CURVE_FAMILIES in turn, and checks them in one batch."""
         rng = np.random.default_rng(self.seed)
         inner = self.domain.shrink(0.1)
         limit = MAX_ATTEMPTS_PER_CURVE * self.count
@@ -88,7 +89,7 @@ class CurveGenerator:
             if i == limit:
                 raise DomainError(f"only {len(out)} of {self.count} curves fit in "
                                   f"{self.domain} after {i} attempts")
-            batch = [self._make(self.families[k % len(self.families)], rng, inner)
+            batch = [self._make(CURVE_FAMILIES[k % len(CURVE_FAMILIES)], rng, inner)
                      for k in range(i, min(i + self.count - len(out), limit))]
             i += len(batch)
             inside, regular = check_curves(batch)

@@ -401,6 +401,29 @@ def test_non_numeric_check_setting_is_rejected(op):
     (["check", "--config", json.dumps(dict(S5_CONFIG, step=0.3))], "step 0.3 "),
     (["check", "--config", json.dumps(dict(S5_CONFIG, step=0.0015))], "step 0.0015 "),
     (["check", "--config", json.dumps(S5_CONFIG), "--step", "0"], "step 0.0 "),
+    (["verify", "euclidean_flat", "--seed=-1"], "seed must be at least 0, not -1"),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, seed=-3))],
+     "seed must be at least 0, not -3"),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, curves=2.7))],
+     "curves must be an integer, not 2.7"),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, curves=True))],
+     "curves must be an integer, not True"),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, curves="3"))],
+     "curves must be an integer, not '3'"),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, vectors=2.0))],
+     "vectors must be an integer, not 2.0"),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, seed=1.9))],
+     "seed must be an integer, not 1.9"),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, tolerance="nan"))],
+     "tolerance must be a finite number, not 'nan'"),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, tolerance=-1))],
+     "tolerance must be at least 0, not -1"),
+    (["verify", "section5", "--tol", "nan"], "tolerance must be a finite number, not nan"),
+    (["verify", "section5", "--tol=-1"], "tolerance must be at least 0, not -1.0"),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, step="0.01"))],
+     "step must be a finite number, not '0.01'"),
+    (["check", "--config", json.dumps(dict(S5_CONFIG, tolerance=10 ** 400))],
+     "tolerance must be a finite number, not 1000"),
 ])
 def test_bad_run_setting_is_a_config_error_naming_the_value(argv, named, capsys, monkeypatch):
     # refused before any fixture is loaded or any check runs

@@ -421,6 +421,27 @@ def test_christoffels_along_refuse_singular_frame(data):
             conn.coordinate_christoffels_along(coords, np.ones((4, n)))
 
 
+@st.composite
+def symbols_and_vectors(draw):
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 40))
+    gamma = draw(arrays(float, (n, n, n), elements=st.floats(-2.0, 2.0)))
+    return gamma, draw(arrays(float, (m, n), elements=st.floats(-3.0, 3.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(symbols_and_vectors())
+def test_constant_symbols_along_a_batch_are_the_row_by_row_bits(data):
+    # a point's Gamma(v) does not depend on the batch it is evaluated in
+    gamma, v = data
+    m, n = v.shape
+    conn = from_coordinate_christoffels(constant_christoffels(gamma), n)
+    coords = np.zeros((m, n))
+    got = conn.coordinate_christoffels_along(coords, v)
+    rows = [conn.coordinate_christoffels_along(coords[i:i + 1], v[i:i + 1])[0] for i in range(m)]
+    assert np.array_equal(got, np.array(rows))
+
+
 def _two_fields(n):
     """Two non-constant vector fields on the box of `_frames`."""
     dom = Box((-2.0,) * n, (2.0,) * n)
@@ -488,19 +509,6 @@ def test_only_coordinate_frames_are_marked_coordinate():
 _S5_NORM = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
 
 
-def _nabla_p_by_frame_change(conn, frame, coords, vectors):
-    """phi C cov(C v) phi^-1 with the symbols of `christoffels_in_frame`,
-    one point at a time: the formula nabla_P_batch replaces."""
-    out = []
-    for row, v in zip(coords, vectors):
-        p = ChartPoint(row)
-        phi = frame.matrix(p)
-        phi_inv = np.linalg.inv(phi)
-        gt = christoffels_in_frame(conn, frame, p)
-        out.append(phi @ np.einsum("j,ijk->ik", phi_inv @ v, gt) @ phi_inv)
-    return np.array(out)
-
-
 _TINY_GAMMA = np.zeros((2, 2, 2))
 _TINY_GAMMA[0, 0, 0] = 4.1e-265
 
@@ -520,15 +528,16 @@ def test_batched_nabla_p_matches_the_frame_change_formula(data):
     coords = rng.uniform(-1.0, 1.0, (8, n))
     vectors = rng.normal(size=(8, n))
     got = nabla_P_batch(conn, frame_parallelism(parallel), coords, vectors)
-    want = _nabla_p_by_frame_change(conn, parallel, coords, vectors)
     assert got.shape == (8, n, n)
-    # got sums (d_v phi) phi^-1 and Gamma(v), which can cancel to far below
-    # their own size: rounding is bounded relative to the terms
+    # the textbook formula (d_d phi v^d) phi^-1 + Gamma^a_{bc} v^b, from the
+    # full frame Jacobian and the coordinate tensor
     phi, dphi = parallel.matrix_jacobian_batch(coords)
     terms = (np.einsum("makd,md->mak", dphi, vectors) @ np.linalg.inv(phi),
              np.einsum("mabc,mb->mac", conn.coordinate_christoffels_batch(coords), vectors))
+    # the two terms can cancel to far below their own size: rounding is
+    # bounded relative to the terms
     scale = max(np.max(np.abs(term)) for term in terms)
-    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert np.max(np.abs(got - (terms[0] + terms[1]))) <= 1e-12 * scale
     one = nabla_P(conn, frame_parallelism(parallel), TangentVector(ChartPoint(coords[2]),
                                                                   vectors[2]))
     assert np.array_equal(one, got[2])
@@ -545,27 +554,30 @@ def test_batched_nabla_p_refuses_a_rank_deficient_parallel_frame(s5_conn):
 
 
 def test_compalg_takes_one_christoffel_and_one_frame_jacobian_call(s5_conn, monkeypatch):
-    # the connection is written in the coordinate frame, so its Christoffel
-    # call takes no frame Jacobian: the one call is the parallel frame's
+    # the connection is written in the coordinate frame, so its Gamma(v)
+    # call takes no frame derivative: the one derivative call is the
+    # parallel (jet) frame's, seeded along v; no tensor, no full Jacobian
     gamma = np.zeros((2, 2, 2))
     gamma[0, 0, 0] = 1.0
     conn = from_coordinate_christoffels(constant_christoffels(gamma), 2, DOM)
     F = one_form_norm_field(dual_coframe(s5_conn.frame), _S5_NORM)
-    calls = {"christoffels": 0, "jacobian": 0}
-    christoffels = Connection.coordinate_christoffels_batch
-    jacobian = Frame.matrix_jacobian_batch
+    counted_methods = [(Connection, "coordinate_christoffels_along"),
+                       (Connection, "coordinate_christoffels_batch"),
+                       (Frame, "matrix_derivative_batch"),
+                       (Frame, "matrix_jacobian_batch")]
+    calls = {name: 0 for _, name in counted_methods}
 
-    def counted(key, fn):
+    def counted(name, fn):
         def wrapper(*args):
-            calls[key] += 1
+            calls[name] += 1
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(Connection, "coordinate_christoffels_batch",
-                        counted("christoffels", christoffels))
-    monkeypatch.setattr(Frame, "matrix_jacobian_batch", counted("jacobian", jacobian))
+    for cls, name in counted_methods:
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
     rep = check_compalg_criterion(F, frame_parallelism(s5_conn.frame), conn, samples=100)
-    assert calls == {"christoffels": 1, "jacobian": 1}
+    assert calls == {"coordinate_christoffels_along": 1, "coordinate_christoffels_batch": 0,
+                     "matrix_derivative_batch": 1, "matrix_jacobian_batch": 0}
     assert rep.samples == 100 and not rep.passed
 
 

@@ -168,12 +168,12 @@ def test_pushdown_evaluates_phi_once_per_basepoint(s5_par):
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
     F = one_form_norm_field(dual_coframe(build_frame(S5_FRAME, DOM)), f)
     pushed = pushdown_norm(F, par, point(0.0, 0.0), basepoints=6).norm
-    assert calls == [1] * 7              # the anchor p and the 6 basepoints
+    assert calls == [7]                  # the anchor p and the 6 basepoints, in one call
     v = unit_sphere(2, 50)
     pushed(v)
     pushed.gradient(v)
     pushed.gradient(v[0])
-    assert len(calls) == 7
+    assert len(calls) == 1
 
 
 def test_incompatible_pair_raises_with_witness(scaled):

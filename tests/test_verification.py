@@ -329,7 +329,8 @@ def _curves_one_at_a_time(gen):
         if i == verification.MAX_ATTEMPTS_PER_CURVE * gen.count:
             raise DomainError(f"only {len(out)} of {gen.count} curves fit in "
                               f"{gen.domain} after {i} attempts")
-        curve = gen._make(gen.families[i % len(gen.families)], rng, inner)
+        curve = gen._make(verification.CURVE_FAMILIES[i % len(verification.CURVE_FAMILIES)],
+                          rng, inner)
         i += 1
         try:
             out.append(curve.validate())
