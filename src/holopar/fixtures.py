@@ -4,15 +4,15 @@ property suites.
 
 A fixture is a spec dictionary in ``SPECS``: its ``manifold`` (the
 grammar of ``check --config``, see README) plus its ``verify`` suite and
-summary, by names in the CLI's check table, its expected-value table
-(key -> [value, tol, provenance]) and the failures a control case
-expects. ``build_fixture`` is the one builder of every spec, and
-``Fixture.validate()`` re-derives each expected entry at its tolerance.
+summary, by names in the CLI's check table, and its expected-value
+table (key -> [value, tol, provenance]). ``build_fixture`` is the one
+builder of every spec, and ``Fixture.validate()`` re-derives each
+expected entry at its tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .geometry import Box, Frame, VectorField, coordinate_frame, dual_coframe, p
 from .jets import as_jet, seed_jets
 from .norms import (MinkowskiNorm, NormField, RandersData, constant_norm_field,
                     one_form_norm_field, randers_norm)
-from .parallelism import CoveringParallelism, frame_parallelism, translation_parallelism
+from .parallelism import CoveringParallelism, frame_parallelism
 from .transport import parallel_transport
 
 COORD_NAMES = ("x", "y", "z")
@@ -72,10 +72,6 @@ SPECS = {
         },
         "checks": [["expected_failure", {"check": "compat", "ratio": 2.718281828459045,
                                          "tol": 1e-9, "pairs": [[[0.0, 0.0], [1.0, 0.0]]]}]],
-        "expects_failure": {
-            "parallelism_compat": "value ratio e between (0,0) and (1,0)",
-            "holonomy_invariance": "norm scale drifts along x",
-        },
     },
     # translations on x < 1 and a rotating frame on x > -1, blended: the
     # derivative preserves the Euclidean norm but has torsion
@@ -113,7 +109,6 @@ class Fixture:
     connection: Connection
     parallelism: object                  # Parallelism or CoveringParallelism
     expected: dict
-    expects_failure: dict = field(default_factory=dict)
     minkowski_norm: object = None        # norm in frame components, if one-form
     checks: tuple = ()                   # verify suite: (check name, overrides)
     summary: tuple = ()                  # names of the verify summary values
@@ -171,9 +166,17 @@ def require_keys(obj, allowed, required, what):
 
 
 def build_box(spec):
+    """The Box of [[lo, hi], ...], refusing a bound that is not finite."""
     try:
-        return Box(tuple(float(a) for a, _ in spec), tuple(float(b) for _, b in spec))
-    except (TypeError, ValueError) as exc:
+        lo, hi = zip(*((float(a), float(b)) for a, b in spec))
+    except (TypeError, ValueError, OverflowError) as exc:      # Overflow: an int past 1e308
+        raise ConfigError(f"bad domain box {spec!r}") from exc
+    for bound in lo + hi:
+        if not np.isfinite(bound):
+            raise ConfigError(f"box bound {bound} is not finite in {spec!r}")
+    try:
+        return Box(lo, hi)
+    except ValueError as exc:
         raise ConfigError(f"bad domain box {spec!r}") from exc
 
 
@@ -240,10 +243,6 @@ def build_norm(spec, dim=2, coordinates=False):
                          gradient=lambda v: gradient(None, v)).check_definite()
 
 
-def _parallelism(frame, domain):
-    return translation_parallelism(domain) if frame.coordinate else frame_parallelism(frame)
-
-
 def build_cover(members, region):
     """The covering parallelism of `region` by members {"domain", "frame"},
     each frame "translation" or a frame spec on the member's box."""
@@ -257,7 +256,7 @@ def build_cover(members, region):
             raise ConfigError(f"member {idx} is {box.dim}-D in a {region.dim}-D region")
         frame = (coordinate_frame(box.dim, box) if m["frame"] == "translation"
                  else build_frame(m["frame"], box))
-        pars.append((box, _parallelism(frame, box)))
+        pars.append((box, frame_parallelism(frame)))
     return CoveringParallelism.build(pars, region)
 
 
@@ -265,8 +264,8 @@ def build_fixture(spec, name="inline"):
     """The validated fixture of a spec: its manifold's domain, frame, norm
     field, connection (the cover's blend, or the one that kills the frame)
     and parallelism, with the spec's suite and expected table."""
-    require_keys(spec, ("manifold", "checks", "summary", "expected", "expects_failure"),
-                 ("manifold",), f"fixture {name}")
+    require_keys(spec, ("manifold", "checks", "summary", "expected"), ("manifold",),
+                 f"fixture {name}")
     m = spec["manifold"]
     require_keys(m, ("domain", "frame", "norm", "norm_via", "cover", "seed", "step", "tolerance",
                      "curves", "vectors"), ("domain", "frame", "norm"), "manifold spec")
@@ -295,10 +294,9 @@ def build_fixture(spec, name="inline"):
         par = build_cover(m["cover"], domain)
         conn = connection_from_covering_parallelism(par)
     else:
-        conn, par = Connection.flat(frame), _parallelism(frame, domain)
+        conn, par = Connection.flat(frame), frame_parallelism(frame)
     return Fixture(name, domain.dim, domain, frame, F, conn, par,
                    {key: Expected(*e) for key, e in spec.get("expected", {}).items()},
-                   expects_failure=dict(spec.get("expects_failure", {})),
                    minkowski_norm=None if via != "coframe" or isinstance(norm, NormField) else norm,
                    checks=tuple((c, dict(o)) for c, o in spec.get("checks", ())),
                    summary=tuple(spec.get("summary", ()))).validate()

@@ -1,29 +1,45 @@
 """Charts, points, tangent vectors, fields, frames, coframes and curves.
 
 Everything lives in a single global chart whose domain is an open
-axis-aligned box. Smooth fields are evaluated through jets, so first
-derivatives (Jacobians, brackets, velocities) are exact to rounding;
-central finite differences (h = 1e-5) are kept as a fallback for fields
-that are only available numerically (e.g. ODE-built trivializations).
+axis-aligned box. A vector field is evaluated through jets alone, so
+first derivatives (Jacobians, brackets, velocities) are exact to
+rounding. Finite differences are taken only where no closed form
+exists, always through ``central_differences`` (step FD_STEP = 1e-5):
+the Jacobian of a frame given by a matrix function (an ODE-built
+trivialization) and the default gradient of a norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RegularityError, SingularFrameError
+from .errors import DomainError, PreconditionError, RegularityError, SingularFrameError
 from .jets import Jet, as_jet, seed_jets
 
 FD_STEP = 1e-5
 DET_FLOOR = 1e-12
 
 
+def central_differences(fn, x):
+    """Central differences of fn at points x (..., n) along each
+    coordinate, step FD_STEP: fn (..., *out) gives (..., n, *out).
+
+    The direction axis sits right after the point axes (axis x.ndim - 1),
+    so a Jacobian transposed to direction-last stays a view of a
+    derivative-major array.
+    """
+    x = np.asarray(x, dtype=float)
+    diffs = np.stack([fn(x + h) - fn(x - h) for h in FD_STEP * np.eye(x.shape[-1])],
+                     axis=x.ndim - 1)
+    diffs /= 2 * FD_STEP
+    return diffs
+
+
 @dataclass(frozen=True)
 class Box:
-    """Open axis-aligned box; bounds may be infinite."""
+    """Open axis-aligned box; bounds may be infinite, not NaN."""
 
     lo: tuple
     hi: tuple
@@ -31,8 +47,9 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ValueError("lo/hi dimension mismatch")
-        if any(a >= b for a, b in zip(self.lo, self.hi)):
-            raise ValueError("empty box")
+        # not (a < b), so that a NaN bound is refused too
+        if not all(a < b for a, b in zip(self.lo, self.hi)):
+            raise ValueError(f"empty box: lo {self.lo}, hi {self.hi}")
 
     @property
     def dim(self):
@@ -119,35 +136,21 @@ class TangentVector:
 
 
 class VectorField:
-    """Smooth vector field on a chart domain.
+    """Smooth vector field on a chart domain, given by a component
+    callable on a tuple of scalars or Jets: derivatives are exact, and
+    jets may nest."""
 
-    Built either from a jet-generic component callable (exact
-    derivatives, supports nesting) or from a numeric batch evaluator
-    (derivatives by central differences).
-    """
-
-    def __init__(self, dim, components=None, values_fn=None, domain=None):
-        if components is None and values_fn is None:
-            raise ValueError("need components or values_fn")
+    def __init__(self, dim, components, domain=None):
         self.dim = dim
         self.domain = domain
         self._components = components
-        self._values_fn = values_fn
-
-    @property
-    def is_generic(self):
-        return self._components is not None
 
     def __call__(self, xs):
-        """Evaluate components on a tuple of scalars/Jets (generic path)."""
-        if self._components is None:
-            raise TypeError("numeric-only field has no generic evaluator")
+        """Evaluate components on a tuple of scalars/Jets."""
         return self._components(xs)
 
     def values_batch(self, coords):
         coords = np.asarray(coords, dtype=float)
-        if self._values_fn is not None:
-            return np.asarray(self._values_fn(coords), dtype=float)
         vals = np.empty(coords.shape)
         self._jets_into(coords, (), vals, None)
         return vals
@@ -164,27 +167,18 @@ class VectorField:
         """Write the components into vals (m, n) and their derivatives
         into parts (m, n, k); both may be views of larger arrays.
 
-        A generic field seeds its jets with ``directions`` (as in
-        ``seed_jets``): None gives the Jacobian, k directions the
-        derivatives along each, and () the values alone (parts unused).
-        A numeric field takes its Jacobian by central differences
-        (directions None only).
+        The jets are seeded with ``directions`` (as in ``seed_jets``):
+        None gives the Jacobian, k directions the derivatives along each,
+        and () the values alone (parts unused).
         """
         n = coords.shape[1]
-        if self._components is not None:
-            xs = seed_jets(tuple(coords[:, d] for d in range(n)), directions)
-            k = n if directions is None else len(directions)
-            for i, c in enumerate(self._components(xs)):
-                c = as_jet(c, k)
-                vals[:, i] = c.value
-                for d, p in enumerate(c.partials):
-                    parts[:, i, d] = p
-            return
-        for d in range(n):
-            e = np.zeros(n)
-            e[d] = FD_STEP
-            parts[:, :, d] = (self._values_fn(coords + e) - self._values_fn(coords - e)) / (2 * FD_STEP)
-        vals[...] = self._values_fn(coords)
+        xs = seed_jets(tuple(coords[:, d] for d in range(n)), directions)
+        k = n if directions is None else len(directions)
+        for i, c in enumerate(self._components(xs)):
+            c = as_jet(c, k)
+            vals[:, i] = c.value
+            for d, p in enumerate(c.partials):
+                parts[:, i, d] = p
 
     def at(self, p):
         """Evaluate as a TangentVector at a point."""
@@ -214,28 +208,20 @@ def lie_bracket(X, Y):
     if X.dim != Y.dim:
         raise ValueError("dimension mismatch")
     n = X.dim
-    domain = X.domain or Y.domain
 
-    if X.is_generic and Y.is_generic:
-        def comps(xs):
-            seeded = tuple(Jet(xs[d], tuple(1.0 if e == d else 0.0 for e in range(n)))
-                           for d in range(n))
-            Xc = [as_jet(c, n) for c in X(seeded)]
-            Yc = [as_jet(c, n) for c in Y(seeded)]
-            return [sum(Xc[j].value * Yc[i].partials[j] - Yc[j].value * Xc[i].partials[j]
-                        for j in range(n)) for i in range(n)]
-        return VectorField(n, components=comps, domain=domain)
-
-    def values_fn(coords):
-        xv, xj = X.jacobian_batch(coords)
-        yv, yj = Y.jacobian_batch(coords)
-        return np.einsum("mj,mij->mi", xv, yj) - np.einsum("mj,mij->mi", yv, xj)
-
-    return VectorField(n, values_fn=values_fn, domain=domain)
+    def comps(xs):
+        seeded = seed_jets(xs)
+        Xc = [as_jet(c, n) for c in X(seeded)]
+        Yc = [as_jet(c, n) for c in Y(seeded)]
+        return [sum(Xc[j].value * Yc[i].partials[j] - Yc[j].value * Xc[i].partials[j]
+                    for j in range(n)) for i in range(n)]
+    return VectorField(n, components=comps, domain=X.domain or Y.domain)
 
 
 class Frame:
-    """n vector fields with everywhere-invertible component matrix.
+    """n vector fields with everywhere-invertible component matrix, or a
+    matrix function (m, n) -> (m, n, n) (an ODE-built trivialization),
+    which has no fields and is differentiated by central differences.
 
     ``coordinate`` is True only on the frames of ``coordinate_frame``,
     whose matrix is the identity and whose derivative vanishes.
@@ -255,16 +241,13 @@ class Frame:
         self._matrix_fn = matrix_fn
         self.domain = domain
 
-    @cached_property
+    @property
     def fields(self):
-        if self._fields is not None:
-            return self._fields
-        mk = self._matrix_fn
-        return tuple(
-            VectorField(self.dim,
-                        values_fn=(lambda coords, k=k: mk(coords)[:, :, k]),
-                        domain=self.domain)
-            for k in range(self.dim))
+        """The frame's vector fields; a frame given by a matrix function
+        has none, and is refused."""
+        if self._fields is None:
+            raise PreconditionError("a frame given by a matrix function has no vector fields")
+        return self._fields
 
     def matrix_batch(self, coords):
         """Component matrices E with E[:, a, j] = (E_j)^a: (m,n,n)."""
@@ -281,32 +264,28 @@ class Frame:
         """
         coords = np.asarray(coords, dtype=float)
         m, n = coords.shape
+        if self._fields is None:
+            E = np.asarray(self._matrix_fn(coords), dtype=float)
+            return E, central_differences(self._matrix_fn, coords).transpose(0, 2, 3, 1)
+        E = np.empty((m, n, n))
         dE = np.empty((m, n, n, n)).transpose(0, 2, 3, 1)
-        if self._fields is not None:
-            E = np.empty((m, n, n))
-            for k, f in enumerate(self._fields):
-                f._jets_into(coords, None, E[:, :, k], dE[:, :, k])
-            return E, dE
-        E = np.asarray(self._matrix_fn(coords), dtype=float)
-        for d in range(n):
-            e = np.zeros(n)
-            e[d] = FD_STEP
-            dE[..., d] = (self._matrix_fn(coords + e) - self._matrix_fn(coords - e)) / (2 * FD_STEP)
+        for k, f in enumerate(self._fields):
+            f._jets_into(coords, None, E[:, :, k], dE[:, :, k])
         return E, dE
 
     def matrix_derivative_batch(self, coords, vectors):
         """E (m,n,n) and its derivative along vectors (m,n): d_v E (m,n,n),
         (d_v E)[:, a, k] = v^d d_d (E_k)^a.
 
-        A frame of generic (jet) fields takes both from one jet pass
-        seeded along v, one partial per variable. Any other frame
+        A frame of fields takes both from one jet pass seeded along v,
+        one partial per variable. A frame given by a matrix function
         contracts matrix_jacobian_batch with v, one (1, n) @ (n, n*n)
         product per point over its derivative-major dE.
         """
         coords = np.asarray(coords, dtype=float)
         v = np.asarray(vectors, dtype=float)
         m, n = coords.shape
-        if self._fields is None or not all(f.is_generic for f in self._fields):
+        if self._fields is None:
             E, dE = self.matrix_jacobian_batch(coords)
             rows = dE.transpose(0, 3, 1, 2).reshape(m, n, n * n)
             return E, (v[:, None, :] @ rows).reshape(m, n, n)

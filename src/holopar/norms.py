@@ -1,7 +1,8 @@
 """Definite norms on R^n and on tangent spaces; isometry machinery.
 
-Every norm has a gradient (central differences when none is given), so
-the Lie algebra of iso(f), the A with grad f(u) . Au = 0 on the unit
+Every norm has a gradient in v; one that is not given is taken by
+``geometry.central_differences``, the package's one finite difference.
+So the Lie algebra of iso(f), the A with grad f(u) . Au = 0 on the unit
 sphere, is one SVD nullspace in any dimension and one membership test.
 The 2x2 oracle lists finite groups: every isometry preserves the
 Binet-Legendre inner product of f, so the group is a C_k or D_k read off
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitenessError, PreconditionError
-from .geometry import FD_STEP
+from .geometry import central_differences
 
 ISOMETRY_TOL = 1e-9
 LIE_ALGEBRA_TOL = 1e-8
@@ -46,23 +47,10 @@ def unit_sphere(n, count):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _central_differences(fn, n):
-    """Gradient of fn(..., v) in v (..., n): central differences, step FD_STEP."""
-    steps = FD_STEP * np.eye(n)
-
-    def gradient(*args):
-        *head, v = args
-        v = np.asarray(v, dtype=float)
-        return np.stack([fn(*head, v + h) - fn(*head, v - h) for h in steps],
-                        axis=-1) / (2 * FD_STEP)
-
-    return gradient
-
-
 @dataclass(frozen=True)
 class MinkowskiNorm:
     """Definite continuous function on R^n; evaluator is batch-friendly;
-    the gradient defaults to central differences with step FD_STEP."""
+    the gradient defaults to central differences."""
 
     dim: int
     evaluator: object                     # (..., n) -> (...)
@@ -70,7 +58,7 @@ class MinkowskiNorm:
 
     def __post_init__(self):
         if self.gradient is None:
-            object.__setattr__(self, "gradient", _central_differences(self, self.dim))
+            object.__setattr__(self, "gradient", lambda v: central_differences(self, v))
 
     def __call__(self, v):
         return self.evaluator(np.asarray(v, dtype=float))
@@ -262,7 +250,9 @@ class NormField:
 
     def __post_init__(self):
         if self.gradient is None:
-            object.__setattr__(self, "gradient", _central_differences(self, self.dim))
+            def gradient(coords, v):
+                return central_differences(lambda w: self(coords, w), v)
+            object.__setattr__(self, "gradient", gradient)
 
     def __call__(self, coords, vectors):
         return self.evaluator(np.asarray(coords, dtype=float),

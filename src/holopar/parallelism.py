@@ -24,8 +24,9 @@ class Parallelism:
 
     ``phi`` maps a batch of coordinates (m, n) to matrices (m, n, n);
     ``frame`` (optional) is the parallel frame phi came from, whose fields
-    give exact derivatives. ODE-built parallelisms have none, and their
-    parallel frame is differentiated by finite differences.
+    give exact derivatives. ODE-built parallelisms have none: their
+    parallel frame is given by the matrix function phi, has no fields,
+    and is differentiated by central differences.
     """
 
     def __init__(self, domain, phi, frame=None):
@@ -60,13 +61,7 @@ def frame_parallelism(frame):
 
 def translation_parallelism(domain):
     """phi = identity everywhere: P(p, q) = I."""
-    n = domain.dim
-
-    def phi(coords):
-        coords = np.asarray(coords, dtype=float)
-        return np.broadcast_to(np.eye(n), coords.shape[:-1] + (n, n)).copy()
-
-    return Parallelism(domain, phi, frame=coordinate_frame(n, domain))
+    return frame_parallelism(coordinate_frame(domain.dim, domain))
 
 
 def induced_trivialization(parallelism, p, eta):

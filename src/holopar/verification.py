@@ -25,7 +25,8 @@ from .transport import DEFAULT_STEP, transport_ensemble
 REL_FLOOR = 1e-12
 # CurveGenerator gives up after this many draws per requested curve
 MAX_ATTEMPTS_PER_CURVE = 100
-# CurveGenerator draws candidates from these families in turn
+# CurveGenerator draws candidates from these families in turn; a circle
+# needs two axes, so a 1-D domain skips it
 CURVE_FAMILIES = ("segment", "circle", "sine", "bezier")
 DEFAULT_TS = tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
 
@@ -80,6 +81,7 @@ class CurveGenerator:
         """The first `count` regular candidates inside the domain, in draw
         order; each round draws the missing number of candidates, the
         CURVE_FAMILIES in turn, and checks them in one batch."""
+        families = tuple(f for f in CURVE_FAMILIES if f != "circle" or self.domain.dim >= 2)
         rng = np.random.default_rng(self.seed)
         inner = self.domain.shrink(0.1)
         limit = MAX_ATTEMPTS_PER_CURVE * self.count
@@ -89,7 +91,7 @@ class CurveGenerator:
             if i == limit:
                 raise DomainError(f"only {len(out)} of {self.count} curves fit in "
                                   f"{self.domain} after {i} attempts")
-            batch = [self._make(CURVE_FAMILIES[k % len(CURVE_FAMILIES)], rng, inner)
+            batch = [self._make(families[k % len(families)], rng, inner)
                      for k in range(i, min(i + self.count - len(out), limit))]
             i += len(batch)
             inside, regular = check_curves(batch)
@@ -116,7 +118,8 @@ class CurveGenerator:
             return Curve.of(circle_coords, (c, r, th0, dth),
                             key=(int(axes[0]), int(axes[1])), domain=self.domain,
                             params={"family": "circle", "center": c, "radius": r,
-                                    "theta0": th0, "dtheta": dth})
+                                    "theta0": th0, "dtheta": dth,
+                                    "axes": [int(axes[0]), int(axes[1])]})
         if family == "sine":
             p0, p1 = box.shrink(0.15).sample(rng, 2)
             d = p1 - p0

@@ -186,6 +186,14 @@ def test_check_torsion_inline(tmp_path):
     assert doc["report"]["witness"]["obstruction"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_check_holonomy_on_a_one_dimensional_manifold(tmp_path):
+    config = {"domain": [[-1, 1]], "frame": [["1"]],
+              "norm": {"type": "custom", "expr": "sqrt(a^2)"}}
+    code, doc = run(["check", "--config", json.dumps(config), "--op", "holonomy"], tmp_path)
+    assert code == 0 and doc["report"]["pass"]
+    assert doc["report"]["max_rel_error"] <= 1e-12
+
+
 def test_check_config_from_file(tmp_path):
     cfg = tmp_path / "m.json"
     cfg.write_text(json.dumps(S5_CONFIG))
@@ -430,6 +438,30 @@ def test_bad_run_setting_is_a_config_error_naming_the_value(argv, named, capsys,
     monkeypatch.setattr(cli, "load_fixture", lambda name: pytest.fail("fixture loaded"))
     monkeypatch.setattr(cli, "CHECKS", {})
     assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert "Traceback" not in err
+
+
+_EYE = '[["1", "0"], ["0", "1"]]'
+_EUCLID = '{"type": "custom", "expr": "sqrt(a^2+b^2)"}'
+_UNIT = "[[-1, 1], [-1, 1]]"
+
+
+@pytest.mark.parametrize("box, named", [
+    ("[[-1, 1], [-1, NaN]]", "box bound nan "),
+    ("[[-1, 1e400], [-1, 1]]", "box bound inf "),
+    ("[[-1e400, 1], [-1, 1]]", "box bound -inf "),
+], ids=["nan", "1e400", "-1e400"])
+@pytest.mark.parametrize("argv", [
+    ["check", "--config", f'{{"domain": BOX, "frame": {_EYE}, "norm": {_EUCLID}}}'],
+    ["check", "--config", f'{{"domain": {_UNIT}, "frame": {_EYE}, "norm": {_EUCLID}, '
+                          f'"cover": [{{"domain": BOX, "frame": "translation"}}]}}'],
+    ["synthesize", "--config", f'{{"region": BOX, "members": '
+                               f'[{{"domain": {_UNIT}, "frame": "translation"}}]}}'],
+], ids=["domain", "member", "region"])
+def test_a_box_bound_that_is_not_finite_is_a_config_error_naming_it(box, named, argv, capsys):
+    assert main([a.replace("BOX", box) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
     assert "Traceback" not in err

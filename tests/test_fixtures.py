@@ -72,9 +72,10 @@ def test_validate_rejects_wrong_expected_value(s5):
         bad.validate()
 
 
-def test_scaled_fixture_declares_expected_failures(scaled):
-    assert "parallelism_compat" in scaled.expects_failure
-    assert "holonomy_invariance" in scaled.expects_failure
+def test_scaled_fixture_suite_is_the_expected_compat_failure(scaled):
+    (check, overrides), = scaled.checks
+    assert check == "expected_failure"
+    assert overrides["check"] == "compat" and overrides["ratio"] == np.e
     assert scaled.expected == {}
 
 

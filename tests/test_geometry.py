@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from holopar.connections import Connection, christoffels_in_frame
-from holopar.errors import DomainError, RegularityError, SingularFrameError
-from holopar.geometry import (Box, ChartPoint, Curve, Frame, VectorField, constant_field,
-                              coordinate_frame, dual_coframe, invert_frames, jet_eval,
-                              lie_bracket, point, segment)
+from holopar.errors import DomainError, PreconditionError, RegularityError, SingularFrameError
+from holopar.geometry import (FD_STEP, Box, ChartPoint, Curve, Frame, VectorField,
+                              constant_field, coordinate_frame, dual_coframe, invert_frames,
+                              jet_eval, lie_bracket, point, segment)
 from holopar.parallelism import frame_parallelism
 from holopar.jets import jsin
+from holopar.verification import berwald_obstruction
 
 DOM2 = Box((-5.0, -5.0), (5.0, 5.0))
 DOM3 = Box((-5.0,) * 3, (5.0,) * 3)
@@ -129,19 +130,6 @@ def lie_bracket_sum(X, Y):
     return VectorField(n, components=lambda xs: [u + v for u, v in zip(X(xs), Y(xs))])
 
 
-def test_bracket_numeric_path_cross_check():
-    # same fields once through jets, once through the finite-difference path
-    Xg = _poly_fields(2, 30)
-    Yg = _poly_fields(2, 31)
-    Xn = VectorField(2, values_fn=lambda c: Xg.values_batch(c))
-    Yn = VectorField(2, values_fn=lambda c: Yg.values_batch(c))
-    rng = np.random.default_rng(6)
-    pts = rng.uniform(-2.0, 2.0, (20, 2))
-    exact = lie_bracket(Xg, Yg).values_batch(pts)
-    approx = lie_bracket(Xn, Yn).values_batch(pts)
-    assert np.max(np.abs(exact - approx)) <= 1e-6
-
-
 # ------------------------------------------------------------------ coframes
 
 def test_dual_coframe_of_slanted_frame():
@@ -226,11 +214,39 @@ def test_coframe_duality_identity(n):
     assert dev <= 1e-12
 
 
-def test_matrix_frame_builds_its_fields_once():
+def test_a_matrix_function_frame_has_no_fields():
     frame = Frame(matrix_fn=lambda coords: np.broadcast_to(np.eye(2), (len(coords), 2, 2)),
                   domain=DOM2, dim=2)
-    assert frame.fields is frame.fields
-    assert np.array_equal(frame.fields[1].values_batch(np.zeros((1, 2))), [[0.0, 1.0]])
+    with pytest.raises(PreconditionError, match="matrix function"):
+        frame.fields
+    with pytest.raises(PreconditionError, match="matrix function"):
+        berwald_obstruction(Connection.flat(frame), DOM2, samples=3)
+
+
+def _rotation_field(coords):
+    """A matrix function (m, n) -> (m, n, n): a rotation in the first two
+    axes by x0 * x1, scaled by 1 + x_{n-1}^2."""
+    n = coords.shape[1]
+    th = coords[:, 0] * coords[:, 1]
+    E = np.broadcast_to(np.eye(n), (len(coords), n, n)).copy()
+    E[:, 0, 0], E[:, 0, 1] = np.cos(th), -np.sin(th)
+    E[:, 1, 0], E[:, 1, 1] = np.sin(th), np.cos(th)
+    return E * (1.0 + coords[:, -1:, None] ** 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_matrix_frame_jacobian_is_the_per_coordinate_loop_bit_for_bit(n):
+    coords = np.random.default_rng(n).uniform(-1.0, 1.0, (9, n))
+    want = np.empty((9, n, n, n))
+    for d in range(n):
+        e = np.zeros(n)
+        e[d] = FD_STEP
+        want[..., d] = (_rotation_field(coords + e) - _rotation_field(coords - e)) / (2 * FD_STEP)
+    E, dE = Frame(matrix_fn=_rotation_field, dim=n).matrix_jacobian_batch(coords)
+    assert np.array_equal(E, _rotation_field(coords))
+    assert np.array_equal(dE, want)
+    # derivative-major: the rows (d, a) reshape without a copy
+    assert dE.transpose(0, 3, 1, 2).flags.c_contiguous
 
 
 # ------------------------------------------------------------------ curves
@@ -252,6 +268,13 @@ def test_curve_validation_rejects_stationary_curve():
     c = Curve(lambda t: [0.0 + 0.0 * t, 1.0 + 0.0 * t], domain=DOM2)
     with pytest.raises(RegularityError):
         c.validate()
+
+
+@pytest.mark.parametrize("lo, hi", [((0.0, np.nan), (1.0, 1.0)), ((0.0, 0.0), (np.nan, 1.0)),
+                                    ((0.0, 1.0), (1.0, 1.0))], ids=["nan_lo", "nan_hi", "empty"])
+def test_box_refuses_a_nan_or_empty_side(lo, hi):
+    with pytest.raises(ValueError, match="empty box"):
+        Box(lo, hi)
 
 
 def test_box_sampling_stays_inside():

@@ -11,10 +11,10 @@ from scipy.optimize import brentq
 
 from holopar.errors import DefinitenessError, PreconditionError
 from holopar.fixtures import SPECS, build_frame, build_norm
-from holopar.geometry import Box, Coframe, Frame, VectorField, dual_coframe, point
-from holopar.norms import (ORACLE_ANGLES, ContinuousFamily, MinkowskiNorm, RandersData,
-                           _quadratic_form, euclidean_norm, is_isometry, isometry_algebra,
-                           isometry_group_2x2, lie_algebra_member,
+from holopar.geometry import FD_STEP, Box, Coframe, Frame, VectorField, dual_coframe, point
+from holopar.norms import (ORACLE_ANGLES, ContinuousFamily, MinkowskiNorm, NormField,
+                           RandersData, _quadratic_form, euclidean_norm, is_isometry,
+                           isometry_algebra, isometry_group_2x2, lie_algebra_member,
                            one_form_norm_field, randers_norm, unit_sphere)
 
 S5 = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
@@ -383,6 +383,20 @@ def test_gradient_free_norm_gets_central_differences():
     plain = MinkowskiNorm(2, euclidean_norm(2).evaluator)
     u = unit_sphere(2, 50)
     assert np.max(np.abs(plain.gradient(u) - u)) <= 1e-9
+
+
+def test_default_gradients_are_the_per_coordinate_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(-2.0, 2.0, (4, 6, 2))
+    v = rng.normal(size=(4, 6, 2))
+    steps = FD_STEP * np.eye(2)
+    plain = MinkowskiNorm(2, S5.evaluator)
+    want = np.stack([plain(v + h) - plain(v - h) for h in steps], axis=-1) / (2 * FD_STEP)
+    assert np.array_equal(plain.gradient(v), want)
+    field = NormField(2, lambda x, w: (1.0 + x[..., 0] ** 2) * S5(w))
+    want = np.stack([field(coords, v + h) - field(coords, v - h) for h in steps],
+                    axis=-1) / (2 * FD_STEP)
+    assert np.array_equal(field.gradient(coords, v), want)
 
 
 # ------------------------------------------------------------------ restrictions

@@ -1,5 +1,6 @@
 """Check runners, obstruction, uniqueness and verdicts."""
 
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from holopar.connections import Connection, constant_christoffels
 from holopar.constructions import connection_from_covering_parallelism
 from holopar.errors import DomainError, PreconditionError, RegularityError
-from holopar.geometry import Box, Curve, coordinate_frame, curve_positions_velocities, point
+from holopar.geometry import (Box, Curve, coordinate_frame, curve_positions_velocities, point,
+                              segment_coords)
 from holopar.jets import jcos
 from holopar.norms import RandersData, constant_norm_field, randers_norm
 from holopar.parallelism import CoveringParallelism, frame_parallelism, translation_parallelism
@@ -22,7 +24,8 @@ from holopar.verification import (CheckReport, CurveGenerator, VerdictResult,
                                   berwald_obstruction, check_compalg_criterion,
                                   check_holonomy_invariance,
                                   check_parallelism_compat, check_uniqueness,
-                                  generalized_berwald_verdict)
+                                  bezier_coords, circle_coords, generalized_berwald_verdict,
+                                  sine_coords)
 
 WORK = Box((-4.0, -4.0), (4.0, 4.0))
 
@@ -294,6 +297,34 @@ def test_curve_generator_is_deterministic_and_regular():
     for ca, cb in zip(a, b):
         assert ca.params == cb.params
         ca.validate()
+
+
+# each family's coordinates rebuilt from a witness's params alone
+_FROM_PARAMS = {
+    "segment": lambda t, p: segment_coords(t, p["p0"], p["p1"]),
+    "circle": lambda t, p: circle_coords(t, p["center"], p["radius"], p["theta0"],
+                                         p["dtheta"], *p["axes"]),
+    "sine": lambda t, p: sine_coords(t, p["p0"], p["d"], p["perp"], p["omega"]),
+    "bezier": lambda t, p: bezier_coords(t, *p["ctrl"]),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_family_curve_is_rebuilt_from_its_params(n):
+    curves = CurveGenerator(Box((-3.0,) * n, (2.0,) * n), seed=9, count=40).curves()
+    assert {c.params["family"] for c in curves} == set(verification.CURVE_FAMILIES)
+    ts = np.linspace(0.0, 1.0, 7)
+    for curve in curves:
+        params = json.loads(report.dumps(curve.params))
+        coords = _FROM_PARAMS[params["family"]](ts, params)
+        rebuilt = np.stack([np.broadcast_to(x, ts.shape) for x in coords], axis=-1)
+        assert np.allclose(curve.positions_velocities(ts)[0], rebuilt, rtol=0.0, atol=1e-12)
+
+
+def test_a_one_dimensional_generator_skips_circles():
+    curves = CurveGenerator(Box((-1.0,), (1.0,)), seed=42, count=12).curves()
+    assert [c.params["family"] for c in curves[:3]] == ["segment", "sine", "bezier"]
+    assert "circle" not in {c.params["family"] for c in curves}
 
 
 def _wavy(n):
