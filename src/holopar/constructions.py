@@ -42,8 +42,9 @@ def _radial_transport(conn, center, targets, step):
     vel = targets - center
     steps, h, grid = _step_grid(1.0, step)
     pos = center + grid[None, :, None] * vel[:, None, :]
-    A_all = _coefficient_grid(conn, pos, np.broadcast_to(vel[:, None, :], pos.shape))
-    return _rk4_matrix(A_all, h, {steps})[steps]
+    vel = np.broadcast_to(vel[:, None, :], pos.shape)
+    return _rk4_matrix(lambda lo, hi: _coefficient_grid(conn, pos[:, lo:hi], vel[:, lo:hi]),
+                       len(targets), conn.dim, steps, h, {steps})[steps]
 
 
 def parallelism_from_connection(conn, region, step=DEFAULT_STEP):

@@ -62,48 +62,82 @@ def _parse(src, names):
 def parse_exprs(srcs, variables):
     """Compile expression strings to one callable over the named variables
     that returns the list of their values, evaluating a repeated
-    subexpression once per call; its ``names`` are the variables used."""
+    subexpression once per call; its ``names`` are the variables used.
+
+    Each node becomes a closure when parsed, so a call runs no dispatch
+    on node types.
+    """
     names = tuple(variables)
     roots = [_parse(src, names) for src in srcs]
+    # structural key of a node: its operation and its operands' keys, each
+    # numbered when first met, so a key hashes in constant time
+    numbers, key_of = {}, {}
+
+    def key(node):
+        if isinstance(node, ast.Constant):
+            k = (ast.Constant, node.value)
+        elif isinstance(node, ast.Name):
+            k = (ast.Name, node.id)
+        elif isinstance(node, ast.BinOp):
+            k = (type(node.op), key(node.left), key(node.right))
+        elif isinstance(node, ast.UnaryOp):
+            k = (type(node.op), key(node.operand))
+        else:
+            k = (node.func.id, key(node.args[0]))
+        key_of[node] = numbers.setdefault(k, len(numbers))
+        return key_of[node]
+
     # a compound node met again is kept for the call, not the nodes inside
     # it: holding every temporary made a 200k-point jet pass of
     # rotated_blend's member frame about 25% slower (one thread)
     seen = {}
 
     def visit(node):
-        compound = isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call))
-        ids = seen.setdefault(ast.dump(node), []) if compound else []
-        ids.append(id(node))
-        for child in ast.iter_child_nodes(node) if len(ids) == 1 else ():
+        if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call)):
+            k = key_of[node]
+            seen[k] = seen.get(k, 0) + 1
+            if seen[k] > 1:
+                return
+        for child in ast.iter_child_nodes(node):
             visit(child)
 
     for root in roots:
+        key(root)
         visit(root)
-    keys = {i: key for key, ids in seen.items() if len(ids) > 1 for i in ids}
 
-    def ev(node, env):
-        """Evaluate an accepted tree; env holds variables and repeated nodes."""
+    def compile_node(node):
+        """The closure env -> value of an accepted tree; env holds the
+        variables and, under their keys, the repeated nodes' values."""
         if isinstance(node, ast.Constant):
-            return float(node.value)
+            value = float(node.value)
+            return lambda env: value
         if isinstance(node, ast.Name):
-            return env[node.id]
-        key = keys.get(id(node))
-        if key in env:
-            return env[key]
+            return operator.itemgetter(node.id)
         if isinstance(node, ast.BinOp):
-            val = _BINOPS[type(node.op)](ev(node.left, env), ev(node.right, env))
+            op, left, right = (_BINOPS[type(node.op)], compile_node(node.left),
+                               compile_node(node.right))
+            fn = lambda env: op(left(env), right(env))
         elif isinstance(node, ast.UnaryOp):
-            operand = ev(node.operand, env)
-            val = -1.0 * operand if isinstance(node.op, ast.USub) else operand
+            operand = compile_node(node.operand)
+            fn = (lambda env: -1.0 * operand(env)) if isinstance(node.op, ast.USub) else operand
         else:
-            val = _CALLS[node.func.id](ev(node.args[0], env))
-        if key is not None:
-            env[key] = val
-        return val
+            call, arg = _CALLS[node.func.id], compile_node(node.args[0])
+            fn = lambda env: call(arg(env))
+        k = key_of[node]
+        if seen.get(k, 0) < 2:
+            return fn
+
+        def once(env):
+            if k not in env:
+                env[k] = fn(env)
+            return env[k]
+        return once
+
+    fns = [compile_node(root) for root in roots]
 
     def compiled(*values):
         env = dict(zip(names, values, strict=True))
-        return [ev(root, env) for root in roots]
+        return [fn(env) for fn in fns]
 
     compiled.names = {n.id for root in roots for n in ast.walk(root) if isinstance(n, ast.Name)}
     return compiled

@@ -254,6 +254,8 @@ class Frame:
         coords = np.asarray(coords, dtype=float)
         if self._fields is None:
             return np.asarray(self._matrix_fn(coords), dtype=float)
+        if self.coordinate:
+            return np.broadcast_to(np.eye(self.dim), (len(coords), self.dim, self.dim)).copy()
         return np.stack([f.values_batch(coords) for f in self._fields], axis=2)
 
     def matrix_jacobian_batch(self, coords):

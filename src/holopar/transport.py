@@ -3,21 +3,24 @@
 Transport solves the matrix ODE Phi' = A(t) Phi, Phi(0) = I with
 A^i_k(t) = -(velocity)^j Gamma^i_{jk}(position) in coordinates, i.e. all
 n basis solutions in one pass, using classical fixed-step RK4 (default
-step 1e-3). An ensemble takes its curves' positions and velocities from
-``geometry.curve_positions_velocities``, one jet pass per curve family.
-Every integration, here and in the radial transports of
-``constructions``, samples A once on the half-step grid with one
+step 1e-3). An ensemble takes its curves' positions and velocities on
+the whole half-step grid from ``geometry.curve_positions_velocities``,
+one jet pass per curve family. Every integration, here and in the radial
+transports of ``constructions``, runs one vectorized kernel,
+``_rk4_matrix``, which pulls A block by block from a callable: for a
+block of about BLOCK_MATRICES step·curve matrices it evaluates A on the
+block's part of the grid with one
 ``Connection.coordinate_christoffels_along`` call, which forms only the
 endomorphism Gamma(velocity) (for a connection flat in a jet frame,
--(d_v E) E^-1 from one jet pass seeded along the velocity), and steps it
-in one vectorized kernel, ``_rk4_matrix``. As the ODE is linear, each
-RK4 step there is one product phi <- phi + D_k phi. The increments D_k
-are formed for blocks of about BLOCK_MATRICES step·curve matrices at a
-time, component-major: n^3 whole-array multiply-adds per product rather
-than one small matrix product per step and curve. A block writes its
-steps into one buffer and checks them for finiteness together. Only the
-one-curve ``parallel_transport`` also carries a step-halving error
-estimate.
+-(d_v E) E^-1 from one jet pass seeded along the velocity), and steps the
+block before the next block's coefficients are evaluated, so the
+coefficients of a whole run are never held at once. As the ODE is
+linear, each RK4 step is one product phi <- phi + D_k phi. A block's
+increments D_k are formed component-major: n^3 whole-array multiply-adds
+per product rather than one small matrix product per step and curve.
+A block writes its steps into one buffer and checks them for finiteness
+together. Only the one-curve ``parallel_transport`` also carries a
+step-halving error estimate.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ from .errors import IntegrationBlowupError
 from .geometry import DET_FLOOR, curve_positions_velocities, invert_frames
 
 DEFAULT_STEP = 1e-3
-# step·curve increment matrices formed together: forming every increment
-# at once would hold four more (m, N, n, n) arrays, 6.4 MB each for 200
-# curves at step 1e-3, while small blocks pay the per-block ufunc calls
+# step·curve matrices per block of the RK4 kernel: a block's coefficients,
+# frame jets, inverses and increments are each about 12 800 (n, n)
+# matrices, 0.4 MB for n = 2, and stay in cache from the Christoffels to
+# the steps; the whole grid of 200 curves at step 1e-3 would be 12.8 MB
+# per array, while small blocks pay the per-block ufunc calls
 BLOCK_MATRICES = 12800
 SAMPLE_TOL = 1e-9                         # slack of a sample time on the step grid
 
@@ -126,32 +131,35 @@ def _increments(A, h):
     return D
 
 
-# a blow-up is reported once, by the finiteness check, not also as a warning
-@np.errstate(over="ignore", invalid="ignore")
-def _rk4_matrix(A_all, h, sample_idx):
-    """Integrate Phi' = A Phi for a batch; A_all has shape (m, 2N+1, n, n)
-    on the half-step grid. Returns {k: Phi at step k} for the step indices
-    in sample_idx.
+def _rk4_matrix(coefficients, m, n, steps, h, sample_idx):
+    """Integrate Phi' = A Phi for a batch of m curves over `steps` steps
+    of size h. coefficients(lo, hi) returns the samples lo..hi-1 of A on
+    the half-step grid, shape (m, hi - lo, n, n). Returns {k: Phi at
+    step k} for the step indices in sample_idx.
 
     The ODE is linear, so RK4 step k is phi <- phi + D_k phi with the
-    increment D_k of ``_increments``, formed for a block of
-    ``_block_steps(m)`` steps at a time; the block's steps are written
-    into one buffer, one product and one sum each, and checked for
-    finiteness together. The first non-finite step is the reported t.
+    increment D_k of ``_increments``. A block of ``_block_steps(m)``
+    steps pulls its 2b + 1 samples (the last one again as the first of
+    the next block), forms its increments and writes its steps into one
+    buffer, one product and one sum each, and checks them for finiteness
+    together, before the next block's coefficients are evaluated. The
+    first non-finite step is the reported t.
     """
-    m, G, n, _ = A_all.shape
-    N = (G - 1) // 2
     block = _block_steps(m)
     idx = np.unique(np.fromiter(sample_idx, dtype=int))
-    buf = np.empty((min(block, N) + 1, m, n, n))
+    buf = np.empty((min(block, steps) + 1, m, n, n))
     buf[0] = np.eye(n)
     phis, prod = list(buf), np.empty((m, n, n))
     out = {0: buf[0].copy()} if idx.size and idx[0] == 0 else {}
-    for k0 in range(0, N, block):
-        D = _increments(A_all[:, 2 * k0:2 * min(k0 + block, N) + 1], h)
+    for k0 in range(0, steps, block):
+        A = coefficients(2 * k0, 2 * min(k0 + block, steps) + 1)
+        # a blow-up is reported once, by the finiteness check, not also as
+        # a warning; the coefficients keep the caller's error state
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = _increments(A, h)
+            for j, Dj in enumerate(D):
+                np.add(phis[j], np.matmul(Dj, phis[j], out=prod), out=phis[j + 1])
         b = D.shape[0]
-        for j, Dj in enumerate(D):
-            np.add(phis[j], np.matmul(Dj, phis[j], out=prod), out=phis[j + 1])
         finite = np.isfinite(buf[1:b + 1].reshape(b, -1)).all(axis=1)
         if not finite.all():
             k = k0 + 1 + int(np.argmin(finite))
@@ -200,12 +208,13 @@ def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
                          invert_frames(phi0, "backing trivialization"))
         return phis, pos0, pos_s
 
-    _, h, grid = _step_grid(t_end, step)
+    steps, h, grid = _step_grid(t_end, step)
     idx = np.rint(sample_ts / h).astype(int)
     if np.max(np.abs(idx * h - sample_ts)) > SAMPLE_TOL:
         raise ValueError("sample times must be multiples of the step")
     pos, vel = curve_positions_velocities(curves, grid)
-    out = _rk4_matrix(_coefficient_grid(conn, pos, vel), h, set(idx.tolist()))
+    out = _rk4_matrix(lambda lo, hi: _coefficient_grid(conn, pos[:, lo:hi], vel[:, lo:hi]),
+                      m, n, steps, h, set(idx.tolist()))
     phis = np.stack([out[i] for i in idx], axis=1)
     return phis, pos[:, 0], pos[:, 2 * idx]
 
@@ -228,8 +237,9 @@ def parallel_transport(conn, curve, t=1.0, step=DEFAULT_STEP):
 def matrix_ode_solve(A, t_end, step=DEFAULT_STEP):
     """RK4 solution of Phi' = A(t) Phi, Phi(0) = I, sampled at step multiples."""
     steps, h, grid = _step_grid(t_end, step)
-    A_all = np.stack([np.asarray(A(t), dtype=float) for t in grid])
-    out = _rk4_matrix(A_all[None], h, range(steps + 1))
+    A_all = np.stack([np.asarray(A(t), dtype=float) for t in grid])[None]
+    out = _rk4_matrix(lambda lo, hi: A_all[:, lo:hi], 1, A_all.shape[-1], steps, h,
+                      range(steps + 1))
     return MatrixCurve(tuple((k * h, out[k][0]) for k in range(steps + 1)))
 
 

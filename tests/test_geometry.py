@@ -145,6 +145,16 @@ def test_dual_coframe_of_coordinate_frame_is_identity():
     assert np.allclose(C, np.eye(2))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coordinate_frame_matrix_is_its_fields_jet_values_bit_for_bit(n):
+    fr = coordinate_frame(n)
+    coords = np.random.default_rng(n).uniform(-1.0, 1.0, (7, n))
+    want = np.stack([f.values_batch(coords) for f in fr.fields], axis=2)
+    got = fr.matrix_batch(coords)
+    assert np.array_equal(got, want)
+    assert got.flags.writeable and got.flags.owndata
+
+
 def test_scaled_frame_gives_inverse_scaled_coframe():
     fr = coordinate_frame(2, DOM2)
     scaled = type(fr)(fields=[VectorField(2, components=lambda xs, f=f: [2.0 * c for c in f(xs)])

@@ -1,24 +1,29 @@
 """Parallel translation, the general matrix ODE and trivialized
 transport curves."""
 
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from holopar import transport
 from holopar.connections import (Connection, constant_christoffels,
                                  from_coordinate_christoffels)
-from holopar.constructions import ConvexChartRegion, parallelism_from_connection
+from holopar.constructions import (ConvexChartRegion, connection_from_covering_parallelism,
+                                   covering_from_connection, parallelism_from_connection)
 from holopar.errors import IntegrationBlowupError, SingularFrameError
 from holopar.fixtures import SPECS, build_frame
-from holopar.geometry import (Box, Curve, Frame, VectorField, coordinate_frame, point,
-                              segment)
+from holopar.geometry import (Box, Curve, Frame, VectorField, coordinate_frame,
+                              curve_positions_velocities, point, segment)
 from holopar.jets import jcos, jsin
 from holopar.norms import euclidean_norm, randers_norm, RandersData, unit_sphere
 from holopar.parallelism import Parallelism, frame_parallelism, translation_parallelism
 from holopar.transport import (BLOCK_MATRICES, _block_steps, _coefficient_grid,
-                               _rk4_matrix, matrix_ode_solve, parallel_transport,
-                               phi_curve, transport_ensemble)
+                               _rk4_matrix, _step_grid, matrix_ode_solve,
+                               parallel_transport, phi_curve, transport_ensemble)
+from holopar.verification import CurveGenerator, check_holonomy_invariance
 
 DOM = Box((-5.0, -5.0), (5.0, 5.0))
 S5_FRAME = SPECS["section5"]["manifold"]["frame"]
@@ -158,6 +163,13 @@ def test_blow_up_raises_without_numpy_warnings():
 
 # ---------------------------------------------------------- RK4 kernel
 
+def _rk4_held(A_all, h, sample_idx):
+    """The RK4 kernel over a grid held whole, A_all (m, 2N+1, n, n),
+    each block a slice of it."""
+    m, G, n, _ = A_all.shape
+    return _rk4_matrix(lambda lo, hi: A_all[:, lo:hi], m, n, (G - 1) // 2, h, sample_idx)
+
+
 def _rk4_by_stages(A_all, h, sample_idx):
     """Classical RK4 evaluating its four stages at every step: the
     reference for the increment-matrix kernel."""
@@ -229,7 +241,7 @@ def _check_block_buffering(m, n, steps):
     block = _block_steps(m)
     edges = {k for b in range(0, steps + 1, block) for k in (b - 1, b, b + 1)}
     for idx in (set(range(steps + 1)), {k for k in edges if 0 <= k <= steps} | {steps}):
-        got = _rk4_matrix(A_all, 1.0 / steps, idx)
+        got = _rk4_held(A_all, 1.0 / steps, idx)
         want = _rk4_step_by_step(A_all, 1.0 / steps, idx)
         assert sorted(got) == sorted(want) == sorted(idx)
         for k in want:
@@ -257,7 +269,7 @@ def test_block_buffered_samples_own_their_data():
     # the buffer is reused by every block, so a sample left as a view of it
     # would be overwritten by the steps of later blocks
     A_all = np.random.default_rng(0).normal(size=(2, 2 * 200 + 1, 2, 2))
-    out = _rk4_matrix(A_all, 1e-2, range(201))
+    out = _rk4_held(A_all, 1e-2, range(201))
     assert len(out) == 201 and all(phi.base is None for phi in out.values())
 
 
@@ -271,7 +283,7 @@ def test_block_buffered_blow_up_reports_the_step_by_step_parameter(step):
     A_all = np.random.default_rng(step).normal(size=(MANY, 601, 2, 2))
     A_all[2, 2 * step - 1, 1, 0] = np.inf if step % 2 else np.nan
     ts = []
-    for kernel in (_rk4_matrix, _rk4_step_by_step):
+    for kernel in (_rk4_held, _rk4_step_by_step):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowupError) as info:
                 kernel(A_all, h, {300})
@@ -285,7 +297,7 @@ def test_rk4_increments_match_the_stage_by_stage_reference(n, steps):
     rng = np.random.default_rng(10 * steps + n)
     A_all = rng.normal(size=(5, 2 * steps + 1, n, n))
     idx = set(range(0, steps + 1, 3)) | {steps}
-    got = _rk4_matrix(A_all, 1.0 / steps, idx)
+    got = _rk4_held(A_all, 1.0 / steps, idx)
     want = _rk4_by_stages(A_all, 1.0 / steps, idx)
     assert sorted(got) == sorted(want)
     for k in want:
@@ -297,12 +309,126 @@ def test_rk4_blow_up_reports_the_reference_parameter(bad):
     A_all = np.random.default_rng(bad).normal(size=(3, 201, 2, 2))
     A_all[1, bad, 0, 1] = np.inf if bad % 2 else np.nan
     errors = []
-    for kernel in (_rk4_matrix, _rk4_by_stages):
+    for kernel in (_rk4_held, _rk4_by_stages):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowupError) as info:
                 kernel(A_all, 1e-2, {100})
         errors.append(info.value.t)
     assert errors[0] == errors[1] == max(1, (bad + 1) // 2) * 1e-2
+
+
+# ---------------------------------------------------------- streamed coefficients
+
+def _one_shot_ensemble(conn, curves, sample_ts, step, monkeypatch):
+    """transport_ensemble's arrays from the whole coefficient grid, built
+    at once and integrated as one block: the reference for the streamed
+    kernel."""
+    steps, h, grid = _step_grid(1.0, step)
+    idx = np.rint(np.asarray(sample_ts) / h).astype(int)
+    pos, vel = curve_positions_velocities(curves, grid)
+    A_all = _coefficient_grid(conn, pos, vel)
+    with monkeypatch.context() as patch:
+        patch.setattr(transport, "BLOCK_MATRICES", len(curves) * steps)
+        assert _block_steps(len(curves)) >= steps
+        out = _rk4_held(A_all, h, set(idx.tolist()))
+    return np.stack([out[i] for i in idx], axis=1), pos[:, 0], pos[:, 2 * idx]
+
+
+def _check_streamed(conn, domain, steps, monkeypatch):
+    # MANY curves take blocks of the fewest steps; samples sit on the
+    # first step, on block boundaries and at the end
+    assert steps > 2 * LEAST_BLOCK
+    curves = CurveGenerator(domain, seed=steps, count=MANY).curves()
+    h = 1.0 / steps
+    ts = np.array([1, LEAST_BLOCK, LEAST_BLOCK + 1, 2 * LEAST_BLOCK, steps]) * h
+    got = transport_ensemble(conn, curves, ts, step=h)
+    want = _one_shot_ensemble(conn, curves, ts, h, monkeypatch)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_streamed_section5_transport_is_the_one_shot_grid_bit_for_bit(s5_conn, monkeypatch):
+    _check_streamed(s5_conn, DOM.shrink(0.05), 3 * LEAST_BLOCK + 11, monkeypatch)
+
+
+def test_streamed_blend_transport_is_the_one_shot_grid_bit_for_bit(blend, monkeypatch):
+    _check_streamed(blend.connection, blend.domain.shrink(0.05), 2 * LEAST_BLOCK + 5,
+                    monkeypatch)
+
+
+def test_streamed_rebuilt_transport_is_the_one_shot_grid_bit_for_bit(rescaling, monkeypatch):
+    # ODE-built member frames: each blended coefficient differentiates
+    # radial transports by central differences; the curves stay in the
+    # two lower members, where both weights are positive in the overlap
+    work = Box((-1.0, -1.0), (1.0, 1.0))
+    rebuilt = connection_from_covering_parallelism(
+        covering_from_connection(rescaling, work, step=0.5))
+    _check_streamed(rebuilt, Box((-0.8, -0.8), (0.8, -0.4)), 2 * LEAST_BLOCK + 3, monkeypatch)
+
+
+def test_holonomy_check_never_holds_the_whole_coefficient_grid(s5):
+    # 200 curves at step 1e-3: the grid's A alone is 12.8 MB, and the
+    # frame jets, inverses and products each as much again
+    curves = CurveGenerator(s5.domain.shrink(0.05), seed=1, count=200).curves()
+    tracemalloc.start()
+    try:
+        check_holonomy_invariance(s5.norm_field, s5.connection, curves, step=1e-3, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_a_singular_frame_reached_only_by_a_late_block_is_refused():
+    # the frame is the identity for x < 2 and singular beyond, so the
+    # blocks before t = 2/3 integrate without error
+    reached = []
+
+    def matrix_fn(coords):
+        reached.append(float(np.max(coords[:, 0])))
+        return np.where(coords[:, 0, None, None] < 2.0, np.eye(2), 0.0)
+
+    conn = Connection.flat(Frame(matrix_fn=matrix_fn, domain=DOM, dim=2))
+    curves = [segment((0.0, 0.01 * i), (3.0, 0.01 * i), domain=DOM) for i in range(MANY)]
+    with pytest.raises(SingularFrameError, match="frame in Christoffel transform"):
+        transport_ensemble(conn, curves, [1.0], step=1e-3)
+    assert reached[0] < 2.0 <= reached[-1]
+
+
+def test_an_early_blow_up_stops_before_later_coefficients_are_evaluated():
+    # A = 1e3 I along the x axis overflows at step 713 of 1000, in the
+    # block of steps 704..767 (MANY curves); a singular frame past that
+    # block would be refused if its coefficients were ever evaluated
+    values = np.zeros((2, 2, 2))
+    values[:, 0, :] = -1e3 * np.eye(2)
+    conn = from_coordinate_christoffels(constant_christoffels(values), 2, DOM)
+    reached = []
+
+    def gamma(coords, w):
+        reached.append(float(np.max(coords[:, 0])))
+        if reached[-1] > 0.768:
+            raise SingularFrameError("late coefficients evaluated")
+        return conn.gamma(coords, w)
+
+    curves = [segment((0.0, 0.01 * i), (1.0, 0.01 * i), domain=DOM) for i in range(MANY)]
+    streamed = dataclasses.replace(conn, gamma=gamma)
+    for c in (conn, streamed):
+        with pytest.raises(IntegrationBlowupError) as info:
+            transport_ensemble(c, curves, [1.0], step=1e-3)
+        assert info.value.t == 0.713
+    assert reached[-1] == 0.768
+
+
+def test_coefficients_are_evaluated_in_the_callers_error_state():
+    # only the RK4 steps ignore overflow: a warning raised while the
+    # Christoffels are evaluated still reaches the caller
+    def gamma(coords, w):
+        np.exp(np.full(len(coords), 800.0))
+        return np.zeros((len(coords), 2, 2))
+
+    conn = from_coordinate_christoffels(gamma, 2, DOM)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        transport_ensemble(conn, [segment((0.0, 0.0), (1.0, 0.0))], [1.0], step=1e-2)
 
 
 # ---------------------------------------------------------- matrix_ode_solve
