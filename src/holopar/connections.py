@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChartPoint, Frame, TangentVector, coordinate_frame, invert_frames
+from .geometry import (ChartPoint, Frame, TangentVector, coordinate_frame, invert_frames,
+                       matmul_planes)
 from .parallelism import frame_parallelism
 
 
@@ -69,8 +70,11 @@ class Connection:
 
         Gamma(v) = E Gt(C v) C - (d_v E) C with C = E^-1 and E, d_v E
         from Frame.matrix_derivative_batch (one jet pass seeded along v
-        for a jet frame). In the coordinate frame this is Gt(v) itself,
-        with no frame evaluated; with Gt zero the first term is left out.
+        for a jet frame). The inverse and the products are formed on
+        component-major (n, n, m) planes, n^3 whole-plane multiply-adds
+        each, and the result is an (m, n, n) view of such planes. In the
+        coordinate frame this is Gt(v) itself, with no frame evaluated;
+        with Gt zero the first term is left out.
         """
         coords = np.asarray(coords, dtype=float)
         v = np.asarray(vectors, dtype=float)
@@ -80,12 +84,14 @@ class Connection:
             return np.asarray(self.gamma(coords, v), dtype=float)
         E, dvE = self.frame.matrix_derivative_batch(coords, v)
         C = invert_frames(E, "frame in Christoffel transform")
-        g = dvE @ C
+        E, dvE, C = (x.transpose(1, 2, 0) for x in (E, dvE, C))
+        g = matmul_planes(dvE, C)
         np.negative(g, out=g)
         if self.gamma is not None:
-            w = (C @ v[:, :, None])[:, :, 0]
-            g += E @ np.asarray(self.gamma(coords, w), dtype=float) @ C
-        return g
+            w = matmul_planes(C, v.T[:, None])[:, 0].T                # (m, n)
+            G = np.asarray(self.gamma(coords, np.ascontiguousarray(w)), dtype=float)
+            g += matmul_planes(matmul_planes(E, G.transpose(1, 2, 0)), C)
+        return g.transpose(2, 0, 1)
 
     def coordinate_christoffels_batch(self, coords):
         """Coordinate-frame symbols Gamma^a_{bc} (m, n, n, n) at a batch

@@ -36,15 +36,19 @@ def _radial_transport(conn, center, targets, step):
     """Transport matrices along the segments center -> target, batched.
 
     Integrates Phi' = A(s) Phi over s in [0,1] with positions
-    center + s (target - center) and constant velocity target - center.
+    center + s (target - center) and constant velocity target - center,
+    each block's positions built grid-major, as component-major planes.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     vel = targets - center
+    planes = vel.T[:, None, :]                                    # (n, 1, m)
     steps, h, grid = _step_grid(1.0, step)
-    pos = center + grid[None, :, None] * vel[:, None, :]
-    vel = np.broadcast_to(vel[:, None, :], pos.shape)
-    return _rk4_matrix(lambda lo, hi: _coefficient_grid(conn, pos[:, lo:hi], vel[:, lo:hi]),
-                       len(targets), conn.dim, steps, h, {steps})[steps]
+
+    def coefficients(lo, hi):
+        pos = (center[:, None, None] + grid[None, lo:hi, None] * planes).transpose(1, 2, 0)
+        return _coefficient_grid(conn, pos, np.broadcast_to(vel, pos.shape))
+
+    return _rk4_matrix(coefficients, len(targets), conn.dim, steps, h, {steps})[steps]
 
 
 def parallelism_from_connection(conn, region, step=DEFAULT_STEP):
@@ -81,16 +85,18 @@ def connection_from_covering_parallelism(cover):
             terms.append((conn_a, weight))
 
     def blend(coords, vectors):
-        """sum_a w_a Gamma_a(v): (m, n, n) at points and vectors (m, n)."""
-        out = np.zeros(coords.shape + (n,))
+        """sum_a w_a Gamma_a(v): (m, n, n) at points and vectors (m, n),
+        accumulated on component-major (n, n, m) planes."""
+        out = np.zeros((n, n, len(coords)))
         for conn_a, weight in terms:
             w = np.asarray(weight(coords), dtype=float)
             active = np.flatnonzero(w > 0.0)
             if not active.size:
                 continue
-            ga = conn_a.coordinate_christoffels_along(coords[active], vectors[active])
-            out[active] += w[active, None, None] * ga
-        return out
+            ga = conn_a.coordinate_christoffels_along(coords.T[:, active].T,
+                                                      vectors.T[:, active].T)
+            out[:, :, active] += w[active] * ga.transpose(1, 2, 0)
+        return out.transpose(2, 0, 1)
 
     backing = cover.members[0][1] if len(cover.members) == 1 else None
     return Connection(coordinate_frame(n, cover.region), blend, backing_parallelism=backing)

@@ -280,9 +280,10 @@ class Frame:
         (d_v E)[:, a, k] = v^d d_d (E_k)^a.
 
         A frame of fields takes both from one jet pass seeded along v,
-        one partial per variable. A frame given by a matrix function
-        contracts matrix_jacobian_batch with v, one (1, n) @ (n, n*n)
-        product per point over its derivative-major dE.
+        one partial per variable, and writes them into component-major
+        (n, n, m) planes: E and d_v E are views of them. A frame given by
+        a matrix function contracts matrix_jacobian_batch with v, one
+        (1, n) @ (n, n*n) product per point over its derivative-major dE.
         """
         coords = np.asarray(coords, dtype=float)
         v = np.asarray(vectors, dtype=float)
@@ -290,8 +291,9 @@ class Frame:
         if self._fields is None:
             E, dE = self.matrix_jacobian_batch(coords)
             rows = dE.transpose(0, 3, 1, 2).reshape(m, n, n * n)
-            return E, (v[:, None, :] @ rows).reshape(m, n, n)
-        E, dvE = np.empty((m, n, n)), np.empty((m, n, n))
+            # a point-major v: the product's rounding depends on its layout
+            return E, (np.ascontiguousarray(v)[:, None, :] @ rows).reshape(m, n, n)
+        E, dvE = (np.empty((n, n, m)).transpose(2, 0, 1) for _ in range(2))
         along = (np.ascontiguousarray(v.T),)
         for k, f in enumerate(self._fields):
             f._jets_into(coords, along, E[:, :, k], dvE[:, :, k, None])
@@ -311,7 +313,8 @@ def invert_frames(E, what):
 
     Raises SingularFrameError ("singular <what>") when some |det E| is at
     most DET_FLOOR. For n = 2 the inverse is the adjugate over ad - bc,
-    written into one output array; other n factorize through numpy.
+    written into one output array laid out as E is (component-major
+    planes stay planes); other n factorize through numpy.
     """
     E = np.asarray(E, dtype=float)
     two = E.shape[-1] == 2
@@ -324,13 +327,29 @@ def invert_frames(E, what):
     # in place: building the quotient from negated temporaries raised
     # peak memory by about 10%; dividing (not multiplying by 1/det)
     # rounds each entry once
-    inv = np.empty(E.shape)
+    inv = np.empty_like(E)
     inv[..., 0, 0] = E[..., 1, 1]
     inv[..., 1, 1] = E[..., 0, 0]
     np.negative(E[..., 0, 1], out=inv[..., 0, 1])
     np.negative(E[..., 1, 0], out=inv[..., 1, 0])
     inv /= det[..., None, None]
     return inv
+
+
+def matmul_planes(P, Q):
+    """P Q for component-major stacks P (n, k, ...) and Q (k, l, ...):
+    entry (i, l) is sum_j P[i, j] Q[j, l], j ascending, one whole-plane
+    multiply and add per term instead of one small matrix product per
+    point. Each term is written into one plane-sized scratch array: a
+    temporary of all n*l planes per term was 4 to 9 times slower."""
+    out = np.empty(P.shape[:1] + Q.shape[1:2] + np.broadcast_shapes(P.shape[2:], Q.shape[2:]))
+    term = np.empty(out.shape[2:])
+    for i in range(P.shape[0]):
+        for l in range(Q.shape[1]):
+            np.multiply(P[i, 0], Q[0, l], out=out[i, l])
+            for j in range(1, P.shape[1]):
+                out[i, l] += np.multiply(P[i, j], Q[j, l], out=term)
+    return out
 
 
 @dataclass(frozen=True)
@@ -363,9 +382,9 @@ class Curve:
     """Regular curve [0,1] -> chart domain, velocity via a jet in t.
 
     A curve of a coordinate family, ``Curve.of(fn, args, key)``, has the
-    coordinates fn(t, *args, *key); ``curve_positions_velocities``
-    evaluates all curves with the same fn and key in one jet pass. Any
-    other curve is evaluated alone.
+    coordinates fn(t, *args, *key); ``curve_evaluator`` evaluates all
+    curves with the same fn and key in one jet pass. Any other curve is
+    evaluated alone.
     """
 
     def __init__(self, coords_fn, domain=None, params=None):
@@ -378,7 +397,7 @@ class Curve:
     def of(cls, fn, args, key=(), domain=None, params=None):
         """The curve t -> fn(t, *args, *key). Each arg is a float or a
         (nested) list of floats; fn must also accept each float replaced
-        by a (g, 1) column of g curves' values."""
+        by a (g,) row of g curves' values, with t a (T, 1) column."""
         curve = cls(lambda t: fn(t, *args, *key), domain, params)
         curve.family = (fn, key, args)
         return curve
@@ -403,42 +422,67 @@ class Curve:
 
 def _stacked(args):
     """Per-curve args of one family stacked for one call of its fn: a
-    float becomes a (g, 1) column, and a list's entries become columns."""
-    return [np.moveaxis(np.asarray(vals, dtype=float), 0, -1)[..., None]
-            for vals in zip(*args)]
+    float becomes a (g,) row, and a list's entries become rows."""
+    return [np.moveaxis(np.asarray(vals, dtype=float), 0, -1) for vals in zip(*args)]
+
+
+def curve_evaluator(curves):
+    """The curves grouped by family once, for evaluation at many
+    parameter sets: (order, evaluate).
+
+    order (m,) lists the curve indices family by family. evaluate(ts)
+    gives the positions and velocities of the curves in that order at
+    parameters ts (T,): two grid-major (T, m, n) arrays, points ordered
+    (parameter, curve), each a view of component-major (n, T, m) planes.
+    Curves of one family (same fn and key) are one jet pass of fn, with
+    their args stacked as rows against a column of parameters, and
+    write one slice; any other curve, and a family of one, runs its own
+    coords_fn. The arithmetic per entry is the same either way, so the
+    bits do not depend on the grouping.
+    """
+    groups = {}
+    for c, curve in enumerate(curves):
+        groups.setdefault(curve if curve.family is None else curve.family[:2], []).append(c)
+    calls = []
+    for members in groups.values():
+        first = curves[members[0]]
+        if len(members) == 1:
+            calls.append((first.coords_fn, None))
+        else:
+            fn, key, _ = first.family
+            args = _stacked([curves[c].family[2] for c in members])
+            calls.append((lambda t, fn=fn, args=args, key=key: fn(t, *args, *key),
+                           len(members)))
+    order = np.array([c for members in groups.values() for c in members], dtype=int)
+
+    def evaluate(ts):
+        ts = np.asarray(ts, dtype=float)
+        alone, stacked = Jet(ts, (1.0,)), Jet(ts[:, None], (1.0,))
+        pos = vel = np.empty((0, ts.size, len(curves)))
+        lo = 0
+        for call, g in calls:
+            cs = call(alone if g is None else stacked)
+            if pos.shape[0] == 0:             # the first group gives the dimension
+                pos = np.empty((len(cs), ts.size, len(curves)))
+                vel = np.empty_like(pos)
+            slot = lo if g is None else slice(lo, lo + g)
+            for d, x in enumerate(cs):
+                x = as_jet(x, 1)
+                pos[d, :, slot] = x.value
+                vel[d, :, slot] = x.partials[0]
+            lo += 1 if g is None else g
+        return pos.transpose(1, 2, 0), vel.transpose(1, 2, 0)
+
+    return order, evaluate
 
 
 def curve_positions_velocities(curves, ts):
     """Positions and velocities of curves at shared parameters ts (T,):
-    two (m, T, n) arrays.
-
-    Curves of one family (same fn and key) run as one jet pass of fn with
-    their args stacked along a leading axis; any other curve, and a
-    family of one, runs its own coords_fn. The arithmetic per entry is
-    the same either way, so the bits do not depend on the grouping.
-    """
-    ts = np.asarray(ts, dtype=float)
-    tj = Jet(ts, (1.0,))
-    groups = {}
-    for c, curve in enumerate(curves):
-        groups.setdefault(curve if curve.family is None else curve.family[:2], []).append(c)
-    pos = vel = np.empty((0, ts.size, 0))
-    for members in groups.values():
-        first = curves[members[0]]
-        if len(members) == 1:
-            cs = first.coords_fn(tj)
-        else:
-            fn, key, _ = first.family
-            cs = fn(tj, *_stacked([curves[c].family[2] for c in members]), *key)
-        if pos.shape[0] == 0:             # the first group gives the dimension
-            pos = np.empty((len(curves), ts.size, len(cs)))
-            vel = np.empty_like(pos)
-        shape = (len(members), ts.size)
-        for d, x in enumerate(cs):
-            x = as_jet(x, 1)
-            pos[members, :, d] = np.broadcast_to(x.value, shape)
-            vel[members, :, d] = np.broadcast_to(x.partials[0], shape)
-    return pos, vel
+    two (m, T, n) arrays, in the order of `curves`, from one
+    ``curve_evaluator`` pass."""
+    order, evaluate = curve_evaluator(curves)
+    back = np.argsort(order)
+    return tuple(x.swapaxes(0, 1)[back] for x in evaluate(ts))
 
 
 def check_curves(curves, samples=64):

@@ -3,24 +3,27 @@
 Transport solves the matrix ODE Phi' = A(t) Phi, Phi(0) = I with
 A^i_k(t) = -(velocity)^j Gamma^i_{jk}(position) in coordinates, i.e. all
 n basis solutions in one pass, using classical fixed-step RK4 (default
-step 1e-3). An ensemble takes its curves' positions and velocities on
-the whole half-step grid from ``geometry.curve_positions_velocities``,
-one jet pass per curve family. Every integration, here and in the radial
-transports of ``constructions``, runs one vectorized kernel,
-``_rk4_matrix``, which pulls A block by block from a callable: for a
-block of about BLOCK_MATRICES step·curve matrices it evaluates A on the
-block's part of the grid with one
+step 1e-3). Every integration, here and in the radial transports of
+``constructions``, runs one vectorized kernel, ``_rk4_matrix``, which
+pulls every per-point quantity block by block from a callable: for a
+block of about BLOCK_MATRICES step·curve matrices an ensemble evaluates
+its curves' positions and velocities on the block's part of the
+half-step grid (``geometry.curve_evaluator``, one jet pass per curve
+family, its args stacked once per run), then A with one
 ``Connection.coordinate_christoffels_along`` call, which forms only the
 endomorphism Gamma(velocity) (for a connection flat in a jet frame,
--(d_v E) E^-1 from one jet pass seeded along the velocity), and steps the
-block before the next block's coefficients are evaluated, so the
-coefficients of a whole run are never held at once. As the ODE is
-linear, each RK4 step is one product phi <- phi + D_k phi. A block's
-increments D_k are formed component-major: n^3 whole-array multiply-adds
-per product rather than one small matrix product per step and curve.
-A block writes its steps into one buffer and checks them for finiteness
-together. Only the one-curve ``parallel_transport`` also carries a
-step-halving error estimate.
+-(d_v E) E^-1 from one jet pass seeded along the velocity), and the
+kernel steps the block before the next block is evaluated. Neither the
+positions nor the coefficients of a whole run are ever held, and each
+half-step sample is evaluated once. A block's points are grid-major,
+ordered (grid, curve), and every per-point quantity from the frame jets
+to the increments lives in component-major (n, n, points) planes, so a
+product of 2×2 matrices is n^3 whole-plane multiply-adds rather than
+one small matrix product per point, with no transposing copy between
+the layers. As the ODE is linear, each RK4 step is one product
+phi <- phi + D_k phi. A block writes its steps into one buffer and
+checks them for finiteness together. Only the one-curve
+``parallel_transport`` also carries a step-halving error estimate.
 """
 
 from __future__ import annotations
@@ -30,14 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationBlowupError
-from .geometry import DET_FLOOR, curve_positions_velocities, invert_frames
+from .geometry import (DET_FLOOR, curve_evaluator, curve_positions_velocities,
+                       invert_frames, matmul_planes)
 
 DEFAULT_STEP = 1e-3
-# step·curve matrices per block of the RK4 kernel: a block's coefficients,
-# frame jets, inverses and increments are each about 12 800 (n, n)
-# matrices, 0.4 MB for n = 2, and stay in cache from the Christoffels to
-# the steps; the whole grid of 200 curves at step 1e-3 would be 12.8 MB
-# per array, while small blocks pay the per-block ufunc calls
+# step·curve matrices per block of the RK4 kernel: a block's increments
+# are about 12 800 (n, n) matrices, 0.4 MB for n = 2, and its positions,
+# velocities, frame jets, inverses and coefficients, one per half-step
+# sample, 0.4 MB per (n,) and 0.8 MB per (n, n) array; they stay in cache
+# from the curves to the steps, while small blocks pay the per-block
+# ufunc calls
 BLOCK_MATRICES = 12800
 SAMPLE_TOL = 1e-9                         # slack of a sample time on the step grid
 
@@ -93,40 +98,35 @@ def _block_steps(m):
 
 
 def _times_shifted(P, c, Q):
-    """P (I + c Q) for component-major stacks P, Q of shape (n, n, ...):
-    entry (i, k) is sum_j P[i, j] X[j, k], X = I + c Q, as n^3 whole-array
-    multiply-adds, j ascending. Q is overwritten with X."""
-    n = P.shape[0]
+    """P (I + c Q) for component-major stacks P, Q of shape (n, n, ...),
+    by ``matmul_planes``. Q is overwritten with I + c Q."""
     Q *= c
-    for i in range(n):
+    for i in range(Q.shape[0]):
         Q[i, i] += 1.0
-    out = P[:, 0, None] * Q[None, 0]
-    for j in range(1, n):
-        out += P[:, j, None] * Q[None, j]
-    return out
+    return matmul_planes(P, Q)
 
 
-def _increments(A, h):
-    """RK4 increment matrices D (b, m, n, n) of a block A (m, 2b+1, n, n)
-    on the half-step grid: D = h/6 (A1 + 2 B2 + 2 B3 + B4) with
-    B2 = A2 (I + h/2 A1), B3 = A2 (I + h/2 B2) and B4 = A4 (I + h B3).
+def _increments(first, A, h):
+    """RK4 increment matrices D (b, m, n, n) of a block of b steps:
+    D = h/6 (A1 + 2 B2 + 2 B3 + B4) with B2 = A2 (I + h/2 A1),
+    B3 = A2 (I + h/2 B2) and B4 = A4 (I + h B3).
 
-    The block's step and midpoint samples are transposed to (n, n, steps,
-    m), so each product is n^3 multiply-adds over all of the block's
+    `first` (n, n, m) is the sample at the block's first step and A (n, n,
+    2b, m) the 2b half-step samples after it, both component-major planes,
+    so each product is n^3 multiply-adds over all of the block's
     step·curve matrices at once instead of one BLAS call per 2×2 matrix.
     The sum accumulates in the order written, each B overwritten once it
     has been added.
     """
-    m, G, n, _ = A.shape
-    ends = np.ascontiguousarray(A[:, ::2].transpose(2, 3, 1, 0))
-    A2 = np.ascontiguousarray(A[:, 1::2].transpose(2, 3, 1, 0))
-    A1, A4 = ends[:, :, :-1], ends[:, :, 1:]
+    n, _, _, m = A.shape
+    A2, A4 = A[:, :, 0::2], A[:, :, 1::2]
+    A1 = np.concatenate((first[:, :, None], A4[:, :, :-1]), axis=2)
     B = _times_shifted(A2, 0.5 * h, A1.copy())
     S = A1 + 2.0 * B
     B = _times_shifted(A2, 0.5 * h, B)
     S += 2.0 * B
     S += _times_shifted(A4, h, B)
-    D = np.empty(((G - 1) // 2, m, n, n))
+    D = np.empty((A4.shape[2], m, n, n))
     np.multiply(h / 6.0, S, out=D.transpose(2, 3, 0, 1))
     return D
 
@@ -134,16 +134,19 @@ def _increments(A, h):
 def _rk4_matrix(coefficients, m, n, steps, h, sample_idx):
     """Integrate Phi' = A Phi for a batch of m curves over `steps` steps
     of size h. coefficients(lo, hi) returns the samples lo..hi-1 of A on
-    the half-step grid, shape (m, hi - lo, n, n). Returns {k: Phi at
+    the half-step grid, grid-major: shape (hi - lo, m, n, n), read
+    fastest as a view of component-major (n, n, hi - lo, m) planes. Returns {k: Phi at
     step k} for the step indices in sample_idx.
 
     The ODE is linear, so RK4 step k is phi <- phi + D_k phi with the
     increment D_k of ``_increments``. A block of ``_block_steps(m)``
-    steps pulls its 2b + 1 samples (the last one again as the first of
-    the next block), forms its increments and writes its steps into one
-    buffer, one product and one sum each, and checks them for finiteness
-    together, before the next block's coefficients are evaluated. The
-    first non-finite step is the reported t.
+    steps pulls its 2b new samples (the first block also the sample at
+    t = 0), so each sample is evaluated once: a block's last sample is
+    carried into the next as its first. The block forms its increments
+    and writes its steps into one buffer, one product and one sum each,
+    and checks them for finiteness together, before the next block's
+    coefficients are evaluated. The first non-finite step is the
+    reported t.
     """
     block = _block_steps(m)
     idx = np.unique(np.fromiter(sample_idx, dtype=int))
@@ -151,14 +154,19 @@ def _rk4_matrix(coefficients, m, n, steps, h, sample_idx):
     buf[0] = np.eye(n)
     phis, prod = list(buf), np.empty((m, n, n))
     out = {0: buf[0].copy()} if idx.size and idx[0] == 0 else {}
+    first = None
     for k0 in range(0, steps, block):
-        A = coefficients(2 * k0, 2 * min(k0 + block, steps) + 1)
+        A = coefficients(2 * k0 + (first is not None), 2 * min(k0 + block, steps) + 1)
+        A = A.transpose(2, 3, 0, 1)
+        if first is None:
+            first, A = A[:, :, 0], A[:, :, 1:]
         # a blow-up is reported once, by the finiteness check, not also as
         # a warning; the coefficients keep the caller's error state
         with np.errstate(over="ignore", invalid="ignore"):
-            D = _increments(A, h)
+            D = _increments(first, A, h)
             for j, Dj in enumerate(D):
                 np.add(phis[j], np.matmul(Dj, phis[j], out=prod), out=phis[j + 1])
+        first = A[:, :, -1].copy()
         b = D.shape[0]
         finite = np.isfinite(buf[1:b + 1].reshape(b, -1)).all(axis=1)
         if not finite.all():
@@ -173,11 +181,12 @@ def _rk4_matrix(coefficients, m, n, steps, h, sample_idx):
 
 def _coefficient_grid(conn, pos, vel):
     """A = -vel^j Gamma^i_{jk}(pos) for positions and velocities of shape
-    (m, G, n): (m, G, n, n), from one Connection.coordinate_christoffels_along
-    call (no (n, n, n) symbol tensor)."""
-    m, G, n = pos.shape
+    (..., n): (..., n, n), from one Connection.coordinate_christoffels_along
+    call (no (n, n, n) symbol tensor); grid-major positions give A as a
+    view of component-major planes."""
+    n = pos.shape[-1]
     A = conn.coordinate_christoffels_along(pos.reshape(-1, n), vel.reshape(-1, n))
-    return np.negative(A, out=A).reshape(m, G, n, n)
+    return np.negative(A, out=A).reshape(pos.shape + (n,))
 
 
 def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
@@ -187,8 +196,11 @@ def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
     (ncurves, nsamples, n, n), sample_ts must be multiples of `step` in
     [0, t_end].
 
-    Connections flagged with a backing parallelism translate by exact
-    frame transfer instead of integrating.
+    The kernel takes the curves family by family (``curve_evaluator``)
+    and evaluates each block's positions and velocities when it pulls
+    the block's coefficients; the results are returned in the order of
+    `curves`. Connections flagged with a backing parallelism translate by
+    exact frame transfer instead of integrating.
     """
     sample_ts = np.asarray(sample_ts, dtype=float)
     if not np.all((sample_ts >= -SAMPLE_TOL) & (sample_ts <= t_end + SAMPLE_TOL)):
@@ -212,11 +224,13 @@ def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
     idx = np.rint(sample_ts / h).astype(int)
     if np.max(np.abs(idx * h - sample_ts)) > SAMPLE_TOL:
         raise ValueError("sample times must be multiples of the step")
-    pos, vel = curve_positions_velocities(curves, grid)
-    out = _rk4_matrix(lambda lo, hi: _coefficient_grid(conn, pos[:, lo:hi], vel[:, lo:hi]),
+    order, evaluate = curve_evaluator(curves)
+    out = _rk4_matrix(lambda lo, hi: _coefficient_grid(conn, *evaluate(grid[lo:hi])),
                       m, n, steps, h, set(idx.tolist()))
-    phis = np.stack([out[i] for i in idx], axis=1)
-    return phis, pos[:, 0], pos[:, 2 * idx]
+    back = np.argsort(order)
+    phis = np.stack([out[i][back] for i in idx], axis=1)
+    pos = evaluate(grid[np.append(0, 2 * idx)])[0].swapaxes(0, 1)[back]
+    return phis, pos[:, 0], pos[:, 1:]
 
 
 def parallel_transport(conn, curve, t=1.0, step=DEFAULT_STEP):
@@ -237,8 +251,8 @@ def parallel_transport(conn, curve, t=1.0, step=DEFAULT_STEP):
 def matrix_ode_solve(A, t_end, step=DEFAULT_STEP):
     """RK4 solution of Phi' = A(t) Phi, Phi(0) = I, sampled at step multiples."""
     steps, h, grid = _step_grid(t_end, step)
-    A_all = np.stack([np.asarray(A(t), dtype=float) for t in grid])[None]
-    out = _rk4_matrix(lambda lo, hi: A_all[:, lo:hi], 1, A_all.shape[-1], steps, h,
+    A_all = np.stack([np.asarray(A(t), dtype=float) for t in grid])[:, None]
+    out = _rk4_matrix(lambda lo, hi: A_all[lo:hi], 1, A_all.shape[-1], steps, h,
                       range(steps + 1))
     return MatrixCurve(tuple((k * h, out[k][0]) for k in range(steps + 1)))
 

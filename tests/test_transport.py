@@ -164,20 +164,20 @@ def test_blow_up_raises_without_numpy_warnings():
 # ---------------------------------------------------------- RK4 kernel
 
 def _rk4_held(A_all, h, sample_idx):
-    """The RK4 kernel over a grid held whole, A_all (m, 2N+1, n, n),
-    each block a slice of it."""
-    m, G, n, _ = A_all.shape
-    return _rk4_matrix(lambda lo, hi: A_all[:, lo:hi], m, n, (G - 1) // 2, h, sample_idx)
+    """The RK4 kernel over a grid held whole, grid-major A_all
+    (2N+1, m, n, n), each block a slice of it."""
+    G, m, n, _ = A_all.shape
+    return _rk4_matrix(lambda lo, hi: A_all[lo:hi], m, n, (G - 1) // 2, h, sample_idx)
 
 
 def _rk4_by_stages(A_all, h, sample_idx):
     """Classical RK4 evaluating its four stages at every step: the
     reference for the increment-matrix kernel."""
-    m, G, n, _ = A_all.shape
+    G, m, n, _ = A_all.shape
     phi = np.broadcast_to(np.eye(n), (m, n, n)).copy()
     out = {0: phi.copy()} if 0 in sample_idx else {}
     for k in range((G - 1) // 2):
-        A1, A2, A4 = A_all[:, 2 * k], A_all[:, 2 * k + 1], A_all[:, 2 * k + 2]
+        A1, A2, A4 = A_all[2 * k], A_all[2 * k + 1], A_all[2 * k + 2]
         k1 = A1 @ phi
         k2 = A2 @ (phi + 0.5 * h * k1)
         k3 = A2 @ (phi + 0.5 * h * k2)
@@ -191,11 +191,12 @@ def _rk4_by_stages(A_all, h, sample_idx):
 
 
 def _component_major_increments(A_all, h):
-    """The RK4 increments D (m, N, n, n) of every step, entry by entry:
-    product entry (i, k) is sum_j P_ij X_jk with X = I + c Q, j ascending,
-    the kernel's order of operations on the untransposed layout."""
+    """The RK4 increments D (N, m, n, n) of every step from a grid-major
+    A_all (2N+1, m, n, n), entry by entry: product entry (i, k) is
+    sum_j P_ij X_jk with X = I + c Q, j ascending, the kernel's order of
+    operations on the untransposed layout."""
     n = A_all.shape[-1]
-    A1, A2, A4 = A_all[:, :-1:2], A_all[:, 1::2], A_all[:, 2::2]
+    A1, A2, A4 = A_all[:-1:2], A_all[1::2], A_all[2::2]
 
     def times_shifted(P, c, Q):
         X = c * Q
@@ -220,13 +221,13 @@ def _rk4_step_by_step(A_all, h, sample_idx):
     phi <- phi + D_k phi as a new array per step, each checked for
     finiteness: the reference the block-buffered kernel must match bit
     for bit."""
-    m, _, n, _ = A_all.shape
+    _, m, n, _ = A_all.shape
     with np.errstate(over="ignore", invalid="ignore"):
         D = _component_major_increments(A_all, h)
     phi = np.broadcast_to(np.eye(n), (m, n, n)).copy()
     out = {0: phi} if 0 in sample_idx else {}
-    for j in range(D.shape[1]):
-        phi = phi + D[:, j] @ phi
+    for j in range(D.shape[0]):
+        phi = phi + D[j] @ phi
         k = j + 1
         if not np.isfinite(phi).all():
             raise IntegrationBlowupError("transport blow-up", t=k * h)
@@ -237,7 +238,7 @@ def _rk4_step_by_step(A_all, h, sample_idx):
 
 def _check_block_buffering(m, n, steps):
     rng = np.random.default_rng(100 * steps + n)
-    A_all = rng.normal(size=(m, 2 * steps + 1, n, n))
+    A_all = rng.normal(size=(2 * steps + 1, m, n, n))
     block = _block_steps(m)
     edges = {k for b in range(0, steps + 1, block) for k in (b - 1, b, b + 1)}
     for idx in (set(range(steps + 1)), {k for k in edges if 0 <= k <= steps} | {steps}):
@@ -268,7 +269,7 @@ def test_block_buffered_steps_match_across_batch_sizes_and_blocks(m, n, steps, b
 def test_block_buffered_samples_own_their_data():
     # the buffer is reused by every block, so a sample left as a view of it
     # would be overwritten by the steps of later blocks
-    A_all = np.random.default_rng(0).normal(size=(2, 2 * 200 + 1, 2, 2))
+    A_all = np.random.default_rng(0).normal(size=(2 * 200 + 1, 2, 2, 2))
     out = _rk4_held(A_all, 1e-2, range(201))
     assert len(out) == 201 and all(phi.base is None for phi in out.values())
 
@@ -280,8 +281,8 @@ def test_block_buffered_blow_up_reports_the_step_by_step_parameter(step):
     # steps cover the first, a middle and the last step of a block of the
     # fewest steps
     h = 1.0 / 300
-    A_all = np.random.default_rng(step).normal(size=(MANY, 601, 2, 2))
-    A_all[2, 2 * step - 1, 1, 0] = np.inf if step % 2 else np.nan
+    A_all = np.random.default_rng(step).normal(size=(601, MANY, 2, 2))
+    A_all[2 * step - 1, 2, 1, 0] = np.inf if step % 2 else np.nan
     ts = []
     for kernel in (_rk4_held, _rk4_step_by_step):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -295,7 +296,7 @@ def test_block_buffered_blow_up_reports_the_step_by_step_parameter(step):
 @pytest.mark.parametrize("n, steps", [(2, 1), (2, 130), (3, 77), (3, 2 * LEAST_BLOCK + 9)])
 def test_rk4_increments_match_the_stage_by_stage_reference(n, steps):
     rng = np.random.default_rng(10 * steps + n)
-    A_all = rng.normal(size=(5, 2 * steps + 1, n, n))
+    A_all = rng.normal(size=(2 * steps + 1, 5, n, n))
     idx = set(range(0, steps + 1, 3)) | {steps}
     got = _rk4_held(A_all, 1.0 / steps, idx)
     want = _rk4_by_stages(A_all, 1.0 / steps, idx)
@@ -306,8 +307,8 @@ def test_rk4_increments_match_the_stage_by_stage_reference(n, steps):
 
 @pytest.mark.parametrize("bad", [0, 1, 2, 2 * LEAST_BLOCK, 2 * LEAST_BLOCK + 1, 171])
 def test_rk4_blow_up_reports_the_reference_parameter(bad):
-    A_all = np.random.default_rng(bad).normal(size=(3, 201, 2, 2))
-    A_all[1, bad, 0, 1] = np.inf if bad % 2 else np.nan
+    A_all = np.random.default_rng(bad).normal(size=(201, 3, 2, 2))
+    A_all[bad, 1, 0, 1] = np.inf if bad % 2 else np.nan
     errors = []
     for kernel in (_rk4_held, _rk4_by_stages):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -326,7 +327,7 @@ def _one_shot_ensemble(conn, curves, sample_ts, step, monkeypatch):
     steps, h, grid = _step_grid(1.0, step)
     idx = np.rint(np.asarray(sample_ts) / h).astype(int)
     pos, vel = curve_positions_velocities(curves, grid)
-    A_all = _coefficient_grid(conn, pos, vel)
+    A_all = _coefficient_grid(conn, pos.swapaxes(0, 1), vel.swapaxes(0, 1))
     with monkeypatch.context() as patch:
         patch.setattr(transport, "BLOCK_MATRICES", len(curves) * steps)
         assert _block_steps(len(curves)) >= steps
@@ -366,17 +367,56 @@ def test_streamed_rebuilt_transport_is_the_one_shot_grid_bit_for_bit(rescaling, 
     _check_streamed(rebuilt, Box((-0.8, -0.8), (0.8, -0.4)), 2 * LEAST_BLOCK + 3, monkeypatch)
 
 
-def test_holonomy_check_never_holds_the_whole_coefficient_grid(s5):
-    # 200 curves at step 1e-3: the grid's A alone is 12.8 MB, and the
-    # frame jets, inverses and products each as much again
+def _traced_peak_of_the_section5_check(s5):
+    """Traced numpy peak of check_holonomy_invariance on 200 section5
+    curves at step 1e-3."""
     curves = CurveGenerator(s5.domain.shrink(0.05), seed=1, count=200).curves()
     tracemalloc.start()
     try:
         check_holonomy_invariance(s5.norm_field, s5.connection, curves, step=1e-3, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+
+
+def test_holonomy_check_never_holds_the_whole_coefficient_grid(s5):
+    # the grid's A alone is 12.8 MB, and the frame jets, inverses and
+    # products each as much again
+    assert _traced_peak_of_the_section5_check(s5) < 32 * 2**20
+
+
+def test_holonomy_check_never_holds_the_whole_curve_grid(s5):
+    # positions and velocities are evaluated block by block too: on the
+    # whole grid they would be 6.4 MB each
+    assert _traced_peak_of_the_section5_check(s5) < 12 * 2**20
+
+
+@pytest.mark.parametrize("m, steps", [(1, 2000), (MANY, 3 * LEAST_BLOCK + 5)])
+def test_each_half_step_sample_is_pulled_once(m, steps):
+    # consecutive blocks share a sample, which the kernel carries over
+    A_all = np.random.default_rng(steps).normal(size=(2 * steps + 1, m, 2, 2))
+    pulled = []
+
+    def coefficients(lo, hi):
+        pulled.append((lo, hi))
+        return A_all[lo:hi]
+
+    got = _rk4_matrix(coefficients, m, 2, steps, 1.0 / steps, {steps})
+    assert [lo for lo, _ in pulled[1:]] == [hi for _, hi in pulled[:-1]]
+    assert pulled[0][0] == 0 and pulled[-1][1] == 2 * steps + 1
+    assert np.array_equal(got[steps], _rk4_held(A_all, 1.0 / steps, {steps})[steps])
+
+
+def test_ensemble_of_shuffled_curves_gives_the_shuffled_results_bit_for_bit(s5_conn):
+    # the kernel takes the curves family by family; results come back in
+    # the caller's order
+    curves = CurveGenerator(DOM.shrink(0.05), seed=5, count=24).curves() + [wavy()]
+    perm = np.random.default_rng(5).permutation(len(curves))
+    ts = [0.25, 0.5, 1.0]
+    want = transport_ensemble(s5_conn, curves, ts, step=1e-3)
+    got = transport_ensemble(s5_conn, [curves[i] for i in perm], ts, step=1e-3)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b[perm])
 
 
 def test_a_singular_frame_reached_only_by_a_late_block_is_refused():

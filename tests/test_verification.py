@@ -32,6 +32,22 @@ WORK = Box((-4.0, -4.0), (4.0, 4.0))
 
 # ---------------------------------------------------------- invariance
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_transports_are_applied_as_the_einsum_contractions(n):
+    # the holonomy check's (m, T, n, n) x (m, V, n) and the compat check's
+    # (m, n, n) x (V, n); for n = 2 the sum has einsum's bits
+    rng = np.random.default_rng(n)
+    phis, v = rng.normal(size=(7, 4, n, n)), rng.normal(size=(7, 5, n))
+    mats, w = rng.normal(size=(7, n, n)), rng.normal(size=(5, n))
+    for got, want in ((verification._apply(phis[:, :, None], v[:, None]),
+                       np.einsum("mtij,mvj->mtvi", phis, v)),
+                      (verification._apply(mats[:, None], w), np.einsum("mij,vj->mvi", mats, w))):
+        assert got.shape == want.shape
+        if n == 2:
+            assert np.array_equal(got, want)
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(want))
+
+
 def test_section5_invariance_passes(s5):
     gen = CurveGenerator(s5.domain.shrink(0.05), seed=1, count=20)
     rep = check_holonomy_invariance(s5.norm_field, s5.connection, gen,
@@ -275,7 +291,7 @@ def test_report_pass_flag_is_enforced_under_optimize():
 
 def test_curve_generator_lets_family_bugs_propagate():
     class Broken(CurveGenerator):
-        def _make(self, family, rng, box):
+        def _make(self, family, rng, bounds):
             return Curve(lambda t: [t, None + t], domain=self.domain)
 
     with pytest.raises(TypeError):
@@ -354,14 +370,14 @@ def test_batched_curve_evaluation_is_per_curve_evaluation_bit_for_bit(seed, corn
 def _curves_one_at_a_time(gen):
     """CurveGenerator.curves validating each candidate as it is drawn."""
     rng = np.random.default_rng(gen.seed)
-    inner = gen.domain.shrink(0.1)
+    bounds = verification._draw_bounds(gen.domain.shrink(0.1))
     out, i = [], 0
     while len(out) < gen.count:
         if i == verification.MAX_ATTEMPTS_PER_CURVE * gen.count:
             raise DomainError(f"only {len(out)} of {gen.count} curves fit in "
                               f"{gen.domain} after {i} attempts")
         curve = gen._make(verification.CURVE_FAMILIES[i % len(verification.CURVE_FAMILIES)],
-                          rng, inner)
+                          rng, bounds)
         i += 1
         try:
             out.append(curve.validate())
@@ -373,8 +389,8 @@ def _curves_one_at_a_time(gen):
 class _Loose(CurveGenerator):
     """Draws from a box larger than the domain, so candidates leave it."""
 
-    def _make(self, family, rng, box):
-        return super()._make(family, rng, self.domain.shrink(-0.3))
+    def _make(self, family, rng, bounds):
+        return super()._make(family, rng, verification._draw_bounds(self.domain.shrink(-0.3)))
 
 
 @pytest.mark.parametrize("gen", [
