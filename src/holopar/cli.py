@@ -22,7 +22,7 @@ from .fixtures import (build_box, build_cover, build_fixture, build_norm, fixtur
 from .geometry import ChartPoint, invert_frames, segment
 from .norms import ContinuousFamily, isometry_group_2x2
 from .parallelism import CoveringParallelism, pushdown_norm
-from .transport import transport_ensemble
+from .transport import parallel_transport, transport_ensemble
 from .verification import (CurveGenerator, berwald_obstruction,
                            check_compalg_criterion, check_holonomy_invariance,
                            check_parallelism_compat, make_report,
@@ -127,24 +127,27 @@ def _isometry_group(fx, o, group, tol=1e-6):
 
 
 def _transport_oracle_report(fx, curves=20, tol=1e-7, step=1e-3, seed=42):
-    """RK4 transport against the frame-transfer oracle [E(q)][E(p)]^-1.
+    """RK4 transport against the frame-transfer oracle [E(q)][E(p)]^-1 on
+    the generated curves, and against the expected table's 00 -> 10
+    matrix on that segment.
 
-    The generated curves and the expected 00 -> 10 segment run as one
-    ensemble at half the step: the run parallel_transport keeps."""
+    The curves run as one ensemble at half the step, the run that
+    parallel_transport keeps; the segment is one parallel_transport."""
     batch = CurveGenerator(fx.domain.shrink(0.05), seed=seed, count=curves).curves()
-    batch.append(segment((0.0, 0.0), (1.0, 0.0), domain=fx.domain))
     half = 1.0 / (2 * max(1, int(round(1.0 / step))))
     phis, starts, ends = transport_ensemble(fx.connection, batch, [1.0], step=half)
-    mats = phis[:-1, 0]
-    oracle = (fx.frame.matrix_batch(ends[:-1, 0])
-              @ invert_frames(fx.frame.matrix_batch(starts[:-1]), "frame at a curve start"))
+    mats = phis[:, 0]
+    oracle = (fx.frame.matrix_batch(ends[:, 0])
+              @ invert_frames(fx.frame.matrix_batch(starts), "frame at a curve start"))
     worst, wit = 0.0, {}
-    for curve, mat, want in zip(batch[:-1], mats, oracle):
+    for curve, mat, want in zip(batch, mats, oracle):
         err = float(np.max(np.abs(mat - want)))
         if err >= worst:
             worst, wit = err, {"curve": curve.params, "matrix": mat.tolist()}
+    seg = segment((0.0, 0.0), (1.0, 0.0), domain=fx.domain)
     exp_mat = np.asarray(fx.expected["transport_00_to_10"].value)
-    worst = max(worst, float(np.max(np.abs(phis[-1, 0] - exp_mat))))
+    got = parallel_transport(fx.connection, seg, 1.0, step=step).matrix
+    worst = max(worst, float(np.max(np.abs(got - exp_mat))))
     return make_report(f"{fx.name}_transport_oracle", curves + 1, worst, worst, tol,
                        wit, seed, step)
 

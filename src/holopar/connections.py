@@ -9,8 +9,8 @@ Its coordinate view is the endomorphism
 
     Gamma(v) = E Gt(C v) C - (d_v E) C,    C = E^-1,
 
-which is all that transport, torsion, the partition-of-unity blend,
-nabla P and the change of frame need; the coordinate tensor
+which is all that transport, torsion, the partition-of-unity blend and
+nabla P need; the coordinate tensor
 Gamma^a_{bc} = Gamma(e_b)^a_c is only ever an output.
 """
 
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (ChartPoint, Frame, TangentVector, coordinate_frame, invert_frames,
-                       matmul_planes)
-from .parallelism import frame_parallelism
+from .geometry import (ChartPoint, Frame, TangentVector, apply_matrices, coordinate_frame,
+                       invert_frames, matmul_planes)
 
 
 def constant_christoffels(values):
@@ -107,17 +106,6 @@ class Connection:
         return self.coordinate_christoffels_batch(p.coords[None, :])[0]
 
 
-def christoffels_in_frame(conn, new_frame, p):
-    """Christoffel symbols Gt^i_{jk} of `conn` relative to `new_frame` B:
-    Gt_j = B^-1 (nabla P)_{B_j} B with P = frame_parallelism(B), the n
-    columns B_j taken as one nabla_P_batch at p."""
-    B = new_frame.matrix(p)
-    C = invert_frames(B, "target frame")
-    n = len(B)
-    cov = nabla_P_batch(conn, frame_parallelism(new_frame), np.tile(p.coords, (n, 1)), B.T)
-    return (C @ cov @ B).swapaxes(0, 1)                       # [j, i, k] -> [i, j, k]
-
-
 def from_coordinate_christoffels(gamma, n, domain=None):
     """Connection given directly by coordinate-frame symbols."""
     return Connection(coordinate_frame(n, domain), gamma)
@@ -144,22 +132,15 @@ def nabla_P(conn, parallelism, v):
     return nabla_P_batch(conn, parallelism, v.base.coords[None, :], v.components[None, :])[0]
 
 
-def covariant_derivative(conn, X, Y, p):
-    """(nabla_X Y)(p) = dY X + Gamma(X) Y in coordinates."""
-    coords = p.coords[None, :]
-    xv = X.values_batch(coords)
-    yv, yj = Y.jacobian_batch(coords)
-    comps = yj[0] @ xv[0] + conn.coordinate_christoffels_along(coords, xv)[0] @ yv[0]
-    return TangentVector(p, comps)
-
-
 def torsion(conn, X, Y, p):
     """T(X,Y) = nabla_X Y - nabla_Y X - [X,Y] at p: a ChartPoint, giving a
     TangentVector, or coordinates (m, n), giving components (m, n).
 
     The derivative terms of the covariant derivatives cancel the bracket
     exactly, leaving Gamma(X) Y - Gamma(Y) X, from one
-    coordinate_christoffels_along call over the stacked [X; Y].
+    coordinate_christoffels_along call over the stacked [X; Y], each
+    product as ``apply_matrices`` multiply-adds, whose bits do not depend
+    on the layout the transform returns.
     """
     one = isinstance(p, ChartPoint)
     coords = p.coords[None, :] if one else np.asarray(p, dtype=float)
@@ -168,5 +149,5 @@ def torsion(conn, X, Y, p):
     yv = Y.values_batch(coords)
     g = conn.coordinate_christoffels_along(np.concatenate([coords, coords]),
                                            np.concatenate([xv, yv]))
-    comps = (g[:m] @ yv[:, :, None] - g[m:] @ xv[:, :, None])[:, :, 0]
+    comps = apply_matrices(g[:m], yv) - apply_matrices(g[m:], xv)
     return TangentVector(p, comps[0]) if one else comps

@@ -2,7 +2,7 @@
 
 Everything lives in a single global chart whose domain is an open
 axis-aligned box. A vector field is evaluated through jets alone, so
-first derivatives (Jacobians, brackets, velocities) are exact to
+first derivatives (frame Jacobians, curve velocities) are exact to
 rounding. Finite differences are taken only where no closed form
 exists, always through ``central_differences`` (step FD_STEP = 1e-5):
 the Jacobian of a frame given by a matrix function (an ODE-built
@@ -155,14 +155,6 @@ class VectorField:
         self._jets_into(coords, (), vals, None)
         return vals
 
-    def jacobian_batch(self, coords):
-        """Components and Jacobian at a batch of points: (m,n), (m,n,n)."""
-        coords = np.asarray(coords, dtype=float)
-        m, n = coords.shape
-        vals, jac = np.empty((m, n)), np.empty((m, n, n))
-        self._jets_into(coords, None, vals, jac)
-        return vals, jac
-
     def _jets_into(self, coords, directions, vals, parts):
         """Write the components into vals (m, n) and their derivatives
         into parts (m, n, k); both may be views of larger arrays.
@@ -189,33 +181,6 @@ def constant_field(components, domain=None):
     comp = tuple(float(c) for c in components)
     n = len(comp)
     return VectorField(n, components=lambda xs: comp, domain=domain)
-
-
-def jet_eval(field, p, domain=None):
-    """Components and Jacobian of a field at a point via dual numbers.
-
-    jacobian[i][j] is the partial of component i along coordinate j.
-    """
-    dom = domain or field.domain
-    if dom is not None and not dom.contains(p.coords):
-        raise DomainError(f"point {p.coords} outside chart domain")
-    vals, jac = field.jacobian_batch(p.coords[None, :])
-    return vals[0], jac[0]
-
-
-def lie_bracket(X, Y):
-    """[X,Y]^i = X^j d_j Y^i - Y^j d_j X^i."""
-    if X.dim != Y.dim:
-        raise ValueError("dimension mismatch")
-    n = X.dim
-
-    def comps(xs):
-        seeded = seed_jets(xs)
-        Xc = [as_jet(c, n) for c in X(seeded)]
-        Yc = [as_jet(c, n) for c in Y(seeded)]
-        return [sum(Xc[j].value * Yc[i].partials[j] - Yc[j].value * Xc[i].partials[j]
-                    for j in range(n)) for i in range(n)]
-    return VectorField(n, components=comps, domain=X.domain or Y.domain)
 
 
 class Frame:
@@ -349,6 +314,19 @@ def matmul_planes(P, Q):
             np.multiply(P[i, 0], Q[0, l], out=out[i, l])
             for j in range(1, P.shape[1]):
                 out[i, l] += np.multiply(P[i, j], Q[j, l], out=term)
+    return out
+
+
+def apply_matrices(M, v):
+    """M v for matrices M (..., n, n) and vectors v (..., n) whose leading
+    axes broadcast: sum_j M[..., :, j] v[..., j] as whole-array
+    multiply-adds, j ascending, so the bits do not depend on the memory
+    layout of M (a matmul of a C-contiguous stack goes to BLAS and rounds
+    differently from a strided one); for n = 2 the bits of np.einsum, at
+    a quarter of its time on a section5 ensemble."""
+    out = M[..., :, 0] * v[..., None, 0]
+    for j in range(1, v.shape[-1]):
+        out += M[..., :, j] * v[..., None, j]
     return out
 
 

@@ -1,5 +1,5 @@
-"""Parallelisms, induced trivializations, covering parallelisms,
-partitions of unity, and the pushed-down norm.
+"""Parallelisms, covering parallelisms, partitions of unity, and the
+pushed-down norm.
 
 A parallelism is stored through its trivialization matrix field
 q -> [phi_q]; P(p, q) = [phi_q][phi_p]^-1, which makes the cocycle and
@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CoveringGapError, IncompatibleParallelismError,
-                     SingularFrameError)
-from .geometry import DET_FLOOR, Box, Frame, coordinate_frame, invert_frames
+from .errors import CoveringGapError, IncompatibleParallelismError
+from .geometry import Box, Frame, coordinate_frame, invert_frames
 from .jets import smooth_step_num
 from .norms import MinkowskiNorm, unit_sphere
 
@@ -62,22 +61,6 @@ def frame_parallelism(frame):
 def translation_parallelism(domain):
     """phi = identity everywhere: P(p, q) = I."""
     return frame_parallelism(coordinate_frame(domain.dim, domain))
-
-
-def induced_trivialization(parallelism, p, eta):
-    """Matrix field q -> [P(p, q)] eta of the trivialization anchored at p."""
-    eta = np.asarray(eta, dtype=float)
-    if abs(np.linalg.det(eta)) <= DET_FLOOR:
-        raise SingularFrameError("eta must be invertible")
-    p_coords = np.asarray(p.coords if hasattr(p, "coords") else p, dtype=float)
-    phi_p = parallelism.phi(p_coords[None, :])[0]
-    anchor = np.linalg.solve(phi_p, eta)
-
-    def field(coords):
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        return parallelism.phi(coords) @ anchor
-
-    return field
 
 
 @dataclass(frozen=True)

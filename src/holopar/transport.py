@@ -1,4 +1,4 @@
-"""Parallel translation along curves and the general matrix ODE.
+"""Parallel translation along curves.
 
 Transport solves the matrix ODE Phi' = A(t) Phi, Phi(0) = I with
 A^i_k(t) = -(velocity)^j Gamma^i_{jk}(position) in coordinates, i.e. all
@@ -23,7 +23,8 @@ one small matrix product per point, with no transposing copy between
 the layers. As the ODE is linear, each RK4 step is one product
 phi <- phi + D_k phi. A block writes its steps into one buffer and
 checks them for finiteness together. Only the one-curve
-``parallel_transport`` also carries a step-halving error estimate.
+``parallel_transport`` (the transport oracle's expected segment) also
+carries a step-halving error estimate.
 """
 
 from __future__ import annotations
@@ -63,26 +64,6 @@ class TransportOperator:
 
     def __call__(self, v):
         return self.matrix @ np.asarray(v, dtype=float)
-
-
-@dataclass(frozen=True)
-class MatrixCurve:
-    """Sampled matrix curve (t, Phi(t)); Phi(0) must be the identity."""
-
-    samples: tuple
-
-    def __post_init__(self):
-        t0, m0 = self.samples[0]
-        if t0 != 0.0 or np.max(np.abs(np.asarray(m0) - np.eye(len(m0)))) > 1e-12:
-            raise ValueError("matrix curve must start at (0, I)")
-
-    @property
-    def ts(self):
-        return np.asarray([t for t, _ in self.samples])
-
-    @property
-    def matrices(self):
-        return np.asarray([m for _, m in self.samples])
 
 
 def _step_grid(t_end, step):
@@ -246,33 +227,3 @@ def parallel_transport(conn, curve, t=1.0, step=DEFAULT_STEP):
     fine, _, _ = transport_ensemble(conn, [curve], [t], step=t / (2 * steps), t_end=t)
     err = float(np.max(np.abs(coarse[0, 0] - fine[0, 0])))
     return TransportOperator(curve.point(0.0), curve.point(t), fine[0, 0], err)
-
-
-def matrix_ode_solve(A, t_end, step=DEFAULT_STEP):
-    """RK4 solution of Phi' = A(t) Phi, Phi(0) = I, sampled at step multiples."""
-    steps, h, grid = _step_grid(t_end, step)
-    A_all = np.stack([np.asarray(A(t), dtype=float) for t in grid])[:, None]
-    out = _rk4_matrix(lambda lo, hi: A_all[lo:hi], 1, A_all.shape[-1], steps, h,
-                      range(steps + 1))
-    return MatrixCurve(tuple((k * h, out[k][0]) for k in range(steps + 1)))
-
-
-def phi_curve(parallelism, conn, curve, step=DEFAULT_STEP, samples=100):
-    """The trivialized transport Phi(t) = phi(c(t))^-1 P_c^t phi(c(0)).
-
-    For a parallelism-compatible pair this runs in the isometry group of
-    the pushed-down norm; sampled at `samples` equispaced parameters.
-    """
-    ts = np.linspace(0.0, 1.0, samples + 1)
-    ts = np.round(ts / step) * step
-    ts[0] = 0.0
-    ts = np.unique(ts)
-    nonzero = ts[ts > 0]
-    phis, pos0, pos_s = transport_ensemble(conn, [curve], nonzero, step=step)
-    phi0 = parallelism.phi(pos0)[0]
-    n = conn.dim
-    phi_t_inv = invert_frames(parallelism.phi(pos_s[0]), "trivialization along the curve")
-    mats = np.einsum("tij,tjk,kl->til", phi_t_inv, phis[0], phi0)
-    out = [(0.0, np.eye(n))]
-    out += [(float(t), mats[i]) for i, t in enumerate(nonzero)]
-    return MatrixCurve(tuple(out))

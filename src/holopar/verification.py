@@ -16,7 +16,7 @@ import numpy as np
 from .connections import nabla_P_batch, torsion
 from .constructions import covering_from_connection, connection_from_covering_parallelism
 from .errors import DomainError, PreconditionError
-from .geometry import Box, Curve, check_curves, segment
+from .geometry import Box, Curve, apply_matrices, check_curves, segment
 from .jets import jcos, jsin
 from .norms import LIE_ALGEBRA_SAMPLES, ContinuousFamily, isometry_group_2x2, unit_sphere
 from .parallelism import CoveringParallelism
@@ -26,7 +26,8 @@ REL_FLOOR = 1e-12
 # CurveGenerator gives up after this many draws per requested curve
 MAX_ATTEMPTS_PER_CURVE = 100
 # CurveGenerator draws candidates from these families in turn; a circle
-# needs two axes, so a 1-D domain skips it
+# needs two axes and a sine a direction across its chord, so a 1-D
+# domain skips both
 CURVE_FAMILIES = ("segment", "circle", "sine", "bezier")
 DEFAULT_TS = tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
 
@@ -81,7 +82,8 @@ class CurveGenerator:
         """The first `count` regular candidates inside the domain, in draw
         order; each round draws the missing number of candidates, the
         CURVE_FAMILIES in turn, and checks them in one batch."""
-        families = tuple(f for f in CURVE_FAMILIES if f != "circle" or self.domain.dim >= 2)
+        families = tuple(f for f in CURVE_FAMILIES
+                         if self.domain.dim >= 2 or f in ("segment", "bezier"))
         rng = np.random.default_rng(self.seed)
         bounds = _draw_bounds(self.domain.shrink(0.1))
         limit = MAX_ATTEMPTS_PER_CURVE * self.count
@@ -202,17 +204,6 @@ def check_holonomy_invariance(norm_field, conn, gen, tol=1e-6, step=DEFAULT_STEP
                               step=step, vectors=vectors, seed=seed, name=name)
 
 
-def _apply(M, v):
-    """M v for matrices M (..., n, n) and vectors v (..., n) whose leading
-    axes broadcast: sum_j M[..., :, j] v[..., j] as whole-array
-    multiply-adds, j ascending (for n = 2 the bits of np.einsum, at a
-    quarter of its time on a section5 ensemble)."""
-    out = M[..., :, 0] * v[..., None, 0]
-    for j in range(1, v.shape[-1]):
-        out += M[..., :, j] * v[..., None, j]
-    return out
-
-
 def _invariance_report(norm_field, curves, ts, phis, pos0, pos_s, tol, step,
                        vectors=20, seed=0, name="holonomy_invariance"):
     """The norm comparison of check_holonomy_invariance on transports
@@ -223,7 +214,7 @@ def _invariance_report(norm_field, curves, ts, phis, pos0, pos_s, tol, step,
     v /= np.linalg.norm(v, axis=2, keepdims=True)
 
     f0 = norm_field(pos0[:, None, :], v)                              # (m, V)
-    pv = _apply(phis[:, :, None], v[:, None])                         # (m, T, V, n)
+    pv = apply_matrices(phis[:, :, None], v[:, None])                 # (m, T, V, n)
     ft = norm_field(np.broadcast_to(pos_s[:, :, None, :], pv.shape), pv)
     abs_err = np.abs(ft - f0[:, None, :])
     rel_err = abs_err / np.maximum(np.abs(f0[:, None, :]), REL_FLOOR)
@@ -261,7 +252,7 @@ def check_parallelism_compat(norm_field, parallelism, pairs=200, vectors=20,
     v = unit_sphere(n, vectors)
 
     mats = parallelism.transfer(ps, qs)                               # (m, n, n)
-    pv = _apply(mats[:, None], v)                                     # (m, V, n)
+    pv = apply_matrices(mats[:, None], v)                             # (m, V, n)
     fp = norm_field(np.broadcast_to(ps[:, None, :], (count, vectors, n)),
                     np.broadcast_to(v, (count, vectors, n)))
     fq = norm_field(np.broadcast_to(qs[:, None, :], pv.shape), pv)

@@ -19,7 +19,7 @@ from holopar.norms import (ContinuousFamily, constant_norm_field,
                            euclidean_norm, is_isometry, isometry_group_2x2,
                            lie_algebra_member)
 from holopar.parallelism import CoveringParallelism, frame_parallelism, pushdown_norm
-from holopar.transport import matrix_ode_solve, parallel_transport, transport_ensemble
+from holopar.transport import parallel_transport, transport_ensemble
 from holopar.verification import (CurveGenerator, check_holonomy_invariance,
                                   check_parallelism_compat)
 
@@ -83,27 +83,31 @@ def test_criterion_04_transport_oracle(s5):
     _line(4, f"transport vs frame-transfer oracle (err {err:.2e})", err <= 1e-7)
 
 
-def test_criterion_05_matrix_ode_group_membership():
+def test_criterion_05_matrix_ode_group_membership(solve_ode):
     rng = np.random.default_rng(5)
+
+    def series(c, x):
+        return c[0] + c[1] * np.sin(x)[:, None, None] + c[2] * np.cos(x)[:, None, None]
+
     worst_orth = 0.0
     for _ in range(5):
         c = rng.uniform(-1.0, 1.0, (3, 3, 3))
 
-        def A(t, c=c):
-            m = c[0] + c[1] * np.sin(t) + c[2] * np.cos(t)
-            return m - m.T
+        def A(x, c=c):
+            m = series(c, x)
+            return m - m.swapaxes(1, 2)
 
-        phis = matrix_ode_solve(A, 1.0, step=1e-3).matrices
+        _, phis = solve_ode(A, 3, 1.0, 1e-3)
         dev = np.max(np.abs(np.einsum("tji,tjk->tik", phis, phis) - np.eye(3)))
         worst_orth = max(worst_orth, float(dev))
     worst_tri = 0.0
     for _ in range(5):
         c = rng.uniform(-1.0, 1.0, (3, 3, 3))
 
-        def A(t, c=c):
-            return np.triu(c[0] + c[1] * np.sin(t) + c[2] * np.cos(t))
+        def A(x, c=c):
+            return np.triu(series(c, x))
 
-        phis = matrix_ode_solve(A, 1.0, step=1e-3).matrices
+        _, phis = solve_ode(A, 3, 1.0, 1e-3)
         lower = phis[:, np.tril_indices(3, -1)[0], np.tril_indices(3, -1)[1]]
         worst_tri = max(worst_tri, float(np.max(np.abs(lower))))
     _line(5, f"ODE stays in group (orth {worst_orth:.2e}, triangular {worst_tri:.2e})",

@@ -76,9 +76,28 @@ def test_verify_is_byte_deterministic(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_verify_section5_runs_one_parallel_transport(tmp_path, monkeypatch):
+    # the transport oracle's expected segment; loading the fixture runs none
+    calls = []
+
+    def counting(conn, curve, *args, **kwargs):
+        calls.append(curve.params)
+        return parallel_transport(conn, curve, *args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("holopar")]:
+        if getattr(module, "parallel_transport", None) is parallel_transport:
+            monkeypatch.setattr(module, "parallel_transport", counting)
+    load_fixture("section5")
+    assert calls == []
+    code, _ = run(["verify", "section5", "--curves", "5"], tmp_path)
+    assert code == 0
+    assert calls == [{"family": "segment", "p0": [0.0, 0.0], "p1": [1.0, 0.0]}]
+
+
 def test_transport_oracle_batch_matches_one_curve_transport(monkeypatch):
-    # the oracle's single ensemble run reproduces parallel_transport's
-    # kept (step/2) matrix on every curve
+    # the oracle's single ensemble run, of the generated curves only,
+    # reproduces parallel_transport's kept (step/2) matrix on every curve;
+    # the expected segment is the report's one more sample
     calls = []
 
     def recording(conn, curves, *args, **kwargs):
@@ -91,7 +110,7 @@ def test_transport_oracle_batch_matches_one_curve_transport(monkeypatch):
     rep = cli._transport_oracle_report(fx, curves=5, step=1e-3)
     assert rep.passed and len(calls) == 1
     conn, curves, phis = calls[0]
-    assert len(curves) == rep.samples == 6
+    assert len(curves) == 5 and rep.samples == 6
     for curve, mats in zip(curves, phis):
         assert np.array_equal(mats[0], parallel_transport(conn, curve, 1.0, step=1e-3).matrix)
 

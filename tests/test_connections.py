@@ -7,8 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from holopar.connections import (Connection, christoffels_in_frame,
-                                 constant_christoffels, covariant_derivative,
+from holopar.connections import (Connection, constant_christoffels,
                                  from_coordinate_christoffels, nabla_P, nabla_P_batch,
                                  torsion)
 from holopar.errors import SingularFrameError
@@ -34,8 +33,16 @@ def s5_conn():
 
 # ---------------------------------------------------------- frame changes
 
+def _symbols_in_frame(conn, frame, p):
+    """Symbols Gt^i_{jk} of conn relative to `frame` B at p:
+    Gt_j = B^-1 (nabla P)_{B_j} B with P = frame_parallelism(B)."""
+    B = frame.matrix(p)
+    cov = nabla_P_batch(conn, frame_parallelism(frame), np.tile(p.coords, (len(B), 1)), B.T)
+    return (np.linalg.inv(B) @ cov @ B).swapaxes(0, 1)            # [j, i, k] -> [i, j, k]
+
+
 def test_section5_symbols_vanish_in_own_frame(s5_conn):
-    g = christoffels_in_frame(s5_conn, s5_conn.frame, point(1.3, -0.4))
+    g = _symbols_in_frame(s5_conn, s5_conn.frame, point(1.3, -0.4))
     assert np.max(np.abs(g)) <= 1e-12
 
 
@@ -58,7 +65,7 @@ def test_christoffels_frame_round_trip(s5_conn):
     rng = np.random.default_rng(2)
     for row in DOM.sample(rng, 10, margin=0.05):
         p = ChartPoint(row)
-        g_rot = christoffels_in_frame(s5_conn, other, p)
+        g_rot = _symbols_in_frame(s5_conn, other, p)
         reexpressed = Connection(other, constant_christoffels(g_rot))
         back = reexpressed.coordinate_christoffels(p)
         direct = s5_conn.coordinate_christoffels(p)
@@ -136,24 +143,46 @@ def test_batched_torsion_is_the_pointwise_torsion_bit_for_bit(name, s5_conn, ble
     assert np.max(np.abs(T)) > 0.0
 
 
+@pytest.mark.parametrize("name", ["section5", "rotated_blend", "frame_3d"])
+def test_torsion_bits_do_not_follow_the_layout_of_the_transform(name, s5_conn, blend,
+                                                                monkeypatch):
+    # the transform returns a view of component-major planes; a C-contiguous
+    # copy of the same values gives the same torsion bit for bit
+    conn, dom = _torsion_connections(s5_conn, blend)[name]
+    pts = dom.sample(np.random.default_rng(9), 200, margin=0.05)
+    fields = conn.frame.fields
+    want = torsion(conn, fields[0], fields[-1], pts)
+    along = Connection.coordinate_christoffels_along
+    monkeypatch.setattr(Connection, "coordinate_christoffels_along",
+                        lambda self, coords, v: np.ascontiguousarray(along(self, coords, v)))
+    assert np.array_equal(torsion(conn, fields[0], fields[-1], pts), want)
+
+
 # ---------------------------------------------------------- covariant derivative
 
+def _covariant_derivative(conn, frame, k, v, p):
+    """(nabla_v E_k)(p) for the field E_k of `frame`: (nabla P)_v E_k(p)
+    with P = frame_parallelism(frame), since (nabla P)_v = (d_v E + Gamma(v) E) E^-1."""
+    cov = nabla_P(conn, frame_parallelism(frame), TangentVector(p, v))
+    return cov @ frame.matrix(p)[:, k]
+
+
 def test_covariant_derivative_kills_frame_fields(s5_conn):
-    e1, e2 = s5_conn.frame.fields
-    for X in (e1, e2):
-        for Y in (e1, e2):
-            d = covariant_derivative(s5_conn, X, Y, point(0.8, -1.2))
-            assert np.max(np.abs(d.components)) <= 1e-12
+    p = point(0.8, -1.2)
+    for X in s5_conn.frame.fields:
+        for k in range(2):
+            d = _covariant_derivative(s5_conn, s5_conn.frame, k, X.at(p).components, p)
+            assert np.max(np.abs(d)) <= 1e-12
 
 
 def test_covariant_derivative_coordinate_formula():
     # flat connection: nabla_X Y = directional derivative of Y along X
     conn = Connection.flat(coordinate_frame(2, DOM))
     Y = VectorField(2, components=lambda xs: (xs[0] * xs[1], xs[1]), domain=DOM)
-    X = VectorField(2, components=lambda xs: (1.0, 2.0), domain=DOM)
-    d = covariant_derivative(conn, X, Y, point(3.0, 4.0))
+    frame = Frame(fields=[Y, coordinate_frame(2, DOM).fields[0]], domain=DOM)
+    d = _covariant_derivative(conn, frame, 0, np.array([1.0, 2.0]), point(3.0, 4.0))
     # J(Y) = [[y, x], [0, 1]]; J @ (1,2) = (y + 2x, 2)
-    assert np.allclose(d.components, [10.0, 2.0], atol=1e-12)
+    assert np.allclose(d, [10.0, 2.0], atol=1e-12)
 
 
 # ---------------------------------------------------------- nabla_P

@@ -1,8 +1,11 @@
 """Built-in manifolds and their expected-value tables."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from holopar import cli, constructions, transport
 from holopar.fixtures import SPECS, Expected, build_fixture, fixture_names, load_fixture
 from holopar.geometry import point
 from holopar.verification import (CurveGenerator, check_holonomy_invariance,
@@ -65,11 +68,50 @@ def test_section5_frame_matches_quoted_fields(s5):
 
 
 def test_validate_rejects_wrong_expected_value(s5):
-    import dataclasses
-    bad = dataclasses.replace(
-        s5, expected={"torsion_E1_E2": Expected([0.0, 0.0], 1e-9, "analytic")})
-    with pytest.raises(AssertionError):
-        bad.validate()
+    # the expected table is validated by the suite's checks, not at load:
+    # a wrong torsion entry fails expected_torsion, a wrong transport entry
+    # fails transport_oracle, and the table as given passes both
+    o = cli.run_settings(1e-3, 1e-6, 100, 20, 42)
+    for key, check in (("torsion_E1_E2", "expected_torsion"),
+                       ("transport_00_to_10", "transport_oracle")):
+        assert cli.CHECKS[check](s5, o).passed
+        wrong = dict(s5.expected, **{key: Expected(np.zeros_like(s5.expected[key].value),
+                                                    s5.expected[key].tol, "analytic")})
+        assert not cli.CHECKS[check](dataclasses.replace(s5, expected=wrong), o).passed
+
+
+# the expected entries that no check reads, and how each is derived
+DERIVED = {
+    "coordinate_christoffels": lambda fx: fx.connection.coordinate_christoffels(
+        point(0.7, *(-0.4,) * (fx.dim - 1))),
+    "norm_values": lambda fx: [float(fx.norm_field(np.array([0.0, 0.0]), np.array([0.0, 1.0]))),
+                               float(fx.norm_field(np.array([1.0, 0.0]), np.array([1.0, 1.0])))],
+}
+CHECKED = {"torsion_E1_E2", "transport_00_to_10"}
+
+
+def test_every_expected_entry_is_checked_or_derived():
+    keys = {key for spec in SPECS.values() for key in spec.get("expected", {})}
+    assert keys == CHECKED | set(DERIVED)
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name in fixture_names()
+                                       for key in SPECS[name].get("expected", {})
+                                       if key in DERIVED])
+def test_expected_entry_is_rederived_at_its_tolerance(name, key):
+    fx = load_fixture(name)
+    exp = fx.expected[key]
+    assert np.max(np.abs(np.asarray(DERIVED[key](fx)) - np.asarray(exp.value))) <= exp.tol
+
+
+def test_loading_a_fixture_integrates_nothing(monkeypatch):
+    def kernel(*args, **kwargs):
+        raise AssertionError("RK4 kernel run while loading a fixture")
+
+    for module in (transport, constructions):
+        monkeypatch.setattr(module, "_rk4_matrix", kernel)
+    for name in fixture_names():
+        assert load_fixture(name).name == name
 
 
 def test_scaled_fixture_suite_is_the_expected_compat_failure(scaled):

@@ -1,4 +1,4 @@
-"""Fields, brackets, frames, coframes and curves."""
+"""Fields, frames, coframes and curves."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from holopar.connections import Connection, christoffels_in_frame
+from holopar.connections import Connection
 from holopar.errors import DomainError, PreconditionError, RegularityError, SingularFrameError
-from holopar.geometry import (FD_STEP, Box, ChartPoint, Curve, Frame, VectorField,
-                              constant_field, coordinate_frame, dual_coframe, invert_frames,
-                              jet_eval, lie_bracket, point, segment)
+from holopar.geometry import (FD_STEP, Box, Curve, Frame, VectorField, constant_field,
+                              coordinate_frame, dual_coframe, invert_frames, point, segment)
 from holopar.parallelism import frame_parallelism
-from holopar.jets import jsin
 from holopar.verification import berwald_obstruction
 
 DOM2 = Box((-5.0, -5.0), (5.0, 5.0))
@@ -23,20 +21,25 @@ def e1_field(domain=DOM2):
     return VectorField(2, components=lambda xs: (xs[0], 1.0), domain=domain)
 
 
-def e2_field(domain=DOM2):
-    return VectorField(2, components=lambda xs: (-1.0, 0.0), domain=domain)
+# ------------------------------------------------------------------ jet evaluation
 
+def _jet_eval(field, p):
+    """Components and Jacobian (jacobian[i][j] = d_j X^i) of a field at p
+    from the jet pass of a frame whose first field it is."""
+    other = constant_field((0.0, 1.0), field.domain)
+    E, dE = Frame(fields=[field, other], domain=field.domain).matrix_jacobian_batch(
+        p.coords[None, :])
+    return E[0, :, 0], dE[0, :, 0]
 
-# ------------------------------------------------------------------ jet_eval
 
 def test_jet_eval_constant_field():
-    vals, jac = jet_eval(constant_field((1.0, 0.0), DOM2), point(0.4, -2.1))
+    vals, jac = _jet_eval(constant_field((1.0, 0.0), DOM2), point(0.4, -2.1))
     assert np.array_equal(vals, [1.0, 0.0])
     assert np.array_equal(jac, np.zeros((2, 2)))
 
 
 def test_jet_eval_linear_frame_field():
-    vals, jac = jet_eval(e1_field(Box((-6.0, -6.0), (6.0, 6.0))), point(2.0, 5.0))
+    vals, jac = _jet_eval(e1_field(Box((-6.0, -6.0), (6.0, 6.0))), point(2.0, 5.0))
     assert np.allclose(vals, [2.0, 1.0])
     assert np.allclose(jac, [[1.0, 0.0], [0.0, 0.0]])
 
@@ -47,35 +50,11 @@ def test_jet_eval_linear_map_jacobian_is_matrix():
                                               -3.0 * xs[0] + 0.5 * xs[1]),
                     domain=DOM2)
     for p in (point(0.0, 0.0), point(1.5, -2.0)):
-        _, jac = jet_eval(X, p)
+        _, jac = _jet_eval(X, p)
         assert np.allclose(jac, A, atol=1e-14)
 
 
-def test_jet_eval_outside_domain():
-    with pytest.raises(DomainError):
-        jet_eval(e1_field(), point(7.0, 0.0))
-
-
-# ------------------------------------------------------------------ brackets
-
-def test_bracket_of_frame_fields_is_d_dx():
-    b = lie_bracket(e1_field(), e2_field())
-    for p in (point(0.0, 0.0), point(2.3, -1.1)):
-        assert np.allclose(b.at(p).components, [1.0, 0.0], atol=1e-14)
-
-
-def test_bracket_with_itself_vanishes():
-    X = VectorField(2, components=lambda xs: (xs[0] * xs[1], jsin(xs[0])), domain=DOM2)
-    b = lie_bracket(X, X)
-    assert np.allclose(b.at(point(1.2, 0.7)).components, 0.0, atol=1e-14)
-
-
-def test_coordinate_fields_commute():
-    dx = constant_field((1.0, 0.0), DOM2)
-    dy = constant_field((0.0, 1.0), DOM2)
-    b = lie_bracket(dx, dy)
-    assert np.allclose(b.at(point(0.3, 0.4)).components, 0.0)
-
+# ------------------------------------------------------------------ coframes
 
 def _poly_fields(n, seed):
     rng = np.random.default_rng(seed)
@@ -91,46 +70,6 @@ def _poly_fields(n, seed):
 
     return VectorField(n, components=comps)
 
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_bracket_bilinear_and_antisymmetric(n):
-    X = _poly_fields(n, 10)
-    Y = _poly_fields(n, 11)
-    Z = _poly_fields(n, 12)
-    a, b = 0.7, -1.3
-    aXbY = VectorField(n, components=lambda xs: [a * u + b * v
-                                                 for u, v in zip(X(xs), Y(xs))])
-    rng = np.random.default_rng(4)
-    pts = rng.uniform(-2.0, 2.0, (20, n))
-    left = lie_bracket(aXbY, Z).values_batch(pts)
-    right = (a * lie_bracket(X, Z).values_batch(pts)
-             + b * lie_bracket(Y, Z).values_batch(pts))
-    assert np.max(np.abs(left - right)) <= 1e-12
-    anti = (lie_bracket(X, Y).values_batch(pts)
-            + lie_bracket(Y, X).values_batch(pts))
-    assert np.max(np.abs(anti)) <= 1e-12
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_jacobi_identity(n):
-    X = _poly_fields(n, 20)
-    Y = _poly_fields(n, 21)
-    Z = _poly_fields(n, 22)
-    total = None
-    for A, B, C in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
-        term = lie_bracket(A, lie_bracket(B, C))
-        total = term if total is None else lie_bracket_sum(total, term)
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(-1.5, 1.5, (20, n))
-    assert np.max(np.abs(total.values_batch(pts))) <= 1e-9
-
-
-def lie_bracket_sum(X, Y):
-    n = X.dim
-    return VectorField(n, components=lambda xs: [u + v for u, v in zip(X(xs), Y(xs))])
-
-
-# ------------------------------------------------------------------ coframes
 
 def test_dual_coframe_of_slanted_frame():
     from holopar.fixtures import SPECS, build_frame
@@ -200,9 +139,6 @@ def test_rank_deficient_frame_is_refused_on_every_inversion_path(n):
     calls = {
         "frame in Christoffel transform":
             lambda: Connection.flat(frame).coordinate_christoffels_batch(coords),
-        "target frame":
-            lambda: christoffels_in_frame(Connection.flat(coordinate_frame(n)), frame,
-                                          ChartPoint(coords[0])),
         "frame matrix in dual_coframe": lambda: dual_coframe(frame).matrix_batch(coords),
         "trivialization matrix": lambda: frame_parallelism(frame).transfer(coords[0], coords),
     }

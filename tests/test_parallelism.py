@@ -6,15 +6,14 @@ import pytest
 
 from holopar import parallelism
 from holopar.errors import (CoveringGapError, DomainError,
-                            IncompatibleParallelismError, SingularFrameError)
+                            IncompatibleParallelismError)
 from holopar.fixtures import SPECS, build_frame
 from holopar.geometry import Box, point
 from holopar.norms import (RandersData, constant_norm_field, euclidean_norm,
                            one_form_norm_field, randers_norm, unit_sphere)
 from holopar.geometry import dual_coframe
 from holopar.parallelism import (CoveringParallelism, Parallelism, _bump_1d,
-                                 bump_partition, frame_parallelism,
-                                 induced_trivialization, pushdown_norm,
+                                 bump_partition, frame_parallelism, pushdown_norm,
                                  translation_parallelism)
 from holopar.verification import check_parallelism_compat
 
@@ -88,36 +87,15 @@ def test_compat_of_a_frame_without_domain_is_a_domain_error():
 
 # ---------------------------------------------------------- trivializations
 
-def test_induced_trivialization_anchored_at_identity(s5_par):
-    field = induced_trivialization(s5_par, point(0.3, 0.8), np.eye(2))
-    got = field(np.array([[0.3, 0.8]]))[0]
-    assert np.max(np.abs(got - np.eye(2))) <= 1e-14
-
-
-def test_induced_trivialization_reproduces_frame(s5_par):
-    frame = build_frame(S5_FRAME, DOM)
-    eta = frame.matrix(point(0.0, 0.0))
-    field = induced_trivialization(s5_par, point(0.0, 0.0), eta)
-    rng = np.random.default_rng(3)
-    qs = DOM.sample(rng, 30, margin=0.05)
-    assert np.max(np.abs(field(qs) - frame.matrix_batch(qs))) <= 1e-12
-
-
 def test_trivialization_compatibility_identity(s5_par):
-    # the transfer applied to the trivialization at q lands on the
-    # trivialization at r, on 100 sampled pairs
+    # the transfer applied to the trivialization at q, re-anchored by a
+    # constant eta, lands on the trivialization at r, on 100 sampled pairs
     eta = np.array([[2.0, 1.0], [0.0, 1.0]])
-    field = induced_trivialization(s5_par, point(1.0, 1.0), eta)
     rng = np.random.default_rng(4)
     qs = DOM.sample(rng, 100, margin=0.05)
     rs = DOM.sample(rng, 100, margin=0.05)
-    lhs = s5_par.transfer(qs, rs) @ field(qs)
-    assert np.max(np.abs(lhs - field(rs))) <= 1e-10
-
-
-def test_induced_trivialization_rejects_singular_eta(s5_par):
-    with pytest.raises(SingularFrameError):
-        induced_trivialization(s5_par, point(0.0, 0.0), np.zeros((2, 2)))
+    lhs = s5_par.transfer(qs, rs) @ s5_par.phi(qs) @ eta
+    assert np.max(np.abs(lhs - s5_par.phi(rs) @ eta)) <= 1e-10
 
 
 # ---------------------------------------------------------- pushdown

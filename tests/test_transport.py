@@ -1,5 +1,5 @@
-"""Parallel translation, the general matrix ODE and trivialized
-transport curves."""
+"""Parallel translation: the RK4 kernel, transport ensembles, the
+one-curve transport, and transport read in a trivialization."""
 
 import dataclasses
 import tracemalloc
@@ -17,12 +17,11 @@ from holopar.errors import IntegrationBlowupError, SingularFrameError
 from holopar.fixtures import SPECS, build_frame
 from holopar.geometry import (Box, Curve, Frame, VectorField, coordinate_frame,
                               curve_positions_velocities, point, segment)
-from holopar.jets import jcos, jsin
-from holopar.norms import euclidean_norm, randers_norm, RandersData, unit_sphere
+from holopar.jets import jsin
 from holopar.parallelism import Parallelism, frame_parallelism, translation_parallelism
 from holopar.transport import (BLOCK_MATRICES, _block_steps, _coefficient_grid,
-                               _rk4_matrix, _step_grid, matrix_ode_solve,
-                               parallel_transport, phi_curve, transport_ensemble)
+                               _rk4_matrix, _step_grid, parallel_transport,
+                               transport_ensemble)
 from holopar.verification import CurveGenerator, check_holonomy_invariance
 
 DOM = Box((-5.0, -5.0), (5.0, 5.0))
@@ -140,8 +139,6 @@ def test_non_finite_ode_raises_on_every_integration_path():
             transport_ensemble(conn, [segment((0.0, 0.0), (1.0, 0.0))], [1.0], step=1e-3)
         with pytest.raises(IntegrationBlowupError):
             radial.phi([[1.0, 0.0]])
-        with pytest.raises(IntegrationBlowupError):
-            matrix_ode_solve(lambda t: 1e3 * np.eye(2), 1.0, step=1e-3)
 
 
 def test_blow_up_raises_without_numpy_warnings():
@@ -152,7 +149,6 @@ def test_blow_up_raises_without_numpy_warnings():
     paths = [
         lambda: transport_ensemble(conn, [segment((0.0, 0.0), (1.0, 0.0))], [1.0], step=1e-3),
         lambda: radial.phi([[1.0, 0.0]]),
-        lambda: matrix_ode_solve(lambda t: 1e3 * np.eye(2), 1.0, step=1e-3),
     ]
     for run in paths:
         with warnings.catch_warnings():
@@ -471,88 +467,64 @@ def test_coefficients_are_evaluated_in_the_callers_error_state():
         transport_ensemble(conn, [segment((0.0, 0.0), (1.0, 0.0))], [1.0], step=1e-2)
 
 
-# ---------------------------------------------------------- matrix_ode_solve
+# ---------------------------------------------------------- prescribed coefficients
 
-def test_zero_coefficient_gives_identity():
-    mc = matrix_ode_solve(lambda t: np.zeros((2, 2)), 1.0, step=1e-2)
-    assert np.max(np.abs(mc.matrices - np.eye(2))) == 0.0
+J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def test_constant_rotation_generator():
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    mc = matrix_ode_solve(lambda t: J, np.pi / 2.0, step=np.pi / 2.0 / 2000)
-    assert np.max(np.abs(mc.matrices[-1] - J)) <= 1e-8
+def test_zero_coefficient_gives_identity(solve_ode):
+    _, phis = solve_ode(lambda x: np.zeros((len(x), 2, 2)), 2, 1.0, 1e-2)
+    assert np.max(np.abs(phis - np.eye(2))) == 0.0
 
 
-def test_time_dependent_antisymmetric_stays_orthogonal():
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    mc = matrix_ode_solve(lambda t: np.sin(t) * J, 1.0, step=1e-3)
-    phis = mc.matrices
+def test_constant_rotation_generator(solve_ode):
+    _, phis = solve_ode(lambda x: np.broadcast_to(J, (len(x), 2, 2)), 2, np.pi / 2.0,
+                        np.pi / 2.0 / 2000)
+    assert np.max(np.abs(phis[-1] - J)) <= 1e-8
+
+
+def test_time_dependent_antisymmetric_stays_orthogonal(solve_ode):
+    _, phis = solve_ode(lambda x: np.sin(x)[:, None, None] * J, 2, 1.0, 1e-3)
     dev = np.max(np.abs(np.einsum("tji,tjk->tik", phis, phis) - np.eye(2)))
     assert dev <= 1e-8
 
 
-def test_coefficient_recovery_from_solution():
+def test_coefficient_recovery_from_solution(solve_ode):
     # the converse direction: A(t) = Phi'(t) Phi(t)^-1 recovered by central
     # differences matches the input coefficient curve
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    A = lambda t: np.cos(t) * J + 0.3 * np.sin(2.0 * t) * np.eye(2)
+    def A(x):
+        return np.cos(x)[:, None, None] * J + 0.3 * np.sin(2.0 * x)[:, None, None] * np.eye(2)
+
     h = 1e-3
-    mc = matrix_ode_solve(A, 1.0, step=h)
-    phis = mc.matrices
-    ts = mc.ts
+    ts, phis = solve_ode(A, 2, 1.0, h)
     worst = 0.0
     for k in range(1, len(ts) - 1, 50):
         rec = (phis[k + 1] - phis[k - 1]) / (2.0 * h) @ np.linalg.inv(phis[k])
-        worst = max(worst, float(np.max(np.abs(rec - A(ts[k])))))
+        worst = max(worst, float(np.max(np.abs(rec - A(ts[k:k + 1])[0]))))
     assert worst <= 1e-5
 
 
-def test_matrix_curve_requires_identity_start():
-    from holopar.transport import MatrixCurve
-    with pytest.raises(ValueError):
-        MatrixCurve(((0.0, np.zeros((2, 2))),))
+# ---------------------------------------------------------- trivialized transport
 
+def _trivialized(par, conn, curve, ts):
+    """Phi(t) = phi(c(t))^-1 P_c^t phi(c(0)): the transport along `curve`
+    read in the trivialization of `par`, at the parameters ts."""
+    phis, pos0, pos_s = transport_ensemble(conn, [curve], ts, step=1e-3)
+    return np.linalg.inv(par.phi(pos_s[0])) @ phis[0] @ par.phi(pos0)[0]
 
-# ---------------------------------------------------------- phi_curve
 
 def test_section5_phi_curve_is_identity(s5_conn):
     par = frame_parallelism(s5_conn.frame)
-    mc = phi_curve(par, s5_conn, wavy(), step=1e-3, samples=20)
-    assert np.max(np.abs(mc.matrices - np.eye(2))) <= 1e-9
-
-
-def test_phi_curve_starts_at_identity(s5_conn):
-    par = frame_parallelism(s5_conn.frame)
-    mc = phi_curve(par, s5_conn, segment((0.0, 0.0), (1.0, 1.0)), samples=5)
-    assert np.array_equal(mc.matrices[0], np.eye(2))
+    mats = _trivialized(par, s5_conn, wavy(), np.arange(1, 21) / 20)
+    assert np.max(np.abs(mats - np.eye(2))) <= 1e-9
 
 
 def test_blended_phi_curve_is_orthogonal(blend):
     box2, par2 = blend.parallelism.members[1]
     c = segment((-0.5, 0.0), (3.0, 0.5), domain=box2)
-    mc = phi_curve(par2, blend.connection, c, step=1e-3, samples=25)
-    phis = mc.matrices
+    phis = _trivialized(par2, blend.connection, c, np.arange(1, 26) / 25)
     dev = np.max(np.abs(np.einsum("tji,tjk->tik", phis, phis) - np.eye(2)))
     assert dev <= 1e-7
-
-
-def test_invariance_equivalence_through_trivialization(rescaling):
-    # f(Phi(t) v) = f(v) iff F(P v) = F(v): with the translation
-    # parallelism the two sides agree identically, compatible or not
-    conn = rescaling
-    par = translation_parallelism(DOM)
-    F = euclidean_norm(2)
-    c = segment((0.0, 0.0), (1.0, 0.0))
-    mc = phi_curve(par, conn, c, step=1e-3, samples=10)
-    phis, _, pos_s = transport_ensemble(conn, [c], mc.ts[1:], step=1e-3)
-    v = unit_sphere(2, 50)
-    for i, t in enumerate(mc.ts[1:]):
-        lhs = np.abs(F(v @ mc.matrices[i + 1].T) - F(v))
-        rhs = np.abs(F(v @ phis[0, i].T) - F(v))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-8
-    # and the incompatibility really shows on both sides
-    assert np.max(np.abs(F(v @ mc.matrices[-1].T) - F(v))) > 0.1
 
 
 # ---------------------------------------------------------- singular trivializations
@@ -576,12 +548,3 @@ def test_backing_transport_refuses_singular_trivialization(floor):
                       backing_parallelism=par)
     with pytest.raises(SingularFrameError, match="backing trivialization"):
         transport_ensemble(conn, [segment((0.0, 0.0), (1.0, 1.0))], [1.0])
-
-
-@pytest.mark.parametrize("floor", [0.0, 1e-13])
-def test_phi_curve_refuses_singular_trivialization(floor):
-    # phi is invertible at the start and singular at the end of the curve
-    par = _diag_parallelism(lambda x: floor + (1.0 - x) ** 2)
-    conn = Connection.flat(coordinate_frame(2, DOM))
-    with pytest.raises(SingularFrameError, match="trivialization along the curve"):
-        phi_curve(par, conn, segment((0.0, 0.0), (1.0, 0.0)), samples=5)
