@@ -1,10 +1,11 @@
 """The two constructive directions between connections and parallelisms.
 
 Direction one: a parallelism from a connection by transporting along the
-radial line segments of a convex chart region. Direction two: a
-connection from a covering parallelism by declaring zero Christoffels in
-each member's parallel frame and blending the members' coordinate
-endomorphisms Gamma(v) with a partition of unity.
+radial line segments of a convex chart region (``radial_transport``, on
+the path of curve ensembles). Direction two: a connection from a
+covering parallelism by declaring zero Christoffels in each member's
+parallel frame and blending the members' coordinate endomorphisms
+Gamma(v) with a partition of unity.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .connections import Connection
 from .geometry import Box, ChartPoint, coordinate_frame
 from .parallelism import CoveringParallelism, Parallelism
-from .transport import DEFAULT_STEP, _coefficient_grid, _rk4_matrix, _step_grid
+from .transport import DEFAULT_STEP, radial_transport
 
 
 @dataclass(frozen=True)
@@ -32,25 +33,6 @@ class ConvexChartRegion:
             raise ValueError("center must lie inside the region box")
 
 
-def _radial_transport(conn, center, targets, step):
-    """Transport matrices along the segments center -> target, batched.
-
-    Integrates Phi' = A(s) Phi over s in [0,1] with positions
-    center + s (target - center) and constant velocity target - center,
-    each block's positions built grid-major, as component-major planes.
-    """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    vel = targets - center
-    planes = vel.T[:, None, :]                                    # (n, 1, m)
-    steps, h, grid = _step_grid(1.0, step)
-
-    def coefficients(lo, hi):
-        pos = (center[:, None, None] + grid[None, lo:hi, None] * planes).transpose(1, 2, 0)
-        return _coefficient_grid(conn, pos, np.broadcast_to(vel, pos.shape))
-
-    return _rk4_matrix(coefficients, len(targets), conn.dim, steps, h, {steps})[steps]
-
-
 def parallelism_from_connection(conn, region, step=DEFAULT_STEP):
     """Parallelism whose trivialization is transport along radial segments.
 
@@ -58,12 +40,8 @@ def parallelism_from_connection(conn, region, step=DEFAULT_STEP):
     along the coordinate line segment; P(q1, q2) then composes through
     the center.
     """
-    center = np.asarray(region.center.coords, dtype=float)
-
-    def phi(coords):
-        return _radial_transport(conn, center, coords, step)
-
-    return Parallelism(region.box, phi)
+    center = region.center.coords
+    return Parallelism(region.box, lambda coords: radial_transport(conn, center, coords, step))
 
 
 def connection_from_covering_parallelism(cover):

@@ -3,8 +3,11 @@
 Everything lives in a single global chart whose domain is an open
 axis-aligned box. A vector field is evaluated through jets alone, so
 first derivatives (frame Jacobians, curve velocities) are exact to
-rounding. Finite differences are taken only where no closed form
-exists, always through ``central_differences`` (step FD_STEP = 1e-5):
+rounding. So is a curve, a member of a family with the coordinates
+fn(t, *args, *key): one jet pass evaluates the whole family, its args
+stacked (``family_evaluator``). Finite differences are taken only where
+no closed form exists, always through ``central_differences`` (step
+FD_STEP = 1e-5):
 the Jacobian of a frame given by a matrix function (an ODE-built
 trivialization) and the default gradient of a norm.
 """
@@ -357,32 +360,28 @@ def coordinate_frame(n, domain=None):
 
 
 class Curve:
-    """Regular curve [0,1] -> chart domain, velocity via a jet in t.
+    """Regular curve [0,1] -> chart domain with the coordinates
+    fn(t, *args, *key), its velocity a jet in t.
 
-    A curve of a coordinate family, ``Curve.of(fn, args, key)``, has the
-    coordinates fn(t, *args, *key); ``curve_evaluator`` evaluates all
-    curves with the same fn and key in one jet pass. Any other curve is
-    evaluated alone.
+    Each arg is a float or a (nested) list of floats, and fn must also
+    accept each float replaced by a (g,) row of g curves' values, with t
+    a (T, 1) column: the curves with the same fn and key are one family,
+    which ``curve_evaluator`` evaluates in one jet pass.
+    ``Curve(lambda t: [...])`` is a family with no args.
     """
 
-    def __init__(self, coords_fn, domain=None, params=None):
-        self.coords_fn = coords_fn
+    def __init__(self, fn, args=(), key=(), domain=None, params=None):
+        self.fn = fn
+        self.args = tuple(args)
+        self.key = tuple(key)
         self.domain = domain
         self.params = params or {}
-        self.family = None
 
-    @classmethod
-    def of(cls, fn, args, key=(), domain=None, params=None):
-        """The curve t -> fn(t, *args, *key). Each arg is a float or a
-        (nested) list of floats; fn must also accept each float replaced
-        by a (g,) row of g curves' values, with t a (T, 1) column."""
-        curve = cls(lambda t: fn(t, *args, *key), domain, params)
-        curve.family = (fn, key, args)
-        return curve
+    def coords_fn(self, t):
+        return self.fn(t, *self.args, *self.key)
 
     def point(self, t):
-        cs = self.coords_fn(t)
-        return ChartPoint(np.asarray([float(c) for c in cs]))
+        return ChartPoint(self.positions_velocities([t])[0][0])
 
     def positions_velocities(self, ts):
         """Positions and velocities at parameters ts (T,): (T, n) each."""
@@ -398,60 +397,57 @@ class Curve:
         return self
 
 
-def _stacked(args):
-    """Per-curve args of one family stacked for one call of its fn: a
-    float becomes a (g,) row, and a list's entries become rows."""
-    return [np.moveaxis(np.asarray(vals, dtype=float), 0, -1) for vals in zip(*args)]
+def family_evaluator(families):
+    """evaluate(ts) for curve families (fn, args, key, g), each g curves
+    with the coordinates fn(t, *args, *key) and its args stacked as rows
+    (a float of each curve in a (g,) row, a list's entries in rows; a
+    (1,) row is shared by all g).
 
-
-def curve_evaluator(curves):
-    """The curves grouped by family once, for evaluation at many
-    parameter sets: (order, evaluate).
-
-    order (m,) lists the curve indices family by family. evaluate(ts)
-    gives the positions and velocities of the curves in that order at
-    parameters ts (T,): two grid-major (T, m, n) arrays, points ordered
-    (parameter, curve), each a view of component-major (n, T, m) planes.
-    Curves of one family (same fn and key) are one jet pass of fn, with
-    their args stacked as rows against a column of parameters, and
-    write one slice; any other curve, and a family of one, runs its own
-    coords_fn. The arithmetic per entry is the same either way, so the
-    bits do not depend on the grouping.
+    evaluate(ts) gives the positions and velocities of the curves, family
+    by family, at parameters ts (T,): two grid-major (T, m, n) arrays,
+    points ordered (parameter, curve), each a view of component-major
+    (n, T, m) planes, from one jet pass of each family's fn with t a
+    (T, 1) column.
     """
-    groups = {}
-    for c, curve in enumerate(curves):
-        groups.setdefault(curve if curve.family is None else curve.family[:2], []).append(c)
-    calls = []
-    for members in groups.values():
-        first = curves[members[0]]
-        if len(members) == 1:
-            calls.append((first.coords_fn, None))
-        else:
-            fn, key, _ = first.family
-            args = _stacked([curves[c].family[2] for c in members])
-            calls.append((lambda t, fn=fn, args=args, key=key: fn(t, *args, *key),
-                           len(members)))
-    order = np.array([c for members in groups.values() for c in members], dtype=int)
+    m = sum(g for *_, g in families)
 
     def evaluate(ts):
         ts = np.asarray(ts, dtype=float)
-        alone, stacked = Jet(ts, (1.0,)), Jet(ts[:, None], (1.0,))
-        pos = vel = np.empty((0, ts.size, len(curves)))
+        t = Jet(ts[:, None], (1.0,))
+        pos = vel = np.empty((0, ts.size, m))
         lo = 0
-        for call, g in calls:
-            cs = call(alone if g is None else stacked)
-            if pos.shape[0] == 0:             # the first group gives the dimension
-                pos = np.empty((len(cs), ts.size, len(curves)))
+        for fn, args, key, g in families:
+            cs = fn(t, *args, *key)
+            if pos.shape[0] == 0:             # the first family gives the dimension
+                pos = np.empty((len(cs), ts.size, m))
                 vel = np.empty_like(pos)
-            slot = lo if g is None else slice(lo, lo + g)
             for d, x in enumerate(cs):
                 x = as_jet(x, 1)
-                pos[d, :, slot] = x.value
-                vel[d, :, slot] = x.partials[0]
-            lo += 1 if g is None else g
+                pos[d, :, lo:lo + g] = x.value
+                vel[d, :, lo:lo + g] = x.partials[0]
+            lo += g
         return pos.transpose(1, 2, 0), vel.transpose(1, 2, 0)
 
-    return order, evaluate
+    return evaluate
+
+
+def curve_evaluator(curves):
+    """The curves grouped by family (same fn and key) once, for
+    evaluation at many parameter sets: (order, evaluate).
+
+    order (m,) lists the curve indices family by family, the order in
+    which ``family_evaluator`` evaluates them; each family's args are
+    stacked once. The arithmetic per entry does not depend on a family's
+    size, so neither do the bits.
+    """
+    groups = {}
+    for c, curve in enumerate(curves):
+        groups.setdefault((curve.fn, curve.key), []).append(c)
+    families = [(fn, [np.moveaxis(np.asarray(vals, dtype=float), 0, -1)
+                      for vals in zip(*(curves[c].args for c in members))], key, len(members))
+                for (fn, key), members in groups.items()]
+    order = np.array([c for members in groups.values() for c in members], dtype=int)
+    return order, family_evaluator(families)
 
 
 def curve_positions_velocities(curves, ts):
@@ -486,5 +482,5 @@ def segment(p0, p1, domain=None):
     # plain floats: numpy scalars do not defer cleanly to Jet arithmetic
     a = [float(c) for c in np.asarray(p0, dtype=float)]
     b = [float(c) for c in np.asarray(p1, dtype=float)]
-    return Curve.of(segment_coords, (a, b), domain=domain,
-                    params={"family": "segment", "p0": a, "p1": b})
+    return Curve(segment_coords, (a, b), domain=domain,
+                 params={"family": "segment", "p0": a, "p1": b})

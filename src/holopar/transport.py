@@ -3,13 +3,13 @@
 Transport solves the matrix ODE Phi' = A(t) Phi, Phi(0) = I with
 A^i_k(t) = -(velocity)^j Gamma^i_{jk}(position) in coordinates, i.e. all
 n basis solutions in one pass, using classical fixed-step RK4 (default
-step 1e-3). Every integration, here and in the radial transports of
-``constructions``, runs one vectorized kernel, ``_rk4_matrix``, which
-pulls every per-point quantity block by block from a callable: for a
-block of about BLOCK_MATRICES step·curve matrices an ensemble evaluates
-its curves' positions and velocities on the block's part of the
-half-step grid (``geometry.curve_evaluator``, one jet pass per curve
-family, its args stacked once per run), then A with one
+step 1e-3). Curve ensembles and the radial segments of
+``radial_transport`` take one path, ``_integrate``, to one kernel,
+``_rk4_matrix``, which pulls every per-point quantity block by block
+from a callable: for a block of about BLOCK_MATRICES step·curve
+matrices the path evaluates the positions and velocities on the block's
+part of the half-step grid (``geometry.family_evaluator``, one jet pass
+per curve family, its args stacked once per run), then A with one
 ``Connection.coordinate_christoffels_along`` call, which forms only the
 endomorphism Gamma(velocity) (for a connection flat in a jet frame,
 -(d_v E) E^-1 from one jet pass seeded along the velocity), and the
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationBlowupError
-from .geometry import (DET_FLOOR, curve_evaluator, curve_positions_velocities,
-                       invert_frames, matmul_planes)
+from .geometry import (DET_FLOOR, curve_evaluator, family_evaluator, invert_frames,
+                       matmul_planes, segment_coords)
 
 DEFAULT_STEP = 1e-3
 # step·curve matrices per block of the RK4 kernel: a block's increments
@@ -67,7 +67,10 @@ class TransportOperator:
 
 
 def _step_grid(t_end, step):
-    """Step count, step size and half-step grid covering [0, t_end]."""
+    """Step count, step size and half-step grid covering [0, t_end]; a
+    step that is not a positive finite number is refused."""
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be a positive finite number, got {step}")
     steps = max(1, int(round(t_end / step)))
     return steps, t_end / steps, np.linspace(0.0, t_end, 2 * steps + 1)
 
@@ -170,6 +173,19 @@ def _coefficient_grid(conn, pos, vel):
     return np.negative(A, out=A).reshape(pos.shape + (n,))
 
 
+def _integrate(conn, evaluate, m, sample_ts, step, t_end):
+    """Transport matrices (m, len(sample_ts), n, n) along the m curves of
+    a ``family_evaluator``, in its order, and the sample times as grid
+    points; sample_ts must be multiples of the step."""
+    steps, h, grid = _step_grid(t_end, step)
+    idx = np.rint(sample_ts / h).astype(int)
+    if np.max(np.abs(idx * h - sample_ts)) > SAMPLE_TOL:
+        raise ValueError("sample times must be multiples of the step")
+    out = _rk4_matrix(lambda lo, hi: _coefficient_grid(conn, *evaluate(grid[lo:hi])),
+                      m, conn.dim, steps, h, set(idx.tolist()))
+    return np.stack([out[i] for i in idx], axis=1), grid[2 * idx]
+
+
 def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
     """Transport matrices for many curves at once.
 
@@ -191,27 +207,29 @@ def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
     if m == 0:                      # no curve gives the evaluator a dimension
         return (np.empty((0, sample_ts.size, n, n)), np.empty((0, n)),
                 np.empty((0, sample_ts.size, n)))
-    if conn.backing_parallelism is not None:
-        par = conn.backing_parallelism
-        pos, _ = curve_positions_velocities(curves, np.append(0.0, sample_ts))
-        pos0, pos_s = pos[:, 0], pos[:, 1:]
-        phi0 = par.phi(pos0)
-        phis_s = par.phi(pos_s.reshape(-1, n)).reshape(m, sample_ts.size, n, n)
+    order, evaluate = curve_evaluator(curves)
+    back = np.argsort(order)
+    par = conn.backing_parallelism
+    if par is None:
+        phis, sample_ts = _integrate(conn, evaluate, m, sample_ts, step, t_end)
+        phis = phis[back]
+    pos = evaluate(np.append(0.0, sample_ts))[0].swapaxes(0, 1)[back]
+    if par is not None:
+        phi0 = par.phi(pos[:, 0])
+        phis_s = par.phi(pos[:, 1:].reshape(-1, n)).reshape(m, sample_ts.size, n, n)
         phis = np.einsum("mtij,mjk->mtik", phis_s,
                          invert_frames(phi0, "backing trivialization"))
-        return phis, pos0, pos_s
-
-    steps, h, grid = _step_grid(t_end, step)
-    idx = np.rint(sample_ts / h).astype(int)
-    if np.max(np.abs(idx * h - sample_ts)) > SAMPLE_TOL:
-        raise ValueError("sample times must be multiples of the step")
-    order, evaluate = curve_evaluator(curves)
-    out = _rk4_matrix(lambda lo, hi: _coefficient_grid(conn, *evaluate(grid[lo:hi])),
-                      m, n, steps, h, set(idx.tolist()))
-    back = np.argsort(order)
-    phis = np.stack([out[i][back] for i in idx], axis=1)
-    pos = evaluate(grid[np.append(0, 2 * idx)])[0].swapaxes(0, 1)[back]
     return phis, pos[:, 0], pos[:, 1:]
+
+
+def radial_transport(conn, center, targets, step=DEFAULT_STEP):
+    """Transport matrices (m, n, n) along the segments from center (n,)
+    to each of targets (m, n): one ``segment_coords`` family, its args
+    the center and the targets as rows, integrated without a Curve."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    rows = (np.asarray(center, dtype=float)[:, None], targets.T)
+    evaluate = family_evaluator([(segment_coords, rows, (), len(targets))])
+    return _integrate(conn, evaluate, len(targets), np.ones(1), step, 1.0)[0][:, 0]
 
 
 def parallel_transport(conn, curve, t=1.0, step=DEFAULT_STEP):
@@ -222,7 +240,7 @@ def parallel_transport(conn, curve, t=1.0, step=DEFAULT_STEP):
     """
     if not 0.0 < t <= 1.0:
         raise ValueError("transport parameter must lie in (0, 1]")
-    steps = max(1, int(round(t / step)))
+    steps = _step_grid(t, step)[0]
     coarse, _, _ = transport_ensemble(conn, [curve], [t], step=t / steps, t_end=t)
     fine, _, _ = transport_ensemble(conn, [curve], [t], step=t / (2 * steps), t_end=t)
     err = float(np.max(np.abs(coarse[0, 0] - fine[0, 0])))

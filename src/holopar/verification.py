@@ -118,11 +118,11 @@ class CurveGenerator:
             th0 = float(rng.uniform(0.0, 2.0 * np.pi))
             dth = float(rng.uniform(0.5 * np.pi, 2.0 * np.pi))
             axes = rng.permutation(n)[:2]
-            return Curve.of(circle_coords, (c, r, th0, dth),
-                            key=(int(axes[0]), int(axes[1])), domain=self.domain,
-                            params={"family": "circle", "center": c, "radius": r,
-                                    "theta0": th0, "dtheta": dth,
-                                    "axes": [int(axes[0]), int(axes[1])]})
+            return Curve(circle_coords, (c, r, th0, dth),
+                         key=(int(axes[0]), int(axes[1])), domain=self.domain,
+                         params={"family": "circle", "center": c, "radius": r,
+                                 "theta0": th0, "dtheta": dth,
+                                 "axes": [int(axes[0]), int(axes[1])]})
         if family == "sine":
             p0, p1 = rng.uniform(*bounds["sine"], size=(2, n))
             d = p1 - p0
@@ -137,14 +137,14 @@ class CurveGenerator:
             p0l = [float(v) for v in p0]
             dl = [float(v) for v in d]
             pl = [float(v) for v in amp * perp]
-            return Curve.of(sine_coords, (p0l, dl, pl, omega), domain=self.domain,
-                            params={"family": "sine", "p0": p0l, "d": dl,
-                                    "perp": pl, "omega": omega})
+            return Curve(sine_coords, (p0l, dl, pl, omega), domain=self.domain,
+                         params={"family": "sine", "p0": p0l, "d": dl,
+                                 "perp": pl, "omega": omega})
         if family == "bezier":
             ctrl = [[float(v) for v in row]
                     for row in rng.uniform(*bounds["bezier"], size=(4, n))]
-            return Curve.of(bezier_coords, tuple(ctrl), domain=self.domain,
-                            params={"family": "bezier", "ctrl": ctrl})
+            return Curve(bezier_coords, tuple(ctrl), domain=self.domain,
+                         params={"family": "bezier", "ctrl": ctrl})
         raise ValueError(f"unknown curve family {family!r}")
 
 

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from holopar import cli, constructions, transport
+from holopar import cli, transport
 from holopar.fixtures import SPECS, Expected, build_fixture, fixture_names, load_fixture
 from holopar.geometry import point
 from holopar.verification import (CurveGenerator, check_holonomy_invariance,
@@ -108,8 +108,7 @@ def test_loading_a_fixture_integrates_nothing(monkeypatch):
     def kernel(*args, **kwargs):
         raise AssertionError("RK4 kernel run while loading a fixture")
 
-    for module in (transport, constructions):
-        monkeypatch.setattr(module, "_rk4_matrix", kernel)
+    monkeypatch.setattr(transport, "_rk4_matrix", kernel)
     for name in fixture_names():
         assert load_fixture(name).name == name
 

@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 from holopar.connections import Connection
 from holopar.errors import DomainError, PreconditionError, RegularityError, SingularFrameError
 from holopar.geometry import (FD_STEP, Box, Curve, Frame, VectorField, constant_field,
-                              coordinate_frame, dual_coframe, invert_frames, point, segment)
+                              coordinate_frame, curve_positions_velocities, dual_coframe,
+                              invert_frames, point, segment)
 from holopar.parallelism import frame_parallelism
 from holopar.verification import berwald_obstruction
 
@@ -202,6 +203,20 @@ def test_segment_positions_and_velocity():
     pos, vel = c.positions_velocities(np.array([0.0, 0.5, 1.0]))
     assert np.allclose(pos, [[0, 0], [1, -2], [2, -4]])
     assert np.allclose(vel, [[2, -4]] * 3)
+
+
+def test_curves_sharing_a_no_arg_fn_are_one_family_of_their_count():
+    def f(t):
+        return [t, 0.5 * t * t]
+
+    def g(t):
+        return [1.0 - t, t]
+
+    pos, vel = curve_positions_velocities([Curve(f), Curve(f), Curve(g)],
+                                          np.linspace(0.0, 1.0, 5))
+    assert pos.shape == vel.shape == (3, 5, 2)
+    assert np.array_equal(pos[0], pos[1]) and np.array_equal(vel[0], vel[1])
+    assert np.array_equal(pos[2, :, 0], 1.0 - np.linspace(0.0, 1.0, 5))
 
 
 def test_curve_validation_rejects_domain_escape():

@@ -91,6 +91,25 @@ def test_ensemble_refuses_sample_times_outside_the_interval(ts, monkeypatch):
         transport_ensemble(conn, [wavy()], ts, step=1e-3)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.inf, np.nan])
+@pytest.mark.parametrize("path", ["ensemble", "one_curve", "radial"])
+def test_every_integration_refuses_a_step_that_is_not_positive_and_finite(path, step,
+                                                                          monkeypatch):
+    # the refusal comes before any Christoffel symbol
+    def unreachable(*args):
+        raise AssertionError("Christoffel symbols evaluated")
+
+    conn = Connection.flat(build_frame(S5_FRAME, DOM))
+    radial = parallelism_from_connection(
+        conn, ConvexChartRegion(point(0.0, 0.0), DOM.shrink(0.1)), step=step)
+    run = {"ensemble": lambda: transport_ensemble(conn, [wavy()], [1.0], step=step),
+           "one_curve": lambda: parallel_transport(conn, wavy(), 1.0, step=step),
+           "radial": lambda: radial.phi(np.array([[1.0, 0.5]]))}[path]
+    monkeypatch.setattr(Connection, "coordinate_christoffels_along", unreachable)
+    with pytest.raises(ValueError, match=f"step must be a positive finite number, got {step}"):
+        run()
+
+
 def test_section5_coefficients_are_the_contracted_tensor_bit_for_bit(s5_conn):
     # the directional jet pass gives d_v E = [[v_x, 0], [0, 0]], so
     # -(d_v E) C has the bits of the full tensor contracted with v

@@ -346,7 +346,7 @@ def test_a_one_dimensional_generator_skips_circles():
 
 
 def _wavy(n):
-    """A closure curve, outside every family."""
+    """A closure curve: a family of one with no args."""
     return Curve(lambda t: [0.2 * jcos(2.0 * t + d) + 0.1 * t * t for d in range(n)])
 
 
