@@ -2,11 +2,11 @@
 definite norms on tangent bundles, and numerical certification that a
 norm is preserved by the translations of a covariant derivative."""
 
-from .connections import Connection, nabla_P, nabla_P_batch, torsion
+from .connections import Connection, nabla_P, torsion
 from .constructions import (ConvexChartRegion, connection_from_covering_parallelism,
                             covering_from_connection, parallelism_from_connection)
-from .geometry import (Box, ChartPoint, Coframe, Curve, Frame, TangentVector,
-                       VectorField, coordinate_frame, dual_coframe, point, segment)
+from .geometry import (Box, Coframe, Curve, Frame, VectorField, coordinate_frame,
+                       dual_coframe, segment)
 from .jets import Jet
 from .norms import (ContinuousFamily, MinkowskiNorm, NormField, RandersData,
                     euclidean_norm, is_isometry, isometry_algebra,

@@ -19,11 +19,11 @@ from .constructions import connection_from_covering_parallelism
 from .errors import ConfigError, HoloparError
 from .fixtures import (build_box, build_cover, build_fixture, build_norm, fixture_names,
                        load_fixture, require_keys)
-from .geometry import ChartPoint, invert_frames, segment
+from .geometry import invert_frames, segment
 from .norms import ContinuousFamily, isometry_group_2x2
 from .parallelism import CoveringParallelism, pushdown_norm
 from .transport import parallel_transport, transport_ensemble
-from .verification import (CurveGenerator, berwald_obstruction,
+from .verification import (TORSION_SAMPLES, CurveGenerator, berwald_obstruction,
                            check_compalg_criterion, check_holonomy_invariance,
                            check_parallelism_compat, make_report,
                            torsion_samples)
@@ -94,10 +94,10 @@ def _compalg(fx, o, tol=None):
 def _torsion(fx, o, floor=None):
     """The torsion obstruction: only reported without a floor, and passed
     only when it exceeds the floor otherwise."""
-    worst = berwald_obstruction(fx.connection, fx.domain, seed=o.seed)
+    worst = berwald_obstruction(fx.connection, fx.domain, TORSION_SAMPLES, seed=o.seed)
     name, rel, tol = (("torsion_obstruction", 0.0, np.inf) if floor is None else
                       ("torsion_obstruction_positive", 0.0 if worst > floor else 1.0, 0.5))
-    return make_report(name, 50, worst, rel, tol, {"obstruction": worst}, o.seed)
+    return make_report(name, TORSION_SAMPLES, worst, rel, tol, {"obstruction": worst}, o.seed)
 
 
 def _expected_torsion(fx, o):
@@ -154,13 +154,14 @@ def _transport_oracle_report(fx, curves=20, tol=1e-7, step=1e-3, seed=42):
 
 def _pushdown(fx, o, tol=1e-9):
     name = f"{fx.name}_pushdown_independence"
+    basepoints, vectors = 10, 200
     try:
-        pushdown_norm(fx.norm_field, fx.parallelism, ChartPoint(np.zeros(fx.dim)),
-                      basepoints=10, vectors=200, tol=tol, seed=o.seed)
-        return make_report(name, 10 * 200, 0.0, 0.0, tol, {}, o.seed)
+        pushdown_norm(fx.norm_field, fx.parallelism, np.zeros(fx.dim),
+                      basepoints=basepoints, vectors=vectors, tol=tol, seed=o.seed)
+        err, witness = 0.0, {}
     except HoloparError as exc:
-        return make_report(name, 10 * 200, 1.0, 1.0, tol,
-                           getattr(exc, "witness", {"error": str(exc)}), o.seed)
+        err, witness = 1.0, getattr(exc, "witness", {"error": str(exc)})
+    return make_report(name, basepoints * vectors, err, err, tol, witness, o.seed)
 
 
 def _expected_failure(fx, o, check, ratio, ratio_tol=1e-6, **overrides):

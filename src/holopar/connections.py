@@ -11,7 +11,8 @@ Its coordinate view is the endomorphism
 
 which is all that transport, torsion, the partition-of-unity blend and
 nabla P need; the coordinate tensor
-Gamma^a_{bc} = Gamma(e_b)^a_c is only ever an output.
+Gamma^a_{bc} = Gamma(e_b)^a_c is only ever an output. ``torsion`` and
+``nabla_P`` take batches: points and vectors are (m, n) arrays.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (ChartPoint, Frame, TangentVector, apply_matrices, coordinate_frame,
-                       invert_frames, matmul_planes)
+from .geometry import Frame, apply_matrices, coordinate_frame, invert_frames, matmul_planes
 
 
 def constant_christoffels(values):
@@ -103,7 +103,7 @@ class Connection:
         return g.reshape(m, n, n, n).swapaxes(1, 2)
 
     def coordinate_christoffels(self, p):
-        return self.coordinate_christoffels_batch(p.coords[None, :])[0]
+        return self.coordinate_christoffels_batch(np.asarray(p, dtype=float)[None, :])[0]
 
 
 def from_coordinate_christoffels(gamma, n, domain=None):
@@ -111,7 +111,7 @@ def from_coordinate_christoffels(gamma, n, domain=None):
     return Connection(coordinate_frame(n, domain), gamma)
 
 
-def nabla_P_batch(conn, parallelism, coords, vectors):
+def nabla_P(conn, parallelism, coords, vectors):
     """Coordinate matrices (m, n, n) of w -> w^k v^j Gt^i_{jk} E_i at points
     and vectors (m, n), Gt the symbols in the P-parallel frame E = phi.
 
@@ -126,15 +126,9 @@ def nabla_P_batch(conn, parallelism, coords, vectors):
     return (dvphi + conn.coordinate_christoffels_along(coords, v) @ phi) @ phi_inv
 
 
-def nabla_P(conn, parallelism, v):
-    """(nabla P)_v at the base of v, an (n, n) coordinate matrix: the
-    one-point nabla_P_batch."""
-    return nabla_P_batch(conn, parallelism, v.base.coords[None, :], v.components[None, :])[0]
-
-
-def torsion(conn, X, Y, p):
-    """T(X,Y) = nabla_X Y - nabla_Y X - [X,Y] at p: a ChartPoint, giving a
-    TangentVector, or coordinates (m, n), giving components (m, n).
+def torsion(conn, X, Y, coords):
+    """T(X,Y) = nabla_X Y - nabla_Y X - [X,Y]: components (m, n) at
+    points (m, n).
 
     The derivative terms of the covariant derivatives cancel the bracket
     exactly, leaving Gamma(X) Y - Gamma(Y) X, from one
@@ -142,12 +136,10 @@ def torsion(conn, X, Y, p):
     product as ``apply_matrices`` multiply-adds, whose bits do not depend
     on the layout the transform returns.
     """
-    one = isinstance(p, ChartPoint)
-    coords = p.coords[None, :] if one else np.asarray(p, dtype=float)
+    coords = np.asarray(coords, dtype=float)
     m = len(coords)
     xv = X.values_batch(coords)
     yv = Y.values_batch(coords)
     g = conn.coordinate_christoffels_along(np.concatenate([coords, coords]),
                                            np.concatenate([xv, yv]))
-    comps = apply_matrices(g[:m], yv) - apply_matrices(g[m:], xv)
-    return TangentVector(p, comps[0]) if one else comps
+    return apply_matrices(g[:m], yv) - apply_matrices(g[m:], xv)

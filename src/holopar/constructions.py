@@ -16,20 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import Connection
-from .geometry import Box, ChartPoint, coordinate_frame
+from .geometry import Box, coordinate_frame
 from .parallelism import CoveringParallelism, Parallelism
 from .transport import DEFAULT_STEP, radial_transport
 
 
 @dataclass(frozen=True)
 class ConvexChartRegion:
-    """Open box around a center point (boxes are convex in coordinates)."""
+    """Open box around a center point (n,) (boxes are convex in coordinates)."""
 
-    center: ChartPoint
+    center: np.ndarray
     box: Box
 
     def __post_init__(self):
-        if not self.box.contains(self.center.coords):
+        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if not self.box.contains(self.center):
             raise ValueError("center must lie inside the region box")
 
 
@@ -40,8 +41,8 @@ def parallelism_from_connection(conn, region, step=DEFAULT_STEP):
     along the coordinate line segment; P(q1, q2) then composes through
     the center.
     """
-    center = region.center.coords
-    return Parallelism(region.box, lambda coords: radial_transport(conn, center, coords, step))
+    return Parallelism(region.box,
+                       lambda coords: radial_transport(conn, region.center, coords, step))
 
 
 def connection_from_covering_parallelism(cover):
@@ -105,7 +106,6 @@ def covering_from_connection(conn, domain, per_axis=2, overlap=0.25,
     of the equivalence)."""
     members = []
     for box in decompose_box(domain, per_axis, overlap):
-        center = ChartPoint(0.5 * (np.asarray(box.lo) + np.asarray(box.hi)))
-        region = ConvexChartRegion(center, box)
+        region = ConvexChartRegion(0.5 * (np.asarray(box.lo) + np.asarray(box.hi)), box)
         members.append((box, parallelism_from_connection(conn, region, step)))
     return CoveringParallelism.build(members, domain)

@@ -109,7 +109,7 @@ class Fixture:
     connection: Connection
     parallelism: object                  # Parallelism or CoveringParallelism
     expected: dict
-    minkowski_norm: object = None        # norm in frame components, if one-form
+    minkowski_norm: object = None        # norm in frame components, unless a field
     checks: tuple = ()                   # verify suite: (check name, overrides)
     summary: tuple = ()                  # names of the verify summary values
 
@@ -231,7 +231,7 @@ def build_fixture(spec, name="inline"):
     require_keys(spec, ("manifold", "checks", "summary", "expected"), ("manifold",),
                  f"fixture {name}")
     m = spec["manifold"]
-    require_keys(m, ("domain", "frame", "norm", "norm_via", "cover", "seed", "step", "tolerance",
+    require_keys(m, ("domain", "frame", "norm", "cover", "seed", "step", "tolerance",
                      "curves", "vectors"), ("domain", "frame", "norm"), "manifold spec")
     domain = build_box(m["domain"])
     frame = build_frame(m["frame"], domain)
@@ -240,17 +240,14 @@ def build_fixture(spec, name="inline"):
     norm = build_norm(m["norm"], domain.dim, coordinates=True)
     if norm.dim != domain.dim:
         raise ConfigError(f"{norm.dim}-D norm on a {domain.dim}-D domain")
-    via = m.get("norm_via", "coframe")
-    if via not in ("coframe", "constant"):
-        raise ConfigError(f"norm_via must be 'coframe' or 'constant', not {via!r}")
     if isinstance(norm, NormField):
-        if via == "coframe" and not frame.coordinate:
+        if not frame.coordinate:
             raise ConfigError("a norm that names coordinates is read in coordinate "
-                              "components: norm_via 'constant' or the identity frame")
+                              "components: it needs the identity frame")
         for p in samples[:5]:
             norm.at(p).check_definite()
         F = norm
-    elif via == "constant" or frame.coordinate:    # there frame components are coordinates
+    elif frame.coordinate:                         # there frame components are coordinates
         F = constant_norm_field(norm)
     else:
         F = one_form_norm_field(dual_coframe(frame), norm)
@@ -261,7 +258,7 @@ def build_fixture(spec, name="inline"):
         conn, par = Connection.flat(frame), frame_parallelism(frame)
     return Fixture(name, domain.dim, domain, frame, F, conn, par,
                    {key: Expected(*e) for key, e in spec.get("expected", {}).items()},
-                   minkowski_norm=None if via != "coframe" or isinstance(norm, NormField) else norm,
+                   minkowski_norm=None if isinstance(norm, NormField) else norm,
                    checks=tuple((c, dict(o)) for c, o in spec.get("checks", ())),
                    summary=tuple(spec.get("summary", ())))
 

@@ -1,9 +1,11 @@
-"""Charts, points, tangent vectors, fields, frames, coframes and curves.
+"""Charts, vector fields, frames, coframes and curves.
 
 Everything lives in a single global chart whose domain is an open
-axis-aligned box. A vector field is evaluated through jets alone, so
-first derivatives (frame Jacobians, curve velocities) are exact to
-rounding. So is a curve, a member of a family with the coordinates
+axis-aligned box. A point is its coordinates, an (n,) array, and a
+batch of points an (m, n) array; a tangent vector is its coordinate
+components, in the same shapes. A vector field is evaluated through
+jets alone, so first derivatives (frame Jacobians, curve velocities) are
+exact to rounding. So is a curve, a member of a family with the coordinates
 fn(t, *args, *key): one jet pass evaluates the whole family, its args
 stacked (``family_evaluator``). Finite differences are taken only where
 no closed form exists, always through ``central_differences`` (step
@@ -93,51 +95,6 @@ class Box:
         return Box(lo, hi)
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-
-    @property
-    def dim(self):
-        return self.coords.shape[0]
-
-    def __eq__(self, other):
-        return isinstance(other, ChartPoint) and np.array_equal(self.coords, other.coords)
-
-
-def point(*coords):
-    return ChartPoint(np.asarray(coords, dtype=float))
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    base: ChartPoint
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=float))
-
-    def _check_base(self, other):
-        if self.base != other.base:
-            raise ValueError("tangent vectors have different base points")
-
-    def __add__(self, other):
-        self._check_base(other)
-        return TangentVector(self.base, self.components + other.components)
-
-    def __sub__(self, other):
-        self._check_base(other)
-        return TangentVector(self.base, self.components - other.components)
-
-    def __mul__(self, a):
-        return TangentVector(self.base, a * self.components)
-
-    __rmul__ = __mul__
-
-
 class VectorField:
     """Smooth vector field on a chart domain, given by a component
     callable on a tuple of scalars or Jets: derivatives are exact, and
@@ -174,10 +131,6 @@ class VectorField:
             vals[:, i] = c.value
             for d, p in enumerate(c.partials):
                 parts[:, i, d] = p
-
-    def at(self, p):
-        """Evaluate as a TangentVector at a point."""
-        return TangentVector(p, self.values_batch(p.coords[None, :])[0])
 
 
 def constant_field(components, domain=None):
@@ -268,7 +221,7 @@ class Frame:
         return E, dvE
 
     def matrix(self, p):
-        return self.matrix_batch(p.coords[None, :])[0]
+        return self.matrix_batch(np.asarray(p, dtype=float)[None, :])[0]
 
     def check_invertible(self, coords):
         dets = np.linalg.det(self.matrix_batch(coords))
@@ -344,7 +297,7 @@ class Coframe:
                              "frame matrix in dual_coframe")
 
     def matrix(self, p):
-        return self.matrix_batch(p.coords[None, :])[0]
+        return self.matrix_batch(np.asarray(p, dtype=float)[None, :])[0]
 
 
 def dual_coframe(frame):
@@ -381,7 +334,7 @@ class Curve:
         return self.fn(t, *self.args, *self.key)
 
     def point(self, t):
-        return ChartPoint(self.positions_velocities([t])[0][0])
+        return self.positions_velocities([t])[0][0]
 
     def positions_velocities(self, ts):
         """Positions and velocities at parameters ts (T,): (T, n) each."""

@@ -8,8 +8,10 @@ The 2x2 oracle lists finite groups: every isometry preserves the
 Binet-Legendre inner product of f, so the group is a C_k or D_k read off
 one FFT of f on that inner product's unit circle, and each candidate is
 certified on a dense circle.
-A norm field restricts to each tangent space; a one-form field
-F = f o C restricts to f o C_p, with the coframe matrix C_p computed once.
+A norm field F takes batches of points and vectors, (..., n) arrays each,
+and restricts to the tangent space at a point p (n,) as the Minkowski
+norm F_p; a one-form field F = f o C restricts to f o C_p, with the
+coframe matrix C_p computed once.
 """
 
 from __future__ import annotations
@@ -225,10 +227,6 @@ def lie_algebra_member(f, A, samples=LIE_ALGEBRA_SAMPLES, tol=LIE_ALGEBRA_TOL):
     return viol <= tol, viol
 
 
-def _coords(p):
-    return np.asarray(p.coords if hasattr(p, "coords") else p, dtype=float)
-
-
 def _read(C, v):
     """Frame components C v of vectors v; C (..., n, n) broadcasts."""
     return np.einsum("...ij,...j->...i", C, v)
@@ -259,8 +257,8 @@ class NormField:
                               np.asarray(vectors, dtype=float))
 
     def at(self, p):
-        """Restriction F_p to the tangent space at p, as a MinkowskiNorm."""
-        c = _coords(p)
+        """Restriction F_p to the tangent space at p (n,), as a MinkowskiNorm."""
+        c = np.asarray(p, dtype=float)
 
         def restrict(fn):
             return lambda v: fn(np.broadcast_to(c, np.shape(v)), np.asarray(v, dtype=float))
@@ -277,7 +275,7 @@ class _OneFormNormField(NormField):
 
     def at(self, p):
         """F_p = f o C_p, with the coframe evaluated once, at p."""
-        C = self.coframe.matrix_batch(_coords(p)[None, :])[0]
+        C = self.coframe.matrix(p)
         f = self.norm
         return MinkowskiNorm(self.dim, lambda v: f(_read(C, v)),
                              gradient=lambda v: _pull_back(C, f.gradient(_read(C, v))))

@@ -80,7 +80,7 @@ def pushdown_norm(norm_field, parallelism, p, basepoints=10, vectors=200,
     independence fails beyond `tol`, which happens exactly when F is not
     compatible with the parallelism.
     """
-    p_coords = np.asarray(p.coords if hasattr(p, "coords") else p, dtype=float)
+    p_coords = np.asarray(p, dtype=float)
     n = parallelism.dim
     rng = np.random.default_rng(seed)
     others = parallelism.domain.sample(rng, basepoints, margin=0.05)

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .connections import nabla_P_batch, torsion
+from .connections import nabla_P, torsion
 from .constructions import covering_from_connection, connection_from_covering_parallelism
 from .errors import DomainError, PreconditionError
 from .geometry import Box, Curve, apply_matrices, check_curves, segment
@@ -30,6 +30,7 @@ MAX_ATTEMPTS_PER_CURVE = 100
 # domain skips both
 CURVE_FAMILIES = ("segment", "circle", "sine", "bezier")
 DEFAULT_TS = tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
+TORSION_SAMPLES = 50                      # points of the torsion obstruction
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,14 @@ def _resolve_curves(gen_or_curves):
     return list(gen_or_curves), 0
 
 
+def _refuse_empty(**sizes):
+    """PreconditionError naming the first sample input of size 0: a check
+    over no samples has no worst case."""
+    for name, size in sizes.items():
+        if size == 0:
+            raise PreconditionError(f"nothing to check: {name} is empty")
+
+
 def check_holonomy_invariance(norm_field, conn, gen, tol=1e-6, step=DEFAULT_STEP,
                               vectors=20, ts=DEFAULT_TS, seed=None,
                               name="holonomy_invariance"):
@@ -199,6 +208,7 @@ def check_holonomy_invariance(norm_field, conn, gen, tol=1e-6, step=DEFAULT_STEP
     curves, gseed = _resolve_curves(gen)
     seed = gseed if seed is None else seed
     ts = np.asarray(ts, dtype=float)
+    _refuse_empty(curves=len(curves), ts=ts.size, vectors=vectors)
     transported = transport_ensemble(conn, curves, ts, step=step)
     return _invariance_report(norm_field, curves, ts, *transported, tol=tol,
                               step=step, vectors=vectors, seed=seed, name=name)
@@ -249,6 +259,7 @@ def check_parallelism_compat(norm_field, parallelism, pairs=200, vectors=20,
         ps = np.asarray([p for p, _ in pairs], dtype=float)
         qs = np.asarray([q for _, q in pairs], dtype=float)
     count = ps.shape[0]
+    _refuse_empty(pairs=count, vectors=vectors)
     v = unit_sphere(n, vectors)
 
     mats = parallelism.transfer(ps, qs)                               # (m, n, n)
@@ -277,11 +288,12 @@ def check_compalg_criterion(norm_field, parallelism, conn, samples=100,
     i.e. max |grad_v F(p, u) . (nabla P)_v u| over the unit-sphere grid of
     `lie_algebra_member` vanishes; the witness is the first worst sample.
     A norm whose gradient is not finite on that grid (a kink) is refused."""
+    _refuse_empty(samples=samples)
     n = parallelism.dim
     rng = np.random.default_rng(seed)
     pts = parallelism.domain.sample(rng, samples, margin=0.05)
     comps = rng.normal(size=(samples, n))
-    endo = nabla_P_batch(conn, parallelism, pts, comps)              # (m, n, n)
+    endo = nabla_P(conn, parallelism, pts, comps)              # (m, n, n)
     u = unit_sphere(n, LIE_ALGEBRA_SAMPLES)
     at = np.broadcast_to(pts[:, None, :], (samples, len(u), n))
     grad = norm_field.gradient(at, np.broadcast_to(u, at.shape))
@@ -296,14 +308,14 @@ def check_compalg_criterion(norm_field, parallelism, conn, samples=100,
     return make_report(name, samples, worst, worst, tol, witness, seed)
 
 
-def berwald_obstruction(conn, domain, samples=50, seed=42):
+def berwald_obstruction(conn, domain, samples=TORSION_SAMPLES, seed=42):
     """Max coordinate sup-norm of the torsion over sampled points and
     frame field pairs; zero for (locally) Berwald-compatible derivatives."""
     return float(np.max(np.abs(torsion_samples(conn, domain, samples, seed)[1]),
                         initial=0.0))
 
 
-def torsion_samples(conn, domain, samples=50, seed=42):
+def torsion_samples(conn, domain, samples=TORSION_SAMPLES, seed=42):
     """Seeded points (m, n) and torsion components (m, pairs, n) of
     T(E_i, E_j) for each frame field pair i < j, in lexicographic order."""
     rng = np.random.default_rng(seed)
@@ -325,11 +337,12 @@ def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP,
     individually holonomy invariant for F.
     """
     curves, seed = _resolve_curves(gen)
+    ts = np.asarray(ts, dtype=float)
+    _refuse_empty(curves=len(curves), ts=ts.size)
     if isinstance(isometry_group_2x2(norm_field.at(curves[0].point(0.0))),
                   ContinuousFamily):
         raise PreconditionError(
             "uniqueness is not applicable: iso(F_p) is a continuous family")
-    ts = np.asarray(ts, dtype=float)
     phis = []
     for tag, conn in (("conn1", conn1), ("conn2", conn2)):
         transported = transport_ensemble(conn, curves, ts, step=step)

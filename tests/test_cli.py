@@ -500,9 +500,12 @@ def test_a_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-def test_bad_norm_via_is_rejected():
-    bad = dict(S5_CONFIG, norm_via="sideways")
+def test_bad_norm_via_is_rejected(capsys):
+    # the norm is always read through the frame's coframe: norm_via is no key
+    bad = dict(S5_CONFIG, norm_via="coframe")
     assert main(["check", "--config", json.dumps(bad), "--op", "compat"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown keys") and "norm_via" in err
 
 
 def test_indefinite_custom_norm_is_rejected():

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from holopar.connections import (Connection, constant_christoffels,
-                                 from_coordinate_christoffels, nabla_P, nabla_P_batch,
-                                 torsion)
+                                 from_coordinate_christoffels, nabla_P, torsion)
 from holopar.errors import SingularFrameError
 from holopar.fixtures import SPECS, build_frame
-from holopar.geometry import (Box, ChartPoint, Frame, TangentVector, VectorField,
-                              coordinate_frame, dual_coframe, point)
+from holopar.geometry import Box, Frame, VectorField, coordinate_frame, dual_coframe
 from holopar.jets import jcos, jexp, jsin
 from holopar.norms import (NormField, RandersData, euclidean_norm, lie_algebra_member,
                            one_form_norm_field, randers_norm)
@@ -37,17 +35,17 @@ def _symbols_in_frame(conn, frame, p):
     """Symbols Gt^i_{jk} of conn relative to `frame` B at p:
     Gt_j = B^-1 (nabla P)_{B_j} B with P = frame_parallelism(B)."""
     B = frame.matrix(p)
-    cov = nabla_P_batch(conn, frame_parallelism(frame), np.tile(p.coords, (len(B), 1)), B.T)
+    cov = nabla_P(conn, frame_parallelism(frame), np.tile(p, (len(B), 1)), B.T)
     return (np.linalg.inv(B) @ cov @ B).swapaxes(0, 1)            # [j, i, k] -> [i, j, k]
 
 
 def test_section5_symbols_vanish_in_own_frame(s5_conn):
-    g = _symbols_in_frame(s5_conn, s5_conn.frame, point(1.3, -0.4))
+    g = _symbols_in_frame(s5_conn, s5_conn.frame, np.array([1.3, -0.4]))
     assert np.max(np.abs(g)) <= 1e-12
 
 
 def test_section5_coordinate_symbols(s5_conn):
-    g = s5_conn.coordinate_christoffels(point(0.7, -0.4))
+    g = s5_conn.coordinate_christoffels(np.array([0.7, -0.4]))
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 1] = -1.0
     assert np.max(np.abs(g - expected)) <= 1e-12
@@ -55,7 +53,7 @@ def test_section5_coordinate_symbols(s5_conn):
 
 def test_flat_connection_coordinate_symbols_vanish():
     conn = Connection.flat(coordinate_frame(2, DOM))
-    g = conn.coordinate_christoffels(point(2.0, 2.0))
+    g = conn.coordinate_christoffels(np.array([2.0, 2.0]))
     assert np.max(np.abs(g)) <= 1e-15
 
 
@@ -63,8 +61,7 @@ def test_christoffels_frame_round_trip(s5_conn):
     # coordinate view -> rotated frame -> back to coordinates
     other = build_frame(ROTATED_FRAME, DOM)
     rng = np.random.default_rng(2)
-    for row in DOM.sample(rng, 10, margin=0.05):
-        p = ChartPoint(row)
+    for p in DOM.sample(rng, 10, margin=0.05):
         g_rot = _symbols_in_frame(s5_conn, other, p)
         reexpressed = Connection(other, constant_christoffels(g_rot))
         back = reexpressed.coordinate_christoffels(p)
@@ -76,22 +73,21 @@ def test_christoffels_frame_round_trip(s5_conn):
 
 def test_section5_torsion_is_minus_d_dx(s5_conn):
     e1, e2 = s5_conn.frame.fields
-    for p in (point(0.0, 0.0), point(2.5, -3.0)):
-        t = torsion(s5_conn, e1, e2, p)
-        assert np.allclose(t.components, [-1.0, 0.0], atol=1e-12)
+    t = torsion(s5_conn, e1, e2, np.array([[0.0, 0.0], [2.5, -3.0]]))
+    assert np.allclose(t, [-1.0, 0.0], atol=1e-12)
 
 
 def test_torsion_of_field_with_itself_vanishes(s5_conn):
     e1 = s5_conn.frame.fields[0]
-    t = torsion(s5_conn, e1, e1, point(1.0, 1.0))
-    assert np.max(np.abs(t.components)) == 0.0
+    t = torsion(s5_conn, e1, e1, np.array([[1.0, 1.0]]))
+    assert np.max(np.abs(t)) == 0.0
 
 
 def test_flat_connection_is_torsion_free():
     conn = Connection.flat(coordinate_frame(2, DOM))
     dx, dy = conn.frame.fields
-    t = torsion(conn, dx, dy, point(0.5, 0.5))
-    assert np.max(np.abs(t.components)) == 0.0
+    t = torsion(conn, dx, dy, np.array([[0.5, 0.5]]))
+    assert np.max(np.abs(t)) == 0.0
 
 
 def test_torsion_is_tensorial(s5_conn):
@@ -99,13 +95,11 @@ def test_torsion_is_tensorial(s5_conn):
     scale = VectorField(2, components=lambda xs: ((1.0 + xs[0] * xs[0]) * xs[0],
                                                   (1.0 + xs[0] * xs[0]) * 1.0),
                         domain=DOM)   # (1 + x^2) E_1
-    rng = np.random.default_rng(3)
-    for row in DOM.sample(rng, 10, margin=0.05):
-        p = ChartPoint(row)
-        f = 1.0 + row[0] ** 2
-        scaled = torsion(s5_conn, scale, e2, p).components
-        plain = torsion(s5_conn, e1, e2, p).components
-        assert np.max(np.abs(scaled - f * plain)) <= 1e-9
+    pts = DOM.sample(np.random.default_rng(3), 10, margin=0.05)
+    f = 1.0 + pts[:, :1] ** 2
+    scaled = torsion(s5_conn, scale, e2, pts)
+    plain = torsion(s5_conn, e1, e2, pts)
+    assert np.max(np.abs(scaled - f * plain)) <= 1e-9
 
 
 def _frame_3d():
@@ -137,9 +131,8 @@ def test_batched_torsion_is_the_pointwise_torsion_bit_for_bit(name, s5_conn, ble
         batch = torsion(conn, fields[i], fields[j], pts)
         assert np.array_equal(batch, T[:, k])
         for row, t in zip(pts, batch):
-            one = torsion(conn, fields[i], fields[j], ChartPoint(row))
-            assert isinstance(one, TangentVector)
-            assert np.array_equal(one.components, t)
+            one = torsion(conn, fields[i], fields[j], row[None, :])
+            assert np.array_equal(one, t[None, :])
     assert np.max(np.abs(T)) > 0.0
 
 
@@ -163,15 +156,15 @@ def test_torsion_bits_do_not_follow_the_layout_of_the_transform(name, s5_conn, b
 def _covariant_derivative(conn, frame, k, v, p):
     """(nabla_v E_k)(p) for the field E_k of `frame`: (nabla P)_v E_k(p)
     with P = frame_parallelism(frame), since (nabla P)_v = (d_v E + Gamma(v) E) E^-1."""
-    cov = nabla_P(conn, frame_parallelism(frame), TangentVector(p, v))
+    cov = nabla_P(conn, frame_parallelism(frame), p[None, :], v[None, :])[0]
     return cov @ frame.matrix(p)[:, k]
 
 
 def test_covariant_derivative_kills_frame_fields(s5_conn):
-    p = point(0.8, -1.2)
-    for X in s5_conn.frame.fields:
+    p = np.array([0.8, -1.2])
+    for v in s5_conn.frame.matrix(p).T:                      # v = E_j(p)
         for k in range(2):
-            d = _covariant_derivative(s5_conn, s5_conn.frame, k, X.at(p).components, p)
+            d = _covariant_derivative(s5_conn, s5_conn.frame, k, v, p)
             assert np.max(np.abs(d)) <= 1e-12
 
 
@@ -180,7 +173,7 @@ def test_covariant_derivative_coordinate_formula():
     conn = Connection.flat(coordinate_frame(2, DOM))
     Y = VectorField(2, components=lambda xs: (xs[0] * xs[1], xs[1]), domain=DOM)
     frame = Frame(fields=[Y, coordinate_frame(2, DOM).fields[0]], domain=DOM)
-    d = _covariant_derivative(conn, frame, 0, np.array([1.0, 2.0]), point(3.0, 4.0))
+    d = _covariant_derivative(conn, frame, 0, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
     # J(Y) = [[y, x], [0, 1]]; J @ (1,2) = (y + 2x, 2)
     assert np.allclose(d, [10.0, 2.0], atol=1e-12)
 
@@ -189,14 +182,13 @@ def test_covariant_derivative_coordinate_formula():
 
 def test_nabla_p_vanishes_for_parallel_frame(s5_conn):
     par = frame_parallelism(s5_conn.frame)
-    v = TangentVector(point(1.0, 2.0), np.array([0.3, -0.7]))
-    endo = nabla_P(s5_conn, par, v)
+    endo = nabla_P(s5_conn, par, np.array([[1.0, 2.0]]), np.array([[0.3, -0.7]]))
     assert np.max(np.abs(endo)) <= 1e-12
 
 
 def test_nabla_p_is_zero_for_zero_vector(s5_conn):
     par = frame_parallelism(s5_conn.frame)
-    endo = nabla_P(s5_conn, par, TangentVector(point(0.5, 0.5), np.zeros(2)))
+    endo = nabla_P(s5_conn, par, np.array([[0.5, 0.5]]), np.zeros((1, 2)))
     assert np.max(np.abs(endo)) == 0.0
 
 
@@ -206,13 +198,12 @@ def test_nabla_p_linear_in_v(s5_conn):
     gamma[1, 0, 1] = -0.5
     conn = Connection(s5_conn.frame, constant_christoffels(gamma))
     par = translation_parallelism(DOM)
-    p = point(0.4, 0.9)
-    v1 = TangentVector(p, np.array([1.0, 0.2]))
-    v2 = TangentVector(p, np.array([-0.3, 1.1]))
+    p = np.array([[0.4, 0.9]])
+    v1 = np.array([[1.0, 0.2]])
+    v2 = np.array([[-0.3, 1.1]])
     a, b = 0.6, -1.4
-    combo = TangentVector(p, a * v1.components + b * v2.components)
-    lhs = nabla_P(conn, par, combo)
-    rhs = a * nabla_P(conn, par, v1) + b * nabla_P(conn, par, v2)
+    lhs = nabla_P(conn, par, p, a * v1 + b * v2)
+    rhs = a * nabla_P(conn, par, p, v1) + b * nabla_P(conn, par, p, v2)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -223,10 +214,7 @@ def test_blended_nabla_p_is_antisymmetric_for_rotated_blend(blend):
     member_par = blend.parallelism.members[1][1]
     pts = Box((-0.5, -3.0), (0.5, 3.0)).sample(rng, 10)
     f = euclidean_norm(2)
-    for row in pts:
-        p = ChartPoint(row)
-        v = TangentVector(p, rng.normal(size=2))
-        endo = nabla_P(blend.connection, member_par, v)
+    for endo in nabla_P(blend.connection, member_par, pts, rng.normal(size=(10, 2))):
         assert np.max(np.abs(endo + endo.T)) <= 1e-8
         ok, _ = lie_algebra_member(f, endo)
         assert ok
@@ -239,9 +227,9 @@ def test_compalg_rejects_nonzero_endomorphism_for_discrete_group(s5_conn):
     gamma[0, 0, 0] = 1.0
     conn = Connection(s5_conn.frame, constant_christoffels(gamma))
     par = frame_parallelism(s5_conn.frame)
-    p = point(0.2, 0.3)
-    v = TangentVector(p, s5_conn.frame.matrix(p)[:, 0])   # v = E_1(p)
-    endo = nabla_P(conn, par, v)
+    p = np.array([0.2, 0.3])
+    v = s5_conn.frame.matrix(p)[:, 0]                     # v = E_1(p)
+    endo = nabla_P(conn, par, p[None, :], v[None, :])[0]
     assert np.max(np.abs(endo)) > 1e-3
     ok, viol = lie_algebra_member(F.at(p), endo)
     assert not ok and viol > 1e-3
@@ -252,17 +240,17 @@ def test_nabla_p_refuses_a_singular_parallel_frame(s5_conn):
     # with |det| = 1e-13 <= DET_FLOOR, which an LU solve would accept
     tiny = Frame(matrix_fn=lambda c: np.broadcast_to(np.diag([1.0, 1e-13]), c.shape[:1] + (2, 2)),
                  domain=DOM, dim=2)
-    v = TangentVector(point(0.3, -0.2), np.array([1.0, 0.5]))
+    p, v = np.array([[0.3, -0.2]]), np.array([[1.0, 0.5]])
     for frame in (*_frames(2, np.eye(2), np.zeros(3), np.zeros((2, 3)), rank=1), tiny):
         with pytest.raises(SingularFrameError, match="parallel frame in nabla_P"):
-            nabla_P(s5_conn, frame_parallelism(frame), v)
+            nabla_P(s5_conn, frame_parallelism(frame), p, v)
 
 
 def test_from_coordinate_christoffels_round_trip():
     gamma = np.zeros((2, 2, 2))
     gamma[0, 1, 0] = 2.0
     conn = from_coordinate_christoffels(constant_christoffels(gamma), 2, DOM)
-    assert np.max(np.abs(conn.coordinate_christoffels(point(1.0, -1.0)) - gamma)) <= 1e-12
+    assert np.max(np.abs(conn.coordinate_christoffels(np.array([1.0, -1.0])) - gamma)) <= 1e-12
 
 
 # ---------------------------------------------------------- Christoffel transform
@@ -556,7 +544,7 @@ def test_batched_nabla_p_matches_the_frame_change_formula(data):
     rng = np.random.default_rng(3)
     coords = rng.uniform(-1.0, 1.0, (8, n))
     vectors = rng.normal(size=(8, n))
-    got = nabla_P_batch(conn, frame_parallelism(parallel), coords, vectors)
+    got = nabla_P(conn, frame_parallelism(parallel), coords, vectors)
     assert got.shape == (8, n, n)
     # the textbook formula (d_d phi v^d) phi^-1 + Gamma^a_{bc} v^b, from the
     # full frame Jacobian and the coordinate tensor
@@ -567,16 +555,15 @@ def test_batched_nabla_p_matches_the_frame_change_formula(data):
     # bounded relative to the terms
     scale = max(np.max(np.abs(term)) for term in terms)
     assert np.max(np.abs(got - (terms[0] + terms[1]))) <= 1e-12 * scale
-    one = nabla_P(conn, frame_parallelism(parallel), TangentVector(ChartPoint(coords[2]),
-                                                                  vectors[2]))
-    assert np.array_equal(one, got[2])
+    one = nabla_P(conn, frame_parallelism(parallel), coords[2:3], vectors[2:3])
+    assert np.array_equal(one, got[2:3])
 
 
 def test_batched_nabla_p_refuses_a_rank_deficient_parallel_frame(s5_conn):
     frame = _frames(2, np.eye(2), np.zeros(3), np.zeros((2, 3)), rank=1)[0]
     coords = np.array([[0.3, -0.2], [1.0, 0.5], [-0.7, 0.1]])
     with pytest.raises(SingularFrameError, match="parallel frame in nabla_P"):
-        nabla_P_batch(s5_conn, frame_parallelism(frame), coords, np.ones((3, 2)))
+        nabla_P(s5_conn, frame_parallelism(frame), coords, np.ones((3, 2)))
     F = one_form_norm_field(dual_coframe(s5_conn.frame), _S5_NORM)
     with pytest.raises(SingularFrameError, match="parallel frame in nabla_P"):
         check_compalg_criterion(F, frame_parallelism(frame), s5_conn, samples=5)

@@ -10,7 +10,7 @@ from holopar.constructions import (ConvexChartRegion,
                                    covering_from_connection, decompose_box,
                                    parallelism_from_connection)
 from holopar.fixtures import SPECS, build_frame
-from holopar.geometry import Box, Curve, coordinate_frame, point, segment
+from holopar.geometry import Box, Curve, coordinate_frame, segment
 from holopar.jets import jsin
 from holopar.norms import (RandersData, constant_norm_field, euclidean_norm,
                            one_form_norm_field, randers_norm)
@@ -40,7 +40,7 @@ def s5_F():
 
 def test_flat_connection_builds_translation_parallelism():
     conn = Connection.flat(coordinate_frame(2, DOM))
-    region = ConvexChartRegion(point(0.0, 0.0), WORK)
+    region = ConvexChartRegion(np.array([0.0, 0.0]), WORK)
     par = parallelism_from_connection(conn, region, step=1e-2)
     rng = np.random.default_rng(0)
     ps = WORK.sample(rng, 30, margin=0.05)
@@ -52,7 +52,7 @@ def test_radial_parallel_frame_evaluates_the_current_phi():
     # an ODE-built parallelism has no frame of its own: its parallel frame
     # reads phi when evaluated, so a phi swapped in later is the one used
     conn = Connection.flat(coordinate_frame(2, DOM))
-    par = parallelism_from_connection(conn, ConvexChartRegion(point(0.0, 0.0), WORK),
+    par = parallelism_from_connection(conn, ConvexChartRegion(np.array([0.0, 0.0]), WORK),
                                       step=1e-2)
     assert par.frame is None
     seen = []
@@ -63,7 +63,7 @@ def test_radial_parallel_frame_evaluates_the_current_phi():
 
 
 def test_section5_radial_parallelism_matches_frame(s5_conn):
-    region = ConvexChartRegion(point(0.0, 0.0), WORK)
+    region = ConvexChartRegion(np.array([0.0, 0.0]), WORK)
     built = parallelism_from_connection(s5_conn, region, step=1e-3)
     frame_par = frame_parallelism(s5_conn.frame)
     rng = np.random.default_rng(1)
@@ -81,7 +81,7 @@ def test_radial_parallelism_is_segment_transport(name, request):
     box = fx.domain.shrink(0.1)
     center = np.array([0.3, -0.2])
     par = parallelism_from_connection(fx.connection,
-                                      ConvexChartRegion(point(*center), box), step=1e-3)
+                                      ConvexChartRegion(center, box), step=1e-3)
     qs = box.sample(np.random.default_rng(3), 6, margin=0.05)
     phis, _, _ = transport_ensemble(fx.connection, [segment(center, q) for q in qs],
                                     [1.0], step=1e-3)
@@ -89,7 +89,7 @@ def test_radial_parallelism_is_segment_transport(name, request):
 
 
 def test_compatibility_transfers_to_built_parallelism(s5_conn, s5_F):
-    region = ConvexChartRegion(point(0.0, 0.0), WORK)
+    region = ConvexChartRegion(np.array([0.0, 0.0]), WORK)
     built = parallelism_from_connection(s5_conn, region, step=1e-3)
     rep = check_parallelism_compat(s5_F, built, pairs=100, tol=1e-6)
     assert rep.passed
@@ -97,7 +97,7 @@ def test_compatibility_transfers_to_built_parallelism(s5_conn, s5_F):
 
 def test_region_center_must_lie_inside():
     with pytest.raises(ValueError):
-        ConvexChartRegion(point(9.0, 0.0), WORK)
+        ConvexChartRegion(np.array([9.0, 0.0]), WORK)
 
 
 # ------------------------------------------------- connection from covering
@@ -106,7 +106,7 @@ def test_single_member_cover_reproduces_section5_symbols(s5_conn):
     cover = CoveringParallelism.build(
         [(DOM, frame_parallelism(s5_conn.frame))], WORK)
     conn = connection_from_covering_parallelism(cover)
-    g = conn.coordinate_christoffels(point(0.7, -0.4))
+    g = conn.coordinate_christoffels(np.array([0.7, -0.4]))
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 1] = -1.0
     assert np.max(np.abs(g - expected)) <= 1e-9
@@ -161,7 +161,7 @@ def test_blended_connection_is_euclidean_invariant(blend):
 def test_round_trip_reproduces_transport_operators(s5_conn):
     # connection -> radial parallelism -> single-member cover -> connection,
     # compared through the transport operators themselves
-    region = ConvexChartRegion(point(0.0, 0.0), WORK)
+    region = ConvexChartRegion(np.array([0.0, 0.0]), WORK)
     par = parallelism_from_connection(s5_conn, region, step=1e-3)
     inner = Box((-3.5, -3.5), (3.5, 3.5))
     rebuilt = connection_from_covering_parallelism(

@@ -7,7 +7,6 @@ import pytest
 
 from holopar import cli, transport
 from holopar.fixtures import SPECS, Expected, build_fixture, fixture_names, load_fixture
-from holopar.geometry import point
 from holopar.verification import (CurveGenerator, check_holonomy_invariance,
                                   check_parallelism_compat)
 
@@ -63,7 +62,7 @@ def test_section5_norm_values(s5):
 
 
 def test_section5_frame_matches_quoted_fields(s5):
-    E = s5.frame.matrix(point(2.0, 0.5))
+    E = s5.frame.matrix(np.array([2.0, 0.5]))
     assert np.allclose(E, [[2.0, -1.0], [1.0, 0.0]])
 
 
@@ -83,7 +82,7 @@ def test_validate_rejects_wrong_expected_value(s5):
 # the expected entries that no check reads, and how each is derived
 DERIVED = {
     "coordinate_christoffels": lambda fx: fx.connection.coordinate_christoffels(
-        point(0.7, *(-0.4,) * (fx.dim - 1))),
+        np.array([0.7, *(-0.4,) * (fx.dim - 1)])),
     "norm_values": lambda fx: [float(fx.norm_field(np.array([0.0, 0.0]), np.array([0.0, 1.0]))),
                                float(fx.norm_field(np.array([1.0, 0.0]), np.array([1.0, 1.0])))],
 }
@@ -122,7 +121,7 @@ def test_scaled_fixture_suite_is_the_expected_compat_failure(scaled):
 
 def test_rescaling_connection_symbols(rescaling):
     conn = rescaling
-    g = conn.coordinate_christoffels(point(0.3, 0.3))
+    g = conn.coordinate_christoffels(np.array([0.3, 0.3]))
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 0] = 1.0
     assert np.max(np.abs(g - expected)) <= 1e-12
@@ -142,5 +141,5 @@ def test_fixture_instances_are_independent():
     a = load_fixture("section5")
     b = load_fixture("section5")
     assert a is not b
-    assert np.array_equal(a.frame.matrix(point(1.0, 1.0)),
-                          b.frame.matrix(point(1.0, 1.0)))
+    assert np.array_equal(a.frame.matrix(np.array([1.0, 1.0])),
+                          b.frame.matrix(np.array([1.0, 1.0])))

@@ -10,7 +10,7 @@ from holopar.connections import Connection
 from holopar.errors import DomainError, PreconditionError, RegularityError, SingularFrameError
 from holopar.geometry import (FD_STEP, Box, Curve, Frame, VectorField, constant_field,
                               coordinate_frame, curve_positions_velocities, dual_coframe,
-                              invert_frames, point, segment)
+                              invert_frames, segment)
 from holopar.parallelism import frame_parallelism
 from holopar.verification import berwald_obstruction
 
@@ -29,18 +29,18 @@ def _jet_eval(field, p):
     from the jet pass of a frame whose first field it is."""
     other = constant_field((0.0, 1.0), field.domain)
     E, dE = Frame(fields=[field, other], domain=field.domain).matrix_jacobian_batch(
-        p.coords[None, :])
+        p[None, :])
     return E[0, :, 0], dE[0, :, 0]
 
 
 def test_jet_eval_constant_field():
-    vals, jac = _jet_eval(constant_field((1.0, 0.0), DOM2), point(0.4, -2.1))
+    vals, jac = _jet_eval(constant_field((1.0, 0.0), DOM2), np.array([0.4, -2.1]))
     assert np.array_equal(vals, [1.0, 0.0])
     assert np.array_equal(jac, np.zeros((2, 2)))
 
 
 def test_jet_eval_linear_frame_field():
-    vals, jac = _jet_eval(e1_field(Box((-6.0, -6.0), (6.0, 6.0))), point(2.0, 5.0))
+    vals, jac = _jet_eval(e1_field(Box((-6.0, -6.0), (6.0, 6.0))), np.array([2.0, 5.0]))
     assert np.allclose(vals, [2.0, 1.0])
     assert np.allclose(jac, [[1.0, 0.0], [0.0, 0.0]])
 
@@ -50,7 +50,7 @@ def test_jet_eval_linear_map_jacobian_is_matrix():
     X = VectorField(2, components=lambda xs: (1.0 * xs[0] + 2.0 * xs[1],
                                               -3.0 * xs[0] + 0.5 * xs[1]),
                     domain=DOM2)
-    for p in (point(0.0, 0.0), point(1.5, -2.0)):
+    for p in (np.array([0.0, 0.0]), np.array([1.5, -2.0])):
         _, jac = _jet_eval(X, p)
         assert np.allclose(jac, A, atol=1e-14)
 
@@ -75,13 +75,13 @@ def _poly_fields(n, seed):
 def test_dual_coframe_of_slanted_frame():
     from holopar.fixtures import SPECS, build_frame
     frame = build_frame(SPECS["section5"]["manifold"]["frame"], DOM2)
-    C = dual_coframe(frame).matrix(point(3.0, -1.0))
+    C = dual_coframe(frame).matrix(np.array([3.0, -1.0]))
     # rows are dy and -dx + x dy
     assert np.allclose(C, [[0.0, 1.0], [-1.0, 3.0]], atol=1e-14)
 
 
 def test_dual_coframe_of_coordinate_frame_is_identity():
-    C = dual_coframe(coordinate_frame(2, DOM2)).matrix(point(0.1, 0.2))
+    C = dual_coframe(coordinate_frame(2, DOM2)).matrix(np.array([0.1, 0.2]))
     assert np.allclose(C, np.eye(2))
 
 
@@ -99,7 +99,7 @@ def test_scaled_frame_gives_inverse_scaled_coframe():
     fr = coordinate_frame(2, DOM2)
     scaled = type(fr)(fields=[VectorField(2, components=lambda xs, f=f: [2.0 * c for c in f(xs)])
                               for f in fr.fields], domain=DOM2)
-    C = dual_coframe(scaled).matrix(point(1.0, 1.0))
+    C = dual_coframe(scaled).matrix(np.array([1.0, 1.0]))
     assert np.allclose(C, 0.5 * np.eye(2))
 
 

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 from holopar.errors import DefinitenessError, PreconditionError
 from holopar.fixtures import SPECS, build_frame, build_norm
-from holopar.geometry import FD_STEP, Box, Coframe, Frame, VectorField, dual_coframe, point
+from holopar.geometry import FD_STEP, Box, Coframe, Frame, VectorField, dual_coframe
 from holopar.norms import (ORACLE_ANGLES, ContinuousFamily, MinkowskiNorm, NormField,
                            RandersData, _quadratic_form, euclidean_norm, is_isometry,
                            isometry_algebra, isometry_group_2x2, lie_algebra_member,
@@ -421,7 +421,7 @@ def test_one_form_restriction_equals_the_field(n):
     F = _one_form_field(n)
     rng = np.random.default_rng(n)
     for p in rng.uniform(-1.0, 1.0, (5, n)):
-        Fp = F.at(point(*p))
+        Fp = F.at(p)
         v = rng.normal(size=(30, n))
         at_p = np.broadcast_to(p, v.shape)
         want, got = F(at_p, v), Fp(v)
@@ -440,7 +440,7 @@ def test_one_form_restriction_evaluates_the_coframe_once(monkeypatch):
         return original(self, coords)
 
     monkeypatch.setattr(Coframe, "matrix_batch", counting)
-    group = isometry_group_2x2(F.at(point(0.7, -1.2)))
+    group = isometry_group_2x2(F.at(np.array([0.7, -1.2])))
     assert len(group) == 2 and calls == [1]
 
 

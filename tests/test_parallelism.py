@@ -8,7 +8,7 @@ from holopar import parallelism
 from holopar.errors import (CoveringGapError, DomainError,
                             IncompatibleParallelismError)
 from holopar.fixtures import SPECS, build_frame
-from holopar.geometry import Box, point
+from holopar.geometry import Box
 from holopar.norms import (RandersData, constant_norm_field, euclidean_norm,
                            one_form_norm_field, randers_norm, unit_sphere)
 from holopar.geometry import dual_coframe
@@ -103,17 +103,17 @@ def test_trivialization_compatibility_identity(s5_par):
 def test_section5_pushdown_basepoint_independent(s5_par):
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
     F = one_form_norm_field(dual_coframe(build_frame(S5_FRAME, DOM)), f)
-    for p in (point(0.0, 0.0), point(3.0, -2.0)):
+    for p in (np.array([0.0, 0.0]), np.array([3.0, -2.0])):
         pushed = pushdown_norm(F, s5_par, p, basepoints=10, vectors=200, tol=1e-9)
         # the pushed norm is f itself read through the anchor frame
         v = np.array([0.0, 1.0])
-        expected = float(F(p.coords, s5_par.phi(p.coords[None, :])[0] @ v))
+        expected = float(F(p, s5_par.phi(p[None, :])[0] @ v))
         assert float(pushed.norm(v)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_euclidean_pushdown_is_euclidean():
     F = constant_norm_field(euclidean_norm(2))
-    pushed = pushdown_norm(F, translation_parallelism(DOM), point(0.0, 0.0))
+    pushed = pushdown_norm(F, translation_parallelism(DOM), np.array([0.0, 0.0]))
     rng = np.random.default_rng(5)
     v = rng.normal(size=(40, 2))
     assert np.max(np.abs(pushed.norm(v) - np.linalg.norm(v, axis=1))) <= 1e-12
@@ -122,12 +122,12 @@ def test_euclidean_pushdown_is_euclidean():
 def test_pushed_norm_gradient_is_exact_on_section5(s5_par):
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
     F = one_form_norm_field(dual_coframe(build_frame(S5_FRAME, DOM)), f)
-    p = point(1.5, -0.5)
+    p = np.array([1.5, -0.5])
     pushed = pushdown_norm(F, s5_par, p).norm
     v = np.random.default_rng(10).normal(size=(30, 2))
     # phi_p^T (grad_v F)(p, phi_p v), and central differences of F_p o phi_p
-    phi_p = s5_par.phi(p.coords[None, :])[0]
-    exact = F.gradient(np.broadcast_to(p.coords, v.shape), v @ phi_p.T) @ phi_p
+    phi_p = s5_par.phi(p[None, :])[0]
+    exact = F.gradient(np.broadcast_to(p, v.shape), v @ phi_p.T) @ phi_p
     assert np.array_equal(pushed.gradient(v), exact)
     h = 1e-6
     fd = np.stack([(pushed(v + e) - pushed(v - e)) / (2 * h) for e in h * np.eye(2)],
@@ -145,7 +145,7 @@ def test_pushdown_evaluates_phi_once_per_basepoint(s5_par):
     par = Parallelism(DOM, phi)
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
     F = one_form_norm_field(dual_coframe(build_frame(S5_FRAME, DOM)), f)
-    pushed = pushdown_norm(F, par, point(0.0, 0.0), basepoints=6).norm
+    pushed = pushdown_norm(F, par, np.array([0.0, 0.0]), basepoints=6).norm
     assert calls == [7]                  # the anchor p and the 6 basepoints, in one call
     v = unit_sphere(2, 50)
     pushed(v)
@@ -156,7 +156,7 @@ def test_pushdown_evaluates_phi_once_per_basepoint(s5_par):
 
 def test_incompatible_pair_raises_with_witness(scaled):
     with pytest.raises(IncompatibleParallelismError) as ei:
-        pushdown_norm(scaled.norm_field, scaled.parallelism, point(0.0, 0.0))
+        pushdown_norm(scaled.norm_field, scaled.parallelism, np.array([0.0, 0.0]))
     assert "deviation" in ei.value.witness
 
 

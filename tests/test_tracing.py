@@ -1,6 +1,6 @@
 """The benchmark's tracer (bench/tracing.py) on the library: every name it
-wraps exists, and transport's blended Christoffel calls are recorded
-inside the ensemble span."""
+wraps exists, transport's blended Christoffel calls are recorded inside
+the ensemble span, and the compalg check's nabla P inside its own."""
 
 import importlib
 import importlib.util
@@ -41,3 +41,20 @@ def test_blend_spans_open_inside_the_transport_ensemble():
     for s in blends:
         assert spans[s.parent].name == "transport.ensemble"
     assert sum(s.attrs["points"] for s in blends) == 2 * 201
+
+
+def test_the_compalg_check_records_one_nabla_p_span():
+    hp = SimpleNamespace(**{m: importlib.import_module(f"holopar.{m}") for m in MODULES})
+    tracer = _tracer()
+    fx = hp.fixtures.load_fixture("section5")
+    try:
+        tracer.install(hp)
+        tracer.spans.clear()
+        hp.verification.check_compalg_criterion(fx.norm_field, fx.parallelism, fx.connection,
+                                                samples=10)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    nablas = [s for s in spans if s.name == "connections.nabla_P"]
+    assert len(nablas) == 1
+    assert spans[nablas[0].parent].name == "verification.compalg"

@@ -16,7 +16,7 @@ from holopar.constructions import (ConvexChartRegion, connection_from_covering_p
 from holopar.errors import IntegrationBlowupError, SingularFrameError
 from holopar.fixtures import SPECS, build_frame
 from holopar.geometry import (Box, Curve, Frame, VectorField, coordinate_frame,
-                              curve_positions_velocities, point, segment)
+                              curve_positions_velocities, segment)
 from holopar.jets import jsin
 from holopar.parallelism import Parallelism, frame_parallelism, translation_parallelism
 from holopar.transport import (BLOCK_MATRICES, _block_steps, _coefficient_grid,
@@ -101,7 +101,7 @@ def test_every_integration_refuses_a_step_that_is_not_positive_and_finite(path, 
 
     conn = Connection.flat(build_frame(S5_FRAME, DOM))
     radial = parallelism_from_connection(
-        conn, ConvexChartRegion(point(0.0, 0.0), DOM.shrink(0.1)), step=step)
+        conn, ConvexChartRegion(np.array([0.0, 0.0]), DOM.shrink(0.1)), step=step)
     run = {"ensemble": lambda: transport_ensemble(conn, [wavy()], [1.0], step=step),
            "one_curve": lambda: parallel_transport(conn, wavy(), 1.0, step=step),
            "radial": lambda: radial.phi(np.array([[1.0, 0.5]]))}[path]
@@ -152,7 +152,7 @@ def test_non_finite_ode_raises_on_every_integration_path():
     values = np.zeros((2, 2, 2))
     values[:, 0, :] = -1e3 * np.eye(2)
     conn = from_coordinate_christoffels(constant_christoffels(values), 2, DOM)
-    radial = parallelism_from_connection(conn, ConvexChartRegion(point(0.0, 0.0), DOM))
+    radial = parallelism_from_connection(conn, ConvexChartRegion(np.array([0.0, 0.0]), DOM))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationBlowupError):
             transport_ensemble(conn, [segment((0.0, 0.0), (1.0, 0.0))], [1.0], step=1e-3)
@@ -164,7 +164,7 @@ def test_blow_up_raises_without_numpy_warnings():
     values = np.zeros((2, 2, 2))
     values[:, 0, :] = -1e3 * np.eye(2)
     conn = from_coordinate_christoffels(constant_christoffels(values), 2, DOM)
-    radial = parallelism_from_connection(conn, ConvexChartRegion(point(0.0, 0.0), DOM))
+    radial = parallelism_from_connection(conn, ConvexChartRegion(np.array([0.0, 0.0]), DOM))
     paths = [
         lambda: transport_ensemble(conn, [segment((0.0, 0.0), (1.0, 0.0))], [1.0], step=1e-3),
         lambda: radial.phi([[1.0, 0.0]]),

@@ -14,7 +14,7 @@ from holopar.connections import Connection, constant_christoffels
 from holopar.constructions import connection_from_covering_parallelism
 from holopar.errors import DomainError, PreconditionError, RegularityError
 from holopar.geometry import (Box, Curve, apply_matrices, coordinate_frame,
-                              curve_positions_velocities, point, segment_coords)
+                              curve_positions_velocities, segment, segment_coords)
 from holopar.jets import jcos
 from holopar.norms import RandersData, constant_norm_field, randers_norm
 from holopar.parallelism import CoveringParallelism, frame_parallelism, translation_parallelism
@@ -201,6 +201,37 @@ def test_uniqueness_refuses_three_dimensions_before_integrating(monkeypatch):
     assert calls == []
 
 
+_EMPTY_SAMPLES = {
+    "holonomy_ts": (lambda fx, c: check_holonomy_invariance(fx.norm_field, fx.connection, c,
+                                                            ts=()), "ts"),
+    "holonomy_vectors": (lambda fx, c: check_holonomy_invariance(fx.norm_field, fx.connection,
+                                                                 c, vectors=0), "vectors"),
+    "holonomy_curves": (lambda fx, c: check_holonomy_invariance(fx.norm_field, fx.connection,
+                                                                []), "curves"),
+    "compat_pairs": (lambda fx, c: check_parallelism_compat(fx.norm_field, fx.parallelism,
+                                                            pairs=0), "pairs"),
+    "compat_vectors": (lambda fx, c: check_parallelism_compat(fx.norm_field, fx.parallelism,
+                                                              vectors=0), "vectors"),
+    "compalg_samples": (lambda fx, c: check_compalg_criterion(fx.norm_field, fx.parallelism,
+                                                              fx.connection, samples=0),
+                        "samples"),
+    "uniqueness_curves": (lambda fx, c: check_uniqueness(fx.norm_field, fx.connection,
+                                                         fx.connection, []), "curves"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EMPTY_SAMPLES))
+def test_an_empty_sample_is_refused_before_any_transport(case, s5, monkeypatch):
+    calls = []
+    monkeypatch.setattr(verification, "transport_ensemble",
+                        lambda *args, **kwargs: calls.append(args))
+    run, named = _EMPTY_SAMPLES[case]
+    curves = [segment((0.0, 0.0), (1.0, 0.0))]
+    with pytest.raises(PreconditionError, match=f"{named} is empty"):
+        run(s5, curves)
+    assert calls == []
+
+
 def test_uniqueness_refuses_non_invariant_connection(s5, rescaling):
     gen = CurveGenerator(WORK.shrink(0.05), seed=7, count=5)
     with pytest.raises(PreconditionError, match="not holonomy invariant"):
@@ -249,7 +280,7 @@ def test_invariance_compat_equivalence_both_directions(s5):
     # invariant connection -> compatible built parallelism, and compatible
     # cover -> invariant synthesized connection, both at 1e-6
     from holopar.constructions import ConvexChartRegion, parallelism_from_connection
-    region = ConvexChartRegion(point(0.0, 0.0), WORK)
+    region = ConvexChartRegion(np.array([0.0, 0.0]), WORK)
     built = parallelism_from_connection(s5.connection, region, step=1e-3)
     assert check_parallelism_compat(s5.norm_field, built, pairs=50, tol=1e-6).passed
     cover = CoveringParallelism.build([(s5.domain, s5.parallelism)], WORK)
