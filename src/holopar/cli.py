@@ -82,7 +82,7 @@ def _holonomy(fx, o, max_curves=np.inf):
 
 
 def _compat(fx, o, tol=None, pairs=200):
-    return check_parallelism_compat(fx.norm_field, fx.parallelism, pairs=pairs,
+    return check_parallelism_compat(fx.norm_field, fx.parallelism, pairs=pairs, vectors=o.vectors,
                                     tol=o.tol if tol is None else tol, seed=o.seed)
 
 

@@ -5,6 +5,8 @@ free of names), unary minus and the calls sqrt/sin/cos/exp/smooth_step
 (the C^inf step of ``jets.smooth_step``: 0 for t <= 0, 1 for t >= 1).
 Expressions are validated once, when parsed, and evaluate over floats,
 numpy arrays and jets alike, so parsed fields are fully differentiable.
+One call evaluates each repeated subexpression, and a sin and cos of
+one argument (``jets.jsincos``), once.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import ast
 import operator
 
 from .errors import ConfigError
-from .jets import jcos, jexp, jsin, jsqrt, smooth_step
+from .jets import jcos, jexp, jsin, jsincos, jsqrt, smooth_step
 
 _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Div: operator.truediv, ast.Pow: operator.pow}
@@ -104,6 +106,8 @@ def parse_exprs(srcs, variables):
     for root in roots:
         key(root)
         visit(root)
+    # the arguments of both a sin and a cos: one jsincos serves the pair
+    both = {k[1] for k in numbers if k[0] == "sin"} & {k[1] for k in numbers if k[0] == "cos"}
 
     def compile_node(node):
         """The closure env -> value of an accepted tree; env holds the
@@ -120,18 +124,22 @@ def parse_exprs(srcs, variables):
         elif isinstance(node, ast.UnaryOp):
             operand = compile_node(node.operand)
             fn = (lambda env: -1.0 * operand(env)) if isinstance(node.op, ast.USub) else operand
+        elif node.func.id in ("sin", "cos") and key_of[node.args[0]] in both:
+            arg, i = compile_node(node.args[0]), node.func.id == "cos"
+            pair = once(("sincos", key_of[node.args[0]]), lambda env: jsincos(arg(env)))
+            fn = lambda env: pair(env)[i]
         else:
             call, arg = _CALLS[node.func.id], compile_node(node.args[0])
             fn = lambda env: call(arg(env))
-        k = key_of[node]
-        if seen.get(k, 0) < 2:
-            return fn
+        return fn if seen.get(key_of[node], 0) < 2 else once(key_of[node], fn)
 
-        def once(env):
+    def once(k, fn):
+        """fn, its value kept in env under k for the rest of the call."""
+        def kept(env):
             if k not in env:
                 env[k] = fn(env)
             return env[k]
-        return once
+        return kept
 
     fns = [compile_node(root) for root in roots]
 

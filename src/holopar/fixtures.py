@@ -21,7 +21,7 @@ from .connections import Connection
 from .constructions import connection_from_covering_parallelism
 from .errors import ConfigError
 from .exprs import parse_exprs
-from .geometry import Box, Frame, VectorField, coordinate_frame, dual_coframe
+from .geometry import Box, Frame, coordinate_frame, dual_coframe
 from .jets import as_jet, seed_jets
 from .norms import (MinkowskiNorm, NormField, RandersData, constant_norm_field,
                     one_form_norm_field, randers_norm)
@@ -143,8 +143,9 @@ def build_box(spec):
 
 
 def build_frame(spec, domain):
-    """n fields of n expressions in x, y, z, each field's components
-    evaluated in one pass; the identity ("1" and "0") is ``coordinate_frame``."""
+    """n fields of n expressions in x, y, z, the whole matrix compiled by
+    one ``parse_exprs`` call, so one pass evaluates a subexpression the
+    fields share once; the identity ("1" and "0") is ``coordinate_frame``."""
     n = len(spec) if isinstance(spec, list) else 0
     if (not 1 <= n <= len(COORD_NAMES) or (domain is not None and domain.dim != n)
             or any(not isinstance(col, list) or len(col) != n for col in spec)):
@@ -152,9 +153,8 @@ def build_frame(spec, domain):
                           f"not {spec!r}")
     if spec == [["1" if i == k else "0" for i in range(n)] for k in range(n)]:
         return coordinate_frame(n, domain)
-    fns = [parse_exprs(col, COORD_NAMES[:n]) for col in spec]
-    return Frame(fields=[VectorField(n, components=lambda xs, fn=fn: fn(*xs), domain=domain)
-                         for fn in fns], domain=domain)
+    fn = parse_exprs([col[a] for a in range(n) for col in spec], COORD_NAMES[:n])
+    return Frame(entries=lambda xs: fn(*xs), dim=n, domain=domain)
 
 
 def build_norm(spec, dim=2, coordinates=False):

@@ -3,9 +3,10 @@
 Everything lives in a single global chart whose domain is an open
 axis-aligned box. A point is its coordinates, an (n,) array, and a
 batch of points an (m, n) array; a tangent vector is its coordinate
-components, in the same shapes. A vector field is evaluated through
-jets alone, so first derivatives (frame Jacobians, curve velocities) are
-exact to rounding. So is a curve, a member of a family with the coordinates
+components, in the same shapes. A vector field, and a frame's n*n
+entries in one pass, are evaluated through jets alone, so first
+derivatives (frame Jacobians, curve velocities) are exact to rounding.
+So is a curve, a member of a family with the coordinates
 fn(t, *args, *key): one jet pass evaluates the whole family, its args
 stacked (``family_evaluator``). Finite differences are taken only where
 no closed form exists, always through ``central_differences`` (step
@@ -112,25 +113,27 @@ class VectorField:
     def values_batch(self, coords):
         coords = np.asarray(coords, dtype=float)
         vals = np.empty(coords.shape)
-        self._jets_into(coords, (), vals, None)
+        jets_into(self._components, coords, (), vals, None)
         return vals
 
-    def _jets_into(self, coords, directions, vals, parts):
-        """Write the components into vals (m, n) and their derivatives
-        into parts (m, n, k); both may be views of larger arrays.
 
-        The jets are seeded with ``directions`` (as in ``seed_jets``):
-        None gives the Jacobian, k directions the derivatives along each,
-        and () the values alone (parts unused).
-        """
-        n = coords.shape[1]
-        xs = seed_jets(tuple(coords[:, d] for d in range(n)), directions)
-        k = n if directions is None else len(directions)
-        for i, c in enumerate(self._components(xs)):
-            c = as_jet(c, k)
-            vals[:, i] = c.value
-            for d, p in enumerate(c.partials):
-                parts[:, i, d] = p
+def jets_into(components, coords, directions, vals, parts):
+    """Write components (a callable on a tuple of n scalars or Jets) at
+    coords (m, n) into vals (m, c) and their derivatives into parts
+    (m, c, k), in one jet pass; both may be views of larger arrays.
+
+    The jets are seeded with ``directions`` (as in ``seed_jets``): None
+    gives the Jacobian, k directions the derivatives along each, and ()
+    the values alone (parts unused).
+    """
+    n = coords.shape[1]
+    xs = seed_jets(tuple(coords[:, d] for d in range(n)), directions)
+    k = n if directions is None else len(directions)
+    for i, c in enumerate(components(xs)):
+        c = as_jet(c, k)
+        vals[:, i] = c.value
+        for d, p in enumerate(c.partials):
+            parts[:, i, d] = p
 
 
 def constant_field(components, domain=None):
@@ -140,9 +143,13 @@ def constant_field(components, domain=None):
 
 
 class Frame:
-    """n vector fields with everywhere-invertible component matrix, or a
-    matrix function (m, n) -> (m, n, n) (an ODE-built trivialization),
-    which has no fields and is differentiated by central differences.
+    """n vector fields with everywhere-invertible component matrix, given
+    as one jet callable of its n*n entries, row by row ((E_k)^a at a*n + k,
+    so one pass shares whatever the entries share), or a matrix function
+    (m, n) -> (m, n, n) (an ODE-built trivialization), which has no fields
+    and is differentiated by central differences. ``Frame(fields=...)``
+    wraps its fields as that callable, and a frame of entries has the
+    fields of its columns.
 
     ``coordinate`` is True only on the frames of ``coordinate_frame``,
     whose matrix is the identity and whose derivative vanishes.
@@ -150,16 +157,20 @@ class Frame:
 
     coordinate = False
 
-    def __init__(self, fields=None, matrix_fn=None, domain=None, dim=None):
+    def __init__(self, fields=None, matrix_fn=None, domain=None, dim=None, entries=None):
         if fields is not None:
-            self._fields = tuple(fields)
-            self.dim = self._fields[0].dim
-        else:
-            if matrix_fn is None or dim is None:
-                raise ValueError("need fields, or matrix_fn with dim")
-            self._fields = None
-            self.dim = dim
+            fields = tuple(fields)
+            dim = fields[0].dim
+            entries = lambda xs: [c for row in zip(*(f(xs) for f in fields)) for c in row]
+        elif entries is not None:
+            fields = tuple(VectorField(dim, lambda xs, k=k: entries(xs)[k::dim], domain)
+                           for k in range(dim))
+        elif matrix_fn is None or dim is None:
+            raise ValueError("need fields, entries with dim, or matrix_fn with dim")
+        self._fields = fields
+        self._entries = entries
         self._matrix_fn = matrix_fn
+        self.dim = dim
         self.domain = domain
 
     @property
@@ -170,6 +181,12 @@ class Frame:
             raise PreconditionError("a frame given by a matrix function has no vector fields")
         return self._fields
 
+    def _jets_into(self, coords, directions, E, dE):
+        # one jet pass into E (m, n, n) and dE (m, n, n, k), whose (a, k) axes must merge
+        m, n = coords.shape
+        jets_into(self._entries, coords, directions, E.reshape(m, n * n, copy=False),
+                  None if dE is None else dE.reshape(m, n * n, -1, copy=False))
+
     def matrix_batch(self, coords):
         """Component matrices E with E[:, a, j] = (E_j)^a: (m,n,n)."""
         coords = np.asarray(coords, dtype=float)
@@ -177,7 +194,9 @@ class Frame:
             return np.asarray(self._matrix_fn(coords), dtype=float)
         if self.coordinate:
             return np.broadcast_to(np.eye(self.dim), (len(coords), self.dim, self.dim)).copy()
-        return np.stack([f.values_batch(coords) for f in self._fields], axis=2)
+        E = np.empty((len(coords), self.dim, self.dim))
+        self._jets_into(coords, (), E, None)
+        return E
 
     def matrix_jacobian_batch(self, coords):
         """E (m,n,n) and dE (m,n,n,n) with dE[:, a, k, d] = d_d (E_k)^a.
@@ -192,8 +211,7 @@ class Frame:
             return E, central_differences(self._matrix_fn, coords).transpose(0, 2, 3, 1)
         E = np.empty((m, n, n))
         dE = np.empty((m, n, n, n)).transpose(0, 2, 3, 1)
-        for k, f in enumerate(self._fields):
-            f._jets_into(coords, None, E[:, :, k], dE[:, :, k])
+        self._jets_into(coords, None, E, dE)
         return E, dE
 
     def matrix_derivative_batch(self, coords, vectors):
@@ -215,9 +233,7 @@ class Frame:
             # a point-major v: the product's rounding depends on its layout
             return E, (np.ascontiguousarray(v)[:, None, :] @ rows).reshape(m, n, n)
         E, dvE = (np.empty((n, n, m)).transpose(2, 0, 1) for _ in range(2))
-        along = (np.ascontiguousarray(v.T),)
-        for k, f in enumerate(self._fields):
-            f._jets_into(coords, along, E[:, :, k], dvE[:, :, k, None])
+        self._jets_into(coords, (np.ascontiguousarray(v.T),), E, dvE[..., None])
         return E, dvE
 
     def matrix(self, p):
@@ -419,9 +435,9 @@ def check_curves(curves, samples=64):
     `samples` equispaced parameters."""
     pos, vel = curve_positions_velocities(curves, np.linspace(0.0, 1.0, samples))
     inside = np.ones(len(curves), dtype=bool)
-    for c, curve in enumerate(curves):
-        if curve.domain is not None:
-            inside[c] = np.all(curve.domain.contains_batch(pos[c]))
+    for domain in {curve.domain for curve in curves} - {None}:   # one test per domain
+        cs = [c for c, curve in enumerate(curves) if curve.domain == domain]
+        inside[cs] = np.all(domain.contains_batch(pos[cs]), axis=1)
     regular = ~np.any(np.linalg.norm(vel, axis=2) < 1e-9, axis=1)
     return inside, regular
 

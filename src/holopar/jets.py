@@ -5,7 +5,8 @@ independent variables. Arithmetic propagates derivatives exactly (to
 rounding), which is what the Lie bracket, Christoffel transforms and
 curve velocities are built on. Values and partials may be floats, numpy
 arrays (batched evaluation) or Jets themselves (nested, for second-order
-quantities such as iterated brackets).
+quantities such as iterated brackets). ``jsincos`` shares one sin and one
+cos; ``smooth_step`` takes exp only where the step is neither 0 nor 1.
 """
 
 from __future__ import annotations
@@ -119,34 +120,41 @@ jsqrt = _lift(np.sqrt, lambda x: (lambda s: Jet(s, tuple(p / (2.0 * s) for p in 
 jexp = _lift(np.exp, lambda x: (lambda e: Jet(e, tuple(p * e for p in x.partials)))(jexp(x.value)))
 
 
-def jsin(x):
+def jsincos(x):
+    """(sin x, cos x) of a float, array or Jet, from one np.sin and one
+    np.cos of the value; ``jsin`` and ``jcos`` are its halves."""
     if isinstance(x, Jet):
-        # a value-only jet (no partials) needs no derivative factor
-        c = jcos(x.value) if x.partials else None
-        return Jet(jsin(x.value), tuple(p * c for p in x.partials))
-    return np.sin(x)
+        s, c = jsincos(x.value)
+        return (Jet(s, tuple(p * c for p in x.partials)),
+                Jet(c, tuple(-p * s for p in x.partials)))
+    return np.sin(x), np.cos(x)
 
 
-def jcos(x):
-    if isinstance(x, Jet):
-        s = jsin(x.value) if x.partials else None
-        return Jet(jcos(x.value), tuple(-p * s for p in x.partials))
-    return np.cos(x)
+jsin = _lift(np.sin, lambda x: jsincos(x)[0])
+jcos = _lift(np.cos, lambda x: jsincos(x)[1])
 
 
-def _bump_g(t):
-    # exp(-1/t) for t > 0, 0 otherwise; the standard mollifier glue.
+def smooth_step_num(t, slope=False):
+    """C^inf step: 0 for t<=0, 1 for t>=1, strictly increasing between;
+    with `slope`, (step, derivative). Floats or arrays; exp is taken only
+    inside 0 < t < 1, and elsewhere the step is exactly 0 or 1 with slope
+    0 (NaN stays NaN), the bits the formula gives there."""
     t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.where(t > 0.0, np.exp(-1.0 / t), 0.0)
-
-
-def smooth_step_num(t):
-    """C^inf step: 0 for t<=0, 1 for t>=1, strictly increasing between."""
-    t = np.asarray(t, dtype=float)
-    g = _bump_g(t)
-    h = _bump_g(1.0 - t)
-    return g / (g + h)
+    val = np.asarray(t >= 1.0, dtype=float)
+    val[np.isnan(t)] = np.nan
+    band = np.flatnonzero((t > 0.0) & (t < 1.0))
+    x = t.take(band)
+    u = 1.0 - x
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, h = np.exp(-1.0 / x), np.exp(-1.0 / u)
+        val.put(band, g / (g + h))
+        if not slope:
+            return val[()]
+        s = (g / x ** 2 * h + g * (h / u ** 2)) / (g + h) ** 2
+    der = np.zeros(t.shape)
+    # zero where a bump underflows (there x**2 may underflow too, leaving 0/0)
+    der.put(band, np.where((g > 0.0) & (h > 0.0), s, 0.0))
+    return val[()], der[()]
 
 
 def smooth_step(t):
@@ -156,12 +164,5 @@ def smooth_step(t):
         return smooth_step_num(t)
     if not t.partials:                      # value-only: no slope
         return Jet(smooth_step_num(t.value), ())
-    x = np.asarray(t.value, dtype=float)
-    g = _bump_g(x)
-    h = _bump_g(1.0 - x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = (g / x ** 2 * h + g * (h / (1.0 - x) ** 2)) / (g + h) ** 2
-    # zero wherever a bump is: outside (0, 1), and where exp(-1/x) underflows
-    # (there x**2 may underflow too, leaving 0/0)
-    slope = np.where((g > 0.0) & (h > 0.0), slope, 0.0)
-    return Jet(g / (g + h), tuple(p * slope for p in t.partials))
+    val, slope = smooth_step_num(t.value, slope=True)
+    return Jet(val, tuple(p * slope for p in t.partials))

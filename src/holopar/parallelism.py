@@ -123,9 +123,9 @@ def _bump_1d(x, a, b, delta_frac=0.25):
     else:
         delta = 1.0
     if np.isfinite(a):
-        out = out * smooth_step_num((x - a) / delta)
+        out *= smooth_step_num((x - a) / delta)
     if np.isfinite(b):
-        out = out * smooth_step_num((b - x) / delta)
+        out *= smooth_step_num((b - x) / delta)
     return out
 
 
@@ -139,33 +139,34 @@ def bump_partition(domains, region=None, check_samples=1000, seed=11):
     """
     if not domains:
         raise CoveringGapError("no covering boxes given")
-    n = domains[0].dim
 
-    def raw_weight(box):
-        def w(coords):
-            coords = np.atleast_2d(np.asarray(coords, dtype=float))
-            out = np.ones(coords.shape[0])
-            for d in range(n):
-                out = out * _bump_1d(coords[:, d], box.lo[d], box.hi[d])
-            return out
-        return w
-
-    weights = [raw_weight(b) for b in domains]
+    def raw_weights(coords):
+        # the k raw weights at coords (m, n); a 1-D bump that boxes share
+        # (same axis and bounds) is evaluated once
+        bumps, raw = {}, []
+        for box in domains:
+            w = np.ones(coords.shape[0])
+            for d, bounds in enumerate(zip(box.lo, box.hi)):
+                if (d, bounds) not in bumps:
+                    bumps[d, bounds] = _bump_1d(coords[:, d], *bounds)
+                w *= bumps[d, bounds]
+            raw.append(w)
+        return raw
 
     if region is not None:
         rng = np.random.default_rng(seed)
         pts = region.sample(rng, check_samples, margin=1e-6)
-        tot = np.sum([w(pts) for w in weights], axis=0)
+        tot = np.sum(raw_weights(pts), axis=0)
         if np.any(tot <= 0.0):
             bad = pts[np.argmin(tot)]
             raise CoveringGapError(f"point {bad.tolist()} not covered by any box")
 
     def normalized(i):
-        # every bump is evaluated once per call: entry i of the summed list
-        # is this weight's own (bumps act pointwise, so slicing commutes)
+        # entry i of the summed list is this weight's own (bumps act
+        # pointwise, so slicing commutes)
         def f(coords):
             coords = np.atleast_2d(np.asarray(coords, dtype=float))
-            raw = [w(coords) for w in weights]
+            raw = raw_weights(coords)
             tot = np.sum(raw, axis=0)
             out = np.zeros(coords.shape[0])
             pos = tot > 0.0
@@ -173,7 +174,7 @@ def bump_partition(domains, region=None, check_samples=1000, seed=11):
             return out
         return f
 
-    return [normalized(i) for i in range(len(weights))]
+    return [normalized(i) for i in range(len(domains))]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from .connections import nabla_P, torsion
 from .constructions import covering_from_connection, connection_from_covering_parallelism
 from .errors import DomainError, PreconditionError
 from .geometry import Box, Curve, apply_matrices, check_curves, segment
-from .jets import jcos, jsin
+from .jets import jsin, jsincos
 from .norms import LIE_ALGEBRA_SAMPLES, ContinuousFamily, isometry_group_2x2, unit_sphere
 from .parallelism import CoveringParallelism
 from .transport import DEFAULT_STEP, transport_ensemble
@@ -166,9 +166,10 @@ def _draw_bounds(box):
 def circle_coords(t, c, r, th0, dth, a0, a1):
     """Coordinates of the arc of radius r about c in the (a0, a1) plane,
     from angle th0 through dth."""
+    sin, cos = jsincos(th0 + dth * t)
     cs = [c[d] for d in range(len(c))]
-    cs[a0] = c[a0] + r * jcos(th0 + dth * t)
-    cs[a1] = c[a1] + r * jsin(th0 + dth * t)
+    cs[a0] = c[a0] + r * cos
+    cs[a1] = c[a1] + r * sin
     return cs
 
 
@@ -179,11 +180,11 @@ def sine_coords(t, p0, d, perp, omega):
 
 
 def bezier_coords(t, c0, c1, c2, c3):
-    """Coordinates of the cubic Bezier curve with control points c0..c3."""
+    """Coordinates of the cubic Bezier curve with control points c0..c3,
+    its Bernstein basis formed once for all coordinates."""
     u = 1.0 - t
-    return [u * u * u * c0[i] + 3.0 * u * u * t * c1[i]
-            + 3.0 * u * t * t * c2[i] + t * t * t * c3[i]
-            for i in range(len(c0))]
+    b0, b1, b2, b3 = u * u * u, 3.0 * u * u * t, 3.0 * u * t * t, t * t * t
+    return [b0 * c0[i] + b1 * c1[i] + b2 * c2[i] + b3 * c3[i] for i in range(len(c0))]
 
 
 def _resolve_curves(gen_or_curves):

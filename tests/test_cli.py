@@ -198,6 +198,20 @@ def test_check_compat_inline(tmp_path):
     assert code == 0 and doc["report"]["pass"]
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_check_compat_reads_the_vector_count(where, tmp_path):
+    config = {k: v for k, v in S5_CONFIG.items() if k not in ("curves", "vectors")}
+    flag = []
+    if where == "flag":
+        flag = ["--vectors", "3"]
+    else:
+        config["vectors"] = 3
+    code, doc = run(["check", "--config", json.dumps(config), "--op", "compat"] + flag,
+                    tmp_path)
+    # 200 point pairs, 3 vectors each
+    assert code == 0 and doc["report"]["samples"] == 600
+
+
 def test_check_torsion_inline(tmp_path):
     code, doc = run(["check", "--config", json.dumps(S5_CONFIG),
                      "--op", "torsion"], tmp_path)

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from holopar import exprs, jets
 from holopar.connections import Connection
 from holopar.errors import DomainError, PreconditionError, RegularityError, SingularFrameError
-from holopar.geometry import (FD_STEP, Box, Curve, Frame, VectorField, constant_field,
-                              coordinate_frame, curve_positions_velocities, dual_coframe,
-                              invert_frames, segment)
+from holopar.exprs import parse_exprs
+from holopar.fixtures import COORD_NAMES, SPECS, build_frame
+from holopar.geometry import (FD_STEP, Box, Curve, Frame, VectorField, check_curves,
+                              constant_field, coordinate_frame, curve_positions_velocities,
+                              dual_coframe, invert_frames, jets_into, segment)
 from holopar.parallelism import frame_parallelism
 from holopar.verification import berwald_obstruction
 
@@ -196,6 +199,77 @@ def test_matrix_frame_jacobian_is_the_per_coordinate_loop_bit_for_bit(n):
     assert dE.transpose(0, 3, 1, 2).flags.c_contiguous
 
 
+# ------------------------------------------------------------------ one jet pass per frame
+
+FRAME_SPECS = {
+    "rotated_member": SPECS["rotated_blend"]["manifold"]["cover"][1]["frame"],
+    "sheared": [["2+x", "0.7"], ["0.3*y", "1.5+sin(x)"]],
+    "three_d": [["cos(0.3*z)", "sin(0.3*z)", "x*y"],
+                ["-sin(0.3*z)", "cos(0.3*z)", "smooth_step(y)"],
+                ["exp(0.1*x)", "0", "1+z^2"]],
+}
+
+
+def _per_field_pass(spec, coords, directions):
+    """E and its partials from one jet pass per field, each field's
+    column parsed on its own: the reference for the shared pass."""
+    m, n = coords.shape
+    k = n if directions is None else max(len(directions), 1)
+    E, parts = np.empty((m, n, n)), np.empty((m, n, n, k))
+    for j, col in enumerate(spec):
+        fn = parse_exprs(col, COORD_NAMES[:n])
+        jets_into(lambda xs, fn=fn: fn(*xs), coords, directions, E[:, :, j], parts[:, :, j])
+    return E, parts
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_SPECS))
+def test_one_frame_pass_is_the_per_field_passes_bit_for_bit(name):
+    spec = FRAME_SPECS[name]
+    n = len(spec)
+    rng = np.random.default_rng(len(name))
+    coords, v = rng.uniform(-3.0, 3.0, (2, 400, n))
+    frame = build_frame(spec, None)
+    E, _ = _per_field_pass(spec, coords, ())
+    assert np.array_equal(frame.matrix_batch(coords), E)
+    E, dE = _per_field_pass(spec, coords, None)
+    got = frame.matrix_jacobian_batch(coords)
+    assert np.array_equal(got[0], E) and np.array_equal(got[1], dE)
+    E, dvE = _per_field_pass(spec, coords, (np.ascontiguousarray(v.T),))
+    got = frame.matrix_derivative_batch(coords, v)
+    assert np.array_equal(got[0], E) and np.array_equal(got[1], dvE[..., 0])
+    # the fields are the matrix's columns
+    for j, field in enumerate(frame.fields):
+        assert np.array_equal(field.values_batch(coords), E[:, :, j])
+
+
+class _CountingNumpy:
+    """numpy, with the calls of sin and cos recorded."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("sin", "cos"):
+            return fn
+        return lambda *a, **k: self.calls.append(name) or fn(*a, **k)
+
+
+def test_a_whole_frame_pass_of_the_rotated_member_evaluates_its_angle_once(monkeypatch):
+    calls = []
+    step = exprs._CALLS["smooth_step"]
+    monkeypatch.setitem(exprs._CALLS, "smooth_step",
+                        lambda t: calls.append("smooth_step") or step(t))
+    monkeypatch.setattr(jets, "np", _CountingNumpy(calls))
+    frame = build_frame(FRAME_SPECS["rotated_member"], None)
+    coords, v = np.random.default_rng(3).uniform(-3.0, 3.0, (2, 50, 2))
+    for run in (lambda: frame.matrix_batch(coords), lambda: frame.matrix_jacobian_batch(coords),
+                lambda: frame.matrix_derivative_batch(coords, v)):
+        calls.clear()
+        run()
+        assert sorted(calls) == ["cos", "sin", "smooth_step"]
+
+
 # ------------------------------------------------------------------ curves
 
 def test_segment_positions_and_velocity():
@@ -217,6 +291,24 @@ def test_curves_sharing_a_no_arg_fn_are_one_family_of_their_count():
     assert pos.shape == vel.shape == (3, 5, 2)
     assert np.array_equal(pos[0], pos[1]) and np.array_equal(vel[0], vel[1])
     assert np.array_equal(pos[2, :, 0], 1.0 - np.linspace(0.0, 1.0, 5))
+
+
+def test_check_curves_tests_each_domain_once_with_the_per_curve_verdicts(monkeypatch):
+    inner = Box((-1.0, -1.0), (1.0, 1.0))
+    curves = [segment((0.0, 0.0), (0.5, 0.5), domain=inner),
+              segment((0.0, 0.0), (3.0, 0.0), domain=inner),
+              segment((0.0, 0.0), (3.0, 0.0), domain=DOM2),
+              segment((0.0, 0.0), (9.0, 0.0), domain=DOM2),
+              segment((0.0, 0.0), (9.0, 0.0)),
+              segment((0.0, 0.0), (0.0, -0.9), domain=Box((-1.0, -1.0), (1.0, 1.0)))]
+    calls = []
+    contains = Box.contains_batch
+    monkeypatch.setattr(Box, "contains_batch",
+                        lambda self, c: calls.append(self) or contains(self, c))
+    inside, regular = check_curves(curves)
+    assert inside.tolist() == [True, False, True, False, True, True] and regular.all()
+    # boxes are compared by value: the last curve's box is the first one's
+    assert sorted(map(str, calls)) == sorted(map(str, [inner, DOM2]))
 
 
 def test_curve_validation_rejects_domain_escape():

@@ -5,7 +5,8 @@ import operator
 import numpy as np
 import pytest
 
-from holopar.jets import Jet, jexp, jsin, jsqrt, seed_jets, smooth_step
+from holopar.jets import (Jet, jcos, jexp, jsin, jsincos, jsqrt, seed_jets, smooth_step,
+                          smooth_step_num)
 
 RNG = np.random.default_rng(3)
 
@@ -95,6 +96,75 @@ def test_smooth_step_slope_is_zero_where_a_bump_vanishes():
     ts = np.array([-1.0, 0.0, 1e-300, 1e-3, 1.0 - 1e-16, 1.0, 2.0])
     slope = smooth_step(Jet(ts, (np.ones_like(ts),))).partials[0]
     assert np.array_equal(slope, np.zeros_like(ts))
+
+
+def _full_step(t):
+    """Step and slope by the formula at every point, both bumps taken
+    everywhere: the reference for the banded evaluation."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = np.where(t > 0.0, np.exp(-1.0 / t), 0.0)
+        h = np.where(1.0 - t > 0.0, np.exp(-1.0 / (1.0 - t)), 0.0)
+        slope = (g / t ** 2 * h + g * (h / (1.0 - t) ** 2)) / (g + h) ** 2
+        return g / (g + h), np.where((g > 0.0) & (h > 0.0), slope, 0.0)
+
+
+def _same_bits(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+STEP_POINTS = [-1.0, 0.0, 1e-300, 1e-3, 1.0 - 1e-16, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("t", STEP_POINTS + [np.array(p) for p in STEP_POINTS] + [
+    np.array(STEP_POINTS), np.array(STEP_POINTS)[::-1].reshape(7, 1),
+    np.random.default_rng(5).uniform(-0.5, 1.5, (3, 200))])
+def test_banded_smooth_step_is_the_full_formula_bit_for_bit(t):
+    val, slope = _full_step(t)
+    assert _same_bits(smooth_step_num(t), val)
+    assert _same_bits(smooth_step(t), val)
+    jet = smooth_step(Jet(t, (1.0, -2.0)))
+    assert _same_bits(jet.value, val)
+    assert _same_bits(jet.partials[0], 1.0 * slope) and _same_bits(jet.partials[1], -2.0 * slope)
+    assert _same_bits(smooth_step(Jet(t, ())).value, val)
+
+
+def test_smooth_step_of_nan_is_nan_with_zero_slope():
+    jet = smooth_step(Jet(np.array([np.nan, 0.5]), (1.0,)))
+    assert np.isnan(jet.value[0]) and jet.partials[0][0] == 0.0 and jet.value[1] == 0.5
+
+
+def _sin_ref(x):
+    # the per-function jet: the slope of sin from its own cos
+    if isinstance(x, Jet):
+        return Jet(_sin_ref(x.value), tuple(p * _cos_ref(x.value) for p in x.partials))
+    return np.sin(x)
+
+
+def _cos_ref(x):
+    if isinstance(x, Jet):
+        return Jet(_cos_ref(x.value), tuple(-p * _sin_ref(x.value) for p in x.partials))
+    return np.cos(x)
+
+
+def _leaves(x):
+    """The arrays of a (nested) jet, depth first."""
+    if isinstance(x, Jet):
+        return [a for part in (x.value,) + x.partials for a in _leaves(part)]
+    return [np.asarray(x)]
+
+
+V = np.random.default_rng(6).uniform(-10.0, 10.0, 50)
+
+
+@pytest.mark.parametrize("x", [0.7, V, Jet(V, (1.0, V)), Jet(V, ()),
+                               Jet(Jet(V, (2.0,)), (Jet(V, (1.0,)), Jet(0.5 * V, (V,))))])
+def test_jsincos_is_sin_and_cos_jets_bit_for_bit(x):
+    for got, want in ((jsincos(x)[0], _sin_ref(x)), (jsincos(x)[1], _cos_ref(x)),
+                      (jsin(x), _sin_ref(x)), (jcos(x), _cos_ref(x))):
+        assert len(_leaves(got)) == len(_leaves(want))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(_leaves(got), _leaves(want)))
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])

@@ -217,8 +217,9 @@ def test_partition_weight_evaluates_each_bump_once(monkeypatch):
         want = np.zeros_like(r)
         want[pos] = r[pos] / tot[pos]
         assert np.array_equal(w(pts), want)
-    # one 1-D bump per box and axis in each weight call
-    assert len(calls) == len(weights) * len(boxes) * 2
+    # one 1-D bump per distinct axis and bounds in each weight call: the
+    # first two boxes share their y bounds
+    assert len(calls) == len(weights) * (len(boxes) * 2 - 1)
 
 
 def test_covering_gap_is_detected():

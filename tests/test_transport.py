@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from holopar import transport
+from holopar import geometry, transport
 from holopar.connections import (Connection, constant_christoffels,
                                  from_coordinate_christoffels)
 from holopar.constructions import (ConvexChartRegion, connection_from_covering_parallelism,
@@ -84,7 +84,7 @@ def test_ensemble_refuses_sample_times_outside_the_interval(ts, monkeypatch):
                         (Connection, "coordinate_christoffels_along"),
                         (Frame, "matrix_jacobian_batch"),
                         (Frame, "matrix_derivative_batch"),
-                        (VectorField, "_jets_into")):
+                        (geometry, "jets_into")):
         monkeypatch.setattr(owner, name, unreachable)
     conn = Connection.flat(build_frame(S5_FRAME, DOM))
     with pytest.raises(ValueError, match=r"sample times must lie in \[0, 1.0\]"):

@@ -1,5 +1,6 @@
 """Check runners, obstruction, uniqueness and verdicts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -448,6 +449,20 @@ def test_curve_generator_attempt_limit_matches_the_one_at_a_time_loop():
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("only 2 of 3 curves fit in Box(")
     assert str(got.value).endswith(" after 300 attempts")
+
+
+def test_curve_generator_accepted_curves_are_pinned():
+    # the params of every accepted curve on four boxes (a thin one rejects
+    # candidates) and three seeds; a change to the draw, or to which
+    # candidates pass check_curves, moves the digest
+    digest = hashlib.sha256()
+    for box in (Box((-5.0, -5.0), (5.0, 5.0)), Box((-1.0, -2.0, -3.0), (1.0, 2.0, 3.0)),
+                Box((-2.0,), (3.0,)), Box((0.0, 0.0), (0.01, 4.0))):
+        for seed in (0, 1, 42):
+            curves = CurveGenerator(box, seed=seed, count=60).curves()
+            digest.update(json.dumps([c.params for c in curves]).encode())
+    assert digest.hexdigest() == \
+        "47f109043cded1d8b7ca4a2be7bc85cacfdbe043be6f7c3b15c8e567a98bd337"
 
 
 def test_holonomy_check_evaluates_no_curve_alone(s5, monkeypatch):
