@@ -5,8 +5,7 @@ norm is preserved by the translations of a covariant derivative."""
 from .connections import Connection, nabla_P, torsion
 from .constructions import (ConvexChartRegion, connection_from_covering_parallelism,
                             covering_from_connection, parallelism_from_connection)
-from .geometry import (Box, Coframe, Curve, Frame, VectorField, coordinate_frame,
-                       dual_coframe, segment)
+from .geometry import Box, Curve, Frame, coordinate_frame, segment
 from .jets import Jet
 from .norms import (ContinuousFamily, MinkowskiNorm, NormField, RandersData,
                     euclidean_norm, is_isometry, isometry_algebra,

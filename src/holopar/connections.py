@@ -12,7 +12,8 @@ Its coordinate view is the endomorphism
 which is all that transport, torsion, the partition-of-unity blend and
 nabla P need; the coordinate tensor
 Gamma^a_{bc} = Gamma(e_b)^a_c is only ever an output. ``torsion`` and
-``nabla_P`` take batches: points and vectors are (m, n) arrays.
+``nabla_P`` take batches: points and vectors are (m, n) arrays, and a
+vector field enters as its components at the points.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ def nabla_P(conn, parallelism, coords, vectors):
 
 def torsion(conn, X, Y, coords):
     """T(X,Y) = nabla_X Y - nabla_Y X - [X,Y]: components (m, n) at
-    points (m, n).
+    points (m, n), for vector fields given by their components X, Y
+    (m, n) there.
 
     The derivative terms of the covariant derivatives cancel the bracket
     exactly, leaving Gamma(X) Y - Gamma(Y) X, from one
@@ -137,9 +139,9 @@ def torsion(conn, X, Y, coords):
     on the layout the transform returns.
     """
     coords = np.asarray(coords, dtype=float)
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     m = len(coords)
-    xv = X.values_batch(coords)
-    yv = Y.values_batch(coords)
     g = conn.coordinate_christoffels_along(np.concatenate([coords, coords]),
-                                           np.concatenate([xv, yv]))
-    return apply_matrices(g[:m], yv) - apply_matrices(g[m:], xv)
+                                           np.concatenate([X, Y]))
+    return apply_matrices(g[:m], Y) - apply_matrices(g[m:], X)

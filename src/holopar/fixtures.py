@@ -21,7 +21,7 @@ from .connections import Connection
 from .constructions import connection_from_covering_parallelism
 from .errors import ConfigError
 from .exprs import parse_exprs
-from .geometry import Box, Frame, coordinate_frame, dual_coframe
+from .geometry import Box, Frame, coordinate_frame
 from .jets import as_jet, seed_jets
 from .norms import (MinkowskiNorm, NormField, RandersData, constant_norm_field,
                     one_form_norm_field, randers_norm)
@@ -250,7 +250,7 @@ def build_fixture(spec, name="inline"):
     elif frame.coordinate:                         # there frame components are coordinates
         F = constant_norm_field(norm)
     else:
-        F = one_form_norm_field(dual_coframe(frame), norm)
+        F = one_form_norm_field(frame, norm)
     if "cover" in m:
         par = build_cover(m["cover"], domain)
         conn = connection_from_covering_parallelism(par)

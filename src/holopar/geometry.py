@@ -1,18 +1,18 @@
-"""Charts, vector fields, frames, coframes and curves.
+"""Charts, frames and curves.
 
 Everything lives in a single global chart whose domain is an open
 axis-aligned box. A point is its coordinates, an (n,) array, and a
 batch of points an (m, n) array; a tangent vector is its coordinate
-components, in the same shapes. A vector field, and a frame's n*n
-entries in one pass, are evaluated through jets alone, so first
-derivatives (frame Jacobians, curve velocities) are exact to rounding.
-So is a curve, a member of a family with the coordinates
-fn(t, *args, *key): one jet pass evaluates the whole family, its args
-stacked (``family_evaluator``). Finite differences are taken only where
-no closed form exists, always through ``central_differences`` (step
-FD_STEP = 1e-5):
-the Jacobian of a frame given by a matrix function (an ODE-built
-trivialization) and the default gradient of a norm.
+components, in the same shapes. A frame is its component matrix: a jet
+frame evaluates its n*n entries in one jet pass, so its Jacobian is
+exact to rounding, and its inverse, the coframe, is ``invert_frames``
+of it. So is a curve's velocity: a curve is a member of a family with
+the coordinates fn(t, *args, *key), and one jet pass evaluates the
+whole family, its args stacked (``family_evaluator``). Finite
+differences are taken only where no closed form exists, always through
+``central_differences`` (step FD_STEP = 1e-5): the Jacobian of a frame
+given by a matrix function (an ODE-built trivialization) and the default
+gradient of a norm.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, RegularityError, SingularFrameError
+from .errors import DomainError, RegularityError, SingularFrameError
 from .jets import Jet, as_jet, seed_jets
 
 FD_STEP = 1e-5
@@ -96,60 +96,13 @@ class Box:
         return Box(lo, hi)
 
 
-class VectorField:
-    """Smooth vector field on a chart domain, given by a component
-    callable on a tuple of scalars or Jets: derivatives are exact, and
-    jets may nest."""
-
-    def __init__(self, dim, components, domain=None):
-        self.dim = dim
-        self.domain = domain
-        self._components = components
-
-    def __call__(self, xs):
-        """Evaluate components on a tuple of scalars/Jets."""
-        return self._components(xs)
-
-    def values_batch(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        vals = np.empty(coords.shape)
-        jets_into(self._components, coords, (), vals, None)
-        return vals
-
-
-def jets_into(components, coords, directions, vals, parts):
-    """Write components (a callable on a tuple of n scalars or Jets) at
-    coords (m, n) into vals (m, c) and their derivatives into parts
-    (m, c, k), in one jet pass; both may be views of larger arrays.
-
-    The jets are seeded with ``directions`` (as in ``seed_jets``): None
-    gives the Jacobian, k directions the derivatives along each, and ()
-    the values alone (parts unused).
-    """
-    n = coords.shape[1]
-    xs = seed_jets(tuple(coords[:, d] for d in range(n)), directions)
-    k = n if directions is None else len(directions)
-    for i, c in enumerate(components(xs)):
-        c = as_jet(c, k)
-        vals[:, i] = c.value
-        for d, p in enumerate(c.partials):
-            parts[:, i, d] = p
-
-
-def constant_field(components, domain=None):
-    comp = tuple(float(c) for c in components)
-    n = len(comp)
-    return VectorField(n, components=lambda xs: comp, domain=domain)
-
-
 class Frame:
-    """n vector fields with everywhere-invertible component matrix, given
-    as one jet callable of its n*n entries, row by row ((E_k)^a at a*n + k,
-    so one pass shares whatever the entries share), or a matrix function
-    (m, n) -> (m, n, n) (an ODE-built trivialization), which has no fields
-    and is differentiated by central differences. ``Frame(fields=...)``
-    wraps its fields as that callable, and a frame of entries has the
-    fields of its columns.
+    """n vector fields E_k, given by their everywhere-invertible component
+    matrix E (E[:, a, k] = (E_k)^a) alone: one jet callable of its n*n
+    entries on a tuple of n scalars or Jets, row by row ((E_k)^a at
+    a*n + k, so one pass shares whatever the entries share), or a matrix
+    function (m, n) -> (m, n, n) (an ODE-built trivialization), which is
+    differentiated by central differences.
 
     ``coordinate`` is True only on the frames of ``coordinate_frame``,
     whose matrix is the identity and whose derivative vanishes.
@@ -157,40 +110,38 @@ class Frame:
 
     coordinate = False
 
-    def __init__(self, fields=None, matrix_fn=None, domain=None, dim=None, entries=None):
-        if fields is not None:
-            fields = tuple(fields)
-            dim = fields[0].dim
-            entries = lambda xs: [c for row in zip(*(f(xs) for f in fields)) for c in row]
-        elif entries is not None:
-            fields = tuple(VectorField(dim, lambda xs, k=k: entries(xs)[k::dim], domain)
-                           for k in range(dim))
-        elif matrix_fn is None or dim is None:
-            raise ValueError("need fields, entries with dim, or matrix_fn with dim")
-        self._fields = fields
+    def __init__(self, entries=None, dim=None, matrix_fn=None, domain=None):
+        if dim is None or (entries is None) == (matrix_fn is None):
+            raise ValueError("need dim and one of entries or matrix_fn")
         self._entries = entries
         self._matrix_fn = matrix_fn
         self.dim = dim
         self.domain = domain
 
-    @property
-    def fields(self):
-        """The frame's vector fields; a frame given by a matrix function
-        has none, and is refused."""
-        if self._fields is None:
-            raise PreconditionError("a frame given by a matrix function has no vector fields")
-        return self._fields
-
     def _jets_into(self, coords, directions, E, dE):
-        # one jet pass into E (m, n, n) and dE (m, n, n, k), whose (a, k) axes must merge
+        """Write the entries at coords (m, n) into E (m, n, n) and their
+        derivatives into dE (m, n, n, k), in one jet pass; both may be
+        views of larger arrays, whose (a, k) axes must merge.
+
+        The jets are seeded with ``directions`` (as in ``seed_jets``): None
+        gives the Jacobian, k directions the derivatives along each, and ()
+        the values alone (dE unused).
+        """
         m, n = coords.shape
-        jets_into(self._entries, coords, directions, E.reshape(m, n * n, copy=False),
-                  None if dE is None else dE.reshape(m, n * n, -1, copy=False))
+        xs = seed_jets(tuple(coords[:, d] for d in range(n)), directions)
+        k = n if directions is None else len(directions)
+        vals = E.reshape(m, n * n, copy=False)
+        parts = None if dE is None else dE.reshape(m, n * n, -1, copy=False)
+        for i, c in enumerate(self._entries(xs)):
+            c = as_jet(c, k)
+            vals[:, i] = c.value
+            for d, p in enumerate(c.partials):
+                parts[:, i, d] = p
 
     def matrix_batch(self, coords):
         """Component matrices E with E[:, a, j] = (E_j)^a: (m,n,n)."""
         coords = np.asarray(coords, dtype=float)
-        if self._fields is None:
+        if self._matrix_fn is not None:
             return np.asarray(self._matrix_fn(coords), dtype=float)
         if self.coordinate:
             return np.broadcast_to(np.eye(self.dim), (len(coords), self.dim, self.dim)).copy()
@@ -206,7 +157,7 @@ class Frame:
         """
         coords = np.asarray(coords, dtype=float)
         m, n = coords.shape
-        if self._fields is None:
+        if self._matrix_fn is not None:
             E = np.asarray(self._matrix_fn(coords), dtype=float)
             return E, central_differences(self._matrix_fn, coords).transpose(0, 2, 3, 1)
         E = np.empty((m, n, n))
@@ -218,7 +169,7 @@ class Frame:
         """E (m,n,n) and its derivative along vectors (m,n): d_v E (m,n,n),
         (d_v E)[:, a, k] = v^d d_d (E_k)^a.
 
-        A frame of fields takes both from one jet pass seeded along v,
+        A jet frame takes both from one jet pass seeded along v,
         one partial per variable, and writes them into component-major
         (n, n, m) planes: E and d_v E are views of them. A frame given by
         a matrix function contracts matrix_jacobian_batch with v, one
@@ -227,7 +178,7 @@ class Frame:
         coords = np.asarray(coords, dtype=float)
         v = np.asarray(vectors, dtype=float)
         m, n = coords.shape
-        if self._fields is None:
+        if self._matrix_fn is not None:
             E, dE = self.matrix_jacobian_batch(coords)
             rows = dE.transpose(0, 3, 1, 2).reshape(m, n, n * n)
             # a point-major v: the product's rounding depends on its layout
@@ -302,28 +253,9 @@ def apply_matrices(M, v):
     return out
 
 
-@dataclass(frozen=True)
-class Coframe:
-    """Dual forms E^i, stored as the pointwise inverse of a frame matrix."""
-
-    frame: Frame
-
-    def matrix_batch(self, coords):
-        return invert_frames(self.frame.matrix_batch(coords),
-                             "frame matrix in dual_coframe")
-
-    def matrix(self, p):
-        return self.matrix_batch(np.asarray(p, dtype=float)[None, :])[0]
-
-
-def dual_coframe(frame):
-    return Coframe(frame)
-
-
 def coordinate_frame(n, domain=None):
-    fields = [constant_field(tuple(1.0 if i == k else 0.0 for i in range(n)), domain)
-              for k in range(n)]
-    frame = Frame(fields=fields, domain=domain)
+    ident = tuple(1.0 if a == k else 0.0 for a in range(n) for k in range(n))
+    frame = Frame(entries=lambda xs: ident, dim=n, domain=domain)
     frame.coordinate = True
     return frame
 

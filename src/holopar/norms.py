@@ -8,10 +8,11 @@ The 2x2 oracle lists finite groups: every isometry preserves the
 Binet-Legendre inner product of f, so the group is a C_k or D_k read off
 one FFT of f on that inner product's unit circle, and each candidate is
 certified on a dense circle.
-A norm field F takes batches of points and vectors, (..., n) arrays each,
-and restricts to the tangent space at a point p (n,) as the Minkowski
-norm F_p; a one-form field F = f o C restricts to f o C_p, with the
-coframe matrix C_p computed once.
+A norm field F takes a batch of vectors (..., n) and points of any shape
+that broadcasts to it, and restricts to the tangent space at a point p
+(n,) as the Minkowski norm F_p. A one-form field F = f o C, C = E^-1 the
+coframe of a frame E, inverts E once per given point, and restricts to
+f o C_p with C_p computed once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitenessError, PreconditionError
-from .geometry import central_differences
+from .geometry import apply_matrices, central_differences, invert_frames
 
 ISOMETRY_TOL = 1e-9
 LIE_ALGEBRA_TOL = 1e-8
@@ -227,20 +228,15 @@ def lie_algebra_member(f, A, samples=LIE_ALGEBRA_SAMPLES, tol=LIE_ALGEBRA_TOL):
     return viol <= tol, viol
 
 
-def _read(C, v):
-    """Frame components C v of vectors v; C (..., n, n) broadcasts."""
-    return np.einsum("...ij,...j->...i", C, v)
-
-
-def _pull_back(C, g):
-    """C^T g: a gradient in frame components as one in coordinates."""
-    return np.einsum("...ij,...i->...j", C, g)
-
-
 @dataclass(frozen=True)
 class NormField:
     """Manifold-wide norm F; evaluator takes (coords, vectors) batches; the
-    gradient in v defaults to central differences, as a MinkowskiNorm's."""
+    gradient in v defaults to central differences, as a MinkowskiNorm's.
+
+    The vectors carry the batch shape (..., n), and the points may have
+    any shape that broadcasts to it: points (m, 1, n) with vectors
+    (m, V, n) give the V vectors at each of m points.
+    """
 
     dim: int
     evaluator: object                     # (...,n),(...,n) -> (...)
@@ -261,41 +257,50 @@ class NormField:
         c = np.asarray(p, dtype=float)
 
         def restrict(fn):
-            return lambda v: fn(np.broadcast_to(c, np.shape(v)), np.asarray(v, dtype=float))
+            return lambda v: fn(c, np.asarray(v, dtype=float))
 
         return MinkowskiNorm(self.dim, restrict(self.evaluator), gradient=restrict(self.gradient))
 
 
 @dataclass(frozen=True)
 class _OneFormNormField(NormField):
-    """F = f o C for a coframe matrix field C; see one_form_norm_field."""
+    """F = f o C for the coframe C = E^-1 of a frame E; see one_form_norm_field."""
 
-    coframe: object = None
+    frame: object = None
     norm: object = None
 
     def at(self, p):
         """F_p = f o C_p, with the coframe evaluated once, at p."""
-        C = self.coframe.matrix(p)
+        C = _coframes(self.frame, p)
         f = self.norm
-        return MinkowskiNorm(self.dim, lambda v: f(_read(C, v)),
-                             gradient=lambda v: _pull_back(C, f.gradient(_read(C, v))))
+        return MinkowskiNorm(
+            self.dim, lambda v: f(apply_matrices(C, v)),
+            gradient=lambda v: apply_matrices(C.T, f.gradient(apply_matrices(C, v))))
 
 
-def one_form_norm_field(coframe, f):
-    """F = f o (E^1, ..., E^n): the norm read through a coframe."""
+def _coframes(frame, coords):
+    """C = E^-1 at points (..., n): (..., n, n), one frame evaluation and
+    inversion per point."""
+    n = frame.dim
+    E = frame.matrix_batch(np.reshape(coords, (-1, n)))
+    C = invert_frames(E, "frame in one_form_norm_field")
+    return C.reshape(np.shape(coords)[:-1] + (n, n))
 
-    def matrices(coords):
-        C = coframe.matrix_batch(np.reshape(coords, (-1, f.dim)))
-        return C.reshape(coords.shape[:-1] + (f.dim, f.dim))
+
+def one_form_norm_field(frame, f):
+    """F = f o (E^1, ..., E^n): the norm read through the coframe C = E^-1
+    of a frame E. The coframe is evaluated once per given point, the
+    vectors there are read as C v by ``apply_matrices``, and a gradient
+    in frame components is pulled back to coordinates as C^T g."""
 
     def evaluator(coords, vectors):
-        return f(_read(matrices(coords), vectors))
+        return f(apply_matrices(_coframes(frame, coords), vectors))
 
     def gradient(coords, vectors):
-        C = matrices(coords)
-        return _pull_back(C, f.gradient(_read(C, vectors)))
+        C = _coframes(frame, coords)
+        return apply_matrices(np.swapaxes(C, -1, -2), f.gradient(apply_matrices(C, vectors)))
 
-    return _OneFormNormField(f.dim, evaluator, gradient, coframe, f)
+    return _OneFormNormField(f.dim, evaluator, gradient, frame, f)
 
 
 def constant_norm_field(f):

@@ -22,10 +22,10 @@ class Parallelism:
     """Trivialization-backed family of tangent-space identifications.
 
     ``phi`` maps a batch of coordinates (m, n) to matrices (m, n, n);
-    ``frame`` (optional) is the parallel frame phi came from, whose fields
+    ``frame`` (optional) is the parallel frame phi came from, whose jets
     give exact derivatives. ODE-built parallelisms have none: their
-    parallel frame is given by the matrix function phi, has no fields,
-    and is differentiated by central differences.
+    parallel frame is the matrix function phi, differentiated by central
+    differences.
     """
 
     def __init__(self, domain, phi, frame=None):
@@ -90,8 +90,7 @@ def pushdown_norm(norm_field, parallelism, p, basepoints=10, vectors=200,
     pts = np.concatenate([p_coords[None, :], others])
     phis = parallelism.phi(pts)
     w = vs @ phis.swapaxes(1, 2)                                # (1 + basepoints, V, n)
-    vals = norm_field(np.broadcast_to(pts[:, None, :], w.shape).reshape(-1, n),
-                      w.reshape(-1, n)).reshape(len(pts), -1)
+    vals = norm_field(pts[:, None, :], w)
     devs = np.max(np.abs(vals[1:] - vals[0]), axis=1)
     for q, dev in zip(others, devs):
         if dev > tol:
@@ -101,9 +100,8 @@ def pushdown_norm(norm_field, parallelism, p, basepoints=10, vectors=200,
     phi_p = phis[0]
 
     def at_p(v):
-        """Basepoint p and vectors phi_p v for v of shape (..., n), as (m, n)."""
-        w = np.reshape(v, (-1, n)) @ phi_p.T
-        return np.broadcast_to(p_coords, w.shape), w
+        """Basepoint p (n,) and vectors phi_p v (m, n) for v of shape (..., n)."""
+        return p_coords, np.reshape(v, (-1, n)) @ phi_p.T
 
     def evaluator(v):
         return norm_field(*at_p(v)).reshape(np.shape(v)[:-1])

@@ -176,11 +176,14 @@ def _coefficient_grid(conn, pos, vel):
 def _integrate(conn, evaluate, m, sample_ts, step, t_end):
     """Transport matrices (m, len(sample_ts), n, n) along the m curves of
     a ``family_evaluator``, in its order, and the sample times as grid
-    points; sample_ts must be multiples of the step."""
+    points; sample_ts must be multiples of the step. No curve gives no
+    matrix, and no Christoffel symbol is evaluated."""
     steps, h, grid = _step_grid(t_end, step)
     idx = np.rint(sample_ts / h).astype(int)
     if np.max(np.abs(idx * h - sample_ts)) > SAMPLE_TOL:
         raise ValueError("sample times must be multiples of the step")
+    if m == 0:
+        return np.empty((0, idx.size, conn.dim, conn.dim)), grid[2 * idx]
     out = _rk4_matrix(lambda lo, hi: _coefficient_grid(conn, *evaluate(grid[lo:hi])),
                       m, conn.dim, steps, h, set(idx.tolist()))
     return np.stack([out[i] for i in idx], axis=1), grid[2 * idx]
@@ -190,8 +193,8 @@ def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
     """Transport matrices for many curves at once.
 
     Returns (phis, positions0, sample_positions): phis has shape
-    (ncurves, nsamples, n, n), sample_ts must be multiples of `step` in
-    [0, t_end].
+    (ncurves, nsamples, n, n), sample_ts must be at least one multiple of
+    `step` in [0, t_end].
 
     The kernel takes the curves family by family (``curve_evaluator``)
     and evaluates each block's positions and velocities when it pulls
@@ -200,6 +203,8 @@ def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
     exact frame transfer instead of integrating.
     """
     sample_ts = np.asarray(sample_ts, dtype=float)
+    if sample_ts.size == 0:
+        raise ValueError("no sample times: sample_ts is empty")
     if not np.all((sample_ts >= -SAMPLE_TOL) & (sample_ts <= t_end + SAMPLE_TOL)):
         raise ValueError(f"sample times must lie in [0, {t_end}]")
     n = conn.dim

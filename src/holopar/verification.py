@@ -226,7 +226,7 @@ def _invariance_report(norm_field, curves, ts, phis, pos0, pos_s, tol, step,
 
     f0 = norm_field(pos0[:, None, :], v)                              # (m, V)
     pv = apply_matrices(phis[:, :, None], v[:, None])                 # (m, T, V, n)
-    ft = norm_field(np.broadcast_to(pos_s[:, :, None, :], pv.shape), pv)
+    ft = norm_field(pos_s[:, :, None, :], pv)
     abs_err = np.abs(ft - f0[:, None, :])
     rel_err = abs_err / np.maximum(np.abs(f0[:, None, :]), REL_FLOOR)
     worst = np.unravel_index(np.argmax(rel_err), rel_err.shape)
@@ -265,9 +265,8 @@ def check_parallelism_compat(norm_field, parallelism, pairs=200, vectors=20,
 
     mats = parallelism.transfer(ps, qs)                               # (m, n, n)
     pv = apply_matrices(mats[:, None], v)                             # (m, V, n)
-    fp = norm_field(np.broadcast_to(ps[:, None, :], (count, vectors, n)),
-                    np.broadcast_to(v, (count, vectors, n)))
-    fq = norm_field(np.broadcast_to(qs[:, None, :], pv.shape), pv)
+    fp = norm_field(ps[:, None, :], np.broadcast_to(v, pv.shape))
+    fq = norm_field(qs[:, None, :], pv)
     abs_err = np.abs(fq - fp)
     rel_err = abs_err / np.maximum(np.abs(fp), REL_FLOOR)
     mi, vi = np.unravel_index(np.argmax(rel_err), rel_err.shape)
@@ -296,8 +295,7 @@ def check_compalg_criterion(norm_field, parallelism, conn, samples=100,
     comps = rng.normal(size=(samples, n))
     endo = nabla_P(conn, parallelism, pts, comps)              # (m, n, n)
     u = unit_sphere(n, LIE_ALGEBRA_SAMPLES)
-    at = np.broadcast_to(pts[:, None, :], (samples, len(u), n))
-    grad = norm_field.gradient(at, np.broadcast_to(u, at.shape))
+    grad = norm_field.gradient(pts[:, None, :], np.broadcast_to(u, (samples, len(u), n)))
     if not np.all(np.isfinite(grad)):
         raise PreconditionError("compalg needs a norm gradient that is finite on its sample grid")
     flow = u @ np.swapaxes(endo, 1, 2)                                # (m, U, n)
@@ -318,13 +316,16 @@ def berwald_obstruction(conn, domain, samples=TORSION_SAMPLES, seed=42):
 
 def torsion_samples(conn, domain, samples=TORSION_SAMPLES, seed=42):
     """Seeded points (m, n) and torsion components (m, pairs, n) of
-    T(E_i, E_j) for each frame field pair i < j, in lexicographic order."""
+    T(E_i, E_j) for each frame field pair i < j, in lexicographic order:
+    the frame matrix E is evaluated once, and each pair passes its
+    columns."""
     rng = np.random.default_rng(seed)
     pts = domain.sample(rng, samples, margin=0.05)
-    pairs = list(combinations(conn.frame.fields, 2))
+    E = conn.frame.matrix_batch(pts)
+    pairs = list(combinations(range(conn.dim), 2))
     T = np.empty((samples, len(pairs), conn.dim))
-    for k, (X, Y) in enumerate(pairs):
-        T[:, k] = torsion(conn, X, Y, pts)
+    for k, (i, j) in enumerate(pairs):
+        T[:, k] = torsion(conn, E[:, :, i], E[:, :, j], pts)
     return pts, T
 
 

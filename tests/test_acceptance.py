@@ -33,8 +33,8 @@ def test_criterion_01_torsion(s5):
     t0 = time.monotonic()
     rng = np.random.default_rng(0)
     pts = s5.domain.sample(rng, 50, margin=0.05)
-    e1, e2 = s5.frame.fields
-    t = torsion(s5.connection, e1, e2, pts)
+    E = s5.frame.matrix_batch(pts)
+    t = torsion(s5.connection, E[:, :, 0], E[:, :, 1], pts)
     worst = float(np.max(np.abs(t - [-1.0, 0.0])))
     elapsed = time.monotonic() - t0
     _line(1, f"torsion (-1, 0) at 50 points (err {worst:.2e}, {elapsed:.2f}s)",

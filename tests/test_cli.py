@@ -551,16 +551,16 @@ def test_a_norm_field_that_names_coordinates_is_checked_for_definiteness(capsys)
 
 
 def test_a_repeated_subexpression_is_evaluated_once_per_call(monkeypatch):
-    # rotated_blend's member frame names its angle twice per field
+    # rotated_blend's member frame names its angle in every entry
     calls = []
     step = exprs._CALLS["smooth_step"]
     monkeypatch.setitem(exprs._CALLS, "smooth_step", lambda t: calls.append(1) or step(t))
     frame = build_frame(SPECS["rotated_blend"]["manifold"]["cover"][1]["frame"], None)
     x = np.linspace(-2.0, 2.0, 9)
-    cols = [f((x, 0.0 * x)) for f in frame.fields]
-    assert len(calls) == 2
+    E = frame.matrix_batch(np.stack([x, 0.0 * x], axis=1))
+    assert len(calls) == 1
     angle = np.pi / 6.0 * step((x + 1.0) * 0.5)
-    assert np.array_equal(cols[0][0], np.cos(angle)) and np.array_equal(cols[1][0], -np.sin(angle))
+    assert np.array_equal(E[:, 0, 0], np.cos(angle)) and np.array_equal(E[:, 0, 1], -np.sin(angle))
 
 
 def test_expression_vocabulary_is_closed():

@@ -10,8 +10,9 @@ from hypothesis.extra.numpy import arrays
 from holopar.connections import (Connection, constant_christoffels,
                                  from_coordinate_christoffels, nabla_P, torsion)
 from holopar.errors import SingularFrameError
-from holopar.fixtures import SPECS, build_frame
-from holopar.geometry import Box, Frame, VectorField, coordinate_frame, dual_coframe
+from holopar.exprs import parse_exprs
+from holopar.fixtures import COORD_NAMES, SPECS, build_frame
+from holopar.geometry import Box, Frame, coordinate_frame
 from holopar.jets import jcos, jexp, jsin
 from holopar.norms import (NormField, RandersData, euclidean_norm, lie_algebra_member,
                            one_form_norm_field, randers_norm)
@@ -72,44 +73,40 @@ def test_christoffels_frame_round_trip(s5_conn):
 # ---------------------------------------------------------- torsion
 
 def test_section5_torsion_is_minus_d_dx(s5_conn):
-    e1, e2 = s5_conn.frame.fields
-    t = torsion(s5_conn, e1, e2, np.array([[0.0, 0.0], [2.5, -3.0]]))
+    pts = np.array([[0.0, 0.0], [2.5, -3.0]])
+    E = s5_conn.frame.matrix_batch(pts)
+    t = torsion(s5_conn, E[:, :, 0], E[:, :, 1], pts)
     assert np.allclose(t, [-1.0, 0.0], atol=1e-12)
 
 
 def test_torsion_of_field_with_itself_vanishes(s5_conn):
-    e1 = s5_conn.frame.fields[0]
-    t = torsion(s5_conn, e1, e1, np.array([[1.0, 1.0]]))
+    pts = np.array([[1.0, 1.0]])
+    e1 = s5_conn.frame.matrix_batch(pts)[:, :, 0]
+    t = torsion(s5_conn, e1, e1, pts)
     assert np.max(np.abs(t)) == 0.0
 
 
 def test_flat_connection_is_torsion_free():
     conn = Connection.flat(coordinate_frame(2, DOM))
-    dx, dy = conn.frame.fields
-    t = torsion(conn, dx, dy, np.array([[0.5, 0.5]]))
+    t = torsion(conn, [[1.0, 0.0]], [[0.0, 1.0]], np.array([[0.5, 0.5]]))
     assert np.max(np.abs(t)) == 0.0
 
 
 def test_torsion_is_tensorial(s5_conn):
-    e1, e2 = s5_conn.frame.fields
-    scale = VectorField(2, components=lambda xs: ((1.0 + xs[0] * xs[0]) * xs[0],
-                                                  (1.0 + xs[0] * xs[0]) * 1.0),
-                        domain=DOM)   # (1 + x^2) E_1
     pts = DOM.sample(np.random.default_rng(3), 10, margin=0.05)
+    E = s5_conn.frame.matrix_batch(pts)
     f = 1.0 + pts[:, :1] ** 2
-    scaled = torsion(s5_conn, scale, e2, pts)
-    plain = torsion(s5_conn, e1, e2, pts)
+    scaled = torsion(s5_conn, f * E[:, :, 0], E[:, :, 1], pts)     # (1 + x^2) E_1
+    plain = torsion(s5_conn, E[:, :, 0], E[:, :, 1], pts)
     assert np.max(np.abs(scaled - f * plain)) <= 1e-9
 
 
 def _frame_3d():
     """A non-orthogonal, non-constant 3-D jet frame."""
     dom = Box((-2.0,) * 3, (2.0,) * 3)
-    cols = ((lambda xs: (1.0, 0.0, 0.0)),
-            (lambda xs: (xs[2], 1.0, 0.0)),
-            (lambda xs: (jsin(xs[1]), xs[0], jexp(0.2 * xs[0]))))
-    return Frame(fields=[VectorField(3, components=c, domain=dom) for c in cols],
-                 domain=dom)
+    return Frame(entries=lambda xs: [1.0, xs[2], jsin(xs[1]),
+                                     0.0, 1.0, xs[0],
+                                     0.0, 0.0, jexp(0.2 * xs[0])], dim=3, domain=dom)
 
 
 def _torsion_connections(s5_conn, blend):
@@ -126,14 +123,45 @@ def test_batched_torsion_is_the_pointwise_torsion_bit_for_bit(name, s5_conn, ble
     pts, T = torsion_samples(conn, dom, samples=12, seed=5)
     pairs = [(i, j) for i in range(conn.dim) for j in range(i + 1, conn.dim)]
     assert T.shape == (12, len(pairs), conn.dim)
-    fields = conn.frame.fields
+    E = conn.frame.matrix_batch(pts)
     for k, (i, j) in enumerate(pairs):
-        batch = torsion(conn, fields[i], fields[j], pts)
+        batch = torsion(conn, E[:, :, i], E[:, :, j], pts)
         assert np.array_equal(batch, T[:, k])
         for row, t in zip(pts, batch):
-            one = torsion(conn, fields[i], fields[j], row[None, :])
+            Er = conn.frame.matrix_batch(row[None, :])
+            one = torsion(conn, Er[:, :, i], Er[:, :, j], row[None, :])
             assert np.array_equal(one, t[None, :])
     assert np.max(np.abs(T)) > 0.0
+
+
+# a 3-D frame (3 pairs) and a 1-D frame (no pair)
+TORSION_SPECS = {
+    "three_d": ([["cos(0.3*z)", "sin(0.3*z)", "x*y"],
+                 ["-sin(0.3*z)", "cos(0.3*z)", "smooth_step(y)"],
+                 ["exp(0.1*x)", "0", "1+z^2"]], Box((-1.0,) * 3, (1.0,) * 3)),
+    "one_d": ([["1+x^2"]], Box((-1.0,), (1.0,))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORSION_SPECS))
+def test_torsion_samples_are_the_per_pair_torsions_bit_for_bit(name):
+    # the reference evaluates each field of each pair from its own column,
+    # parsed alone, as a frame of vector fields would
+    spec, dom = TORSION_SPECS[name]
+    n = dom.dim
+    gamma = np.arange(n ** 3, dtype=float).reshape(n, n, n) / 7.0 - 1.0
+    conn = Connection(build_frame(spec, dom), constant_christoffels(gamma))
+    pts, T = torsion_samples(conn, dom, samples=9, seed=4)
+    assert np.array_equal(pts, dom.sample(np.random.default_rng(4), 9, margin=0.05))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert T.shape == (9, len(pairs), n) and len(pairs) == n * (n - 1) // 2
+
+    def field(k):
+        comps = parse_exprs(spec[k], COORD_NAMES[:n])(*pts.T)
+        return np.stack([np.broadcast_to(c, pts.shape[:1]) for c in comps], axis=1)
+
+    for k, (i, j) in enumerate(pairs):
+        assert np.array_equal(T[:, k], torsion(conn, field(i), field(j), pts))
 
 
 @pytest.mark.parametrize("name", ["section5", "rotated_blend", "frame_3d"])
@@ -143,12 +171,12 @@ def test_torsion_bits_do_not_follow_the_layout_of_the_transform(name, s5_conn, b
     # copy of the same values gives the same torsion bit for bit
     conn, dom = _torsion_connections(s5_conn, blend)[name]
     pts = dom.sample(np.random.default_rng(9), 200, margin=0.05)
-    fields = conn.frame.fields
-    want = torsion(conn, fields[0], fields[-1], pts)
+    E = conn.frame.matrix_batch(pts)
+    want = torsion(conn, E[:, :, 0], E[:, :, -1], pts)
     along = Connection.coordinate_christoffels_along
     monkeypatch.setattr(Connection, "coordinate_christoffels_along",
                         lambda self, coords, v: np.ascontiguousarray(along(self, coords, v)))
-    assert np.array_equal(torsion(conn, fields[0], fields[-1], pts), want)
+    assert np.array_equal(torsion(conn, E[:, :, 0], E[:, :, -1], pts), want)
 
 
 # ---------------------------------------------------------- covariant derivative
@@ -171,8 +199,8 @@ def test_covariant_derivative_kills_frame_fields(s5_conn):
 def test_covariant_derivative_coordinate_formula():
     # flat connection: nabla_X Y = directional derivative of Y along X
     conn = Connection.flat(coordinate_frame(2, DOM))
-    Y = VectorField(2, components=lambda xs: (xs[0] * xs[1], xs[1]), domain=DOM)
-    frame = Frame(fields=[Y, coordinate_frame(2, DOM).fields[0]], domain=DOM)
+    # the frame (Y, d/dx) with Y = (x y, y)
+    frame = Frame(entries=lambda xs: [xs[0] * xs[1], 1.0, xs[1], 0.0], dim=2, domain=DOM)
     d = _covariant_derivative(conn, frame, 0, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
     # J(Y) = [[y, x], [0, 1]]; J @ (1,2) = (y + 2x, 2)
     assert np.allclose(d, [10.0, 2.0], atol=1e-12)
@@ -222,7 +250,7 @@ def test_blended_nabla_p_is_antisymmetric_for_rotated_blend(blend):
 
 def test_compalg_rejects_nonzero_endomorphism_for_discrete_group(s5_conn):
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
-    F = one_form_norm_field(dual_coframe(s5_conn.frame), f)
+    F = one_form_norm_field(s5_conn.frame, f)
     gamma = np.zeros((2, 2, 2))
     gamma[0, 0, 0] = 1.0
     conn = Connection(s5_conn.frame, constant_christoffels(gamma))
@@ -298,16 +326,14 @@ def _frame_matrix(xs, q, angle, scale, rank):
 def _frames(n, q, angle, scale, rank):
     """The same frame with jet fields and as a matrix function (FD Jacobian)."""
     dom = Box((-2.0,) * n, (2.0,) * n)
-    fields = [VectorField(n, components=lambda xs, k=k: [row[k] for row in
-                                                          _frame_matrix(xs, q, angle, scale, rank)],
-                          domain=dom) for k in range(n)]
 
     def matrix_fn(coords):
         rows = _frame_matrix(tuple(coords[:, d] for d in range(n)), q, angle, scale, rank)
         return np.stack([np.stack([np.broadcast_to(e, coords.shape[:1]) for e in row], axis=-1)
                          for row in rows], axis=1)
 
-    return (Frame(fields=fields, domain=dom),
+    return (Frame(entries=lambda xs: [e for row in _frame_matrix(xs, q, angle, scale, rank)
+                                      for e in row], dim=n, domain=dom),
             Frame(matrix_fn=matrix_fn, domain=dom, dim=n))
 
 
@@ -459,14 +485,12 @@ def test_constant_symbols_along_a_batch_are_the_row_by_row_bits(data):
     assert np.array_equal(got, np.array(rows))
 
 
-def _two_fields(n):
-    """Two non-constant vector fields on the box of `_frames`."""
-    dom = Box((-2.0,) * n, (2.0,) * n)
-    X = VectorField(n, components=lambda xs: [1.0 + 0.3 * xs[n - 1]]
-                    + [jsin(xs[d - 1]) for d in range(1, n)], domain=dom)
-    Y = VectorField(n, components=lambda xs: [xs[d] * xs[0] - 0.5 for d in range(n)],
-                    domain=dom)
-    return X, Y
+def _two_fields(coords):
+    """Components (m, n) at coords of two non-constant vector fields."""
+    n = coords.shape[1]
+    X = np.stack([1.0 + 0.3 * coords[:, n - 1]]
+                 + [np.sin(coords[:, d - 1]) for d in range(1, n)], axis=1)
+    return X, coords * coords[:, :1] - 0.5
 
 
 @settings(max_examples=40, deadline=None)
@@ -476,10 +500,9 @@ def test_torsion_is_the_antisymmetrized_textbook_contraction(data):
     # of constant frame-relative ones, on jet and finite-difference frames
     n, q, angle, scale, gamma = data
     coords = np.random.default_rng(6).uniform(-1.0, 1.0, (16, n))
-    X, Y = _two_fields(n)
-    xv, yv = X.values_batch(coords), Y.values_batch(coords)
+    xv, yv = _two_fields(coords)
     for frame in _frames(n, q, angle, scale, rank=n):
-        got = torsion(Connection(frame, constant_christoffels(gamma)), X, Y, coords)
+        got = torsion(Connection(frame, constant_christoffels(gamma)), xv, yv, coords)
         G = _textbook_christoffels(frame, gamma, coords)
         want = (np.einsum("mabc,mb,mc->ma", G, xv, yv)
                 - np.einsum("mabc,mb,mc->ma", G, yv, xv))
@@ -564,7 +587,7 @@ def test_batched_nabla_p_refuses_a_rank_deficient_parallel_frame(s5_conn):
     coords = np.array([[0.3, -0.2], [1.0, 0.5], [-0.7, 0.1]])
     with pytest.raises(SingularFrameError, match="parallel frame in nabla_P"):
         nabla_P(s5_conn, frame_parallelism(frame), coords, np.ones((3, 2)))
-    F = one_form_norm_field(dual_coframe(s5_conn.frame), _S5_NORM)
+    F = one_form_norm_field(s5_conn.frame, _S5_NORM)
     with pytest.raises(SingularFrameError, match="parallel frame in nabla_P"):
         check_compalg_criterion(F, frame_parallelism(frame), s5_conn, samples=5)
 
@@ -576,7 +599,7 @@ def test_compalg_takes_one_christoffel_and_one_frame_jacobian_call(s5_conn, monk
     gamma = np.zeros((2, 2, 2))
     gamma[0, 0, 0] = 1.0
     conn = from_coordinate_christoffels(constant_christoffels(gamma), 2, DOM)
-    F = one_form_norm_field(dual_coframe(s5_conn.frame), _S5_NORM)
+    F = one_form_norm_field(s5_conn.frame, _S5_NORM)
     counted_methods = [(Connection, "coordinate_christoffels_along"),
                        (Connection, "coordinate_christoffels_batch"),
                        (Frame, "matrix_derivative_batch"),
@@ -598,7 +621,7 @@ def test_compalg_takes_one_christoffel_and_one_frame_jacobian_call(s5_conn, monk
 
 
 def test_norm_field_without_gradient_gets_central_differences(s5_conn):
-    exact = one_form_norm_field(dual_coframe(s5_conn.frame), _S5_NORM)
+    exact = one_form_norm_field(s5_conn.frame, _S5_NORM)
     plain = NormField(2, exact.evaluator)
     rng = np.random.default_rng(6)
     coords = rng.uniform(-4.0, 4.0, (5, 7, 2))

@@ -14,7 +14,6 @@ from holopar.geometry import Box, Curve, coordinate_frame, segment
 from holopar.jets import jsin
 from holopar.norms import (RandersData, constant_norm_field, euclidean_norm,
                            one_form_norm_field, randers_norm)
-from holopar.geometry import dual_coframe
 from holopar.parallelism import CoveringParallelism, frame_parallelism, translation_parallelism
 from holopar.transport import transport_ensemble
 from holopar.verification import CurveGenerator, check_holonomy_invariance, check_parallelism_compat
@@ -33,7 +32,7 @@ def s5_conn():
 @pytest.fixture(scope="module")
 def s5_F():
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
-    return one_form_norm_field(dual_coframe(build_frame(S5_FRAME, DOM)), f)
+    return one_form_norm_field(build_frame(S5_FRAME, DOM), f)
 
 
 # ------------------------------------------------- parallelism from connection

@@ -1,4 +1,4 @@
-"""Fields, frames, coframes and curves."""
+"""Frames, their inverses and curves."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,13 @@ from hypothesis.extra.numpy import arrays
 
 from holopar import exprs, jets
 from holopar.connections import Connection
-from holopar.errors import DomainError, PreconditionError, RegularityError, SingularFrameError
+from holopar.errors import DomainError, RegularityError, SingularFrameError
 from holopar.exprs import parse_exprs
 from holopar.fixtures import COORD_NAMES, SPECS, build_frame
-from holopar.geometry import (FD_STEP, Box, Curve, Frame, VectorField, check_curves,
-                              constant_field, coordinate_frame, curve_positions_velocities,
-                              dual_coframe, invert_frames, jets_into, segment)
+from holopar.geometry import (FD_STEP, Box, Curve, Frame, check_curves, coordinate_frame,
+                              curve_positions_velocities, invert_frames, segment)
+from holopar.jets import as_jet, seed_jets
+from holopar.norms import euclidean_norm, one_form_norm_field
 from holopar.parallelism import frame_parallelism
 from holopar.verification import berwald_obstruction
 
@@ -21,88 +22,82 @@ DOM2 = Box((-5.0, -5.0), (5.0, 5.0))
 DOM3 = Box((-5.0,) * 3, (5.0,) * 3)
 
 
-def e1_field(domain=DOM2):
-    return VectorField(2, components=lambda xs: (xs[0], 1.0), domain=domain)
-
-
 # ------------------------------------------------------------------ jet evaluation
 
-def _jet_eval(field, p):
-    """Components and Jacobian (jacobian[i][j] = d_j X^i) of a field at p
-    from the jet pass of a frame whose first field it is."""
-    other = constant_field((0.0, 1.0), field.domain)
-    E, dE = Frame(fields=[field, other], domain=field.domain).matrix_jacobian_batch(
-        p[None, :])
+def _jet_eval(components, p):
+    """Components and Jacobian (jacobian[i][j] = d_j X^i) at p of a vector
+    field given by its components on scalars or jets, from the jet pass of
+    a frame whose first column it is (the second is d/dy)."""
+    frame = Frame(entries=lambda xs: [c for row in zip(components(xs), (0.0, 1.0)) for c in row],
+                  dim=2, domain=DOM2)
+    E, dE = frame.matrix_jacobian_batch(p[None, :])
     return E[0, :, 0], dE[0, :, 0]
 
 
 def test_jet_eval_constant_field():
-    vals, jac = _jet_eval(constant_field((1.0, 0.0), DOM2), np.array([0.4, -2.1]))
+    vals, jac = _jet_eval(lambda xs: (1.0, 0.0), np.array([0.4, -2.1]))
     assert np.array_equal(vals, [1.0, 0.0])
     assert np.array_equal(jac, np.zeros((2, 2)))
 
 
 def test_jet_eval_linear_frame_field():
-    vals, jac = _jet_eval(e1_field(Box((-6.0, -6.0), (6.0, 6.0))), np.array([2.0, 5.0]))
+    vals, jac = _jet_eval(lambda xs: (xs[0], 1.0), np.array([2.0, 5.0]))
     assert np.allclose(vals, [2.0, 1.0])
     assert np.allclose(jac, [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_jet_eval_linear_map_jacobian_is_matrix():
     A = np.array([[1.0, 2.0], [-3.0, 0.5]])
-    X = VectorField(2, components=lambda xs: (1.0 * xs[0] + 2.0 * xs[1],
-                                              -3.0 * xs[0] + 0.5 * xs[1]),
-                    domain=DOM2)
     for p in (np.array([0.0, 0.0]), np.array([1.5, -2.0])):
-        _, jac = _jet_eval(X, p)
+        _, jac = _jet_eval(lambda xs: (1.0 * xs[0] + 2.0 * xs[1], -3.0 * xs[0] + 0.5 * xs[1]), p)
         assert np.allclose(jac, A, atol=1e-14)
 
 
 # ------------------------------------------------------------------ coframes
 
-def _poly_fields(n, seed):
+def _poly_frame(n, seed):
+    """A jet frame whose n*n entries are random quadratic polynomials."""
     rng = np.random.default_rng(seed)
-    C = rng.uniform(-1.0, 1.0, (n, n, n))
-    L = rng.uniform(-1.0, 1.0, (n, n))
-    c0 = rng.uniform(-1.0, 1.0, n)
+    C = rng.uniform(-1.0, 1.0, (n * n, n, n))
+    L = rng.uniform(-1.0, 1.0, (n * n, n))
+    c0 = rng.uniform(-1.0, 1.0, n * n)
 
-    def comps(xs, C=C, L=L, c0=c0):
+    def entries(xs):
         return [c0[i]
                 + sum(L[i][j] * xs[j] for j in range(n))
                 + sum(C[i][j][k] * xs[j] * xs[k] for j in range(n) for k in range(n))
-                for i in range(n)]
+                for i in range(n * n)]
 
-    return VectorField(n, components=comps)
+    return Frame(entries=entries, dim=n, domain=DOM3 if n == 3 else DOM2)
 
 
 def test_dual_coframe_of_slanted_frame():
-    from holopar.fixtures import SPECS, build_frame
     frame = build_frame(SPECS["section5"]["manifold"]["frame"], DOM2)
-    C = dual_coframe(frame).matrix(np.array([3.0, -1.0]))
+    C = invert_frames(frame.matrix(np.array([3.0, -1.0])), "test frame")
     # rows are dy and -dx + x dy
     assert np.allclose(C, [[0.0, 1.0], [-1.0, 3.0]], atol=1e-14)
 
 
 def test_dual_coframe_of_coordinate_frame_is_identity():
-    C = dual_coframe(coordinate_frame(2, DOM2)).matrix(np.array([0.1, 0.2]))
+    C = invert_frames(coordinate_frame(2, DOM2).matrix(np.array([0.1, 0.2])), "test frame")
     assert np.allclose(C, np.eye(2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_coordinate_frame_matrix_is_its_fields_jet_values_bit_for_bit(n):
-    fr = coordinate_frame(n)
+    # the coordinate frame skips the jet pass that the same entries take in
+    # a frame not marked coordinate
+    ident = Frame(entries=lambda xs: [1.0 if a == k else 0.0 for a in range(n) for k in range(n)],
+                  dim=n)
     coords = np.random.default_rng(n).uniform(-1.0, 1.0, (7, n))
-    want = np.stack([f.values_batch(coords) for f in fr.fields], axis=2)
-    got = fr.matrix_batch(coords)
-    assert np.array_equal(got, want)
+    got = coordinate_frame(n).matrix_batch(coords)
+    assert np.array_equal(got, ident.matrix_batch(coords))
     assert got.flags.writeable and got.flags.owndata
 
 
 def test_scaled_frame_gives_inverse_scaled_coframe():
-    fr = coordinate_frame(2, DOM2)
-    scaled = type(fr)(fields=[VectorField(2, components=lambda xs, f=f: [2.0 * c for c in f(xs)])
-                              for f in fr.fields], domain=DOM2)
-    C = dual_coframe(scaled).matrix(np.array([1.0, 1.0]))
+    scaled = Frame(entries=lambda xs: [2.0, 0.0, 0.0, 2.0], dim=2, domain=DOM2)
+    C = invert_frames(scaled.matrix(np.array([1.0, 1.0])), "test frame")
     assert np.allclose(C, 0.5 * np.eye(2))
 
 
@@ -129,11 +124,10 @@ def test_invert_frames_matches_numpy(E):
 def _rank_deficient_frame(n):
     """Jet frame whose last field is twice the first: det E = 0 everywhere."""
     dom = Box((-2.0,) * n, (2.0,) * n)
-    cols = [np.eye(n)[k] for k in range(n - 1)] + [2.0 * np.eye(n)[0]]
-    fields = [VectorField(n, components=lambda xs, c=c: [(1.0 + xs[0] * xs[0]) * float(ci)
-                                                         for ci in c], domain=dom)
-              for c in cols]
-    return Frame(fields=fields, domain=dom)
+    E = np.eye(n)
+    E[:, n - 1] = 2.0 * E[:, 0]
+    return Frame(entries=lambda xs: [(1.0 + xs[0] * xs[0]) * float(e) for e in E.ravel()],
+                 dim=n, domain=dom)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -143,7 +137,8 @@ def test_rank_deficient_frame_is_refused_on_every_inversion_path(n):
     calls = {
         "frame in Christoffel transform":
             lambda: Connection.flat(frame).coordinate_christoffels_batch(coords),
-        "frame matrix in dual_coframe": lambda: dual_coframe(frame).matrix_batch(coords),
+        "frame in one_form_norm_field":
+            lambda: one_form_norm_field(frame, euclidean_norm(n))(coords, coords),
         "trivialization matrix": lambda: frame_parallelism(frame).transfer(coords[0], coords),
     }
     for what, call in calls.items():
@@ -153,24 +148,24 @@ def test_rank_deficient_frame_is_refused_on_every_inversion_path(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_coframe_duality_identity(n):
-    fields = [_poly_fields(n, 40 + k) for k in range(n)]
-    from holopar.geometry import Frame
-    frame = Frame(fields=fields, domain=DOM3 if n == 3 else DOM2)
+    frame = _poly_frame(n, 40)
     rng = np.random.default_rng(7)
     pts = rng.uniform(-0.4, 0.4, (25, n))
     E = frame.matrix_batch(pts)
-    C = dual_coframe(frame).matrix_batch(pts)
+    C = invert_frames(E, "test frame")
     dev = np.max(np.abs(C @ E - np.eye(n)))
     assert dev <= 1e-12
 
 
-def test_a_matrix_function_frame_has_no_fields():
-    frame = Frame(matrix_fn=lambda coords: np.broadcast_to(np.eye(2), (len(coords), 2, 2)),
-                  domain=DOM2, dim=2)
-    with pytest.raises(PreconditionError, match="matrix function"):
-        frame.fields
-    with pytest.raises(PreconditionError, match="matrix function"):
-        berwald_obstruction(Connection.flat(frame), DOM2, samples=3)
+def test_a_matrix_function_frame_has_the_torsion_of_its_jet_frame():
+    # torsion reads a frame's fields as its matrix columns, so a frame given
+    # by a matrix function (central differences) has torsion samples too
+    jet = build_frame(SPECS["section5"]["manifold"]["frame"], DOM2)
+    fd = Frame(matrix_fn=jet.matrix_batch, domain=DOM2, dim=2)
+    want = berwald_obstruction(Connection.flat(jet), DOM2, samples=5)
+    assert want == pytest.approx(1.0, abs=1e-12)
+    assert berwald_obstruction(Connection.flat(fd), DOM2, samples=5) == pytest.approx(want,
+                                                                                   abs=1e-8)
 
 
 def _rotation_field(coords):
@@ -214,11 +209,15 @@ def _per_field_pass(spec, coords, directions):
     """E and its partials from one jet pass per field, each field's
     column parsed on its own: the reference for the shared pass."""
     m, n = coords.shape
-    k = n if directions is None else max(len(directions), 1)
-    E, parts = np.empty((m, n, n)), np.empty((m, n, n, k))
+    k = n if directions is None else len(directions)
+    E, parts = np.empty((m, n, n)), np.empty((m, n, n, max(k, 1)))
+    xs = seed_jets(tuple(coords[:, d] for d in range(n)), directions)
     for j, col in enumerate(spec):
-        fn = parse_exprs(col, COORD_NAMES[:n])
-        jets_into(lambda xs, fn=fn: fn(*xs), coords, directions, E[:, :, j], parts[:, :, j])
+        for a, c in enumerate(parse_exprs(col, COORD_NAMES[:n])(*xs)):
+            c = as_jet(c, k)
+            E[:, a, j] = c.value
+            for d, p in enumerate(c.partials):
+                parts[:, a, j, d] = p
     return E, parts
 
 
@@ -237,9 +236,6 @@ def test_one_frame_pass_is_the_per_field_passes_bit_for_bit(name):
     E, dvE = _per_field_pass(spec, coords, (np.ascontiguousarray(v.T),))
     got = frame.matrix_derivative_batch(coords, v)
     assert np.array_equal(got[0], E) and np.array_equal(got[1], dvE[..., 0])
-    # the fields are the matrix's columns
-    for j, field in enumerate(frame.fields):
-        assert np.array_equal(field.values_batch(coords), E[:, :, j])
 
 
 class _CountingNumpy:

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 from holopar.errors import DefinitenessError, PreconditionError
 from holopar.fixtures import SPECS, build_frame, build_norm
-from holopar.geometry import FD_STEP, Box, Coframe, Frame, VectorField, dual_coframe
+from holopar.geometry import FD_STEP, Box, Frame
 from holopar.norms import (ORACLE_ANGLES, ContinuousFamily, MinkowskiNorm, NormField,
                            RandersData, _quadratic_form, euclidean_norm, is_isometry,
                            isometry_algebra, isometry_group_2x2, lie_algebra_member,
@@ -406,14 +406,13 @@ def _one_form_field(n):
     polynomial jet frame that is invertible on [-1, 1]^3."""
     if n == 2:
         frame = build_frame(SPECS["section5"]["manifold"]["frame"], Box((-5.0,) * 2, (5.0,) * 2))
-        return one_form_norm_field(dual_coframe(frame), S5)
+        return one_form_norm_field(frame, S5)
     dom = Box((-1.0,) * 3, (1.0,) * 3)
-    cols = (lambda xs: (1.0 + 0.2 * xs[1], 0.3 * xs[0], 0.0),
-            lambda xs: (0.0, 1.0, 0.4 * xs[2]),
-            lambda xs: (0.1 * xs[0], 0.0, 1.0))
-    frame = Frame(fields=[VectorField(3, components=c, domain=dom) for c in cols], domain=dom)
+    frame = Frame(entries=lambda xs: [1.0 + 0.2 * xs[1], 0.0, 0.1 * xs[0],
+                                      0.3 * xs[0], 1.0, 0.0,
+                                      0.0, 0.4 * xs[2], 1.0], dim=3, domain=dom)
     f = randers_norm(RandersData(np.diag([1.0, 2.0, 3.0]), np.array([0.2, 0.1, 0.0])))
-    return one_form_norm_field(dual_coframe(frame), f)
+    return one_form_norm_field(frame, f)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -423,25 +422,56 @@ def test_one_form_restriction_equals_the_field(n):
     for p in rng.uniform(-1.0, 1.0, (5, n)):
         Fp = F.at(p)
         v = rng.normal(size=(30, n))
-        at_p = np.broadcast_to(p, v.shape)
-        want, got = F(at_p, v), Fp(v)
+        want, got = F(p, v), Fp(v)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        want, got = F.gradient(at_p, v), Fp.gradient(v)
+        want, got = F.gradient(p, v), Fp.gradient(v)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_one_form_restriction_evaluates_the_coframe_once(monkeypatch):
     F = _one_form_field(2)
     calls = []
-    original = Coframe.matrix_batch
+    original = Frame.matrix_batch
 
     def counting(self, coords):
         calls.append(len(coords))
         return original(self, coords)
 
-    monkeypatch.setattr(Coframe, "matrix_batch", counting)
+    monkeypatch.setattr(Frame, "matrix_batch", counting)
     group = isometry_group_2x2(F.at(np.array([0.7, -1.2])))
     assert len(group) == 2 and calls == [1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_form_field_at_broadcast_points_is_the_materialized_reading(n):
+    # points (m, 1, n) against vectors (m, V, n) give the bits of the points
+    # materialized to the vectors' shape, the coframe C = E^-1 taken at
+    # every vector and read as C v (and C^T g for the gradient), j ascending
+    F = _one_form_field(n)
+    rng = np.random.default_rng(10 + n)
+    pts = rng.uniform(-1.0, 1.0, (6, 1, n))
+    v = rng.normal(size=(6, 9, n))
+    full = np.broadcast_to(pts, v.shape)
+    E = F.frame.matrix_batch(full.reshape(-1, n)).reshape(v.shape + (n,))
+    if n == 2:                                  # the closed-form inverse
+        det = E[..., 0, 0] * E[..., 1, 1] - E[..., 0, 1] * E[..., 1, 0]
+        C = np.stack([np.stack([E[..., 1, 1], -E[..., 0, 1]], -1),
+                      np.stack([-E[..., 1, 0], E[..., 0, 0]], -1)], -2) / det[..., None, None]
+    else:
+        C = np.linalg.inv(E)
+    w = C[..., 0] * v[..., None, 0]
+    for j in range(1, n):
+        w += C[..., j] * v[..., None, j]
+    g = F.norm.gradient(w)
+    grad = C[..., 0, :] * g[..., None, 0]
+    for i in range(1, n):
+        grad += C[..., i, :] * g[..., None, i]
+    if n == 2:                                  # einsum's bits, which it has only for n = 2
+        assert np.array_equal(w, np.einsum("...ij,...j->...i", C, v))
+        assert np.array_equal(grad, np.einsum("...ij,...i->...j", C, g))
+    for at in (pts, full):
+        assert np.array_equal(F(at, v), F.norm(w))
+        assert np.array_equal(F.gradient(at, v), grad)
 
 
 # ------------------------------------------------------------------ algebra

@@ -11,7 +11,6 @@ from holopar.fixtures import SPECS, build_frame
 from holopar.geometry import Box
 from holopar.norms import (RandersData, constant_norm_field, euclidean_norm,
                            one_form_norm_field, randers_norm, unit_sphere)
-from holopar.geometry import dual_coframe
 from holopar.parallelism import (CoveringParallelism, Parallelism, _bump_1d,
                                  bump_partition, frame_parallelism, pushdown_norm,
                                  translation_parallelism)
@@ -80,7 +79,7 @@ def test_parallel_frame_is_the_frame_the_parallelism_came_from():
 
 def test_compat_of_a_frame_without_domain_is_a_domain_error():
     frame = build_frame(S5_FRAME, None)
-    F = one_form_norm_field(dual_coframe(frame), euclidean_norm(2))
+    F = one_form_norm_field(frame, euclidean_norm(2))
     with pytest.raises(DomainError, match="infinite bound"):
         check_parallelism_compat(F, frame_parallelism(frame))
 
@@ -102,7 +101,7 @@ def test_trivialization_compatibility_identity(s5_par):
 
 def test_section5_pushdown_basepoint_independent(s5_par):
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
-    F = one_form_norm_field(dual_coframe(build_frame(S5_FRAME, DOM)), f)
+    F = one_form_norm_field(build_frame(S5_FRAME, DOM), f)
     for p in (np.array([0.0, 0.0]), np.array([3.0, -2.0])):
         pushed = pushdown_norm(F, s5_par, p, basepoints=10, vectors=200, tol=1e-9)
         # the pushed norm is f itself read through the anchor frame
@@ -121,7 +120,7 @@ def test_euclidean_pushdown_is_euclidean():
 
 def test_pushed_norm_gradient_is_exact_on_section5(s5_par):
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
-    F = one_form_norm_field(dual_coframe(build_frame(S5_FRAME, DOM)), f)
+    F = one_form_norm_field(build_frame(S5_FRAME, DOM), f)
     p = np.array([1.5, -0.5])
     pushed = pushdown_norm(F, s5_par, p).norm
     v = np.random.default_rng(10).normal(size=(30, 2))
@@ -144,7 +143,7 @@ def test_pushdown_evaluates_phi_once_per_basepoint(s5_par):
 
     par = Parallelism(DOM, phi)
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
-    F = one_form_norm_field(dual_coframe(build_frame(S5_FRAME, DOM)), f)
+    F = one_form_norm_field(build_frame(S5_FRAME, DOM), f)
     pushed = pushdown_norm(F, par, np.array([0.0, 0.0]), basepoints=6).norm
     assert calls == [7]                  # the anchor p and the 6 basepoints, in one call
     v = unit_sphere(2, 50)

@@ -8,14 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from holopar import geometry, transport
+from holopar import transport
 from holopar.connections import (Connection, constant_christoffels,
                                  from_coordinate_christoffels)
 from holopar.constructions import (ConvexChartRegion, connection_from_covering_parallelism,
                                    covering_from_connection, parallelism_from_connection)
 from holopar.errors import IntegrationBlowupError, SingularFrameError
 from holopar.fixtures import SPECS, build_frame
-from holopar.geometry import (Box, Curve, Frame, VectorField, coordinate_frame,
+from holopar.geometry import (Box, Curve, Frame, coordinate_frame,
                               curve_positions_velocities, segment)
 from holopar.jets import jsin
 from holopar.parallelism import Parallelism, frame_parallelism, translation_parallelism
@@ -74,6 +74,23 @@ def test_empty_ensemble_gives_empty_arrays(s5_conn, backed):
     assert (phis.shape, pos0.shape, pos_s.shape) == ((0, 2, 2, 2), (0, 2), (0, 2, 2))
 
 
+def test_empty_sample_times_are_refused_by_name_before_any_symbol(s5_conn, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("Christoffel symbols evaluated")
+
+    monkeypatch.setattr(Connection, "coordinate_christoffels_along", unreachable)
+    for curves in ([wavy()], []):
+        with pytest.raises(ValueError, match="sample_ts is empty"):
+            transport_ensemble(s5_conn, curves, [])
+
+
+def test_a_radial_parallelism_gives_no_matrix_on_an_empty_batch(s5_conn):
+    radial = parallelism_from_connection(
+        s5_conn, ConvexChartRegion(np.array([0.0, 0.0]), DOM.shrink(0.1)))
+    assert radial.phi(np.empty((0, 2))).shape == (0, 2, 2)
+    assert frame_parallelism(s5_conn.frame).phi(np.empty((0, 2))).shape == (0, 2, 2)
+
+
 @pytest.mark.parametrize("ts", [[1.5], [-0.1], [0.5, 1.0 + 1e-6], [np.nan]])
 def test_ensemble_refuses_sample_times_outside_the_interval(ts, monkeypatch):
     # the refusal comes before any symbol, frame jet or frame Jacobian
@@ -84,7 +101,7 @@ def test_ensemble_refuses_sample_times_outside_the_interval(ts, monkeypatch):
                         (Connection, "coordinate_christoffels_along"),
                         (Frame, "matrix_jacobian_batch"),
                         (Frame, "matrix_derivative_batch"),
-                        (geometry, "jets_into")):
+                        (Frame, "_jets_into")):
         monkeypatch.setattr(owner, name, unreachable)
     conn = Connection.flat(build_frame(S5_FRAME, DOM))
     with pytest.raises(ValueError, match=r"sample times must lie in \[0, 1.0\]"):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from holopar.connections import Connection, constant_christoffels
 from holopar.constructions import connection_from_covering_parallelism
 from holopar.errors import DomainError, PreconditionError, RegularityError
-from holopar.geometry import (Box, Curve, apply_matrices, coordinate_frame,
+from holopar.geometry import (Box, Curve, Frame, apply_matrices, coordinate_frame,
                               curve_positions_velocities, segment, segment_coords)
 from holopar.jets import jcos
 from holopar.norms import RandersData, constant_norm_field, randers_norm
@@ -63,6 +63,22 @@ def test_flat_invariance_is_exact(flat2):
     rep = check_holonomy_invariance(flat2.norm_field, flat2.connection, gen,
                                     tol=1e-6, step=1e-3)
     assert rep.passed and rep.max_abs_error <= 1e-12
+
+
+def test_holonomy_report_evaluates_the_frame_once_per_point(s5, monkeypatch):
+    # the norm field reads the coframe at the m start points and the m*T
+    # sample points, not once per random vector (m*T*V)
+    m, T, V = 12, 10, 20
+    curves = CurveGenerator(s5.domain.shrink(0.05), seed=4, count=m).curves()
+    ts = np.linspace(0.1, 1.0, T)
+    transported = transport_ensemble(s5.connection, curves, ts, step=2e-3)
+    calls = []
+    matrix_batch = Frame.matrix_batch
+    monkeypatch.setattr(Frame, "matrix_batch",
+                        lambda self, c: calls.append(len(c)) or matrix_batch(self, c))
+    rep = verification._invariance_report(s5.norm_field, curves, ts, *transported, tol=1e-6,
+                                          step=2e-3, vectors=V)
+    assert rep.samples == m * T * V and calls == [m, m * T]
 
 
 @pytest.mark.parametrize("name", ["s5", "blend"])
