@@ -11,9 +11,8 @@ from .norms import (ContinuousFamily, MinkowskiNorm, NormField, RandersData,
                     euclidean_norm, is_isometry, isometry_algebra,
                     isometry_group_2x2, lie_algebra_member, one_form_norm_field,
                     randers_norm)
-from .parallelism import (CoveringParallelism, Parallelism, PushedNorm,
-                          bump_partition, frame_parallelism, pushdown_norm,
-                          translation_parallelism)
+from .parallelism import (CoveringParallelism, Parallelism, bump_partition,
+                          frame_parallelism, pushdown_norm, translation_parallelism)
 from .transport import TransportOperator, parallel_transport, transport_ensemble
 from .verification import (CheckReport, CurveGenerator, VerdictResult,
                            berwald_obstruction, check_compalg_criterion,

@@ -45,16 +45,13 @@ class Connection:
 
     ``gamma`` maps points and frame components (m, n), (m, n) to the
     contracted symbols Gt(w) (m, n, n), or is None when the symbols
-    vanish: the frame is then parallel. ``backing_parallelism`` marks
-    connections constructed with zero Christoffels in a
-    parallelism-parallel frame; their parallel translation equals the
-    parallelism transfer exactly, which the transport module may use
-    directly when the frame is only available through ODE integration.
+    vanish: the frame is then parallel. Every parallel translation
+    integrates these symbols.
     """
 
     frame: Frame
     gamma: object                       # (m, n), (m, n) -> (m, n, n), or None for 0
-    backing_parallelism: object = None
+    backing_parallelism: object = None  # always None; only bench/tracing.py reads it
 
     @property
     def dim(self):

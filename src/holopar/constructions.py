@@ -53,8 +53,7 @@ def connection_from_covering_parallelism(cover):
     Gamma_a(v): each member's Gamma_a(v) = -(d_v E_a) E_a^-1 at the points
     where its weight is positive. A member whose parallel frame is the
     coordinate frame contributes exactly zero, so neither its frame nor
-    its weight is evaluated. Single-member covers keep a reference to
-    their parallelism so transport can use exact frame transfer.
+    its weight is evaluated.
     """
     n = cover.region.dim
     terms = []
@@ -77,8 +76,7 @@ def connection_from_covering_parallelism(cover):
             out[:, :, active] += w[active] * ga.transpose(1, 2, 0)
         return out.transpose(2, 0, 1)
 
-    backing = cover.members[0][1] if len(cover.members) == 1 else None
-    return Connection(coordinate_frame(n, cover.region), blend, backing_parallelism=backing)
+    return Connection(coordinate_frame(n, cover.region), blend)
 
 
 def decompose_box(box, per_axis=2, overlap=0.25):

@@ -63,18 +63,10 @@ def translation_parallelism(domain):
     return frame_parallelism(coordinate_frame(domain.dim, domain))
 
 
-@dataclass(frozen=True)
-class PushedNorm:
-    """Norm on R^n obtained as F_p o phi_p; independent of the witness p."""
-
-    norm: MinkowskiNorm
-    witness: np.ndarray
-
-
 def pushdown_norm(norm_field, parallelism, p, basepoints=10, vectors=200,
                   tol=1e-9, seed=7):
-    """Push F down to R^n through the trivialization and certify that the
-    result does not depend on the chosen basepoint.
+    """Push F down to R^n through the trivialization: the MinkowskiNorm
+    F_p o phi_p, certified not to depend on the chosen basepoint p.
 
     Raises IncompatibleParallelismError (with the violating pair) when
     independence fails beyond `tol`, which happens exactly when F is not
@@ -110,7 +102,7 @@ def pushdown_norm(norm_field, parallelism, p, basepoints=10, vectors=200,
         # d/dv F(p, phi_p v) = phi_p^T (grad_v F)(p, phi_p v)
         return (norm_field.gradient(*at_p(v)) @ phi_p).reshape(np.shape(v))
 
-    return PushedNorm(MinkowskiNorm(n, evaluator, gradient=gradient), p_coords)
+    return MinkowskiNorm(n, evaluator, gradient=gradient)
 
 
 def _bump_1d(x, a, b, delta_frac=0.25):

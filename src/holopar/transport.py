@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationBlowupError
-from .geometry import (DET_FLOOR, curve_evaluator, family_evaluator, invert_frames,
-                       matmul_planes, segment_coords)
+from .geometry import (DET_FLOOR, curve_evaluator, family_evaluator, matmul_planes,
+                       segment_coords)
 
 DEFAULT_STEP = 1e-3
 # step·curve matrices per block of the RK4 kernel: a block's increments
@@ -199,32 +199,22 @@ def transport_ensemble(conn, curves, sample_ts, step=DEFAULT_STEP, t_end=1.0):
     The kernel takes the curves family by family (``curve_evaluator``)
     and evaluates each block's positions and velocities when it pulls
     the block's coefficients; the results are returned in the order of
-    `curves`. Connections flagged with a backing parallelism translate by
-    exact frame transfer instead of integrating.
+    `curves`. Every ensemble, an empty one included, passes the step and
+    sample-time checks of ``_integrate``.
     """
     sample_ts = np.asarray(sample_ts, dtype=float)
     if sample_ts.size == 0:
         raise ValueError("no sample times: sample_ts is empty")
     if not np.all((sample_ts >= -SAMPLE_TOL) & (sample_ts <= t_end + SAMPLE_TOL)):
         raise ValueError(f"sample times must lie in [0, {t_end}]")
-    n = conn.dim
     m = len(curves)
-    if m == 0:                      # no curve gives the evaluator a dimension
-        return (np.empty((0, sample_ts.size, n, n)), np.empty((0, n)),
-                np.empty((0, sample_ts.size, n)))
     order, evaluate = curve_evaluator(curves)
+    phis, sample_ts = _integrate(conn, evaluate, m, sample_ts, step, t_end)
+    if m == 0:                      # no curve gives the evaluator a dimension
+        return phis, np.empty((0, conn.dim)), np.empty((0, sample_ts.size, conn.dim))
     back = np.argsort(order)
-    par = conn.backing_parallelism
-    if par is None:
-        phis, sample_ts = _integrate(conn, evaluate, m, sample_ts, step, t_end)
-        phis = phis[back]
     pos = evaluate(np.append(0.0, sample_ts))[0].swapaxes(0, 1)[back]
-    if par is not None:
-        phi0 = par.phi(pos[:, 0])
-        phis_s = par.phi(pos[:, 1:].reshape(-1, n)).reshape(m, sample_ts.size, n, n)
-        phis = np.einsum("mtij,mjk->mtik", phis_s,
-                         invert_frames(phi0, "backing trivialization"))
-    return phis, pos[:, 0], pos[:, 1:]
+    return phis[back], pos[:, 0], pos[:, 1:]
 
 
 def radial_transport(conn, center, targets, step=DEFAULT_STEP):

@@ -115,7 +115,7 @@ def test_criterion_05_matrix_ode_group_membership(solve_ode):
 def test_criterion_06_pushdown_independence(s5):
     pushed = pushdown_norm(s5.norm_field, s5.parallelism, np.zeros(2),
                            basepoints=10, vectors=200, tol=1e-9)
-    ok = pushed is not None and abs(float(pushed.norm(np.array([1.0, 0.0]))) - 1.0) < 1e-9
+    ok = pushed is not None and abs(float(pushed(np.array([1.0, 0.0]))) - 1.0) < 1e-9
     _line(6, "pushed-down norm basepoint independent at 1e-9", ok)
 
 

@@ -107,7 +107,7 @@ def test_section5_pushdown_basepoint_independent(s5_par):
         # the pushed norm is f itself read through the anchor frame
         v = np.array([0.0, 1.0])
         expected = float(F(p, s5_par.phi(p[None, :])[0] @ v))
-        assert float(pushed.norm(v)) == pytest.approx(expected, abs=1e-12)
+        assert float(pushed(v)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_euclidean_pushdown_is_euclidean():
@@ -115,14 +115,14 @@ def test_euclidean_pushdown_is_euclidean():
     pushed = pushdown_norm(F, translation_parallelism(DOM), np.array([0.0, 0.0]))
     rng = np.random.default_rng(5)
     v = rng.normal(size=(40, 2))
-    assert np.max(np.abs(pushed.norm(v) - np.linalg.norm(v, axis=1))) <= 1e-12
+    assert np.max(np.abs(pushed(v) - np.linalg.norm(v, axis=1))) <= 1e-12
 
 
 def test_pushed_norm_gradient_is_exact_on_section5(s5_par):
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
     F = one_form_norm_field(build_frame(S5_FRAME, DOM), f)
     p = np.array([1.5, -0.5])
-    pushed = pushdown_norm(F, s5_par, p).norm
+    pushed = pushdown_norm(F, s5_par, p)
     v = np.random.default_rng(10).normal(size=(30, 2))
     # phi_p^T (grad_v F)(p, phi_p v), and central differences of F_p o phi_p
     phi_p = s5_par.phi(p[None, :])[0]
@@ -144,7 +144,7 @@ def test_pushdown_evaluates_phi_once_per_basepoint(s5_par):
     par = Parallelism(DOM, phi)
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
     F = one_form_norm_field(build_frame(S5_FRAME, DOM), f)
-    pushed = pushdown_norm(F, par, np.array([0.0, 0.0]), basepoints=6).norm
+    pushed = pushdown_norm(F, par, np.array([0.0, 0.0]), basepoints=6)
     assert calls == [7]                  # the anchor p and the 6 basepoints, in one call
     v = unit_sphere(2, 50)
     pushed(v)

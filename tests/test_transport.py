@@ -14,11 +14,11 @@ from holopar.connections import (Connection, constant_christoffels,
 from holopar.constructions import (ConvexChartRegion, connection_from_covering_parallelism,
                                    covering_from_connection, parallelism_from_connection)
 from holopar.errors import IntegrationBlowupError, SingularFrameError
-from holopar.fixtures import SPECS, build_frame
+from holopar.fixtures import SPECS, build_fixture, build_frame
 from holopar.geometry import (Box, Curve, Frame, coordinate_frame,
                               curve_positions_velocities, segment)
 from holopar.jets import jsin
-from holopar.parallelism import Parallelism, frame_parallelism, translation_parallelism
+from holopar.parallelism import CoveringParallelism, Parallelism, frame_parallelism
 from holopar.transport import (BLOCK_MATRICES, _block_steps, _coefficient_grid,
                                _rk4_matrix, _step_grid, parallel_transport,
                                transport_ensemble)
@@ -66,11 +66,8 @@ def test_transport_flow_property(s5_conn):
     assert np.max(np.abs(full - second @ first)) <= 1e-9
 
 
-@pytest.mark.parametrize("backed", [False, True])
-def test_empty_ensemble_gives_empty_arrays(s5_conn, backed):
-    conn = (Connection(coordinate_frame(2, DOM), None,
-                       backing_parallelism=translation_parallelism(DOM)) if backed else s5_conn)
-    phis, pos0, pos_s = transport_ensemble(conn, [], [0.5, 1.0])
+def test_empty_ensemble_gives_empty_arrays(s5_conn):
+    phis, pos0, pos_s = transport_ensemble(s5_conn, [], [0.5, 1.0])
     assert (phis.shape, pos0.shape, pos_s.shape) == ((0, 2, 2, 2), (0, 2), (0, 2, 2))
 
 
@@ -109,7 +106,7 @@ def test_ensemble_refuses_sample_times_outside_the_interval(ts, monkeypatch):
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, np.inf, np.nan])
-@pytest.mark.parametrize("path", ["ensemble", "one_curve", "radial"])
+@pytest.mark.parametrize("path", ["ensemble", "one_curve", "radial", "empty"])
 def test_every_integration_refuses_a_step_that_is_not_positive_and_finite(path, step,
                                                                           monkeypatch):
     # the refusal comes before any Christoffel symbol
@@ -121,10 +118,17 @@ def test_every_integration_refuses_a_step_that_is_not_positive_and_finite(path, 
         conn, ConvexChartRegion(np.array([0.0, 0.0]), DOM.shrink(0.1)), step=step)
     run = {"ensemble": lambda: transport_ensemble(conn, [wavy()], [1.0], step=step),
            "one_curve": lambda: parallel_transport(conn, wavy(), 1.0, step=step),
-           "radial": lambda: radial.phi(np.array([[1.0, 0.5]]))}[path]
+           "radial": lambda: radial.phi(np.array([[1.0, 0.5]])),
+           "empty": lambda: transport_ensemble(conn, [], [1.0], step=step)}[path]
     monkeypatch.setattr(Connection, "coordinate_christoffels_along", unreachable)
     with pytest.raises(ValueError, match=f"step must be a positive finite number, got {step}"):
         run()
+
+
+@pytest.mark.parametrize("curves", [[wavy()], []])
+def test_ensemble_refuses_sample_times_off_the_step_grid(s5_conn, curves):
+    with pytest.raises(ValueError, match="sample times must be multiples of the step"):
+        transport_ensemble(s5_conn, curves, [0.5], step=0.3)
 
 
 def test_section5_coefficients_are_the_contracted_tensor_bit_for_bit(s5_conn):
@@ -563,7 +567,32 @@ def test_blended_phi_curve_is_orthogonal(blend):
     assert dev <= 1e-7
 
 
-# ---------------------------------------------------------- singular trivializations
+# ---------------------------------------------------------- one-member covers
+
+ROTATION = [["cos(0.3*x)", "sin(0.3*x)"], ["-sin(0.3*x)", "cos(0.3*x)"]]
+ONE_MEMBER = {"manifold": {
+    "domain": [[-2, 2], [-2, 2]], "frame": ROTATION,
+    "norm": {"type": "randers", "Q": [[1, 0], [0, 1]], "beta": [0.3, 0]},
+    "cover": [{"domain": [[-2.5, 2.5], [-2.5, 2.5]], "frame": ROTATION}]}}
+
+
+def test_a_one_member_cover_integrates_its_connection(monkeypatch):
+    # the holonomy check integrates the blended connection: it passes as
+    # built, fails with a broken gamma, and cannot run without the kernel
+    fx = build_fixture(ONE_MEMBER)
+    gen = CurveGenerator(fx.domain.shrink(0.05), seed=1, count=30)
+    assert check_holonomy_invariance(fx.norm_field, fx.connection, gen).passed
+    broken = dataclasses.replace(fx.connection,
+                                 gamma=constant_christoffels(np.full((2, 2, 2), 7.0)))
+    assert not check_holonomy_invariance(fx.norm_field, broken, gen).passed
+
+    def unreachable(*args):
+        raise AssertionError("RK4 kernel reached")
+
+    monkeypatch.setattr(transport, "_rk4_matrix", unreachable)
+    with pytest.raises(AssertionError, match="RK4 kernel reached"):
+        check_holonomy_invariance(fx.norm_field, fx.connection, gen)
+
 
 def _diag_parallelism(scale):
     """phi(x, y) = diag(scale(x), 1), singular where scale vanishes."""
@@ -577,10 +606,10 @@ def _diag_parallelism(scale):
 
 
 @pytest.mark.parametrize("floor", [0.0, 1e-13])
-def test_backing_transport_refuses_singular_trivialization(floor):
-    # phi is singular (or within DET_FLOOR of it) at the curves' start
+def test_a_one_member_cover_of_a_singular_trivialization_is_refused(floor):
+    # phi is singular (or within DET_FLOOR of it) at the curve's start
     par = _diag_parallelism(lambda x: floor + x * x)
-    conn = Connection(coordinate_frame(2, DOM), None,
-                      backing_parallelism=par)
-    with pytest.raises(SingularFrameError, match="backing trivialization"):
+    conn = connection_from_covering_parallelism(
+        CoveringParallelism.build([(DOM, par)], DOM.shrink(0.1)))
+    with pytest.raises(SingularFrameError, match="singular frame in Christoffel transform"):
         transport_ensemble(conn, [segment((0.0, 0.0), (1.0, 1.0))], [1.0])
