@@ -11,17 +11,19 @@ cos; ``smooth_step`` takes exp only where the step is neither 0 nor 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _SCALARS = (int, float, np.integer, np.floating, np.ndarray)
 
 
-@dataclass(frozen=True)
 class Jet:
-    value: object
-    partials: tuple
+    """A value and its partials, one per seeded direction."""
+
+    __slots__ = ("value", "partials")
+
+    def __init__(self, value, partials):
+        self.value = value
+        self.partials = partials
 
     # an ndarray on the left defers to the reflected operators below
     # instead of broadcasting over the Jet as an object

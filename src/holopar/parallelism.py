@@ -8,6 +8,7 @@ identity axioms hold by construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,16 +108,24 @@ def pushdown_norm(norm_field, parallelism, p, basepoints=10, vectors=200,
 
 def _bump_1d(x, a, b, delta_frac=0.25):
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
     if np.isfinite(a) and np.isfinite(b):
         delta = delta_frac * (b - a)
     else:
         delta = 1.0
+    steps = []
     if np.isfinite(a):
-        out *= smooth_step_num((x - a) / delta)
+        steps.append(smooth_step_num((x - a) / delta))
     if np.isfinite(b):
-        out *= smooth_step_num((b - x) / delta)
-    return out
+        steps.append(smooth_step_num((b - x) / delta))
+    return functools.reduce(np.multiply, steps) if steps else np.ones_like(x)
+
+
+def _total(raw):
+    """The sum of the raw weights, in their order, point by point."""
+    tot = raw[0].copy()
+    for w in raw[1:]:
+        tot += w
+    return tot
 
 
 def bump_partition(domains, region=None, check_samples=1000, seed=11):
@@ -126,6 +135,15 @@ def bump_partition(domains, region=None, check_samples=1000, seed=11):
     inside its box; weights are normalized to sum to one. Raises
     CoveringGapError when a sampled point of the working region has
     zero total weight.
+
+    The weights are k callables, one per box, and each call forms all k
+    raw weights (every distinct 1-D bump once). A blended connection
+    calls each moving member's weight once per evaluation, on the whole
+    batch, and evaluates the member on the batch itself when every point
+    is active, or on its active points compressed out otherwise. A
+    weight is 0 where the total is not positive (a NaN point included);
+    the total sums the raw weights in box order, so a point alone and in
+    a batch get the same bits.
     """
     if not domains:
         raise CoveringGapError("no covering boxes given")
@@ -135,33 +153,28 @@ def bump_partition(domains, region=None, check_samples=1000, seed=11):
         # (same axis and bounds) is evaluated once
         bumps, raw = {}, []
         for box in domains:
-            w = np.ones(coords.shape[0])
+            factors = []
             for d, bounds in enumerate(zip(box.lo, box.hi)):
                 if (d, bounds) not in bumps:
                     bumps[d, bounds] = _bump_1d(coords[:, d], *bounds)
-                w *= bumps[d, bounds]
-            raw.append(w)
+                factors.append(bumps[d, bounds])
+            raw.append(functools.reduce(np.multiply, factors))
         return raw
 
     if region is not None:
         rng = np.random.default_rng(seed)
         pts = region.sample(rng, check_samples, margin=1e-6)
-        tot = np.sum(raw_weights(pts), axis=0)
+        tot = _total(raw_weights(pts))
         if np.any(tot <= 0.0):
             bad = pts[np.argmin(tot)]
             raise CoveringGapError(f"point {bad.tolist()} not covered by any box")
 
     def normalized(i):
-        # entry i of the summed list is this weight's own (bumps act
-        # pointwise, so slicing commutes)
         def f(coords):
             coords = np.atleast_2d(np.asarray(coords, dtype=float))
             raw = raw_weights(coords)
-            tot = np.sum(raw, axis=0)
-            out = np.zeros(coords.shape[0])
-            pos = tot > 0.0
-            out[pos] = raw[i][pos] / tot[pos]
-            return out
+            tot = _total(raw)
+            return np.divide(raw[i], tot, out=np.zeros(len(tot)), where=tot > 0.0)
         return f
 
     return [normalized(i) for i in range(len(domains))]

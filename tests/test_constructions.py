@@ -148,6 +148,75 @@ def test_blend_along_vectors_skips_its_translation_member():
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(v)) * np.max(np.abs(full))
 
 
+def _gather_scatter_blend(cover, coords, vectors):
+    """The blend as a reference: each member on an integer-index gather
+    of its active points, accumulated by an indexed += scatter."""
+    n = cover.region.dim
+    out = np.zeros((n, n, len(coords)))
+    for (_, par), weight in zip(cover.members, cover.partition):
+        conn_a = Connection.flat(par.parallel_frame())
+        if conn_a.frame.coordinate:
+            continue
+        w = np.asarray(weight(coords), dtype=float)
+        active = np.flatnonzero(w > 0.0)
+        if not active.size:
+            continue
+        ga = conn_a.coordinate_christoffels_along(coords.T[:, active].T, vectors.T[:, active].T)
+        out[:, :, active] += w[active] * ga.transpose(1, 2, 0)
+    return out.transpose(2, 0, 1)
+
+
+def _guarded_member(spec, box, seen):
+    """A frame member that records the points it is evaluated on and
+    raises on any point outside its box (a NaN point included)."""
+    frame = build_frame(spec, DOM)
+    derivative = frame.matrix_derivative_batch
+
+    def inside_only(coords, vectors):
+        if not np.all(box.contains_batch(coords)):
+            raise AssertionError("member frame evaluated outside its box")
+        seen.append(coords)
+        return derivative(coords, vectors)
+
+    frame.matrix_derivative_batch = inside_only
+    return box, frame_parallelism(frame)
+
+
+@pytest.mark.parametrize("batch", ["inactive", "partly", "all_active", "nan_row"])
+def test_blend_is_the_gather_scatter_sum_bit_for_bit(batch):
+    # a translation member and two frame members: the rotated one is
+    # active on x > -1, the section5 one on y < 0.5
+    seen = []
+    rotated_box = Box((-1.0, -5.0), (5.0, 5.0))
+    members = [(Box((-5.0, -5.0), (1.0, 5.0)), translation_parallelism(DOM)),
+               _guarded_member(ROTATED_FRAME, rotated_box, seen),
+               _guarded_member(S5_FRAME, Box((-5.0, -5.0), (5.0, 0.5)), seen)]
+    cover = CoveringParallelism.build(members, WORK)
+    rng = np.random.default_rng(13)
+    box = {"inactive": Box((-4.0, 0.6), (-1.2, 4.0)),
+           "all_active": Box((1.2, -4.0), (4.0, 4.0))}.get(batch, WORK)
+    pts = box.sample(rng, 300)
+    v = rng.normal(size=(300, 2))
+    if batch == "nan_row":
+        pts[7, 0] = np.nan
+    weights = [np.asarray(w(pts)) for w in cover.partition[1:]]
+    got = connection_from_covering_parallelism(cover).gamma(pts, v)
+    want = _gather_scatter_blend(cover, pts, v)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if batch == "inactive":
+        assert not seen and not np.any(got)
+    else:
+        assert np.max(np.abs(got)) > 0.01
+    if batch == "all_active":
+        # every point is active for the rotated member: its batch is the
+        # caller's own, uncopied
+        assert np.all(weights[0] > 0.0) and seen[0] is pts
+    if batch in ("partly", "nan_row"):
+        assert all(np.any(w == 0.0) and np.any(w > 0.0) for w in weights)
+    if batch == "nan_row":
+        assert all(w[7] == 0.0 for w in weights) and not np.any(got[7])
+
+
 def test_blended_connection_is_euclidean_invariant(blend):
     gen = CurveGenerator(blend.domain.shrink(0.05), seed=11, count=30)
     rep = check_holonomy_invariance(blend.norm_field, blend.connection, gen,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from holopar import parallelism
+from holopar.constructions import decompose_box
 from holopar.errors import (CoveringGapError, DomainError,
                             IncompatibleParallelismError)
 from holopar.fixtures import SPECS, build_frame
@@ -219,6 +220,18 @@ def test_partition_weight_evaluates_each_bump_once(monkeypatch):
     # one 1-D bump per distinct axis and bounds in each weight call: the
     # first two boxes share their y bounds
     assert len(calls) == len(weights) * (len(boxes) * 2 - 1)
+
+
+def test_partition_weight_of_a_point_alone_is_its_weight_in_a_batch():
+    # nine boxes: the total sums the raw weights in box order for one
+    # point too (numpy's pairwise sum of nine rows of one point would not)
+    boxes = decompose_box(Box((-3.0, -3.0), (3.0, 3.0)), per_axis=3)
+    weights = bump_partition(boxes, Box((-2.5, -2.5), (2.5, 2.5)))
+    pts = np.random.default_rng(14).uniform(-2.5, 2.5, (200, 2))
+    for w in weights:
+        batch = w(pts)
+        assert np.array_equal(np.concatenate([w(p) for p in pts]), batch)
+        assert np.array_equal(w(pts[:1]), batch[:1])
 
 
 def test_covering_gap_is_detected():

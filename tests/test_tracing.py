@@ -1,6 +1,7 @@
 """The benchmark's tracer (bench/tracing.py) on the library: every name it
 wraps exists, transport's blended Christoffel calls are recorded inside
-the ensemble span, and the compalg check's nabla P inside its own."""
+the ensemble span with the partition weights inside them, and the
+compalg check's nabla P inside its own."""
 
 import importlib
 import importlib.util
@@ -19,7 +20,9 @@ def _tracer():
     return tracing.Tracer()
 
 
-def test_blend_spans_open_inside_the_transport_ensemble():
+def _traced_blend_ensemble():
+    """Spans of a traced transport_ensemble of two rotated_blend curves;
+    asserts that uninstalling the tracer restores what it wrapped."""
     hp = SimpleNamespace(**{m: importlib.import_module(f"holopar.{m}") for m in MODULES})
     tracer = _tracer()
     untraced = hp.transport.transport_ensemble, hp.connections.Connection.__dict__[
@@ -35,12 +38,28 @@ def test_blend_spans_open_inside_the_transport_ensemble():
         tracer.uninstall()
     assert (hp.transport.transport_ensemble, hp.connections.Connection.__dict__[
         "coordinate_christoffels_batch"]) == untraced
-    spans = tracer.spans
+    return tracer.spans
+
+
+def test_blend_spans_open_inside_the_transport_ensemble():
+    spans = _traced_blend_ensemble()
     blends = [s for s in spans if s.name == "constructions.blend"]
     assert blends
     for s in blends:
         assert spans[s.parent].name == "transport.ensemble"
     assert sum(s.attrs["points"] for s in blends) == 2 * 201
+
+
+def test_every_blend_span_holds_a_partition_span_over_its_points():
+    # the blend calls its moving member's weight on the whole batch, so
+    # the tracer's partition layer stays live under every blend span
+    spans = _traced_blend_ensemble()
+    blends = [i for i, s in enumerate(spans) if s.name == "constructions.blend"]
+    assert blends
+    for i in blends:
+        weights = [s for s in spans if s.parent == i and s.name == "parallelism.partition"]
+        assert weights
+        assert all(s.attrs["points"] == spans[i].attrs["points"] for s in weights)
 
 
 def test_the_compalg_check_records_one_nabla_p_span():
