@@ -187,9 +187,8 @@ def test_blend_is_the_gather_scatter_sum_bit_for_bit(batch):
     # a translation member and two frame members: the rotated one is
     # active on x > -1, the section5 one on y < 0.5
     seen = []
-    rotated_box = Box((-1.0, -5.0), (5.0, 5.0))
     members = [(Box((-5.0, -5.0), (1.0, 5.0)), translation_parallelism(DOM)),
-               _guarded_member(ROTATED_FRAME, rotated_box, seen),
+               _guarded_member(ROTATED_FRAME, Box((-1.0, -5.0), (5.0, 5.0)), seen),
                _guarded_member(S5_FRAME, Box((-5.0, -5.0), (5.0, 0.5)), seen)]
     cover = CoveringParallelism.build(members, WORK)
     rng = np.random.default_rng(13)
