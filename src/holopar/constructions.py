@@ -56,13 +56,12 @@ def connection_from_covering_parallelism(cover):
     its weight is evaluated.
 
     The weights stay the cover's k callables, and each other member's
-    is called once per evaluation. The member is evaluated on the batch
-    itself when every point is active, or else on its active points
-    alone, taken with one boolean ``np.compress`` of the point and vector
-    columns; no member frame sees a point where its weight is 0 or NaN.
-    Its w_a Gamma_a(v) is written into zero planes and added whole,
-    which has the bits of adding it at the active points only (the sum
-    starts at +0 and so is never -0).
+    is called once per evaluation. The member is evaluated on its active
+    points alone, taken with one boolean ``np.compress`` of the point and
+    vector columns; no member frame sees a point where its weight is 0
+    or NaN. Its w_a Gamma_a(v) is written into zero planes and added
+    whole, which has the bits of adding it at the active points only
+    (the sum starts at +0 and so is never -0).
     """
     n = cover.region.dim
     terms = []
@@ -80,15 +79,10 @@ def connection_from_covering_parallelism(cover):
             active = w > 0.0
             if not active.any():
                 continue
-            if active.all():
-                out += w * conn_a.coordinate_christoffels_along(coords, vectors).transpose(1, 2, 0)
-                continue
             ga = conn_a.coordinate_christoffels_along(np.compress(active, coords.T, axis=1).T,
                                                       np.compress(active, vectors.T, axis=1).T)
             term = np.zeros_like(out)
-            wga = np.compress(active, w) * ga.transpose(1, 2, 0)
-            for row, g in zip(term.reshape(n * n, -1), wga.reshape(n * n, -1)):
-                row[active] = g
+            term[:, :, active] = np.compress(active, w) * ga.transpose(1, 2, 0)
             out += term
         return out.transpose(2, 0, 1)
 

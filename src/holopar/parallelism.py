@@ -120,14 +120,6 @@ def _bump_1d(x, a, b, delta_frac=0.25):
     return functools.reduce(np.multiply, steps) if steps else np.ones_like(x)
 
 
-def _total(raw):
-    """The sum of the raw weights, in their order, point by point."""
-    tot = raw[0].copy()
-    for w in raw[1:]:
-        tot += w
-    return tot
-
-
 def bump_partition(domains, region=None, check_samples=1000, seed=11):
     """Smooth partition of unity subordinate to overlapping boxes.
 
@@ -139,9 +131,8 @@ def bump_partition(domains, region=None, check_samples=1000, seed=11):
     The weights are k callables, one per box, and each call forms all k
     raw weights (every distinct 1-D bump once). A blended connection
     calls each moving member's weight once per evaluation, on the whole
-    batch, and evaluates the member on the batch itself when every point
-    is active, or on its active points compressed out otherwise. A
-    weight is 0 where the total is not positive (a NaN point included);
+    batch, and evaluates the member on its active points compressed out.
+    A weight is 0 where the total is not positive (a NaN point included);
     the total sums the raw weights in box order, so a point alone and in
     a batch get the same bits.
     """
@@ -164,7 +155,7 @@ def bump_partition(domains, region=None, check_samples=1000, seed=11):
     if region is not None:
         rng = np.random.default_rng(seed)
         pts = region.sample(rng, check_samples, margin=1e-6)
-        tot = _total(raw_weights(pts))
+        tot = functools.reduce(np.add, raw_weights(pts))
         if np.any(tot <= 0.0):
             bad = pts[np.argmin(tot)]
             raise CoveringGapError(f"point {bad.tolist()} not covered by any box")
@@ -173,7 +164,7 @@ def bump_partition(domains, region=None, check_samples=1000, seed=11):
         def f(coords):
             coords = np.atleast_2d(np.asarray(coords, dtype=float))
             raw = raw_weights(coords)
-            tot = _total(raw)
+            tot = functools.reduce(np.add, raw)
             return np.divide(raw[i], tot, out=np.zeros(len(tot)), where=tot > 0.0)
         return f
 
