@@ -13,7 +13,7 @@ from .norms import (ContinuousFamily, MinkowskiNorm, NormField, RandersData,
                     randers_norm)
 from .parallelism import (CoveringParallelism, Parallelism, bump_partition,
                           frame_parallelism, pushdown_norm, translation_parallelism)
-from .transport import TransportOperator, parallel_transport, transport_ensemble
+from .transport import parallel_transport, transport_ensemble
 from .verification import (CheckReport, CurveGenerator, VerdictResult,
                            berwald_obstruction, check_compalg_criterion,
                            check_holonomy_invariance, check_parallelism_compat,

@@ -23,9 +23,9 @@ from .geometry import invert_frames, segment
 from .norms import ContinuousFamily, isometry_group_2x2
 from .parallelism import CoveringParallelism, pushdown_norm
 from .transport import parallel_transport, transport_ensemble
-from .verification import (TORSION_SAMPLES, CurveGenerator, berwald_obstruction,
-                           check_compalg_criterion, check_holonomy_invariance,
-                           check_parallelism_compat, make_report,
+from .verification import (TORSION_SAMPLES, CheckReport, CurveGenerator,
+                           berwald_obstruction, check_compalg_criterion,
+                           check_holonomy_invariance, check_parallelism_compat,
                            torsion_samples)
 
 # ---------------------------------------------------------------- config
@@ -97,7 +97,7 @@ def _torsion(fx, o, floor=None):
     worst = berwald_obstruction(fx.connection, fx.domain, TORSION_SAMPLES, seed=o.seed)
     name, rel, tol = (("torsion_obstruction", 0.0, np.inf) if floor is None else
                       ("torsion_obstruction_positive", 0.0 if worst > floor else 1.0, 0.5))
-    return make_report(name, TORSION_SAMPLES, worst, rel, tol, {"obstruction": worst}, o.seed)
+    return CheckReport(name, TORSION_SAMPLES, worst, rel, tol, {"obstruction": worst}, o.seed)
 
 
 def _expected_torsion(fx, o):
@@ -108,7 +108,8 @@ def _expected_torsion(fx, o):
     err = np.max(np.abs(T[:, 0] - np.asarray(exp.value)), axis=1)
     k = len(err) - 1 - int(np.argmax(err[::-1]))
     wit = {"p": pts[k].tolist(), "torsion": T[k, 0].tolist()}
-    return make_report(f"{fx.name}_torsion", len(err), err[k], err[k], exp.tol, wit, o.seed)
+    worst = float(err[k])
+    return CheckReport(f"{fx.name}_torsion", len(err), worst, worst, exp.tol, wit, o.seed)
 
 
 def _isometry_group(fx, o, group, tol=1e-6):
@@ -116,14 +117,14 @@ def _isometry_group(fx, o, group, tol=1e-6):
     name = f"{fx.name}_isometry_group"
     found = isometry_group_2x2(fx.minkowski_norm)
     if isinstance(found, ContinuousFamily):
-        return make_report(name, 0, 1.0, 1.0, tol, {"continuous_family": True}, o.seed)
+        return CheckReport(name, 0, 1.0, 1.0, tol, {"continuous_family": True}, o.seed)
     err = 1.0
     if len(found) == len(group):
         err = 0.0
         for tgt in group:
             err = max(err, min(float(np.max(np.abs(np.asarray(g) - tgt))) for g in found))
     wit = {"count": len(found), "matrices": [np.asarray(g).tolist() for g in found]}
-    return make_report(name, len(found), err, err, tol, wit, o.seed)
+    return CheckReport(name, len(found), err, err, tol, wit, o.seed)
 
 
 def _transport_oracle_report(fx, curves=20, tol=1e-7, step=1e-3, seed=42):
@@ -145,9 +146,9 @@ def _transport_oracle_report(fx, curves=20, tol=1e-7, step=1e-3, seed=42):
     worst, wit = float(err[k]), {"curve": batch[k].params, "matrix": mats[k].tolist()}
     seg = segment((0.0, 0.0), (1.0, 0.0), domain=fx.domain)
     exp_mat = np.asarray(fx.expected["transport_00_to_10"].value)
-    got = parallel_transport(fx.connection, seg, 1.0, step=step).matrix
+    got = parallel_transport(fx.connection, seg, 1.0, step=step)[0]
     worst = max(worst, float(np.max(np.abs(got - exp_mat))))
-    return make_report(f"{fx.name}_transport_oracle", curves + 1, worst, worst, tol,
+    return CheckReport(f"{fx.name}_transport_oracle", curves + 1, worst, worst, tol,
                        wit, seed, step)
 
 
@@ -160,7 +161,7 @@ def _pushdown(fx, o, tol=1e-9):
         err, witness = 0.0, {}
     except HoloparError as exc:
         err, witness = 1.0, getattr(exc, "witness", {"error": str(exc)})
-    return make_report(name, basepoints * vectors, err, err, tol, witness, o.seed)
+    return CheckReport(name, basepoints * vectors, err, err, tol, witness, o.seed)
 
 
 def _expected_failure(fx, o, check, ratio, ratio_tol=1e-6, **overrides):
@@ -170,7 +171,7 @@ def _expected_failure(fx, o, check, ratio, ratio_tol=1e-6, **overrides):
     ratio_err = abs(inner.witness.get("value_ratio", np.nan) - ratio)
     confirmed = (not inner.passed) and ratio_err <= ratio_tol
     err = ratio_err if not inner.passed else 1.0
-    return make_report(f"expected_{check}_failure", inner.samples, err,
+    return CheckReport(f"expected_{check}_failure", inner.samples, err,
                        err if confirmed else 1.0, ratio_tol,
                        {"inner": inner.to_dict(), "expected_ratio": ratio},
                        o.seed, inner.step)

@@ -23,42 +23,12 @@ _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
 _CALLS = {"sqrt": jsqrt, "sin": jsin, "cos": jcos, "exp": jexp, "smooth_step": smooth_step}
 
 
-def _parse(src, names):
-    """The validated tree of one expression over the variables `names`."""
+def _parse(src):
+    """The tree of one expression, refused unless it is a string of Python syntax."""
     try:
-        tree = ast.parse(src.replace("^", "**"), mode="eval")
+        return ast.parse(src.replace("^", "**"), mode="eval").body
     except (SyntaxError, AttributeError) as exc:
         raise ConfigError(f"bad expression {src!r}: {exc}") from exc
-
-    def check(node):
-        if isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
-                raise ConfigError(f"non-numeric constant in {src!r}")
-            return
-        if isinstance(node, ast.Name):
-            if node.id not in names:
-                raise ConfigError(f"unknown name {node.id!r} in {src!r}")
-            return
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            if isinstance(node.op, ast.Pow) and any(
-                    isinstance(sub, ast.Name) and sub.id in names
-                    for sub in ast.walk(node.right)):
-                raise ConfigError(f"power exponent must be a constant in {src!r}")
-            check(node.left)
-            check(node.right)
-            return
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            check(node.operand)
-            return
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id not in _CALLS or len(node.args) != 1 or node.keywords:
-                raise ConfigError(f"unsupported call in {src!r}")
-            check(node.args[0])
-            return
-        raise ConfigError(f"unsupported syntax in {src!r}")
-
-    check(tree.body)
-    return tree.body
 
 
 def parse_exprs(srcs, variables):
@@ -70,22 +40,34 @@ def parse_exprs(srcs, variables):
     on node types.
     """
     names = tuple(variables)
-    roots = [_parse(src, names) for src in srcs]
     # structural key of a node: its operation and its operands' keys, each
-    # numbered when first met, so a key hashes in constant time
+    # numbered when first met, so a key hashes in constant time; a node
+    # outside the vocabulary is refused before its operands are keyed
     numbers, key_of = {}, {}
 
-    def key(node):
+    def key(node, src):
         if isinstance(node, ast.Constant):
+            if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
+                raise ConfigError(f"non-numeric constant in {src!r}")
             k = (ast.Constant, node.value)
         elif isinstance(node, ast.Name):
+            if node.id not in names:
+                raise ConfigError(f"unknown name {node.id!r} in {src!r}")
             k = (ast.Name, node.id)
-        elif isinstance(node, ast.BinOp):
-            k = (type(node.op), key(node.left), key(node.right))
-        elif isinstance(node, ast.UnaryOp):
-            k = (type(node.op), key(node.operand))
+        elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            if isinstance(node.op, ast.Pow) and any(
+                    isinstance(sub, ast.Name) and sub.id in names
+                    for sub in ast.walk(node.right)):
+                raise ConfigError(f"power exponent must be a constant in {src!r}")
+            k = (type(node.op), key(node.left, src), key(node.right, src))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            k = (type(node.op), key(node.operand, src))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id not in _CALLS or len(node.args) != 1 or node.keywords:
+                raise ConfigError(f"unsupported call in {src!r}")
+            k = (node.func.id, key(node.args[0], src))
         else:
-            k = (node.func.id, key(node.args[0]))
+            raise ConfigError(f"unsupported syntax in {src!r}")
         key_of[node] = numbers.setdefault(k, len(numbers))
         return key_of[node]
 
@@ -103,9 +85,11 @@ def parse_exprs(srcs, variables):
         for child in ast.iter_child_nodes(node):
             visit(child)
 
-    for root in roots:
-        key(root)
-        visit(root)
+    roots = []
+    for src in srcs:                    # the first refused expression is named
+        roots.append(_parse(src))
+        key(roots[-1], src)
+        visit(roots[-1])
     # the arguments of both a sin and a cos: one jsincos serves the pair
     both = {k[1] for k in numbers if k[0] == "sin"} & {k[1] for k in numbers if k[0] == "cos"}
 

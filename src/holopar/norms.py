@@ -11,8 +11,8 @@ certified on a dense circle.
 A norm field F takes a batch of vectors (..., n) and points of any shape
 that broadcasts to it, and restricts to the tangent space at a point p
 (n,) as the Minkowski norm F_p. A one-form field F = f o C, C = E^-1 the
-coframe of a frame E, inverts E once per given point, and restricts to
-f o C_p with C_p computed once.
+coframe of a frame E, inverts E once per given point, so F_p evaluates
+C_p once per call.
 """
 
 from __future__ import annotations
@@ -67,12 +67,16 @@ class MinkowskiNorm:
         return self.evaluator(np.asarray(v, dtype=float))
 
     def check_definite(self, radii=(1e-3, 1.0, 1e3), count=360):
+        """Refuse a norm that is not positive on spheres of the given radii
+        or does not vanish at the origin; a NaN sample is refused, not
+        warned about."""
         u = unit_sphere(self.dim, count)
-        for r in radii:
-            if np.any(self(r * u) <= 0.0):
-                raise DefinitenessError("norm not positive on a sphere sample")
-        if abs(float(self(np.zeros(self.dim)))) > 1e-300:
-            raise DefinitenessError("norm does not vanish at the origin")
+        with np.errstate(invalid="ignore"):
+            for r in radii:
+                if not np.all(self(r * u) > 0.0):
+                    raise DefinitenessError("norm not positive on a sphere sample")
+            if not abs(float(self(np.zeros(self.dim)))) <= 1e-300:
+                raise DefinitenessError("norm does not vanish at the origin")
         return self
 
 
@@ -262,22 +266,6 @@ class NormField:
         return MinkowskiNorm(self.dim, restrict(self.evaluator), gradient=restrict(self.gradient))
 
 
-@dataclass(frozen=True)
-class _OneFormNormField(NormField):
-    """F = f o C for the coframe C = E^-1 of a frame E; see one_form_norm_field."""
-
-    frame: object = None
-    norm: object = None
-
-    def at(self, p):
-        """F_p = f o C_p, with the coframe evaluated once, at p."""
-        C = _coframes(self.frame, p)
-        f = self.norm
-        return MinkowskiNorm(
-            self.dim, lambda v: f(apply_matrices(C, v)),
-            gradient=lambda v: apply_matrices(C.T, f.gradient(apply_matrices(C, v))))
-
-
 def _coframes(frame, coords):
     """C = E^-1 at points (..., n): (..., n, n), one frame evaluation and
     inversion per point."""
@@ -300,7 +288,7 @@ def one_form_norm_field(frame, f):
         C = _coframes(frame, coords)
         return apply_matrices(np.swapaxes(C, -1, -2), f.gradient(apply_matrices(C, vectors)))
 
-    return _OneFormNormField(f.dim, evaluator, gradient, frame, f)
+    return NormField(f.dim, evaluator, gradient)
 
 
 def constant_norm_field(f):

@@ -29,13 +29,10 @@ carries a step-halving error estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IntegrationBlowupError
-from .geometry import (DET_FLOOR, curve_evaluator, family_evaluator, matmul_planes,
-                       segment_coords)
+from .geometry import curve_evaluator, family_evaluator, matmul_planes, segment_coords
 
 DEFAULT_STEP = 1e-3
 # step·curve matrices per block of the RK4 kernel: a block's increments
@@ -46,24 +43,6 @@ DEFAULT_STEP = 1e-3
 # ufunc calls
 BLOCK_MATRICES = 12800
 SAMPLE_TOL = 1e-9                         # slack of a sample time on the step grid
-
-
-@dataclass(frozen=True)
-class TransportOperator:
-    """Linear isomorphism from T_from to T_to, in coordinate components."""
-
-    from_point: object
-    to_point: object
-    matrix: np.ndarray
-    step_error: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-        if abs(np.linalg.det(self.matrix)) <= DET_FLOOR:
-            raise IntegrationBlowupError("transport operator is singular")
-
-    def __call__(self, v):
-        return self.matrix @ np.asarray(v, dtype=float)
 
 
 def _step_grid(t_end, step):
@@ -228,15 +207,15 @@ def radial_transport(conn, center, targets, step=DEFAULT_STEP):
 
 
 def parallel_transport(conn, curve, t=1.0, step=DEFAULT_STEP):
-    """TransportOperator along `curve` from parameter 0 to t.
+    """Transport matrix (n, n) along `curve` from parameter 0 to t, and
+    its step-halving error estimate.
 
     Integrates at the requested step and at step/2; the finer run is the
-    result and the max-entry difference is the Richardson error field.
+    matrix and the max-entry difference of the two is the estimate.
     """
     if not 0.0 < t <= 1.0:
         raise ValueError("transport parameter must lie in (0, 1]")
     steps = _step_grid(t, step)[0]
     coarse, _, _ = transport_ensemble(conn, [curve], [t], step=t / steps, t_end=t)
     fine, _, _ = transport_ensemble(conn, [curve], [t], step=t / (2 * steps), t_end=t)
-    err = float(np.max(np.abs(coarse[0, 0] - fine[0, 0])))
-    return TransportOperator(curve.point(0.0), curve.point(t), fine[0, 0], err)
+    return fine[0, 0], float(np.max(np.abs(coarse[0, 0] - fine[0, 0])))

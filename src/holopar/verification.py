@@ -1,7 +1,8 @@
 """Numerical certification of the compatibility notions.
 
 Every check returns a CheckReport: sample counts, worst absolute and
-relative errors, the tolerance, a pass flag and a worst-case witness.
+relative errors, the tolerance and a worst-case witness. Its pass flag
+is derived, max_rel_error <= tolerance, so no report can contradict it.
 Reports are deterministic functions of (seed, inputs) and serialize to
 the CLI's JSON schema. Pointwise checks evaluate their points as one batch.
 """
@@ -40,17 +41,14 @@ class CheckReport:
     max_abs_error: float
     max_rel_error: float
     tolerance: float
-    passed: bool
     witness: dict = field(default_factory=dict)
     seed: int = 0
     step: float = 0.0
 
-    def __post_init__(self):
-        # the pass flag is definitionally max_rel_error <= tolerance
-        if self.passed != (self.max_rel_error <= self.tolerance):
-            raise AssertionError(
-                f"report {self.check}: pass={self.passed} contradicts "
-                f"max_rel_error={self.max_rel_error} vs tolerance={self.tolerance}")
+    @property
+    def passed(self):
+        """Whether max_rel_error <= tolerance; a NaN error does not pass."""
+        return bool(self.max_rel_error <= self.tolerance)
 
     def to_dict(self):
         return {
@@ -59,16 +57,11 @@ class CheckReport:
             "max_abs_error": float(self.max_abs_error),
             "max_rel_error": float(self.max_rel_error),
             "tolerance": float(self.tolerance),
-            "pass": bool(self.passed),
+            "pass": self.passed,
             "witness": self.witness,
             "seed": int(self.seed),
             "step": float(self.step),
         }
-
-
-def make_report(name, samples, max_abs, max_rel, tol, witness, seed=0, step=0.0):
-    return CheckReport(name, samples, float(max_abs), float(max_rel), float(tol),
-                       bool(max_rel <= tol), witness, seed, step)
 
 
 @dataclass(frozen=True)
@@ -240,7 +233,7 @@ def _invariance_report(norm_field, curves, ts, phis, pos0, pos_s, tol, step,
         "value_ratio": float(ft[ci, tig, vi] / f0[ci, vi]),
     }
     samples = int(rel_err.size)
-    return make_report(name, samples, np.max(abs_err), np.max(rel_err), tol,
+    return CheckReport(name, samples, float(np.max(abs_err)), float(np.max(rel_err)), tol,
                        witness, seed, step)
 
 
@@ -278,8 +271,8 @@ def check_parallelism_compat(norm_field, parallelism, pairs=200, vectors=20,
         "F_q": float(fq[mi, vi]),
         "value_ratio": float(fq[mi, vi] / fp[mi, vi]),
     }
-    return make_report(name, int(rel_err.size), np.max(abs_err), np.max(rel_err),
-                       tol, witness, seed)
+    return CheckReport(name, int(rel_err.size), float(np.max(abs_err)),
+                       float(np.max(rel_err)), tol, witness, seed)
 
 
 def check_compalg_criterion(norm_field, parallelism, conn, samples=100,
@@ -304,7 +297,7 @@ def check_compalg_criterion(norm_field, parallelism, conn, samples=100,
     worst = float(viol[k])
     witness = {"p": pts[k].tolist(), "v": comps[k].tolist(),
                "endomorphism": endo[k].tolist(), "violation": worst}
-    return make_report(name, samples, worst, worst, tol, witness, seed)
+    return CheckReport(name, samples, worst, worst, tol, witness, seed)
 
 
 def berwald_obstruction(conn, domain, samples=TORSION_SAMPLES, seed=42):
@@ -360,7 +353,7 @@ def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP,
     ci, tig = np.unravel_index(np.argmax(diff), diff.shape)[:2]
     witness = {"curve": curves[ci].params, "t": float(ts[tig])}
     worst = float(np.max(diff))
-    return make_report(name, int(diff.size), worst, worst, tol, witness, seed, step)
+    return CheckReport(name, int(diff.size), worst, worst, tol, witness, seed, step)
 
 
 @dataclass(frozen=True)
@@ -381,29 +374,24 @@ def generalized_berwald_verdict(norm_field, structure, domain=None,
     holonomy invariance, then per-region radial parallelisms and their
     compatibility checks (the connection-to-parallelism direction).
     """
-    reports = []
-    if isinstance(structure, CoveringParallelism):
+    def compat(cover, tag):
+        return [check_parallelism_compat(norm_field, par, pairs=compat_pairs, tol=tol,
+                                         seed=seed + idx, name=f"{tag}_{idx}_compat")
+                for idx, (box, par) in enumerate(cover.members)]
+
+    from_cover = isinstance(structure, CoveringParallelism)
+    if from_cover:
         domain = domain or structure.region
-        for idx, (box, par) in enumerate(structure.members):
-            reports.append(check_parallelism_compat(
-                norm_field, par, pairs=compat_pairs, tol=tol, seed=seed + idx,
-                name=f"member_{idx}_compat"))
+        reports = compat(structure, "member")
         conn = connection_from_covering_parallelism(structure)
-        gen = CurveGenerator(domain.shrink(0.05), seed=seed, count=curves)
-        reports.append(check_holonomy_invariance(norm_field, conn, gen,
-                                                 tol=tol, step=step))
+    elif domain is None:
+        raise ValueError("a domain box is required with a connection input")
     else:
-        conn = structure
-        if domain is None:
-            raise ValueError("a domain box is required with a connection input")
-        gen = CurveGenerator(domain.shrink(0.05), seed=seed, count=curves)
-        reports.append(check_holonomy_invariance(norm_field, conn, gen,
-                                                 tol=tol, step=step))
-        cover = covering_from_connection(conn, domain, step=step)
-        for idx, (box, par) in enumerate(cover.members):
-            reports.append(check_parallelism_compat(
-                norm_field, par, pairs=compat_pairs, tol=tol, seed=seed + idx,
-                name=f"region_{idx}_compat"))
+        conn, reports = structure, []
+    gen = CurveGenerator(domain.shrink(0.05), seed=seed, count=curves)
+    reports.append(check_holonomy_invariance(norm_field, conn, gen, tol=tol, step=step))
+    if not from_cover:
+        reports += compat(covering_from_connection(conn, domain, step=step), "region")
 
     obstruction = berwald_obstruction(conn, domain, seed=seed)
     all_pass = all(r.passed for r in reports)

@@ -1,6 +1,7 @@
 """Command-line interface: fixture suites, inline checks, synthesis,
 isometry groups, exit codes and report determinism."""
 
+import ast
 import json
 import os
 import shlex
@@ -112,7 +113,7 @@ def test_transport_oracle_batch_matches_one_curve_transport(monkeypatch):
     conn, curves, phis = calls[0]
     assert len(curves) == 5 and rep.samples == 6
     for curve, mats in zip(curves, phis):
-        assert np.array_equal(mats[0], parallel_transport(conn, curve, 1.0, step=1e-3).matrix)
+        assert np.array_equal(mats[0], parallel_transport(conn, curve, 1.0, step=1e-3)[0])
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -550,6 +551,21 @@ def test_a_norm_field_that_names_coordinates_is_checked_for_definiteness(capsys)
     assert "norm not positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--op", "compat", "--config",
+     json.dumps({"domain": [[-1, 1], [-1, 1]], "frame": [["1", "0"], ["0", "1"]],
+                 "norm": {"type": "custom", "expr": "sqrt(4*a^2-b^2)"}})],
+    ["isometry-group", "--norm", json.dumps({"type": "custom", "expr": "sqrt(4*a^2-b^2)"})],
+])
+def test_a_norm_that_is_nan_on_part_of_the_sphere_is_refused(argv, capsys):
+    # sqrt(4a^2 - b^2) is NaN wherever |b| > 2|a|: refused by name, with no
+    # warning and no report of NaN errors
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: norm not positive on a sphere sample\n"
+    assert captured.out == ""
+
+
 def test_a_repeated_subexpression_is_evaluated_once_per_call(monkeypatch):
     # rotated_blend's member frame names its angle in every entry
     calls = []
@@ -570,6 +586,42 @@ def test_expression_vocabulary_is_closed():
         build_norm({"type": "custom", "expr": "q + 1"})
     with pytest.raises(ConfigError):
         build_frame([["x", "1"], ["open('x')", "0"]], build_box([[-1, 1], [-1, 1]]))
+
+
+def _syntax_error(src):
+    try:
+        ast.parse(src, mode="eval")
+    except SyntaxError as exc:
+        return str(exc)
+    raise AssertionError(f"{src!r} parses")
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("a +", f"bad expression 'a +': {_syntax_error('a +')}"),
+    ("'s'", "non-numeric constant in \"'s'\""),
+    ("True", "non-numeric constant in 'True'"),
+    ("q", "unknown name 'q' in 'q'"),
+    ("log(a)", "unsupported call in 'log(a)'"),
+    ("sqrt(a, b)", "unsupported call in 'sqrt(a, b)'"),
+    ("sqrt(x=a)", "unsupported call in 'sqrt(x=a)'"),
+    ("a < b", "unsupported syntax in 'a < b'"),
+    ("[a]", "unsupported syntax in '[a]'"),
+    ("a^b", "power exponent must be a constant in 'a^b'"),
+    # the first refused node, outer before inner and left before right
+    ("q + log(a)", "unknown name 'q' in 'q + log(a)'"),
+    ("(a < b) + q", "unsupported syntax in '(a < b) + q'"),
+    ("sqrt(q)^a", "power exponent must be a constant in 'sqrt(q)^a'"),
+])
+def test_each_refusal_of_the_vocabulary_names_its_rule(expr, message):
+    with pytest.raises(ConfigError) as info:
+        parse_exprs([expr], ("a", "b"))
+    assert str(info.value) == message
+
+
+def test_the_first_refused_expression_is_named():
+    with pytest.raises(ConfigError) as info:
+        parse_exprs(["a", "q", "a +"], ("a", "b"))
+    assert str(info.value) == "unknown name 'q' in 'q'"
 
 
 @pytest.mark.parametrize("expr", ["a^b", "x^(y+1)", "b^-a", "x^(2*y)"])

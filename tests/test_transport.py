@@ -44,26 +44,40 @@ def wavy():
 
 def test_flat_transport_is_identity():
     conn = Connection.flat(coordinate_frame(2, DOM))
-    op = parallel_transport(conn, wavy(), 1.0, step=1e-3)
-    assert np.max(np.abs(op.matrix - np.eye(2))) <= 1e-12
-    assert op.step_error <= 1e-12
+    mat, step_error = parallel_transport(conn, wavy(), 1.0, step=1e-3)
+    assert np.max(np.abs(mat - np.eye(2))) <= 1e-12
+    assert step_error <= 1e-12
 
 
 def test_section5_segment_transport(s5_conn):
-    op = parallel_transport(s5_conn, segment((0.0, 0.0), (1.0, 0.0)), 1.0, step=1e-3)
-    assert np.max(np.abs(op.matrix - [[1.0, 1.0], [0.0, 1.0]])) <= 1e-9
-    assert op.step_error <= 1e-9
+    mat, step_error = parallel_transport(s5_conn, segment((0.0, 0.0), (1.0, 0.0)), 1.0,
+                                         step=1e-3)
+    assert np.max(np.abs(mat - [[1.0, 1.0], [0.0, 1.0]])) <= 1e-9
+    assert step_error <= 1e-9
 
 
 def test_transport_flow_property(s5_conn):
     # transport over [0,1] equals transport over the second half composed
     # with the first half
     c = wavy()
-    full = parallel_transport(s5_conn, c, 1.0, step=1e-3).matrix
-    first = parallel_transport(s5_conn, c, 0.5, step=1e-3).matrix
+    full = parallel_transport(s5_conn, c, 1.0, step=1e-3)[0]
+    first = parallel_transport(s5_conn, c, 0.5, step=1e-3)[0]
     second_curve = Curve(lambda t: c.coords_fn(0.5 + 0.5 * t), domain=DOM)
-    second = parallel_transport(s5_conn, second_curve, 1.0, step=5e-4).matrix
+    second = parallel_transport(s5_conn, second_curve, 1.0, step=5e-4)[0]
     assert np.max(np.abs(full - second @ first)) <= 1e-9
+
+
+def test_a_near_singular_transport_is_the_ensemble_matrix():
+    # constant Gamma^x_xx = 30 contracts d/dx by e^-30 ~ 9.36e-14 along the
+    # unit x-segment; the one-curve transport keeps the ensemble's step/2 run
+    gamma = np.zeros((2, 2, 2))
+    gamma[0, 0, 0] = 30.0
+    conn = from_coordinate_christoffels(constant_christoffels(gamma), 2, DOM)
+    seg = segment((0.0, 0.0), (1.0, 0.0), domain=DOM)
+    mat, _ = parallel_transport(conn, seg, 1.0, step=1e-3)
+    phis, _, _ = transport_ensemble(conn, [seg], [1.0], step=5e-4)
+    assert np.array_equal(mat, phis[0, 0])
+    assert abs(np.linalg.det(mat)) == pytest.approx(np.exp(-30.0), rel=1e-6)
 
 
 def test_empty_ensemble_gives_empty_arrays(s5_conn):
