@@ -10,8 +10,10 @@ of it. So is a curve's velocity: a curve is a member of a family with
 the coordinates fn(t, *args, *key), and one jet pass evaluates the
 whole family, its args stacked (``family_evaluator``). Finite
 differences are taken only where no closed form exists, always through
-``central_differences`` (step FD_STEP = 1e-5): the Jacobian of a frame
-given by a matrix function (an ODE-built trivialization) and the default
+``central_differences`` (step FD_STEP = 1e-5): the derivatives of a frame
+given by a matrix function (an ODE-built trivialization), its Jacobian
+and, in 3 calls of the function, its derivative along a vector (the
+Jacobian of the frame on the line through the vector), and the default
 gradient of a norm.
 """
 
@@ -102,7 +104,8 @@ class Frame:
     entries on a tuple of n scalars or Jets, row by row ((E_k)^a at
     a*n + k, so one pass shares whatever the entries share), or a matrix
     function (m, n) -> (m, n, n) (an ODE-built trivialization), which is
-    differentiated by central differences.
+    differentiated by central differences: its Jacobian in 2n + 1 calls,
+    its derivative along a vector in 3.
 
     ``coordinate`` is True only on the frames of ``coordinate_frame``,
     whose matrix is the identity and whose derivative vanishes.
@@ -172,17 +175,23 @@ class Frame:
         A jet frame takes both from one jet pass seeded along v,
         one partial per variable, and writes them into component-major
         (n, n, m) planes: E and d_v E are views of them. A frame given by
-        a matrix function contracts matrix_jacobian_batch with v, one
-        (1, n) @ (n, n*n) product per point over its derivative-major dE.
+        a matrix function takes one central difference along the unit
+        vector u = v/|v|, |v| (E(x + h u) - E(x - h u)) / 2h: the
+        Jacobian of the line frame s -> E(x + s u) at s = 0, taken by
+        matrix_jacobian_batch, so 3 calls of the matrix function instead
+        of the 2n + 1 of the full Jacobian. A coordinate direction gives
+        the Jacobian's column bit for bit, and a zero row of v a zero
+        derivative.
         """
         coords = np.asarray(coords, dtype=float)
         v = np.asarray(vectors, dtype=float)
         m, n = coords.shape
         if self._matrix_fn is not None:
-            E, dE = self.matrix_jacobian_batch(coords)
-            rows = dE.transpose(0, 3, 1, 2).reshape(m, n, n * n)
-            # a point-major v: the product's rounding depends on its layout
-            return E, (np.ascontiguousarray(v)[:, None, :] @ rows).reshape(m, n, n)
+            speed = np.linalg.norm(v, axis=1, keepdims=True)
+            unit = np.divide(v, speed, out=np.zeros_like(v), where=speed > 0)
+            line = Frame(matrix_fn=lambda s: self._matrix_fn(coords + s * unit), dim=n)
+            E, dE = line.matrix_jacobian_batch(np.zeros((m, 1)))
+            return E, dE[..., 0] * speed[..., None]
         E, dvE = (np.empty((n, n, m)).transpose(2, 0, 1) for _ in range(2))
         self._jets_into(coords, (np.ascontiguousarray(v.T),), E, dvE[..., None])
         return E, dvE

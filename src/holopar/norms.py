@@ -67,14 +67,17 @@ class MinkowskiNorm:
         return self.evaluator(np.asarray(v, dtype=float))
 
     def check_definite(self, radii=(1e-3, 1.0, 1e3), count=360):
-        """Refuse a norm that is not positive on spheres of the given radii
-        or does not vanish at the origin; a NaN sample is refused, not
-        warned about."""
+        """Refuse a norm that is not positive and finite on spheres of the
+        given radii or does not vanish at the origin; a NaN or overflowing
+        sample is refused, not warned about."""
         u = unit_sphere(self.dim, count)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for r in radii:
-                if not np.all(self(r * u) > 0.0):
+                f = self(r * u)
+                if not np.all(f > 0.0):
                     raise DefinitenessError("norm not positive on a sphere sample")
+                if not np.all(f < np.inf):
+                    raise DefinitenessError("norm not finite on a sphere sample")
             if not abs(float(self(np.zeros(self.dim)))) <= 1e-300:
                 raise DefinitenessError("norm does not vanish at the origin")
         return self

@@ -15,7 +15,7 @@ import pytest
 from holopar import cli, exprs, report
 from holopar.cli import main
 from holopar.connections import Connection, constant_christoffels
-from holopar.errors import ConfigError
+from holopar.errors import ConfigError, DefinitenessError
 from holopar.exprs import parse_exprs
 from holopar.fixtures import (SPECS, build_box, build_fixture, build_frame, build_norm,
                               fixture_names, load_fixture)
@@ -564,6 +564,21 @@ def test_a_norm_that_is_nan_on_part_of_the_sphere_is_refused(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: norm not positive on a sphere sample\n"
     assert captured.out == ""
+
+
+def test_a_norm_that_overflows_on_part_of_the_sphere_is_refused_without_a_warning(capsys):
+    # exp(1000 a) is +inf where a > 0.71 and 0 where a < 0 on the unit sphere
+    spec = json.dumps({"type": "custom", "expr": "sqrt(a^2+b^2)*exp(1000*a)"})
+    assert main(["isometry-group", "--norm", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: norm not positive on a sphere sample\n"
+    assert captured.out == ""
+
+
+def test_a_norm_that_is_infinite_on_a_sphere_is_refused():
+    # positive everywhere, but +inf on the spheres of radius 1 and 1e3
+    with pytest.raises(DefinitenessError, match="^norm not finite on a sphere sample$"):
+        build_norm({"type": "custom", "expr": "sqrt(a^2+b^2)*exp(1000*(a^2+b^2))"}, 2)
 
 
 def test_a_repeated_subexpression_is_evaluated_once_per_call(monkeypatch):

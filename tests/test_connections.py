@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from holopar.connections import (Connection, constant_christoffels,
                                  from_coordinate_christoffels, nabla_P, torsion)
+from holopar.constructions import ConvexChartRegion, parallelism_from_connection
 from holopar.errors import SingularFrameError
 from holopar.exprs import parse_exprs
 from holopar.fixtures import COORD_NAMES, SPECS, build_frame
@@ -337,6 +338,24 @@ def _frames(n, q, angle, scale, rank):
             Frame(matrix_fn=matrix_fn, domain=dom, dim=n))
 
 
+# a frame parameter drawn subnormal gives subnormal derivatives, where no
+# relative bound holds: differences below the smallest normal float pass
+_TINY = np.finfo(float).tiny
+
+
+def _fd_bound(jet, coords, v, inverse=False):
+    """How far a matrix-function frame's derivative along v (m, n), one
+    central difference of step h = 1e-5, may lie from the exact one of
+    its jet twin: 1e-8 max|v| (max|dE| + max|E|). On these frames the
+    truncation, about h^2/6 |d^3 E|, stays below 5e-10 max|v| max|dE|,
+    and the rounding, about eps/h = 2e-11 of |v| |E|, holds where dE is
+    small. With inverse=True the bound is for (d_v E) E^-1 and so for
+    Gamma(v): times max|E^-1|."""
+    E, dE = jet.matrix_jacobian_batch(coords)
+    bound = 1e-8 * np.max(np.abs(v)) * (np.max(np.abs(dE)) + np.max(np.abs(E)))
+    return bound * np.max(np.abs(np.linalg.inv(E))) if inverse else bound
+
+
 @settings(max_examples=60, deadline=None)
 @given(frame_data())
 @example((3, np.eye(3)[[1, 2, 0]], np.array([0.3, 0.5, -0.2, 0.1]),
@@ -346,7 +365,8 @@ def test_coordinate_christoffels_batch_matches_textbook_formula(data):
     rng = np.random.default_rng(0)
     coords = rng.uniform(-1.0, 1.0, (16, n))
     vel = rng.normal(size=(4, 4, n))
-    for frame in _frames(n, q, angle, scale, rank=n):
+    jet, fd = _frames(n, q, angle, scale, rank=n)
+    for frame in (jet, fd):
         conn = Connection(frame, constant_christoffels(gamma))
         got = conn.coordinate_christoffels_batch(coords)
         want = _textbook_christoffels(frame, gamma, coords)
@@ -354,8 +374,16 @@ def test_coordinate_christoffels_batch_matches_textbook_formula(data):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # the transport coefficients contract the same symbols with a velocity
         A = _coefficient_grid(conn, coords.reshape(4, 4, n), vel)
-        A_want = -np.einsum("mgj,mgijk->mgik", vel, got.reshape(4, 4, n, n, n))
-        assert np.max(np.abs(A - A_want)) <= 1e-13 * np.max(np.abs(vel)) * np.max(np.abs(got))
+        if frame is jet:
+            A_want = -np.einsum("mgj,mgijk->mgik", vel, got.reshape(4, 4, n, n, n))
+            assert np.max(np.abs(A - A_want)) <= (
+                1e-13 * np.max(np.abs(vel)) * np.max(np.abs(got)))
+            A_exact = A
+        else:
+            # one central difference along each velocity: the jet twin's
+            # exact coefficients, to the finite-difference bound
+            bound = _fd_bound(jet, coords, vel.reshape(16, n), inverse=True)
+            assert np.max(np.abs(A - A_exact)) <= max(bound, _TINY)
 
 
 @settings(max_examples=20, deadline=None)
@@ -422,15 +450,11 @@ def test_coordinate_frame_returns_its_symbols_without_frame_jets(data):
     assert calls == []
 
 
-# a frame parameter drawn subnormal gives subnormal derivatives, where no
-# relative bound holds: differences below the smallest normal float pass
-_TINY = np.finfo(float).tiny
-
-
 def _along_cases(n, q, angle, scale, gamma, rank):
     """Connections on every path of coordinate_christoffels_along: flat and
     with constant symbols, in a jet frame, the same frame as a matrix
-    function (central differences) and the coordinate frame."""
+    function (central differences) and the coordinate frame, in that
+    order, so cases[k + 2] is the matrix-function twin of cases[k]."""
     jet, fd = _frames(n, q, angle, scale, rank)
     return [conn for frame in (jet, fd, coordinate_frame(n))
             for conn in (Connection.flat(frame), Connection(frame, constant_christoffels(gamma)))]
@@ -443,12 +467,21 @@ def test_christoffels_along_are_the_contracted_symbols(data):
     rng = np.random.default_rng(4)
     coords = rng.uniform(-1.0, 1.0, (16, n))
     v = rng.normal(size=(16, n))
-    for conn in _along_cases(n, q, angle, scale, gamma, rank=n):
+    cases = _along_cases(n, q, angle, scale, gamma, rank=n)
+    for k, conn in enumerate(cases):
         got = conn.coordinate_christoffels_along(coords, v)
-        full = conn.coordinate_christoffels_batch(coords)
-        want = np.einsum("mj,mijk->mik", v, full)
         assert got.shape == (16, n, n)
-        bound = 1e-13 * np.max(np.abs(v)) * np.max(np.abs(full))
+        if k in (2, 3):
+            # the matrix-function twin differentiates along v by one
+            # central difference: the jet twin's exact symbols to the
+            # finite-difference bound
+            jet_conn = cases[k - 2]
+            want = jet_conn.coordinate_christoffels_along(coords, v)
+            bound = _fd_bound(jet_conn.frame, coords, v, inverse=True)
+        else:
+            full = conn.coordinate_christoffels_batch(coords)
+            want = np.einsum("mj,mijk->mik", v, full)
+            bound = 1e-13 * np.max(np.abs(v)) * np.max(np.abs(full))
         assert np.max(np.abs(got - want)) <= max(bound, _TINY)
 
 
@@ -501,14 +534,20 @@ def test_torsion_is_the_antisymmetrized_textbook_contraction(data):
     n, q, angle, scale, gamma = data
     coords = np.random.default_rng(6).uniform(-1.0, 1.0, (16, n))
     xv, yv = _two_fields(coords)
-    for frame in _frames(n, q, angle, scale, rank=n):
-        got = torsion(Connection(frame, constant_christoffels(gamma)), xv, yv, coords)
-        G = _textbook_christoffels(frame, gamma, coords)
-        want = (np.einsum("mabc,mb,mc->ma", G, xv, yv)
-                - np.einsum("mabc,mb,mc->ma", G, yv, xv))
-        assert got.shape == (16, n)
-        bound = 1e-12 * np.max(np.abs(G)) * np.max(np.abs(xv)) * np.max(np.abs(yv))
-        assert np.max(np.abs(got - want)) <= max(bound, _TINY)
+    jet, fd = _frames(n, q, angle, scale, rank=n)
+    got, exact = (torsion(Connection(frame, constant_christoffels(gamma)), xv, yv, coords)
+                  for frame in (fd, jet))
+    G = _textbook_christoffels(jet, gamma, coords)
+    want = (np.einsum("mabc,mb,mc->ma", G, xv, yv)
+            - np.einsum("mabc,mb,mc->ma", G, yv, xv))
+    assert exact.shape == got.shape == (16, n)
+    bound = 1e-12 * np.max(np.abs(G)) * np.max(np.abs(xv)) * np.max(np.abs(yv))
+    assert np.max(np.abs(exact - want)) <= max(bound, _TINY)
+    # the matrix-function twin differentiates along X and Y by central
+    # differences: Gamma(X) Y - Gamma(Y) X to n times the bound of each term
+    bound = n * _fd_bound(jet, coords, np.concatenate([xv, yv]), inverse=True) * max(
+        np.max(np.abs(xv)), np.max(np.abs(yv)))
+    assert np.max(np.abs(got - exact)) <= max(bound, _TINY)
 
 
 @settings(max_examples=30, deadline=None)
@@ -520,14 +559,99 @@ def test_frame_values_and_directional_derivatives_keep_the_jacobian_bits(data):
     rng = np.random.default_rng(5)
     coords = rng.uniform(-1.0, 1.0, (16, n))
     v = rng.normal(size=(16, n))
-    for frame in _frames(n, q, angle, scale, rank=n):
+    jet, fd = _frames(n, q, angle, scale, rank=n)
+    for frame in (jet, fd):
         E, dE = frame.matrix_jacobian_batch(coords)
         E_v, dvE = frame.matrix_derivative_batch(coords, v)
         assert np.array_equal(frame.matrix_batch(coords), E)
         assert np.array_equal(E_v, E)
-        want = np.einsum("makd,md->mak", dE, v)
-        bound = 1e-13 * np.max(np.abs(v)) * np.max(np.abs(dE))
+        if frame is jet:
+            want = np.einsum("makd,md->mak", dE, v)
+            bound = 1e-13 * np.max(np.abs(v)) * np.max(np.abs(dE))
+            exact = dvE
+        else:
+            # one central difference along v: the jet twin's exact d_v E
+            want, bound = exact, _fd_bound(jet, coords, v)
         assert np.max(np.abs(dvE - want)) <= max(bound, _TINY)
+
+
+def _matrix_function_frame(n, calls=None):
+    """A random frame of ``_frames`` as a matrix function, recording the
+    number of points of each call in `calls`."""
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.uniform(-1.0, 1.0, (n, n)))
+    fd = _frames(n, q, rng.uniform(-2.0, 2.0, n + 1), rng.uniform(-0.5, 0.5, (n, n + 1)),
+                 rank=n)[1]
+    if calls is None:
+        return fd
+    return Frame(matrix_fn=lambda c: calls.append(len(c)) or fd.matrix_batch(c), dim=n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_matrix_function_frame_is_differentiated_along_v_in_three_calls(n):
+    # E(x) and E(x +- h v/|v|), where the full Jacobian takes 2n + 1 calls
+    calls = []
+    frame = _matrix_function_frame(n, calls)
+    rng = np.random.default_rng(8)
+    frame.matrix_derivative_batch(rng.uniform(-1.0, 1.0, (12, n)), rng.normal(size=(12, n)))
+    assert calls == [12, 12, 12]
+    calls.clear()
+    frame.matrix_jacobian_batch(rng.uniform(-1.0, 1.0, (12, n)))
+    assert calls == [12] * (2 * n + 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_matrix_function_frame_along_v_gives_its_values_bit_for_bit(n):
+    # also at points laid out as the blend passes them, columns of a
+    # transposed array
+    frame = _matrix_function_frame(n)
+    rng = np.random.default_rng(9)
+    for coords in (rng.uniform(-1.0, 1.0, (12, n)),
+                   np.ascontiguousarray(rng.uniform(-1.0, 1.0, (n, 12))).T):
+        E, _ = frame.matrix_derivative_batch(coords, rng.normal(size=(12, n)))
+        assert np.array_equal(E, frame.matrix_batch(coords))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_zero_vector_gives_a_zero_derivative_of_a_matrix_function_frame(n):
+    frame = _matrix_function_frame(n)
+    rng = np.random.default_rng(10)
+    coords = rng.uniform(-1.0, 1.0, (12, n))
+    v = rng.normal(size=(12, n))
+    v[::3] = 0.0
+    _, dvE = frame.matrix_derivative_batch(coords, v)
+    assert np.array_equal(dvE[::3], np.zeros((4, n, n)))
+    assert not np.any(np.signbit(dvE[::3]))
+    # the other rows do not depend on the zero rows of their batch
+    keep = np.arange(12) % 3 != 0
+    assert np.array_equal(dvE[keep], frame.matrix_derivative_batch(coords[keep], v[keep])[1])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coordinate_directions_give_the_jacobian_columns_bit_for_bit(n):
+    # so coordinate_christoffels_batch of an ODE-built frame keeps its bits
+    frame = _matrix_function_frame(n)
+    coords = np.random.default_rng(11).uniform(-1.0, 1.0, (12, n))
+    _, dE = frame.matrix_jacobian_batch(coords)
+    for d in range(n):
+        e = np.zeros((12, n))
+        e[:, d] = 1.0
+        assert np.array_equal(frame.matrix_derivative_batch(coords, e)[1], dE[..., d])
+        assert np.array_equal(frame.matrix_derivative_batch(coords, -2.5 * e)[1],
+                              -2.5 * dE[..., d])
+
+
+def test_compalg_passes_on_the_radial_parallelism_of_section5(s5_conn):
+    # nabla P of an ODE-built parallel frame: three radial transports of the
+    # sampled points, one at each point and two shifted along v
+    region = ConvexChartRegion(np.zeros(2), Box((-2.0, -2.0), (2.0, 2.0)))
+    par = parallelism_from_connection(s5_conn, region, step=1e-2)
+    phi, seen = par.phi, []
+    par.phi = lambda coords: seen.append(len(coords)) or phi(coords)
+    F = one_form_norm_field(s5_conn.frame, _S5_NORM)
+    rep = check_compalg_criterion(F, par, s5_conn, samples=40)
+    assert seen == [40, 40, 40]
+    assert rep.passed, rep.max_abs_error
 
 
 def test_only_coordinate_frames_are_marked_coordinate():

@@ -11,6 +11,18 @@ A change that must not alter them checks with
     PYTHONPATH=src python3 tests/test_golden.py --check
 
 which prints the same, writes nothing and exits 1 if any golden differs.
+
+The golden bytes depend on the BLAS kernel that OpenBLAS selects for the
+CPU: a matmul of 2x2 matrices rounds each entry as fma(a1 b1, a0 b0)
+under the SkylakeX and Haswell kernels and as a plain multiply and add
+under Prescott, and the kernels differ on matrix-vector products too.
+On an AVX-512 host that selects SkylakeX, all 8 goldens are unchanged;
+with OPENBLAS_CORETYPE=Haswell or Zen set for the checking process,
+verify_section5 changes (holonomy error, the sine curve's perp, the
+isometry matrices, the transport oracle), and with Prescott
+check_compalg_sheared changes too. A golden diff on another machine may
+therefore come from its kernel, not from the code: CI logs the kernel
+(numpy.show_runtime) before it checks the goldens.
 """
 
 import json
