@@ -18,8 +18,8 @@ from . import report as report_mod
 from .constructions import connection_from_covering_parallelism
 from .errors import ConfigError, HoloparError
 from .fixtures import (build_box, build_cover, build_fixture, build_norm, fixture_names,
-                       load_fixture, require_keys)
-from .geometry import invert_frames, segment
+                       is_finite_number, load_fixture, require_keys)
+from .geometry import segment
 from .norms import ContinuousFamily, isometry_group_2x2
 from .parallelism import CoveringParallelism, pushdown_norm
 from .transport import parallel_transport, transport_ensemble
@@ -40,6 +40,10 @@ def _load_config(arg):
         raise ConfigError(f"config is not a readable JSON file or object: {exc}") from exc
 
 
+# the defaults of the common settings, read by the parser and run_fixture_suite
+RUN_DEFAULTS = {"step": 1e-3, "tol": 1e-6, "curves": 100, "vectors": 20, "seed": 42}
+
+
 def run_settings(step, tol, curves, vectors, seed):
     """The common settings of one run (see the check table), refusing
     curves, vectors or a seed that is not an integer, fewer than one
@@ -53,10 +57,7 @@ def run_settings(step, tol, curves, vectors, seed):
         if val < least:
             raise ConfigError(f"{key} must be at least {least}, not {val}")
     for key, val in (("step", step), ("tolerance", tol)):
-        # abs(nan) <= max is False; an int past the float range would
-        # overflow float()
-        if (isinstance(val, bool) or not isinstance(val, (int, float))
-                or not abs(val) <= sys.float_info.max):
+        if not is_finite_number(val):
             raise ConfigError(f"{key} must be a finite number, not {val!r}")
     if tol < 0:
         raise ConfigError(f"tolerance must be at least 0, not {tol}")
@@ -127,29 +128,28 @@ def _isometry_group(fx, o, group, tol=1e-6):
     return CheckReport(name, len(found), err, err, tol, wit, o.seed)
 
 
-def _transport_oracle_report(fx, curves=20, tol=1e-7, step=1e-3, seed=42):
-    """RK4 transport against the frame-transfer oracle [E(q)][E(p)]^-1 on
-    the generated curves, and against the expected table's 00 -> 10
-    matrix on that segment; the witness is the last curve with the
-    largest error.
+def _transport_oracle_report(fx, o, curves=20, tol=1e-7):
+    """RK4 transport against the frame-transfer oracle [E(q)][E(p)]^-1
+    (the parallelism's own transfer) on the generated curves, and
+    against the expected table's 00 -> 10 matrix on that segment; the
+    witness is the last curve with the largest error.
 
     The curves run as one ensemble at half the step, the run that
     parallel_transport keeps; the segment is one parallel_transport."""
-    batch = CurveGenerator(fx.domain.shrink(0.05), seed=seed, count=curves).curves()
-    half = 1.0 / (2 * max(1, int(round(1.0 / step))))
+    batch = CurveGenerator(fx.domain.shrink(0.05), seed=o.seed, count=curves).curves()
+    half = 1.0 / (2 * max(1, int(round(1.0 / o.step))))
     phis, starts, ends = transport_ensemble(fx.connection, batch, [1.0], step=half)
     mats = phis[:, 0]
-    oracle = (fx.frame.matrix_batch(ends[:, 0])
-              @ invert_frames(fx.frame.matrix_batch(starts), "frame at a curve start"))
+    oracle = fx.parallelism.transfer(starts, ends[:, 0])
     err = np.max(np.abs(mats - oracle), axis=(1, 2))
     k = len(err) - 1 - int(np.argmax(err[::-1]))
     worst, wit = float(err[k]), {"curve": batch[k].params, "matrix": mats[k].tolist()}
     seg = segment((0.0, 0.0), (1.0, 0.0), domain=fx.domain)
     exp_mat = np.asarray(fx.expected["transport_00_to_10"].value)
-    got = parallel_transport(fx.connection, seg, 1.0, step=step)[0]
+    got = parallel_transport(fx.connection, seg, 1.0, step=o.step)[0]
     worst = max(worst, float(np.max(np.abs(got - exp_mat))))
     return CheckReport(f"{fx.name}_transport_oracle", curves + 1, worst, worst, tol,
-                       wit, seed, step)
+                       wit, o.seed, o.step)
 
 
 def _pushdown(fx, o, tol=1e-9):
@@ -186,7 +186,7 @@ CHECKS = {
     "torsion": _torsion,
     "expected_torsion": _expected_torsion,
     "isometry_group": _isometry_group,
-    "transport_oracle": lambda fx, o: _transport_oracle_report(fx, step=o.step, seed=o.seed),
+    "transport_oracle": _transport_oracle_report,
     "pushdown": _pushdown,
     "expected_failure": _expected_failure,
 }
@@ -201,14 +201,15 @@ SUMMARIES = {
 }
 
 
-def run_fixture_suite(name, step=1e-3, tol=1e-6, curves=100, vectors=20, seed=42):
-    o = run_settings(step, tol, curves, vectors, seed)
+def run_fixture_suite(name, **settings):
+    """The report of a fixture's verify suite; settings override RUN_DEFAULTS."""
+    o = run_settings(**{**RUN_DEFAULTS, **settings})
     fx = load_fixture(name)
     if not fx.checks:
         raise ConfigError(f"no verification suite for fixture {name!r}")
     checks = sorted((CHECKS[check](fx, o, **overrides) for check, overrides in fx.checks),
                     key=lambda r: r.check)
-    doc = {"fixture": name, "seed": seed, "step": step, "tolerance": tol,
+    doc = {"fixture": name, "seed": o.seed, "step": o.step, "tolerance": o.tol,
            "checks": [c.to_dict() for c in checks],
            "all_pass": all(c.passed for c in checks)}
     if fx.summary:
@@ -229,9 +230,7 @@ def _emit(doc, out):
 
 
 def cmd_verify(args):
-    doc = run_fixture_suite(args.fixture, step=args.step, tol=args.tol,
-                            curves=args.curves, vectors=args.vectors,
-                            seed=args.seed)
+    doc = run_fixture_suite(args.fixture, **{key: getattr(args, key) for key in RUN_DEFAULTS})
     _emit(doc, args.out)
     return 0 if doc["all_pass"] else 1
 
@@ -298,11 +297,8 @@ def make_parser():
 
     def common(p, fn, checks=False):
         if checks:
-            p.add_argument("--step", type=float, default=1e-3)
-            p.add_argument("--tol", type=float, default=1e-6)
-            p.add_argument("--curves", type=int, default=100)
-            p.add_argument("--vectors", type=int, default=20)
-            p.add_argument("--seed", type=int, default=42)
+            for key, val in RUN_DEFAULTS.items():
+                p.add_argument(f"--{key}", type=type(val), default=val)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.set_defaults(fn=fn)
 

@@ -51,7 +51,7 @@ class Connection:
 
     frame: Frame
     gamma: object                       # (m, n), (m, n) -> (m, n, n), or None for 0
-    backing_parallelism: object = None  # always None; only bench/tracing.py reads it
+    backing_parallelism = None          # not a field: no caller sets it; bench/tracing.py reads it
 
     @property
     def dim(self):

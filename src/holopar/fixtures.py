@@ -13,6 +13,7 @@ tests re-derive the others.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,12 @@ def build_box(spec):
         raise ConfigError(f"bad domain box {spec!r}") from exc
 
 
+def is_finite_number(x):
+    """A JSON number, not a bool, that is finite: abs(nan) <= max is
+    False, and an int past the float range is refused, not overflowed."""
+    return not isinstance(x, bool) and isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+
+
 def build_frame(spec, domain):
     """n fields of n expressions in x, y, z, the whole matrix compiled by
     one ``parse_exprs`` call, so one pass evaluates a subexpression the
@@ -165,10 +172,13 @@ def build_norm(spec, dim=2, coordinates=False):
     require_keys(spec, ("type", "Q", "beta", "expr", "dimension"), ("type",), "norm spec")
     if spec["type"] == "randers":
         require_keys(spec, ("type", "Q", "beta"), ("Q", "beta"), "randers norm")
-        try:
-            Q, beta = (np.asarray(spec[key], dtype=float) for key in ("Q", "beta"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad randers data: {exc}") from exc
+        for key in ("Q", "beta"):
+            # a ragged list leaves a list as an entry, which is refused too
+            bad = [x for x in np.ravel(np.asarray(spec[key], dtype=object))
+                   if not is_finite_number(x)]
+            if bad:
+                raise ConfigError(f"randers {key} entries must be finite numbers, not {bad[0]!r}")
+        Q, beta = (np.asarray(spec[key], dtype=float) for key in ("Q", "beta"))
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or beta.shape != Q.shape[:1]:
             raise ConfigError(f"randers norm needs an n x n Q and n entries of beta, "
                               f"not shapes {Q.shape} and {beta.shape}")
@@ -208,8 +218,8 @@ def build_norm(spec, dim=2, coordinates=False):
 def build_cover(members, region):
     """The covering parallelism of `region` by members {"domain", "frame"},
     each frame "translation" or a frame spec on the member's box."""
-    if not isinstance(members, list):
-        raise ConfigError(f"cover members must be a list, not {members!r}")
+    if not isinstance(members, list) or not members:
+        raise ConfigError(f"cover members must be a non-empty list, not {members!r}")
     pars = []
     for idx, m in enumerate(members):
         require_keys(m, ("domain", "frame"), ("domain", "frame"), f"member {idx}")

@@ -4,11 +4,11 @@ Everything lives in a single global chart whose domain is an open
 axis-aligned box. A point is its coordinates, an (n,) array, and a
 batch of points an (m, n) array; a tangent vector is its coordinate
 components, in the same shapes. A frame is its component matrix: a jet
-frame evaluates its n*n entries in one jet pass, so its Jacobian is
-exact to rounding, and its inverse, the coframe, is ``invert_frames``
-of it. So is a curve's velocity: a curve is a member of a family with
-the coordinates fn(t, *args, *key), and one jet pass evaluates the
-whole family, its args stacked (``family_evaluator``). Finite
+frame's values are one plain pass of its n*n entries, its derivatives
+one jet pass, exact to rounding, and its coframe ``invert_frames`` of
+it. A curve's velocity is a jet too: one jet pass evaluates a family of
+curves (coordinates fn(t, *args, *key), args stacked; see
+``family_evaluator``). Finite
 differences are taken only where no closed form exists, always through
 ``central_differences`` (step FD_STEP = 1e-5): the derivatives of a frame
 given by a matrix function (an ODE-built trivialization), its Jacobian
@@ -64,12 +64,7 @@ class Box:
         return len(self.lo)
 
     def contains(self, coords):
-        c = np.asarray(coords, dtype=float)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return bool(np.all(c > lo) and np.all(c < hi))
-
-    def contains_batch(self, coords):
+        """Which points (..., n) lie inside: bools (...), one for (n,)."""
         c = np.asarray(coords, dtype=float)
         return np.all((c > np.asarray(self.lo)) & (c < np.asarray(self.hi)), axis=-1)
 
@@ -123,18 +118,16 @@ class Frame:
 
     def _jets_into(self, coords, directions, E, dE):
         """Write the entries at coords (m, n) into E (m, n, n) and their
-        derivatives into dE (m, n, n, k), in one jet pass; both may be
-        views of larger arrays, whose (a, k) axes must merge.
-
-        The jets are seeded with ``directions`` (as in ``seed_jets``): None
-        gives the Jacobian, k directions the derivatives along each, and ()
-        the values alone (dE unused).
+        derivatives into dE (m, n, n, k), in one jet pass seeded with
+        ``directions`` (as in ``seed_jets``: None gives the Jacobian, k
+        directions the derivatives along each); both may be views of
+        larger arrays, whose (a, k) axes must merge.
         """
         m, n = coords.shape
         xs = seed_jets(tuple(coords[:, d] for d in range(n)), directions)
         k = n if directions is None else len(directions)
         vals = E.reshape(m, n * n, copy=False)
-        parts = None if dE is None else dE.reshape(m, n * n, -1, copy=False)
+        parts = dE.reshape(m, n * n, -1, copy=False)
         for i, c in enumerate(self._entries(xs)):
             c = as_jet(c, k)
             vals[:, i] = c.value
@@ -142,14 +135,17 @@ class Frame:
                 parts[:, i, d] = p
 
     def matrix_batch(self, coords):
-        """Component matrices E with E[:, a, j] = (E_j)^a: (m,n,n)."""
+        """Component matrices E with E[:, a, j] = (E_j)^a: (m,n,n); a jet
+        frame's from one plain pass of its entries, the E of its jet
+        passes bit for bit (a jet's value is the plain operation's)."""
         coords = np.asarray(coords, dtype=float)
         if self._matrix_fn is not None:
             return np.asarray(self._matrix_fn(coords), dtype=float)
-        if self.coordinate:
-            return np.broadcast_to(np.eye(self.dim), (len(coords), self.dim, self.dim)).copy()
-        E = np.empty((len(coords), self.dim, self.dim))
-        self._jets_into(coords, (), E, None)
+        m, n = coords.shape
+        E = np.empty((m, n, n))
+        vals = E.reshape(m, n * n)
+        for i, c in enumerate(self._entries(tuple(coords[:, d] for d in range(n)))):
+            vals[:, i] = c
         return E
 
     def matrix_jacobian_batch(self, coords):
@@ -287,9 +283,6 @@ class Curve:
         self.domain = domain
         self.params = params or {}
 
-    def coords_fn(self, t):
-        return self.fn(t, *self.args, *self.key)
-
     def point(self, t):
         return self.positions_velocities([t])[0][0]
 
@@ -378,7 +371,7 @@ def check_curves(curves, samples=64):
     inside = np.ones(len(curves), dtype=bool)
     for domain in {curve.domain for curve in curves} - {None}:   # one test per domain
         cs = [c for c, curve in enumerate(curves) if curve.domain == domain]
-        inside[cs] = np.all(domain.contains_batch(pos[cs]), axis=1)
+        inside[cs] = np.all(domain.contains(pos[cs]), axis=1)
     regular = ~np.any(np.linalg.norm(vel, axis=2) < 1e-9, axis=1)
     return inside, regular
 

@@ -5,8 +5,10 @@ independent variables. Arithmetic propagates derivatives exactly (to
 rounding), which is what the Lie bracket, Christoffel transforms and
 curve velocities are built on. Values and partials may be floats, numpy
 arrays (batched evaluation) or Jets themselves (nested, for second-order
-quantities such as iterated brackets). ``jsincos`` shares one sin and one
-cos; ``smooth_step`` takes exp only where the step is neither 0 nor 1.
+quantities such as iterated brackets). A value is the plain operation's
+(a quotient's is a / b), so jets keep a plain pass's values bit for bit.
+``jsincos`` shares one sin and one cos; ``smooth_step`` takes exp only
+where the step is neither 0 nor 1.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             inv = 1.0 / other.value
-            return Jet(self.value * inv,
+            return Jet(self.value / other.value,
                        tuple((a * other.value - self.value * b) * inv * inv
                              for a, b in zip(self.partials, other.partials)))
         if isinstance(other, _SCALARS):
@@ -79,7 +81,7 @@ class Jet:
 
     def __rtruediv__(self, other):
         inv = 1.0 / self.value
-        return Jet(other * inv,
+        return Jet(other / self.value,
                    tuple(-other * p * inv * inv for p in self.partials))
 
     def __pow__(self, k):
@@ -101,8 +103,8 @@ def seed_jets(values, directions=None):
     Its partials are the coordinate basis when ``directions`` is None, so
     a result's partials are its gradient. Otherwise directions[j][i] is
     the i-th component of the j-th direction, so a result's partials are
-    its derivatives along those directions; no directions give
-    value-only jets. A jet's value never depends on its partials.
+    its derivatives along those directions. A jet's value never depends
+    on its partials.
     """
     n = len(values)
     if directions is None:
@@ -164,7 +166,5 @@ def smooth_step(t):
     value and slope come from one pair of bumps."""
     if not isinstance(t, Jet):
         return smooth_step_num(t)
-    if not t.partials:                      # value-only: no slope
-        return Jet(smooth_step_num(t.value), ())
     val, slope = smooth_step_num(t.value, slope=True)
     return Jet(val, tuple(p * slope for p in t.partials))

@@ -108,7 +108,7 @@ def test_transport_oracle_batch_matches_one_curve_transport(monkeypatch):
 
     monkeypatch.setattr(cli, "transport_ensemble", recording)
     fx = load_fixture("section5")
-    rep = cli._transport_oracle_report(fx, curves=5, step=1e-3)
+    rep = cli._transport_oracle_report(fx, cli.run_settings(**cli.RUN_DEFAULTS), curves=5)
     assert rep.passed and len(calls) == 1
     conn, curves, phis = calls[0]
     assert len(curves) == 5 and rep.samples == 6
@@ -541,6 +541,33 @@ def test_malformed_norm_spec_is_a_config_error(norm, named, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("norm, named", [
+    ('{"type": "randers", "Q": [[NaN, 0], [0, 1]], "beta": [0, 0]}', "randers Q entries"),
+    ('{"type": "randers", "Q": [[1, 0], [0, 1]], "beta": [NaN, 0]}', "randers beta entries"),
+    ('{"type": "randers", "Q": [[1, 0], [0, 1]], "beta": [0, Infinity]}',
+     "randers beta entries"),
+    ('{"type": "randers", "Q": [[Infinity, 0], [0, 1]], "beta": [0, 0]}', "randers Q entries"),
+    ('{"type": "randers", "Q": [["1", 0], [0, 1]], "beta": [0, 0]}', "randers Q entries"),
+], ids=["nan_Q", "nan_beta", "inf_beta", "inf_Q", "string_Q"])
+def test_randers_data_that_is_not_finite_numbers_is_a_config_error_naming_it(norm, named,
+                                                                             capsys):
+    assert main(["isometry-group", "--norm", norm]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--config", f'{{"domain": {_UNIT}, "frame": {_EYE}, "norm": {_EUCLID}, '
+                          f'"cover": []}}'],
+    ["synthesize", "--config", f'{{"region": {_UNIT}, "members": []}}'],
+], ids=["check", "synthesize"])
+def test_an_empty_cover_is_a_config_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "non-empty list" in err
 
 
 def test_a_norm_field_that_names_coordinates_is_checked_for_definiteness(capsys):

@@ -553,8 +553,8 @@ def test_torsion_is_the_antisymmetrized_textbook_contraction(data):
 @settings(max_examples=30, deadline=None)
 @given(frame_data())
 def test_frame_values_and_directional_derivatives_keep_the_jacobian_bits(data):
-    # jet values do not depend on the seeded partials: value-only and
-    # directional passes give E bit for bit as the Jacobian pass does
+    # jet values are the plain operations' values: the plain value pass and
+    # the directional pass give E bit for bit as the Jacobian pass does
     n, q, angle, scale, _ = data
     rng = np.random.default_rng(5)
     coords = rng.uniform(-1.0, 1.0, (16, n))

@@ -173,7 +173,7 @@ def _guarded_member(spec, box, seen):
     derivative = frame.matrix_derivative_batch
 
     def inside_only(coords, vectors):
-        if not np.all(box.contains_batch(coords)):
+        if not np.all(box.contains(coords)):
             raise AssertionError("member frame evaluated outside its box")
         seen.append(coords)
         return derivative(coords, vectors)
@@ -273,8 +273,8 @@ def test_piecewise_gluing_bounds_error(blend):
     F = blend.norm_field
     conn = blend.connection
     c = Curve(lambda t: [-2.0 + 4.0 * t, 0.4 * jsin(2.0 * t)], domain=blend.domain)
-    c1 = Curve(lambda t: c.coords_fn(0.5 * t), domain=blend.domain)
-    c2 = Curve(lambda t: c.coords_fn(0.5 + 0.5 * t), domain=blend.domain)
+    c1 = Curve(lambda t: c.fn(0.5 * t), domain=blend.domain)
+    c2 = Curve(lambda t: c.fn(0.5 + 0.5 * t), domain=blend.domain)
     ts = np.array([1.0])
     rng = np.random.default_rng(5)
     v = rng.normal(size=(40, 2))
@@ -303,7 +303,7 @@ def test_decompose_box_overlaps_and_covers():
     pts = WORK.sample(rng, 500)
     covered = np.zeros(500, dtype=bool)
     for b in boxes:
-        covered |= b.contains_batch(pts)
+        covered |= b.contains(pts)
     assert np.all(covered)
     # adjacent pieces genuinely overlap
     inter = boxes[0].intersection(boxes[2])

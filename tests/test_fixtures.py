@@ -133,7 +133,7 @@ def test_blend_members_cover_region(blend):
     pts = blend.domain.sample(rng, 300)
     covered = np.zeros(len(pts), dtype=bool)
     for b in boxes:
-        covered |= b.contains_batch(pts)
+        covered |= b.contains(pts)
     assert np.all(covered)
 
 

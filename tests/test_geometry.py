@@ -85,8 +85,8 @@ def test_dual_coframe_of_coordinate_frame_is_identity():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_coordinate_frame_matrix_is_its_fields_jet_values_bit_for_bit(n):
-    # the coordinate frame skips the jet pass that the same entries take in
-    # a frame not marked coordinate
+    # the coordinate frame takes the plain pass that the same entries take
+    # in a frame not marked coordinate, into an array that owns its data
     ident = Frame(entries=lambda xs: [1.0 if a == k else 0.0 for a in range(n) for k in range(n)],
                   dim=n)
     coords = np.random.default_rng(n).uniform(-1.0, 1.0, (7, n))
@@ -202,6 +202,8 @@ FRAME_SPECS = {
     "three_d": [["cos(0.3*z)", "sin(0.3*z)", "x*y"],
                 ["-sin(0.3*z)", "cos(0.3*z)", "smooth_step(y)"],
                 ["exp(0.1*x)", "0", "1+z^2"]],
+    # a jet over a jet, a float over a jet and a jet over a float
+    "quotient": [["x/(2+y)", "3/(4+x*x)"], ["(1+y)/3", "2+sin(x)/(2+cos(y))"]],
 }
 
 
@@ -210,7 +212,7 @@ def _per_field_pass(spec, coords, directions):
     column parsed on its own: the reference for the shared pass."""
     m, n = coords.shape
     k = n if directions is None else len(directions)
-    E, parts = np.empty((m, n, n)), np.empty((m, n, n, max(k, 1)))
+    E, parts = np.empty((m, n, n)), np.empty((m, n, n, k))
     xs = seed_jets(tuple(coords[:, d] for d in range(n)), directions)
     for j, col in enumerate(spec):
         for a, c in enumerate(parse_exprs(col, COORD_NAMES[:n])(*xs)):
@@ -228,11 +230,11 @@ def test_one_frame_pass_is_the_per_field_passes_bit_for_bit(name):
     rng = np.random.default_rng(len(name))
     coords, v = rng.uniform(-3.0, 3.0, (2, 400, n))
     frame = build_frame(spec, None)
-    E, _ = _per_field_pass(spec, coords, ())
-    assert np.array_equal(frame.matrix_batch(coords), E)
     E, dE = _per_field_pass(spec, coords, None)
     got = frame.matrix_jacobian_batch(coords)
     assert np.array_equal(got[0], E) and np.array_equal(got[1], dE)
+    # the plain value pass has the E of both derivative passes
+    assert np.array_equal(frame.matrix_batch(coords), E)
     E, dvE = _per_field_pass(spec, coords, (np.ascontiguousarray(v.T),))
     got = frame.matrix_derivative_batch(coords, v)
     assert np.array_equal(got[0], E) and np.array_equal(got[1], dvE[..., 0])
@@ -298,8 +300,8 @@ def test_check_curves_tests_each_domain_once_with_the_per_curve_verdicts(monkeyp
               segment((0.0, 0.0), (9.0, 0.0)),
               segment((0.0, 0.0), (0.0, -0.9), domain=Box((-1.0, -1.0), (1.0, 1.0)))]
     calls = []
-    contains = Box.contains_batch
-    monkeypatch.setattr(Box, "contains_batch",
+    contains = Box.contains
+    monkeypatch.setattr(Box, "contains",
                         lambda self, c: calls.append(self) or contains(self, c))
     inside, regular = check_curves(curves)
     assert inside.tolist() == [True, False, True, False, True, True] and regular.all()
@@ -329,8 +331,9 @@ def test_box_refuses_a_nan_or_empty_side(lo, hi):
 def test_box_sampling_stays_inside():
     rng = np.random.default_rng(8)
     pts = DOM3.sample(rng, 200, margin=0.05)
-    assert np.all(DOM3.contains_batch(pts))
+    assert np.all(DOM3.contains(pts))
     assert not DOM3.contains((5.1, 0.0, 0.0))
+    assert isinstance(DOM3.contains((0.0, 0.0, 0.0)), np.bool_)
 
 
 @pytest.mark.parametrize("box", [Box((-np.inf, -np.inf), (np.inf, np.inf)),

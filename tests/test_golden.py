@@ -22,7 +22,11 @@ verify_section5 changes (holonomy error, the sine curve's perp, the
 isometry matrices, the transport oracle), and with Prescott
 check_compalg_sheared changes too. A golden diff on another machine may
 therefore come from its kernel, not from the code: CI logs the kernel
-(numpy.show_runtime) before it checks the goldens.
+before it checks the goldens, with
+
+    OPENBLAS_VERBOSE=2 python3 -c "import numpy"
+
+which prints "Core: SkylakeX" (or the kernel selected) as OpenBLAS loads.
 """
 
 import json

@@ -22,7 +22,8 @@ from holopar.parallelism import CoveringParallelism, Parallelism, frame_parallel
 from holopar.transport import (BLOCK_MATRICES, _block_steps, _coefficient_grid,
                                _rk4_matrix, _step_grid, parallel_transport,
                                transport_ensemble)
-from holopar.verification import CurveGenerator, check_holonomy_invariance
+from holopar.verification import (CurveGenerator, bezier_coords, check_holonomy_invariance,
+                                  circle_coords)
 
 DOM = Box((-5.0, -5.0), (5.0, 5.0))
 S5_FRAME = SPECS["section5"]["manifold"]["frame"]
@@ -62,7 +63,7 @@ def test_transport_flow_property(s5_conn):
     c = wavy()
     full = parallel_transport(s5_conn, c, 1.0, step=1e-3)[0]
     first = parallel_transport(s5_conn, c, 0.5, step=1e-3)[0]
-    second_curve = Curve(lambda t: c.coords_fn(0.5 + 0.5 * t), domain=DOM)
+    second_curve = Curve(lambda t: c.fn(0.5 + 0.5 * t), domain=DOM)
     second = parallel_transport(s5_conn, second_curve, 1.0, step=5e-4)[0]
     assert np.max(np.abs(full - second @ first)) <= 1e-9
 
@@ -112,6 +113,7 @@ def test_ensemble_refuses_sample_times_outside_the_interval(ts, monkeypatch):
                         (Connection, "coordinate_christoffels_along"),
                         (Frame, "matrix_jacobian_batch"),
                         (Frame, "matrix_derivative_batch"),
+                        (Frame, "matrix_batch"),
                         (Frame, "_jets_into")):
         monkeypatch.setattr(owner, name, unreachable)
     conn = Connection.flat(build_frame(S5_FRAME, DOM))
@@ -467,6 +469,30 @@ def test_ensemble_of_shuffled_curves_gives_the_shuffled_results_bit_for_bit(s5_c
     got = transport_ensemble(s5_conn, [curves[i] for i in perm], ts, step=1e-3)
     for a, b in zip(got, want):
         assert np.array_equal(a, b[perm])
+
+
+def test_mixed_families_come_back_in_the_callers_order_bit_for_bit(s5_conn):
+    # segments, circles in both axis orders and Bezier curves interleaved:
+    # every curve's positions, velocities and transports come back in the
+    # caller's order, those of one call with that curve alone
+    def circle(c, r, axes):
+        return Curve(circle_coords, (c, r, 0.3, 4.0), key=axes, domain=DOM)
+
+    def bezier(*ctrl):
+        return Curve(bezier_coords, ctrl, domain=DOM)
+
+    mixed = [circle([0.5, -1.0], 0.8, (1, 0)), segment((0.0, 0.0), (1.0, -2.0)),
+             bezier([0, 0], [1, 2], [2, -1], [3, 0]), circle([-1.0, 1.0], 1.2, (0, 1)),
+             segment((-2.0, 1.0), (0.5, 0.5)), circle([1.0, 2.0], 0.5, (1, 0)),
+             bezier([-1, -1], [0, 3], [1, -3], [2, 1]), circle([0.0, 0.0], 2.0, (0, 1))]
+    ts = np.linspace(0.0, 1.0, 11)
+    pos, vel = curve_positions_velocities(mixed, ts)
+    got = transport_ensemble(s5_conn, mixed, [0.5, 1.0], step=1e-3)
+    for c, curve in enumerate(mixed):
+        p, v = curve.positions_velocities(ts)
+        assert np.array_equal(pos[c], p) and np.array_equal(vel[c], v)
+        for a, b in zip(got, transport_ensemble(s5_conn, [curve], [0.5, 1.0], step=1e-3)):
+            assert np.array_equal(a[c], b[0])
 
 
 def test_a_singular_frame_reached_only_by_a_late_block_is_refused():
