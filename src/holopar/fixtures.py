@@ -129,16 +129,17 @@ def require_keys(obj, allowed, required, what):
 
 
 def build_box(spec):
-    """The Box of [[lo, hi], ...], refusing a bound that is not finite."""
+    """The Box of [[lo, hi], ...], refusing a bound that is not a finite
+    number: a string or a bool is not converted."""
     try:
-        lo, hi = zip(*((float(a), float(b)) for a, b in spec))
-    except (TypeError, ValueError, OverflowError) as exc:      # Overflow: an int past 1e308
+        lo, hi = zip(*((a, b) for a, b in spec))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad domain box {spec!r}") from exc
     for bound in lo + hi:
-        if not np.isfinite(bound):
-            raise ConfigError(f"box bound {bound} is not finite in {spec!r}")
+        if not is_finite_number(bound):
+            raise ConfigError(f"box bound {bound!r} is not a finite number in {spec!r}")
     try:
-        return Box(lo, hi)
+        return Box(tuple(map(float, lo)), tuple(map(float, hi)))
     except ValueError as exc:
         raise ConfigError(f"bad domain box {spec!r}") from exc
 

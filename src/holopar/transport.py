@@ -25,9 +25,26 @@ phi <- phi + D_k phi. A block writes its steps into one buffer and
 checks them for finiteness together. Only the one-curve
 ``parallel_transport`` (the transport oracle's expected segment) also
 carries a step-halving error estimate.
+
+A block allocates and frees about 10 MB of per-point arrays. glibc's
+adaptive heap policy would set its trim threshold to twice the largest
+mapped block freed so far (about 1.6 MB here), hand that memory back to
+the OS after each block and fault it in again for the next. So importing
+this module starts glibc at the thresholds its own rule reaches last on
+a 64-bit system: mmap threshold 32 MB, trim threshold 64 MB
+(``mallopt``), and a block reuses the memory the previous one freed. The
+cost is that a long-lived process keeps up to 64 MB of freed heap
+mapped. The policy is left off, and the process as it was, on a C
+library other than glibc, when ``mallopt`` refuses a value, and when the
+environment sets any of ``HEAP_OVERRIDES`` or a ``glibc.malloc.`` entry
+of ``GLIBC_TUNABLES``. The allocator does not touch arithmetic: no
+transport bit depends on it.
 """
 
 from __future__ import annotations
+
+import ctypes
+import os
 
 import numpy as np
 
@@ -43,6 +60,43 @@ DEFAULT_STEP = 1e-3
 # ufunc calls
 BLOCK_MATRICES = 12800
 SAMPLE_TOL = 1e-9                         # slack of a sample time on the step grid
+# glibc's heap thresholds for the blocks (module docstring): the ceiling of
+# its dynamic mmap threshold on 64 bits, and twice that for the trim
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3          # mallopt parameters, malloc.h
+MMAP_THRESHOLD = 32 * 2**20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+HEAP_OVERRIDES = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
+                  "MALLOC_MMAP_MAX_")
+
+
+def heap_policy_applies(environ, libc):
+    """Whether to fix the heap thresholds: `libc` (the
+    CS_GNU_LIBC_VERSION string, or None) names glibc, and `environ` sets
+    none of HEAP_OVERRIDES and no glibc.malloc. tunable."""
+    return ((libc or "").startswith("glibc ")
+            and not any(var in environ for var in HEAP_OVERRIDES)
+            and "glibc.malloc." not in environ.get("GLIBC_TUNABLES", ""))
+
+
+def _libc_version():
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):    # no confstr, or not glibc
+        return None
+
+
+def _fix_heap_thresholds():
+    """Set both thresholds if the policy applies; the trim threshold only
+    once the mmap threshold is accepted, so a refusal changes nothing."""
+    if not heap_policy_applies(os.environ, _libc_version()):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+                and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD))
+
+
+HEAP_THRESHOLDS_FIXED = _fix_heap_thresholds()
 
 
 def _step_grid(t_end, step):

@@ -228,6 +228,29 @@ def test_check_holonomy_on_a_one_dimensional_manifold(tmp_path):
     assert doc["report"]["max_rel_error"] <= 1e-12
 
 
+# F0 + F0^2 with F0 section5's norm: positive, not homogeneous, and a
+# function of an invariant, so every check of section5 passes on it too
+NON_HOMOGENEOUS = {"type": "custom",
+                   "expr": "sqrt(4*a^2+12*b^2)-a+(sqrt(4*a^2+12*b^2)-a)^2"}
+
+
+@pytest.mark.parametrize("op", ["holonomy", "compat", "compalg"])
+def test_checks_pass_on_a_norm_that_is_not_homogeneous(op, tmp_path):
+    config = dict(S5_CONFIG, norm=NON_HOMOGENEOUS)
+    code, doc = run(["check", "--config", json.dumps(config), "--op", op,
+                     "--curves", "10"], tmp_path)
+    # errors read 4.7e-13, 2.4e-15 and 0
+    assert code == 0 and doc["report"]["pass"]
+    assert doc["report"]["max_rel_error"] <= 1e-11
+
+
+def test_isometry_group_of_a_norm_that_is_not_homogeneous(tmp_path):
+    code, doc = run(["isometry-group", "--norm", json.dumps(NON_HOMOGENEOUS)], tmp_path)
+    assert code == 0 and doc["count"] == 2 and not doc["continuous_family"]
+    np.testing.assert_allclose(doc["matrices"], [np.eye(2), np.diag([1.0, -1.0])],
+                               atol=1e-12)
+
+
 def test_check_config_from_file(tmp_path):
     cfg = tmp_path / "m.json"
     cfg.write_text(json.dumps(S5_CONFIG))
@@ -486,7 +509,9 @@ _UNIT = "[[-1, 1], [-1, 1]]"
     ("[[-1, 1], [-1, NaN]]", "box bound nan "),
     ("[[-1, 1e400], [-1, 1]]", "box bound inf "),
     ("[[-1e400, 1], [-1, 1]]", "box bound -inf "),
-], ids=["nan", "1e400", "-1e400"])
+    ('[["-1", 1], [-1, 1]]', "box bound '-1' "),
+    ("[[-1, 1], [-1, true]]", "box bound True "),
+], ids=["nan", "1e400", "-1e400", "string", "bool"])
 @pytest.mark.parametrize("argv", [
     ["check", "--config", f'{{"domain": BOX, "frame": {_EYE}, "norm": {_EUCLID}}}'],
     ["check", "--config", f'{{"domain": {_UNIT}, "frame": {_EYE}, "norm": {_EUCLID}, '

@@ -2,8 +2,12 @@
 one-curve transport, and transport read in a trivialization."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -653,3 +657,62 @@ def test_a_one_member_cover_of_a_singular_trivialization_is_refused(floor):
         CoveringParallelism.build([(DOM, par)], DOM.shrink(0.1)))
     with pytest.raises(SingularFrameError, match="singular frame in Christoffel transform"):
         transport_ensemble(conn, [segment((0.0, 0.0), (1.0, 1.0))], [1.0])
+
+
+# ------------------------------------------------------------ heap thresholds
+
+@pytest.mark.parametrize("environ, libc", [
+    ({"MALLOC_MMAP_THRESHOLD_": "131072"}, "glibc 2.36"),
+    ({"MALLOC_TRIM_THRESHOLD_": "131072"}, "glibc 2.36"),
+    ({"MALLOC_TOP_PAD_": "0"}, "glibc 2.36"),
+    ({"MALLOC_MMAP_MAX_": "0"}, "glibc 2.36"),
+    ({"GLIBC_TUNABLES": "glibc.cpu.x86_shstk=on:glibc.malloc.trim_threshold=0"},
+     "glibc 2.36"),
+    ({}, None),
+    ({}, ""),
+    ({}, "musl 1.2"),
+], ids=["mmap", "trim", "top_pad", "mmap_max", "tunables", "no_libc", "empty", "musl"])
+def test_heap_policy_is_off_under_any_override_or_another_c_library(environ, libc):
+    assert not transport.heap_policy_applies(environ, libc)
+
+
+def test_heap_policy_is_on_for_glibc_without_malloc_settings():
+    assert transport.heap_policy_applies({"PATH": "/usr/bin", "MALLOC_CHECK_": "0",
+                                          "GLIBC_TUNABLES": "glibc.cpu.x86_shstk=on"},
+                                         "glibc 2.36")
+
+
+_FAULTS = """
+import resource, statistics
+from holopar import transport
+from holopar.fixtures import load_fixture
+from holopar.verification import CurveGenerator, check_holonomy_invariance
+fx = load_fixture("section5")
+curves = CurveGenerator(fx.domain.shrink(0.05), seed=1, count=100).curves()
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    check_holonomy_invariance(fx.norm_field, fx.connection, curves)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(transport.HEAP_THRESHOLDS_FIXED, statistics.median(faults[1:]))
+"""
+
+
+@pytest.mark.skipif(not (transport._libc_version() or "").startswith("glibc "),
+                    reason="glibc's heap thresholds")
+@pytest.mark.parametrize("override", [None, "131072"])
+def test_a_warm_holonomy_check_reuses_its_blocks_heap(override):
+    # glibc's own dynamic rule trims the heap after each RK4 block, and a
+    # warm 100-curve section5 check takes about 1,660 minor faults; from
+    # the fixed thresholds it takes a few. A user's threshold restores the
+    # dynamic rule's behaviour.
+    env = {k: v for k, v in os.environ.items()
+           if k not in transport.HEAP_OVERRIDES and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if override:
+        env["MALLOC_TRIM_THRESHOLD_"] = override
+    out = subprocess.run([sys.executable, "-c", _FAULTS], env=env, capture_output=True,
+                         text=True, check=True)
+    fixed, faults = out.stdout.split()
+    assert fixed == str(override is None)
+    assert (float(faults) <= 32) == (override is None), faults
