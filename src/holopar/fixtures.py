@@ -23,7 +23,6 @@ from .constructions import connection_from_covering_parallelism
 from .errors import ConfigError
 from .exprs import parse_exprs
 from .geometry import Box, Frame, coordinate_frame
-from .jets import as_jet, seed_jets
 from .norms import (MinkowskiNorm, NormField, RandersData, constant_norm_field,
                     one_form_norm_field, randers_norm)
 from .parallelism import CoveringParallelism, frame_parallelism
@@ -167,8 +166,8 @@ def build_frame(spec, domain):
 
 def build_norm(spec, dim=2, coordinates=False):
     """A Minkowski norm: Randers data, or a custom expression in the
-    components a, b, c of `dim` (or "dimension") variables, with its exact
-    gradient through jets. With `coordinates`, a custom expression may also
+    components a, b, c of `dim` (or "dimension") variables, which runs on
+    jets as on arrays. With `coordinates`, a custom expression may also
     name x, y, z; one that does is a NormField."""
     require_keys(spec, ("type", "Q", "beta", "expr", "dimension"), ("type",), "norm spec")
     if spec["type"] == "randers":
@@ -194,26 +193,13 @@ def build_norm(spec, dim=2, coordinates=False):
     fn = parse_exprs([spec["expr"]], COORD_NAMES[:k] + NORM_VARS[:n])
     field = bool(fn.names & set(COORD_NAMES))
 
-    def value(coords, vectors, seed):
-        v = np.asarray(vectors, dtype=float)
-        x = [np.asarray(coords, dtype=float)[..., d] if field else None for d in range(k)]
-        comps = [v[..., d] for d in range(n)]
-        return v, fn(*x, *(seed_jets(comps) if seed else comps))[0]
-
     def evaluator(coords, vectors):
-        return np.asarray(value(coords, vectors, False)[1], dtype=float)
-
-    def gradient(coords, vectors):
-        # a kink (sqrt of 0) gives a non-finite partial, which
-        # isometry_algebra refuses; no warning is raised for it here
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v, jet = value(coords, vectors, True)
-        return np.stack([p + np.zeros(v.shape[:-1]) for p in as_jet(jet, n).partials], axis=-1)
+        x = [coords[..., d] if field else None for d in range(k)]
+        return fn(*x, *(vectors[..., d] for d in range(n)))[0]
 
     if field:
-        return NormField(n, evaluator, gradient)
-    return MinkowskiNorm(n, lambda v: evaluator(None, v),
-                         gradient=lambda v: gradient(None, v)).check_definite()
+        return NormField(n, evaluator)
+    return MinkowskiNorm(n, lambda v: evaluator(None, v)).check_definite()
 
 
 def build_cover(members, region):

@@ -10,11 +10,11 @@ it. A curve's velocity is a jet too: one jet pass evaluates a family of
 curves (coordinates fn(t, *args, *key), args stacked; see
 ``family_evaluator``). Finite
 differences are taken only where no closed form exists, always through
-``central_differences`` (step FD_STEP = 1e-5): the derivatives of a frame
-given by a matrix function (an ODE-built trivialization), its Jacobian
+``central_differences`` (step FD_STEP = 1e-5), and only for a frame
+given by a matrix function (an ODE-built trivialization): its Jacobian
 and, in 3 calls of the function, its derivative along a vector (the
-Jacobian of the frame on the line through the vector), and the default
-gradient of a norm.
+Jacobian of the frame on the line through the vector). A norm's
+gradient is a jet pass of its evaluator (``holopar.norms``).
 """
 
 from __future__ import annotations
@@ -251,9 +251,9 @@ def apply_matrices(M, v):
     multiply-adds, j ascending, so the bits do not depend on the memory
     layout of M (a matmul of a C-contiguous stack goes to BLAS and rounds
     differently from a strided one); for n = 2 the bits of np.einsum, at
-    a quarter of its time on a section5 ensemble."""
+    a quarter of its time on a section5 ensemble. v may be a vector jet."""
     out = M[..., :, 0] * v[..., None, 0]
-    for j in range(1, v.shape[-1]):
+    for j in range(1, M.shape[-1]):
         out += M[..., :, j] * v[..., None, j]
     return out
 

@@ -7,6 +7,8 @@ curve velocities are built on. Values and partials may be floats, numpy
 arrays (batched evaluation) or Jets themselves (nested, for second-order
 quantities such as iterated brackets). A value is the plain operation's
 (a quotient's is a / b), so jets keep a plain pass's values bit for bit.
+A vector jet, value and partials arrays (..., n), indexes as ``v[..., i]``
+and multiplies an ndarray on the right as ``v @ M``.
 ``jsincos`` shares one sin and one cos; ``smooth_step`` takes exp only
 where the step is neither 0 nor 1.
 """
@@ -83,6 +85,15 @@ class Jet:
         inv = 1.0 / self.value
         return Jet(other / self.value,
                    tuple(-other * p * inv * inv for p in self.partials))
+
+    def __getitem__(self, key):
+        return Jet(self.value[key], tuple(p[key] for p in self.partials))
+
+    def __matmul__(self, other):
+        """self @ M for an ndarray M on the right."""
+        if not isinstance(other, np.ndarray):
+            return NotImplemented
+        return Jet(self.value @ other, tuple(p @ other for p in self.partials))
 
     def __pow__(self, k):
         if not isinstance(k, _SCALARS):

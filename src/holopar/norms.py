@@ -1,9 +1,12 @@
 """Definite norms on R^n and on tangent spaces; isometry machinery.
 
-Every norm has a gradient in v; one that is not given is taken by
-``geometry.central_differences``, the package's one finite difference.
-So the Lie algebra of iso(f), the A with grad f(u) . Au = 0 on the unit
-sphere, is one SVD nullspace in any dimension and one membership test.
+A norm is one callable, its evaluator, which runs on arrays and on
+``Jet``s alike (``jsqrt``, not np.sqrt; ``v[..., i]`` and ``v @ M``), so
+its gradient in v is one jet pass of it, exact to rounding: v seeded as
+``Jet(v, e_k)``. An evaluator that runs on numpy arrays only has no
+gradient: ``np.linalg.norm`` of a jet raises TypeError. So the Lie
+algebra of iso(f), the A with grad f(u) . Au = 0 on the unit sphere, is
+one SVD nullspace in any dimension and one membership test.
 The 2x2 oracle lists finite groups: every isometry preserves the
 Binet-Legendre inner product of f, so the group is a C_k or D_k read off
 one FFT of f on that inner product's unit circle, and each candidate is
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitenessError, PreconditionError
-from .geometry import apply_matrices, central_differences, invert_frames
+from .geometry import apply_matrices, invert_frames
+from .jets import Jet, jsqrt
 
 ISOMETRY_TOL = 1e-9
 LIE_ALGEBRA_TOL = 1e-8
@@ -50,21 +54,33 @@ def unit_sphere(n, count):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _v_gradient(evaluator, v):
+    """The partials (..., n) in v of evaluator at vectors v (..., n): one
+    jet pass, v seeded as Jet(v, e_k broadcast to v). Every partial then
+    has its value's shape, so a matmul rounds it alike at points that
+    broadcast and at the points materialized (seeded as e_k (n,), a 3-D
+    one-form field's partials did not). A kink (sqrt of 0) gives a
+    non-finite partial, without a warning, for the caller to refuse."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = evaluator(Jet(v, tuple(np.broadcast_to(e, v.shape) for e in np.eye(v.shape[-1]))))
+    return np.stack([np.broadcast_to(p, v.shape[:-1]) for p in out.partials], axis=-1)
+
+
 @dataclass(frozen=True)
 class MinkowskiNorm:
-    """Definite continuous function on R^n; evaluator is batch-friendly;
-    the gradient defaults to central differences."""
+    """Definite continuous function on R^n; the evaluator takes batches
+    (..., n) -> (...) of arrays or jets."""
 
     dim: int
-    evaluator: object                     # (..., n) -> (...)
-    gradient: object = None               # (..., n) -> (..., n), away from 0
-
-    def __post_init__(self):
-        if self.gradient is None:
-            object.__setattr__(self, "gradient", lambda v: central_differences(self, v))
+    evaluator: object
 
     def __call__(self, v):
         return self.evaluator(np.asarray(v, dtype=float))
+
+    def gradient(self, v):
+        """The gradient (..., n) at vectors v (..., n), away from 0."""
+        return _v_gradient(self.evaluator, v)
 
     def check_definite(self, radii=(1e-3, 1.0, 1e3), count=360):
         """Refuse a norm that is not positive and finite on spheres of the
@@ -124,23 +140,11 @@ def _quadratic_form(v, Q):
 def randers_norm(data):
     Q, beta = data.Q, data.beta
 
-    def evaluator(v):
-        v = np.asarray(v, dtype=float)
-        return np.sqrt(_quadratic_form(v, Q)) + v @ beta
-
-    def gradient(v):
-        v = np.asarray(v, dtype=float)
-        return (v @ Q) / np.sqrt(_quadratic_form(v, Q))[..., None] + beta
-
-    return MinkowskiNorm(data.dim, evaluator, gradient=gradient)
+    return MinkowskiNorm(data.dim, lambda v: jsqrt(_quadratic_form(v, Q)) + v @ beta)
 
 
 def euclidean_norm(n):
-    return MinkowskiNorm(
-        n,
-        lambda v: np.linalg.norm(np.asarray(v, dtype=float), axis=-1),
-        gradient=lambda v: v / np.linalg.norm(v, axis=-1, keepdims=True),
-    )
+    return MinkowskiNorm(n, lambda v: jsqrt(sum(v[..., i] * v[..., i] for i in range(n))))
 
 
 def is_isometry(f, A, samples=720, tol=ISOMETRY_TOL):
@@ -237,8 +241,8 @@ def lie_algebra_member(f, A, samples=LIE_ALGEBRA_SAMPLES, tol=LIE_ALGEBRA_TOL):
 
 @dataclass(frozen=True)
 class NormField:
-    """Manifold-wide norm F; evaluator takes (coords, vectors) batches; the
-    gradient in v defaults to central differences, as a MinkowskiNorm's.
+    """Manifold-wide norm F; the evaluator takes (coords, vectors) batches,
+    the vectors arrays or jets, as a MinkowskiNorm's.
 
     The vectors carry the batch shape (..., n), and the points may have
     any shape that broadcasts to it: points (m, 1, n) with vectors
@@ -247,26 +251,20 @@ class NormField:
 
     dim: int
     evaluator: object                     # (...,n),(...,n) -> (...)
-    gradient: object = None               # (...,n),(...,n) -> (...,n), in v
-
-    def __post_init__(self):
-        if self.gradient is None:
-            def gradient(coords, v):
-                return central_differences(lambda w: self(coords, w), v)
-            object.__setattr__(self, "gradient", gradient)
 
     def __call__(self, coords, vectors):
         return self.evaluator(np.asarray(coords, dtype=float),
                               np.asarray(vectors, dtype=float))
 
+    def gradient(self, coords, v):
+        """The gradient in v (..., n) at points coords and vectors v."""
+        c = np.asarray(coords, dtype=float)
+        return _v_gradient(lambda w: self.evaluator(c, w), v)
+
     def at(self, p):
         """Restriction F_p to the tangent space at p (n,), as a MinkowskiNorm."""
         c = np.asarray(p, dtype=float)
-
-        def restrict(fn):
-            return lambda v: fn(c, np.asarray(v, dtype=float))
-
-        return MinkowskiNorm(self.dim, restrict(self.evaluator), gradient=restrict(self.gradient))
+        return MinkowskiNorm(self.dim, lambda v: self.evaluator(c, v))
 
 
 def _coframes(frame, coords):
@@ -280,21 +278,12 @@ def _coframes(frame, coords):
 
 def one_form_norm_field(frame, f):
     """F = f o (E^1, ..., E^n): the norm read through the coframe C = E^-1
-    of a frame E. The coframe is evaluated once per given point, the
-    vectors there are read as C v by ``apply_matrices``, and a gradient
-    in frame components is pulled back to coordinates as C^T g."""
-
-    def evaluator(coords, vectors):
-        return f(apply_matrices(_coframes(frame, coords), vectors))
-
-    def gradient(coords, vectors):
-        C = _coframes(frame, coords)
-        return apply_matrices(np.swapaxes(C, -1, -2), f.gradient(apply_matrices(C, vectors)))
-
-    return NormField(f.dim, evaluator, gradient)
+    of a frame E. The coframe is evaluated once per given point and the
+    vectors there are read as C v by ``apply_matrices``."""
+    return NormField(f.dim, lambda coords, vectors: f.evaluator(
+        apply_matrices(_coframes(frame, coords), vectors)))
 
 
 def constant_norm_field(f):
     """The same Minkowski norm on every tangent space."""
-    return NormField(f.dim, lambda coords, vectors: f(vectors),
-                     gradient=lambda coords, vectors: f.gradient(vectors))
+    return NormField(f.dim, lambda coords, vectors: f.evaluator(vectors))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoveringGapError, IncompatibleParallelismError
-from .geometry import Box, Frame, coordinate_frame, invert_frames
+from .geometry import Box, Frame, apply_matrices, coordinate_frame, invert_frames
 from .jets import smooth_step_num
 from .norms import MinkowskiNorm, unit_sphere
 
@@ -91,19 +91,7 @@ def pushdown_norm(norm_field, parallelism, p, basepoints=10, vectors=200,
                 f"pushed-down norm depends on the basepoint (deviation {dev:.3e})",
                 witness={"p": p_coords.tolist(), "q": q.tolist(), "deviation": float(dev)})
     phi_p = phis[0]
-
-    def at_p(v):
-        """Basepoint p (n,) and vectors phi_p v (m, n) for v of shape (..., n)."""
-        return p_coords, np.reshape(v, (-1, n)) @ phi_p.T
-
-    def evaluator(v):
-        return norm_field(*at_p(v)).reshape(np.shape(v)[:-1])
-
-    def gradient(v):
-        # d/dv F(p, phi_p v) = phi_p^T (grad_v F)(p, phi_p v)
-        return (norm_field.gradient(*at_p(v)) @ phi_p).reshape(np.shape(v))
-
-    return MinkowskiNorm(n, evaluator, gradient=gradient)
+    return MinkowskiNorm(n, lambda v: norm_field.evaluator(p_coords, apply_matrices(phi_p, v)))
 
 
 def _bump_1d(x, a, b, delta_frac=0.25):

@@ -2,10 +2,13 @@
 
 Floats are written with 17 significant digits so identical runs produce
 byte-identical output; keys keep insertion order and no timestamps are
-emitted.
+emitted. Strings and keys are JSON string literals (``json.dumps``, with
+non-ASCII characters kept as they are).
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -30,8 +33,7 @@ def dumps(obj, indent=2, _level=0):
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist(), indent, _level)
     if isinstance(obj, (list, tuple)):
@@ -42,7 +44,7 @@ def dumps(obj, indent=2, _level=0):
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad_in}"{k}": ' + dumps(v, indent, _level + 1)
-                 for k, v in obj.items()]
+        items = [f"{pad_in}{json.dumps(str(k), ensure_ascii=False)}: "
+                 + dumps(v, indent, _level + 1) for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -754,6 +754,22 @@ def test_numpy_values_serialize(tmp_path):
     assert doc["m"] == [[1.0, 0.5]] and doc["n"] == 3 and doc["f"] == 2.0
 
 
+@pytest.mark.parametrize("s", ["a\tb", "a\rb", "a\x01b", 'a"b', "a\\b", "Grüße θ"],
+                         ids=["tab", "cr", "control", "quote", "backslash", "non_ascii"])
+def test_strings_and_keys_round_trip_through_json(s):
+    doc = {s: [s, {"k": s}]}
+    text = report.dumps(doc)
+    assert json.loads(text) == doc
+    assert s.isascii() or s in text              # non-ASCII characters are kept as is
+
+
+def test_a_config_string_with_a_tab_gives_a_valid_report(tmp_path):
+    # a frame entry of x and a tab parses, and the report escapes the tab
+    cfg = dict(S5_CONFIG, frame=[["x\t", "1"], ["-1", "0"]])
+    code, doc = run(["check", "--op", "torsion", "--config", json.dumps(cfg)], tmp_path)
+    assert code == 0 and doc["config"]["frame"][0][0] == "x\t"
+
+
 # ---------------------------------------------------------------- dependencies
 
 def test_the_runtime_imports_no_scipy():

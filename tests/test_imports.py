@@ -27,3 +27,23 @@ def test_no_module_imports_a_private_name_from_another():
     assert len(modules) > 10
     crossing = {p.name: found for p in modules if (found := _private_imports(p))}
     assert crossing == {}
+
+
+def _names_of(path, name):
+    """Line numbers where `path` calls, imports or otherwise names `name`."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and node.id == name or \
+                isinstance(node, ast.Attribute) and node.attr == name:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            lines += [node.lineno for alias in node.names if alias.name == name]
+    return lines
+
+
+def test_finite_differences_are_taken_in_geometry_only():
+    # central differences serve the frames given by a matrix function; a
+    # norm's gradient is a jet pass of its evaluator
+    users = {p.name: lines for p in sorted(PACKAGE.glob("*.py"))
+             if (lines := _names_of(p, "central_differences"))}
+    assert set(users) == {"geometry.py"}

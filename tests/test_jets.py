@@ -42,12 +42,14 @@ def test_quotient_rule():
     assert h.partials[0] == pytest.approx((2.0 * 4.0 - 3.0 * (-1.0)) / 16.0)
 
 
+_MATRIX = np.random.default_rng(9).normal(size=(200, 3))
 _PLAIN_OPS = {
     "add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b,
     "div": lambda a, b: a / b, "rdiv": lambda a, b: 3.0 / b, "rsub": lambda a, b: 3.0 - b,
     "neg": lambda a, b: -a, "pow": lambda a, b: b ** 3, "sqrt": lambda a, b: jsqrt(b),
     "exp": lambda a, b: jexp(a), "sin": lambda a, b: jsin(a), "cos": lambda a, b: jcos(a),
     "step": lambda a, b: smooth_step(a),
+    "getitem": lambda a, b: a[7:190:3], "matmul": lambda a, b: b @ _MATRIX,
 }
 
 
