@@ -3,13 +3,16 @@ connection synthesis and the 2x2 isometry group, all emitting
 deterministic JSON reports.
 
 Exit codes: 0 all checks passed (or expected failures confirmed),
-1 a check failed, 2 configuration error.
+1 a check failed, 2 configuration error: a malformed spec, a frame that
+is singular at or between its sampled points, or an --out path that
+cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -220,13 +223,26 @@ def run_fixture_suite(name, **settings):
 
 # ---------------------------------------------------------------- commands
 
+STDOUT = (None, "-", "stdout")                   # --out values that write to stdout
+
+
+def _check_out(out):
+    """Refuse an --out path in a directory that is missing or not writable
+    before any check runs."""
+    if out not in STDOUT and not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK):
+        raise ConfigError(f"cannot write the report to {out!r}: no writable directory")
+
+
 def _emit(doc, out):
     text = report_mod.dumps(doc) + "\n"
-    if out in (None, "-", "stdout"):
+    if out in STDOUT:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report to {out!r}: {exc.strerror}") from exc
 
 
 def cmd_verify(args):
@@ -326,6 +342,7 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

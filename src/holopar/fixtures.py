@@ -4,11 +4,12 @@ property suites.
 
 A fixture is a spec dictionary in ``SPECS``: its ``manifold`` (the
 grammar of ``check --config``, see README) plus its ``verify`` suite and
-summary, by names in the CLI's check table, and its expected-value
-table (key -> [value, tol, provenance]). ``build_fixture`` is the one
-builder of every spec and integrates nothing. The suite's checks read
-the expected entries (``expected_torsion``, ``transport_oracle``); the
-tests re-derive the others.
+summary, by names in the CLI's check table, and its expected-value table
+(key -> [value, tol, provenance]). ``build_fixture`` is the one builder
+of every spec and integrates nothing; ``build_frame`` checks every
+frame, a cover member's too, and ``build_norm`` every norm. The suite's
+checks read the expected entries (``expected_torsion``,
+``transport_oracle``); the tests re-derive the others.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .connections import Connection
 from .constructions import connection_from_covering_parallelism
 from .errors import ConfigError
 from .exprs import parse_exprs
-from .geometry import Box, Frame, coordinate_frame
+from .geometry import DET_FLOOR, Box, Frame, coordinate_frame
 from .norms import (MinkowskiNorm, NormField, RandersData, constant_norm_field,
                     one_form_norm_field, randers_norm)
 from .parallelism import CoveringParallelism, frame_parallelism
@@ -132,14 +133,11 @@ def build_box(spec):
     number: a string or a bool is not converted."""
     try:
         lo, hi = zip(*((a, b) for a, b in spec))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad domain box {spec!r}") from exc
-    for bound in lo + hi:
-        if not is_finite_number(bound):
-            raise ConfigError(f"box bound {bound!r} is not a finite number in {spec!r}")
-    try:
+        bad = [bound for bound in lo + hi if not is_finite_number(bound)]
+        if bad:
+            raise ConfigError(f"box bound {bad[0]!r} is not a finite number in {spec!r}")
         return Box(tuple(map(float, lo)), tuple(map(float, hi)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad domain box {spec!r}") from exc
 
 
@@ -149,10 +147,16 @@ def is_finite_number(x):
     return not isinstance(x, bool) and isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
 
 
+def spec_samples(domain, count=50):
+    """The seeded points at which spec frames and norm fields are checked."""
+    return domain.sample(np.random.default_rng(0), count, margin=0.05)
+
+
 def build_frame(spec, domain):
     """n fields of n expressions in x, y, z, the whole matrix compiled by
     one ``parse_exprs`` call, so one pass evaluates a subexpression the
-    fields share once; the identity ("1" and "0") is ``coordinate_frame``."""
+    fields share once; the identity ("1" and "0") is ``coordinate_frame``.
+    On a box, one singular at or between ``spec_samples`` is refused."""
     n = len(spec) if isinstance(spec, list) else 0
     if (not 1 <= n <= len(COORD_NAMES) or (domain is not None and domain.dim != n)
             or any(not isinstance(col, list) or len(col) != n for col in spec)):
@@ -161,14 +165,24 @@ def build_frame(spec, domain):
     if spec == [["1" if i == k else "0" for i in range(n)] for k in range(n)]:
         return coordinate_frame(n, domain)
     fn = parse_exprs([col[a] for a in range(n) for col in spec], COORD_NAMES[:n])
-    return Frame(entries=lambda xs: fn(*xs), dim=n, domain=domain)
+    frame = Frame(entries=lambda xs: fn(*xs), dim=n, domain=domain)
+    if domain is not None:
+        pts = spec_samples(domain)
+        with np.errstate(all="ignore"):          # a NaN det is refused, not warned about
+            det = np.linalg.det(frame.matrix_batch(pts))
+        fine = np.abs(det) > DET_FLOOR
+        if not fine.all() or (np.any(det < 0) and np.any(det > 0)):
+            at = [np.argmin(fine)] if not fine.all() else [np.argmax(det < 0), np.argmax(det > 0)]
+            raise ConfigError(f"frame {spec!r} is singular on its box: its det is " + " and ".join(
+                f"{det[k]:.3g} at the sampled point {pts[k].round(6).tolist()}" for k in at))
+    return frame
 
 
-def build_norm(spec, dim=2, coordinates=False):
-    """A Minkowski norm: Randers data, or a custom expression in the
-    components a, b, c of `dim` (or "dimension") variables, which runs on
-    jets as on arrays. With `coordinates`, a custom expression may also
-    name x, y, z; one that does is a NormField."""
+def build_norm(spec, domain=None):
+    """A definite Minkowski norm: Randers data, or a custom expression in
+    the components a, b, c of "dimension" variables (the domain's, or 2),
+    on jets as on arrays. On a `domain` it may also name the coordinates
+    x, y, z: then it is a NormField, definite at the first 5 ``spec_samples``."""
     require_keys(spec, ("type", "Q", "beta", "expr", "dimension"), ("type",), "norm spec")
     if spec["type"] == "randers":
         require_keys(spec, ("type", "Q", "beta"), ("Q", "beta"), "randers norm")
@@ -186,10 +200,10 @@ def build_norm(spec, dim=2, coordinates=False):
     if spec["type"] != "custom":
         raise ConfigError(f"unknown norm type {spec['type']!r}")
     require_keys(spec, ("type", "expr", "dimension"), ("expr",), "custom norm")
-    n = spec.get("dimension", dim)
+    n = spec.get("dimension", 2 if domain is None else domain.dim)
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= len(NORM_VARS):
         raise ConfigError(f"custom norm dimension must be 1, 2 or 3, not {n!r}")
-    k = n if coordinates else 0                 # coordinates the expression may name
+    k = 0 if domain is None else domain.dim     # coordinates the expression may name
     fn = parse_exprs([spec["expr"]], COORD_NAMES[:k] + NORM_VARS[:n])
     field = bool(fn.names & set(COORD_NAMES))
 
@@ -197,9 +211,12 @@ def build_norm(spec, dim=2, coordinates=False):
         x = [coords[..., d] if field else None for d in range(k)]
         return fn(*x, *(vectors[..., d] for d in range(n)))[0]
 
-    if field:
-        return NormField(n, evaluator)
-    return MinkowskiNorm(n, lambda v: evaluator(None, v)).check_definite()
+    if not field:
+        return MinkowskiNorm(n, lambda v: evaluator(None, v)).check_definite()
+    F = NormField(n, evaluator)
+    for p in spec_samples(domain, 5):
+        F.at(p).check_definite()
+    return F
 
 
 def build_cover(members, region):
@@ -222,9 +239,9 @@ def build_cover(members, region):
 def build_fixture(spec, name="inline"):
     """The fixture of a spec: its manifold's domain, frame, norm field,
     connection (the cover's blend, or the one that kills the frame) and
-    parallelism, with the spec's suite and expected table. The spec is
-    checked for well-formedness (ConfigError) and the frame for
-    invertibility on samples; no expected entry is re-derived here."""
+    parallelism, with the spec's suite and expected table, assembled from
+    ``build_box``, ``build_frame``, ``build_norm`` and ``build_cover``,
+    which check what they build; no expected entry is re-derived here."""
     require_keys(spec, ("manifold", "checks", "summary", "expected"), ("manifold",),
                  f"fixture {name}")
     m = spec["manifold"]
@@ -232,22 +249,14 @@ def build_fixture(spec, name="inline"):
                      "curves", "vectors"), ("domain", "frame", "norm"), "manifold spec")
     domain = build_box(m["domain"])
     frame = build_frame(m["frame"], domain)
-    samples = domain.sample(np.random.default_rng(0), 50, margin=0.05)
-    frame.check_invertible(samples)
-    norm = build_norm(m["norm"], domain.dim, coordinates=True)
+    norm = build_norm(m["norm"], domain)
     if norm.dim != domain.dim:
         raise ConfigError(f"{norm.dim}-D norm on a {domain.dim}-D domain")
-    if isinstance(norm, NormField):
-        if not frame.coordinate:
-            raise ConfigError("a norm that names coordinates is read in coordinate "
-                              "components: it needs the identity frame")
-        for p in samples[:5]:
-            norm.at(p).check_definite()
-        F = norm
-    elif frame.coordinate:                         # there frame components are coordinates
-        F = constant_norm_field(norm)
-    else:
-        F = one_form_norm_field(frame, norm)
+    if isinstance(norm, NormField) and not frame.coordinate:
+        raise ConfigError("a norm that names coordinates is read in coordinate "
+                          "components: it needs the identity frame")
+    F = (norm if isinstance(norm, NormField) else one_form_norm_field(frame, norm)
+         if not frame.coordinate else constant_norm_field(norm))   # components are coordinates
     if "cover" in m:
         par = build_cover(m["cover"], domain)
         conn = connection_from_covering_parallelism(par)

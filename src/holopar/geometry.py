@@ -1,20 +1,21 @@
 """Charts, frames and curves.
 
 Everything lives in a single global chart whose domain is an open
-axis-aligned box. A point is its coordinates, an (n,) array, and a
-batch of points an (m, n) array; a tangent vector is its coordinate
-components, in the same shapes. A frame is its component matrix: a jet
-frame's values are one plain pass of its n*n entries, its derivatives
-one jet pass, exact to rounding, and its coframe ``invert_frames`` of
-it. A curve's velocity is a jet too: one jet pass evaluates a family of
-curves (coordinates fn(t, *args, *key), args stacked; see
-``family_evaluator``). Finite
-differences are taken only where no closed form exists, always through
+axis-aligned box. A point is its coordinates, an (n,) array, and a batch
+of points an (m, n) array; a tangent vector is its coordinate
+components, in the same shapes. A frame is its invertible component
+matrix: ``invert_frames`` gives its coframe and refuses |det| <=
+DET_FLOOR, and ``holopar.fixtures.build_frame`` samples a spec frame on
+its box. A jet frame's values are one plain pass of its n*n entries, its
+derivatives one jet pass, exact to rounding. A curve's velocity is a jet
+too: one jet pass evaluates a family of curves (coordinates fn(t, *args,
+*key), args stacked; see ``family_evaluator``). Finite differences are
+taken only where no closed form exists, always through
 ``central_differences`` (step FD_STEP = 1e-5), and only for a frame
 given by a matrix function (an ODE-built trivialization): its Jacobian
 and, in 3 calls of the function, its derivative along a vector (the
-Jacobian of the frame on the line through the vector). A norm's
-gradient is a jet pass of its evaluator (``holopar.norms``).
+Jacobian of the frame on the line through the vector). A norm's gradient
+is a jet pass of its evaluator (``holopar.norms``).
 """
 
 from __future__ import annotations
@@ -68,20 +69,14 @@ class Box:
         c = np.asarray(coords, dtype=float)
         return np.all((c > np.asarray(self.lo)) & (c < np.asarray(self.hi)), axis=-1)
 
-    def _require_finite(self, what):
-        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
-            raise DomainError(f"cannot {what} {self}: it has an infinite bound")
-
     def sample(self, rng, count, margin=0.0):
         """Uniform points, shrunk by `margin` (fraction of each side)."""
-        self._require_finite("sample")
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        side = hi - lo
-        return rng.uniform(lo + margin * side, hi - margin * side, size=(count, self.dim))
+        box = self.shrink(margin)
+        return rng.uniform(box.lo, box.hi, size=(count, self.dim))
 
     def shrink(self, margin):
-        self._require_finite("shrink")
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+            raise DomainError(f"cannot sample or shrink {self}: it has an infinite bound")
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
         side = hi - lo
@@ -194,11 +189,6 @@ class Frame:
 
     def matrix(self, p):
         return self.matrix_batch(np.asarray(p, dtype=float)[None, :])[0]
-
-    def check_invertible(self, coords):
-        dets = np.linalg.det(self.matrix_batch(coords))
-        if np.any(np.abs(dets) <= DET_FLOOR):
-            raise SingularFrameError("frame matrix singular at a sampled point")
 
 
 def invert_frames(E, what):

@@ -138,9 +138,12 @@ def _quadratic_form(v, Q):
 
 
 def randers_norm(data):
+    """sqrt(v^T Q v) + beta(v), beta(v) summed in index order like the
+    form, so a vector's value does not depend on the batch it is in (a
+    matmul by BLAS rounds by the batch's layout)."""
     Q, beta = data.Q, data.beta
-
-    return MinkowskiNorm(data.dim, lambda v: jsqrt(_quadratic_form(v, Q)) + v @ beta)
+    return MinkowskiNorm(data.dim, lambda v: jsqrt(_quadratic_form(v, Q))
+                         + sum(v[..., i] * beta[i] for i in range(len(beta))))
 
 
 def euclidean_norm(n):

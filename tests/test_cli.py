@@ -595,6 +595,90 @@ def test_an_empty_cover_is_a_config_error(argv, capsys):
     assert err.startswith("config error: ") and "non-empty list" in err
 
 
+# det 0 everywhere, and det x, which changes sign on a box around x = 0
+_SINGULAR = [["1", "1"], ["1", "1"]]
+_SIGN_CHANGE = [["x", "0"], ["0", "1"]]
+_BOX3 = [[-3, 3], [-3, 3]]
+_EYE_SPEC = [["1", "0"], ["0", "1"]]
+_EUCLID_SPEC = {"type": "custom", "expr": "sqrt(a^2+b^2)"}
+
+
+def _cover(frame):
+    return [{"domain": _BOX3, "frame": "translation"}, {"domain": _BOX3, "frame": frame}]
+
+
+@pytest.mark.parametrize("frame", [_SINGULAR, _SIGN_CHANGE], ids=["singular", "sign_change"])
+@pytest.mark.parametrize("argv", [
+    lambda f: ["check", "--op", "compat", "--config",
+               json.dumps({"domain": _BOX3, "frame": f, "norm": _EUCLID_SPEC})],
+    lambda f: ["check", "--op", "holonomy", "--config",
+               json.dumps({"domain": _BOX3, "frame": _EYE_SPEC, "norm": _EUCLID_SPEC,
+                           "cover": _cover(f)})],
+    lambda f: ["synthesize", "--config",
+               json.dumps({"region": [[-2, 2], [-2, 2]], "members": _cover(f)})],
+], ids=["manifold", "check_member", "synthesize_member"])
+def test_a_frame_singular_at_or_between_its_samples_is_a_config_error(argv, frame, capsys):
+    # every spec frame, cover members included, is sampled on its box
+    assert main(argv(frame)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: frame {frame!r} is singular on its box")
+    assert captured.err.count("at the sampled point") == (1 if frame == _SINGULAR else 2)
+    assert captured.out == ""
+
+
+def test_a_sign_change_names_a_negative_and_a_positive_sample():
+    with pytest.raises(ConfigError) as info:
+        build_frame(_SIGN_CHANGE, build_box([[-1, 1], [-1, 1]]))
+    neg, pos = (float(part.split(" at ")[0]) for part in
+                str(info.value).split("its det is ")[1].split(" and "))
+    assert neg < 0.0 < pos
+
+
+def test_a_frame_that_is_nan_at_a_sample_is_refused_without_a_warning():
+    with pytest.raises(ConfigError, match="singular on its box: its det is nan"):
+        build_frame([["sqrt(x)", "0"], ["0", "1"]], build_box([[-1, 1], [-1, 1]]))
+
+
+def test_a_frame_without_a_box_is_not_sampled():
+    frame = build_frame(_SIGN_CHANGE, None)
+    assert frame.matrix((0.0, 0.0))[0, 0] == 0.0
+
+
+def test_build_norm_reads_coordinates_only_on_a_domain():
+    spec = {"type": "custom", "expr": "exp(x)*sqrt(a^2+b^2)"}
+    with pytest.raises(ConfigError, match="unknown name 'x'"):
+        build_norm(spec)
+    F = build_norm(spec, build_box([[-1, 1], [-1, 1]]))
+    assert F((1.0, 0.0), (0.0, 2.0)) == np.exp(1.0) * 2.0
+    with pytest.raises(DefinitenessError, match="norm not positive"):
+        build_norm({"type": "custom", "expr": "x*sqrt(a^2+b^2)"}, build_box(_BOX3))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "euclidean_flat"],
+    ["isometry-group", "--norm", RANDERS_SPEC],
+], ids=["verify", "isometry_group"])
+def test_an_out_path_in_a_missing_directory_is_refused_before_any_check(argv, tmp_path,
+                                                                         capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "run_fixture_suite", unreachable)
+    monkeypatch.setattr(cli, "isometry_group_2x2", unreachable)
+    out = str(tmp_path / "missing" / "r.json")
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: cannot write the report to {out!r}: "
+                            "no writable directory\n")
+    assert captured.out == ""
+
+
+def test_an_out_path_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    assert main(["isometry-group", "--norm", RANDERS_SPEC, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot write the report to {str(tmp_path)!r}: ")
+
+
 def test_a_norm_field_that_names_coordinates_is_checked_for_definiteness(capsys):
     # x |v| is negative on half of the domain
     config = {"domain": [[-1, 1], [-1, 1]], "frame": [["1", "0"], ["0", "1"]],
@@ -630,7 +714,7 @@ def test_a_norm_that_overflows_on_part_of_the_sphere_is_refused_without_a_warnin
 def test_a_norm_that_is_infinite_on_a_sphere_is_refused():
     # positive everywhere, but +inf on the spheres of radius 1 and 1e3
     with pytest.raises(DefinitenessError, match="^norm not finite on a sphere sample$"):
-        build_norm({"type": "custom", "expr": "sqrt(a^2+b^2)*exp(1000*(a^2+b^2))"}, 2)
+        build_norm({"type": "custom", "expr": "sqrt(a^2+b^2)*exp(1000*(a^2+b^2))"})
 
 
 def test_a_repeated_subexpression_is_evaluated_once_per_call(monkeypatch):

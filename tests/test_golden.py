@@ -52,7 +52,8 @@ SYNTH_CONFIG = {
     "grid": 5,
 }
 # README's inline manifold (the section 5 frame and norm), and a frame
-# whose determinant is not +-1 under a non-even Randers norm
+# whose determinant is not +-1 under a non-even Randers norm: it is
+# (3+x)(1.5+sin x) - 0.21y, at least 0.17 on the box (at (-2, 2))
 README_CONFIG = {
     "domain": [[-5, 5], [-5, 5]],
     "frame": [["x", "1"], ["-1", "0"]],
@@ -60,7 +61,7 @@ README_CONFIG = {
 }
 SHEARED_CONFIG = {
     "domain": [[-2, 2], [-2, 2]],
-    "frame": [["2+x", "0.7"], ["0.3*y", "1.5+sin(x)"]],
+    "frame": [["3+x", "0.7"], ["0.3*y", "1.5+sin(x)"]],
     "norm": {"type": "randers", "Q": [[1, 0.2], [0.2, 2]], "beta": [0.3, 0.1]},
 }
 CASES = {f"verify_{fx}": ["verify", fx, "--seed", "7", "--curves", "12", "--step", "2e-3"]
@@ -90,6 +91,14 @@ def json_diff(old, new, path="$"):
             yield from json_diff(a, b, f"{path}[{i}]")
     elif json.dumps(old) != json.dumps(new):
         yield path, old, new
+
+
+def test_the_former_sheared_frame_is_refused(capsys):
+    # with 2+x for 3+x the det is (2+x)(1.5+sin x) - 0.21y, -0.105 at
+    # (-1.8, 1) and 3 at (0, 0): the frame vanishes inside its box
+    config = {**SHEARED_CONFIG, "frame": [["2+x", "0.7"], ["0.3*y", "1.5+sin(x)"]]}
+    assert main(["check", "--op", "compalg", "--config", json.dumps(config)]) == 2
+    assert "is singular on its box" in capsys.readouterr().err
 
 
 def test_json_diff_names_each_changed_path():

@@ -75,7 +75,8 @@ class _EinsumRanders:
         return np.sqrt(np.einsum("...i,ij,...j->...", v, self.Q, v))
 
     def __call__(self, v):
-        return self.alpha(v) + v @ self.beta
+        # beta(v) in randers_norm's index order: a matmul rounds by the batch
+        return self.alpha(v) + sum(v[..., i] * self.beta[i] for i in range(self.dim))
 
     def gradient(self, v):
         return (v @ self.Q) / self.alpha(v)[..., None] + self.beta
@@ -134,6 +135,20 @@ def test_single_vector_randers_form_agrees_with_einsum_to_rounding():
         # with Q diagonal the cross terms are exact zeros and every order agrees
         D = np.diag(np.diag(Q))
         assert randers_norm(RandersData(D, 0.1 * beta))(v) == _EinsumRanders(D, 0.1 * beta)(v)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_randers_value_does_not_depend_on_its_batch(n):
+    # beta(v) is summed in index order, as the form is: a BLAS matmul
+    # rounds a vector by the length and layout of the batch it is in
+    rng = np.random.default_rng(n)
+    for _ in range(30):
+        f = randers_norm(RandersData(*_random_randers(rng, n)))
+        v = rng.normal(size=(257, n)) * 10.0 ** rng.uniform(-3, 3)
+        full = f(v)
+        for k in (1, 2, 3, 17, 256):
+            assert np.array_equal(f(v[:k]), full[:k])
+        assert np.array_equal([f(row) for row in v], full)
 
 
 def test_check_definite_rejects_signed_function():

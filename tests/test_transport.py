@@ -109,10 +109,12 @@ def test_a_radial_parallelism_gives_no_matrix_on_an_empty_batch(s5_conn):
 
 @pytest.mark.parametrize("ts", [[1.5], [-0.1], [0.5, 1.0 + 1e-6], [np.nan]])
 def test_ensemble_refuses_sample_times_outside_the_interval(ts, monkeypatch):
-    # the refusal comes before any symbol, frame jet or frame Jacobian
+    # the refusal comes before any symbol, frame jet or frame Jacobian; the
+    # frame is built first, as building it samples its matrix
     def unreachable(*args):
         raise AssertionError("Christoffel symbols evaluated")
 
+    conn = Connection.flat(build_frame(S5_FRAME, DOM))
     for owner, name in ((Connection, "coordinate_christoffels_batch"),
                         (Connection, "coordinate_christoffels_along"),
                         (Frame, "matrix_jacobian_batch"),
@@ -120,7 +122,6 @@ def test_ensemble_refuses_sample_times_outside_the_interval(ts, monkeypatch):
                         (Frame, "matrix_batch"),
                         (Frame, "_jets_into")):
         monkeypatch.setattr(owner, name, unreachable)
-    conn = Connection.flat(build_frame(S5_FRAME, DOM))
     with pytest.raises(ValueError, match=r"sample times must lie in \[0, 1.0\]"):
         transport_ensemble(conn, [wavy()], ts, step=1e-3)
 
