@@ -246,9 +246,12 @@ def _emit(doc, out):
 
 
 def cmd_verify(args):
-    doc = run_fixture_suite(args.fixture, **{key: getattr(args, key) for key in RUN_DEFAULTS})
-    _emit(doc, args.out)
-    return 0 if doc["all_pass"] else 1
+    """One fixture's report, or the list of the named fixtures' reports in
+    the order given, all run in this process; exit 1 if any fails."""
+    settings = {key: getattr(args, key) for key in RUN_DEFAULTS}
+    docs = [run_fixture_suite(name, **settings) for name in args.fixture]
+    _emit(docs[0] if len(docs) == 1 else docs, args.out)
+    return 0 if all(doc["all_pass"] for doc in docs) else 1
 
 
 def cmd_check(args):
@@ -318,8 +321,9 @@ def make_parser():
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.set_defaults(fn=fn)
 
-    pv = sub.add_parser("verify", help="run a fixture's full expected-table suite")
-    pv.add_argument("fixture", choices=fixture_names())
+    pv = sub.add_parser("verify", help="run fixtures' full expected-table suites")
+    pv.add_argument("fixture", nargs="+", choices=fixture_names(),
+                    help="one fixture prints its report, several a list of theirs")
     common(pv, cmd_verify, checks=True)
 
     pc = sub.add_parser("check", help="run one check on an inline manifold spec")

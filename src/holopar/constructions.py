@@ -5,13 +5,13 @@ radial line segments of a convex chart region (``radial_transport``, on
 the path of curve ensembles). Direction two: a connection from a
 covering parallelism by declaring zero Christoffels in each member's
 parallel frame and blending the members' coordinate endomorphisms
-Gamma(v) with a partition of unity.
+Gamma(v) with a partition of unity. A ``ConvexChartRegion`` is a plain
+class with __slots__ that refuses a center outside its box.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +21,15 @@ from .parallelism import CoveringParallelism, Parallelism
 from .transport import DEFAULT_STEP, radial_transport
 
 
-@dataclass(frozen=True)
 class ConvexChartRegion:
     """Open box around a center point (n,) (boxes are convex in coordinates)."""
 
-    center: np.ndarray
-    box: Box
+    __slots__ = ("center", "box")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not self.box.contains(self.center):
+    def __init__(self, center, box):
+        self.center = np.asarray(center, dtype=float)
+        self.box = box
+        if not box.contains(self.center):
             raise ValueError("center must lie inside the region box")
 
 

@@ -9,13 +9,16 @@ summary, by names in the CLI's check table, and its expected-value table
 of every spec and integrates nothing; ``build_frame`` checks every
 frame, a cover member's too, and ``build_norm`` every norm. The suite's
 checks read the expected entries (``expected_torsion``,
-``transport_oracle``); the tests re-derive the others.
+``transport_oracle``); the tests re-derive the others. An entry is an
+``Expected`` NamedTuple; a ``Fixture`` stays a dataclass, for
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +96,7 @@ SPECS = {
 }
 
 
-@dataclass(frozen=True)
-class Expected:
+class Expected(NamedTuple):
     value: object
     tol: float
     provenance: str          # "analytic" | "derived" | "trivial"
@@ -130,13 +132,17 @@ def require_keys(obj, allowed, required, what):
 
 def build_box(spec):
     """The Box of [[lo, hi], ...], refusing a bound that is not a finite
-    number: a string or a bool is not converted."""
+    number (a string or a bool is not converted) and a side hi - lo that
+    overflows, which no box can sample or shrink."""
     try:
         lo, hi = zip(*((a, b) for a, b in spec))
         bad = [bound for bound in lo + hi if not is_finite_number(bound)]
         if bad:
             raise ConfigError(f"box bound {bad[0]!r} is not a finite number in {spec!r}")
-        return Box(tuple(map(float, lo)), tuple(map(float, hi)))
+        lo, hi = tuple(map(float, lo)), tuple(map(float, hi))
+        if not all(b - a < np.inf for a, b in zip(lo, hi)):
+            raise ConfigError(f"box {spec!r} has a side that overflows a float")
+        return Box(lo, hi)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad domain box {spec!r}") from exc
 
@@ -182,8 +188,15 @@ def build_norm(spec, domain=None):
     """A definite Minkowski norm: Randers data, or a custom expression in
     the components a, b, c of "dimension" variables (the domain's, or 2),
     on jets as on arrays. On a `domain` it may also name the coordinates
-    x, y, z: then it is a NormField, definite at the first 5 ``spec_samples``."""
+    x, y, z: then it is a NormField, definite at the first 5 ``spec_samples``.
+    A norm whose dimension is not the domain's is refused before its
+    definiteness is checked."""
     require_keys(spec, ("type", "Q", "beta", "expr", "dimension"), ("type",), "norm spec")
+
+    def check_dim(n):
+        if domain is not None and n != domain.dim:
+            raise ConfigError(f"{n}-D norm on a {domain.dim}-D domain")
+
     if spec["type"] == "randers":
         require_keys(spec, ("type", "Q", "beta"), ("Q", "beta"), "randers norm")
         for key in ("Q", "beta"):
@@ -196,6 +209,7 @@ def build_norm(spec, domain=None):
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or beta.shape != Q.shape[:1]:
             raise ConfigError(f"randers norm needs an n x n Q and n entries of beta, "
                               f"not shapes {Q.shape} and {beta.shape}")
+        check_dim(len(Q))
         return randers_norm(RandersData(Q, beta))
     if spec["type"] != "custom":
         raise ConfigError(f"unknown norm type {spec['type']!r}")
@@ -203,6 +217,7 @@ def build_norm(spec, domain=None):
     n = spec.get("dimension", 2 if domain is None else domain.dim)
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= len(NORM_VARS):
         raise ConfigError(f"custom norm dimension must be 1, 2 or 3, not {n!r}")
+    check_dim(n)
     k = 0 if domain is None else domain.dim     # coordinates the expression may name
     fn = parse_exprs([spec["expr"]], COORD_NAMES[:k] + NORM_VARS[:n])
     field = bool(fn.names & set(COORD_NAMES))
@@ -250,8 +265,6 @@ def build_fixture(spec, name="inline"):
     domain = build_box(m["domain"])
     frame = build_frame(m["frame"], domain)
     norm = build_norm(m["norm"], domain)
-    if norm.dim != domain.dim:
-        raise ConfigError(f"{norm.dim}-D norm on a {domain.dim}-D domain")
     if isinstance(norm, NormField) and not frame.coordinate:
         raise ConfigError("a norm that names coordinates is read in coordinate "
                           "components: it needs the identity frame")

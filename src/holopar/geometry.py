@@ -79,7 +79,10 @@ class Box:
             raise DomainError(f"cannot sample or shrink {self}: it has an infinite bound")
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
-        side = hi - lo
+        with np.errstate(over="ignore"):
+            side = hi - lo
+        if not np.all(np.isfinite(side)):
+            raise DomainError(f"cannot sample or shrink {self}: a side overflows")
         return Box(tuple(lo + margin * side), tuple(hi - margin * side))
 
     def intersection(self, other):

@@ -16,11 +16,14 @@ that broadcasts to it, and restricts to the tangent space at a point p
 (n,) as the Minkowski norm F_p. A one-form field F = f o C, C = E^-1 the
 coframe of a frame E, inverts E once per given point, so F_p evaluates
 C_p once per call.
+``MinkowskiNorm``, ``NormField`` and ``RandersData`` (checked definite
+when built) are plain classes with __slots__ and ``ContinuousFamily`` a
+NamedTuple, each far cheaper to create at import than a dataclass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,13 +70,15 @@ def _v_gradient(evaluator, v):
     return np.stack([np.broadcast_to(p, v.shape[:-1]) for p in out.partials], axis=-1)
 
 
-@dataclass(frozen=True)
 class MinkowskiNorm:
     """Definite continuous function on R^n; the evaluator takes batches
     (..., n) -> (...) of arrays or jets."""
 
-    dim: int
-    evaluator: object
+    __slots__ = ("dim", "evaluator")
+
+    def __init__(self, dim, evaluator):
+        self.dim = dim
+        self.evaluator = evaluator
 
     def __call__(self, v):
         return self.evaluator(np.asarray(v, dtype=float))
@@ -99,16 +104,15 @@ class MinkowskiNorm:
         return self
 
 
-@dataclass(frozen=True)
 class RandersData:
-    """Riemannian square root plus a one-form: f(v) = sqrt(v^T Q v) + beta(v)."""
+    """Riemannian square root plus a one-form: f(v) = sqrt(v^T Q v) + beta(v),
+    refused when built unless definite."""
 
-    Q: np.ndarray
-    beta: np.ndarray
+    __slots__ = ("Q", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float))
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
+    def __init__(self, Q, beta):
+        self.Q = np.asarray(Q, dtype=float)
+        self.beta = np.asarray(beta, dtype=float)
         if not np.allclose(self.Q, self.Q.T, atol=1e-12):
             raise DefinitenessError("Q must be symmetric")
         w = np.linalg.eigvalsh(self.Q)
@@ -162,8 +166,7 @@ def is_isometry(f, A, samples=720, tol=ISOMETRY_TOL):
     return dev <= tol, dev
 
 
-@dataclass(frozen=True)
-class ContinuousFamily:
+class ContinuousFamily(NamedTuple):
     """Marker: iso(f) is a Lie group of positive dimension (e.g. O(2) for
     the Euclidean norm), certified by a non-zero `isometry_algebra`."""
 
@@ -242,18 +245,21 @@ def lie_algebra_member(f, A, samples=LIE_ALGEBRA_SAMPLES, tol=LIE_ALGEBRA_TOL):
     return viol <= tol, viol
 
 
-@dataclass(frozen=True)
 class NormField:
-    """Manifold-wide norm F; the evaluator takes (coords, vectors) batches,
-    the vectors arrays or jets, as a MinkowskiNorm's.
+    """Manifold-wide norm F; the evaluator, (...,n),(...,n) -> (...), takes
+    (coords, vectors) batches, the vectors arrays or jets, as a
+    MinkowskiNorm's.
 
     The vectors carry the batch shape (..., n), and the points may have
     any shape that broadcasts to it: points (m, 1, n) with vectors
     (m, V, n) give the V vectors at each of m points.
     """
 
-    dim: int
-    evaluator: object                     # (...,n),(...,n) -> (...)
+    __slots__ = ("dim", "evaluator")
+
+    def __init__(self, dim, evaluator):
+        self.dim = dim
+        self.evaluator = evaluator
 
     def __call__(self, coords, vectors):
         return self.evaluator(np.asarray(coords, dtype=float),

@@ -3,13 +3,13 @@ pushed-down norm.
 
 A parallelism is stored through its trivialization matrix field
 q -> [phi_q]; P(p, q) = [phi_q][phi_p]^-1, which makes the cocycle and
-identity axioms hold by construction.
+identity axioms hold by construction. A CoveringParallelism holds its
+members, partition and region in __slots__.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,13 +159,17 @@ def bump_partition(domains, region=None, check_samples=1000, seed=11):
     return [normalized(i) for i in range(len(domains))]
 
 
-@dataclass(frozen=True)
 class CoveringParallelism:
-    """Chart-indexed family of parallelisms with a partition of unity."""
+    """Chart-indexed family of parallelisms with a partition of unity:
+    members a tuple of (Box, Parallelism), partition a tuple of callables
+    (m, n) -> (m,), and the region Box they cover."""
 
-    members: tuple          # of (Box, Parallelism)
-    partition: tuple        # of callables (m, n) -> (m,)
-    region: Box
+    __slots__ = ("members", "partition", "region")
+
+    def __init__(self, members, partition, region):
+        self.members = members
+        self.partition = partition
+        self.region = region
 
     @staticmethod
     def build(members, region):

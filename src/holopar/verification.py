@@ -1,23 +1,26 @@
 """Numerical certification of the compatibility notions.
 
-Every check returns a CheckReport: sample counts, worst absolute and
-relative errors, the tolerance and a worst-case witness. Its pass flag
-is derived, max_rel_error <= tolerance, so no report can contradict it.
+Every check returns a CheckReport, a NamedTuple: sample counts, worst
+absolute and relative errors, the tolerance and a worst-case witness.
+Its pass flag is derived, max_rel_error <= tolerance, so no report can
+contradict it. A CurveGenerator draws each candidate's points as
+lo + (hi - lo) * rng.random(size), the bits of rng.uniform(lo, hi, size),
+with the bounds checked once per generation instead of on every draw.
 Reports are deterministic functions of (seed, inputs) and serialize to
 the CLI's JSON schema. Pointwise checks evaluate their points as one batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .connections import nabla_P, torsion
 from .constructions import covering_from_connection, connection_from_covering_parallelism
 from .errors import DomainError, PreconditionError
-from .geometry import Box, Curve, apply_matrices, check_curves, segment
+from .geometry import Curve, apply_matrices, check_curves, segment
 from .jets import jsin, jsincos
 from .norms import LIE_ALGEBRA_SAMPLES, ContinuousFamily, isometry_group_2x2, unit_sphere
 from .parallelism import CoveringParallelism
@@ -34,14 +37,13 @@ DEFAULT_TS = tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
 TORSION_SAMPLES = 50                      # points of the torsion obstruction
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check: str
     samples: int
     max_abs_error: float
     max_rel_error: float
     tolerance: float
-    witness: dict = field(default_factory=dict)
+    witness: dict = {}          # shared by the reports given none; never mutated
     seed: int = 0
     step: float = 0.0
 
@@ -64,13 +66,15 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
 class CurveGenerator:
     """Deterministic family of regular curves inside a box."""
 
-    domain: Box
-    seed: int = 42
-    count: int = 100
+    __slots__ = ("domain", "seed", "count")
+
+    def __init__(self, domain, seed=42, count=100):
+        self.domain = domain
+        self.seed = seed
+        self.count = count
 
     def curves(self):
         """The first `count` regular candidates inside the domain, in draw
@@ -97,17 +101,16 @@ class CurveGenerator:
     def _make(self, family, rng, bounds):
         """One candidate of `family`, its points drawn with rng between
         the family's bounds from ``_draw_bounds``."""
-        lo, hi = bounds["segment"]
+        lo, side = bounds["segment"]
         n = lo.size
-        side = hi - lo
         if family == "segment":
-            p0, p1 = rng.uniform(lo, hi, size=(2, n))
+            p0, p1 = _uniform(rng, bounds["segment"], (2, n))
             if np.linalg.norm(p1 - p0) < 1e-3:
                 p1 = p0 + 0.1 * side
             return segment(p0, p1, domain=self.domain)
         if family == "circle":
-            margin = 0.25 * float(np.min(side))
-            c = [float(v) for v in rng.uniform(*bounds["circle"], size=(1, n))[0]]
+            margin = 0.25 * bounds["min_side"]
+            c = [float(v) for v in _uniform(rng, bounds["circle"], n)]
             r = float(rng.uniform(0.2, 0.95) * margin)
             th0 = float(rng.uniform(0.0, 2.0 * np.pi))
             dth = float(rng.uniform(0.5 * np.pi, 2.0 * np.pi))
@@ -118,7 +121,7 @@ class CurveGenerator:
                                  "theta0": th0, "dtheta": dth,
                                  "axes": [int(axes[0]), int(axes[1])]})
         if family == "sine":
-            p0, p1 = rng.uniform(*bounds["sine"], size=(2, n))
+            p0, p1 = _uniform(rng, bounds["sine"], (2, n))
             d = p1 - p0
             if np.linalg.norm(d) < 1e-3:
                 d = 0.1 * side
@@ -126,7 +129,7 @@ class CurveGenerator:
             perp -= perp @ d / (d @ d) * d
             nrm = np.linalg.norm(perp)
             perp = perp / nrm if nrm > 1e-12 else np.zeros(n)
-            amp = float(rng.uniform(0.02, 0.1) * np.min(side))
+            amp = float(rng.uniform(0.02, 0.1) * bounds["min_side"])
             omega = float(rng.uniform(1.0, 3.0) * np.pi)
             p0l = [float(v) for v in p0]
             dl = [float(v) for v in d]
@@ -136,24 +139,38 @@ class CurveGenerator:
                                  "perp": pl, "omega": omega})
         if family == "bezier":
             ctrl = [[float(v) for v in row]
-                    for row in rng.uniform(*bounds["bezier"], size=(4, n))]
+                    for row in _uniform(rng, bounds["bezier"], (4, n))]
             return Curve(bezier_coords, tuple(ctrl), domain=self.domain,
                          params={"family": "bezier", "ctrl": ctrl})
         raise ValueError(f"unknown curve family {family!r}")
 
 
 def _draw_bounds(box):
-    """Per curve family, the (lo, hi) arrays between which it draws its
-    points uniformly: the draw box itself for segments, and the box
-    shrunk by 0.25 (circle centers), 0.15 (sine ends) or 0.1 (Bezier
-    control points) of each side, computed once per ``curves()`` call."""
+    """Per curve family, the (lo, hi - lo) arrays between which it draws
+    its points uniformly (see ``_uniform``): the draw box itself for
+    segments, and the box shrunk by 0.25 (circle centers), 0.15 (sine
+    ends) or 0.1 (Bezier control points) of each side; and the smallest
+    side, "min_side". Computed, and a side that is not finite refused,
+    once per ``curves()`` call."""
     lo = np.asarray(box.lo, dtype=float)
     hi = np.asarray(box.hi, dtype=float)
-    side = hi - lo
-    out = {"segment": (lo, hi)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        side = hi - lo
+    if not np.all(np.isfinite(side)):
+        raise DomainError(f"cannot draw curves in {box}: a side is not finite")
+    out = {"segment": (lo, side), "min_side": float(np.min(side))}
     for family, margin in (("circle", 0.25), ("sine", 0.15), ("bezier", 0.1)):
-        out[family] = (lo + margin * side, hi - margin * side)
+        flo, fhi = lo + margin * side, hi - margin * side
+        out[family] = (flo, fhi - flo)
     return out
+
+
+def _uniform(rng, bounds, size):
+    """Points of shape `size` uniform between the (lo, hi - lo) `bounds`:
+    lo + (hi - lo) * u, the bits of rng.uniform(lo, hi, size) without its
+    check of the bounds on every draw (``_draw_bounds`` checks them once)."""
+    lo, span = bounds
+    return lo + span * rng.random(size)
 
 
 def circle_coords(t, c, r, th0, dth, a0, a1):
@@ -356,8 +373,7 @@ def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP,
     return CheckReport(name, int(diff.size), worst, worst, tol, witness, seed, step)
 
 
-@dataclass(frozen=True)
-class VerdictResult:
+class VerdictResult(NamedTuple):
     verdict: str
     reports: tuple
     torsion_obstruction: float

@@ -21,7 +21,7 @@ from holopar.fixtures import (SPECS, build_box, build_fixture, build_frame, buil
                               fixture_names, load_fixture)
 from holopar.norms import ContinuousFamily, RandersData, randers_norm
 from holopar.transport import parallel_transport, transport_ensemble
-from holopar.verification import check_compalg_criterion
+from holopar.verification import CheckReport, check_compalg_criterion
 
 S5_CONFIG = {
     "domain": [[-5.0, 5.0], [-5.0, 5.0]],
@@ -75,6 +75,30 @@ def test_verify_is_byte_deterministic(tmp_path):
     _, _ = run(["verify", "euclidean_flat", "--curves", "5"], tmp_path, "a.json")
     _, _ = run(["verify", "euclidean_flat", "--curves", "5"], tmp_path, "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_verify_of_several_fixtures_is_the_list_of_their_single_reports(tmp_path, capsys):
+    # in the order given, in one process; --out writes the text printed
+    names = ["rotated_blend", "euclidean_flat", "section5", "scaled_euclidean_incompatible"]
+    singles = []
+    for name in names:
+        assert main(["verify", name, "--curves", "5"]) == 0
+        singles.append(json.loads(capsys.readouterr().out))
+    assert main(["verify", *names, "--curves", "5"]) == 0
+    listed = capsys.readouterr().out
+    assert json.loads(listed) == singles
+    assert main(["verify", *names, "--curves", "5", "--out", str(tmp_path / "all.json")]) == 0
+    assert (tmp_path / "all.json").read_text() == listed
+
+
+def test_verify_of_several_fixtures_fails_if_any_fails(tmp_path, monkeypatch):
+    # rotated_blend's torsion check made to fail; the fixture after it still runs
+    monkeypatch.setitem(cli.CHECKS, "torsion", lambda fx, o, floor=None: CheckReport(
+        "torsion_obstruction_positive", 1, 1.0, 1.0, 0.5))
+    code, docs = run(["verify", "rotated_blend", "euclidean_flat", "--curves", "5"], tmp_path)
+    assert code == 1
+    assert [(d["fixture"], d["all_pass"]) for d in docs] == [("rotated_blend", False),
+                                                             ("euclidean_flat", True)]
 
 
 def test_verify_section5_runs_one_parallel_transport(tmp_path, monkeypatch):
@@ -526,6 +550,22 @@ def test_a_box_bound_that_is_not_finite_is_a_config_error_naming_it(box, named, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--config", f'{{"domain": BOX, "frame": {_EYE}, "norm": {_EUCLID}}}'],
+    ["check", "--config", f'{{"domain": {_UNIT}, "frame": {_EYE}, "norm": {_EUCLID}, '
+                          f'"cover": [{{"domain": BOX, "frame": "translation"}}]}}'],
+    ["synthesize", "--config", f'{{"region": BOX, "members": '
+                               f'[{{"domain": {_UNIT}, "frame": "translation"}}]}}'],
+], ids=["domain", "member", "region"])
+def test_a_box_whose_side_overflows_is_a_config_error_naming_it(argv, capsys):
+    # finite bounds, but hi - lo is inf: no point of it can be sampled
+    box = "[[-1e308, 1e308], [0, 1]]"
+    assert main([a.replace("BOX", box) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: box [[-1e+308, 1e+308], [0, 1]] has a side that ")
+    assert "Traceback" not in err and "Warning" not in err
+
+
 def test_steps_whose_grid_holds_the_sample_times_are_accepted():
     for step in (1e-3, 2e-3, 5e-3, 1e-2, 0.1, 1 / 30):
         assert cli.run_settings(step, 1e-6, 1, 1, 0).step == step
@@ -559,6 +599,11 @@ def test_indefinite_custom_norm_is_rejected():
     ({"type": "randers", "Q": np.eye(3).tolist(), "beta": [0.2, 0, 0]},
      "3-D norm on a 2-D domain"),
     ({"type": "custom", "expr": "exp(x)*sqrt(a^2+b^2)"}, "names coordinates"),
+    # a dimension other than the domain's is refused before definiteness:
+    # "a" is not positive on the sphere, and this Q is indefinite
+    ({"type": "custom", "expr": "a", "dimension": 3}, "3-D norm on a 2-D domain"),
+    ({"type": "randers", "Q": np.diag([1.0, -1.0, 1.0]).tolist(), "beta": [0, 0, 0]},
+     "3-D norm on a 2-D domain"),
 ])
 def test_malformed_norm_spec_is_a_config_error(norm, named, capsys):
     config = json.dumps(dict(S5_CONFIG, norm=norm))

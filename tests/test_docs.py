@@ -48,7 +48,7 @@ def test_every_capitalized_name_in_the_library_layout_is_defined():
 
 def _class_members():
     """Each holopar class by name, with the names of its methods and
-    properties, class attributes and dataclass fields, its holopar base
+    properties, class attributes, slots and fields, its holopar base
     classes' included."""
     own, bases = {}, {}
     for path in PACKAGE.glob("*.py"):
@@ -61,6 +61,8 @@ def _class_members():
                     names.add(item.name)
                 elif isinstance(item, ast.Assign):
                     names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+                    if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+                        names.update(ast.literal_eval(item.value))
                 elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                     names.add(item.target.id)
             own[node.name] = names
@@ -72,8 +74,8 @@ def _class_members():
 
 
 def test_every_dotted_class_attribute_in_the_library_layout_resolves():
-    # `Class.attr` in backticks names a method, property, class attribute
-    # or dataclass field of that holopar class
+    # `Class.attr` in backticks names a method, property, class attribute,
+    # slot or field of that holopar class
     members = _class_members()
     dotted = {m for p in _layout() for span in re.findall(r"`([^`]+)`", p)
               for m in re.findall(r"\b([A-Z]\w*)\.(\w+)", span)}

@@ -47,3 +47,30 @@ def test_finite_differences_are_taken_in_geometry_only():
     users = {p.name: lines for p in sorted(PACKAGE.glob("*.py"))
              if (lines := _names_of(p, "central_differences"))}
     assert set(users) == {"geometry.py"}
+
+
+def _dataclasses(path):
+    """Names of the classes in `path` decorated with ``dataclass``, called
+    with options or not."""
+    named = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if isinstance(target, ast.Name) and target.id == "dataclass" or \
+                        isinstance(target, ast.Attribute) and target.attr == "dataclass":
+                    named.append(node.name)
+    return named
+
+
+def test_only_the_classes_that_use_dataclass_machinery_are_dataclasses():
+    """Class creation is import cost, paid by every holopar process: a
+    frozen dataclass generates and compiles its methods when its module
+    is imported, about 0.5 ms a class, against about 0.1 ms for a
+    NamedTuple and 0.01 ms for a plain class. So a value class is a
+    NamedTuple or a plain class with __slots__, and ``dataclass`` is kept
+    where its machinery is used: ``dataclasses.replace`` on a Connection
+    or a Fixture, and a Box's hashing and equality (``check_curves`` keeps
+    boxes in a set) next to its checked construction."""
+    found = sorted(name for p in PACKAGE.glob("*.py") for name in _dataclasses(p))
+    assert found == ["Box", "Connection", "Fixture"]

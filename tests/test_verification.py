@@ -497,6 +497,76 @@ def test_curve_generator_accepted_curves_are_pinned():
         "47f109043cded1d8b7ca4a2be7bc85cacfdbe043be6f7c3b15c8e567a98bd337"
 
 
+class _UniformDraws(CurveGenerator):
+    """The generator as it drew candidates with rng.uniform(lo, hi, size),
+    bounds checked on every draw: the reference for the draws
+    lo + (hi - lo) * rng.random(size)."""
+
+    def _make(self, family, rng, bounds):
+        box = self.domain.shrink(0.1)
+        lo, hi = np.asarray(box.lo, dtype=float), np.asarray(box.hi, dtype=float)
+        n, side = lo.size, hi - lo
+        inner = {f: (lo + m * side, hi - m * side)
+                 for f, m in (("circle", 0.25), ("sine", 0.15), ("bezier", 0.1))}
+        if family == "segment":
+            p0, p1 = rng.uniform(lo, hi, size=(2, n))
+            if np.linalg.norm(p1 - p0) < 1e-3:
+                p1 = p0 + 0.1 * side
+            return segment(p0, p1, domain=self.domain)
+        if family == "circle":
+            margin = 0.25 * float(np.min(side))
+            c = [float(v) for v in rng.uniform(*inner["circle"], size=(1, n))[0]]
+            r = float(rng.uniform(0.2, 0.95) * margin)
+            th0 = float(rng.uniform(0.0, 2.0 * np.pi))
+            dth = float(rng.uniform(0.5 * np.pi, 2.0 * np.pi))
+            axes = rng.permutation(n)[:2]
+            return Curve(circle_coords, (c, r, th0, dth),
+                         key=(int(axes[0]), int(axes[1])), domain=self.domain,
+                         params={"family": "circle", "center": c, "radius": r,
+                                 "theta0": th0, "dtheta": dth,
+                                 "axes": [int(axes[0]), int(axes[1])]})
+        if family == "sine":
+            p0, p1 = rng.uniform(*inner["sine"], size=(2, n))
+            d = p1 - p0
+            if np.linalg.norm(d) < 1e-3:
+                d = 0.1 * side
+            perp = rng.normal(size=n)
+            perp -= perp @ d / (d @ d) * d
+            nrm = np.linalg.norm(perp)
+            perp = perp / nrm if nrm > 1e-12 else np.zeros(n)
+            amp = float(rng.uniform(0.02, 0.1) * np.min(side))
+            omega = float(rng.uniform(1.0, 3.0) * np.pi)
+            p0l, dl, pl = ([float(v) for v in x] for x in (p0, d, amp * perp))
+            return Curve(sine_coords, (p0l, dl, pl, omega), domain=self.domain,
+                         params={"family": "sine", "p0": p0l, "d": dl,
+                                 "perp": pl, "omega": omega})
+        ctrl = [[float(v) for v in row] for row in rng.uniform(*inner["bezier"], size=(4, n))]
+        return Curve(bezier_coords, tuple(ctrl), domain=self.domain,
+                     params={"family": "bezier", "ctrl": ctrl})
+
+
+@pytest.mark.parametrize("box", [Box((-2.0,), (3.0,)), Box((-5.0, -5.0), (5.0, 5.0)),
+                                 Box((0.0, 0.0), (0.01, 4.0)),
+                                 Box((-1.0, -2.0, -3.0), (1.0, 2.0, 3.0))],
+                         ids=["1d", "2d", "2d_thin", "3d"])
+def test_curve_draws_are_the_bits_of_array_bound_uniform_draws(box):
+    # json.dumps writes each float's shortest repr, so equal text is equal bits
+    for seed in range(6):
+        got = CurveGenerator(box, seed=seed, count=40).curves()
+        want = _UniformDraws(box, seed=seed, count=40).curves()
+        assert json.dumps([c.params for c in got]) == json.dumps([c.params for c in want])
+
+
+def test_a_box_whose_side_overflows_is_refused_by_name():
+    # hi - lo is inf: rng.uniform refused it as "Range exceeds valid bounds"
+    # on every draw; shrinking it and drawing in it are refused once, naming it
+    box = Box((-1e308, 0.0), (1e308, 1.0))
+    with pytest.raises(DomainError, match=r"Box\(lo=\(-1e\+308, 0.0\).* a side overflows"):
+        CurveGenerator(box, seed=1, count=3).curves()
+    with pytest.raises(DomainError, match=r"cannot draw curves in Box\(.* not finite"):
+        verification._draw_bounds(box)
+
+
 def test_holonomy_check_evaluates_no_curve_alone(s5, monkeypatch):
     def alone(*args, **kwargs):
         raise AssertionError("a curve was evaluated on its own")
