@@ -21,7 +21,7 @@ from . import report as report_mod
 from .constructions import connection_from_covering_parallelism
 from .errors import ConfigError, HoloparError
 from .fixtures import (build_box, build_cover, build_fixture, build_norm, fixture_names,
-                       is_finite_number, load_fixture, require_keys)
+                       is_finite_number, load_fixture, norm_dimension, require_keys)
 from .geometry import segment
 from .norms import ContinuousFamily, isometry_group_2x2
 from .parallelism import CoveringParallelism, pushdown_norm
@@ -293,10 +293,9 @@ def cmd_synthesize(args):
 
 def cmd_isometry_group(args):
     spec = _load_config(args.norm)
-    norm = build_norm(spec)
-    if norm.dim != 2:
-        raise ConfigError(f"isometry-group needs a 2-D norm, not dimension {norm.dim}")
-    group = isometry_group_2x2(norm)
+    if (n := norm_dimension(spec)) != 2:
+        raise ConfigError(f"isometry-group needs a 2-D norm, not dimension {n}")
+    group = isometry_group_2x2(build_norm(spec))
     if isinstance(group, ContinuousFamily):
         doc = {"norm": spec, "continuous_family": True, "note": group.note}
     else:

@@ -10,7 +10,8 @@ Its coordinate view is the endomorphism
     Gamma(v) = E Gt(C v) C - (d_v E) C,    C = E^-1,
 
 which is all that transport, torsion, the partition-of-unity blend and
-nabla P need; the coordinate tensor
+nabla P need: (nabla P)_v = Gamma(v) - Gamma_P(v), Gamma_P the flat
+connection of P's parallel frame. The coordinate tensor
 Gamma^a_{bc} = Gamma(e_b)^a_c is only ever an output. ``torsion`` and
 ``nabla_P`` take batches: points and vectors are (m, n) arrays, and a
 vector field enters as its components at the points.
@@ -110,18 +111,11 @@ def from_coordinate_christoffels(gamma, n, domain=None):
 
 
 def nabla_P(conn, parallelism, coords, vectors):
-    """Coordinate matrices (m, n, n) of w -> w^k v^j Gt^i_{jk} E_i at points
-    and vectors (m, n), Gt the symbols in the P-parallel frame E = phi.
-
-    Contracting E_j^b (phi^-1 v)^j = v^b leaves (d_v phi + Gamma(v) phi) phi^-1:
-    phi and d_v phi from one Frame.matrix_derivative_batch, Gamma(v) from
-    one coordinate_christoffels_along call.
-    """
-    coords = np.asarray(coords, dtype=float)
-    v = np.asarray(vectors, dtype=float)
-    phi, dvphi = parallelism.parallel_frame().matrix_derivative_batch(coords, v)
-    phi_inv = invert_frames(phi, "parallel frame in nabla_P")
-    return (dvphi + conn.coordinate_christoffels_along(coords, v) @ phi) @ phi_inv
+    """(nabla P)_v = Gamma(v) - Gamma_P(v) (m, n, n) at points and vectors (m, n),
+    Gamma_P the flat connection of P's parallel frame: +0 exactly for that one."""
+    flat = Connection.flat(parallelism.parallel_frame())
+    return (conn.coordinate_christoffels_along(coords, vectors)
+            - flat.coordinate_christoffels_along(coords, vectors))
 
 
 def torsion(conn, X, Y, coords):

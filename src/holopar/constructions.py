@@ -106,13 +106,12 @@ def decompose_box(box, per_axis=2, overlap=0.25):
             for pieces in itertools.product(*axis_pieces)]
 
 
-def covering_from_connection(conn, domain, per_axis=2, overlap=0.25,
-                             step=DEFAULT_STEP):
+def covering_from_connection(conn, domain, step=DEFAULT_STEP):
     """Covering parallelism built from radial transports on a fixed
     overlapping box decomposition (the connection-to-parallelism direction
     of the equivalence)."""
     members = []
-    for box in decompose_box(domain, per_axis, overlap):
+    for box in decompose_box(domain):
         region = ConvexChartRegion(0.5 * (np.asarray(box.lo) + np.asarray(box.hi)), box)
         members.append((box, parallelism_from_connection(conn, region, step)))
     return CoveringParallelism.build(members, domain)

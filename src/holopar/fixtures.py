@@ -184,19 +184,10 @@ def build_frame(spec, domain):
     return frame
 
 
-def build_norm(spec, domain=None):
-    """A definite Minkowski norm: Randers data, or a custom expression in
-    the components a, b, c of "dimension" variables (the domain's, or 2),
-    on jets as on arrays. On a `domain` it may also name the coordinates
-    x, y, z: then it is a NormField, definite at the first 5 ``spec_samples``.
-    A norm whose dimension is not the domain's is refused before its
-    definiteness is checked."""
+def norm_dimension(spec, domain=None):
+    """A norm spec's dimension, read before its norm is built and refused
+    unless it is the domain's: n for Randers Q (n, n), or "dimension"."""
     require_keys(spec, ("type", "Q", "beta", "expr", "dimension"), ("type",), "norm spec")
-
-    def check_dim(n):
-        if domain is not None and n != domain.dim:
-            raise ConfigError(f"{n}-D norm on a {domain.dim}-D domain")
-
     if spec["type"] == "randers":
         require_keys(spec, ("type", "Q", "beta"), ("Q", "beta"), "randers norm")
         for key in ("Q", "beta"):
@@ -209,15 +200,28 @@ def build_norm(spec, domain=None):
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or beta.shape != Q.shape[:1]:
             raise ConfigError(f"randers norm needs an n x n Q and n entries of beta, "
                               f"not shapes {Q.shape} and {beta.shape}")
-        check_dim(len(Q))
-        return randers_norm(RandersData(Q, beta))
-    if spec["type"] != "custom":
+        n = len(Q)
+    elif spec["type"] == "custom":
+        require_keys(spec, ("type", "expr", "dimension"), ("expr",), "custom norm")
+        n = spec.get("dimension", 2 if domain is None else domain.dim)
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= len(NORM_VARS):
+            raise ConfigError(f"custom norm dimension must be 1, 2 or 3, not {n!r}")
+    else:
         raise ConfigError(f"unknown norm type {spec['type']!r}")
-    require_keys(spec, ("type", "expr", "dimension"), ("expr",), "custom norm")
-    n = spec.get("dimension", 2 if domain is None else domain.dim)
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= len(NORM_VARS):
-        raise ConfigError(f"custom norm dimension must be 1, 2 or 3, not {n!r}")
-    check_dim(n)
+    if domain is not None and n != domain.dim:
+        raise ConfigError(f"{n}-D norm on a {domain.dim}-D domain")
+    return n
+
+
+def build_norm(spec, domain=None):
+    """A definite Minkowski norm: Randers data, or a custom expression in
+    the components a, b, c of "dimension" variables (the domain's, or 2),
+    on jets as on arrays. On a `domain` it may also name the coordinates
+    x, y, z: then it is a NormField, definite at the first 5 ``spec_samples``,
+    after its ``norm_dimension`` is read."""
+    n = norm_dimension(spec, domain)
+    if spec["type"] == "randers":
+        return randers_norm(RandersData(spec["Q"], spec["beta"]))
     k = 0 if domain is None else domain.dim     # coordinates the expression may name
     fn = parse_exprs([spec["expr"]], COORD_NAMES[:k] + NORM_VARS[:n])
     field = bool(fn.names & set(COORD_NAMES))

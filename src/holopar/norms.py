@@ -38,6 +38,7 @@ LIE_ALGEBRA_SAMPLES = 200                 # unit-sphere grid of the membership t
 # singular values measured <= 1e-11 of the largest and the others >= 0.07
 ALGEBRA_RANK_TOL = 1e-6
 ORACLE_ANGLES = 1024                      # angle grid of the 2x2 oracle
+DEFINITE_RADII, DEFINITE_SAMPLES = (1e-3, 1.0, 1e3), 360   # check_definite's spheres
 
 
 def unit_sphere(n, count):
@@ -87,13 +88,13 @@ class MinkowskiNorm:
         """The gradient (..., n) at vectors v (..., n), away from 0."""
         return _v_gradient(self.evaluator, v)
 
-    def check_definite(self, radii=(1e-3, 1.0, 1e3), count=360):
-        """Refuse a norm that is not positive and finite on spheres of the
-        given radii or does not vanish at the origin; a NaN or overflowing
-        sample is refused, not warned about."""
-        u = unit_sphere(self.dim, count)
+    def check_definite(self):
+        """Refuse a norm that is not positive and finite on the spheres of
+        DEFINITE_RADII or does not vanish at the origin; a NaN or
+        overflowing sample is refused, not warned about."""
+        u = unit_sphere(self.dim, DEFINITE_SAMPLES)
         with np.errstate(over="ignore", invalid="ignore"):
-            for r in radii:
+            for r in DEFINITE_RADII:
                 f = self(r * u)
                 if not np.all(f > 0.0):
                     raise DefinitenessError("norm not positive on a sphere sample")
@@ -241,7 +242,7 @@ def lie_algebra_member(f, A, samples=LIE_ALGEBRA_SAMPLES, tol=LIE_ALGEBRA_TOL):
     """
     A = np.asarray(A, dtype=float)
     u = unit_sphere(f.dim, samples)
-    viol = float(np.max(np.abs(np.einsum("si,si->s", f.gradient(u), u @ A.T))))
+    viol = float(np.max(np.abs(np.einsum("si,si->s", f.gradient(u), apply_matrices(A, u)))))
     return viol <= tol, viol
 
 

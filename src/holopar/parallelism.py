@@ -18,6 +18,9 @@ from .geometry import Box, Frame, apply_matrices, coordinate_frame, invert_frame
 from .jets import smooth_step_num
 from .norms import MinkowskiNorm, unit_sphere
 
+BUMP_RAMP = 0.25            # a finite bump's ramp, as a fraction of its side
+PARTITION_SAMPLES, PARTITION_SEED = 1000, 11    # seeded points checked for a gap
+
 
 class Parallelism:
     """Trivialization-backed family of tangent-space identifications.
@@ -94,10 +97,10 @@ def pushdown_norm(norm_field, parallelism, p, basepoints=10, vectors=200,
     return MinkowskiNorm(n, lambda v: norm_field.evaluator(p_coords, apply_matrices(phi_p, v)))
 
 
-def _bump_1d(x, a, b, delta_frac=0.25):
+def _bump_1d(x, a, b):
     x = np.asarray(x, dtype=float)
     if np.isfinite(a) and np.isfinite(b):
-        delta = delta_frac * (b - a)
+        delta = BUMP_RAMP * (b - a)
     else:
         delta = 1.0
     steps = []
@@ -108,13 +111,13 @@ def _bump_1d(x, a, b, delta_frac=0.25):
     return functools.reduce(np.multiply, steps) if steps else np.ones_like(x)
 
 
-def bump_partition(domains, region=None, check_samples=1000, seed=11):
+def bump_partition(domains, region=None):
     """Smooth partition of unity subordinate to overlapping boxes.
 
     Each weight is a product of 1-D mollifier bumps supported strictly
     inside its box; weights are normalized to sum to one. Raises
-    CoveringGapError when a sampled point of the working region has
-    zero total weight.
+    CoveringGapError when one of PARTITION_SAMPLES seeded points of the
+    working region has zero total weight.
 
     The weights are k callables, one per box, and each call forms all k
     raw weights (every distinct 1-D bump once). A blended connection
@@ -141,8 +144,8 @@ def bump_partition(domains, region=None, check_samples=1000, seed=11):
         return raw
 
     if region is not None:
-        rng = np.random.default_rng(seed)
-        pts = region.sample(rng, check_samples, margin=1e-6)
+        rng = np.random.default_rng(PARTITION_SEED)
+        pts = region.sample(rng, PARTITION_SAMPLES, margin=1e-6)
         tot = functools.reduce(np.add, raw_weights(pts))
         if np.any(tot <= 0.0):
             bad = pts[np.argmin(tot)]

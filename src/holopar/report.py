@@ -21,9 +21,9 @@ def _fmt_float(x):
     return format(x, ".17g")
 
 
-def dumps(obj, indent=2, _level=0):
-    pad = " " * (indent * _level)
-    pad_in = " " * (indent * (_level + 1))
+def dumps(obj, _level=0):
+    pad = "  " * _level                         # two spaces a nesting level
+    pad_in = pad + "  "
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -35,16 +35,16 @@ def dumps(obj, indent=2, _level=0):
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
-        return dumps(obj.tolist(), indent, _level)
+        return dumps(obj.tolist(), _level)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [dumps(v, indent, _level + 1) for v in obj]
+        items = [dumps(v, _level + 1) for v in obj]
         return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [f"{pad_in}{json.dumps(str(k), ensure_ascii=False)}: "
-                 + dumps(v, indent, _level + 1) for k, v in obj.items()]
+                 + dumps(v, _level + 1) for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -212,8 +212,7 @@ def _refuse_empty(**sizes):
 
 
 def check_holonomy_invariance(norm_field, conn, gen, tol=1e-6, step=DEFAULT_STEP,
-                              vectors=20, ts=DEFAULT_TS, seed=None,
-                              name="holonomy_invariance"):
+                              vectors=20, ts=DEFAULT_TS, seed=None):
     """Max relative |F(P_c^t v) - F(v)| / max(F(v), eps) over generated
     curves, t-samples and random unit vectors."""
     curves, gseed = _resolve_curves(gen)
@@ -222,11 +221,11 @@ def check_holonomy_invariance(norm_field, conn, gen, tol=1e-6, step=DEFAULT_STEP
     _refuse_empty(curves=len(curves), ts=ts.size, vectors=vectors)
     transported = transport_ensemble(conn, curves, ts, step=step)
     return _invariance_report(norm_field, curves, ts, *transported, tol=tol,
-                              step=step, vectors=vectors, seed=seed, name=name)
+                              step=step, vectors=vectors, seed=seed)
 
 
 def _invariance_report(norm_field, curves, ts, phis, pos0, pos_s, tol, step,
-                       vectors=20, seed=0, name="holonomy_invariance"):
+                       vectors=20, seed=0):
     """The norm comparison of check_holonomy_invariance on transports
     phis (m, T, n, n) from pos0 (m, n) to pos_s (m, T, n)."""
     n = phis.shape[-1]
@@ -250,8 +249,8 @@ def _invariance_report(norm_field, curves, ts, phis, pos0, pos_s, tol, step,
         "value_ratio": float(ft[ci, tig, vi] / f0[ci, vi]),
     }
     samples = int(rel_err.size)
-    return CheckReport(name, samples, float(np.max(abs_err)), float(np.max(rel_err)), tol,
-                       witness, seed, step)
+    return CheckReport("holonomy_invariance", samples, float(np.max(abs_err)),
+                       float(np.max(rel_err)), tol, witness, seed, step)
 
 
 def check_parallelism_compat(norm_field, parallelism, pairs=200, vectors=20,
@@ -293,7 +292,7 @@ def check_parallelism_compat(norm_field, parallelism, pairs=200, vectors=20,
 
 
 def check_compalg_criterion(norm_field, parallelism, conn, samples=100,
-                            tol=1e-8, seed=42, name="compalg_criterion"):
+                            tol=1e-8, seed=42):
     """Infinitesimal criterion: (nabla P)_v lies in the Lie algebra of iso(F_p),
     i.e. max |grad_v F(p, u) . (nabla P)_v u| over the unit-sphere grid of
     `lie_algebra_member` vanishes; the witness is the first worst sample.
@@ -308,13 +307,13 @@ def check_compalg_criterion(norm_field, parallelism, conn, samples=100,
     grad = norm_field.gradient(pts[:, None, :], np.broadcast_to(u, (samples, len(u), n)))
     if not np.all(np.isfinite(grad)):
         raise PreconditionError("compalg needs a norm gradient that is finite on its sample grid")
-    flow = u @ np.swapaxes(endo, 1, 2)                                # (m, U, n)
+    flow = apply_matrices(endo[:, None], u)                          # (m, U, n)
     viol = np.max(np.abs(np.einsum("msi,msi->ms", grad, flow)), axis=1)
     k = int(np.argmax(viol))
     worst = float(viol[k])
     witness = {"p": pts[k].tolist(), "v": comps[k].tolist(),
                "endomorphism": endo[k].tolist(), "violation": worst}
-    return CheckReport(name, samples, worst, worst, tol, witness, seed)
+    return CheckReport("compalg_criterion", samples, worst, worst, tol, witness, seed)
 
 
 def berwald_obstruction(conn, domain, samples=TORSION_SAMPLES, seed=42):
@@ -340,7 +339,7 @@ def torsion_samples(conn, domain, samples=TORSION_SAMPLES, seed=42):
 
 
 def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP,
-                     ts=DEFAULT_TS, name="uniqueness"):
+                     ts=DEFAULT_TS):
     """Entrywise agreement of the two induced parallel translations.
 
     Preconditions (refused loudly, never silently skipped): the isometry
@@ -370,7 +369,7 @@ def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP,
     ci, tig = np.unravel_index(np.argmax(diff), diff.shape)[:2]
     witness = {"curve": curves[ci].params, "t": float(ts[tig])}
     worst = float(np.max(diff))
-    return CheckReport(name, int(diff.size), worst, worst, tol, witness, seed, step)
+    return CheckReport("uniqueness", int(diff.size), worst, worst, tol, witness, seed, step)
 
 
 class VerdictResult(NamedTuple):

@@ -588,6 +588,18 @@ def test_bad_norm_via_is_rejected(capsys):
     assert err.startswith("config error: unknown keys") and "norm_via" in err
 
 
+@pytest.mark.parametrize("spec", [
+    {"type": "randers", "Q": [[1, 0, 0], [0, -1, 0], [0, 0, 1]], "beta": [0, 0, 0]},
+    {"type": "custom", "expr": "a", "dimension": 3},
+])
+def test_isometry_group_refuses_a_non_planar_norm_before_its_definiteness(spec, capsys):
+    # neither norm is definite: the dimension is read first, so exit 2
+    assert main(["isometry-group", "--norm", json.dumps(spec)]) == 2
+    assert "isometry-group needs a 2-D norm, not dimension 3" in capsys.readouterr().err
+    planar = {"type": "randers", "Q": [[1, 0], [0, -1]], "beta": [0, 0]}
+    assert main(["isometry-group", "--norm", json.dumps(planar)]) == 1
+
+
 def test_indefinite_custom_norm_is_rejected():
     spec = json.dumps({"type": "custom", "expr": "a"})
     assert main(["isometry-group", "--norm", spec]) == 1

@@ -271,7 +271,7 @@ def test_nabla_p_refuses_a_singular_parallel_frame(s5_conn):
                  domain=DOM, dim=2)
     p, v = np.array([[0.3, -0.2]]), np.array([[1.0, 0.5]])
     for frame in (*_frames(2, np.eye(2), np.zeros(3), np.zeros((2, 3)), rank=1), tiny):
-        with pytest.raises(SingularFrameError, match="parallel frame in nabla_P"):
+        with pytest.raises(SingularFrameError, match="singular frame in Christoffel transform"):
             nabla_P(s5_conn, frame_parallelism(frame), p, v)
 
 
@@ -709,17 +709,48 @@ def test_batched_nabla_p_matches_the_frame_change_formula(data):
 def test_batched_nabla_p_refuses_a_rank_deficient_parallel_frame(s5_conn):
     frame = _frames(2, np.eye(2), np.zeros(3), np.zeros((2, 3)), rank=1)[0]
     coords = np.array([[0.3, -0.2], [1.0, 0.5], [-0.7, 0.1]])
-    with pytest.raises(SingularFrameError, match="parallel frame in nabla_P"):
+    with pytest.raises(SingularFrameError, match="singular frame in Christoffel transform"):
         nabla_P(s5_conn, frame_parallelism(frame), coords, np.ones((3, 2)))
     F = one_form_norm_field(s5_conn.frame, _S5_NORM)
-    with pytest.raises(SingularFrameError, match="parallel frame in nabla_P"):
+    with pytest.raises(SingularFrameError, match="singular frame in Christoffel transform"):
         check_compalg_criterion(F, frame_parallelism(frame), s5_conn, samples=5)
 
 
-def test_compalg_takes_one_christoffel_and_one_frame_jacobian_call(s5_conn, monkeypatch):
-    # the connection is written in the coordinate frame, so its Gamma(v)
-    # call takes no frame derivative: the one derivative call is the
-    # parallel (jet) frame's, seeded along v; no tensor, no full Jacobian
+def _exactly_zero(endo):
+    # array_equal counts -0 as 0, so the sign bits are read too
+    return np.array_equal(endo, np.zeros_like(endo)) and not np.any(np.signbit(endo))
+
+
+@settings(max_examples=40, deadline=None)
+@given(frame_data())
+def test_nabla_p_of_a_frame_against_its_own_flat_connection_is_exactly_zero(data):
+    # Gamma(v) - Gamma_P(v) subtracts the same bits: +0, jets and FD alike
+    n, q, angle, scale, _ = data
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(-1.0, 1.0, (8, n))
+    vectors = rng.normal(size=(8, n))
+    for frame in _frames(n, q, angle, scale, rank=n):
+        endo = nabla_P(Connection.flat(frame), frame_parallelism(frame), coords, vectors)
+        assert endo.shape == (8, n, n) and _exactly_zero(endo)
+
+
+def test_nabla_p_of_a_radial_parallelism_against_its_own_flat_connection_is_exactly_zero(s5_conn):
+    gamma = np.zeros((2, 2, 2))
+    gamma[0, 0, 0], gamma[1, 0, 1] = 1.0, 0.3
+    bent = Connection(s5_conn.frame, constant_christoffels(gamma))
+    region = ConvexChartRegion(np.zeros(2), Box((-2.0, -2.0), (2.0, 2.0)))
+    par = parallelism_from_connection(bent, region, step=1e-2)
+    rng = np.random.default_rng(8)
+    coords = region.box.sample(rng, 10, margin=0.05)
+    endo = nabla_P(Connection.flat(par.parallel_frame()), par, coords, rng.normal(size=(10, 2)))
+    assert _exactly_zero(endo)
+
+
+def test_compalg_takes_two_christoffel_calls_and_one_frame_derivative(s5_conn, monkeypatch):
+    # nabla P is Gamma(v) - Gamma_P(v), one transform per connection; the
+    # connection is written in the coordinate frame, so its Gamma(v) takes
+    # no frame derivative: the one derivative call is the parallel (jet)
+    # frame's, seeded along v; no tensor, no full Jacobian
     gamma = np.zeros((2, 2, 2))
     gamma[0, 0, 0] = 1.0
     conn = from_coordinate_christoffels(constant_christoffels(gamma), 2, DOM)
@@ -739,7 +770,7 @@ def test_compalg_takes_one_christoffel_and_one_frame_jacobian_call(s5_conn, monk
     for cls, name in counted_methods:
         monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
     rep = check_compalg_criterion(F, frame_parallelism(s5_conn.frame), conn, samples=100)
-    assert calls == {"coordinate_christoffels_along": 1, "coordinate_christoffels_batch": 0,
+    assert calls == {"coordinate_christoffels_along": 2, "coordinate_christoffels_batch": 0,
                      "matrix_derivative_batch": 1, "matrix_jacobian_batch": 0}
     assert rep.samples == 100 and not rep.passed
 

@@ -17,12 +17,13 @@ CPU: a matmul of 2x2 matrices rounds each entry as fma(a1 b1, a0 b0)
 under the SkylakeX and Haswell kernels and as a plain multiply and add
 under Prescott, and the kernels differ on matrix-vector products too.
 On an AVX-512 host that selects SkylakeX, all 8 goldens are unchanged;
-with OPENBLAS_CORETYPE=Haswell or Zen set for the checking process,
-verify_section5 changes (holonomy error, the sine curve's perp, the
-isometry matrices, the transport oracle), and with Prescott
-check_compalg_sheared changes too. A golden diff on another machine may
-therefore come from its kernel, not from the code: CI logs the kernel
-before it checks the goldens, with
+with OPENBLAS_CORETYPE=Haswell, Zen or Prescott set for the checking
+process, verify_section5 changes (holonomy error, the sine curve's perp,
+the isometry matrices, the transport oracle). No product on the compalg
+report path goes to BLAS, so its reports hold under every kernel, as
+test_compalg_reports_do_not_depend_on_the_blas_kernel checks. A golden
+diff on another machine may therefore come from its kernel, not from the
+code: CI logs the kernel before it checks the goldens, with
 
     OPENBLAS_VERBOSE=2 python3 -c "import numpy"
 
@@ -30,6 +31,9 @@ which prints "Core: SkylakeX" (or the kernel selected) as OpenBLAS loads.
 """
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -99,6 +103,37 @@ def test_the_former_sheared_frame_is_refused(capsys):
     config = {**SHEARED_CONFIG, "frame": [["2+x", "0.7"], ["0.3*y", "1.5+sin(x)"]]}
     assert main(["check", "--op", "compalg", "--config", json.dumps(config)]) == 2
     assert "is singular on its box" in capsys.readouterr().err
+
+
+# prints the sheared compalg report and the compalg report of a connection
+# that is not its frame's own: section5's frame with symbols 1 and 0.3
+KERNEL_SCRIPT = """
+import sys
+import numpy as np
+from holopar import report
+from holopar.cli import main
+from holopar.connections import Connection, constant_christoffels
+from holopar.fixtures import load_fixture
+from holopar.verification import check_compalg_criterion
+main(["check", "--op", "compalg", "--config", sys.argv[1]])
+s5 = load_fixture("section5")
+gamma = np.zeros((2, 2, 2))
+gamma[0, 0, 0], gamma[1, 0, 1] = 1.0, 0.3
+bent = Connection(s5.connection.frame, constant_christoffels(gamma))
+print(report.dumps(check_compalg_criterion(s5.norm_field, s5.parallelism, bent).to_dict()))
+"""
+
+
+def test_compalg_reports_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS's Prescott kernel rounds a 2x2 matmul as a plain multiply and
+    # add, the AVX kernels as an fma; a numpy without OpenBLAS ignores it
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    outs = [subprocess.run([sys.executable, "-c", KERNEL_SCRIPT, json.dumps(SHEARED_CONFIG)],
+                           env=dict(env, **kernel), capture_output=True, check=True).stdout
+            for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
+    assert outs[0].count(b'"check": "compalg_criterion"') == 2
+    assert outs[0] == outs[1]
 
 
 def test_json_diff_names_each_changed_path():

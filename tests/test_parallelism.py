@@ -195,7 +195,7 @@ def test_three_overlapping_boxes_sum_to_one():
              Box((-1.0, -3.0), (2.0, 3.0)),
              Box((1.0, -3.0), (3.0, 3.0))]
     region = Box((-2.5, -2.5), (2.5, 2.5))
-    weights = bump_partition(boxes, region, check_samples=1000)
+    weights = bump_partition(boxes, region)
     rng = np.random.default_rng(8)
     pts = region.sample(rng, 1000)
     total = np.sum([w(pts) for w in weights], axis=0)
