@@ -19,12 +19,13 @@ import numpy as np
 
 from . import report as report_mod
 from .constructions import connection_from_covering_parallelism
-from .errors import ConfigError, HoloparError
+from .errors import ConfigError, HoloparError, IncompatibleParallelismError
 from .fixtures import (build_box, build_cover, build_fixture, build_norm, fixture_names,
                        is_finite_number, load_fixture, norm_dimension, require_keys)
 from .geometry import segment
 from .norms import ContinuousFamily, isometry_group_2x2
-from .parallelism import CoveringParallelism, pushdown_norm
+from .parallelism import (PUSHDOWN_BASEPOINTS, PUSHDOWN_TOL, PUSHDOWN_VECTORS,
+                          CoveringParallelism, pushdown_norm)
 from .transport import parallel_transport, transport_ensemble
 from .verification import (TORSION_SAMPLES, CheckReport, CurveGenerator,
                            berwald_obstruction, check_compalg_criterion,
@@ -98,7 +99,7 @@ def _compalg(fx, o, tol=None):
 def _torsion(fx, o, floor=None):
     """The torsion obstruction: only reported without a floor, and passed
     only when it exceeds the floor otherwise."""
-    worst = berwald_obstruction(fx.connection, fx.domain, TORSION_SAMPLES, seed=o.seed)
+    worst = berwald_obstruction(fx.connection, fx.domain, seed=o.seed)
     name, rel, tol = (("torsion_obstruction", 0.0, np.inf) if floor is None else
                       ("torsion_obstruction_positive", 0.0 if worst > floor else 1.0, 0.5))
     return CheckReport(name, TORSION_SAMPLES, worst, rel, tol, {"obstruction": worst}, o.seed)
@@ -116,9 +117,10 @@ def _expected_torsion(fx, o):
     return CheckReport(f"{fx.name}_torsion", len(err), worst, worst, exp.tol, wit, o.seed)
 
 
-def _isometry_group(fx, o, group, tol=1e-6):
-    """The isometry group of the frame-component norm against `group`."""
-    name = f"{fx.name}_isometry_group"
+def _isometry_group(fx, o, group):
+    """The isometry group of the frame-component norm against `group`,
+    within 1e-6 entrywise."""
+    name, tol = f"{fx.name}_isometry_group", 1e-6
     found = isometry_group_2x2(fx.minkowski_norm)
     if isinstance(found, ContinuousFamily):
         return CheckReport(name, 0, 1.0, 1.0, tol, {"continuous_family": True}, o.seed)
@@ -131,15 +133,15 @@ def _isometry_group(fx, o, group, tol=1e-6):
     return CheckReport(name, len(found), err, err, tol, wit, o.seed)
 
 
-def _transport_oracle_report(fx, o, curves=20, tol=1e-7):
+def _transport_oracle_report(fx, o):
     """RK4 transport against the frame-transfer oracle [E(q)][E(p)]^-1
-    (the parallelism's own transfer) on the generated curves, and
-    against the expected table's 00 -> 10 matrix on that segment; the
-    witness is the last curve with the largest error.
+    (the parallelism's own transfer) on 20 generated curves, and against
+    the expected table's 00 -> 10 matrix on that segment, within 1e-7;
+    the witness is the last curve with the largest error.
 
     The curves run as one ensemble at half the step, the run that
     parallel_transport keeps; the segment is one parallel_transport."""
-    batch = CurveGenerator(fx.domain.shrink(0.05), seed=o.seed, count=curves).curves()
+    batch = CurveGenerator(fx.domain.shrink(0.05), seed=o.seed, count=20).curves()
     half = 1.0 / (2 * max(1, int(round(1.0 / o.step))))
     phis, starts, ends = transport_ensemble(fx.connection, batch, [1.0], step=half)
     mats = phis[:, 0]
@@ -149,33 +151,33 @@ def _transport_oracle_report(fx, o, curves=20, tol=1e-7):
     worst, wit = float(err[k]), {"curve": batch[k].params, "matrix": mats[k].tolist()}
     seg = segment((0.0, 0.0), (1.0, 0.0), domain=fx.domain)
     exp_mat = np.asarray(fx.expected["transport_00_to_10"].value)
-    got = parallel_transport(fx.connection, seg, 1.0, step=o.step)[0]
+    got = parallel_transport(fx.connection, seg, step=o.step)[0]
     worst = max(worst, float(np.max(np.abs(got - exp_mat))))
-    return CheckReport(f"{fx.name}_transport_oracle", curves + 1, worst, worst, tol,
+    return CheckReport(f"{fx.name}_transport_oracle", len(batch) + 1, worst, worst, 1e-7,
                        wit, o.seed, o.step)
 
 
-def _pushdown(fx, o, tol=1e-9):
-    name = f"{fx.name}_pushdown_independence"
-    basepoints, vectors = 10, 200
+def _pushdown(fx, o):
+    """Basepoint independence of the pushed-down norm: a dependence fails
+    with its pair as the witness, and any other error reaches the caller."""
     try:
-        pushdown_norm(fx.norm_field, fx.parallelism, np.zeros(fx.dim),
-                      basepoints=basepoints, vectors=vectors, tol=tol, seed=o.seed)
+        pushdown_norm(fx.norm_field, fx.parallelism, np.zeros(fx.dim), seed=o.seed)
         err, witness = 0.0, {}
-    except HoloparError as exc:
-        err, witness = 1.0, getattr(exc, "witness", {"error": str(exc)})
-    return CheckReport(name, basepoints * vectors, err, err, tol, witness, o.seed)
+    except IncompatibleParallelismError as exc:
+        err, witness = 1.0, exc.witness
+    return CheckReport(f"{fx.name}_pushdown_independence", PUSHDOWN_BASEPOINTS * PUSHDOWN_VECTORS,
+                       err, err, PUSHDOWN_TOL, witness, o.seed)
 
 
-def _expected_failure(fx, o, check, ratio, ratio_tol=1e-6, **overrides):
+def _expected_failure(fx, o, check, ratio, **overrides):
     """A check the fixture expects to fail: confirmation that it does
-    fail, with the witness ratio at its predicted value, is a pass."""
+    fail, its witness ratio within 1e-6 of `ratio`, is a pass."""
     inner = CHECKS[check](fx, o, **overrides)
     ratio_err = abs(inner.witness.get("value_ratio", np.nan) - ratio)
-    confirmed = (not inner.passed) and ratio_err <= ratio_tol
+    confirmed = (not inner.passed) and ratio_err <= 1e-6
     err = ratio_err if not inner.passed else 1.0
     return CheckReport(f"expected_{check}_failure", inner.samples, err,
-                       err if confirmed else 1.0, ratio_tol,
+                       err if confirmed else 1.0, 1e-6,
                        {"inner": inner.to_dict(), "expected_ratio": ratio},
                        o.seed, inner.step)
 

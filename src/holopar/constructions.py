@@ -88,20 +88,20 @@ def connection_from_covering_parallelism(cover):
     return Connection(coordinate_frame(n, cover.region), blend)
 
 
-def decompose_box(box, per_axis=2, overlap=0.25):
+def decompose_box(box):
     """Fixed decomposition of a box into overlapping sub-boxes.
 
-    Each axis is split into `per_axis` pieces enlarged by `overlap`
-    times their own width (25% linear overlap by default).
+    Each axis is split into 2 pieces, each enlarged by 0.25 of its own
+    width at both ends (25% linear overlap).
     """
     axis_pieces = []
     for lo, hi in zip(box.lo, box.hi):
-        width = (hi - lo) / per_axis
+        width = (hi - lo) / 2
         # overhang past the working region keeps bump weights bounded
         # away from zero on its closure (callers keep the region
         # strictly inside the chart)
-        axis_pieces.append([(lo + k * width - overlap * width,
-                             lo + (k + 1) * width + overlap * width) for k in range(per_axis)])
+        axis_pieces.append([(lo + k * width - 0.25 * width,
+                             lo + (k + 1) * width + 0.25 * width) for k in range(2)])
     return [Box(tuple(a for a, _ in pieces), tuple(b for _, b in pieces))
             for pieces in itertools.product(*axis_pieces)]
 

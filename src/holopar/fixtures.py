@@ -24,7 +24,7 @@ import numpy as np
 
 from .connections import Connection
 from .constructions import connection_from_covering_parallelism
-from .errors import ConfigError
+from .errors import ConfigError, CoveringGapError
 from .exprs import parse_exprs
 from .geometry import DET_FLOOR, Box, Frame, coordinate_frame
 from .norms import (MinkowskiNorm, NormField, RandersData, constant_norm_field,
@@ -240,7 +240,8 @@ def build_norm(spec, domain=None):
 
 def build_cover(members, region):
     """The covering parallelism of `region` by members {"domain", "frame"},
-    each frame "translation" or a frame spec on the member's box."""
+    each frame "translation" or a frame spec on the member's box; members
+    that leave a sampled point of the region uncovered are refused."""
     if not isinstance(members, list) or not members:
         raise ConfigError(f"cover members must be a non-empty list, not {members!r}")
     pars = []
@@ -252,7 +253,10 @@ def build_cover(members, region):
         frame = (coordinate_frame(box.dim, box) if m["frame"] == "translation"
                  else build_frame(m["frame"], box))
         pars.append((box, frame_parallelism(frame)))
-    return CoveringParallelism.build(pars, region)
+    try:
+        return CoveringParallelism.build(pars, region)
+    except CoveringGapError as exc:
+        raise ConfigError(f"cover members leave the region uncovered: {exc}") from exc
 
 
 def build_fixture(spec, name="inline"):

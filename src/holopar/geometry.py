@@ -197,16 +197,18 @@ class Frame:
 def invert_frames(E, what):
     """E^-1 of a batch (..., n, n) of frame matrices.
 
-    Raises SingularFrameError ("singular <what>") when some |det E| is at
-    most DET_FLOOR. For n = 2 the inverse is the adjugate over ad - bc,
-    written into one output array laid out as E is (component-major
-    planes stay planes); other n factorize through numpy.
+    Raises SingularFrameError ("singular <what>") unless every |det E|
+    exceeds DET_FLOOR, so a NaN det is refused, not warned about. For
+    n = 2 the inverse is the adjugate over ad - bc, written into one
+    output array laid out as E is (component-major planes stay planes);
+    other n factorize through numpy.
     """
     E = np.asarray(E, dtype=float)
     two = E.shape[-1] == 2
-    det = (E[..., 0, 0] * E[..., 1, 1] - E[..., 0, 1] * E[..., 1, 0] if two
-           else np.linalg.det(E))
-    if np.any(np.abs(det) <= DET_FLOOR):
+    with np.errstate(invalid="ignore"):
+        det = (E[..., 0, 0] * E[..., 1, 1] - E[..., 0, 1] * E[..., 1, 0] if two
+               else np.linalg.det(E))
+    if not np.all(np.abs(det) > DET_FLOOR):
         raise SingularFrameError(f"singular {what}")
     if not two:
         return np.linalg.inv(E)
@@ -284,8 +286,8 @@ class Curve:
         pos, vel = curve_positions_velocities([self], ts)
         return pos[0], vel[0]
 
-    def validate(self, samples=64):
-        inside, regular = check_curves([self], samples)
+    def validate(self):
+        inside, regular = check_curves([self])
         if not inside[0]:
             raise DomainError("curve leaves the chart domain")
         if not regular[0]:
@@ -355,12 +357,12 @@ def curve_positions_velocities(curves, ts):
     return tuple(x.swapaxes(0, 1)[back] for x in evaluate(ts))
 
 
-def check_curves(curves, samples=64):
+def check_curves(curves):
     """Which curves pass ``Curve.validate``: boolean (m,) arrays inside
     (every sample in the curve's domain, if it has one) and regular (no
-    sampled speed below 1e-9), from one evaluation of all curves at
-    `samples` equispaced parameters."""
-    pos, vel = curve_positions_velocities(curves, np.linspace(0.0, 1.0, samples))
+    sampled speed below 1e-9), from one evaluation of all curves at 64
+    equispaced parameters."""
+    pos, vel = curve_positions_velocities(curves, np.linspace(0.0, 1.0, 64))
     inside = np.ones(len(curves), dtype=bool)
     for domain in {curve.domain for curve in curves} - {None}:   # one test per domain
         cs = [c for c, curve in enumerate(curves) if curve.domain == domain]

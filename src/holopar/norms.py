@@ -31,7 +31,7 @@ from .errors import DefinitenessError, PreconditionError
 from .geometry import apply_matrices, invert_frames
 from .jets import Jet, jsqrt
 
-ISOMETRY_TOL = 1e-9
+ISOMETRY_TOL, ISOMETRY_SAMPLES = 1e-9, 720     # is_isometry's bound and unit-sphere grid
 LIE_ALGEBRA_TOL = 1e-8
 LIE_ALGEBRA_SAMPLES = 200                 # unit-sphere grid of the membership test
 # on random Randers norms, exact or central-difference gradients, the null
@@ -155,16 +155,16 @@ def euclidean_norm(n):
     return MinkowskiNorm(n, lambda v: jsqrt(sum(v[..., i] * v[..., i] for i in range(n))))
 
 
-def is_isometry(f, A, samples=720, tol=ISOMETRY_TOL):
+def is_isometry(f, A):
     """Whether f(Av) = f(v) on a unit-sphere grid; returns (bool, max deviation).
 
     Singular A comes out False automatically: some unit vector is crushed
     towards the kernel and definiteness separates the values.
     """
     A = np.asarray(A, dtype=float)
-    u = unit_sphere(f.dim, samples)
+    u = unit_sphere(f.dim, ISOMETRY_SAMPLES)
     dev = float(np.max(np.abs(f(u @ A.T) - f(u))))
-    return dev <= tol, dev
+    return dev <= ISOMETRY_TOL, dev
 
 
 class ContinuousFamily(NamedTuple):
@@ -233,7 +233,7 @@ def isometry_group_2x2(f):
     return matrices
 
 
-def lie_algebra_member(f, A, samples=LIE_ALGEBRA_SAMPLES, tol=LIE_ALGEBRA_TOL):
+def lie_algebra_member(f, A):
     """Whether A generates isometries of f: (bool, max violation).
 
     The violation is max |grad f(u) . Au| on a unit-sphere grid, the
@@ -241,9 +241,9 @@ def lie_algebra_member(f, A, samples=LIE_ALGEBRA_SAMPLES, tol=LIE_ALGEBRA_TOL):
     Lie algebra of iso(f).
     """
     A = np.asarray(A, dtype=float)
-    u = unit_sphere(f.dim, samples)
+    u = unit_sphere(f.dim, LIE_ALGEBRA_SAMPLES)
     viol = float(np.max(np.abs(np.einsum("si,si->s", f.gradient(u), apply_matrices(A, u)))))
-    return viol <= tol, viol
+    return viol <= LIE_ALGEBRA_TOL, viol
 
 
 class NormField:
@@ -253,7 +253,8 @@ class NormField:
 
     The vectors carry the batch shape (..., n), and the points may have
     any shape that broadcasts to it: points (m, 1, n) with vectors
-    (m, V, n) give the V vectors at each of m points.
+    (m, V, n) give the V vectors at each of m points. A value that is not
+    finite is refused, naming its point, instead of warned about.
     """
 
     __slots__ = ("dim", "evaluator")
@@ -263,8 +264,15 @@ class NormField:
         self.evaluator = evaluator
 
     def __call__(self, coords, vectors):
-        return self.evaluator(np.asarray(coords, dtype=float),
-                              np.asarray(vectors, dtype=float))
+        c, v = np.asarray(coords, dtype=float), np.asarray(vectors, dtype=float)
+        with np.errstate(all="ignore"):
+            out = self.evaluator(c, v)
+        finite = np.isfinite(out)
+        if not finite.all():
+            k = np.unravel_index(np.argmin(finite), finite.shape)
+            p = np.broadcast_to(c, finite.shape + c.shape[-1:])[k]
+            raise DefinitenessError(f"norm field is not finite at the point {p.tolist()}")
+        return out
 
     def gradient(self, coords, v):
         """The gradient in v (..., n) at points coords and vectors v."""

@@ -20,6 +20,7 @@ from .norms import MinkowskiNorm, unit_sphere
 
 BUMP_RAMP = 0.25            # a finite bump's ramp, as a fraction of its side
 PARTITION_SAMPLES, PARTITION_SEED = 1000, 11    # seeded points checked for a gap
+PUSHDOWN_BASEPOINTS, PUSHDOWN_VECTORS, PUSHDOWN_TOL = 10, 200, 1e-9   # pushdown_norm's check
 
 
 class Parallelism:
@@ -67,20 +68,20 @@ def translation_parallelism(domain):
     return frame_parallelism(coordinate_frame(domain.dim, domain))
 
 
-def pushdown_norm(norm_field, parallelism, p, basepoints=10, vectors=200,
-                  tol=1e-9, seed=7):
+def pushdown_norm(norm_field, parallelism, p, seed=7):
     """Push F down to R^n through the trivialization: the MinkowskiNorm
-    F_p o phi_p, certified not to depend on the chosen basepoint p.
+    F_p o phi_p, certified not to depend on the chosen basepoint p at
+    PUSHDOWN_BASEPOINTS seeded basepoints and PUSHDOWN_VECTORS unit vectors.
 
     Raises IncompatibleParallelismError (with the violating pair) when
-    independence fails beyond `tol`, which happens exactly when F is not
-    compatible with the parallelism.
+    independence fails beyond PUSHDOWN_TOL, which happens exactly when F
+    is not compatible with the parallelism.
     """
     p_coords = np.asarray(p, dtype=float)
     n = parallelism.dim
     rng = np.random.default_rng(seed)
-    others = parallelism.domain.sample(rng, basepoints, margin=0.05)
-    vs = unit_sphere(n, vectors)
+    others = parallelism.domain.sample(rng, PUSHDOWN_BASEPOINTS, margin=0.05)
+    vs = unit_sphere(n, PUSHDOWN_VECTORS)
 
     # F(q, phi_q v) at p and every basepoint q from one phi and one norm call
     pts = np.concatenate([p_coords[None, :], others])
@@ -89,7 +90,7 @@ def pushdown_norm(norm_field, parallelism, p, basepoints=10, vectors=200,
     vals = norm_field(pts[:, None, :], w)
     devs = np.max(np.abs(vals[1:] - vals[0]), axis=1)
     for q, dev in zip(others, devs):
-        if dev > tol:
+        if dev > PUSHDOWN_TOL:
             raise IncompatibleParallelismError(
                 f"pushed-down norm depends on the basepoint (deviation {dev:.3e})",
                 witness={"p": p_coords.tolist(), "q": q.tolist(), "deviation": float(dev)})
@@ -111,7 +112,7 @@ def _bump_1d(x, a, b):
     return functools.reduce(np.multiply, steps) if steps else np.ones_like(x)
 
 
-def bump_partition(domains, region=None):
+def bump_partition(domains, region):
     """Smooth partition of unity subordinate to overlapping boxes.
 
     Each weight is a product of 1-D mollifier bumps supported strictly
@@ -143,13 +144,10 @@ def bump_partition(domains, region=None):
             raw.append(functools.reduce(np.multiply, factors))
         return raw
 
-    if region is not None:
-        rng = np.random.default_rng(PARTITION_SEED)
-        pts = region.sample(rng, PARTITION_SAMPLES, margin=1e-6)
-        tot = functools.reduce(np.add, raw_weights(pts))
-        if np.any(tot <= 0.0):
-            bad = pts[np.argmin(tot)]
-            raise CoveringGapError(f"point {bad.tolist()} not covered by any box")
+    pts = region.sample(np.random.default_rng(PARTITION_SEED), PARTITION_SAMPLES, margin=1e-6)
+    tot = functools.reduce(np.add, raw_weights(pts))
+    if np.any(tot <= 0.0):
+        raise CoveringGapError(f"point {pts[np.argmin(tot)].tolist()} not covered by any box")
 
     def normalized(i):
         def f(coords):

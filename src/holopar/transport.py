@@ -260,16 +260,14 @@ def radial_transport(conn, center, targets, step=DEFAULT_STEP):
     return _integrate(conn, evaluate, len(targets), np.ones(1), step, 1.0)[0][:, 0]
 
 
-def parallel_transport(conn, curve, t=1.0, step=DEFAULT_STEP):
-    """Transport matrix (n, n) along `curve` from parameter 0 to t, and
+def parallel_transport(conn, curve, step=DEFAULT_STEP):
+    """Transport matrix (n, n) along `curve` from parameter 0 to 1, and
     its step-halving error estimate.
 
     Integrates at the requested step and at step/2; the finer run is the
     matrix and the max-entry difference of the two is the estimate.
     """
-    if not 0.0 < t <= 1.0:
-        raise ValueError("transport parameter must lie in (0, 1]")
-    steps = _step_grid(t, step)[0]
-    coarse, _, _ = transport_ensemble(conn, [curve], [t], step=t / steps, t_end=t)
-    fine, _, _ = transport_ensemble(conn, [curve], [t], step=t / (2 * steps), t_end=t)
+    steps = _step_grid(1.0, step)[0]
+    coarse, _, _ = transport_ensemble(conn, [curve], [1.0], step=1.0 / steps)
+    fine, _, _ = transport_ensemble(conn, [curve], [1.0], step=1.0 / (2 * steps))
     return fine[0, 0], float(np.max(np.abs(coarse[0, 0] - fine[0, 0])))

@@ -35,6 +35,7 @@ MAX_ATTEMPTS_PER_CURVE = 100
 CURVE_FAMILIES = ("segment", "circle", "sine", "bezier")
 DEFAULT_TS = tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
 TORSION_SAMPLES = 50                      # points of the torsion obstruction
+COMPALG_SAMPLES = 100                     # points of the compalg criterion
 
 
 class CheckReport(NamedTuple):
@@ -212,13 +213,13 @@ def _refuse_empty(**sizes):
 
 
 def check_holonomy_invariance(norm_field, conn, gen, tol=1e-6, step=DEFAULT_STEP,
-                              vectors=20, ts=DEFAULT_TS, seed=None):
+                              vectors=20, seed=None):
     """Max relative |F(P_c^t v) - F(v)| / max(F(v), eps) over generated
-    curves, t-samples and random unit vectors."""
+    curves, the DEFAULT_TS t-samples and random unit vectors."""
     curves, gseed = _resolve_curves(gen)
     seed = gseed if seed is None else seed
-    ts = np.asarray(ts, dtype=float)
-    _refuse_empty(curves=len(curves), ts=ts.size, vectors=vectors)
+    _refuse_empty(curves=len(curves), vectors=vectors)
+    ts = np.asarray(DEFAULT_TS)
     transported = transport_ensemble(conn, curves, ts, step=step)
     return _invariance_report(norm_field, curves, ts, *transported, tol=tol,
                               step=step, vectors=vectors, seed=seed)
@@ -291,20 +292,19 @@ def check_parallelism_compat(norm_field, parallelism, pairs=200, vectors=20,
                        float(np.max(rel_err)), tol, witness, seed)
 
 
-def check_compalg_criterion(norm_field, parallelism, conn, samples=100,
-                            tol=1e-8, seed=42):
+def check_compalg_criterion(norm_field, parallelism, conn, tol=1e-8, seed=42):
     """Infinitesimal criterion: (nabla P)_v lies in the Lie algebra of iso(F_p),
     i.e. max |grad_v F(p, u) . (nabla P)_v u| over the unit-sphere grid of
-    `lie_algebra_member` vanishes; the witness is the first worst sample.
-    A norm whose gradient is not finite on that grid (a kink) is refused."""
-    _refuse_empty(samples=samples)
+    `lie_algebra_member` vanishes at COMPALG_SAMPLES seeded points; the
+    witness is the first worst sample. A norm whose gradient is not
+    finite on that grid (a kink) is refused."""
     n = parallelism.dim
     rng = np.random.default_rng(seed)
-    pts = parallelism.domain.sample(rng, samples, margin=0.05)
-    comps = rng.normal(size=(samples, n))
+    pts = parallelism.domain.sample(rng, COMPALG_SAMPLES, margin=0.05)
+    comps = rng.normal(size=(COMPALG_SAMPLES, n))
     endo = nabla_P(conn, parallelism, pts, comps)              # (m, n, n)
     u = unit_sphere(n, LIE_ALGEBRA_SAMPLES)
-    grad = norm_field.gradient(pts[:, None, :], np.broadcast_to(u, (samples, len(u), n)))
+    grad = norm_field.gradient(pts[:, None, :], np.broadcast_to(u, (COMPALG_SAMPLES, len(u), n)))
     if not np.all(np.isfinite(grad)):
         raise PreconditionError("compalg needs a norm gradient that is finite on its sample grid")
     flow = apply_matrices(endo[:, None], u)                          # (m, U, n)
@@ -313,34 +313,33 @@ def check_compalg_criterion(norm_field, parallelism, conn, samples=100,
     worst = float(viol[k])
     witness = {"p": pts[k].tolist(), "v": comps[k].tolist(),
                "endomorphism": endo[k].tolist(), "violation": worst}
-    return CheckReport("compalg_criterion", samples, worst, worst, tol, witness, seed)
+    return CheckReport("compalg_criterion", COMPALG_SAMPLES, worst, worst, tol, witness, seed)
 
 
-def berwald_obstruction(conn, domain, samples=TORSION_SAMPLES, seed=42):
+def berwald_obstruction(conn, domain, seed=42):
     """Max coordinate sup-norm of the torsion over sampled points and
     frame field pairs; zero for (locally) Berwald-compatible derivatives."""
-    return float(np.max(np.abs(torsion_samples(conn, domain, samples, seed)[1]),
-                        initial=0.0))
+    return float(np.max(np.abs(torsion_samples(conn, domain, seed)[1]), initial=0.0))
 
 
-def torsion_samples(conn, domain, samples=TORSION_SAMPLES, seed=42):
-    """Seeded points (m, n) and torsion components (m, pairs, n) of
-    T(E_i, E_j) for each frame field pair i < j, in lexicographic order:
-    the frame matrix E is evaluated once, and each pair passes its
-    columns."""
+def torsion_samples(conn, domain, seed=42):
+    """TORSION_SAMPLES seeded points (m, n) and torsion components (m,
+    pairs, n) of T(E_i, E_j) for each frame field pair i < j, in
+    lexicographic order: the frame matrix E is evaluated once, and each
+    pair passes its columns."""
     rng = np.random.default_rng(seed)
-    pts = domain.sample(rng, samples, margin=0.05)
+    pts = domain.sample(rng, TORSION_SAMPLES, margin=0.05)
     E = conn.frame.matrix_batch(pts)
     pairs = list(combinations(range(conn.dim), 2))
-    T = np.empty((samples, len(pairs), conn.dim))
+    T = np.empty((TORSION_SAMPLES, len(pairs), conn.dim))
     for k, (i, j) in enumerate(pairs):
         T[:, k] = torsion(conn, E[:, :, i], E[:, :, j], pts)
     return pts, T
 
 
-def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP,
-                     ts=DEFAULT_TS):
-    """Entrywise agreement of the two induced parallel translations.
+def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP):
+    """Entrywise agreement of the two induced parallel translations at
+    the DEFAULT_TS t-samples.
 
     Preconditions (refused loudly, never silently skipped): the isometry
     group of F at a sample point is discrete (checked first, as it needs
@@ -348,8 +347,8 @@ def check_uniqueness(norm_field, conn1, conn2, gen, tol=1e-6, step=DEFAULT_STEP,
     individually holonomy invariant for F.
     """
     curves, seed = _resolve_curves(gen)
-    ts = np.asarray(ts, dtype=float)
-    _refuse_empty(curves=len(curves), ts=ts.size)
+    _refuse_empty(curves=len(curves))
+    ts = np.asarray(DEFAULT_TS)
     if isinstance(isometry_group_2x2(norm_field.at(curves[0].point(0.0))),
                   ContinuousFamily):
         raise PreconditionError(

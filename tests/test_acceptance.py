@@ -70,12 +70,11 @@ def test_criterion_03_holonomy_invariance(s5):
 
 
 def test_criterion_04_transport_oracle(s5):
-    mat, _ = parallel_transport(s5.connection, segment((0.0, 0.0), (1.0, 0.0)),
-                                1.0, step=1e-3)
+    mat, _ = parallel_transport(s5.connection, segment((0.0, 0.0), (1.0, 0.0)), step=1e-3)
     err = float(np.max(np.abs(mat - [[1.0, 1.0], [0.0, 1.0]])))
     gen = CurveGenerator(s5.domain.shrink(0.05), seed=7, count=20)
     for curve in gen.curves():
-        mat, _ = parallel_transport(s5.connection, curve, 1.0, step=1e-3)
+        mat, _ = parallel_transport(s5.connection, curve, step=1e-3)
         oracle = (s5.frame.matrix(curve.point(1.0))
                   @ np.linalg.inv(s5.frame.matrix(curve.point(0.0))))
         err = max(err, float(np.max(np.abs(mat - oracle))))
@@ -114,8 +113,7 @@ def test_criterion_05_matrix_ode_group_membership(solve_ode):
 
 
 def test_criterion_06_pushdown_independence(s5):
-    pushed = pushdown_norm(s5.norm_field, s5.parallelism, np.zeros(2),
-                           basepoints=10, vectors=200, tol=1e-9)
+    pushed = pushdown_norm(s5.norm_field, s5.parallelism, np.zeros(2))
     ok = pushed is not None and abs(float(pushed(np.array([1.0, 0.0]))) - 1.0) < 1e-9
     _line(6, "pushed-down norm basepoint independent at 1e-9", ok)
 
@@ -156,7 +154,7 @@ def test_criterion_08_negative_controls(scaled, rescaling):
     conn = rescaling
     F = constant_norm_field(euclidean_norm(2))
     sgm = segment((0.0, 0.0), (1.0, 0.0))
-    mat, _ = parallel_transport(conn, sgm, 1.0, step=1e-3)
+    mat, _ = parallel_transport(conn, sgm, step=1e-3)
     factor = float(F(np.array([1.0, 0.0]), mat @ np.array([1.0, 0.0])))
     rep = check_holonomy_invariance(F, conn, [sgm], tol=1e-6, step=1e-3)
     ok_resc = (not rep.passed) and abs(factor - np.exp(-1.0)) <= 1e-4

@@ -2,6 +2,7 @@
 isometry groups, exit codes and report determinism."""
 
 import ast
+import dataclasses
 import json
 import os
 import shlex
@@ -15,11 +16,13 @@ import pytest
 from holopar import cli, exprs, report
 from holopar.cli import main
 from holopar.connections import Connection, constant_christoffels
-from holopar.errors import ConfigError, DefinitenessError
+from holopar.errors import ConfigError, DefinitenessError, DomainError
 from holopar.exprs import parse_exprs
 from holopar.fixtures import (SPECS, build_box, build_fixture, build_frame, build_norm,
                               fixture_names, load_fixture)
+from holopar.geometry import coordinate_frame
 from holopar.norms import ContinuousFamily, RandersData, randers_norm
+from holopar.parallelism import frame_parallelism
 from holopar.transport import parallel_transport, transport_ensemble
 from holopar.verification import CheckReport, check_compalg_criterion
 
@@ -132,12 +135,28 @@ def test_transport_oracle_batch_matches_one_curve_transport(monkeypatch):
 
     monkeypatch.setattr(cli, "transport_ensemble", recording)
     fx = load_fixture("section5")
-    rep = cli._transport_oracle_report(fx, cli.run_settings(**cli.RUN_DEFAULTS), curves=5)
+    rep = cli._transport_oracle_report(fx, cli.run_settings(**cli.RUN_DEFAULTS))
     assert rep.passed and len(calls) == 1
     conn, curves, phis = calls[0]
-    assert len(curves) == 5 and rep.samples == 6
+    assert len(curves) == 20 and rep.samples == 21
     for curve, mats in zip(curves, phis):
-        assert np.array_equal(mats[0], parallel_transport(conn, curve, 1.0, step=1e-3)[0])
+        assert np.array_equal(mats[0], parallel_transport(conn, curve, step=1e-3)[0])
+
+
+def test_pushdown_of_an_incompatible_parallelism_fails_with_its_pair():
+    fx = load_fixture("scaled_euclidean_incompatible")
+    rep = cli._pushdown(fx, cli.run_settings(**cli.RUN_DEFAULTS))
+    assert not rep.passed and rep.max_rel_error == 1.0
+    assert set(rep.witness) == {"p", "q", "deviation"} and rep.witness["p"] == [0.0, 0.0]
+    assert rep.witness["deviation"] > rep.tolerance
+
+
+def test_pushdown_lets_any_other_error_reach_the_caller():
+    # a parallelism on the whole plane has no box to draw basepoints from
+    fx = dataclasses.replace(load_fixture("euclidean_flat"),
+                             parallelism=frame_parallelism(coordinate_frame(2)))
+    with pytest.raises(DomainError, match="infinite bound"):
+        cli._pushdown(fx, cli.run_settings(**cli.RUN_DEFAULTS))
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -450,12 +469,10 @@ def test_compalg_on_a_custom_norm_decides_with_its_tol():
     gamma = np.zeros((2, 2, 2))
     gamma[0, 0, 0] = 1.0
     conn = Connection(custom.frame, constant_christoffels(gamma))
-    want = check_compalg_criterion(randers.norm_field, randers.parallelism, conn,
-                                   samples=10).max_rel_error
+    want = check_compalg_criterion(randers.norm_field, randers.parallelism, conn).max_rel_error
     assert want > 1e-3
     for tol in (want * (1.0 - 1e-9), want * (1.0 + 1e-9)):
-        rep = check_compalg_criterion(custom.norm_field, custom.parallelism, conn,
-                                      samples=10, tol=tol)
+        rep = check_compalg_criterion(custom.norm_field, custom.parallelism, conn, tol=tol)
         assert rep.max_rel_error == pytest.approx(want, rel=1e-12)
         assert rep.passed == (tol > want)
 
@@ -664,6 +681,24 @@ def _cover(frame):
     return [{"domain": _BOX3, "frame": "translation"}, {"domain": _BOX3, "frame": frame}]
 
 
+# one member on x < 0 of a region that runs to x = 2
+_HALF_COVER = [{"domain": [[-3, 0], [-3, 3]], "frame": "translation"}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--config", json.dumps({"domain": [[-2, 2], [-2, 2]], "frame": _EYE_SPEC,
+                                      "norm": _EUCLID_SPEC, "cover": _HALF_COVER})],
+    ["synthesize", "--config", json.dumps({"region": [[-2, 2], [-2, 2]], "members": _HALF_COVER})],
+], ids=["check", "synthesize"])
+def test_a_cover_that_leaves_its_region_uncovered_is_a_config_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: cover members leave the region uncovered: "
+                                   "point [")
+    assert captured.err.endswith("] not covered by any box\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("frame", [_SINGULAR, _SIGN_CHANGE], ids=["singular", "sign_change"])
 @pytest.mark.parametrize("argv", [
     lambda f: ["check", "--op", "compat", "--config",
@@ -756,6 +791,19 @@ def test_a_norm_that_is_nan_on_part_of_the_sphere_is_refused(argv, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: norm not positive on a sphere sample\n"
+    assert captured.out == ""
+
+
+def test_a_norm_field_that_is_nan_between_its_definiteness_samples_is_refused(capsys):
+    # sqrt(x + 0.85) is NaN on x < -0.85, where none of the 5 definiteness
+    # samples lies: the first compat pair there is named, with no warning
+    # and no report of NaN errors
+    config = {"domain": [[-1, 1], [-1, 1]], "frame": [["1", "0"], ["0", "1"]],
+              "norm": {"type": "custom", "expr": "sqrt(a^2+b^2)*sqrt(x+0.85)"}}
+    assert main(["check", "--op", "compat", "--config", json.dumps(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: norm field is not finite at the point "
+                            "[-0.8591182683590511, -0.7379138506038448]\n")
     assert captured.out == ""
 
 

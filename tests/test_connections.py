@@ -121,9 +121,9 @@ def _torsion_connections(s5_conn, blend):
 @pytest.mark.parametrize("name", ["section5", "rotated_blend", "frame_3d"])
 def test_batched_torsion_is_the_pointwise_torsion_bit_for_bit(name, s5_conn, blend):
     conn, dom = _torsion_connections(s5_conn, blend)[name]
-    pts, T = torsion_samples(conn, dom, samples=12, seed=5)
+    pts, T = torsion_samples(conn, dom, seed=5)
     pairs = [(i, j) for i in range(conn.dim) for j in range(i + 1, conn.dim)]
-    assert T.shape == (12, len(pairs), conn.dim)
+    assert T.shape == (50, len(pairs), conn.dim)
     E = conn.frame.matrix_batch(pts)
     for k, (i, j) in enumerate(pairs):
         batch = torsion(conn, E[:, :, i], E[:, :, j], pts)
@@ -152,10 +152,10 @@ def test_torsion_samples_are_the_per_pair_torsions_bit_for_bit(name):
     n = dom.dim
     gamma = np.arange(n ** 3, dtype=float).reshape(n, n, n) / 7.0 - 1.0
     conn = Connection(build_frame(spec, dom), constant_christoffels(gamma))
-    pts, T = torsion_samples(conn, dom, samples=9, seed=4)
-    assert np.array_equal(pts, dom.sample(np.random.default_rng(4), 9, margin=0.05))
+    pts, T = torsion_samples(conn, dom, seed=4)
+    assert np.array_equal(pts, dom.sample(np.random.default_rng(4), 50, margin=0.05))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    assert T.shape == (9, len(pairs), n) and len(pairs) == n * (n - 1) // 2
+    assert T.shape == (50, len(pairs), n) and len(pairs) == n * (n - 1) // 2
 
     def field(k):
         comps = parse_exprs(spec[k], COORD_NAMES[:n])(*pts.T)
@@ -649,8 +649,8 @@ def test_compalg_passes_on_the_radial_parallelism_of_section5(s5_conn):
     phi, seen = par.phi, []
     par.phi = lambda coords: seen.append(len(coords)) or phi(coords)
     F = one_form_norm_field(s5_conn.frame, _S5_NORM)
-    rep = check_compalg_criterion(F, par, s5_conn, samples=40)
-    assert seen == [40, 40, 40]
+    rep = check_compalg_criterion(F, par, s5_conn)
+    assert seen == [100, 100, 100]
     assert rep.passed, rep.max_abs_error
 
 
@@ -713,7 +713,7 @@ def test_batched_nabla_p_refuses_a_rank_deficient_parallel_frame(s5_conn):
         nabla_P(s5_conn, frame_parallelism(frame), coords, np.ones((3, 2)))
     F = one_form_norm_field(s5_conn.frame, _S5_NORM)
     with pytest.raises(SingularFrameError, match="singular frame in Christoffel transform"):
-        check_compalg_criterion(F, frame_parallelism(frame), s5_conn, samples=5)
+        check_compalg_criterion(F, frame_parallelism(frame), s5_conn)
 
 
 def _exactly_zero(endo):
@@ -769,7 +769,7 @@ def test_compalg_takes_two_christoffel_calls_and_one_frame_derivative(s5_conn, m
 
     for cls, name in counted_methods:
         monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
-    rep = check_compalg_criterion(F, frame_parallelism(s5_conn.frame), conn, samples=100)
+    rep = check_compalg_criterion(F, frame_parallelism(s5_conn.frame), conn)
     assert calls == {"coordinate_christoffels_along": 2, "coordinate_christoffels_batch": 0,
                      "matrix_derivative_batch": 1, "matrix_jacobian_batch": 0}
     assert rep.samples == 100 and not rep.passed
@@ -789,11 +789,11 @@ def test_compalg_reads_the_jet_gradient_of_a_bare_field_evaluator(s5_conn):
     assert got.shape == (5, 7, 2)
     assert np.array_equal(got, want)
     par = frame_parallelism(s5_conn.frame)
-    rep = check_compalg_criterion(plain, par, s5_conn, samples=20)
+    rep = check_compalg_criterion(plain, par, s5_conn)
     assert rep.passed and rep.max_abs_error <= 1e-12
     gamma = np.zeros((2, 2, 2))
     gamma[0, 0, 0] = 1.0
     bent = Connection(s5_conn.frame, constant_christoffels(gamma))
-    want = check_compalg_criterion(exact, par, bent, samples=20).max_abs_error
-    got = check_compalg_criterion(plain, par, bent, samples=20).max_abs_error
+    want = check_compalg_criterion(exact, par, bent).max_abs_error
+    got = check_compalg_criterion(plain, par, bent).max_abs_error
     assert want > 1e-3 and got == pytest.approx(want, rel=1e-7)

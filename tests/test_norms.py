@@ -378,8 +378,8 @@ def test_group_closed_under_product_and_inverse():
         group = isometry_group_2x2(f)
         for A in group:
             for B in group:
-                assert is_isometry(f, A @ B, tol=1e-7)[0]
-            assert is_isometry(f, np.linalg.inv(A), tol=1e-7)[0]
+                assert is_isometry(f, A @ B)[1] <= 1e-7
+            assert is_isometry(f, np.linalg.inv(A))[1] <= 1e-7
 
 
 def test_limit_of_isometries_is_isometry():

@@ -1,11 +1,12 @@
 """Parallelisms, trivializations, partitions of unity and the pushed-down
 norm."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from holopar import parallelism
-from holopar.constructions import decompose_box
 from holopar.errors import (CoveringGapError, DomainError,
                             IncompatibleParallelismError)
 from holopar.fixtures import SPECS, build_frame
@@ -104,7 +105,7 @@ def test_section5_pushdown_basepoint_independent(s5_par):
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
     F = one_form_norm_field(build_frame(S5_FRAME, DOM), f)
     for p in (np.array([0.0, 0.0]), np.array([3.0, -2.0])):
-        pushed = pushdown_norm(F, s5_par, p, basepoints=10, vectors=200, tol=1e-9)
+        pushed = pushdown_norm(F, s5_par, p)
         # the pushed norm is f itself read through the anchor frame
         v = np.array([0.0, 1.0])
         expected = float(F(p, s5_par.phi(p[None, :])[0] @ v))
@@ -148,8 +149,8 @@ def test_pushdown_evaluates_phi_once_per_basepoint(s5_par):
     par = Parallelism(DOM, phi)
     f = randers_norm(RandersData(np.diag([4.0, 12.0]), np.array([-1.0, 0.0])))
     F = one_form_norm_field(build_frame(S5_FRAME, DOM), f)
-    pushed = pushdown_norm(F, par, np.array([0.0, 0.0]), basepoints=6)
-    assert calls == [7]                  # the anchor p and the 6 basepoints, in one call
+    pushed = pushdown_norm(F, par, np.array([0.0, 0.0]))
+    assert calls == [11]                 # the anchor p and the 10 basepoints, in one call
     v = unit_sphere(2, 50)
     pushed(v)
     pushed.gradient(v)
@@ -228,7 +229,8 @@ def test_partition_weight_evaluates_each_bump_once(monkeypatch):
 def test_partition_weight_of_a_point_alone_is_its_weight_in_a_batch():
     # nine boxes: the total sums the raw weights in box order for one
     # point too (numpy's pairwise sum of nine rows of one point would not)
-    boxes = decompose_box(Box((-3.0, -3.0), (3.0, 3.0)), per_axis=3)
+    pieces = ((-3.5, -0.5), (-1.5, 1.5), (0.5, 3.5))
+    boxes = [Box((a, c), (b, d)) for (a, b), (c, d) in itertools.product(pieces, pieces)]
     weights = bump_partition(boxes, Box((-2.5, -2.5), (2.5, 2.5)))
     pts = np.random.default_rng(14).uniform(-2.5, 2.5, (200, 2))
     for w in weights:

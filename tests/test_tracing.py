@@ -69,8 +69,7 @@ def test_the_compalg_check_records_one_nabla_p_span():
     try:
         tracer.install(hp)
         tracer.spans.clear()
-        hp.verification.check_compalg_criterion(fx.norm_field, fx.parallelism, fx.connection,
-                                                samples=10)
+        hp.verification.check_compalg_criterion(fx.norm_field, fx.parallelism, fx.connection)
     finally:
         tracer.uninstall()
     spans = tracer.spans

@@ -131,8 +131,7 @@ def test_scaled_field_fails_compat_with_witness(scaled):
 # ---------------------------------------------------------- compalg
 
 def test_section5_compalg_passes(s5):
-    rep = check_compalg_criterion(s5.norm_field, s5.parallelism, s5.connection,
-                                  samples=50, tol=1e-8)
+    rep = check_compalg_criterion(s5.norm_field, s5.parallelism, s5.connection, tol=1e-8)
     assert rep.passed and rep.max_abs_error <= 1e-10
 
 
@@ -140,15 +139,13 @@ def test_compalg_rejects_perturbed_connection(s5):
     gamma = np.zeros((2, 2, 2))
     gamma[0, 0, 0] = 1.0
     bad = Connection(s5.frame, constant_christoffels(gamma))
-    rep = check_compalg_criterion(s5.norm_field, s5.parallelism, bad,
-                                  samples=50, tol=1e-8)
+    rep = check_compalg_criterion(s5.norm_field, s5.parallelism, bad, tol=1e-8)
     assert not rep.passed
 
 
 def test_compalg_witness_when_every_violation_is_zero(flat2):
     # the flat connection's nabla P vanishes, so every violation is exactly 0
-    rep = check_compalg_criterion(flat2.norm_field, flat2.parallelism, flat2.connection,
-                                  samples=5)
+    rep = check_compalg_criterion(flat2.norm_field, flat2.parallelism, flat2.connection)
     assert rep.passed and rep.max_abs_error == 0.0
     assert rep.witness["violation"] == 0.0
     assert set(rep.witness) == {"p", "v", "endomorphism", "violation"}
@@ -216,8 +213,6 @@ def test_uniqueness_refuses_three_dimensions_before_integrating(monkeypatch):
 
 
 _EMPTY_SAMPLES = {
-    "holonomy_ts": (lambda fx, c: check_holonomy_invariance(fx.norm_field, fx.connection, c,
-                                                            ts=()), "ts"),
     "holonomy_vectors": (lambda fx, c: check_holonomy_invariance(fx.norm_field, fx.connection,
                                                                  c, vectors=0), "vectors"),
     "holonomy_curves": (lambda fx, c: check_holonomy_invariance(fx.norm_field, fx.connection,
@@ -226,9 +221,6 @@ _EMPTY_SAMPLES = {
                                                             pairs=0), "pairs"),
     "compat_vectors": (lambda fx, c: check_parallelism_compat(fx.norm_field, fx.parallelism,
                                                               vectors=0), "vectors"),
-    "compalg_samples": (lambda fx, c: check_compalg_criterion(fx.norm_field, fx.parallelism,
-                                                              fx.connection, samples=0),
-                        "samples"),
     "uniqueness_curves": (lambda fx, c: check_uniqueness(fx.norm_field, fx.connection,
                                                          fx.connection, []), "curves"),
 }
