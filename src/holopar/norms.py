@@ -23,12 +23,13 @@ NamedTuple, each far cheaper to create at import than a dataclass.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DefinitenessError, PreconditionError
-from .geometry import apply_matrices, invert_frames
+from .geometry import apply_matrices, invert_frames, matmul_planes
 from .jets import Jet, jsqrt
 
 ISOMETRY_TOL, ISOMETRY_SAMPLES = 1e-9, 720     # is_isometry's bound and unit-sphere grid
@@ -193,6 +194,22 @@ def isometry_algebra(f):
     return vt[rank:].reshape(-1, n, n)
 
 
+def _binet_legendre_factor(e, fe):
+    """L^T and L^-T (2, 2) for the Cholesky factor L of g = M^-1, M the
+    second moment sum_s e_s e_s^T / f(e_s)^4 over the unit-circle grid e
+    (s, 2) with f(e) = fe: M's entries are numpy sums over the grid, and
+    the inverse and the factor are 2x2 closed forms (LAPACK's order for
+    the factor), so no step goes to BLAS or LAPACK."""
+    w = e / fe[:, None] ** 4
+    (a, b), (c, d) = [[float(np.sum(e[:, i] * w[:, j])) for j in range(2)] for i in range(2)]
+    det = a * d - b * c
+    l00 = math.sqrt(d / det)
+    l10 = -c / det / l00
+    l11 = math.sqrt(a / det - l10 * l10)
+    return (np.array([[l00, l10], [0.0, l11]]),
+            np.array([[1.0 / l00, -l10 / (l00 * l11)], [0.0, 1.0 / l11]]))
+
+
 def isometry_group_2x2(f):
     """All 2x2 matrices preserving f, or a ContinuousFamily exactly when
     the Lie algebra of iso(f) is non-zero.
@@ -211,23 +228,25 @@ def isometry_group_2x2(f):
     contain the group, and `is_isometry` certifies each, rotations first,
     from the identity. The group is complete when g, a quadrature on the
     angle grid, is accurate: for smooth norms it is, while a polygon norm
-    may list a subset of its group.
+    may list a subset of its group. No step goes to BLAS or LAPACK (see
+    ``_binet_legendre_factor``; the 2x2 products are ``matmul_planes``), so
+    the matrices do not depend on the BLAS kernel.
     """
     if f.dim != 2:
         raise PreconditionError(f"isometry_group_2x2 requires n = 2, got n = {f.dim}")
     if len(isometry_algebra(f)):
         return ContinuousFamily()
     e = unit_sphere(2, ORACLE_ANGLES)
-    L = np.linalg.cholesky(np.linalg.inv(e.T @ (e / f(e)[:, None] ** 4)))
-    Lt, Lt_inv = L.T, np.linalg.inv(L.T)
-    c = np.fft.rfft(f(e @ Lt_inv.T))
+    Lt, Lt_inv = _binet_legendre_factor(e, f(e))
+    c = np.fft.rfft(f(apply_matrices(Lt_inv, e)))
     m = 1 + int(np.argmax(np.abs(c[1:])))
     j = np.arange(m)
     matrices = []
     for S, angles in ((np.eye(2), 2.0 * np.pi * j / m),
                       (np.diag([1.0, -1.0]), 2.0 * (np.pi * j - np.angle(c[m])) / m)):
         for t in angles:
-            A = Lt_inv @ np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) @ S @ Lt
+            R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+            A = matmul_planes(matmul_planes(matmul_planes(Lt_inv, R), S), Lt)
             if is_isometry(f, A)[0]:
                 matrices.append(A)
     return matrices
@@ -280,9 +299,24 @@ class NormField:
         return _v_gradient(lambda w: self.evaluator(c, w), v)
 
     def at(self, p):
-        """Restriction F_p to the tangent space at p (n,), as a MinkowskiNorm."""
-        c = np.asarray(p, dtype=float)
-        return MinkowskiNorm(self.dim, lambda v: self.evaluator(c, v))
+        """Restriction F_p to the tangent space at p (n,), as a MinkowskiNorm
+        whose values, like the field's, refuse one that is not finite."""
+        return _Restriction(self, np.asarray(p, dtype=float))
+
+
+class _Restriction(MinkowskiNorm):
+    """F_p of a NormField: a value comes from the field's __call__, so one
+    that is not finite is refused naming p, not warned about; the
+    evaluator, which the gradient's jet pass runs, is the field's at p."""
+
+    __slots__ = ("field", "point")
+
+    def __init__(self, field, point):
+        super().__init__(field.dim, lambda v: field.evaluator(point, v))
+        self.field, self.point = field, point
+
+    def __call__(self, v):
+        return self.field(self.point, v)
 
 
 def _coframes(frame, coords):

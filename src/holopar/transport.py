@@ -17,12 +17,17 @@ kernel steps the block before the next block is evaluated. Neither the
 positions nor the coefficients of a whole run are ever held, and each
 half-step sample is evaluated once. A block's points are grid-major,
 ordered (grid, curve), and every per-point quantity from the frame jets
-to the increments lives in component-major (n, n, points) planes, so a
+to the RK4 factors lives in component-major (n, n, points) planes, so a
 product of 2×2 matrices is n^3 whole-plane multiply-adds rather than
 one small matrix product per point, with no transposing copy between
-the layers. As the ODE is linear, each RK4 step is one product
-phi <- phi + D_k phi. A block writes its steps into one buffer and
-checks them for finiteness together. Only the one-curve
+the layers. As the ODE is linear, Phi at step k is the product
+(I + D_k) ... (I + D_1) of the RK4 factors. The steps are cut into
+segments at every multiple of SEGMENT_STEPS and at every sample index;
+each segment's factors are multiplied as a pairwise tree, level by level
+over whole planes, and its product is applied to Phi. The segments depend
+only on the step and sample indices, so a curve's matrices have the same
+bits alone or in any batch, whatever the block, and no product goes to
+BLAS, so they have the same bits under every BLAS kernel. Only the one-curve
 ``parallel_transport`` (the transport oracle's expected segment) also
 carries a step-halving error estimate.
 
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+from itertools import groupby
 
 import numpy as np
 
@@ -52,13 +58,17 @@ from .errors import IntegrationBlowupError
 from .geometry import curve_evaluator, family_evaluator, matmul_planes, segment_coords
 
 DEFAULT_STEP = 1e-3
-# step·curve matrices per block of the RK4 kernel: a block's increments
-# are about 12 800 (n, n) matrices, 0.4 MB for n = 2, and its positions,
+# step·curve matrices per block of the RK4 kernel (more only where one
+# segment of SEGMENT_STEPS steps holds more): a block's factors are at
+# most 12 800 (n, n) matrices, 0.4 MB for n = 2, and its positions,
 # velocities, frame jets, inverses and coefficients, one per half-step
 # sample, 0.4 MB per (n,) and 0.8 MB per (n, n) array; they stay in cache
 # from the curves to the steps, while small blocks pay the per-block
 # ufunc calls
 BLOCK_MATRICES = 12800
+# steps: every multiple of it cuts the RK4 product into segments, whatever
+# the block (_rk4_matrix)
+SEGMENT_STEPS = 64
 SAMPLE_TOL = 1e-9                         # slack of a sample time on the step grid
 # glibc's heap thresholds for the blocks (module docstring): the ceiling of
 # its dynamic mmap threshold on 64 bits, and twice that for the trim
@@ -109,9 +119,10 @@ def _step_grid(t_end, step):
 
 
 def _block_steps(m):
-    """Steps per block of _rk4_matrix for m curves: about BLOCK_MATRICES
-    step·curve matrices, and at least 64 steps."""
-    return max(64, BLOCK_MATRICES // m)
+    """Steps per block of _rk4_matrix for m curves: whole segments of
+    SEGMENT_STEPS steps, as many as BLOCK_MATRICES step·curve matrices
+    hold, and at least one."""
+    return SEGMENT_STEPS * max(1, BLOCK_MATRICES // (SEGMENT_STEPS * m))
 
 
 def _times_shifted(P, c, Q):
@@ -124,18 +135,18 @@ def _times_shifted(P, c, Q):
 
 
 def _increments(first, A, h):
-    """RK4 increment matrices D (b, m, n, n) of a block of b steps:
-    D = h/6 (A1 + 2 B2 + 2 B3 + B4) with B2 = A2 (I + h/2 A1),
-    B3 = A2 (I + h/2 B2) and B4 = A4 (I + h B3).
+    """RK4 factors I + D (n, n, b, m) of a block of b steps, component-major
+    planes: D = h/6 (A1 + 2 B2 + 2 B3 + B4) with B2 = A2 (I + h/2 A1),
+    B3 = A2 (I + h/2 B2) and B4 = A4 (I + h B3), so step k takes Phi to
+    (I + D_k) Phi.
 
     `first` (n, n, m) is the sample at the block's first step and A (n, n,
     2b, m) the 2b half-step samples after it, both component-major planes,
     so each product is n^3 multiply-adds over all of the block's
     step·curve matrices at once instead of one BLAS call per 2×2 matrix.
     The sum accumulates in the order written, each B overwritten once it
-    has been added.
+    has been added; I is added to the scaled sum.
     """
-    n, _, _, m = A.shape
     A2, A4 = A[:, :, 0::2], A[:, :, 1::2]
     A1 = np.concatenate((first[:, :, None], A4[:, :, :-1]), axis=2)
     B = _times_shifted(A2, 0.5 * h, A1.copy())
@@ -143,9 +154,42 @@ def _increments(first, A, h):
     B = _times_shifted(A2, 0.5 * h, B)
     S += 2.0 * B
     S += _times_shifted(A4, h, B)
-    D = np.empty((A4.shape[2], m, n, n))
-    np.multiply(h / 6.0, S, out=D.transpose(2, 3, 0, 1))
-    return D
+    S *= h / 6.0
+    for i in range(S.shape[0]):
+        S[i, i] += 1.0
+    return S
+
+
+def _segment_products(F, cuts):
+    """The product F[hi - 1] ... F[lo] (n, n, m) of each segment lo..hi-1
+    between consecutive `cuts`, along the step axis of the factor planes
+    F (n, n, b, m). Each is reduced pairwise, level by level, the later
+    factor on the left and an odd last factor carried up, so its bits
+    depend on its own factors alone; adjacent segments of one length are
+    reduced together, as one view of F."""
+    n, _, _, m = F.shape
+    out, lo = [], cuts[0]
+    for length, run in groupby(np.diff(cuts).tolist()):
+        count = len(list(run))
+        X = F[:, :, lo:lo + count * length].reshape(n, n, count, length, m)
+        while X.shape[3] > 1:
+            pairs = X.shape[3] // 2
+            P = matmul_planes(X[:, :, :, 1:2 * pairs:2], X[:, :, :, 0:2 * pairs:2])
+            X = np.concatenate((P, X[:, :, :, 2 * pairs:]), axis=3) if X.shape[3] % 2 else P
+        out += [X[:, :, i, 0] for i in range(count)]
+        lo += count * length
+    return out
+
+
+def _first_non_finite_step(F, phi, lo, hi):
+    """The first of the steps lo..hi-1 of the factor planes F after which
+    phi, taken one factor at a time, is not finite; hi - 1 if none is, so
+    that only the segment's tree product left the floating-point range."""
+    for k in range(lo, hi):
+        phi = matmul_planes(F[:, :, k], phi)
+        if not np.isfinite(phi).all():
+            return k
+    return hi - 1
 
 
 def _rk4_matrix(coefficients, m, n, steps, h, sample_idx):
@@ -155,44 +199,46 @@ def _rk4_matrix(coefficients, m, n, steps, h, sample_idx):
     fastest as a view of component-major (n, n, hi - lo, m) planes. Returns {k: Phi at
     step k} for the step indices in sample_idx.
 
-    The ODE is linear, so RK4 step k is phi <- phi + D_k phi with the
-    increment D_k of ``_increments``. A block of ``_block_steps(m)``
-    steps pulls its 2b new samples (the first block also the sample at
-    t = 0), so each sample is evaluated once: a block's last sample is
-    carried into the next as its first. The block forms its increments
-    and writes its steps into one buffer, one product and one sum each,
-    and checks them for finiteness together, before the next block's
-    coefficients are evaluated. The first non-finite step is the
-    reported t.
+    The ODE is linear, so Phi at step k is (I + D_k) ... (I + D_1), with
+    the factors of ``_increments``. A block of ``_block_steps(m)`` steps
+    pulls its 2b new samples (the first block also the sample at t = 0),
+    so each sample is evaluated once: a block's last sample is carried
+    into the next as its first. The block cuts its steps into segments at
+    every multiple of SEGMENT_STEPS and every sample index, multiplies
+    each segment's factors as a tree (``_segment_products``) and applies
+    the products to Phi in order, so the tree's shape depends only on the
+    step and sample indices, never on m or the block. Phi is checked for finiteness after
+    each segment, before the next block's coefficients are evaluated; a
+    segment that leaves it non-finite is re-run one step at a time from
+    its first Phi, and the first non-finite step is the reported t.
     """
     block = _block_steps(m)
     idx = np.unique(np.fromiter(sample_idx, dtype=int))
-    buf = np.empty((min(block, steps) + 1, m, n, n))
-    buf[0] = np.eye(n)
-    phis, prod = list(buf), np.empty((m, n, n))
-    out = {0: buf[0].copy()} if idx.size and idx[0] == 0 else {}
+    wanted = set(idx.tolist())
+    phi = np.repeat(np.eye(n)[:, :, None], m, axis=2)
+    out = {0: phi.transpose(2, 0, 1).copy()} if idx.size and idx[0] == 0 else {}
     first = None
     for k0 in range(0, steps, block):
         A = coefficients(2 * k0 + (first is not None), 2 * min(k0 + block, steps) + 1)
         A = A.transpose(2, 3, 0, 1)
         if first is None:
             first, A = A[:, :, 0], A[:, :, 1:]
+        b = A.shape[2] // 2
+        inner = idx[(idx > k0) & (idx < k0 + b)] - k0
+        cuts = np.append(np.union1d(np.arange(0, b, SEGMENT_STEPS), inner), b).tolist()
         # a blow-up is reported once, by the finiteness check, not also as
         # a warning; the coefficients keep the caller's error state
         with np.errstate(over="ignore", invalid="ignore"):
-            D = _increments(first, A, h)
-            for j, Dj in enumerate(D):
-                np.add(phis[j], np.matmul(Dj, phis[j], out=prod), out=phis[j + 1])
+            F = _increments(first, A, h)
+            for lo, hi, P in zip(cuts, cuts[1:], _segment_products(F, cuts)):
+                nxt = matmul_planes(P, phi)
+                if not np.isfinite(nxt).all():
+                    k = k0 + 1 + _first_non_finite_step(F, phi, lo, hi)
+                    raise IntegrationBlowupError("transport blow-up", t=k * h)
+                phi = nxt
+                if k0 + hi in wanted:
+                    out[k0 + hi] = phi.transpose(2, 0, 1).copy()
         first = A[:, :, -1].copy()
-        b = D.shape[0]
-        finite = np.isfinite(buf[1:b + 1].reshape(b, -1)).all(axis=1)
-        if not finite.all():
-            k = k0 + 1 + int(np.argmin(finite))
-            raise IntegrationBlowupError("transport blow-up", t=k * h)
-        lo, hi = np.searchsorted(idx, (k0 + 1, k0 + b + 1))
-        for k in idx[lo:hi].tolist():
-            out[k] = buf[k - k0].copy()
-        buf[0] = buf[b]
     return out
 
 

@@ -12,6 +12,7 @@ the CLI's JSON schema. Pointwise checks evaluate their points as one batch.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import NamedTuple
 
@@ -124,11 +125,11 @@ class CurveGenerator:
         if family == "sine":
             p0, p1 = _uniform(rng, bounds["sine"], (2, n))
             d = p1 - p0
-            if np.linalg.norm(d) < 1e-3:
+            if math.sqrt(_dot(d, d)) < 1e-3:
                 d = 0.1 * side
             perp = rng.normal(size=n)
-            perp -= perp @ d / (d @ d) * d
-            nrm = np.linalg.norm(perp)
+            perp -= _dot(perp, d) / _dot(d, d) * d
+            nrm = math.sqrt(_dot(perp, perp))
             perp = perp / nrm if nrm > 1e-12 else np.zeros(n)
             amp = float(rng.uniform(0.02, 0.1) * bounds["min_side"])
             omega = float(rng.uniform(1.0, 3.0) * np.pi)
@@ -164,6 +165,12 @@ def _draw_bounds(box):
         flo, fhi = lo + margin * side, hi - margin * side
         out[family] = (flo, fhi - flo)
     return out
+
+
+def _dot(a, b):
+    """a . b of two vectors, multiplied and added in index order by
+    ``apply_matrices``, where a BLAS dot rounds as its kernel does."""
+    return float(apply_matrices(a[None], b)[0])
 
 
 def _uniform(rng, bounds, size):

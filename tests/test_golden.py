@@ -12,22 +12,26 @@ A change that must not alter them checks with
 
 which prints the same, writes nothing and exits 1 if any golden differs.
 
-The golden bytes depend on the BLAS kernel that OpenBLAS selects for the
-CPU: a matmul of 2x2 matrices rounds each entry as fma(a1 b1, a0 b0)
-under the SkylakeX and Haswell kernels and as a plain multiply and add
-under Prescott, and the kernels differ on matrix-vector products too.
-On an AVX-512 host that selects SkylakeX, all 8 goldens are unchanged;
-with OPENBLAS_CORETYPE=Haswell, Zen or Prescott set for the checking
-process, verify_section5 changes (holonomy error, the sine curve's perp,
-the isometry matrices, the transport oracle). No product on the compalg
-report path goes to BLAS, so its reports hold under every kernel, as
-test_compalg_reports_do_not_depend_on_the_blas_kernel checks. A golden
-diff on another machine may therefore come from its kernel, not from the
-code: CI logs the kernel before it checks the goldens, with
+The golden bytes do not depend on the kernel that OpenBLAS selects for
+the CPU, though a matmul of 2x2 matrices rounds each entry as
+fma(a1 b1, a0 b0) under the SkylakeX and Haswell kernels and as a plain
+multiply and add under Prescott: the RK4 transport multiplies its
+factors as whole-plane multiply-adds, the generated sine curves take
+their dots in index order, the isometry oracle's moment, inverse,
+Cholesky factor and products are 2x2 closed forms, and the compalg path
+takes differences of connections. All 8 goldens are unchanged with
+OPENBLAS_CORETYPE set to SkylakeX, Haswell, Zen or Prescott for the
+checking process; test_compalg_reports_do_not_depend_on_the_blas_kernel
+and test_section5_verify_does_not_depend_on_the_blas_kernel check it
+under Prescott. Two products still go to BLAS, Parallelism.transfer (the
+transport oracle's reference) and is_isometry's (a verdict at 1e-9), and
+no golden byte moved with them under those kernels. CI still logs the
+kernel before it checks the goldens, with
 
     OPENBLAS_VERBOSE=2 python3 -c "import numpy"
 
-which prints "Core: SkylakeX" (or the kernel selected) as OpenBLAS loads.
+which prints "Core: SkylakeX" (or the kernel selected) as OpenBLAS loads,
+so that a golden diff can be told from a new dependence on the kernel.
 """
 
 import json
@@ -124,15 +128,29 @@ print(report.dumps(check_compalg_criterion(s5.norm_field, s5.parallelism, bent).
 """
 
 
-def test_compalg_reports_do_not_depend_on_the_blas_kernel():
-    # OpenBLAS's Prescott kernel rounds a 2x2 matmul as a plain multiply and
-    # add, the AVX kernels as an fma; a numpy without OpenBLAS ignores it
+def _under_default_and_prescott(*args):
+    """Standard output of `python *args` under the BLAS kernel OpenBLAS
+    selects and under Prescott. Prescott rounds a 2x2 matmul as a plain
+    multiply and add, the AVX kernels as an fma; a numpy without OpenBLAS
+    ignores the setting."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    outs = [subprocess.run([sys.executable, "-c", KERNEL_SCRIPT, json.dumps(SHEARED_CONFIG)],
-                           env=dict(env, **kernel), capture_output=True, check=True).stdout
+    return [subprocess.run([sys.executable, *args], env=dict(env, **kernel),
+                           capture_output=True, check=True).stdout
             for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
+
+
+def test_compalg_reports_do_not_depend_on_the_blas_kernel():
+    outs = _under_default_and_prescott("-c", KERNEL_SCRIPT, json.dumps(SHEARED_CONFIG))
     assert outs[0].count(b'"check": "compalg_criterion"') == 2
+    assert outs[0] == outs[1]
+
+
+def test_section5_verify_does_not_depend_on_the_blas_kernel():
+    # the RK4 products, the sine curves' dots and the isometry oracle's
+    # moment, factor and products go to no BLAS kernel
+    outs = _under_default_and_prescott("-m", "holopar.cli", "verify", "section5")
+    assert outs[0].count(b'"pass": true') == 7
     assert outs[0] == outs[1]
 
 

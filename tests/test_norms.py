@@ -1,6 +1,8 @@
 """Randers norms, isometry tests, the 2x2 group oracle and Lie-algebra
 membership."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -482,6 +484,23 @@ def test_one_form_restriction_equals_the_field(n):
         v = rng.normal(size=(30, n))
         assert np.array_equal(Fp(v), F(p, v))
         assert np.array_equal(Fp.gradient(v), F.gradient(p, v))
+
+
+def test_a_restriction_refuses_a_value_that_is_not_finite_naming_its_point():
+    # sqrt(x + 0.85) is NaN at x = -0.9: F_p refuses it as the field does,
+    # with no warning, and at a point where F is finite its gradient is
+    # still one jet pass, |v| sqrt(x + 0.85) giving sqrt(1.35) (1, 0)
+    F = build_norm({"type": "custom", "expr": "sqrt(a^2+b^2)*sqrt(x+0.85)"},
+                   Box((-1.0, -1.0), (1.0, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DefinitenessError,
+                           match=r"^norm field is not finite at the point \[-0.9, 0.0\]$"):
+            F.at([-0.9, 0.0])([1.0, 0.0])
+    Fp = F.at([0.5, 0.0])
+    assert Fp([3.0, 4.0]) == F([0.5, 0.0], [3.0, 4.0])
+    assert np.allclose(Fp.gradient(np.array([1.0, 0.0])), [np.sqrt(1.35), 0.0],
+                       rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3])

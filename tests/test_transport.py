@@ -23,9 +23,9 @@ from holopar.geometry import (Box, Curve, Frame, coordinate_frame,
                               curve_positions_velocities, segment)
 from holopar.jets import jsin
 from holopar.parallelism import CoveringParallelism, Parallelism, frame_parallelism
-from holopar.transport import (BLOCK_MATRICES, _block_steps, _coefficient_grid,
-                               _rk4_matrix, _step_grid, parallel_transport,
-                               transport_ensemble)
+from holopar.transport import (BLOCK_MATRICES, SEGMENT_STEPS, _block_steps,
+                               _coefficient_grid, _rk4_matrix, _step_grid,
+                               parallel_transport, transport_ensemble)
 from holopar.verification import (CurveGenerator, bezier_coords, check_holonomy_invariance,
                                   circle_coords)
 
@@ -239,25 +239,31 @@ def _rk4_by_stages(A_all, h, sample_idx):
     return out
 
 
+def _product(P, Q):
+    """P Q for stacks (..., n, n), entry by entry: entry (i, k) is
+    sum_j P_ij Q_jk, j ascending, the kernel's order of operations on the
+    untransposed layout."""
+    n = P.shape[-1]
+    out = np.empty(np.broadcast_shapes(P.shape, Q.shape))
+    for i in range(n):
+        for k in range(n):
+            acc = P[..., i, 0] * Q[..., 0, k]
+            for j in range(1, n):
+                acc = acc + P[..., i, j] * Q[..., j, k]
+            out[..., i, k] = acc
+    return out
+
+
 def _component_major_increments(A_all, h):
     """The RK4 increments D (N, m, n, n) of every step from a grid-major
-    A_all (2N+1, m, n, n), entry by entry: product entry (i, k) is
-    sum_j P_ij X_jk with X = I + c Q, j ascending, the kernel's order of
-    operations on the untransposed layout."""
+    A_all (2N+1, m, n, n), each product P (I + c Q) by ``_product``."""
     n = A_all.shape[-1]
     A1, A2, A4 = A_all[:-1:2], A_all[1::2], A_all[2::2]
 
     def times_shifted(P, c, Q):
         X = c * Q
         X[..., range(n), range(n)] += 1.0
-        out = np.empty_like(P)
-        for i in range(n):
-            for k in range(n):
-                acc = P[..., i, 0] * X[..., 0, k]
-                for j in range(1, n):
-                    acc = acc + P[..., i, j] * X[..., j, k]
-                out[..., i, k] = acc
-        return out
+        return _product(P, X)
 
     B2 = times_shifted(A2, 0.5 * h, A1)
     B3 = times_shifted(A2, 0.5 * h, B2)
@@ -266,10 +272,10 @@ def _component_major_increments(A_all, h):
 
 
 def _rk4_step_by_step(A_all, h, sample_idx):
-    """The increment-matrix kernel without blocks, stepping
+    """The sequential product without blocks, stepping
     phi <- phi + D_k phi as a new array per step, each checked for
-    finiteness: the reference the block-buffered kernel must match bit
-    for bit."""
+    finiteness: the reference for where a blow-up is reported, and, within
+    rounding, for the matrices."""
     _, m, n, _ = A_all.shape
     with np.errstate(over="ignore", invalid="ignore"):
         D = _component_major_increments(A_all, h)
@@ -285,19 +291,49 @@ def _rk4_step_by_step(A_all, h, sample_idx):
     return out
 
 
+def _rk4_tree(A_all, h, sample_idx):
+    """The tree product without blocks: the factors I + D_k of
+    ``_component_major_increments``, the steps cut at every multiple of
+    SEGMENT_STEPS and at every sample index, each segment's factors
+    multiplied pairwise as a list, level by level (the later factor on the
+    left, an odd last one carried up), and its product applied to phi, all
+    by ``_product``: the reference the block-buffered kernel must match bit
+    for bit."""
+    _, m, n, _ = A_all.shape
+    F = _component_major_increments(A_all, h)
+    F[..., range(n), range(n)] += 1.0
+    steps = F.shape[0]
+    phi = np.broadcast_to(np.eye(n), (m, n, n)).copy()
+    out = {0: phi} if 0 in sample_idx else {}
+    cuts = sorted({steps} | set(range(0, steps, SEGMENT_STEPS))
+                  | {k for k in sample_idx if 0 < k < steps})
+    for lo, hi in zip(cuts, cuts[1:]):
+        level = list(F[lo:hi])
+        while len(level) > 1:
+            pairs = [_product(later, earlier)
+                     for earlier, later in zip(level[0::2], level[1::2])]
+            level = pairs + level[2 * len(pairs):]
+        phi = _product(level[0], phi)
+        if hi in sample_idx:
+            out[hi] = phi
+    return out
+
+
 def _check_block_buffering(m, n, steps):
     rng = np.random.default_rng(100 * steps + n)
     A_all = rng.normal(size=(2 * steps + 1, m, n, n))
     block = _block_steps(m)
     edges = {k for b in range(0, steps + 1, block) for k in (b - 1, b, b + 1)}
-    for idx in (set(range(steps + 1)), {k for k in edges if 0 <= k <= steps} | {steps}):
+    for idx in (set(range(steps + 1)), {k for k in edges if 0 <= k <= steps} | {steps},
+                {steps}):
         got = _rk4_held(A_all, 1.0 / steps, idx)
-        want = _rk4_step_by_step(A_all, 1.0 / steps, idx)
+        want = _rk4_tree(A_all, 1.0 / steps, idx)
         assert sorted(got) == sorted(want) == sorted(idx)
         for k in want:
             assert np.array_equal(got[k], want[k])
 
 
+# blocked steps against the unblocked tree product of _rk4_tree
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("steps", [1, LEAST_BLOCK - 1, LEAST_BLOCK, LEAST_BLOCK + 1, 1000])
 def test_block_buffered_steps_match_the_step_by_step_kernel_bit_for_bit(n, steps):
@@ -316,8 +352,8 @@ def test_block_buffered_steps_match_across_batch_sizes_and_blocks(m, n, steps, b
 
 
 def test_block_buffered_samples_own_their_data():
-    # the buffer is reused by every block, so a sample left as a view of it
-    # would be overwritten by the steps of later blocks
+    # the kernel holds Phi as component-major planes: a sample is an
+    # (m, n, n) copy of them, not a strided view that keeps them alive
     A_all = np.random.default_rng(0).normal(size=(2 * 200 + 1, 2, 2, 2))
     out = _rk4_held(A_all, 1e-2, range(201))
     assert len(out) == 201 and all(phi.base is None for phi in out.values())
@@ -340,6 +376,17 @@ def test_block_buffered_blow_up_reports_the_step_by_step_parameter(step):
         ts.append(info.value.t)
     assert ts[0] == ts[1] == step * h
     assert type(ts[0]) is float
+
+
+def test_tree_product_is_the_sequential_product_within_rounding():
+    # the same factors multiplied in another order: each sample of 1000
+    # steps agrees with phi <- phi + D_k phi to rounding
+    A_all = np.random.default_rng(7).normal(size=(2001, 6, 2, 2))
+    idx = set(range(0, 1001, 100))
+    got = _rk4_held(A_all, 1e-3, idx)
+    want = _rk4_step_by_step(A_all, 1e-3, idx)
+    for k in idx:
+        assert np.max(np.abs(got[k] - want[k])) <= 1e-13 * np.max(np.abs(want[k]))
 
 
 @pytest.mark.parametrize("n, steps", [(2, 1), (2, 130), (3, 77), (3, 2 * LEAST_BLOCK + 9)])
@@ -378,7 +425,7 @@ def _one_shot_ensemble(conn, curves, sample_ts, step, monkeypatch):
     pos, vel = curve_positions_velocities(curves, grid)
     A_all = _coefficient_grid(conn, pos.swapaxes(0, 1), vel.swapaxes(0, 1))
     with monkeypatch.context() as patch:
-        patch.setattr(transport, "BLOCK_MATRICES", len(curves) * steps)
+        patch.setattr(transport, "BLOCK_MATRICES", len(curves) * (steps + SEGMENT_STEPS))
         assert _block_steps(len(curves)) >= steps
         out = _rk4_held(A_all, h, set(idx.tolist()))
     return np.stack([out[i] for i in idx], axis=1), pos[:, 0], pos[:, 2 * idx]
@@ -466,6 +513,28 @@ def test_ensemble_of_shuffled_curves_gives_the_shuffled_results_bit_for_bit(s5_c
     got = transport_ensemble(s5_conn, [curves[i] for i in perm], ts, step=1e-3)
     for a, b in zip(got, want):
         assert np.array_equal(a, b[perm])
+
+
+@pytest.mark.parametrize("count", [150, MANY])
+@pytest.mark.parametrize("steps, ks", [(1000, range(100, 1001, 100)), (777, (1, 300, 777))])
+def test_a_curve_has_the_bits_alone_and_in_an_ensemble(s5_conn, count, steps, ks):
+    # alone, a curve's whole run is one block; among 150 or 200 curves a
+    # block is 64 steps, so blocks and samples cut the runs differently
+    curves = CurveGenerator(DOM.shrink(0.05), seed=count, count=count).curves()
+    ts = np.array(ks) / steps
+    phis, _, _ = transport_ensemble(s5_conn, curves, ts, step=1.0 / steps)
+    for c in (0, count // 3, count - 1):
+        alone, _, _ = transport_ensemble(s5_conn, [curves[c]], ts, step=1.0 / steps)
+        assert np.array_equal(alone[0], phis[c])
+
+
+def test_section5_transport_at_step_2e_4_is_the_exact_transfer_to_5e_14(s5):
+    # section5's parallelism transfers exactly; at step 2e-4 the RK4
+    # truncation is about 3e-15, so the bound is on the product's rounding
+    curves = CurveGenerator(s5.domain.shrink(0.05), seed=42, count=200).curves()
+    phis, starts, ends = transport_ensemble(s5.connection, curves, [1.0], step=2e-4)
+    exact = s5.parallelism.transfer(starts, ends[:, 0])
+    assert np.max(np.abs(phis[:, 0] - exact)) < 5e-14
 
 
 def test_mixed_families_come_back_in_the_callers_order_bit_for_bit(s5_conn):
